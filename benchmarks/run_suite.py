@@ -1,20 +1,17 @@
 #!/usr/bin/env python
-"""Scenario-based perf suite: emit machine-readable ``BENCH_<fig>.json``.
+"""The perf-suite runner: measure registry figures, emit ``BENCH_<fig>.json``.
 
-Replays the scenario protocols behind figures 4 (batched insertions),
-8 (R-MAT construction scaling) and 10 (general dynamic SpGEMM) across a
-``backend × layout`` matrix with a :class:`repro.perf.PerfRecorder`
-installed — plus the ``apps`` application workloads and the ``overlap``
-figure (both ``REPRO_OVERLAP`` modes of the nonblocking pipelines, via
-``benchmarks/bench_overlap.py``) — and writes one schema-validated JSON
-document per figure:
-per-phase median seconds, kernel counters, communication volume, the git
-SHA and the seed.  The documents are the input of the regression gate
-``python -m repro.perf.compare`` (see ``docs/performance.md``).
+Every figure of ``benchmarks/figures.py`` goes through the same steps,
+written here once: resolve the variant axis, plan the cells, measure each
+(warm-up, repeats, medians over :class:`repro.perf.PerfRecorder` data or
+over the cell's own samples), tag the runs, assemble and validate the
+document, and let world rank 0 write it.  The documents are the input of
+the regression gate ``python -m repro.perf.compare`` (see
+``docs/performance.md`` for the figure/variant/gate table).
 
 Examples
 --------
-Smoke run (what CI's perf-smoke job executes)::
+Smoke run of all figures (what CI's perf-smoke job executes)::
 
     python benchmarks/run_suite.py --smoke
 
@@ -22,6 +19,11 @@ Restrict the matrix or bump the repeat count::
 
     python benchmarks/run_suite.py --smoke --backends sim --layouts csr,dhb \
         --figs fig04,fig10 --repeats 5 --out bench_out
+
+One variant of one figure, for a two-document gate::
+
+    python benchmarks/run_suite.py --figs overlap --variant off \
+        --filename BENCH_overlap_off.json
 """
 
 from __future__ import annotations
@@ -29,538 +31,209 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
-from typing import Any, Callable
+from contextlib import nullcontext
+from statistics import median
+from typing import Any
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-import numpy as np
+from figures import FIGURES, Cell, Context, Figure
 
 from repro.bench.config import BenchProfile, get_profile
-from repro.bench.workloads import (
-    batched_operation_scenario,
-    construction_scenario,
-    prepare_instance,
-    spgemm_stream_scenario,
-)
-from repro.graphs import rmat_edges
-from repro.perf import (
-    PerfRecorder,
-    bench_document,
-    bench_run_entry,
-    use_recorder,
-    validate_bench,
-)
-from repro.runtime import make_communicator, world_rank
-from repro.scenarios import Scenario, replay
-from repro.semirings import PLUS_TIMES
-from repro.sparse import DHBMatrix
-
-DEFAULT_BACKENDS = ("sim", "mpi")
-DEFAULT_LAYOUTS = ("csr", "dhb")
-DEFAULT_REPEATS = 3
-KNOWN_FIGS = (
-    "fig04",
-    "fig08",
-    "fig10",
-    "apps",
-    "overlap",
-    "partition",
-    "checkpoint",
-    "service",
-    "kernels",
-)
+from repro.perf import PerfRecorder, bench_document, bench_run_entry, use_recorder
+from repro.runtime import world_rank
 
 
-# ----------------------------------------------------------------------
-# figure protocols
-# ----------------------------------------------------------------------
-def fig04_scenario(profile: BenchProfile, seed: int) -> tuple[Scenario, str]:
-    """Fig. 4 protocol: batched insertions into a pre-loaded instance."""
-    workload = prepare_instance(
-        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 7
-    )
-    batch_per_rank = profile.update_batch_sizes[len(profile.update_batch_sizes) // 2]
-    scenario = batched_operation_scenario(
-        workload,
-        "insert",
-        n_batches=profile.batches_per_config,
-        batch_total=batch_per_rank * profile.n_ranks,
-        seed=seed + 17,
-    )
-    return scenario, "Batched insertions (Fig. 4 protocol)"
+def resolve_variants(figure: Figure, variant: str = "all") -> tuple[str, ...]:
+    """The variants one document of ``figure`` measures.
 
-
-def fig08_scenario(profile: BenchProfile, seed: int) -> tuple[Scenario, str]:
-    """Fig. 8 protocol: timed bulk construction of an R-MAT stream."""
-    total = 1 << profile.rmat_strong_total_log2
-    scale = max(8, profile.rmat_strong_total_log2 - 3)
-    n_vertices, src, dst = rmat_edges(
-        scale, max(1, total // (1 << scale)), seed=seed + 43
-    )
-    values = np.random.default_rng(seed + 47).random(src.size)
-    scenario = construction_scenario(
-        f"rmat-2^{profile.rmat_strong_total_log2}",
-        (n_vertices, n_vertices),
-        (src[:total], dst[:total], values[:total]),
-        seed=seed + 53,
-    )
-    return scenario, "R-MAT bulk construction (Fig. 8 protocol)"
-
-
-def fig10_scenario(profile: BenchProfile, seed: int) -> tuple[Scenario, str]:
-    """Fig. 10 protocol: general dynamic SpGEMM under an insertion stream."""
-    workload = prepare_instance(
-        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 11
-    )
-    batch_per_rank = profile.spgemm_general_batch_sizes[-1]
-    scenario = spgemm_stream_scenario(
-        workload,
-        n_batches=profile.batches_per_config,
-        batch_total=batch_per_rank * profile.n_ranks,
-        mode="general",
-        seed=seed + 19,
-    )
-    return scenario, "General dynamic SpGEMM stream (Fig. 10 protocol)"
-
-
-FIG_BUILDERS: dict[str, Callable[[BenchProfile, int], tuple[Scenario, str]]] = {
-    "fig04": fig04_scenario,
-    "fig08": fig08_scenario,
-    "fig10": fig10_scenario,
-}
-
-
-def apps_scenarios(seed: int) -> list[Scenario]:
-    """The application-workload scenarios of the ``apps`` figure.
-
-    One scenario per application: incremental triangle counting over an
-    evolving social graph, multi-source shortest paths under weighted
-    churn, and the multilevel contraction pipeline — the generator-default
-    sizes the differential suite also replays.
+    ``"all"`` is every variant that can run here (none for a figure
+    without an axis); anything else must be an accepted value of the axis.
     """
-    from repro.scenarios import (
-        multilevel_contraction,
-        road_churn_sssp,
-        social_triangle_stream,
-    )
-
-    return [
-        social_triangle_stream(seed=seed + 61),
-        road_churn_sssp(seed=seed + 67),
-        multilevel_contraction(seed=seed + 71),
-    ]
-
-#: figures whose protocol uses the paper-regime SpGEMM machine model
-SPGEMM_FIGS = frozenset({"fig10"})
+    if variant == "all":
+        return figure.default_variants or figure.variants
+    if variant not in figure.variants:
+        raise ValueError(
+            f"figure {figure.name!r} has no variant {variant!r} "
+            f"(known: {', '.join(figure.variants) or 'none'})"
+        )
+    return (variant,)
 
 
-# ----------------------------------------------------------------------
-# measurement
-# ----------------------------------------------------------------------
-def _median(values: list[float]) -> float:
-    return float(statistics.median(values)) if values else 0.0
-
-
-def run_config(
-    scenario: Scenario,
-    *,
-    backend: str,
-    layout: str,
-    n_ranks: int,
-    machine,
-    repeats: int,
-) -> dict[str, Any]:
-    """Replay one ``backend × layout`` cell ``repeats`` times; median it."""
-    elapsed: list[float] = []
-    recorders: list[PerfRecorder] = []
+def measure(figure: Figure, cell: Cell, repeats: int) -> dict[str, Any]:
+    """One ``runs[]`` entry, not yet tagged with its scenario."""
+    if figure.warmup:
+        # the first call pays import, cache and (with numba) JIT costs that
+        # would otherwise skew the measured repeats
+        cell.run()
+    outs, recorders = [], []
     for _ in range(repeats):
         recorder = PerfRecorder()
-        comm = make_communicator(backend, n_ranks=n_ranks, machine=machine)
-        with use_recorder(recorder):
-            result = replay(
-                scenario,
-                comm=comm,
-                layout=layout,
-                check_snapshots=False,
-                collect_final=False,
-            )
-        elapsed.append(result.elapsed_modeled)
+        with use_recorder(recorder) if figure.recorded else nullcontext():
+            outs.append(cell.run())
         recorders.append(recorder)
-    paths = sorted({path for rec in recorders for path in rec.phases})
-    phase_seconds = {
-        path: _median([rec.phase_seconds(path) for rec in recorders])
-        for path in paths
-    }
-    phase_calls = {
-        path: _median(
-            [rec.phases[path].calls if path in rec.phases else 0 for rec in recorders]
-        )
-        for path in paths
-    }
-    last = recorders[-1]
+    if figure.recorded:
+        last = recorders[-1]
+        paths = sorted({path for rec in recorders for path in rec.phases})
+        seconds = outs
+        phase_seconds = {
+            path: median(rec.phase_seconds(path) for rec in recorders)
+            for path in paths
+        }
+        phase_calls = {
+            path: median(
+                rec.phases[path].calls if path in rec.phases else 0
+                for rec in recorders
+            )
+            for path in paths
+        }
+        counters, comm, categories = last.counters, last.total_comm(), last.comm
+    else:
+        seconds = [t for out in outs for t in out.seconds]
+        phase_seconds = phase_calls = categories = {}
+        counters = {
+            key: median(out.counters[key] for out in outs)
+            for key in outs[-1].counters
+        }
+        comm = outs[-1].comm
     return bench_run_entry(
-        backend=backend,
-        layout=layout,
-        repeats=repeats,
-        elapsed_seconds_median=_median(elapsed),
+        backend=cell.backend,
+        layout=cell.layout,
+        repeats=len(seconds),
+        elapsed_seconds_median=median(seconds),
         phase_seconds_median=phase_seconds,
         phase_calls=phase_calls,
-        counters=last.counters,
-        comm=last.total_comm(),
-        comm_categories=last.comm,
+        counters=counters,
+        comm=comm,
+        comm_categories=categories or None,
     )
 
 
-def measure_dhb_insertion(profile: BenchProfile, seed: int) -> dict[str, Any]:
-    """Median-of-3 comparison of DHB insertion strategies.
-
-    Two regimes where the batched path is expected to win: bulk
-    construction from empty and dense-per-row insertion batches.  Timings
-    come from the instrumented ``dhb_insert`` phase of a
-    :class:`PerfRecorder`, not from an external stopwatch.
-    """
-    rng = np.random.default_rng(seed + 71)
-    # Construction regime: one large batch into an empty matrix (the
-    # fig 3/8 protocol).  Dense regime: skewed batches hammering a hot
-    # submatrix (~100 entries per touched row, heavy in-batch duplication)
-    # on top of an existing matrix — the shape where the whole-batch
-    # ``reduceat`` merge and the vectorised hit-slot combine win, as
-    # opposed to one-entry-per-row scatter where the per-element loop
-    # stays the right choice (and what the "auto" heuristic picks).
-    n = 20000
-    build_size = 100000
-    batch_rows = 200
-    batch_cols = 150
-    batch_size = 100 * batch_rows
-
-    def timed_insert(strategy: str, runs: Callable[[], list[tuple]]) -> float:
-        samples = []
-        for _ in range(3):
-            # setup (matrix construction / preload) happens before the
-            # recorder is installed, so only the strategy under test lands
-            # in the measured dhb_insert phase
-            prepared = runs()
-            recorder = PerfRecorder()
-            with use_recorder(recorder):
-                for matrix, batch in prepared:
-                    matrix.insert_batch(
-                        *batch, combine=PLUS_TIMES.plus, strategy=strategy
-                    )
-            samples.append(recorder.phase_seconds("dhb_insert"))
-        return _median(samples)
-
-    build = (
-        rng.integers(0, n, build_size),
-        rng.integers(0, n, build_size),
-        rng.random(build_size),
-    )
-
-    def construction_runs() -> list[tuple]:
-        return [(DHBMatrix((n, n)), build)]
-
-    dense_batches = [
-        (
-            rng.integers(0, batch_rows, batch_size),
-            rng.integers(0, batch_cols, batch_size),
-            rng.random(batch_size),
-        )
-        for _ in range(3)
-    ]
-
-    def dense_runs() -> list[tuple]:
-        matrix = DHBMatrix((n, n))
-        matrix.insert_batch(*build, combine=PLUS_TIMES.plus)
-        return [(matrix, batch) for batch in dense_batches]
-
-    out: dict[str, Any] = {}
-    for regime, runs in (("construction", construction_runs), ("dense_batches", dense_runs)):
-        per_element = timed_insert("per_element", runs)
-        batched = timed_insert("auto", runs)
-        out[regime] = {
-            "per_element_seconds": per_element,
-            "batched_seconds": batched,
-            "speedup": per_element / batched if batched else float("inf"),
-        }
-    return out
-
-
-# ----------------------------------------------------------------------
-# the driver
-# ----------------------------------------------------------------------
-def run_suite(
+def build_document(
+    figure: Figure,
     *,
-    profile_name: str | None = None,
-    figs: tuple[str, ...] = KNOWN_FIGS,
-    backends: tuple[str, ...] = DEFAULT_BACKENDS,
-    layouts: tuple[str, ...] = DEFAULT_LAYOUTS,
-    repeats: int = DEFAULT_REPEATS,
-    out_dir: str = "bench_out",
-    seed: int = 0,
-) -> list[str]:
-    """Run the requested figures and write their BENCH documents.
+    profile: BenchProfile,
+    variant: str = "all",
+    backends: tuple[str, ...],
+    layouts: tuple[str, ...],
+    repeats: int | None = None,
+    seed: int | None = None,
+) -> dict[str, Any]:
+    """Measure ``figure`` and assemble its validated BENCH document.
 
-    ``profile_name=None`` defers to ``REPRO_BENCH_PROFILE`` (default
-    ``smoke``).  Returns the list of written file paths.
+    ``repeats``/``seed`` default to the figure's own.  With one variant
+    selected the scenario tags are variant-free, so two single-variant
+    documents match run for run under ``repro.perf.compare``; with several
+    each tag carries its variant as a suffix.
     """
-    profile = get_profile(profile_name)
-    os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-    for fig in figs:
-        started = time.perf_counter()
-        if fig == "overlap":
-            # Delegates to benchmarks/bench_overlap.py: one run entry per
-            # (workload, world, overlap-mode) cell, both modes in one
-            # document.  The profile/layout knobs do not apply — the
-            # workloads pin their own sizes and the overlap-regime
-            # machine; the per-mode single-document CI gate is driven by
-            # bench_overlap.py directly (see its docstring).
-            sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-            from bench_overlap import build_document as build_overlap_document
-
-            backend = backends[0] if backends else "sim"
-            document = build_overlap_document(
-                modes=("off", "on"), backend=backend, repeats=repeats, seed=seed
+    ctx = Context(
+        profile=profile,
+        seed=figure.seed if seed is None else seed,
+        backends=backends,
+        layouts=layouts,
+        variants=resolve_variants(figure, variant),
+    )
+    cells, extras = figure.plan(ctx)
+    runs = []
+    for cell in cells:
+        entry = measure(figure, cell, figure.repeats if repeats is None else repeats)
+        if cell.tag is not None:
+            suffix = ctx.combined and cell.variant is not None
+            entry["scenario"] = (
+                f"{cell.tag}{figure.variant_sep}{cell.variant}" if suffix else cell.tag
             )
-            if _write_document(document, fig, out_dir, started, len(document["runs"])):
-                written.append(os.path.join(out_dir, f"BENCH_{fig}.json"))
-            continue
-        if fig == "partition":
-            # Delegates to benchmarks/bench_partition.py: one run entry per
-            # (partitioner, loopback world) cell of the bursty R-MAT
-            # scenario, all strategies in one document.  The profile,
-            # backend and layout knobs do not apply — the bench pins its
-            # own world sizes and logical rank count; the per-strategy
-            # single-document CI gate is driven by bench_partition.py
-            # directly (see its docstring).
-            sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-            from bench_partition import build_document as build_partition_document
-            from repro.runtime import available_partitioners
-
-            document = build_partition_document(
-                partitioners=tuple(available_partitioners()),
-                repeats=repeats,
-                seed=seed if seed else 2022,
-            )
-            if _write_document(document, fig, out_dir, started, len(document["runs"])):
-                written.append(os.path.join(out_dir, f"BENCH_{fig}.json"))
-            continue
-        if fig == "kernels":
-            # Delegates to benchmarks/bench_kernels.py: the three hot
-            # local kernels behind the REPRO_KERNEL_TIER switch, measured
-            # per tier with per-tier scenario tags.  On numba-free hosts
-            # only the pure-Python oracles are measured (the compiled
-            # column would just re-run the shimmed Python code); the
-            # gated two-document comparison is driven by bench_kernels.py
-            # directly in the CI numba leg (see its docstring).
-            sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-            from bench_kernels import build_document as build_kernels_document
-
-            document = build_kernels_document(
-                repeats=repeats, seed=seed if seed else 2022
-            )
-            if _write_document(document, fig, out_dir, started, len(document["runs"])):
-                written.append(os.path.join(out_dir, f"BENCH_{fig}.json"))
-            continue
-        if fig == "checkpoint":
-            # Delegates to benchmarks/bench_checkpoint.py: one run entry
-            # per (backend, layout) kill-and-recover drill reporting
-            # snapshot size, save/restore latency and recovery traffic.
-            # The profile knob does not apply — the drill pins its own
-            # trace and kill point; every cell is round-trip verified
-            # against the uninterrupted reference before it is reported.
-            sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-            from bench_checkpoint import build_document as build_checkpoint_document
-            from repro.runtime.mpi_backend import world_size
-
-            # Crash recovery is an in-process protocol (the mpiexec durable
-            # drill is tools/mpi_restore_drill.py), so under a real
-            # multi-process launch every rank measures its own in-process
-            # drill on the sim backend instead of the shared COMM_WORLD.
-            drill_backends = ("sim",) if world_size() > 1 else tuple(backends)
-            document = build_checkpoint_document(
-                backends=drill_backends,
-                layouts=tuple(layouts),
-                repeats=repeats,
-                seed=seed if seed else 2022,
-            )
-            if _write_document(document, fig, out_dir, started, len(document["runs"])):
-                written.append(os.path.join(out_dir, f"BENCH_{fig}.json"))
-            continue
-        if fig == "service":
-            # Delegates to benchmarks/bench_service.py: ingest throughput
-            # versus micro-batch size, query latency and tenant-count
-            # scaling of the always-on service, all cells in one document.
-            # The profile, backend and layout knobs do not apply — the
-            # bench pins its own workload on the sim backend; the
-            # single-flush-size CI gate is driven by bench_service.py
-            # directly (see its docstring).
-            sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-            from bench_service import build_document as build_service_document
-
-            document = build_service_document(
-                repeats=repeats,
-                seed=seed if seed else 2022,
-            )
-            if _write_document(document, fig, out_dir, started, len(document["runs"])):
-                written.append(os.path.join(out_dir, f"BENCH_{fig}.json"))
-            continue
-        if fig == "apps":
-            # One run entry per (application scenario, backend); the apps
-            # maintain their own dynamic state, so the layout knob does not
-            # apply and every entry is tagged with its scenario instead.
-            if set(layouts) != {"csr"}:
-                print(
-                    "note: the apps figure ignores --layouts (the "
-                    "applications manage their own dynamic storage); "
-                    "runs are tagged layout 'csr'"
-                )
-            scenarios = apps_scenarios(seed)
-            title = "Dynamic graph analytics applications"
-            runs = []
-            for scenario in scenarios:
-                for backend in backends:
-                    entry = run_config(
-                        scenario,
-                        backend=backend,
-                        layout="csr",
-                        n_ranks=profile.n_ranks,
-                        machine=profile.machine,
-                        repeats=repeats,
-                    )
-                    entry["scenario"] = scenario.name
-                    runs.append(entry)
-            extras: dict[str, Any] = {
-                "scenarios": [scenario.name for scenario in scenarios]
-            }
-            document = bench_document(
-                figure=fig,
-                title=title,
-                seed=seed,
-                profile=profile.name,
-                n_ranks=profile.n_ranks,
-                runs=runs,
-                extras=extras,
-            )
-            if _write_document(document, fig, out_dir, started, len(runs)):
-                written.append(os.path.join(out_dir, f"BENCH_{fig}.json"))
-            continue
-        builder = FIG_BUILDERS.get(fig)
-        if builder is None:
-            raise ValueError(f"unknown figure {fig!r} (known: {', '.join(KNOWN_FIGS)})")
-        scenario, title = builder(profile, seed)
-        machine = profile.spgemm_machine if fig in SPGEMM_FIGS else profile.machine
-        runs = [
-            run_config(
-                scenario,
-                backend=backend,
-                layout=layout,
-                n_ranks=profile.n_ranks,
-                machine=machine,
-                repeats=repeats,
-            )
-            for backend in backends
-            for layout in layouts
-        ]
-        extras = {"scenario": scenario.name}
-        if fig == "fig04":
-            extras["dhb_insertion"] = measure_dhb_insertion(profile, seed)
-        document = bench_document(
-            figure=fig,
-            title=title,
-            seed=seed,
-            profile=profile.name,
-            n_ranks=profile.n_ranks,
-            runs=runs,
-            extras=extras,
-        )
-        if _write_document(document, fig, out_dir, started, len(runs)):
-            written.append(os.path.join(out_dir, f"BENCH_{fig}.json"))
-    return written
+        runs.append(entry)
+    # a figure that pins its own rank count ignores the bench profile and
+    # labels the document with its own name
+    pinned = figure.n_ranks is not None
+    return bench_document(
+        figure=figure.name,
+        title=figure.title,
+        seed=ctx.seed,
+        profile=figure.name if pinned else profile.name,
+        n_ranks=figure.n_ranks if pinned else profile.n_ranks,
+        runs=runs,
+        extras=extras(),
+    )
 
 
-def _write_document(
-    document: dict[str, Any], fig: str, out_dir: str, started: float, n_runs: int
-) -> bool:
-    """Validate and write one BENCH document; returns True when written.
-
-    Under a multi-process launch every process replays the protocols (one
-    SPMD program), but only world rank 0 writes the BENCH documents — the
-    measured comm volume is identical on every rank by construction, and
-    concurrent writers would race on the files.
-    """
-    validate_bench(document)
-    if world_rank() != 0:
-        return False
-    path = os.path.join(out_dir, f"BENCH_{fig}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {path}  ({n_runs} runs, {time.perf_counter() - started:.1f}s)")
-    return True
+def _csv(text: str) -> tuple[str, ...]:
+    return tuple(field.strip() for field in text.split(",") if field.strip())
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="force the smoke profile (alias of --profile smoke)",
+    add = parser.add_argument
+    add("--figs", default=",".join(FIGURES), help="comma-separated figures (default: all)")
+    add(
+        "--variant",
+        default="all",
+        help="one value of the figure's variant axis (overlap: off|on, kernels: "
+        "python|compiled, service: flush size 1|4|16, partition: a partitioner) or "
+        "'all' for the combined document (default); a value needs a single figure",
     )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        help="benchmark profile (default: REPRO_BENCH_PROFILE or smoke)",
-    )
-    parser.add_argument(
-        "--figs",
-        default=",".join(KNOWN_FIGS),
-        help=f"comma-separated figures to run (default: {','.join(KNOWN_FIGS)})",
-    )
-    parser.add_argument(
-        "--backends",
-        default=",".join(DEFAULT_BACKENDS),
-        help=f"comma-separated communicator backends (default: {','.join(DEFAULT_BACKENDS)})",
-    )
-    parser.add_argument(
-        "--layouts",
-        default=",".join(DEFAULT_LAYOUTS),
-        help=f"comma-separated local layouts (default: {','.join(DEFAULT_LAYOUTS)})",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=DEFAULT_REPEATS,
-        help="replays per matrix cell; medians are reported (default %(default)s)",
-    )
-    parser.add_argument(
-        "--out", default="bench_out", help="output directory (default %(default)s)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    add("--filename", help="output file name, single figure only (BENCH_<fig>.json)")
+    add("--backends", default="sim,mpi", help="comma-separated communicator backends")
+    add("--layouts", default="csr,dhb", help="comma-separated local layouts")
+    add("--repeats", type=int, help="measured calls per cell (default: the figure's)")
+    add("--seed", type=int, help="base seed (default: the figure's)")
+    add("--out", default="bench_out", help="output directory (default: %(default)s)")
+    add("--profile", help="benchmark profile (default: REPRO_BENCH_PROFILE or smoke)")
+    add("--smoke", action="store_true", help="alias of --profile smoke")
     args = parser.parse_args(argv)
-    # None defers to REPRO_BENCH_PROFILE (then "smoke") inside get_profile
-    profile_name = "smoke" if args.smoke else args.profile
+    figs = _csv(args.figs)
     try:
-        written = run_suite(
-            profile_name=profile_name,
-            figs=tuple(f.strip() for f in args.figs.split(",") if f.strip()),
-            backends=tuple(b.strip() for b in args.backends.split(",") if b.strip()),
-            layouts=tuple(l.strip() for l in args.layouts.split(",") if l.strip()),
+        if (args.variant != "all" or args.filename) and len(figs) != 1:
+            raise ValueError("--variant and --filename need a single --figs entry")
+        for fig in figs:
+            if fig not in FIGURES:
+                raise ValueError(f"unknown figure {fig!r}; known: {', '.join(FIGURES)}")
+            resolve_variants(FIGURES[fig], args.variant)
+        # None defers to REPRO_BENCH_PROFILE (then "smoke") inside get_profile
+        profile = get_profile("smoke" if args.smoke else args.profile)
+    except (KeyError, ValueError) as exc:
+        # KeyError: unknown profile; ValueError: unknown figure or variant
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    written = 0
+    for fig in figs:
+        figure = FIGURES[fig]
+        if figure.rank0_only and world_rank() != 0:
+            continue
+        started = time.perf_counter()
+        # a checkpoint drill that fails its round trip raises out of here:
+        # the process exits 1 with the mismatch in the traceback
+        document = build_document(
+            figure,
+            profile=profile,
+            variant=args.variant,
+            backends=_csv(args.backends),
+            layouts=_csv(args.layouts),
             repeats=args.repeats,
-            out_dir=args.out,
             seed=args.seed,
         )
-    except (KeyError, ValueError) as exc:
-        # KeyError: unknown profile (get_profile); ValueError: unknown figure
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}")
-        return 2
-    print(f"{len(written)} BENCH document(s) written to {args.out}/")
+        # Under a multi-process launch every process measures (one SPMD
+        # program) but only world rank 0 writes: the comm volume is
+        # identical on every rank by construction, and concurrent writers
+        # would race on the files.
+        if world_rank() != 0:
+            continue
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, args.filename or f"BENCH_{fig}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        written += 1
+        print(
+            f"wrote {path}  ({len(document['runs'])} runs, "
+            f"{time.perf_counter() - started:.1f}s)"
+        )
+    print(f"{written} BENCH document(s) written to {args.out}/")
     return 0
 
 

@@ -100,14 +100,34 @@ def group_by_buckets(
     return (rows[order], cols[order], vals[order]), offsets
 
 
-def _slice_bucket(data: TupleArrays, offsets: np.ndarray, bucket: int) -> TupleArrays:
-    lo, hi = offsets[bucket], offsets[bucket + 1]
-    return data[0][lo:hi], data[1][lo:hi], data[2][lo:hi]
+def _bucket_for_sending(
+    comm, rank, tuples, bucket_of, dests, sort_mode, category
+) -> dict[int, TupleArrays]:
+    """Group ``rank``'s tuples by bucket (charged to it) and slice per receiver.
+
+    ``bucket_of(rows, cols)`` gives each tuple's bucket and ``dests[bucket]``
+    the rank that bucket travels to; empty buckets send nothing.
+    """
+    rows, cols, vals = tuples
+
+    def _group():
+        buckets = bucket_of(rows, cols) if rows.size else rows
+        return group_by_buckets(rows, cols, vals, buckets, len(dests), mode=sort_mode)
+
+    data, offsets = comm.run_local(rank, _group, category=category)
+    outgoing: dict[int, TupleArrays] = {}
+    for bucket, dest in enumerate(dests):
+        lo, hi = offsets[bucket], offsets[bucket + 1]
+        if hi > lo:
+            outgoing[dest] = (data[0][lo:hi], data[1][lo:hi], data[2][lo:hi])
+    return outgoing
 
 
-def _concat_inbox(chunks: list[TupleArrays], dtype) -> TupleArrays:
-    if not chunks:
+def _concat_inbox(inbox: Mapping[int, TupleArrays], dtype) -> TupleArrays:
+    """Received chunks concatenated in source-rank order."""
+    if not inbox:
         return _empty_tuples(dtype)
+    chunks = [inbox[src] for src in sorted(inbox)]
     return (
         np.concatenate([c[0] for c in chunks]),
         np.concatenate([c[1] for c in chunks]),
@@ -189,6 +209,34 @@ def redistribute_tuples(
     q = grid.q
     owned = comm.owned_ranks(grid.all_ranks())
     overlapped = overlap_enabled()
+
+    def route(local, bucket_of, dest_rank_of, groups) -> dict[int, TupleArrays]:
+        """One phase: bucket each rank's tuples, deliver, reassemble."""
+        sendbufs: dict[int, dict[int, TupleArrays]] = {}
+        with perf_phase("sort"):
+            for rank in owned:
+                dests = [dest_rank_of(rank, bucket) for bucket in range(q)]
+                sendbufs[rank] = _bucket_for_sending(
+                    comm, rank, local[rank], bucket_of, dests, sort_mode, sort_category
+                )
+        with perf_phase("comm"):
+            if overlapped:
+                # Overlap schedule: one point-to-point exchange across all
+                # groups at once — chunks of different groups travel
+                # concurrently instead of one group barrier at a time.
+                recv = _exchange_chunks(comm, sendbufs, category=comm_category)
+            else:
+                recv = {}
+                for group in groups:
+                    recv.update(
+                        comm.alltoallv(
+                            {r: sendbufs[r] for r in comm.owned_ranks(group)},
+                            group=group,
+                            category=comm_category,
+                        )
+                    )
+            return {rank: _concat_inbox(recv.get(rank, {}), dtype) for rank in owned}
+
     with perf_phase("redistribute"):
         # Per-rank state is partial: this process materialises (and sorts,
         # and sends) only the tuples generated by the ranks it owns.
@@ -196,127 +244,23 @@ def redistribute_tuples(
             rank: _as_tuple_arrays(tuples_per_rank.get(rank), dtype)
             for rank in owned
         }
-        perf_count(
-            "redistribute.tuples", sum(t[0].size for t in local.values())
+        perf_count("redistribute.tuples", sum(t[0].size for t in local.values()))
+        # phase 1: route to the correct process-grid row, communicating
+        # within each grid column
+        local = route(
+            local,
+            lambda rows, cols: dist.block_row_of(rows),
+            lambda rank, dest_row: grid.rank_of(dest_row, grid.col_of(rank)),
+            [grid.col_group(col) for col in range(q)],
         )
-
-        # ------------- phase 1: route to the correct process-grid row ----
-        # Communication happens within each grid column.
-        grouped: dict[int, tuple[TupleArrays, np.ndarray]] = {}
-        with perf_phase("sort"):
-            for rank in owned:
-                rows, cols, vals = local[rank]
-
-                def _group(rows=rows, cols=cols, vals=vals):
-                    dest_rows = dist.block_row_of(rows) if rows.size else rows
-                    return group_by_buckets(
-                        rows, cols, vals, dest_rows, q, mode=sort_mode
-                    )
-
-                grouped[rank] = comm.run_local(rank, _group, category=sort_category)
-
-        with perf_phase("comm"):
-            if overlapped:
-                # Overlap schedule: one point-to-point exchange across all
-                # grid columns at once — chunks of different column groups
-                # travel concurrently instead of one group barrier at a
-                # time.
-                sendbufs: dict[int, dict[int, TupleArrays]] = {}
-                for rank in owned:
-                    data, offsets = grouped[rank]
-                    col = grid.col_of(rank)
-                    outgoing: dict[int, TupleArrays] = {}
-                    for dest_row in range(q):
-                        chunk = _slice_bucket(data, offsets, dest_row)
-                        if chunk[0].size:
-                            outgoing[grid.rank_of(dest_row, col)] = chunk
-                    sendbufs[rank] = outgoing
-                recv = _exchange_chunks(comm, sendbufs, category=comm_category)
-                for rank in owned:
-                    chunks = [
-                        payload
-                        for _src, payload in sorted(recv.get(rank, {}).items())
-                    ]
-                    local[rank] = _concat_inbox(chunks, dtype)
-            else:
-                for col in range(q):
-                    col_ranks = grid.col_group(col)
-                    sendbufs = {}
-                    for rank in comm.owned_ranks(col_ranks):
-                        data, offsets = grouped[rank]
-                        outgoing = {}
-                        for dest_row in range(q):
-                            chunk = _slice_bucket(data, offsets, dest_row)
-                            if chunk[0].size:
-                                outgoing[grid.rank_of(dest_row, col)] = chunk
-                        sendbufs[rank] = outgoing
-                    recv = comm.alltoallv(
-                        sendbufs, group=col_ranks, category=comm_category
-                    )
-                    for rank in comm.owned_ranks(col_ranks):
-                        chunks = [
-                            payload
-                            for _src, payload in sorted(recv.get(rank, {}).items())
-                        ]
-                        local[rank] = _concat_inbox(chunks, dtype)
-
-        # ------------- phase 2: route to the correct process-grid column -
-        # Tuples are now on the right grid row; communicate within each row.
-        with perf_phase("sort"):
-            for rank in owned:
-                rows, cols, vals = local[rank]
-
-                def _group(rows=rows, cols=cols, vals=vals):
-                    dest_cols = dist.block_col_of(cols) if cols.size else cols
-                    return group_by_buckets(
-                        rows, cols, vals, dest_cols, q, mode=sort_mode
-                    )
-
-                grouped[rank] = comm.run_local(rank, _group, category=sort_category)
-
-        result: dict[int, TupleArrays] = {r: _empty_tuples(dtype) for r in owned}
-        with perf_phase("comm"):
-            if overlapped:
-                sendbufs = {}
-                for rank in owned:
-                    data, offsets = grouped[rank]
-                    row = grid.row_of(rank)
-                    outgoing = {}
-                    for dest_col in range(q):
-                        chunk = _slice_bucket(data, offsets, dest_col)
-                        if chunk[0].size:
-                            outgoing[grid.rank_of(row, dest_col)] = chunk
-                    sendbufs[rank] = outgoing
-                recv = _exchange_chunks(comm, sendbufs, category=comm_category)
-                for rank in owned:
-                    chunks = [
-                        payload
-                        for _src, payload in sorted(recv.get(rank, {}).items())
-                    ]
-                    result[rank] = _concat_inbox(chunks, dtype)
-            else:
-                for row in range(q):
-                    row_ranks = grid.row_group(row)
-                    sendbufs = {}
-                    for rank in comm.owned_ranks(row_ranks):
-                        data, offsets = grouped[rank]
-                        outgoing = {}
-                        for dest_col in range(q):
-                            chunk = _slice_bucket(data, offsets, dest_col)
-                            if chunk[0].size:
-                                outgoing[grid.rank_of(row, dest_col)] = chunk
-                        sendbufs[rank] = outgoing
-                    recv = comm.alltoallv(
-                        sendbufs, group=row_ranks, category=comm_category
-                    )
-                    for rank in comm.owned_ranks(row_ranks):
-                        chunks = [
-                            payload
-                            for _src, payload in sorted(recv.get(rank, {}).items())
-                        ]
-                        result[rank] = _concat_inbox(chunks, dtype)
-
-    return result
+        # phase 2: tuples are now on the right grid row; route to the
+        # correct process-grid column, communicating within each grid row
+        return route(
+            local,
+            lambda rows, cols: dist.block_col_of(cols),
+            lambda rank, dest_col: grid.rank_of(grid.row_of(rank), dest_col),
+            [grid.row_group(row) for row in range(q)],
+        )
 
 
 def redistribute_tuples_single_phase(
@@ -343,24 +287,10 @@ def redistribute_tuples_single_phase(
         sendbufs: dict[int, dict[int, TupleArrays]] = {}
         with perf_phase("sort"):
             for rank in owned:
-                rows, cols, vals = _as_tuple_arrays(tuples_per_rank.get(rank), dtype)
-
-                def _group(rows=rows, cols=cols, vals=vals):
-                    owners = dist.owner_of(rows, cols) if rows.size else rows
-                    return group_by_buckets(rows, cols, vals, owners, p, mode=sort_mode)
-
-                data, offsets = comm.run_local(rank, _group, category=sort_category)
-                outgoing: dict[int, TupleArrays] = {}
-                for dest in range(p):
-                    chunk = _slice_bucket(data, offsets, dest)
-                    if chunk[0].size:
-                        outgoing[dest] = chunk
-                sendbufs[rank] = outgoing
-
+                tuples = _as_tuple_arrays(tuples_per_rank.get(rank), dtype)
+                sendbufs[rank] = _bucket_for_sending(
+                    comm, rank, tuples, dist.owner_of, range(p), sort_mode, sort_category
+                )
         with perf_phase("comm"):
             recv = comm.alltoallv(sendbufs, group=grid.all_ranks(), category=comm_category)
-        result: dict[int, TupleArrays] = {}
-        for rank in owned:
-            chunks = [payload for _src, payload in sorted(recv.get(rank, {}).items())]
-            result[rank] = _concat_inbox(chunks, dtype)
-    return result
+        return {rank: _concat_inbox(recv.get(rank, {}), dtype) for rank in owned}

@@ -39,14 +39,7 @@ from repro.runtime.faults import (
     SimulatedCrash,
     faults_from_env,
 )
-from repro.scenarios.engine import (
-    ScenarioEngine,
-    global_stats_diff,
-    install_placement,
-    merged_stats,
-    registry_name_of,
-    scenario_nnz_weights,
-)
+from repro.scenarios.engine import ScenarioEngine, registry_name_of
 from repro.scenarios.executors import (
     REPLAY_LAYOUTS,
     CompetitorExecutor,
@@ -66,14 +59,6 @@ __all__ = [
     "CompetitorExecutor",
     "replay",
 ]
-
-# Historical private aliases: these helpers lived here before the engine
-# extraction and external code may still import them by the old names.
-_registry_name_of = registry_name_of
-_scenario_nnz_weights = scenario_nnz_weights
-_install_placement = install_placement
-_global_stats_diff = global_stats_diff
-_merged_stats = merged_stats
 
 
 def replay(

@@ -17,7 +17,6 @@ batch update operations of Section IV-A: semiring ``ADD``, ``MERGE``
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.sparse.layout import register_row_layout
 
 __all__ = [
     "AUTO_SCATTERED_FACTOR",
-    "DHB_INSERT_STRATEGY_ENV_VAR",
     "DHBRow",
     "DHBMatrix",
 ]
@@ -47,26 +45,6 @@ _INITIAL_CAPACITY = 4
 #: picked from the ``bench_dhb_insert`` crossover on the paper-regime
 #: batch mix.
 AUTO_SCATTERED_FACTOR = 8
-
-#: Environment variable overriding the ``"auto"`` insert strategy of
-#: :meth:`DHBMatrix.insert_batch` globally: set to ``per_element`` or
-#: ``vectorized`` to force that path wherever callers left the default
-#: ``strategy="auto"`` (explicit non-auto ``strategy=`` arguments win).
-#: Unset or empty keeps the heuristic dispatch.
-DHB_INSERT_STRATEGY_ENV_VAR = "REPRO_DHB_INSERT_STRATEGY"
-
-
-def _env_insert_strategy() -> str | None:
-    """The validated ``REPRO_DHB_INSERT_STRATEGY`` override, if any."""
-    raw = os.environ.get(DHB_INSERT_STRATEGY_ENV_VAR, "").strip().lower()
-    if raw in ("", "auto"):
-        return None
-    if raw in ("per_element", "vectorized"):
-        return raw
-    raise ValueError(
-        f"{DHB_INSERT_STRATEGY_ENV_VAR}={raw!r} is not a recognised insert "
-        "strategy (use 'auto', 'per_element' or 'vectorized')"
-    )
 
 
 class DHBRow:
@@ -365,10 +343,6 @@ class DHBMatrix:
           measured baseline the benchmark suite compares the batched path
           against.
 
-        With ``strategy="auto"`` the :data:`DHB_INSERT_STRATEGY_ENV_VAR`
-        environment variable, when set, overrides the heuristic dispatch
-        (scattered-batch detection via :data:`AUTO_SCATTERED_FACTOR`).
-
         ``kernel_tier`` overrides ``REPRO_KERNEL_TIER`` per call for the
         vectorised path's hit/miss probe (see
         :mod:`repro.sparse.kernels`); the per-element and bulk-build paths
@@ -406,10 +380,6 @@ class DHBMatrix:
         order last-write-wins semantics are defined over), so no sorting
         happens before dispatch; the vectorised path owns its one lexsort.
         """
-        if strategy == "auto":
-            override = _env_insert_strategy()
-            if override is not None:
-                strategy = override
         if strategy == "per_element":
             perf_count("dhb.insert.path_per_element")
             return self._insert_scattered(rows, cols, values, combine)

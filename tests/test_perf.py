@@ -3,12 +3,17 @@
 Covers: nested-timer correctness, counter/phase merge across per-rank
 recorders, the backend accounting funnel, BENCH schema round-trips and the
 compare gate's pass/fail thresholds — plus the instrumentation contract of
-the replay driver (phases show up, comm volume is attributed).
+the replay driver (phases show up, comm volume is attributed) and the
+``benchmarks/`` figure registry with its one runner, on reduced cells.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -26,8 +31,15 @@ from repro.perf import (
     use_recorder,
     validate_bench,
 )
+from repro.bench.config import get_profile
 from repro.runtime import SimMPI, make_communicator
 from repro.scenarios import grow_from_empty, replay
+from repro.sparse.kernels import numba_available
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
+
+import figures as bench_figures  # noqa: E402
+import run_suite as bench_runner  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -366,68 +378,130 @@ def test_compare_cli_round_trip(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the suite runner end to end (one tiny cell)
+# the figure registry and its runner, every figure on reduced cells
 # ----------------------------------------------------------------------
-def test_run_suite_emits_valid_documents(tmp_path):
-    import importlib.util
-    import pathlib
+#: Cell tags kept per figure.  The full smoke matrix takes ~45 s (most of it
+#: the p=16 overlap cells); one cell of each kind exercises the same code.
+KEPT_TAGS = {
+    "overlap": {"summa@p4"},
+    "partition": {"bursty_skewed_stream@w2"},
+    "service": {"ingest", "query", "tenants@2"},
+}
 
-    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "run_suite.py"
-    spec = importlib.util.spec_from_file_location("run_suite", path)
-    run_suite_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_suite_mod)
-    written = run_suite_mod.run_suite(
-        profile_name="smoke",
-        figs=("fig08",),
+
+@functools.lru_cache(maxsize=None)
+def _document(name: str, variant: str = "all") -> dict:
+    figure = bench_figures.FIGURES[name]
+    kept = KEPT_TAGS.get(name)
+    if kept is not None:
+
+        def plan(ctx, full=figure.plan):
+            cells, extras = full(ctx)
+            return [cell for cell in cells if cell.tag in kept], extras
+
+        figure = dataclasses.replace(figure, plan=plan)
+    return bench_runner.build_document(
+        figure,
+        profile=get_profile("smoke"),
+        variant=variant,
         backends=("sim",),
         layouts=("csr",),
         repeats=1,
-        out_dir=str(tmp_path),
     )
-    assert written == [str(tmp_path / "BENCH_fig08.json")]
-    with open(written[0], "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+
+
+@pytest.mark.parametrize("name", list(bench_figures.FIGURES))
+def test_every_registry_figure_builds_a_valid_document(name):
+    figure = bench_figures.FIGURES[name]
+    document = _document(name)
     validate_bench(document)
-    assert document["figure"] == "fig08"
-    (run,) = document["runs"]
-    assert (run["backend"], run["layout"]) == ("sim", "csr")
-    assert run["phase_seconds_median"]["replay_construct"] > 0.0
+    assert document["figure"] == name and document["title"] == figure.title
+    assert document["seed"] == figure.seed
+    assert document["runs"] and all(run["repeats"] >= 1 for run in document["runs"])
     assert not compare_documents(document, document).regressed
 
+    variants = bench_runner.resolve_variants(figure)
+    tags = [run.get("scenario") for run in document["runs"]]
+    suffixes = [figure.variant_sep + variant for variant in variants]
+    if len(variants) < 2:
+        # no axis (or one usable value): nothing carries a variant suffix
+        assert not any(tag and tag.endswith(tuple(suffixes)) for tag in tags)
+        return
+    # combined document: every variant tags its own copy of the same stems
+    stems = {
+        suffix: {tag[: -len(suffix)] for tag in tags if tag.endswith(suffix)}
+        for suffix in suffixes
+    }
+    assert stems[suffixes[0]] and len({frozenset(s) for s in stems.values()}) == 1
+    assert document["extras"]  # every figure describes its cells
+    # single-variant document: variant-free tags, so two of them match run
+    # for run under compare; the cells are a subset of the combined stems
+    single = _document(name, variants[0])
+    single_tags = {run["scenario"] for run in single["runs"]}
+    assert single_tags <= stems[suffixes[0]]
+    assert not compare_documents(single, single).unmatched_runs
 
-def test_run_suite_apps_figure_emits_scenario_tagged_runs(tmp_path):
-    import importlib.util
-    import pathlib
 
-    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "run_suite.py"
-    spec = importlib.util.spec_from_file_location("run_suite", path)
-    run_suite_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_suite_mod)
-    written = run_suite_mod.run_suite(
-        profile_name="smoke",
-        figs=("apps",),
-        backends=("sim",),
-        repeats=1,
-        out_dir=str(tmp_path),
-    )
-    assert written == [str(tmp_path / "BENCH_apps.json")]
-    with open(written[0], "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    validate_bench(document)
-    assert document["figure"] == "apps"
-    scenarios = [run["scenario"] for run in document["runs"]]
-    assert scenarios == document["extras"]["scenarios"]
+def test_replay_figures_record_their_phases():
+    (run,) = _document("fig08")["runs"]
+    assert (run["backend"], run["layout"]) == ("sim", "csr")
+    assert run["phase_seconds_median"]["replay_construct"] > 0.0
+    assert set(_document("fig04")["extras"]["dhb_insertion"]) == {
+        "construction",
+        "dense_batches",
+    }
+    apps = _document("apps")
+    scenarios = [run["scenario"] for run in apps["runs"]]
+    assert scenarios == apps["extras"]["scenarios"]
     assert set(scenarios) == {
         "social_triangle_stream",
         "road_churn_sssp",
         "multilevel_contraction",
     }
     # the app phases recorded by the instrumented applications are present
-    phases = {p for run in document["runs"] for p in run["phase_seconds_median"]}
+    phases = {p for run in apps["runs"] for p in run["phase_seconds_median"]}
     assert any("app_triangle_count" in p for p in phases)
     assert any("app_sssp_query" in p for p in phases)
     assert any("app_contract" in p for p in phases)
-    assert not compare_documents(document, document).regressed
+
+
+def test_kernels_figure_dispatches_the_tier_it_tags():
+    document = _document("kernels")
+    tiers = document["extras"]["tiers"]
+    for run in document["runs"]:
+        tier = run["scenario"].rsplit(":", 1)[1] if len(tiers) > 1 else tiers[0]
+        assert run["counters"][f"kernels.tier_{tier}"] >= 1
+    if not numba_available():
+        assert tiers == ["python"]
+        with pytest.raises(RuntimeError, match="requires numba"):
+            _document("kernels", "compiled")
+
+
+def test_run_suite_cli_writes_and_rejects(tmp_path, capsys):
+    argv = ["--backends", "sim", "--layouts", "csr", "--repeats", "1"]
+    out = ["--out", str(tmp_path)]
+    assert bench_runner.main(["--figs", "fig08", "--smoke", *argv, *out]) == 0
+    with open(tmp_path / "BENCH_fig08.json", "r", encoding="utf-8") as handle:
+        validate_bench(json.load(handle))
+    named = ["--figs", "service", "--variant", "16", "--filename", "micro.json"]
+    assert bench_runner.main([*named, *argv, *out]) == 0
+    with open(tmp_path / "micro.json", "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    assert [run["scenario"] for run in document["runs"]] == ["ingest"]
+    assert document["extras"]["flush_sizes"] == [16] and document["seed"] == 2022
+    for bad in (
+        ["--figs", "fig99"],
+        ["--figs", "overlap", "--variant", "sideways"],
+        ["--figs", "fig08", "--variant", "on"],
+        ["--figs", "fig04,fig08", "--filename", "one.json"],
+        ["--figs", "fig08", "--profile", "nope"],
+    ):
+        assert bench_runner.main([*bad, *out]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "BENCH_fig08.json",
+        "micro.json",
+    ]
 
 
 def test_compare_distinguishes_scenario_tagged_runs():
