@@ -2,13 +2,19 @@
 
 A :class:`Figure` is data: the document's title, rank count and default
 seed/repeats, how its cells are measured, at most one *variant axis*
-(overlap mode, kernel tier, micro-batch size, partitioner) and one hook,
+(competitor, overlap mode, kernel tier, micro-batch size, partitioner) and
+one hook,
 :attr:`Figure.plan`, that turns the resolved command line (a
 :class:`Context`) into the :class:`Cell` list plus the ``extras``.  A cell
 is a tag and a thunk; everything else — warm-up, repeats, medians, variant
 tags, validation, writing — is ``benchmarks/run_suite.py``'s job, written
 there once.  :data:`FIGURES` is the registry; ``docs/performance.md`` has
 the figure/variant/CI-gate table.
+
+The paper's own artefacts (Table I, Figs. 3–12, the ablations) come first:
+every cell of Figs. 3–12 is one :func:`repro.scenarios.replay` of a
+:mod:`repro.bench.workloads` scenario, on our machinery or — along the
+competitor axis — on a simulated framework.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter, methodcaller
 from typing import Any, Callable, Mapping, Sequence
 from unittest import mock
 
@@ -27,22 +34,32 @@ from repro.bench.config import BenchProfile, paper_regime_machine
 from repro.bench.workloads import (
     batched_operation_scenario,
     construction_scenario,
+    draw_batch,
     prepare_instance,
+    spawn_batch_seeds,
     spgemm_stream_scenario,
 )
+from repro.core import dynamic_spgemm_algebraic
 from repro.core.api import DynamicProduct, UpdateBatch
 from repro.core.summa import summa_spgemm
-from repro.distributed import DynamicDistMatrix
+from repro.distributed import (
+    DynamicDistMatrix,
+    build_update_matrix,
+    partition_tuples_round_robin,
+    redistribute_tuples,
+    redistribute_tuples_single_phase,
+)
 from repro.distributed.dist_matrix import StaticDistMatrix
 from repro.distributed.distribution import BlockDistribution
-from repro.graphs import rmat_edges
-from repro.perf import PerfRecorder, use_recorder
+from repro.graphs import TABLE1_INSTANCES, rmat_edges
+from repro.perf import PerfRecorder, perf_count, use_recorder
 from repro.runtime import (
     OVERLAP_ENV_VAR,
     REPARTITION_ENV_VAR,
     MachineModel,
     MPIBackend,
     ProcessGrid,
+    StatCategory,
     available_partitioners,
     make_communicator,
     run_spmd,
@@ -52,6 +69,8 @@ from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.scenarios import (
     SCENARIO_GENERATORS,
     CheckpointStore,
+    CompetitorExecutor,
+    InsertBatch,
     ReplayOptions,
     Scenario,
     load_snapshot,
@@ -59,6 +78,7 @@ from repro.scenarios import (
     replay,
     road_churn_sssp,
     save_snapshot,
+    scenario_fingerprint,
     social_triangle_stream,
     with_checkpoint,
     with_crash,
@@ -137,7 +157,7 @@ class Figure:
     seed: int = 0
     repeats: int = 3
     #: one discarded call per cell before the measured repeats
-    warmup: bool = True
+    warmup: bool = False
     #: the runner installs a ``PerfRecorder`` around every repeat
     recorded: bool = True
     #: the accepted values of the variant axis (empty: no axis)
@@ -152,95 +172,296 @@ class Figure:
 
 
 # ----------------------------------------------------------------------
-# fig04 / fig08 / fig10 / apps: scenario replays across backend × layout
+# Table I, Figs. 3-12: one scenario replay per cell
 # ----------------------------------------------------------------------
-def fig04_scenario(profile: BenchProfile, seed: int) -> Scenario:
-    """Fig. 4 protocol: batched insertions into a pre-loaded instance."""
-    workload = prepare_instance(
-        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 7
-    )
-    batch_per_rank = profile.update_batch_sizes[len(profile.update_batch_sizes) // 2]
-    return batched_operation_scenario(
-        workload,
-        "insert",
-        n_batches=profile.batches_per_config,
-        batch_total=batch_per_rank * profile.n_ranks,
-        seed=seed + 17,
-    )
+#: The systems the paper plots -> the ``executor_factory`` that replays a
+#: scenario on each; ``None`` is the native executor, i.e. ours.  The
+#: simulated frameworks always run on the ``sim`` communicator.
+COMPETITORS: dict[str, Callable | None] = {
+    "ours": None,
+    "combblas": CompetitorExecutor.factory("combblas"),
+    "ctf": CompetitorExecutor.factory("ctf"),
+    "petsc": CompetitorExecutor.factory("petsc"),
+}
+
+#: cell tag -> (the scenario the cell replays, its logical rank count)
+Scenarios = dict[str, tuple[Scenario, int]]
 
 
-def fig08_scenario(profile: BenchProfile, seed: int) -> Scenario:
-    """Fig. 8 protocol: timed bulk construction of an R-MAT stream."""
-    total = 1 << profile.rmat_strong_total_log2
-    scale = max(8, profile.rmat_strong_total_log2 - 3)
-    n_vertices, src, dst = rmat_edges(
-        scale, max(1, total // (1 << scale)), seed=seed + 43
-    )
-    values = np.random.default_rng(seed + 47).random(src.size)
-    return construction_scenario(
-        f"rmat-2^{profile.rmat_strong_total_log2}",
-        (n_vertices, n_vertices),
-        (src[:total], dst[:total], values[:total]),
-        seed=seed + 53,
-    )
+def _replay_cell(
+    scenario: Scenario,
+    *,
+    backend: str,
+    n_ranks: int,
+    machine: MachineModel,
+    tag: str | None = None,
+    layout: str = "csr",
+    variant: str | None = None,
+    executor_factory: Callable | None = None,
+    breakdown: tuple[str, ...] = (),
+    seconds: Callable[[Any], float] = methodcaller("trimmed_mean_step_seconds"),
+) -> Cell:
+    """One replay of ``scenario`` on a fresh communicator, in simulated seconds.
+
+    ``seconds`` picks the reported time off the ``ScenarioResult`` (default:
+    the trimmed mean over the measured steps — batches, or the one timed
+    construction); the simulated seconds of every ``breakdown`` category
+    over the update steps become ``breakdown.<category>.seconds`` counters.
+    """
+
+    def run() -> float:
+        comm = make_communicator(backend, n_ranks=n_ranks, machine=machine)
+        result = replay(
+            scenario,
+            comm=comm,
+            layout=layout,
+            executor_factory=executor_factory,
+            check_snapshots=False,
+            collect_final=False,
+        )
+        for category, spent in result.breakdown(breakdown).items():
+            perf_count(f"breakdown.{category}.seconds", spent)
+        return seconds(result)
+
+    return Cell(run, backend, layout, tag, variant)
 
 
-def fig10_scenario(profile: BenchProfile, seed: int) -> Scenario:
-    """Fig. 10 protocol: general dynamic SpGEMM under an insertion stream."""
-    workload = prepare_instance(
-        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 11
-    )
-    batch_per_rank = profile.spgemm_general_batch_sizes[-1]
-    return spgemm_stream_scenario(
-        workload,
-        n_batches=profile.batches_per_config,
-        batch_total=batch_per_rank * profile.n_ranks,
-        mode="general",
-        seed=seed + 19,
-    )
-
-
-def _replay_cells(
-    ctx: Context, scenario: Scenario, machine: MachineModel, layouts, tag=None
-) -> list[Cell]:
-    """One replay of ``scenario`` per backend × layout, in simulated seconds."""
-
-    def cell(backend: str, layout: str) -> Cell:
-        def run() -> float:
-            comm = make_communicator(
-                backend, n_ranks=ctx.profile.n_ranks, machine=machine
-            )
-            result = replay(
-                scenario,
-                comm=comm,
-                layout=layout,
-                check_snapshots=False,
-                collect_final=False,
-            )
-            return result.elapsed_modeled
-
-        return Cell(run, backend, layout, tag)
-
-    return [cell(backend, layout) for backend in ctx.backends for layout in layouts]
-
-
-def _replay_plan(
-    build_scenario: Callable[[BenchProfile, int], Scenario], machine: str
+def _scenario_plan(
+    build: Callable[[BenchProfile, int], Scenarios],
+    machine: str,
+    *,
+    systems: Mapping[str, Callable | None] = COMPETITORS,
+    sweep_layouts: bool = False,
+    breakdown: tuple[str, ...] = (),
 ) -> Callable[[Context], Plan]:
-    """Plan of a figure that replays one scenario on every backend × layout.
+    """Plan of a figure whose every cell replays one scenario.
 
-    ``machine`` names the :class:`BenchProfile` attribute holding the
-    machine model (``spgemm_machine`` is the paper-regime calibration).
+    ``build(profile, seed)`` is the workload definition; ``machine`` names
+    the :class:`BenchProfile` attribute holding the machine model
+    (``spgemm_machine`` is the paper-regime calibration).  Each scenario is
+    replayed once per selected variant (``systems`` maps the variant axis
+    to executor factories; a figure without an axis replays natively), per
+    ``--backends`` entry and — ``sweep_layouts``, for the figures with a
+    static right operand — per ``--layouts`` entry; the simulated
+    frameworks have neither choice.
     """
 
     def plan(ctx: Context) -> Plan:
-        scenario = build_scenario(ctx.profile, ctx.seed)
-        cells = _replay_cells(
-            ctx, scenario, getattr(ctx.profile, machine), ctx.layouts
-        )
-        return cells, lambda: {"scenario": scenario.name}
+        scenarios = build(ctx.profile, ctx.seed)
+        cells = []
+        for tag, (scenario, n_ranks) in scenarios.items():
+            for variant in ctx.variants or (None,):
+                factory = systems[variant] if variant else None
+                native = factory is None
+                for backend in ctx.backends if native else ("sim",):
+                    for layout in ctx.layouts if native and sweep_layouts else ("csr",):
+                        cells.append(
+                            _replay_cell(
+                                scenario,
+                                backend=backend,
+                                n_ranks=n_ranks,
+                                machine=getattr(ctx.profile, machine),
+                                tag=tag,
+                                layout=layout,
+                                variant=variant,
+                                executor_factory=factory,
+                                breakdown=breakdown,
+                            )
+                        )
+        return cells, lambda: {
+            "fingerprints": {
+                tag: scenario_fingerprint(scenario)
+                for tag, (scenario, _) in scenarios.items()
+            }
+        }
 
     return plan
+
+
+def _table1_plan(ctx: Context) -> Plan:
+    """Table I has nothing to time: the instance catalogue is the extras."""
+    divisor = ctx.profile.scale_divisor
+
+    def extras() -> dict[str, Any]:
+        rows = []
+        for name, inst in TABLE1_INSTANCES.items():
+            surrogate = prepare_instance(
+                name, scale_divisor=divisor, seed=ctx.seed + 1, permute=False
+            )
+            rows.append(
+                {
+                    "instance": name,
+                    "source": inst.source,
+                    "type": inst.category,
+                    "n_paper": inst.n_full,
+                    "nnz_paper": inst.nnz_full,
+                    "n_surrogate": surrogate.n,
+                    "nnz_surrogate": surrogate.nnz,
+                }
+            )
+        return {"scale_divisor": divisor, "instances": rows}
+
+    return [], extras
+
+
+def fig03_scenarios(profile: BenchProfile, seed: int) -> Scenarios:
+    """Fig. 2/3 protocol: timed construction of every instance."""
+    out: Scenarios = {}
+    for name in profile.instances:
+        workload = prepare_instance(
+            name, scale_divisor=profile.scale_divisor, seed=seed + 3
+        )
+        scenario = construction_scenario(
+            f"{name}:construction",
+            (workload.n, workload.n),
+            workload.all_tuples(),
+            seed=seed + 5,
+        )
+        out[name] = (scenario, profile.n_ranks)
+    return out
+
+
+def _batched_scenarios(operation: str) -> Callable[[BenchProfile, int], Scenarios]:
+    """Fig. 4/5 protocol: batches of one operation, per instance and batch size."""
+
+    def build(profile: BenchProfile, seed: int) -> Scenarios:
+        out: Scenarios = {}
+        for name in profile.instances:
+            workload = prepare_instance(
+                name, scale_divisor=profile.scale_divisor, seed=seed + 7
+            )
+            for batch_per_rank in profile.update_batch_sizes:
+                scenario = batched_operation_scenario(
+                    workload,
+                    operation,
+                    n_batches=profile.batches_per_config,
+                    batch_total=batch_per_rank * profile.n_ranks,
+                    seed=seed + 17,
+                )
+                out[f"{name}@b{batch_per_rank}"] = (scenario, profile.n_ranks)
+        return out
+
+    return build
+
+
+def fig06_scenarios(profile: BenchProfile, seed: int) -> Scenarios:
+    """Fig. 6/7 protocol: insertions at a fixed batch per rank, growing ranks."""
+    workload = prepare_instance(
+        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 23
+    )
+    out: Scenarios = {}
+    for n_ranks in profile.scaling_ranks:
+        scenario = batched_operation_scenario(
+            workload,
+            "insert",
+            n_batches=profile.batches_per_config,
+            batch_total=profile.weak_scaling_batch * n_ranks,
+            seed=seed + 29,
+        )
+        out[f"p{n_ranks}"] = (scenario, n_ranks)
+    return out
+
+
+def _rmat_tuples(scale: int, total: int, edge_seed: int, value_seed: int):
+    """The first ``total`` edges of an R-MAT graph with uniform weights."""
+    n_vertices, src, dst = rmat_edges(
+        scale, max(1, total // (1 << scale)), seed=edge_seed
+    )
+    values = np.random.default_rng(value_seed).random(src.size)
+    return n_vertices, (src[:total], dst[:total], values[:total])
+
+
+def fig08_scenarios(profile: BenchProfile, seed: int) -> Scenarios:
+    """Fig. 8a/8b protocol: timed R-MAT construction, strong and weak scaling."""
+    out: Scenarios = {}
+    total = 1 << profile.rmat_strong_total_log2
+    n_vertices, tuples = _rmat_tuples(
+        max(8, profile.rmat_strong_total_log2 - 3), total, seed + 43, seed + 47
+    )
+    strong = construction_scenario(
+        f"rmat-strong-2^{profile.rmat_strong_total_log2}",
+        (n_vertices, n_vertices),
+        tuples,
+        seed=seed + 53,
+    )
+    for n_ranks in profile.scaling_ranks:
+        out[f"strong@p{n_ranks}"] = (strong, n_ranks)
+    for n_ranks in profile.scaling_ranks:
+        total = (1 << profile.rmat_weak_per_rank_log2) * n_ranks
+        n_vertices, tuples = _rmat_tuples(
+            max(8, int(np.ceil(np.log2(max(total // 8, 2))))),
+            total,
+            seed + 59 + n_ranks,
+            seed + 61,
+        )
+        weak = construction_scenario(
+            f"rmat-weak-2^{profile.rmat_weak_per_rank_log2}x{n_ranks}",
+            (n_vertices, n_vertices),
+            tuples,
+            seed=seed + 67,
+        )
+        out[f"weak@p{n_ranks}"] = (weak, n_ranks)
+    return out
+
+
+def fig09_scenarios(profile: BenchProfile, seed: int) -> Scenarios:
+    """Fig. 9 protocol: ``A`` grows by additive batches against a static ``B``."""
+    workload = prepare_instance(
+        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 71
+    )
+    out: Scenarios = {}
+    for batch_per_rank in profile.spgemm_batch_sizes:
+        scenario = spgemm_stream_scenario(
+            workload,
+            n_batches=profile.batches_per_config,
+            batch_total=batch_per_rank * profile.n_ranks,
+            mode="algebraic",
+            seed=seed + 79,
+        )
+        out[f"{workload.name}@b{batch_per_rank}"] = (scenario, profile.n_ranks)
+    return out
+
+
+def fig10_scenarios(profile: BenchProfile, seed: int) -> Scenarios:
+    """Fig. 10 protocol: value updates to ``A`` under ``(min, +)``.
+
+    Not additions, so the frameworks recompute ``A'·B`` every batch while
+    Algorithm 2 recomputes only what the Bloom filters mark.
+    """
+    workload = prepare_instance(
+        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 89
+    )
+    out: Scenarios = {}
+    for batch_per_rank in profile.spgemm_general_batch_sizes:
+        scenario = spgemm_stream_scenario(
+            workload,
+            n_batches=profile.batches_per_config,
+            batch_total=batch_per_rank * profile.n_ranks,
+            mode="general",
+            kind="update",
+            semiring_name="min_plus",
+            seed=seed + 101,
+        )
+        out[f"{workload.name}@b{batch_per_rank}"] = (scenario, profile.n_ranks)
+    return out
+
+
+def fig11_scenarios(profile: BenchProfile, seed: int) -> Scenarios:
+    """Fig. 11/12 protocol: the Fig. 9 stream at a fixed batch per rank."""
+    workload = prepare_instance(
+        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 109
+    )
+    out: Scenarios = {}
+    for n_ranks in profile.scaling_ranks:
+        scenario = spgemm_stream_scenario(
+            workload,
+            n_batches=profile.batches_per_config,
+            batch_total=profile.spgemm_scaling_nnz_per_rank * n_ranks,
+            mode="algebraic",
+            seed=seed + 127,
+        )
+        out[f"p{n_ranks}"] = (scenario, n_ranks)
+    return out
 
 
 def measure_dhb_insertion(seed: int) -> dict[str, Any]:
@@ -312,13 +533,170 @@ def measure_dhb_insertion(seed: int) -> dict[str, Any]:
 
 
 def _fig04_plan(ctx: Context) -> Plan:
-    cells, extras = _replay_plan(fig04_scenario, "machine")(ctx)
+    cells, extras = _scenario_plan(_batched_scenarios("insert"), "machine")(ctx)
     return cells, lambda: {
         **extras(),
         "dhb_insertion": measure_dhb_insertion(ctx.seed),
     }
 
 
+# ----------------------------------------------------------------------
+# ablations: the mechanisms the design rests on, as bare kernel calls
+# ----------------------------------------------------------------------
+def _ablation_redistribution_plan(ctx: Context) -> Plan:
+    """Two-phase vs single-phase routing, counting vs comparison sort.
+
+    One batch of the largest Fig. 4 size, routed (and nothing else) on a
+    fresh communicator per cell.
+    """
+    profile, seed = ctx.profile, ctx.seed
+    p = profile.n_ranks
+    grid = ProcessGrid(p)
+    workload = prepare_instance(
+        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 137
+    )
+    dist = BlockDistribution(workload.n, workload.n, grid)
+    batch_total = max(profile.update_batch_sizes) * p
+    batch = draw_batch(workload.all_tuples(), batch_total, seed=seed + 139)
+    per_rank = partition_tuples_round_robin(*batch, p, seed=seed + 149)
+    routes = {
+        "two_phase": redistribute_tuples,
+        "single_phase": redistribute_tuples_single_phase,
+    }
+
+    def cell(strategy: str, sort_mode: str, backend: str) -> Cell:
+        def run() -> float:
+            comm = make_communicator(backend, n_ranks=p, machine=profile.machine)
+            perf_count("ablation.tuples", batch_total)
+            with comm.timer() as timer:
+                routes[strategy](comm, grid, dist, per_rank, sort_mode=sort_mode)
+            return timer.seconds
+
+        return Cell(run, backend, "csr", f"{strategy}@{sort_mode}")
+
+    cells = [
+        cell(strategy, sort_mode, backend)
+        for strategy in routes
+        for sort_mode in ("counting", "comparison")
+        for backend in ctx.backends
+    ]
+    return cells, lambda: {"instance": workload.name, "tuples": batch_total}
+
+
+#: share of the instance's non-zeros drawn into one update matrix
+CROSSOVER_FRACTIONS = (0.01, 0.05, 0.2, 0.5, 1.0)
+
+#: variant -> how ``A*·B`` is computed, as ``(comm, grid, a, b, a_star, c)``
+CROSSOVER_ALGORITHMS = {
+    "dynamic": lambda comm, grid, a, b, a_star, c: dynamic_spgemm_algebraic(
+        comm, grid, a, b, a_star, None, c
+    ),
+    "summa": lambda comm, grid, a, b, a_star, c: summa_spgemm(
+        comm, grid, a_star, b, output="static"
+    ),
+}
+
+
+def _ablation_summa_crossover_plan(ctx: Context) -> Plan:
+    """Algorithm 1 vs sparse SUMMA on the same ``A*`` as it gets denser.
+
+    The paper expects the dynamic algorithm to lose its advantage once the
+    update matrices stop being hypersparse (Section VII-C).  Operands are
+    rebuilt per call, outside the timed multiplication.
+    """
+    profile, seed = ctx.profile, ctx.seed
+    p = profile.n_ranks
+    grid = ProcessGrid(p)
+    workload = prepare_instance(
+        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 151
+    )
+    shape = (workload.n, workload.n)
+
+    def cell(fraction: float, algorithm: str, backend: str) -> Cell:
+        def run() -> float:
+            comm = make_communicator(
+                backend, n_ranks=p, machine=profile.spgemm_machine
+            )
+            b = StaticDistMatrix.from_tuples(
+                comm,
+                grid,
+                shape,
+                workload.all_tuples_per_rank(p, seed=seed + 157),
+                PLUS_TIMES,
+            )
+            a = DynamicDistMatrix.empty(comm, grid, shape, PLUS_TIMES)
+            c = DynamicDistMatrix.empty(comm, grid, shape, PLUS_TIMES)
+            batch = draw_batch(
+                workload.all_tuples(),
+                max(p, int(workload.nnz * fraction)),
+                seed=seed + 163,
+            )
+            a_star = build_update_matrix(
+                comm,
+                grid,
+                a.dist,
+                partition_tuples_round_robin(*batch, p, seed=seed + 167),
+                PLUS_TIMES,
+            )
+            perf_count("ablation.update_nnz", a_star.nnz())
+            with comm.timer() as timer:
+                CROSSOVER_ALGORITHMS[algorithm](comm, grid, a, b, a_star, c)
+            return timer.seconds
+
+        return Cell(run, backend, "csr", f"f{fraction}", algorithm)
+
+    cells = [
+        cell(fraction, algorithm, backend)
+        for fraction in CROSSOVER_FRACTIONS
+        for algorithm in ctx.variants
+        for backend in ctx.backends
+    ]
+    return cells, lambda: {
+        "instance": workload.name,
+        "fractions": list(CROSSOVER_FRACTIONS),
+    }
+
+
+#: variant -> the executor whose blocks absorb the insert batches
+STORAGE_SYSTEMS = {
+    "dhb_dynamic": None,
+    "static_rebuild": CompetitorExecutor.factory("combblas"),
+}
+
+
+def storage_scenarios(profile: BenchProfile, seed: int) -> Scenarios:
+    """Insert batches into a half-loaded instance, per batch size."""
+    p = profile.n_ranks
+    workload = prepare_instance(
+        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 173
+    )
+    initial_half, insert_pool = workload.split_half(seed=seed + 179)
+    out: Scenarios = {}
+    for batch_per_rank in profile.update_batch_sizes[:3]:
+        draw_seeds = spawn_batch_seeds(seed + 191, profile.batches_per_config)
+        steps = [
+            InsertBatch(
+                *draw_batch(insert_pool, batch_per_rank * p, seed=draw_seed),
+                partition_seed=seed + 193 + index,
+                label=f"insert[{index}]",
+            )
+            for index, draw_seed in enumerate(draw_seeds)
+        ]
+        scenario = Scenario(
+            name=f"{workload.name}:storage",
+            shape=(workload.n, workload.n),
+            steps=steps,
+            initial_tuples=initial_half,
+            seed=seed,
+            construct_seed=seed + 181,
+        )
+        out[f"b{batch_per_rank}"] = (scenario, p)
+    return out
+
+
+# ----------------------------------------------------------------------
+# apps: the application scenarios
+# ----------------------------------------------------------------------
 def _apps_plan(ctx: Context) -> Plan:
     """One cell per (application scenario, backend).
 
@@ -334,11 +712,16 @@ def _apps_plan(ctx: Context) -> Plan:
         multilevel_contraction(seed=ctx.seed + 71),
     ]
     cells = [
-        cell
-        for scenario in scenarios
-        for cell in _replay_cells(
-            ctx, scenario, ctx.profile.machine, ("csr",), tag=scenario.name
+        _replay_cell(
+            scenario,
+            backend=backend,
+            n_ranks=ctx.profile.n_ranks,
+            machine=ctx.profile.machine,
+            tag=scenario.name,
+            seconds=attrgetter("elapsed_modeled"),
         )
+        for scenario in scenarios
+        for backend in ctx.backends
     ]
     return cells, lambda: {"scenarios": [s.name for s in scenarios]}
 
@@ -871,26 +1254,102 @@ def _checkpoint_plan(ctx: Context) -> Plan:
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
+# Figs. 6/7 and 11/12 are two readings of one measurement: the elapsed
+# seconds per rank count, and the ``breakdown.*`` counters beside them.
+_INSERT_SCALING = _scenario_plan(
+    fig06_scenarios, "machine", breakdown=StatCategory.INSERTION_BREAKDOWN
+)
+_SPGEMM_SCALING = _scenario_plan(
+    fig11_scenarios,
+    "spgemm_machine",
+    sweep_layouts=True,
+    breakdown=StatCategory.SPGEMM_BREAKDOWN,
+)
+_SYSTEMS = tuple(COMPETITORS)
+# PETSc cannot mask out non-zeros (``supports_deletions`` is False), so the
+# paper's Fig. 5b has no PETSc series
+_DELETING_SYSTEMS = ("ours", "combblas", "ctf")
+
 FIGURES: dict[str, Figure] = {
     figure.name: figure
     for figure in (
         Figure(
-            "fig04", "Batched insertions (Fig. 4 protocol)", _fig04_plan, warmup=False
+            "table1", "Real-world instances and their scaled surrogates", _table1_plan
+        ),
+        Figure(
+            "fig03",
+            "Matrix construction (Fig. 2/3 protocol)",
+            _scenario_plan(fig03_scenarios, "machine"),
+            variants=_SYSTEMS,
+        ),
+        Figure(
+            "fig04",
+            "Batched insertions (Fig. 4 protocol)",
+            _fig04_plan,
+            variants=_SYSTEMS,
+        ),
+        Figure(
+            "fig05a",
+            "Batched value updates (Fig. 5a protocol)",
+            _scenario_plan(_batched_scenarios("update"), "machine"),
+            variants=_SYSTEMS,
+        ),
+        Figure(
+            "fig05b",
+            "Batched deletions (Fig. 5b protocol)",
+            _scenario_plan(_batched_scenarios("delete"), "machine"),
+            variants=_DELETING_SYSTEMS,
+        ),
+        Figure("fig06", "Weak scaling of insertions (Fig. 6 protocol)", _INSERT_SCALING),
+        Figure(
+            "fig07", "Breakdown of the insertion time (Fig. 7 protocol)", _INSERT_SCALING
         ),
         Figure(
             "fig08",
-            "R-MAT bulk construction (Fig. 8 protocol)",
-            _replay_plan(fig08_scenario, "machine"),
-            warmup=False,
+            "R-MAT construction, strong and weak scaling (Fig. 8 protocol)",
+            _scenario_plan(fig08_scenarios, "machine"),
+        ),
+        Figure(
+            "fig09",
+            "Algebraic dynamic SpGEMM stream (Fig. 9 protocol)",
+            _scenario_plan(fig09_scenarios, "spgemm_machine", sweep_layouts=True),
+            variants=_SYSTEMS,
         ),
         Figure(
             "fig10",
             "General dynamic SpGEMM stream (Fig. 10 protocol)",
-            _replay_plan(fig10_scenario, "spgemm_machine"),
-            warmup=False,
+            _scenario_plan(fig10_scenarios, "spgemm_machine"),
+            variants=_SYSTEMS,
         ),
         Figure(
-            "apps", "Dynamic graph analytics applications", _apps_plan, warmup=False
+            "fig11",
+            "Weak scaling of algebraic dynamic SpGEMM (Fig. 11 protocol)",
+            _SPGEMM_SCALING,
+        ),
+        Figure(
+            "fig12",
+            "Breakdown of the dynamic SpGEMM time (Fig. 12 protocol)",
+            _SPGEMM_SCALING,
+        ),
+        Figure(
+            "ablation_redistribution",
+            "Update-tuple redistribution strategies",
+            _ablation_redistribution_plan,
+        ),
+        Figure(
+            "ablation_summa_crossover",
+            "Dynamic algorithm vs. SUMMA as a function of update density",
+            _ablation_summa_crossover_plan,
+            variants=tuple(CROSSOVER_ALGORITHMS),
+        ),
+        Figure(
+            "ablation_dynamic_storage",
+            "Dynamic DHB blocks vs. static rebuild per batch",
+            _scenario_plan(storage_scenarios, "machine", systems=STORAGE_SYSTEMS),
+            variants=tuple(STORAGE_SYSTEMS),
+        ),
+        Figure(
+            "apps", "Dynamic graph analytics applications", _apps_plan
         ),
         Figure(
             "overlap",
@@ -898,6 +1357,7 @@ FIGURES: dict[str, Figure] = {
             _overlap_plan,
             n_ranks=max(world for _, world in OVERLAP_CELLS),
             repeats=5,
+            warmup=True,
             variants=("off", "on"),
         ),
         Figure(
@@ -906,6 +1366,7 @@ FIGURES: dict[str, Figure] = {
             _partition_plan,
             n_ranks=PARTITION_RANKS,
             seed=2022,
+            warmup=True,
             recorded=False,
             variants=available_partitioners(),
             rank0_only=True,
@@ -916,7 +1377,6 @@ FIGURES: dict[str, Figure] = {
             _checkpoint_plan,
             n_ranks=CHECKPOINT_RANKS,
             seed=2022,
-            warmup=False,
             recorded=False,
         ),
         Figure(
@@ -925,6 +1385,7 @@ FIGURES: dict[str, Figure] = {
             _service_plan,
             n_ranks=SERVICE_RANKS,
             seed=2022,
+            warmup=True,
             recorded=False,
             variants=SERVICE_FLUSH_SIZES,
             variant_sep="@flush",
@@ -937,6 +1398,7 @@ FIGURES: dict[str, Figure] = {
             n_ranks=1,
             seed=2022,
             repeats=5,
+            warmup=True,
             variants=KERNEL_TIERS,
             default_variants=KERNEL_TIERS_HERE,
         ),

@@ -15,10 +15,10 @@ Smoke run of all figures (what CI's perf-smoke job executes)::
 
     python benchmarks/run_suite.py --smoke
 
-Restrict the matrix or bump the repeat count::
+Restrict the matrix, bump the repeat count or pick a larger profile::
 
-    python benchmarks/run_suite.py --smoke --backends sim --layouts csr,dhb \
-        --figs fig04,fig10 --repeats 5 --out bench_out
+    python benchmarks/run_suite.py --backends sim --layouts csr,dhb \
+        --figs fig04,fig09 --repeats 5 --profile default --out bench_out
 
 One variant of one figure, for a two-document gate::
 
@@ -161,6 +161,27 @@ def build_document(
     )
 
 
+def format_runs(figure: Figure, document: dict[str, Any], variant: str) -> str:
+    """The runs of a document built for ``variant``, one fixed-width line each."""
+    variants = resolve_variants(figure, variant)
+    # a combined document's tags end in their variant; a single-variant
+    # document measures nothing else
+    combined = len(variants) > 1
+    lines = [f"{'tag':<32} {'variant':<14} {'backend':<7} {'layout':<6} {'median s':>12}"]
+    for run in document["runs"]:
+        tag = run.get("scenario", "-")
+        measured = "-" if combined or not variants else variants[0]
+        for name in variants if combined else ():
+            suffix = figure.variant_sep + name
+            if tag.endswith(suffix):
+                tag, measured = tag[: -len(suffix)], name
+        lines.append(
+            f"{tag:<32} {measured:<14} {run['backend']:<7} {run['layout']:<6} "
+            f"{run['elapsed_seconds_median']:>12.6f}"
+        )
+    return "\n".join(lines)
+
+
 def _csv(text: str) -> tuple[str, ...]:
     return tuple(field.strip() for field in text.split(",") if field.strip())
 
@@ -173,9 +194,10 @@ def main(argv: list[str] | None = None) -> int:
     add(
         "--variant",
         default="all",
-        help="one value of the figure's variant axis (overlap: off|on, kernels: "
-        "python|compiled, service: flush size 1|4|16, partition: a partitioner) or "
-        "'all' for the combined document (default); a value needs a single figure",
+        help="one value of the figure's variant axis (paper figures: the competitor "
+        "ours|combblas|ctf|petsc, overlap: off|on, kernels: python|compiled, "
+        "service: flush size 1|4|16, partition: a partitioner) or 'all' for the "
+        "combined document (default); a value needs a single figure",
     )
     add("--filename", help="output file name, single figure only (BENCH_<fig>.json)")
     add("--backends", default="sim,mpi", help="comma-separated communicator backends")
@@ -183,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     add("--repeats", type=int, help="measured calls per cell (default: the figure's)")
     add("--seed", type=int, help="base seed (default: the figure's)")
     add("--out", default="bench_out", help="output directory (default: %(default)s)")
-    add("--profile", help="benchmark profile (default: REPRO_BENCH_PROFILE or smoke)")
+    add("--profile", default="smoke", help="smoke|default|large (default: %(default)s)")
     add("--smoke", action="store_true", help="alias of --profile smoke")
     args = parser.parse_args(argv)
     figs = _csv(args.figs)
@@ -194,7 +216,6 @@ def main(argv: list[str] | None = None) -> int:
             if fig not in FIGURES:
                 raise ValueError(f"unknown figure {fig!r}; known: {', '.join(FIGURES)}")
             resolve_variants(FIGURES[fig], args.variant)
-        # None defers to REPRO_BENCH_PROFILE (then "smoke") inside get_profile
         profile = get_profile("smoke" if args.smoke else args.profile)
     except (KeyError, ValueError) as exc:
         # KeyError: unknown profile; ValueError: unknown figure or variant
@@ -229,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
         written += 1
+        print(format_runs(figure, document, args.variant))
         print(
             f"wrote {path}  ({len(document['runs'])} runs, "
             f"{time.perf_counter() - started:.1f}s)"

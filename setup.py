@@ -1,10 +1,16 @@
-"""Setuptools shim.
+"""Package metadata for ``pip install -e .``.
 
-The canonical metadata lives in ``pyproject.toml``; this file exists so the
-package can be installed in environments without the ``wheel`` package
-(offline PEP 660 editable installs need it), via ``python setup.py develop``
-or ``pip install -e . --no-build-isolation``.
+Nothing in CI, the docs or the tools needs an install: everything runs
+with ``PYTHONPATH=src`` from the repository root.
 """
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="0.1.0",
+    description="Fast dynamic updates and dynamic SpGEMM on (simulated) MPI-distributed graphs",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy", "scipy"],
+)

@@ -1,55 +1,29 @@
-"""Benchmark harness: one driver per table / figure of the paper.
+"""The paper's workloads, sized for one core.
 
-Every experiment driver returns a plain-data result object (series of rows
-that mirror the corresponding plot in the paper) and is wrapped by a
-``pytest-benchmark`` target under ``benchmarks/``.  Drivers take a
-:class:`~repro.bench.config.BenchProfile` so that the same code can run as
-a quick smoke test (CI), at the default scale used for EXPERIMENTS.md, or
-at a larger scale.
+* :mod:`repro.bench.config` — :class:`BenchProfile`, the scaling knobs of
+  the three sizes (``smoke``, ``default``, ``large``) every figure runs at.
+* :mod:`repro.bench.workloads` — the (surrogate) instances and the
+  ``*_scenario`` builders that express the experimental protocols of
+  Section VII as replayable :class:`~repro.scenarios.model.Scenario` traces.
 
-Figure → driver map
--------------------
-========  ==========================================================
-Table I   :func:`repro.bench.experiments_updates.run_table1`
-Fig 2/3   :func:`repro.bench.experiments_updates.run_construction`
-Fig 4     :func:`repro.bench.experiments_updates.run_insertions`
-Fig 5a/b  :func:`repro.bench.experiments_updates.run_updates_deletions`
-Fig 6     :func:`repro.bench.experiments_updates.run_insert_weak_scaling`
-Fig 7     :func:`repro.bench.experiments_updates.run_insert_breakdown`
-Fig 8a/b  :func:`repro.bench.experiments_updates.run_rmat_scaling`
-Fig 9     :func:`repro.bench.experiments_spgemm.run_spgemm_algebraic`
-Fig 10    :func:`repro.bench.experiments_spgemm.run_spgemm_general`
-Fig 11    :func:`repro.bench.experiments_spgemm.run_spgemm_weak_scaling`
-Fig 12    :func:`repro.bench.experiments_spgemm.run_spgemm_breakdown`
-ablations :mod:`repro.bench.ablations`
-========  ==========================================================
-
-The batched protocols behind Figs. 4–11 are expressed as replayable
-scenarios (:mod:`repro.scenarios`) built by the ``*_scenario`` helpers in
-:mod:`repro.bench.workloads`; the drivers replay one scenario per
-configuration against every backend under comparison.
+The figures themselves (Table I, Figs. 3–12, the ablations) are entries of
+the registry in ``benchmarks/figures.py``, measured by
+``benchmarks/run_suite.py``; each cell replays one of these scenarios.
 """
 
 from repro.bench.config import BenchProfile, get_profile
-from repro.bench.reporting import ExperimentResult, format_table, print_result
 from repro.bench.workloads import (
     batched_operation_scenario,
     construction_scenario,
     spgemm_stream_scenario,
 )
-from repro.bench import experiments_updates, experiments_spgemm, ablations, workloads
+from repro.bench import workloads
 
 __all__ = [
     "BenchProfile",
     "get_profile",
-    "ExperimentResult",
-    "format_table",
-    "print_result",
     "batched_operation_scenario",
     "construction_scenario",
     "spgemm_stream_scenario",
-    "experiments_updates",
-    "experiments_spgemm",
-    "ablations",
     "workloads",
 ]

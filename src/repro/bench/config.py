@@ -5,12 +5,11 @@ interconnect) are scaled down so the simulation finishes in minutes on one
 core.  A :class:`BenchProfile` bundles every scaling knob so the same
 experiment code can run at three sizes:
 
-* ``smoke``   — seconds; used by the benchmark suite's default run and CI.
-* ``default`` — a couple of minutes; the scale used for EXPERIMENTS.md.
+* ``smoke``   — seconds; the benchmark suite's default run, CI and tier-1.
+* ``default`` — a couple of minutes.
 * ``large``   — tens of minutes; closest to the paper's regime.
 
-Select a profile with the ``REPRO_BENCH_PROFILE`` environment variable
-(``smoke`` is the default so that ``pytest benchmarks/`` stays fast).
+Select one with ``benchmarks/run_suite.py --profile`` (default ``smoke``).
 
 The SpGEMM experiments additionally use a *paper-regime* machine model: the
 paper's data is ~10³–10⁴× larger than the surrogates, so keeping the
@@ -18,12 +17,11 @@ paper's data is ~10³–10⁴× larger than the surrogates, so keeping the
 algorithm optimises) vanish next to the interpreted local compute.  The
 paper-regime model scales the latency/bandwidth terms so that the
 communication : computation balance is representative of the original
-experiments; DESIGN.md and EXPERIMENTS.md document this calibration.
+experiments.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.runtime.config import MachineModel
@@ -132,10 +130,8 @@ PROFILES: dict[str, BenchProfile] = {
 }
 
 
-def get_profile(name: str | None = None) -> BenchProfile:
-    """Resolve a profile by name or from ``REPRO_BENCH_PROFILE``."""
-    if name is None:
-        name = os.environ.get("REPRO_BENCH_PROFILE", "smoke")
+def get_profile(name: str = "smoke") -> BenchProfile:
+    """Resolve a profile by name."""
     try:
         return PROFILES[name]
     except KeyError:

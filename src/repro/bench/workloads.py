@@ -18,9 +18,8 @@ independent and two workloads with different seeds never share an
 used to carry, where ``seed=17`` batch 1 collided with ``seed=18`` batch 0.
 
 The ``*_scenario`` builders at the bottom express the protocols as
-replayable :class:`~repro.scenarios.model.Scenario` traces; the experiment
-drivers in :mod:`repro.bench.experiments_updates` and
-:mod:`repro.bench.experiments_spgemm` replay those scenarios instead of
+replayable :class:`~repro.scenarios.model.Scenario` traces; the figure
+registry (``benchmarks/figures.py``) replays those scenarios instead of
 carrying bespoke batch loops.
 """
 

@@ -5,8 +5,6 @@ frameworks are not available here (and would need a real cluster), so this
 package re-implements *how each of them handles dynamic workloads* on top
 of the same simulated runtime and local kernels:
 
-* :class:`OurBackend` — the paper's approach: dynamic DHB blocks, two-phase
-  counting-sort redistribution, purely local batch application.
 * :class:`CombBLASBackend` — 2D grid of static doubly-compressed blocks;
   updates require assembling an update matrix with a comparison sort plus a
   single global ``ALLTOALL`` and then *rebuilding* the static storage.
@@ -17,8 +15,14 @@ of the same simulated runtime and local kernels:
   ``MatSetValues``-style per-element insertion plus a full matrix assembly;
   no deletion support and no configurable semirings.
 
+The paper's own approach is not a backend here: it is the repository's
+:class:`~repro.distributed.DynamicDistMatrix` machinery, replayed by
+:class:`~repro.scenarios.NativeExecutor`.
+
 The SpGEMM-side baselines (static SUMMA recomputation, 1D PETSc-style
-``MatMatMult``) live in :mod:`repro.competitors.spgemm_baselines`.
+``MatMatMult``) and the per-batch protocol each framework follows over an
+update stream (:func:`spgemm_stream`) live in
+:mod:`repro.competitors.spgemm_baselines`.
 
 The point of these backends is to reproduce the *relative shape* of the
 paper's comparisons (who wins, how the gap shrinks as batches grow), not
@@ -26,11 +30,11 @@ the absolute constants of the closed-source implementations.
 """
 
 from repro.competitors.base import Backend, UnsupportedOperation, get_backend, list_backends
-from repro.competitors.ours import OurBackend
 from repro.competitors.combblas import CombBLASBackend
 from repro.competitors.ctf import CTFBackend
 from repro.competitors.petsc import PETScBackend
 from repro.competitors.spgemm_baselines import (
+    spgemm_stream,
     static_spgemm_combblas,
     static_spgemm_ctf,
     static_spgemm_petsc_1d,
@@ -41,10 +45,10 @@ __all__ = [
     "UnsupportedOperation",
     "get_backend",
     "list_backends",
-    "OurBackend",
     "CombBLASBackend",
     "CTFBackend",
     "PETScBackend",
+    "spgemm_stream",
     "static_spgemm_combblas",
     "static_spgemm_ctf",
     "static_spgemm_petsc_1d",

@@ -73,6 +73,17 @@ class Backend(abc.ABC):
     def delete_batch(self, tuples_per_rank: Mapping[int, TupleArrays]) -> None:
         """Delete the given non-zeros (MASK semantics)."""
 
+    def apply_batch(
+        self, kind: str, tuples_per_rank: Mapping[int, TupleArrays]
+    ) -> None:
+        """Apply one batch by its kind: ``insert``, ``update`` or ``delete``."""
+        apply = {
+            "insert": self.insert_batch,
+            "update": self.update_batch,
+            "delete": self.delete_batch,
+        }[kind]
+        apply(tuples_per_rank)
+
     @abc.abstractmethod
     def local_nnz(self) -> int:
         """Structural non-zeros of the locally owned state only.
@@ -113,11 +124,9 @@ class Backend(abc.ABC):
 def _registry() -> dict[str, type[Backend]]:
     from repro.competitors.combblas import CombBLASBackend
     from repro.competitors.ctf import CTFBackend
-    from repro.competitors.ours import OurBackend
     from repro.competitors.petsc import PETScBackend
 
     return {
-        "ours": OurBackend,
         "combblas": CombBLASBackend,
         "ctf": CTFBackend,
         "petsc": PETScBackend,
@@ -130,7 +139,7 @@ def list_backends() -> list[str]:
 
 
 def get_backend(name: str) -> type[Backend]:
-    """Look up a backend class by name (``ours``/``combblas``/``ctf``/``petsc``)."""
+    """Look up a backend class by name (``combblas``/``ctf``/``petsc``)."""
     registry = _registry()
     try:
         return registry[name]

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
@@ -72,14 +70,7 @@ class CombBLASBackend(Backend):
         )
 
     def _local_coo(self, rank: int, routed: Mapping[int, TupleArrays]) -> COOMatrix:
-        rows, cols, vals = routed.get(
-            rank,
-            (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                self.semiring.zeros(0),
-            ),
-        )
+        rows, cols, vals = routed[rank]
         lrows, lcols = self.dist.to_local(rank, rows, cols)
         return COOMatrix(
             shape=self.dist.block_shape_of_rank(rank),

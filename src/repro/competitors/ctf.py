@@ -71,14 +71,7 @@ class CTFBackend(Backend):
         sendbufs: dict[int, dict[int, TupleArrays]] = {}
         for rank in list(self.shards):
             shard = self.shards[rank]
-            new = tuples_per_rank.get(
-                rank,
-                (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    self.semiring.zeros(0),
-                ),
-            )
+            new = tuples_per_rank.get(rank, ((), (), ()))
             rows = np.concatenate([shard.rows, np.asarray(new[0], dtype=np.int64)])
             cols = np.concatenate([shard.cols, np.asarray(new[1], dtype=np.int64)])
             vals = np.concatenate([shard.values, self.semiring.coerce(new[2])])

@@ -203,19 +203,38 @@ class PETScBackend(Backend):
         return sum(csr.nnz for csr in self.local_csr.values())
 
     def to_coo_global(self) -> COOMatrix:
-        merged = self.comm.host_merge(self.local_csr)
-        pieces_r, pieces_c, pieces_v = [], [], []
-        for rank in sorted(merged):
-            coo = merged[rank].to_coo()
-            pieces_r.append(coo.rows + int(self.row_offsets[rank]))
-            pieces_c.append(coo.cols)
-            pieces_v.append(coo.values)
-        if not pieces_r:
+        return self.rows_to_global(
+            {rank: csr.to_coo() for rank, csr in self.local_csr.items()}
+        )
+
+    def row_slices(self, matrix: COOMatrix) -> dict[int, CSRMatrix]:
+        """A global matrix as per-rank block-row CSR slices (local row indices)."""
+        owners = self._owner_of_rows(matrix.rows)
+        out: dict[int, CSRMatrix] = {}
+        for rank in range(self.n_ranks):
+            sel = owners == rank
+            coo = COOMatrix(
+                shape=self._local_shape(rank),
+                rows=matrix.rows[sel] - self.row_offsets[rank],
+                cols=matrix.cols[sel],
+                values=matrix.values[sel],
+                semiring=self.semiring,
+            )
+            out[rank] = CSRMatrix.from_coo(coo)
+        return out
+
+    def rows_to_global(self, local_rows: Mapping[int, COOMatrix]) -> COOMatrix:
+        """Assemble owned block-row pieces (local row indices) on every process."""
+        merged = self.comm.host_merge(dict(local_rows))
+        if not merged:
             return COOMatrix.empty(self.shape, self.semiring)
+        ranks = sorted(merged)
         return COOMatrix(
             shape=self.shape,
-            rows=np.concatenate(pieces_r),
-            cols=np.concatenate(pieces_c),
-            values=np.concatenate(pieces_v),
+            rows=np.concatenate(
+                [merged[rank].rows + int(self.row_offsets[rank]) for rank in ranks]
+            ),
+            cols=np.concatenate([merged[rank].cols for rank in ranks]),
+            values=np.concatenate([merged[rank].values for rank in ranks]),
             semiring=self.semiring,
         ).sum_duplicates()

@@ -12,10 +12,17 @@ distributed SpGEMM of each framework:
 * Figure 10 (general case): the competitors cannot update incrementally at
   all and recompute ``A'·B`` from scratch with the same static algorithms.
 
-These functions reproduce those cost structures on the simulated runtime.
+These functions reproduce those cost structures on the simulated runtime;
+:func:`spgemm_stream` wraps them into the per-batch protocol each framework
+follows over a stream of updates to the left operand, which is what
+:class:`~repro.scenarios.executors.CompetitorExecutor` replays
+:class:`~repro.scenarios.model.SpGEMMStep` steps through.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -24,15 +31,25 @@ from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
 from repro.semirings import Semiring
 from repro.sparse import COOMatrix, CSRMatrix, spgemm_local
-from repro.distributed import DynamicDistMatrix
+from repro.distributed import (
+    DynamicDistMatrix,
+    StaticDistMatrix,
+    UpdateBatch,
+    build_update_matrix,
+)
 from repro.distributed.dist_matrix import DistMatrixBase
 from repro.core.summa import summa_spgemm
+from repro.competitors.base import Backend, TupleArrays, UnsupportedOperation
+from repro.competitors.combblas import CombBLASBackend
+from repro.competitors.ctf import CTFBackend
+from repro.competitors.petsc import PETScBackend
 
 __all__ = [
     "static_spgemm_combblas",
     "static_spgemm_ctf",
     "static_spgemm_petsc_1d",
     "add_product_to_result",
+    "spgemm_stream",
 ]
 
 
@@ -194,3 +211,150 @@ def static_spgemm_petsc_1d(
                     else prev.concatenate(results[rank]).sum_duplicates()
                 )
     return results
+
+
+# ----------------------------------------------------------------------
+# update streams: what each framework does per batch (Figs. 9 and 10)
+# ----------------------------------------------------------------------
+class _SummaStream:
+    """Dynamic SpGEMM the CombBLAS/CTF way: one static SUMMA per batch.
+
+    ``A`` grows from empty against the fixed right operand ``B``.  An
+    algebraic batch becomes ``A*`` through a comparison sort and one global
+    ``ALLTOALL``, ``multiply`` computes ``A*·B`` and the product is added to
+    ``C``.  A general batch has no incremental path at all: ``A'`` lives in
+    CombBLAS-style static blocks that are rebuilt, and ``C = A'·B`` is
+    recomputed from scratch.
+    """
+
+    def __init__(
+        self,
+        backend: Backend,
+        b_tuples_per_rank: Mapping[int, TupleArrays],
+        general: bool,
+        *,
+        multiply: Callable[..., DistMatrixBase],
+    ) -> None:
+        comm, grid, shape = backend.comm, backend.grid, backend.shape
+        self.comm, self.grid, self.semiring = comm, grid, backend.semiring
+        self.multiply = multiply
+        self.general = general
+        self.b = StaticDistMatrix.from_tuples(
+            comm, grid, shape, b_tuples_per_rank, self.semiring, layout="csr"
+        )
+        if general:
+            self.a = CombBLASBackend(comm, grid, shape, self.semiring)
+            self.c = None
+        else:
+            self.a = DynamicDistMatrix.empty(comm, grid, shape, self.semiring)
+            self.c = DynamicDistMatrix.empty(comm, grid, shape, self.semiring)
+
+    def apply(self, tuples_per_rank: Mapping[int, TupleArrays], kind: str) -> None:
+        """One batch: update ``A`` and bring ``C = A·B`` up to date."""
+        comm, grid = self.comm, self.grid
+        if self.general:
+            self.a.apply_batch(kind, tuples_per_rank)
+            self.c = self.multiply(
+                comm, grid, self.a.as_static_dist(), self.b, semiring=self.semiring
+            )
+            return
+        a_star = build_update_matrix(
+            comm,
+            grid,
+            self.a.dist,
+            tuples_per_rank,
+            self.semiring,
+            redistribution="single_phase",
+        )
+        self.multiply(comm, grid, a_star, self.b, accumulate_into=self.c)
+        self.a.add_update(a_star)
+
+    def to_coo_global(self) -> COOMatrix:
+        """The streamed left operand ``A`` (world-wide query)."""
+        return self.a.to_coo_global()
+
+    def product_global(self) -> COOMatrix | None:
+        """The current product ``C`` (``None`` before the first batch)."""
+        return None if self.c is None else self.c.to_coo_global()
+
+
+def _gathered(
+    tuples_per_rank: Mapping[int, TupleArrays], backend: Backend
+) -> COOMatrix:
+    """Scattered tuples back as one global matrix (duplicates ⊕-combined)."""
+    batch = UpdateBatch(backend.shape, dict(tuples_per_rank), semiring=backend.semiring)
+    return batch.to_global_coo()
+
+
+class _PETScStream:
+    """Dynamic SpGEMM the PETSc way: a 1D ``MatMatMult`` per batch, ``(+, ·)`` only.
+
+    An algebraic batch multiplies its own block rows against ``B`` and adds
+    the result rows to ``C``; a general batch recomputes ``A'·B`` from every
+    tuple streamed so far.  Deletions cannot be expressed.
+    """
+
+    def __init__(
+        self,
+        backend: PETScBackend,
+        b_tuples_per_rank: Mapping[int, TupleArrays],
+        general: bool,
+    ) -> None:
+        self.backend = backend
+        self.general = general
+        self.b_global = CSRMatrix.from_coo(_gathered(b_tuples_per_rank, backend))
+        self.a = COOMatrix.empty(backend.shape, backend.semiring)
+        self.c: dict[int, COOMatrix] = {}
+
+    def apply(self, tuples_per_rank: Mapping[int, TupleArrays], kind: str) -> None:
+        """One batch: multiply it (algebraic) or everything so far (general)."""
+        if kind == "delete":
+            raise UnsupportedOperation(
+                "PETSc does not support efficiently masking out non-zeros"
+            )
+        backend = self.backend
+        batch = _gathered(tuples_per_rank, backend)
+        self.a = self.a.concatenate(batch)
+        results = static_spgemm_petsc_1d(
+            backend.comm,
+            backend.row_slices(self.a if self.general else batch),
+            backend.row_offsets,
+            self.b_global,
+            semiring=backend.semiring,
+            n_ranks=backend.n_ranks,
+            accumulate_into=None if self.general else self.c,
+        )
+        if self.general:
+            self.c = results
+
+    def to_coo_global(self) -> COOMatrix:
+        """The streamed left operand ``A`` (duplicates ``+``-combined)."""
+        return self.a.sum_duplicates()
+
+    def product_global(self) -> COOMatrix:
+        """The current product ``C``, assembled from its block rows."""
+        return self.backend.rows_to_global(self.c)
+
+
+_STREAMS = {
+    CombBLASBackend: partial(_SummaStream, multiply=static_spgemm_combblas),
+    CTFBackend: partial(_SummaStream, multiply=static_spgemm_ctf),
+    PETScBackend: _PETScStream,
+}
+
+
+def spgemm_stream(
+    backend: Backend,
+    b_tuples_per_rank: Mapping[int, TupleArrays],
+    *,
+    general: bool,
+):
+    """``backend``'s framework maintaining ``C = A·B`` under batches to ``A``.
+
+    ``B`` is built from ``b_tuples_per_rank`` and stays fixed; ``A`` starts
+    empty.  The returned stream has ``apply(tuples_per_rank, kind)`` for one
+    batch (``general`` selects Fig. 10's recompute protocol over Fig. 9's
+    additive one), ``to_coo_global()`` for the streamed ``A`` and
+    ``product_global()`` for ``C``.
+    """
+    return _STREAMS[type(backend)](backend, b_tuples_per_rank, general)

@@ -33,10 +33,7 @@ from repro.runtime.stats import StatCategory
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
 from repro.distributed.distribution import BlockDistribution
-from repro.distributed.redistribution import (
-    redistribute_tuples,
-    redistribute_tuples_single_phase,
-)
+from repro.distributed.redistribution import _route_tuples
 
 __all__ = ["DistMatrixBase", "DynamicDistMatrix", "StaticDistMatrix"]
 
@@ -184,20 +181,21 @@ class DistMatrixBase:
         return self.comm.host_merge(found)[owner]
 
     # ------------------------------------------------------------------
-    def _local_tuple_blocks(
-        self, routed: Mapping[int, TupleArrays]
+    def _route_to_blocks(
+        self, tuples_per_rank: Mapping[int, TupleArrays], redistribution: str
     ) -> dict[int, TupleArrays]:
-        """Convert routed global-coordinate tuples to block-local ones."""
+        """Route raw tuples to their owners, in block-local coordinates."""
+        routed = _route_tuples(
+            self.comm,
+            self.grid,
+            self.dist,
+            tuples_per_rank,
+            redistribution,
+            self.semiring.dtype,
+        )
         out: dict[int, TupleArrays] = {}
         for rank in self.owned_ranks():
-            rows, cols, vals = routed.get(
-                rank,
-                (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    self.semiring.zeros(0),
-                ),
-            )
+            rows, cols, vals = routed[rank]
             lrows, lcols = self.dist.to_local(rank, rows, cols)
             out[rank] = (lrows, lcols, vals)
         return out
@@ -264,8 +262,7 @@ class DynamicDistMatrix(DistMatrixBase):
         management* and the per-entry inserts to *local construct*.
         """
         combine_fn = self._combine_fn(combine)
-        routed = self._route(tuples_per_rank, redistribution)
-        local = self._local_tuple_blocks(routed)
+        local = self._route_to_blocks(tuples_per_rank, redistribution)
         created = 0
         for rank, (lrows, lcols, vals) in local.items():
             block: DHBMatrix = self.blocks[rank]
@@ -346,30 +343,6 @@ class DynamicDistMatrix(DistMatrixBase):
             return None
         raise ValueError(f"unknown combine mode {combine!r} (use 'add' or 'last')")
 
-    def _route(
-        self, tuples_per_rank: Mapping[int, TupleArrays], redistribution: str
-    ) -> dict[int, TupleArrays]:
-        if redistribution == "two_phase":
-            return redistribute_tuples(
-                self.comm,
-                self.grid,
-                self.dist,
-                tuples_per_rank,
-                value_dtype=self.semiring.dtype,
-            )
-        if redistribution == "single_phase":
-            return redistribute_tuples_single_phase(
-                self.comm,
-                self.grid,
-                self.dist,
-                tuples_per_rank,
-                value_dtype=self.semiring.dtype,
-            )
-        raise ValueError(
-            f"unknown redistribution mode {redistribution!r} "
-            "(use 'two_phase' or 'single_phase')"
-        )
-
     def _check_update(self, update: "StaticDistMatrix") -> None:
         if update.shape != self.shape:
             raise ValueError(
@@ -433,19 +406,24 @@ class StaticDistMatrix(DistMatrixBase):
     ) -> "StaticDistMatrix":
         """Construct a static distributed matrix from raw tuples."""
         out = cls.empty(comm, grid, shape, semiring, layout=layout)
-        if redistribution == "two_phase":
-            routed = redistribute_tuples(
-                comm, grid, out.dist, tuples_per_rank, value_dtype=semiring.dtype
-            )
-        elif redistribution == "single_phase":
-            routed = redistribute_tuples_single_phase(
-                comm, grid, out.dist, tuples_per_rank, value_dtype=semiring.dtype
-            )
-        else:
-            raise ValueError(f"unknown redistribution mode {redistribution!r}")
-        local = out._local_tuple_blocks(routed)
+        out._assemble(tuples_per_rank, combine, redistribution)
+        return out
+
+    def _assemble(
+        self,
+        tuples_per_rank: Mapping[int, TupleArrays],
+        combine: str,
+        redistribution: str,
+    ) -> None:
+        """Route raw tuples to their owners and build every owned block.
+
+        Duplicates are ⊕-combined (``combine="add"``) or resolved last write
+        wins; the blocks follow ``self.dist`` and ``self.layout``.
+        """
+        semiring, layout = self.semiring, self.layout
+        local = self._route_to_blocks(tuples_per_rank, redistribution)
         for rank, (lrows, lcols, vals) in local.items():
-            block_shape = out.dist.block_shape_of_rank(rank)
+            block_shape = self.dist.block_shape_of_rank(rank)
 
             def _build(
                 lrows=lrows, lcols=lcols, vals=vals, block_shape=block_shape
@@ -462,10 +440,9 @@ class StaticDistMatrix(DistMatrixBase):
                     return CSRMatrix.from_coo(coo, dedup=False)
                 return DCSRMatrix.from_coo(coo, dedup=False)
 
-            out.blocks[rank] = comm.run_local(
+            self.blocks[rank] = self.comm.run_local(
                 rank, _build, category=StatCategory.LOCAL_CONSTRUCT
             )
-        return out
 
     @classmethod
     def from_dynamic(

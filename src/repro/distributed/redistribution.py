@@ -60,6 +60,30 @@ def _as_tuple_arrays(data, dtype) -> TupleArrays:
     return rows, cols, vals
 
 
+def _route_tuples(
+    comm: Communicator,
+    grid: ProcessGrid,
+    dist: BlockDistribution,
+    tuples_per_rank: Mapping[int, TupleArrays],
+    redistribution: str,
+    value_dtype,
+) -> dict[int, TupleArrays]:
+    """Route with the named scheme: ``"two_phase"`` or ``"single_phase"``.
+
+    Every owned rank has an entry in the result (possibly empty).
+    """
+    if redistribution == "two_phase":
+        route = redistribute_tuples
+    elif redistribution == "single_phase":
+        route = redistribute_tuples_single_phase
+    else:
+        raise ValueError(
+            f"unknown redistribution mode {redistribution!r} "
+            "(use 'two_phase' or 'single_phase')"
+        )
+    return route(comm, grid, dist, tuples_per_rank, value_dtype=value_dtype)
+
+
 def group_by_buckets(
     rows: np.ndarray,
     cols: np.ndarray,

@@ -25,15 +25,11 @@ import numpy as np
 
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
-from repro.runtime.stats import StatCategory
 from repro.semirings import PLUS_TIMES, Semiring
-from repro.sparse import COOMatrix, DCSRMatrix, CSRMatrix
+from repro.sparse import COOMatrix
 from repro.distributed.dist_matrix import StaticDistMatrix
 from repro.distributed.distribution import BlockDistribution
-from repro.distributed.redistribution import (
-    redistribute_tuples,
-    redistribute_tuples_single_phase,
-)
+from repro.distributed.redistribution import _empty_tuples
 
 __all__ = ["UpdateBatch", "build_update_matrix", "partition_tuples_round_robin"]
 
@@ -140,14 +136,7 @@ class UpdateBatch:
         return sum(rows.size for rows, _c, _v in self.tuples_per_rank.values())
 
     def tuples_of(self, rank: int) -> TupleArrays:
-        return self.tuples_per_rank.get(
-            rank,
-            (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                self.semiring.zeros(0),
-            ),
-        )
+        return self.tuples_per_rank.get(rank, _empty_tuples(self.semiring.dtype))
 
     def to_global_coo(self) -> COOMatrix:
         """All tuples of the batch as one global COO matrix (⊕-combined)."""
@@ -198,47 +187,9 @@ def build_update_matrix(
         raise ValueError(
             f"batch shape {shape} does not match distribution shape {dist.shape}"
         )
-    if redistribution == "two_phase":
-        routed = redistribute_tuples(
-            comm, grid, dist, tuples_per_rank, value_dtype=semiring.dtype
-        )
-    elif redistribution == "single_phase":
-        routed = redistribute_tuples_single_phase(
-            comm, grid, dist, tuples_per_rank, value_dtype=semiring.dtype
-        )
-    else:
-        raise ValueError(f"unknown redistribution mode {redistribution!r}")
-
     out = StaticDistMatrix.empty(comm, grid, dist.shape, semiring, layout=layout)
     # Reuse the *target* distribution rather than the freshly created one so
     # that the update matrix is block-aligned with the matrix it updates.
     out.dist = dist
-    for rank in comm.owned_ranks(grid.all_ranks()):
-        rows, cols, vals = routed.get(
-            rank,
-            (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                semiring.zeros(0),
-            ),
-        )
-        lrows, lcols = dist.to_local(rank, rows, cols)
-        block_shape = dist.block_shape_of_rank(rank)
-
-        def _build(lrows=lrows, lcols=lcols, vals=vals, block_shape=block_shape):
-            coo = COOMatrix(
-                shape=block_shape,
-                rows=lrows,
-                cols=lcols,
-                values=vals,
-                semiring=semiring,
-            )
-            coo = coo.sum_duplicates() if combine == "add" else coo.last_write_wins()
-            if layout == "csr":
-                return CSRMatrix.from_coo(coo, dedup=False)
-            return DCSRMatrix.from_coo(coo, dedup=False)
-
-        out.blocks[rank] = comm.run_local(
-            rank, _build, category=StatCategory.LOCAL_CONSTRUCT
-        )
+    out._assemble(tuples_per_rank, combine, redistribution)
     return out

@@ -9,10 +9,10 @@ application of steps to an *executor*:
   steps and support for all four local layouts (COO, CSR, DCSR, DHB) of the
   static right-hand operand.
 * :class:`CompetitorExecutor` — wraps any backend from
-  :mod:`repro.competitors` (``ours``, ``combblas``, ``ctf``, ``petsc``), so
-  the benchmark drivers can replay one scenario against every system under
-  comparison.  Steps a backend does not support truncate the replay and are
-  reported via ``ScenarioResult.truncated_at``.
+  :mod:`repro.competitors` (``combblas``, ``ctf``, ``petsc``), so the
+  figures can replay one scenario against every system under comparison.
+  Steps a backend does not support truncate the replay and are reported
+  via ``ScenarioResult.truncated_at``.
 
 Both classes are re-exported from :mod:`repro.scenarios.replay` (their
 historical home) and :mod:`repro.scenarios`.
@@ -46,7 +46,7 @@ from repro.scenarios.model import (
     TupleArrays,
     canonical_tuples,
 )
-from repro.semirings import Semiring
+from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse import (
     COOMatrix,
     CSRMatrix,
@@ -110,7 +110,6 @@ class NativeExecutor:
         scenario: Scenario,
         *,
         layout: str = "csr",
-        update_layout: str | None = None,
     ) -> None:
         if layout not in REPLAY_LAYOUTS:
             raise ValueError(
@@ -120,12 +119,6 @@ class NativeExecutor:
         self.grid = grid
         self.scenario = scenario
         self.layout = layout
-        #: update matrices need a static assembly layout (CSR or DCSR);
-        #: by default they follow ``layout``, degrading to hypersparse DCSR
-        #: for the layouts without an assembly path
-        self.update_layout = update_layout or (
-            layout if layout in ("csr", "dcsr") else "dcsr"
-        )
         self.semiring: Semiring = scenario.semiring
         self.a: DynamicDistMatrix | None = None
         self.b_static: StaticDistMatrix | None = None
@@ -248,7 +241,6 @@ class NativeExecutor:
             self.a.dist,
             per_rank,
             self.semiring,
-            layout=self.update_layout,
             combine="add" if step.kind == "insert" else "last",
         )
         if step.kind == "insert":
@@ -277,7 +269,6 @@ class NativeExecutor:
             self.a.dist,
             per_rank,
             self.semiring,
-            layout=self.update_layout,
             combine="add",
         )
         touched = dynamic_spgemm_algebraic(
@@ -441,12 +432,18 @@ class NativeExecutor:
 # competitor executor (benchmark backends)
 # ----------------------------------------------------------------------
 class CompetitorExecutor:
-    """Replays the data-structure steps of a scenario on a benchmark backend.
+    """Replays a scenario on a simulated competitor framework.
 
-    SpGEMM steps are not expressible through the uniform
-    :class:`repro.competitors.base.Backend` interface and raise
-    :class:`~repro.competitors.base.UnsupportedOperation`, truncating the
-    replay (mirroring how the paper's figures drop unsupported systems).
+    Data-structure steps go through the uniform
+    :class:`repro.competitors.base.Backend` interface.  When the scenario
+    has a right operand, :class:`~repro.scenarios.model.SpGEMMStep` steps go
+    through the framework's :func:`~repro.competitors.spgemm_stream`
+    protocol instead, whose left operand grows from empty (the Fig. 9–11
+    workloads); a plain update step cannot reach that operand and truncates
+    such a replay, like any step a backend does not support (mirroring how
+    the paper's figures drop unsupported systems).  A framework without
+    configurable semirings keeps ``(+, ·)`` whatever the scenario asks for,
+    as PETSc does in the paper's Fig. 10.
     """
 
     name = "competitor"
@@ -460,8 +457,8 @@ class CompetitorExecutor:
         grid: ProcessGrid,
         scenario: Scenario,
         *,
+        backend_name: str,
         layout: str = "csr",
-        backend_name: str = "ours",
         **backend_kwargs,
     ) -> None:
         from repro.competitors import get_backend
@@ -471,9 +468,13 @@ class CompetitorExecutor:
         self.scenario = scenario
         self.layout = layout
         self.backend_name = backend_name
-        self.backend = get_backend(backend_name)(
-            comm, grid, scenario.shape, scenario.semiring, **backend_kwargs
+        backend_cls = get_backend(backend_name)
+        semiring = scenario.semiring if backend_cls.supports_semirings else PLUS_TIMES
+        self.backend = backend_cls(
+            comm, grid, scenario.shape, semiring, **backend_kwargs
         )
+        #: the framework's dynamic-SpGEMM protocol (SpGEMM scenarios only)
+        self.stream = None
 
     @classmethod
     def factory(cls, backend_name: str, **backend_kwargs) -> Callable:
@@ -494,41 +495,46 @@ class CompetitorExecutor:
     # ------------------------------------------------------------------
     def prepare(self) -> None:
         """Scatter the construction tuples (outside the timed region)."""
-        scenario = self.scenario
-        initial = (
-            scenario.initial_tuples
-            if scenario.initial_tuples is not None
-            else (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
+        scenario, n_ranks = self.scenario, self.grid.n_ranks
+
+        def scattered(tuples):
+            if tuples is None:
+                return None
+            return partition_tuples_round_robin(
+                *tuples, n_ranks, seed=scenario.construct_seed
             )
-        )
-        self._initial_per_rank = partition_tuples_round_robin(
-            *initial, self.grid.n_ranks, seed=scenario.construct_seed
-        )
+
+        self._initial_per_rank = scattered(scenario.initial_tuples) or {}
+        self._b_per_rank = scattered(scenario.b_tuples)
 
     def construct(self) -> None:
-        """Build the competitor backend's state from the initial tuples."""
+        """Build the backend's matrix and, if any, the right operand."""
+        from repro.competitors import spgemm_stream
+
         self.backend.construct(self._initial_per_rank)
+        if self._b_per_rank is not None:
+            self.stream = spgemm_stream(
+                self.backend,
+                self._b_per_rank,
+                general=self.scenario.has_general_spgemm,
+            )
 
     def apply(self, step: ScenarioStep, per_rank: dict[int, TupleArrays]) -> int:
-        """Apply one tuple step through the uniform backend interface."""
+        """Apply one tuple step through the backend or its SpGEMM stream."""
         from repro.competitors import UnsupportedOperation
 
-        if isinstance(step, SpGEMMStep):
+        if isinstance(step, SpGEMMStep) != (self.stream is not None):
             raise UnsupportedOperation(
-                f"backend {self.backend_name!r} cannot replay SpGEMM steps "
-                "through the uniform update interface"
+                f"backend {self.backend_name!r} keeps the left operand of a "
+                "SpGEMM stream apart from its own matrix: SpGEMM steps need a "
+                "right operand, and plain update steps cannot be mixed in"
             )
-        if step.kind == "insert":
-            self.backend.insert_batch(per_rank)
-        elif step.kind == "update":
-            self.backend.update_batch(per_rank)
+        if self.stream is not None:
+            self.stream.apply(per_rank, step.kind)
         else:
-            self.backend.delete_batch(per_rank)
-        # The uniform backend interface does not report created/changed
-        # counts; the batch size is the comparable volume measure.
+            self.backend.apply_batch(step.kind, per_rank)
+        # Neither interface reports created/changed counts; the batch size
+        # is the comparable volume measure.
         return step.n_tuples
 
     def query(self, step: AppQueryStep, *, check: bool = True) -> tuple[int, object]:
@@ -555,9 +561,11 @@ class CompetitorExecutor:
             )
 
     def final_a(self) -> TupleArrays:
-        """Canonical global tuples of the competitor's matrix."""
-        return canonical_tuples(self.backend.to_coo_global())
+        """Canonical global tuples of the matrix the steps were applied to."""
+        holder = self.backend if self.stream is None else self.stream
+        return canonical_tuples(holder.to_coo_global())
 
     def final_c(self) -> TupleArrays | None:
-        """Competitor backends maintain no product; always ``None``."""
-        return None
+        """Canonical global tuples of the framework's product ``C``, if any."""
+        product = None if self.stream is None else self.stream.product_global()
+        return None if product is None else canonical_tuples(product)

@@ -188,6 +188,15 @@ class DCSRMatrix:
     def to_dense(self) -> np.ndarray:
         return self.to_coo().to_dense()
 
+    def to_scipy(self):
+        """scipy CSR with the same entries (row pointers re-expanded)."""
+        import scipy.sparse as sp
+
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
+        indptr[self.nz_rows + 1] = np.diff(self.indptr)
+        np.cumsum(indptr, out=indptr)
+        return sp.csr_matrix((self.values, self.indices, indptr), shape=self.shape)
+
     def transpose(self) -> "DCSRMatrix":
         return DCSRMatrix.from_coo(self.to_coo().transpose(), dedup=False)
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DynamicDistMatrix, ProcessGrid, SimMPI, partition_tuples_round_robin
+from repro import DynamicDistMatrix, SimMPI, partition_tuples_round_robin
+from repro.bench.workloads import prepare_instance, spgemm_stream_scenario
 from repro.competitors import (
     CombBLASBackend,
     CTFBackend,
-    OurBackend,
     PETScBackend,
     UnsupportedOperation,
     get_backend,
@@ -18,12 +18,20 @@ from repro.competitors import (
     static_spgemm_ctf,
     static_spgemm_petsc_1d,
 )
+from repro.scenarios import (
+    CompetitorExecutor,
+    DeleteBatch,
+    InsertBatch,
+    Scenario,
+    SpGEMMStep,
+    replay,
+)
 from repro.semirings import MIN_PLUS, PLUS_TIMES
-from repro.sparse import CSRMatrix, COOMatrix
+from repro.sparse import CSRMatrix
 
 from tests.conftest import random_dense, static_from_dense
 
-ALL_BACKENDS = ["ours", "combblas", "ctf", "petsc"]
+ALL_BACKENDS = ["combblas", "ctf", "petsc"]
 
 
 def _tuples_from_dense(dense, p, seed=0):
@@ -34,15 +42,15 @@ def _tuples_from_dense(dense, p, seed=0):
 class TestBackendRegistry:
     def test_registry(self):
         assert set(list_backends()) == set(ALL_BACKENDS)
-        assert get_backend("ours") is OurBackend
         assert get_backend("combblas") is CombBLASBackend
         assert get_backend("ctf") is CTFBackend
         assert get_backend("petsc") is PETScBackend
-        with pytest.raises(KeyError):
-            get_backend("nope")
+        # the paper's own approach is the native executor, not a backend
+        for unknown in ("nope", "ours"):
+            with pytest.raises(KeyError):
+                get_backend(unknown)
 
     def test_capability_flags_match_paper(self):
-        assert OurBackend.supports_deletions
         assert CombBLASBackend.supports_deletions
         assert CTFBackend.supports_deletions
         assert not PETScBackend.supports_deletions
@@ -85,7 +93,7 @@ class TestBackendSemantics:
         for r, c in zip(rows[sel], cols[sel]):
             assert result[(int(r), int(c))] == pytest.approx(99.0)
 
-    @pytest.mark.parametrize("backend_name", ["ours", "combblas", "ctf"])
+    @pytest.mark.parametrize("backend_name", ["combblas", "ctf"])
     def test_delete_batch_removes_entries(self, backend_name, comm16, grid16):
         n = 20
         dense = random_dense(n, n, 0.25, seed=11)
@@ -112,31 +120,127 @@ class TestBackendSemantics:
         backend = PETScBackend(comm16, grid16, (10, 10))
         assert backend.n_ranks == 16 // comm16.machine.ranks_per_node
 
-    def test_our_backend_static_storage_variant(self, comm16, grid16):
-        n = 16
-        dense = random_dense(n, n, 0.2, seed=15)
-        backend = OurBackend(comm16, grid16, (n, n), dynamic_storage=False)
-        backend.construct(_tuples_from_dense(dense, 16, seed=16))
-        assert np.allclose(backend.to_coo_global().to_dense(), dense)
-
-    def test_all_backends_agree_after_mixed_workload(self, grid16):
+    def test_all_backends_agree_with_the_native_replay(self):
         n = 22
         dense = random_dense(n, n, 0.25, seed=17)
         extra = random_dense(n, n, 0.05, seed=18)
         rows, cols = np.nonzero(dense)
         sel = np.random.default_rng(19).choice(rows.size, size=8, replace=False)
-        results = {}
-        for backend_name in ("ours", "combblas", "ctf"):
-            comm = SimMPI(16)
-            backend = get_backend(backend_name)(comm, grid16, (n, n))
-            backend.construct(_tuples_from_dense(dense, 16, seed=20))
-            backend.insert_batch(_tuples_from_dense(extra, 16, seed=21))
-            backend.delete_batch(
-                partition_tuples_round_robin(rows[sel], cols[sel], np.zeros(8), 16, seed=22)
+        extra_rows, extra_cols = np.nonzero(extra)
+        scenario = Scenario(
+            name="mixed",
+            shape=(n, n),
+            steps=[
+                InsertBatch(extra_rows, extra_cols, extra[extra_rows, extra_cols]),
+                DeleteBatch(rows[sel], cols[sel], np.zeros(8)),
+            ],
+            initial_tuples=(rows, cols, dense[rows, cols]),
+            seed=20,
+        )
+        native = replay(scenario, backend="sim", n_ranks=16)
+        expected = dense + extra
+        expected[rows[sel], cols[sel]] = 0.0
+        assert native.final_a[0].size == int((expected != 0).sum())
+        for backend_name in ("combblas", "ctf"):
+            result = replay(
+                scenario,
+                backend="sim",
+                n_ranks=16,
+                executor_factory=CompetitorExecutor.factory(backend_name),
             )
-            results[backend_name] = backend.to_coo_global().to_dense()
-        for backend_name, dense_result in results.items():
-            assert np.allclose(dense_result, results["ours"]), backend_name
+            for got, want in zip(result.final_a, native.final_a):
+                assert np.allclose(got, want), backend_name
+
+
+class TestSpGEMMStreams:
+    """The per-batch dynamic-SpGEMM protocol of each framework, replayed."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        return prepare_instance("LiveJournal", scale_divisor=65536, seed=71)
+
+    @pytest.fixture(scope="class")
+    def algebraic(self, workload):
+        return spgemm_stream_scenario(
+            workload, n_batches=3, batch_total=32, mode="algebraic", seed=79
+        )
+
+    @staticmethod
+    def _replay(scenario, backend_name=None, **kwargs):
+        factory = backend_name and CompetitorExecutor.factory(backend_name)
+        return replay(
+            scenario, backend="sim", n_ranks=4, executor_factory=factory, **kwargs
+        )
+
+    @pytest.mark.parametrize("backend_name", ALL_BACKENDS)
+    def test_algebraic_stream_ends_with_the_native_product(
+        self, backend_name, workload, algebraic
+    ):
+        import scipy.sparse as sp
+
+        native = self._replay(algebraic)
+        result = self._replay(algebraic, backend_name)
+        assert result.truncated_at is None
+        assert [s.kind for s in result.measured_steps()] == ["insert"] * 3
+        for got, want in zip(result.final_a + result.final_c, native.final_a + native.final_c):
+            assert np.allclose(got, want)
+        # ... and with scipy's: C = (sum of the batches) @ B
+        shape = (workload.n, workload.n)
+        a = sum(
+            sp.coo_matrix((s.values, (s.rows, s.cols)), shape=shape).tocsr()
+            for s in algebraic.update_steps()
+        )
+        b = sp.coo_matrix((workload.values, (workload.rows, workload.cols)), shape=shape)
+        reference = (a @ b.tocsr()).tocoo()
+        rows, cols, values = result.final_c
+        assert rows.size == reference.nnz
+        got = sp.coo_matrix((values, (rows, cols)), shape=shape)
+        assert abs(got - reference).max() < 1e-9
+
+    def test_general_stream_recomputes_the_native_product(self, workload):
+        general = spgemm_stream_scenario(
+            workload,
+            n_batches=2,
+            batch_total=16,
+            mode="general",
+            kind="update",
+            semiring_name="min_plus",
+            seed=101,
+        )
+        native = self._replay(general)
+        for backend_name in ("combblas", "ctf"):
+            result = self._replay(general, backend_name)
+            for got, want in zip(result.final_c, native.final_c):
+                assert np.allclose(got, want), backend_name
+        # PETSc has no configurable semiring and keeps (+, *): same
+        # structure, other values
+        petsc = self._replay(general, "petsc")
+        assert petsc.truncated_at is None
+        assert np.array_equal(petsc.final_c[0], native.final_c[0])
+        assert not np.allclose(petsc.final_c[2], native.final_c[2])
+
+    def test_petsc_stream_truncates_at_a_deletion(self, workload):
+        pool = workload.all_tuples()
+        steps = [
+            SpGEMMStep(*(x[:8] for x in pool), mode="general", kind="insert"),
+            SpGEMMStep(*(x[:4] for x in pool), mode="general", kind="delete"),
+        ]
+        scenario = Scenario(
+            name="petsc-delete", shape=(workload.n, workload.n), steps=steps, b_tuples=pool
+        )
+        result = self._replay(scenario, "petsc", collect_final=False)
+        assert result.truncated_at == 1
+        assert [s.supported for s in result.steps] == [True, False]
+        assert self._replay(scenario, "combblas").truncated_at is None
+
+    def test_plain_steps_cannot_reach_a_streamed_operand(self, workload, algebraic):
+        mixed = Scenario(
+            name="mixed",
+            shape=algebraic.shape,
+            steps=[InsertBatch(np.array([1]), np.array([2]), np.ones(1))],
+            b_tuples=workload.all_tuples(),
+        )
+        assert self._replay(mixed, "combblas", collect_final=False).truncated_at == 0
 
 
 class TestSpGEMMBaselines:

@@ -18,6 +18,8 @@ from repro import (
     SimMPI,
     StaticDistMatrix,
     UpdateBatch,
+    build_update_matrix,
+    dynamic_spgemm_algebraic,
     partition_tuples_round_robin,
     summa_spgemm,
 )
@@ -139,31 +141,31 @@ def test_min_plus_lifecycle_with_mixed_update_kinds():
 
 
 def test_backends_and_dynamic_structure_agree_on_streaming_workload():
-    """All backends end with the same matrix after the same update stream."""
+    """Every backend ends with the dynamic structure's matrix after one stream."""
     p = 16
     grid = ProcessGrid(p)
     n, rows, cols, vals = generate_instance("orkut", scale_divisor=65536, seed=7)
     rng = np.random.default_rng(7)
-    insert_extra = (
-        rng.integers(0, n, 64),
-        rng.integers(0, n, 64),
-        rng.random(64) + 0.5,
+    initial = partition_tuples_round_robin(rows, cols, vals, p, seed=1)
+    inserted = partition_tuples_round_robin(
+        rng.integers(0, n, 64), rng.integers(0, n, 64), rng.random(64) + 0.5, p, seed=2
     )
     delete_sel = rng.choice(rows.size, size=32, replace=False)
-    finals = {}
-    for backend_name in ("ours", "combblas", "ctf"):
-        comm = SimMPI(p)
-        backend = get_backend(backend_name)(comm, grid, (n, n))
-        backend.construct(partition_tuples_round_robin(rows, cols, vals, p, seed=1))
-        backend.insert_batch(partition_tuples_round_robin(*insert_extra, p, seed=2))
-        backend.delete_batch(
-            partition_tuples_round_robin(
-                rows[delete_sel], cols[delete_sel], np.zeros(32), p, seed=3
-            )
-        )
-        finals[backend_name] = backend.to_coo_global().to_dense()
-    assert np.allclose(finals["combblas"], finals["ours"])
-    assert np.allclose(finals["ctf"], finals["ours"])
+    deleted = partition_tuples_round_robin(
+        rows[delete_sel], cols[delete_sel], np.zeros(32), p, seed=3
+    )
+
+    comm = SimMPI(p)
+    ours = DynamicDistMatrix.from_tuples(comm, grid, (n, n), initial)
+    ours.add_update(build_update_matrix(comm, grid, ours.dist, inserted))
+    ours.mask_update(build_update_matrix(comm, grid, ours.dist, deleted))
+    expected = ours.to_dense()
+    for backend_name in ("combblas", "ctf"):
+        backend = get_backend(backend_name)(SimMPI(p), grid, (n, n))
+        backend.construct(initial)
+        backend.insert_batch(inserted)
+        backend.delete_batch(deleted)
+        assert np.allclose(backend.to_coo_global().to_dense(), expected), backend_name
 
 
 def test_hypersparse_update_matrices_use_less_bandwidth_than_operands():
@@ -178,8 +180,6 @@ def test_hypersparse_update_matrices_use_less_bandwidth_than_operands():
     )
     a = DynamicDistMatrix.empty(comm, grid, (n, n))
     c = DynamicDistMatrix.empty(comm, grid, (n, n))
-    from repro import build_update_matrix, dynamic_spgemm_algebraic
-
     sel = np.random.default_rng(2).choice(rows.size, size=max(16, rows.size // 50), replace=False)
     per_rank = partition_tuples_round_robin(rows[sel], cols[sel], vals[sel], p, seed=3)
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.bench.config import PROFILES, get_profile, paper_regime_machine
 from repro.runtime import make_communicator
 from repro.scenarios import (
     CompetitorExecutor,
@@ -27,9 +28,11 @@ from repro.scenarios import (
 from repro.bench.workloads import (
     batched_operation_scenario,
     construction_scenario,
+    draw_batch,
     prepare_instance,
     spawn_batch_seeds,
     spgemm_stream_scenario,
+    split_batches,
 )
 
 
@@ -168,20 +171,6 @@ class TestReplay:
         with pytest.raises(ValueError, match="layout"):
             replay(scenario, backend="sim", n_ranks=4, layout="bogus")
 
-    def test_native_and_ours_backend_agree(self):
-        """The competitor wrapper of our own backend matches native replay."""
-        scenario = sliding_window(seed=9)
-        native = replay(scenario, backend="sim", n_ranks=4)
-        ours = replay(
-            scenario,
-            backend="sim",
-            n_ranks=4,
-            executor_factory=CompetitorExecutor.factory("ours"),
-        )
-        assert np.array_equal(native.final_a[0], ours.final_a[0])
-        assert np.array_equal(native.final_a[1], ours.final_a[1])
-        assert np.allclose(native.final_a[2], ours.final_a[2])
-
     def test_unsupported_operation_truncates(self):
         """PETSc cannot delete: the replay truncates at the delete step."""
         steps = [
@@ -221,10 +210,33 @@ class TestReplay:
         assert first.comm_signature() == second.comm_signature()
 
 
+class TestProfiles:
+    def test_profiles_exist_and_resolve(self):
+        assert set(PROFILES) == {"smoke", "default", "large"}
+        assert get_profile().name == "smoke"
+        assert get_profile("default").name == "default"
+        with pytest.raises(KeyError):
+            get_profile("bogus")
+
+    def test_paper_regime_machine_is_slower_network(self):
+        assert paper_regime_machine().beta > get_profile("smoke").machine.beta
+
+
 class TestWorkloadScenarios:
     @pytest.fixture(scope="class")
     def workload(self):
         return prepare_instance("LiveJournal", scale_divisor=65536, seed=7)
+
+    def test_prepare_instance_and_pools(self, workload):
+        assert workload.nnz > 0
+        first, second = workload.split_half(seed=2)
+        assert first[0].size + second[0].size == workload.nnz
+        batch = draw_batch(second, 10, seed=3)
+        assert batch[0].size == 10
+        batches = split_batches(second, 3, 5, seed=4)
+        assert len(batches) == 3 and all(b[0].size == 5 for b in batches)
+        per_rank = workload.all_tuples_per_rank(4)
+        assert sum(v[0].size for v in per_rank.values()) == workload.nnz
 
     def test_spawn_batch_seeds_are_independent(self):
         a = [s.generate_state(1)[0] for s in spawn_batch_seeds(17, 3)]
