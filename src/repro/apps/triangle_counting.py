@@ -91,12 +91,11 @@ class DynamicTriangleCounter:
         adj = DynamicDistMatrix.from_tuples(
             comm, grid, (n, n), batch.tuples_per_rank, PLUS_TIMES, combine="last"
         )
-        # Both operands hold the adjacency matrix, but as *separate* copies:
-        # Algorithm 1 needs the left operand to stay at its pre-update state
-        # while the right operand is already updated.  The product is
-        # maintained in algebraic mode because edge insertions are additive
-        # in (+, ·) as long as every edge is inserted at most once.
-        self.product = DynamicProduct(comm, grid, adj, adj.copy(), mode="algebraic")
+        # Both operands are the one adjacency matrix (an aliased product).
+        # The product is maintained in algebraic mode because edge
+        # insertions are additive in (+, ·) as long as every edge is
+        # inserted at most once.
+        self.product = DynamicProduct(comm, grid, adj, adj, mode="algebraic")
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -127,7 +126,7 @@ class DynamicTriangleCounter:
 
     @property
     def adjacency(self) -> DynamicDistMatrix:
-        """The maintained symmetric adjacency matrix (left operand of ``A²``)."""
+        """The maintained symmetric adjacency matrix (both operands of ``A²``)."""
         return self.product.a
 
     def _new_edges_only(
@@ -154,16 +153,12 @@ class DynamicTriangleCounter:
                 return 0
             perf_count("app_triangle_edges_inserted", rows.size)
             values = np.ones(rows.size, dtype=np.float64)
-            # The same batch updates both operands (they are the same matrix):
-            # (A+Δ)² = A² + Δ·A' + A·Δ, which is exactly Algorithm 1 with
-            # A* = B* = Δ.
-            a_batch = UpdateBatch.from_global(
+            # (A+Δ)² = A² + A·Δ + Δ·A': the aliased product applies the one
+            # batch to both sides.
+            batch = UpdateBatch.from_global(
                 (self.n, self.n), rows, cols, values, self.grid.n_ranks, seed=seed
             )
-            b_batch = UpdateBatch.from_global(
-                (self.n, self.n), rows, cols, values, self.grid.n_ranks, seed=seed
-            )
-            self.product.apply_updates(a_batch=a_batch, b_batch=b_batch)
+            self.product.apply_updates(a_batch=batch)
             return int(rows.size)
 
     # ------------------------------------------------------------------

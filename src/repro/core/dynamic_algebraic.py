@@ -56,7 +56,7 @@ def _check_operands(
     grid: ProcessGrid,
     a: DistMatrixBase,
     b_prime: DistMatrixBase,
-    a_star: DistMatrixBase,
+    a_star: DistMatrixBase | None,
     b_star: DistMatrixBase | None,
 ) -> tuple[int, int, int]:
     n, k_dim = a.shape
@@ -65,14 +65,14 @@ def _check_operands(
         raise ValueError(
             f"inner dimensions do not match: A {a.shape} x B' {b_prime.shape}"
         )
-    if a_star.shape != a.shape:
+    if a_star is not None and a_star.shape != a.shape:
         raise ValueError(f"A* shape {a_star.shape} does not match A shape {a.shape}")
     if b_star is not None and b_star.shape != b_prime.shape:
         raise ValueError(
             f"B* shape {b_star.shape} does not match B' shape {b_prime.shape}"
         )
-    for op in (a, b_prime, a_star) + ((b_star,) if b_star is not None else ()):
-        if op.grid.n_ranks != grid.n_ranks:
+    for op in (a, b_prime, a_star, b_star):
+        if op is not None and op.grid.n_ranks != grid.n_ranks:
             raise ValueError("all operands must live on the same process grid")
     return n, k_dim, m
 
@@ -82,12 +82,55 @@ def _nnz_census(comm: Communicator, blocks: dict[int, object]) -> dict[int, int]
     return comm.host_merge({rank: int(blk.nnz) for rank, blk in blocks.items()})
 
 
+class _Term:
+    """One term of ``C*``: a hypersparse update times a large operand.
+
+    ``left=True`` is the X-term ``A*·B'``: block ``A*_{k,i}`` is broadcast
+    over process row ``i`` and ``X^i_{k,j}`` reduced over column ``j`` onto
+    rank ``(k, j)``.  ``left=False`` is the Y-term ``A·B*``, its mirror
+    image: ``B*_{j,k}`` travels over process column ``j`` and ``Y^j_{i,k}``
+    is reduced over row ``i`` onto rank ``(i, k)``.
+
+    Construction runs the transpose send/receive round that moves every
+    update block onto the process row / column it is broadcast over, and the
+    nnz census that makes every block's size globally known, so the
+    empty-broadcast skips are identical on every process.
+    """
+
+    def __init__(
+        self,
+        comm: Communicator,
+        grid: ProcessGrid,
+        star: DistMatrixBase,
+        operand: DistMatrixBase,
+        *,
+        left: bool,
+    ) -> None:
+        self.grid = grid
+        self.left = left
+        self.operand = operand
+        self.star_t = _transpose_exchange(comm, grid, star)
+        self.nnz = _nnz_census(comm, self.star_t)
+        self.bcast_group = grid.row_group if left else grid.col_group
+        self.reduce_group = grid.col_group if left else grid.row_group
+        #: inner block index of a rank's local multiplication
+        self.inner_of = grid.row_of if left else grid.col_of
+
+    def bcast_root(self, line: int, k: int) -> int:
+        """Rank holding the round-``k`` update block of broadcast line ``line``."""
+        return self.grid.rank_of(line, k) if self.left else self.grid.rank_of(k, line)
+
+    def reduce_root(self, line: int, k: int) -> int:
+        """Rank the round-``k`` partials of reduction line ``line`` land on."""
+        return self.bcast_root(k, line)
+
+
 def compute_cstar(
     comm: Communicator,
     grid: ProcessGrid,
     a: DistMatrixBase,
     b_prime: DistMatrixBase,
-    a_star: DistMatrixBase,
+    a_star: DistMatrixBase | None,
     b_star: DistMatrixBase | None = None,
     *,
     semiring: Semiring | None = None,
@@ -96,7 +139,9 @@ def compute_cstar(
     """Compute the per-rank local blocks of ``C* = A*·B' ⊕ A·B*``.
 
     ``b_star=None`` means ``B* = 0`` (the Figure-9 workload, where only the
-    left operand changes).  When ``compute_bloom`` is set the function also
+    left operand changes) and, symmetrically, ``a_star=None`` means
+    ``A* = 0``: an absent term costs neither its transpose round nor any
+    broadcast.  When ``compute_bloom`` is set the function also
     returns the Bloom filter ``F*`` of ``C*`` (``COMPUTE_PATTERN`` in
     Algorithm 2): bit ``k mod 64`` of ``f*_{i,j}`` is set whenever the term
     with global inner index ``k`` contributed to ``c*_{i,j}``.
@@ -111,17 +156,13 @@ def compute_cstar(
     out_dist = BlockDistribution(n, m, grid)
     owned = comm.owned_ranks(grid.all_ranks())
 
-    # ------------------------------------------------------------------
-    # Transpose send/receive round: A*_{i,j} -> rank (j,i), B*_{i,j} -> (j,i)
-    # so that the block needed as broadcast root in round k already sits on
-    # the right process row / column.  The nnz census makes every block's
-    # size globally known, so the empty-broadcast skips below are identical
-    # on every process.
-    # ------------------------------------------------------------------
-    astar_t = _transpose_exchange(comm, grid, a_star)
-    astar_nnz = _nnz_census(comm, astar_t)
-    bstar_t = _transpose_exchange(comm, grid, b_star) if b_star is not None else None
-    bstar_nnz = _nnz_census(comm, bstar_t) if bstar_t is not None else None
+    # X-term first, then Y-term: the order of the transpose rounds, of the
+    # postings and of the per-round work below.
+    terms: list[_Term] = []
+    if a_star is not None:
+        terms.append(_Term(comm, grid, a_star, b_prime, left=True))
+    if b_star is not None:
+        terms.append(_Term(comm, grid, b_star, a, left=False))
 
     partials: dict[int, list[COOMatrix]] = {r: [] for r in owned}
     bloom_parts: dict[int, BloomFilterMatrix] | None = None
@@ -133,195 +174,65 @@ def compute_cstar(
     from repro.core.collectives import bloom_reduce_to_root, sparse_reduce_to_root
 
     overlapped = overlap_enabled()
+    send = comm.ibcast if overlapped else comm.bcast
 
-    def _post_xterm(k: int):
-        """Post the round-``k`` X-term broadcasts (``A*_{k,i}`` over row i).
+    def _start(term: _Term, k: int):
+        """Start the round-``k`` broadcasts of one term.
 
         Returns ``None`` when the whole round is skipped (every root block
-        empty), otherwise ``(row_ranks, request_or_None)`` pairs — a
-        ``None`` request records a per-root empty-block skip, mirroring the
-        ``None`` markers of the synchronous schedule.
+        empty), otherwise ``(group_ranks, handle_or_None)`` pairs in
+        posting order — a ``None`` handle records a per-root empty-block
+        skip.  A handle is the request of a posted ``ibcast`` on the
+        overlapped schedule and the received mapping itself otherwise.
         """
-        if not any(astar_nnz[grid.rank_of(i, k)] for i in range(q)):
+        roots = [term.bcast_root(line, k) for line in range(q)]
+        if not any(term.nnz[root] for root in roots):
             return None
-        reqs = []
-        for i in range(q):
-            root = grid.rank_of(i, k)
-            row_ranks = grid.row_group(i)
-            if astar_nnz[root] == 0:
-                reqs.append((row_ranks, None))
-                continue
-            reqs.append(
-                (
-                    row_ranks,
-                    comm.ibcast(
-                        root,
-                        astar_t.get(root),
-                        group=row_ranks,
-                        category=StatCategory.BCAST,
-                    ),
+        started = []
+        for line, root in enumerate(roots):
+            group_ranks = term.bcast_group(line)
+            handle = None
+            if term.nnz[root]:
+                handle = send(
+                    root,
+                    term.star_t.get(root),
+                    group=group_ranks,
+                    category=StatCategory.BCAST,
                 )
-            )
-        return reqs
+            started.append((group_ranks, handle))
+        return started
 
-    def _post_yterm(k: int):
-        """Post the round-``k`` Y-term broadcasts (``B*_{k,j}`` over col j)."""
-        if bstar_t is None or bstar_nnz is None:
-            return None
-        if not any(bstar_nnz[grid.rank_of(k, j)] for j in range(q)):
-            return None
-        reqs = []
-        for j in range(q):
-            root = grid.rank_of(k, j)
-            col_ranks = grid.col_group(j)
-            if bstar_nnz[root] == 0:
-                reqs.append((col_ranks, None))
-                continue
-            reqs.append(
-                (
-                    col_ranks,
-                    comm.ibcast(
-                        root,
-                        bstar_t.get(root),
-                        group=col_ranks,
-                        category=StatCategory.BCAST,
-                    ),
-                )
-            )
-        return reqs
-
-    def _wait_term(reqs):
-        """Complete a posted term in posting order; ``None`` marks skips."""
+    def _finish(started):
+        """Complete a started term in posting order; ``None`` marks skips."""
         recv: dict[int, object] = {}
-        for group_ranks, req in reqs:
-            received = comm.wait(req) if req is not None else None
+        for group_ranks, handle in started:
+            received = comm.wait(handle) if overlapped and handle is not None else handle
             for rank in group_ranks:
                 recv[rank] = None if received is None else received[rank]
         return recv
 
-    pending = (_post_xterm(0), _post_yterm(0)) if overlapped else (None, None)
-    for k in range(q):
-        a_recv: dict[int, object] | None = None
-        b_recv: dict[int, object] | None = None
-        if overlapped:
-            # Complete the prefetched round-k broadcasts, then post round
-            # k+1 so the hypersparse update blocks travel while this
-            # round's multiplies and sparse reductions run.
-            x_reqs, y_reqs = pending
-            if x_reqs is not None:
-                a_recv = _wait_term(x_reqs)
-            if y_reqs is not None:
-                b_recv = _wait_term(y_reqs)
-            pending = (
-                (_post_xterm(k + 1), _post_yterm(k + 1)) if k + 1 < q else (None, None)
-            )
-        elif any(astar_nnz[grid.rank_of(i, k)] for i in range(q)):
-            # Broadcast A*_{k,i} across process row i — but only for rows
-            # whose block is non-empty; a None marker records the skip so
-            # the multiplication loop contributes nothing for that row.
-            a_recv = {}
-            for i in range(q):
-                root = grid.rank_of(i, k)
-                row_ranks = grid.row_group(i)
-                if astar_nnz[root] == 0:
-                    for rank in row_ranks:
-                        a_recv[rank] = None
-                    continue
-                received = comm.bcast(
-                    root,
-                    astar_t.get(root),
-                    group=row_ranks,
-                    category=StatCategory.BCAST,
-                )
-                for rank in row_ranks:
-                    a_recv[rank] = received[rank]
-
-        # ---------------- X-term: X^i_{k,j} = A*_{k,i} · B'_{i,j} --------
-        if a_recv is not None:
-            for j in range(q):
-                col_ranks = grid.col_group(j)
-                root = grid.rank_of(k, j)
-                contributions: dict[int, COOMatrix] = {}
-                bloom_contribs: dict[int, BloomFilterMatrix] = {}
-                local_any = False
-                for rank in comm.owned_ranks(col_ranks):
-                    a_blk = a_recv[rank]
-                    if a_blk is None:
-                        continue
-                    i = grid.row_of(rank)
-                    b_blk = b_prime.blocks[rank]
-                    inner_offset = int(a_star.dist.col_offsets[i])
-
-                    def _mult(a_blk=a_blk, b_blk=b_blk, inner_offset=inner_offset):
-                        return spgemm_local(
-                            a_blk,
-                            b_blk,
-                            semiring,
-                            compute_bloom=compute_bloom,
-                            inner_offset=inner_offset,
-                        )
-
-                    coo, bloom = comm.run_local(
-                        rank, _mult, category=StatCategory.LOCAL_MULT
-                    )
-                    contributions[rank] = coo
-                    local_any = local_any or coo.nnz > 0
-                    if compute_bloom and bloom is not None:
-                        bloom_contribs[rank] = bloom
-                if comm.host_fold(local_any, lambda x, y: x or y):
-                    shape = out_dist.block_shape_of_rank(root)
-                    reduced = sparse_reduce_to_root(
-                        comm, col_ranks, root, contributions, semiring, shape=shape
-                    )
-                    if reduced is not None and reduced.nnz:
-                        partials[root].append(reduced)
-                    if compute_bloom and bloom_parts is not None:
-                        reduced_bloom = bloom_reduce_to_root(
-                            comm, col_ranks, root, bloom_contribs, shape=shape
-                        )
-                        if reduced_bloom is not None:
-                            bloom_parts[root].or_inplace(reduced_bloom)
-
-        # ---------------- Y-term: Y^j_{i,k} = A_{i,j} · B*_{j,k} ---------
-        if not overlapped:
-            if bstar_t is None or bstar_nnz is None:
-                continue
-            if not any(bstar_nnz[grid.rank_of(k, j)] for j in range(q)):
-                continue
-            b_recv = {}
-            for j in range(q):
-                root = grid.rank_of(k, j)
-                col_ranks = grid.col_group(j)
-                if bstar_nnz[root] == 0:
-                    for rank in col_ranks:
-                        b_recv[rank] = None
-                    continue
-                received = comm.bcast(
-                    root, bstar_t.get(root), group=col_ranks, category=StatCategory.BCAST
-                )
-                for rank in col_ranks:
-                    b_recv[rank] = received[rank]
-        if b_recv is None:
-            continue
-
-        for i in range(q):
-            row_ranks = grid.row_group(i)
-            root = grid.rank_of(i, k)
-            contributions = {}
-            bloom_contribs = {}
+    def _multiply_reduce(term: _Term, k: int, recv: dict[int, object]) -> None:
+        """Local multiplies of one term's round, then its sparse reductions."""
+        for line in range(q):
+            group_ranks = term.reduce_group(line)
+            root = term.reduce_root(line, k)
+            contributions: dict[int, COOMatrix] = {}
+            bloom_contribs: dict[int, BloomFilterMatrix] = {}
             local_any = False
-            for rank in comm.owned_ranks(row_ranks):
-                b_blk = b_recv[rank]
-                if b_blk is None:
+            for rank in comm.owned_ranks(group_ranks):
+                star_blk = recv[rank]
+                if star_blk is None:
                     continue
-                j = grid.col_of(rank)
-                a_blk = a.blocks[rank]
-                inner_offset = int(a.dist.col_offsets[j])
+                big_blk = term.operand.blocks[rank]
+                left_blk, right_blk = (
+                    (star_blk, big_blk) if term.left else (big_blk, star_blk)
+                )
+                inner_offset = int(a.dist.col_offsets[term.inner_of(rank)])
 
-                def _mult(a_blk=a_blk, b_blk=b_blk, inner_offset=inner_offset):
+                def _mult(left_blk=left_blk, right_blk=right_blk, inner_offset=inner_offset):
                     return spgemm_local(
-                        a_blk,
-                        b_blk,
+                        left_blk,
+                        right_blk,
                         semiring,
                         compute_bloom=compute_bloom,
                         inner_offset=inner_offset,
@@ -337,16 +248,36 @@ def compute_cstar(
             if comm.host_fold(local_any, lambda x, y: x or y):
                 shape = out_dist.block_shape_of_rank(root)
                 reduced = sparse_reduce_to_root(
-                    comm, row_ranks, root, contributions, semiring, shape=shape
+                    comm, group_ranks, root, contributions, semiring, shape=shape
                 )
                 if reduced is not None and reduced.nnz:
                     partials[root].append(reduced)
                 if compute_bloom and bloom_parts is not None:
                     reduced_bloom = bloom_reduce_to_root(
-                        comm, row_ranks, root, bloom_contribs, shape=shape
+                        comm, group_ranks, root, bloom_contribs, shape=shape
                     )
                     if reduced_bloom is not None:
                         bloom_parts[root].or_inplace(reduced_bloom)
+
+    pending = [_start(term, 0) for term in terms] if overlapped else []
+    for k in range(q):
+        if overlapped:
+            # Complete the prefetched round-k broadcasts, then post round
+            # k+1 so the hypersparse update blocks travel while this
+            # round's multiplies and sparse reductions run.
+            received = [None if s is None else _finish(s) for s in pending]
+            if k + 1 < q:
+                pending = [_start(term, k + 1) for term in terms]
+            for term, recv in zip(terms, received):
+                if recv is not None:
+                    _multiply_reduce(term, k, recv)
+        else:
+            # Synchronous schedule: each term broadcasts, multiplies and
+            # reduces before the next term starts.
+            for term in terms:
+                started = _start(term, k)
+                if started is not None:
+                    _multiply_reduce(term, k, _finish(started))
 
     # ------------------------------------------------------------------
     # Per-rank accumulation of the reduced contributions (owned ranks).
@@ -375,7 +306,7 @@ def dynamic_spgemm_algebraic(
     grid: ProcessGrid,
     a: DistMatrixBase,
     b_prime: DistMatrixBase,
-    a_star: DistMatrixBase,
+    a_star: DistMatrixBase | None,
     b_star: DistMatrixBase | None,
     c: DynamicDistMatrix,
     *,
@@ -385,7 +316,8 @@ def dynamic_spgemm_algebraic(
     """Apply an algebraic update to the maintained product ``C``.
 
     Computes ``C* = A*·B' ⊕ A·B*`` with Algorithm 1 and folds it into ``C``
-    (a dynamic distributed matrix) purely locally.  Returns the *global*
+    (a dynamic distributed matrix) purely locally; either update may be
+    ``None`` (that operand did not change).  Returns the *global*
     number of structural non-zeros of ``C*`` (i.e. how many result entries
     were touched), identical on every process.
 

@@ -107,7 +107,7 @@ def dynamic_spgemm_general(
     a_old: DistMatrixBase,
     a_prime: DistMatrixBase,
     b_prime: DistMatrixBase,
-    a_star: DistMatrixBase,
+    a_star: DistMatrixBase | None,
     b_star: DistMatrixBase | None,
     c: DynamicDistMatrix,
     f: Mapping[int, BloomFilterMatrix],
@@ -127,8 +127,8 @@ def dynamic_spgemm_general(
         The operands *after* the update.
     a_star, b_star:
         Hypersparse update-pattern matrices (structure = changed entries,
-        deletions included as structural non-zeros).  ``b_star=None`` means
-        the right operand did not change.
+        deletions included as structural non-zeros).  ``None`` means that
+        operand did not change.
     c, f:
         The maintained dynamic result matrix and its per-rank Bloom filter;
         both are updated in place.

@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 #: Version stamp of the snapshot schema; bumped on incompatible changes.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _REQUIRED_KEYS = (
     "version",
@@ -90,7 +90,7 @@ _REQUIRED_KEYS = (
     "progress",
 )
 
-_STATE_KINDS = ("plain", "algebraic", "general", "app")
+_STATE_KINDS = ("plain", "product")
 
 
 class SnapshotFormatError(ValueError):
@@ -154,44 +154,36 @@ def _encode_blooms(comm, blooms: dict[int, Any]) -> dict[int, Any]:
 
 
 def _encode_state(executor) -> dict[str, Any]:
+    """The world state: ``plain`` (one matrix) or ``product``.
+
+    A product state is the executor's ``DynamicProduct`` — whether a SpGEMM
+    replay or an application built it — plus the application's own fields.
+    """
     comm = executor.comm
-    if executor.app is not None:
-        spec = executor.scenario.app
-        product = executor.app.product
-        state: dict[str, Any] = {
-            "kind": "app",
-            "app": {
-                "name": spec.name,
-                "n": int(executor.app.n),
-                "sources": (
-                    None
-                    if getattr(executor.app, "sources", None) is None
-                    else np.asarray(executor.app.sources, dtype=np.int64)
-                ),
-            },
-        }
-    elif executor.product is not None:
-        product = executor.product
-        state = {"kind": "general"}
-    elif executor.b_static is not None:
-        product = None
-        state = {
-            "kind": "algebraic",
-            "a": _encode_dist(comm, executor.a),
-            "b_static": _encode_dist(comm, executor.b_static),
-            "c": _encode_dist(comm, executor.c),
-        }
-    else:
-        product = None
-        state = {"kind": "plain", "a": _encode_dist(comm, executor.a)}
-    if product is not None:
-        state["product"] = {
+    product = executor.product
+    if product is None:
+        return {"kind": "plain", "a": _encode_dist(comm, executor.a)}
+    state: dict[str, Any] = {
+        "kind": "product",
+        "product": {
             "mode": product.mode,
             "semiring": product.semiring.name,
             "a": _encode_dist(comm, product.a),
-            "b": _encode_dist(comm, product.b),
+            # an aliased right operand (A·A) is stored once, as ``a``
+            "b": None if product.b is product.a else _encode_dist(comm, product.b),
             "c": _encode_dist(comm, product.c),
             "f": _encode_blooms(comm, product.f),
+        },
+        "app": None,
+    }
+    if executor.app is not None:
+        sources = getattr(executor.app, "sources", None)
+        state["app"] = {
+            "name": executor.scenario.app.name,
+            "n": int(executor.app.n),
+            "sources": (
+                None if sources is None else np.asarray(sources, dtype=np.int64)
+            ),
         }
     return state
 
@@ -285,7 +277,8 @@ def check_snapshot(snapshot: dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 # restore
 # ----------------------------------------------------------------------
-def _decode_dynamic(comm, grid, wrapper: dict[str, Any]) -> tuple[DynamicDistMatrix, int]:
+def _decode_dist(comm, grid, wrapper: dict[str, Any]) -> tuple[DistMatrixBase, int]:
+    """Rebuild one encoded matrix from its owned blocks; also their bytes."""
     shape = (int(wrapper["shape"][0]), int(wrapper["shape"][1]))
     semiring = get_semiring(str(wrapper["semiring"]))
     dist = BlockDistribution(shape[0], shape[1], grid)
@@ -295,32 +288,25 @@ def _decode_dynamic(comm, grid, wrapper: dict[str, Any]) -> tuple[DynamicDistMat
     for rank in comm.owned_ranks(grid.all_ranks()):
         blocks[rank] = decode_block(encoded[rank])
         nbytes += payload_nbytes(blocks[rank])
-    return DynamicDistMatrix(comm, grid, dist, semiring, blocks), nbytes
-
-
-def _decode_static(comm, grid, wrapper: dict[str, Any]) -> tuple[StaticDistMatrix, int]:
-    shape = (int(wrapper["shape"][0]), int(wrapper["shape"][1]))
-    semiring = get_semiring(str(wrapper["semiring"]))
-    dist = BlockDistribution(shape[0], shape[1], grid)
-    encoded = {int(r): b for r, b in wrapper["blocks"].items()}
-    blocks: dict[int, Any] = {}
-    nbytes = 0
-    for rank in comm.owned_ranks(grid.all_ranks()):
-        blocks[rank] = decode_block(encoded[rank])
-        nbytes += payload_nbytes(blocks[rank])
-    matrix = StaticDistMatrix(
-        comm, grid, dist, semiring, blocks, layout=wrapper.get("static_layout", "csr")
-    )
+    if "static_layout" in wrapper:
+        matrix: DistMatrixBase = StaticDistMatrix(
+            comm, grid, dist, semiring, blocks, layout=wrapper["static_layout"]
+        )
+    else:
+        matrix = DynamicDistMatrix(comm, grid, dist, semiring, blocks)
     return matrix, nbytes
 
 
 def _decode_product(comm, grid, wrapper: dict[str, Any]):
+    """Rebuild a ``DynamicProduct``; also its decoded blocks and bytes."""
     from repro.core import DynamicProduct
-    from repro.sparse import BloomFilterMatrix  # noqa: F401  (decode path)
 
-    a, a_bytes = _decode_dynamic(comm, grid, wrapper["a"])
-    b, b_bytes = _decode_dynamic(comm, grid, wrapper["b"])
-    c, c_bytes = _decode_dynamic(comm, grid, wrapper["c"])
+    a, a_bytes = _decode_dist(comm, grid, wrapper["a"])
+    if wrapper["b"] is None:
+        b, b_bytes = a, 0
+    else:
+        b, b_bytes = _decode_dist(comm, grid, wrapper["b"])
+    c, c_bytes = _decode_dist(comm, grid, wrapper["c"])
     encoded_f = {int(r): f for r, f in wrapper["f"].items()}
     f: dict[int, Any] = {}
     f_bytes = 0
@@ -337,7 +323,8 @@ def _decode_product(comm, grid, wrapper: dict[str, Any]):
     product.mode = str(wrapper["mode"])
     product.c = c
     product.f = f
-    return product, a_bytes + b_bytes + c_bytes + f_bytes
+    n_blocks = sum(len(m.blocks) for m in ((a, c) if b is a else (a, b, c)))
+    return product, n_blocks, a_bytes + b_bytes + c_bytes + f_bytes
 
 
 def restore_state(executor, snapshot: dict[str, Any]) -> int:
@@ -367,45 +354,21 @@ def restore_state(executor, snapshot: dict[str, Any]) -> int:
         comm.set_placement({int(r): int(p) for r, p in placement.items()})
 
     state = snapshot["state"]
-    kind = state["kind"]
-    n_blocks = 0
-    recovered_bytes = 0
     with comm.stats.redirect(StatCategory.RECOVERY):
-        executor.a = None
-        executor.b_static = None
-        executor.c = None
         executor.product = None
         executor.app = None
-        if kind == "plain":
-            executor.a, recovered_bytes = _decode_dynamic(comm, grid, state["a"])
+        if state["kind"] == "plain":
+            executor.a, recovered_bytes = _decode_dist(comm, grid, state["a"])
             n_blocks = len(executor.a.blocks)
-        elif kind == "algebraic":
-            executor.a, a_bytes = _decode_dynamic(comm, grid, state["a"])
-            executor.b_static, b_bytes = _decode_static(comm, grid, state["b_static"])
-            executor.c, c_bytes = _decode_dynamic(comm, grid, state["c"])
-            recovered_bytes = a_bytes + b_bytes + c_bytes
-            n_blocks = (
-                len(executor.a.blocks)
-                + len(executor.b_static.blocks)
-                + len(executor.c.blocks)
+        else:
+            product, n_blocks, recovered_bytes = _decode_product(
+                comm, grid, state["product"]
             )
-        elif kind == "general":
-            product, recovered_bytes = _decode_product(comm, grid, state["product"])
             executor.product = product
             executor.a = product.a
-            executor.c = product.c
-            n_blocks = (
-                len(product.a.blocks) + len(product.b.blocks) + len(product.c.blocks)
-            )
-        else:  # app
-            product, recovered_bytes = _decode_product(comm, grid, state["product"])
-            executor.app = _rebuild_app(comm, grid, state["app"], product)
-            executor.a = executor.app.adjacency
-            executor.c = product.c
-            executor.product = product
-            n_blocks = (
-                len(product.a.blocks) + len(product.b.blocks) + len(product.c.blocks)
-            )
+            if state["app"] is not None:
+                executor.app = _rebuild_app(comm, grid, state["app"], product)
+                executor.a = executor.app.adjacency
     # One recovery message per decoded block, sized by the blocks actually
     # shipped to this process; summed over processes the total is exactly
     # the global state volume, independent of placement.

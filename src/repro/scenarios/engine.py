@@ -520,16 +520,14 @@ class ScenarioEngine:
             step.kind, 0
         ) + int(applied)
         # Online repartitioning (REPRO_REPARTITION): only for pure-update
-        # replays on a placement-aware backend — with SpGEMM state or an
-        # application in play, more matrices than `a` would have to move
-        # in lock-step, which the hook deliberately does not attempt.
+        # replays on a placement-aware backend — with a maintained product
+        # (SpGEMM state or an application) in play, more matrices than `a`
+        # would have to move in lock-step, which the hook deliberately does
+        # not attempt.
         if (
             self._repartition_at is not None
             and isinstance(executor, NativeExecutor)
-            and executor.app is None
             and executor.product is None
-            and executor.b_static is None
-            and executor.c is None
             and executor.a is not None
         ):
             with perf_phase("replay_repartition"):

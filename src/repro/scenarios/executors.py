@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core import DynamicProduct, dynamic_spgemm_algebraic
+from repro.core import DynamicProduct
 from repro.distributed import (
     DynamicDistMatrix,
     StaticDistMatrix,
@@ -47,13 +47,7 @@ from repro.scenarios.model import (
     canonical_tuples,
 )
 from repro.semirings import PLUS_TIMES, Semiring
-from repro.sparse import (
-    COOMatrix,
-    CSRMatrix,
-    DCSRMatrix,
-    DHBMatrix,
-    spgemm_local,
-)
+from repro.sparse import DCSRMatrix, DHBMatrix
 
 __all__ = [
     "REPLAY_LAYOUTS",
@@ -121,11 +115,21 @@ class NativeExecutor:
         self.layout = layout
         self.semiring: Semiring = scenario.semiring
         self.a: DynamicDistMatrix | None = None
-        self.b_static: StaticDistMatrix | None = None
-        self.c: DynamicDistMatrix | None = None
+        #: the maintained product (None in pure-update scenarios)
         self.product: DynamicProduct | None = None
         self._initial_per_rank: dict[int, TupleArrays] | None = None
         self._b_per_rank: dict[int, TupleArrays] | None = None
+
+    @property
+    def b_static(self) -> StaticDistMatrix | None:
+        """The product's right operand when it is static (Algorithm 1 replays)."""
+        b = None if self.product is None else self.product.b
+        return b if isinstance(b, StaticDistMatrix) else None
+
+    @property
+    def c(self) -> DynamicDistMatrix | None:
+        """The maintained product ``C``, if any."""
+        return None if self.product is None else self.product.c
 
     # ------------------------------------------------------------------
     def prepare(self) -> None:
@@ -152,9 +156,9 @@ class NativeExecutor:
     def _construct_app(self) -> None:
         """Instantiate the scenario's application and alias its matrices.
 
-        ``self.a`` aliases the app's adjacency matrix and ``self.c`` the
-        maintained product, so snapshot checks, ``final_a``/``final_c`` and
-        :class:`ContractStep` work unchanged on app scenarios.
+        ``self.a`` aliases the app's adjacency matrix and ``self.product``
+        its maintained product, so snapshot checks, ``final_a``/``final_c``
+        and :class:`ContractStep` work unchanged on app scenarios.
         """
         from repro.apps import (
             DynamicMultiSourceShortestPaths,
@@ -186,7 +190,6 @@ class NativeExecutor:
                 seed=scenario.construct_seed,
             )
         self.a = self.app.adjacency
-        self.c = self.app.product.c
         self.product = self.app.product
 
     def construct(self) -> None:
@@ -204,28 +207,31 @@ class NativeExecutor:
             self.a = DynamicDistMatrix.empty(comm, grid, shape, self.semiring)
         if self._b_per_rank is None:
             return
-        b_per_rank = self._b_per_rank
-        if scenario.has_general_spgemm:
-            # Algorithm 2 maintains the product through DynamicProduct and
-            # needs a dynamic right operand (last-write-wins duplicates).
-            b_dyn = DynamicDistMatrix.from_tuples(
-                comm, grid, shape, b_per_rank, self.semiring, combine="last"
+        general = scenario.has_general_spgemm
+        b: DynamicDistMatrix | StaticDistMatrix
+        if general:
+            # Algorithm 2 replays keep a dynamic right operand
+            # (last-write-wins duplicates).
+            b = DynamicDistMatrix.from_tuples(
+                comm, grid, shape, self._b_per_rank, self.semiring, combine="last"
             )
-            self.product = DynamicProduct(
-                comm, grid, self.a, b_dyn, semiring=self.semiring, mode="general"
-            )
-            self.c = self.product.c
         else:
-            b_static = StaticDistMatrix.from_tuples(
-                comm, grid, shape, b_per_rank, self.semiring, layout="csr"
+            b = StaticDistMatrix.from_tuples(
+                comm, grid, shape, self._b_per_rank, self.semiring, layout="csr"
             )
             if self.layout != "csr":
-                for rank in list(b_static.blocks):
-                    b_static.blocks[rank] = comm.run_local(
-                        rank, _as_layout, b_static.blocks[rank], self.layout
+                for rank in list(b.blocks):
+                    b.blocks[rank] = comm.run_local(
+                        rank, _as_layout, b.blocks[rank], self.layout
                     )
-            self.b_static = b_static
-            self.c = DynamicDistMatrix.empty(comm, grid, shape, self.semiring)
+        self.product = DynamicProduct(
+            comm,
+            grid,
+            self.a,
+            b,
+            semiring=self.semiring,
+            mode="general" if general else "algebraic",
+        )
 
     # ------------------------------------------------------------------
     def apply(self, step: ScenarioStep, per_rank: dict[int, TupleArrays]) -> int:
@@ -233,7 +239,19 @@ class NativeExecutor:
         if self.app is not None:
             return self._apply_app(step)
         if isinstance(step, SpGEMMStep):
-            return self._apply_spgemm(step, per_rank)
+            built_for = None if self.product is None else self.product.mode
+            if step.mode != built_for:
+                raise ValueError(
+                    f"step {step.label!r}: a {step.mode!r} SpGEMM step cannot "
+                    f"be applied to a product built for {built_for!r}"
+                )
+            batch = UpdateBatch(
+                shape=self.scenario.shape,
+                tuples_per_rank=dict(per_rank),
+                kind=step.kind,
+                semiring=self.semiring,
+            )
+            return self.product.apply_updates(a_batch=batch).touched_outputs
         assert self.a is not None
         update = build_update_matrix(
             self.comm,
@@ -248,34 +266,6 @@ class NativeExecutor:
         if step.kind == "update":
             return self.a.merge_update(update)
         return self.a.mask_update(update)
-
-    def _apply_spgemm(
-        self, step: SpGEMMStep, per_rank: dict[int, TupleArrays]
-    ) -> int:
-        assert self.a is not None
-        if step.mode == "general":
-            assert self.product is not None
-            batch = UpdateBatch(
-                shape=self.scenario.shape,
-                tuples_per_rank=dict(per_rank),
-                kind=step.kind,
-                semiring=self.semiring,
-            )
-            return self.product.apply_updates(a_batch=batch).touched_outputs
-        assert self.b_static is not None and self.c is not None
-        a_star = build_update_matrix(
-            self.comm,
-            self.grid,
-            self.a.dist,
-            per_rank,
-            self.semiring,
-            combine="add",
-        )
-        touched = dynamic_spgemm_algebraic(
-            self.comm, self.grid, self.a, self.b_static, a_star, None, self.c
-        )
-        self.a.add_update(a_star)
-        return touched
 
     def _apply_app(self, step: ScenarioStep) -> int:
         """Route one update step through the maintained application.
@@ -383,37 +373,15 @@ class NativeExecutor:
                     f"got {got}"
                 )
         if step.verify_product:
-            self._verify_product(step)
-
-    def _verify_product(self, step: SnapshotCheck) -> None:
-        if self.c is None or self.scenario.b_tuples is None:
-            raise ScenarioCheckError(
-                f"snapshot {step.label!r}: verify_product requires SpGEMM state"
-            )
-        a_global = CSRMatrix.from_coo(self.a.to_coo_global())
-        b_coo = COOMatrix(
-            shape=self.scenario.shape,
-            rows=self.scenario.b_tuples[0],
-            cols=self.scenario.b_tuples[1],
-            values=self.semiring.coerce(self.scenario.b_tuples[2]),
-            semiring=self.semiring,
-        ).sum_duplicates()
-        reference, _ = spgemm_local(
-            a_global, CSRMatrix.from_coo(b_coo), self.semiring, use_scipy=False
-        )
-        reference = reference.drop_zeros().sort()
-        maintained = self.c.to_coo_global().drop_zeros().sort()
-        ok = (
-            maintained.nnz == reference.nnz
-            and np.array_equal(maintained.rows, reference.rows)
-            and np.array_equal(maintained.cols, reference.cols)
-            and np.allclose(maintained.values, reference.values, rtol=1e-9)
-        )
-        if not ok:
-            raise ScenarioCheckError(
-                f"snapshot {step.label!r}: maintained C (nnz {maintained.nnz}) "
-                f"does not match recomputed A·B (nnz {reference.nnz})"
-            )
+            if self.product is None:
+                raise ScenarioCheckError(
+                    f"snapshot {step.label!r}: verify_product requires SpGEMM state"
+                )
+            if not self.product.check_consistency():
+                raise ScenarioCheckError(
+                    f"snapshot {step.label!r}: maintained C (nnz "
+                    f"{self.product.c.nnz()}) does not match recomputed A·B"
+                )
 
     # ------------------------------------------------------------------
     def final_a(self) -> TupleArrays:

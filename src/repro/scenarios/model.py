@@ -206,10 +206,12 @@ class DeleteBatch(ScenarioStep):
 class SpGEMMStep(ScenarioStep):
     """One dynamic-SpGEMM round driven by the carried batch.
 
-    ``mode="algebraic"`` runs Algorithm 1: the batch becomes the hypersparse
-    update matrix ``A*``, ``C ⊕= A*·B`` and then ``A ⊕= A*``.
-    ``mode="general"`` routes the batch (with ``kind`` semantics) through
-    :class:`~repro.core.api.DynamicProduct` and Algorithm 2.
+    The batch is one ``a_batch`` of the scenario's
+    :class:`~repro.core.api.DynamicProduct`.  ``mode="algebraic"`` runs
+    Algorithm 1: the batch becomes the hypersparse update matrix ``A*``,
+    ``C ⊕= A*·B`` and then ``A ⊕= A*`` (additive inserts only).
+    ``mode="general"`` applies the batch with ``kind`` semantics and runs
+    Algorithm 2.
     """
 
     mode: str = "algebraic"
@@ -226,6 +228,11 @@ class SpGEMMStep(ScenarioStep):
             raise ValueError(
                 f"unknown SpGEMM batch kind {self.kind!r} "
                 "(use 'insert', 'update' or 'delete')"
+            )
+        if self.mode == "algebraic" and self.kind != "insert":
+            raise ValueError(
+                f"an algebraic SpGEMM step only takes additive inserts, not "
+                f"kind {self.kind!r} (use mode='general')"
             )
 
 

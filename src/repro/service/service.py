@@ -228,9 +228,18 @@ class GraphTenant:
 
         Requires the tenant to have been created with ``b_tuples`` (the
         static right-hand operand); ``mode``/``kind`` follow
-        :class:`~repro.scenarios.model.SpGEMMStep`.
+        :class:`~repro.scenarios.model.SpGEMMStep`.  A ``mode`` the tenant's
+        product was not built for is refused before anything is logged.
         """
         self._check_open()
+        executor = self._engine.executor
+        if hasattr(executor, "product"):
+            built_for = None if executor.product is None else executor.product.mode
+            if mode != built_for:
+                raise ValueError(
+                    f"tenant {self.name!r}: a {mode!r} SpGEMM step cannot be "
+                    f"applied to a product built for {built_for!r}"
+                )
         self.flush()
         request = IngestRequest.make("insert", rows, cols, values, label=label)
         step = SpGEMMStep(

@@ -259,6 +259,10 @@ class COOMatrix:
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
+    def to_coo(self) -> "COOMatrix":
+        """The matrix itself (what every other local layout converts to)."""
+        return self
+
     def to_dense(self) -> np.ndarray:
         """Dense array with structural zeros mapped to the semiring zero."""
         dense = np.full(self.shape, self.semiring.zero, dtype=self.semiring.dtype)

@@ -755,8 +755,6 @@ def _merge_into_row(row: DHBRow, cols: np.ndarray, vals: np.ndarray, combine) ->
 
 
 def _as_coo(mat) -> COOMatrix:
-    if isinstance(mat, COOMatrix):
-        return mat
     if hasattr(mat, "to_coo"):
         return mat.to_coo()
     raise TypeError(f"cannot interpret {type(mat).__name__} as an update matrix")

@@ -24,8 +24,6 @@ __all__ = ["add_coo", "merge_pattern", "mask_pattern", "pattern_row_index"]
 
 
 def _coo_of(mat) -> COOMatrix:
-    if isinstance(mat, COOMatrix):
-        return mat
     if hasattr(mat, "to_coo"):
         return mat.to_coo()
     raise TypeError(f"expected a sparse matrix, got {type(mat).__name__}")

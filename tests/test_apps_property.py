@@ -82,6 +82,8 @@ def test_triangle_counter_tracks_reference_over_random_stream(seed):
         assert counter.triangle_count() == count_triangles_reference(
             n, inserted_r, inserted_c
         )
+    # A² is maintained over one adjacency: both operands are the same object
+    assert counter.product.a is counter.product.b is counter.adjacency
     assert counter.verify()
 
 

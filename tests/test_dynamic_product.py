@@ -20,25 +20,32 @@ def _batch_from_dense(shape, dense_update, p, semiring=PLUS_TIMES, kind="insert"
 
 
 class TestDynamicProductAlgebraic:
-    def test_repeated_insertions_stay_consistent(self, comm16, grid16):
+    @pytest.mark.parametrize("right", ["dynamic", "static", "alias"])
+    def test_repeated_insertions_stay_consistent(self, comm16, grid16, right):
         n = 20
         a0 = random_dense(n, n, 0.1, seed=1)
         b0 = random_dense(n, n, 0.2, seed=2)
+        a = dist_from_dense(comm16, grid16, a0)
+        b = dist_from_dense(comm16, grid16, b0)
         prod = DynamicProduct(
             comm16,
             grid16,
-            dist_from_dense(comm16, grid16, a0),
-            dist_from_dense(comm16, grid16, b0),
+            a,
+            {"dynamic": b, "static": b.to_static("dcsr"), "alias": a}[right],
         )
-        current_a, current_b = a0.copy(), b0.copy()
+        current_a = a0.copy()
         for step in range(3):
             delta = random_dense(n, n, 0.04, seed=10 + step)
-            outcome = prod.apply_updates(
-                a_batch=_batch_from_dense((n, n), delta, 16, seed=step)
-            )
+            batch = _batch_from_dense((n, n), delta, 16, seed=step)
+            outcome = prod.apply_updates(a_batch=batch)
             current_a = current_a + delta
             assert outcome.algorithm == "algebraic"
+            current_b = current_a if right == "alias" else b0
             assert np.allclose(prod.c.to_dense(), current_a @ current_b)
+            if right != "dynamic":
+                with pytest.raises(ValueError, match="takes no b_batch"):
+                    prod.apply_updates(b_batch=batch)
+        assert prod.a is a and (prod.b is a) == (right == "alias")
         assert prod.check_consistency()
 
     def test_updates_on_both_operands(self, comm16, grid16):
@@ -92,7 +99,7 @@ class TestDynamicProductAlgebraic:
         a = dist_from_dense(comm16, grid16, random_dense(n, n, 0.2, seed=13))
         b = dist_from_dense(comm16, grid16, random_dense(n, n, 0.2, seed=14))
         with pytest.raises(ValueError, match="distinct objects"):
-            DynamicProduct(comm16, grid16, a, a)
+            DynamicProduct(comm16, grid16, a, a, mode="general")
         with pytest.raises(ValueError, match="mode"):
             DynamicProduct(comm16, grid16, a, b, mode="bogus")
         prod = DynamicProduct(comm16, grid16, a, b)

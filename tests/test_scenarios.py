@@ -44,6 +44,8 @@ class TestModel:
     def test_spgemm_step_validates_mode(self):
         with pytest.raises(ValueError):
             SpGEMMStep(np.arange(2), np.arange(2), np.ones(2), mode="bogus")
+        with pytest.raises(ValueError, match="additive inserts"):
+            SpGEMMStep(np.arange(2), np.arange(2), np.ones(2), kind="update")
 
     def test_scenario_rejects_out_of_bounds_steps(self):
         step = InsertBatch(np.array([5]), np.array([1]), np.ones(1))
@@ -194,6 +196,50 @@ class TestReplay:
         steps = [SpGEMMStep(np.array([1]), np.array([2]), np.ones(1))]
         scenario = Scenario(name="s", shape=(8, 8), steps=steps)
         with pytest.raises(ValueError, match="b_tuples"):
+            replay(scenario, backend="sim", n_ranks=4)
+
+    def test_spgemm_preloaded_a_enters_the_product(self):
+        """An algebraic product starts at A₀·B, not empty."""
+        scenario = Scenario(
+            name="s",
+            shape=(8, 8),
+            steps=[
+                SpGEMMStep(np.array([1]), np.array([2]), np.ones(1)),
+                SnapshotCheck(verify_product=True),
+            ],
+            initial_tuples=(np.array([0, 4]), np.array([1, 2]), np.ones(2)),
+            b_tuples=(np.array([1, 2]), np.array([5, 3]), np.array([2.0, 3.0])),
+        )
+        result = replay(scenario, backend="sim", n_ranks=4)
+        c = dict(zip(zip(*map(np.ndarray.tolist, result.final_c[:2])), result.final_c[2]))
+        assert c == {(0, 5): 2.0, (1, 3): 3.0, (4, 3): 3.0}
+
+    @pytest.mark.parametrize("mode", ["algebraic", "general"])
+    def test_verify_product_compares_with_the_b_it_holds(self, mode):
+        """A repeated B coordinate sums (static B) or is overwritten by
+        whichever copy is scattered last (dynamic B)."""
+        scenario = Scenario(
+            name="s",
+            shape=(8, 8),
+            steps=[
+                SpGEMMStep(np.array([0, 0]), np.array([1, 2]), np.ones(2), mode=mode),
+                SnapshotCheck(verify_product=True),
+            ],
+            b_tuples=(np.array([1, 1, 2]), np.array([2, 2, 3]), np.array([1.0, 5.0, 1.0])),
+        )
+        result = replay(scenario, backend="sim", n_ranks=4)
+        assert result.final_c[0].tolist() == [0, 0]
+        held = [6.0] if mode == "algebraic" else [1.0, 5.0]
+        assert result.final_c[2][0] in held and result.final_c[2][1] == 1.0
+
+    def test_spgemm_step_of_the_other_mode_is_rejected(self):
+        steps = [
+            SpGEMMStep(np.array([1]), np.array([2]), np.ones(1), mode="general"),
+            SpGEMMStep(np.array([3]), np.array([4]), np.ones(1), mode="algebraic"),
+        ]
+        ones = (np.array([1]), np.array([2]), np.ones(1))
+        scenario = Scenario(name="s", shape=(8, 8), steps=steps, b_tuples=ones)
+        with pytest.raises(ValueError, match="'algebraic'.*'general'"):
             replay(scenario, backend="sim", n_ranks=4)
 
     def test_result_as_dict_is_json_serialisable(self):

@@ -339,6 +339,34 @@ class TestIngestion:
             with pytest.raises(ValueError, match="insert only"):
                 tenant.delete([0], [1])
 
+    def test_spgemm_product_includes_the_preloaded_matrix(self):
+        with _service() as service:
+            tenant = service.create_tenant(
+                "p",
+                (N, N),
+                initial_tuples=(np.array([0, 4]), np.array([1, 2]), np.ones(2)),
+                b_tuples=(np.array([1, 2]), np.array([5, 3]), np.array([2.0, 3.0])),
+            )
+            tenant.spgemm([1], [2])
+            final_c = tenant.result().final_c
+            got = dict(zip(zip(final_c[0].tolist(), final_c[1].tolist()), final_c[2]))
+            assert got == {(0, 5): 2.0, (1, 3): 3.0, (4, 3): 3.0}  # A₀·B ⊕ A*·B
+
+    def test_spgemm_of_the_other_mode_is_refused_before_logging(self):
+        ones = (np.array([1]), np.array([2]), np.ones(1))
+        with _service() as service:
+            tenant = service.create_tenant("p", (N, N), b_tuples=ones)
+            plain = service.create_tenant("q", (N, N))
+            tenant.spgemm([0], [1])
+            with pytest.raises(ValueError, match="'general'.*'algebraic'"):
+                tenant.spgemm([3], [1], mode="general", kind="update")
+            with pytest.raises(ValueError, match="'algebraic'.*None"):
+                plain.spgemm([3], [1])
+            assert tenant.n_steps == 1 and plain.n_steps == 0
+            # the log is still a replayable scenario
+            cold = replay(tenant.log, options=tenant.replay_options())
+            assert cold.final_c[2].tolist() == tenant.result().final_c[2].tolist() == [1.0]
+
     def test_flush_on_empty_queue_is_noop(self):
         with _service() as service:
             tenant = service.create_tenant("a", (N, N))
