@@ -24,6 +24,7 @@ from repro.perf import perf_count, perf_phase
 from repro.runtime import Communicator, ProcessGrid
 from repro.runtime.stats import StatCategory
 from repro.semirings import PLUS_TIMES
+from repro.sparse.layout import flat_rows
 from repro.distributed import DynamicDistMatrix, UpdateBatch
 from repro.core import DynamicProduct
 from repro.apps.reductions import rank_ordered_sum
@@ -53,17 +54,18 @@ def _block_closed_weight(dist, rank: int, a2_block, adj_block) -> float:
     a purely local pattern intersection; the diagonal test must use global
     coordinates (a block's local diagonal is not the global one).
     """
-    a2_coo = a2_block.to_coo()
-    adj_coo = adj_block.to_coo()
-    if a2_coo.nnz == 0 or adj_coo.nnz == 0:
-        return 0.0
     m = dist.shape[1]
-    grows, gcols = dist.to_global(rank, a2_coo.rows, a2_coo.cols)
-    adj_rows, adj_cols = dist.to_global(rank, adj_coo.rows, adj_coo.cols)
-    keys = grows * m + gcols
-    adj_keys = adj_rows * m + adj_cols
-    hit = np.isin(keys, adj_keys) & (grows != gcols)
-    return float(np.sum(a2_coo.values[hit]))
+
+    def global_coords(block):
+        flat = flat_rows(block)
+        rows = np.repeat(flat.row_ids, np.diff(flat.row_ptr))
+        grows, gcols = dist.to_global(rank, rows, flat.cols)
+        return grows, gcols, flat.vals
+
+    grows, gcols, values = global_coords(a2_block)
+    adj_rows, adj_cols, _ = global_coords(adj_block)
+    hit = np.isin(grows * m + gcols, adj_rows * m + adj_cols) & (grows != gcols)
+    return float(np.sum(values[hit]))
 
 
 class DynamicTriangleCounter:

@@ -135,10 +135,7 @@ def sparse_reduce_to_root(
         def _combine(pieces=pieces):
             if not pieces:
                 return COOMatrix.empty(shape, semiring)
-            out = pieces[0]
-            for extra in pieces[1:]:
-                out = out.concatenate(extra)
-            return out.sum_duplicates()
+            return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
 
         combined[rank] = comm.run_local(rank, _combine, category=combine_category)
 
@@ -152,12 +149,9 @@ def sparse_reduce_to_root(
         pieces = [p for _r, p in sorted(gathered.items()) if p is not None and p.nnz]
         if not pieces:
             return COOMatrix.empty(shape, semiring)
-        out = pieces[0]
-        for extra in pieces[1:]:
-            out = out.concatenate(extra)
         # Row ranges are disjoint, so a plain concatenation would suffice;
         # sum_duplicates keeps the result canonical regardless.
-        return out.sum_duplicates()
+        return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
 
     return comm.run_local(root, _assemble, category=combine_category)
 

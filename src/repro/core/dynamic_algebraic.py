@@ -290,10 +290,7 @@ def compute_cstar(
         def _accumulate(pieces=pieces, block_shape=block_shape):
             if not pieces:
                 return COOMatrix.empty(block_shape, semiring)
-            out = pieces[0]
-            for extra in pieces[1:]:
-                out = out.concatenate(extra)
-            return out.sum_duplicates()
+            return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
 
         cstar_blocks[rank] = comm.run_local(
             rank, _accumulate, category=StatCategory.LOCAL_MULT

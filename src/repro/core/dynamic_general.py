@@ -380,10 +380,7 @@ def dynamic_spgemm_general(
 
         def _merge(pieces=pieces, cstar=cstar, c_blk=c_blk, f_blk=f_blk, h_blk=h_blk):
             if pieces:
-                z = pieces[0]
-                for extra in pieces[1:]:
-                    z = z.concatenate(extra)
-                z_map = z.sum_duplicates().to_dict()
+                z_map = pieces[0].concatenate(*pieces[1:]).sum_duplicates().to_dict()
             else:
                 z_map = {}
             for i, j in zip(cstar.rows, cstar.cols):

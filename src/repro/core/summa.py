@@ -227,10 +227,7 @@ def summa_spgemm(
                     if not pieces:
                         combined = COOMatrix.empty(block_shape, semiring)
                     else:
-                        combined = pieces[0]
-                        for extra in pieces[1:]:
-                            combined = combined.concatenate(extra)
-                        combined = combined.sum_duplicates()
+                        combined = pieces[0].concatenate(*pieces[1:]).sum_duplicates()
                     if output == "dynamic":
                         return DHBMatrix.from_coo(combined, combine_duplicates=False)
                     return CSRMatrix.from_coo(combined, dedup=False)

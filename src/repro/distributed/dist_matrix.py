@@ -116,10 +116,7 @@ class DistMatrixBase:
         pieces = [merged[rank] for rank in sorted(merged)]
         if not pieces:
             return COOMatrix.empty(self.shape, self.semiring)
-        out = pieces[0]
-        for extra in pieces[1:]:
-            out = out.concatenate(extra)
-        return out.sum_duplicates()
+        return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
 
     def to_dense(self) -> np.ndarray:
         return self.to_coo_global().to_dense()

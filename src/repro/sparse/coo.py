@@ -208,14 +208,16 @@ class COOMatrix:
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
-    def concatenate(self, other: "COOMatrix") -> "COOMatrix":
-        """Stack the triplets of two COO matrices (no dedup)."""
-        self._check_compatible(other)
+    def concatenate(self, *others: "COOMatrix") -> "COOMatrix":
+        """Stack the triplets of COO matrices (no dedup), one copy per array."""
+        for other in others:
+            self._check_compatible(other)
+        parts = (self, *others)
         return COOMatrix(
             shape=self.shape,
-            rows=np.concatenate([self.rows, other.rows]),
-            cols=np.concatenate([self.cols, other.cols]),
-            values=np.concatenate([self.values, other.values]),
+            rows=np.concatenate([part.rows for part in parts]),
+            cols=np.concatenate([part.cols for part in parts]),
+            values=np.concatenate([part.values for part in parts]),
             semiring=self.semiring,
         )
 

@@ -28,7 +28,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.dcsr import DCSRMatrix
 from repro.sparse.kernels.dhb_insert import probe_existing_rows
 from repro.sparse.kernels.tier import count_tier, resolve_kernel_tier
-from repro.sparse.layout import register_row_layout
+from repro.sparse.layout import pack_rows, register_flat_rows, register_row_layout
 
 __all__ = [
     "AUTO_SCATTERED_FACTOR",
@@ -42,8 +42,9 @@ _INITIAL_CAPACITY = 4
 #: with fewer than ``AUTO_SCATTERED_FACTOR`` entries per touched row on
 #: average is considered *scattered* and takes the per-element hash-probe
 #: loop; denser batches take the vectorised per-row path.  The value 8 was
-#: picked from the ``bench_dhb_insert`` crossover on the paper-regime
-#: batch mix.
+#: picked from an insert microbenchmark that is gone; what still measures
+#: the vectorised path it dispatches to is the ``dhb_batch_insert`` cell of
+#: ``benchmarks/run_suite.py --figs kernels``.
 AUTO_SCATTERED_FACTOR = 8
 
 
@@ -635,9 +636,14 @@ class DHBMatrix:
         coo = _as_coo(update)
         self._check_update(coo)
         deleted = 0
-        for i, j in zip(coo.rows, coo.cols):
-            if self.delete(int(i), int(j)):
+        table = self._rows
+        for i, j in zip(coo.rows.tolist(), coo.cols.tolist()):
+            row = table.get(i)
+            if row is not None and row.delete(j):
                 deleted += 1
+                if row.size == 0:
+                    del table[i]
+        self._nnz -= deleted
         return deleted
 
     def _check_update(self, coo: COOMatrix) -> None:
@@ -671,38 +677,36 @@ class DHBMatrix:
             )
         return row.as_arrays()
 
-    def to_coo(self) -> COOMatrix:
-        """Sorted COO copy of the matrix."""
-        if self._nnz == 0:
-            return COOMatrix.empty(self.shape, self.semiring)
-        pieces_r, pieces_c, pieces_v = [], [], []
-        for i, cols, vals in self.iter_rows():
-            pieces_r.append(np.full(cols.size, i, dtype=np.int64))
-            pieces_c.append(cols.copy())
-            pieces_v.append(vals.copy())
+    def _flat_coo(self) -> COOMatrix:
+        """The entries as COO triplets in :func:`_flat_rows` order (unsorted)."""
+        flat = _flat_rows(self)
         return COOMatrix(
             shape=self.shape,
-            rows=np.concatenate(pieces_r),
-            cols=np.concatenate(pieces_c),
-            values=np.concatenate(pieces_v),
+            rows=np.repeat(flat.row_ids, np.diff(flat.row_ptr)),
+            cols=flat.cols,
+            values=flat.vals,
             semiring=self.semiring,
-        ).sort()
+        )
+
+    def to_coo(self) -> COOMatrix:
+        """Sorted COO copy of the matrix."""
+        return self._flat_coo().sort()
 
     def to_csr(self) -> CSRMatrix:
-        """CSR copy of the matrix."""
-        return CSRMatrix.from_coo(self.to_coo(), dedup=False)
+        """CSR copy of the matrix (rows sorted by column)."""
+        return CSRMatrix.from_coo(self._flat_coo(), dedup=False)
 
     def to_dcsr(self) -> DCSRMatrix:
         """Doubly-compressed (hypersparse) copy of the matrix."""
-        return DCSRMatrix.from_coo(self.to_coo(), dedup=False)
+        return DCSRMatrix.from_coo(self._flat_coo(), dedup=False)
 
     def to_dense(self) -> np.ndarray:
         """Dense copy (semiring zeros at structural zeros)."""
-        return self.to_coo().to_dense()
+        return self._flat_coo().to_dense()
 
     def copy(self) -> "DHBMatrix":
         """Deep copy of the matrix."""
-        return DHBMatrix.from_coo(self.to_coo(), combine_duplicates=False)
+        return DHBMatrix.from_coo(self._flat_coo(), combine_duplicates=False)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -760,4 +764,13 @@ def _as_coo(mat) -> COOMatrix:
     raise TypeError(f"cannot interpret {type(mat).__name__} as an update matrix")
 
 
+def _flat_rows(mat: DHBMatrix):
+    """One gather of the row arrays: ascending rows, adjacency order within."""
+    return pack_rows(
+        (i, row.cols[: row.size], row.vals[: row.size])
+        for i, row in sorted(mat._rows.items())
+    )
+
+
 register_row_layout(DHBMatrix)
+register_flat_rows(DHBMatrix, _flat_rows)

@@ -25,14 +25,18 @@ The compiled kernel tier (:mod:`repro.sparse.kernels`) needs a third view:
 the operand's non-empty rows as *flat arrays* it can hand to a jitted
 core.  :func:`flat_rows` produces a :class:`FlatRows` record through a
 second per-type registry (:func:`register_flat_rows` — CSR and DCSR expose
-their storage zero-copy) with a generic fallback that concatenates
-``iter_rows()`` output, preserving each row's native within-row order —
+their storage zero-copy, DHB gathers its row arrays in one pass) with a
+generic fallback for unregistered layouts that concatenates ``iter_rows()``
+output.  Every extractor preserves each row's native within-row order —
 which is what keeps the compiled tier byte-identical to the Python tier
-for layouts like DHB whose rows are in adjacency (insertion) order.
+for layouts like DHB whose rows are in adjacency (insertion) order — and
+the same view is what DHB's conversions, the left-operand pruning of
+:mod:`repro.sparse.spgemm_local` and the triangle query read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Any, Callable, Iterator, NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
@@ -41,6 +45,7 @@ __all__ = [
     "FlatRows",
     "RowReader",
     "flat_rows",
+    "pack_rows",
     "register_flat_rows",
     "register_row_layout",
     "registered_flat_rows_layouts",
@@ -85,8 +90,8 @@ def registered_row_layouts() -> tuple[type, ...]:
 class FlatRows(NamedTuple):
     """An operand's rows flattened into kernel-ready arrays.
 
-    ``row_ids[s]`` is the matrix row of segment ``s``; its columns and
-    values occupy ``cols[row_ptr[s]:row_ptr[s + 1]]`` /
+    ``row_ids[s]`` is the matrix row of segment ``s`` (ascending); its
+    columns and values occupy ``cols[row_ptr[s]:row_ptr[s + 1]]`` /
     ``vals[row_ptr[s]:row_ptr[s + 1]]`` in the row's native order (sorted
     for CSR/DCSR, adjacency order for DHB).  Segments may be empty (CSR
     exposes every row zero-copy); consumers must treat the arrays as
@@ -113,43 +118,45 @@ def registered_flat_rows_layouts() -> tuple[type, ...]:
     return tuple(_FLAT_ROWS_REGISTRY)
 
 
-def flat_rows(mat: Any) -> FlatRows:
-    """Resolve a :class:`FlatRows` view of ``mat``.
+def pack_rows(rows: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> FlatRows:
+    """Gather ``(row, cols, vals)`` triples into one :class:`FlatRows`.
 
-    Resolution order mirrors :func:`row_reader`: exact type then MRO walk
-    through the extractor registry, then a generic fallback that
-    concatenates the operand's ``iter_rows()`` output (one copy, native
-    within-row order preserved).
+    One concatenation per array whatever the number of rows; each row keeps
+    the order it arrives in.  This is the one primitive behind every flat
+    view that is not zero-copy: a DHB matrix, a selection of its rows, an
+    unregistered layout.
     """
-    for base in type(mat).__mro__:
-        extractor = _FLAT_ROWS_REGISTRY.get(base)
-        if extractor is not None:
-            return extractor(mat)
-    reader = row_reader(mat)
-    ids: list[int] = []
-    counts: list[int] = []
-    col_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
-    for i, cols, vals in reader.iter_rows():
-        ids.append(int(i))
-        counts.append(int(cols.size))
-        col_chunks.append(np.asarray(cols, dtype=np.int64))
-        val_chunks.append(np.asarray(vals))
-    if not ids:
+    rows = list(rows)
+    if not rows:
         return FlatRows(
             row_ids=np.empty(0, dtype=np.int64),
             row_ptr=np.zeros(1, dtype=np.int64),
             cols=np.empty(0, dtype=np.int64),
             vals=np.empty(0, dtype=np.float64),
         )
-    row_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
+    ids, cols, vals = zip(*rows)
+    row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(c) for c in cols], out=row_ptr[1:])
     return FlatRows(
-        row_ids=np.asarray(ids, dtype=np.int64),
+        row_ids=np.array(ids, dtype=np.int64),
         row_ptr=row_ptr,
-        cols=np.ascontiguousarray(np.concatenate(col_chunks)),
-        vals=np.ascontiguousarray(np.concatenate(val_chunks)),
+        cols=np.asarray(np.concatenate(cols), dtype=np.int64),
+        vals=np.concatenate(vals),
     )
+
+
+def flat_rows(mat: Any) -> FlatRows:
+    """Resolve a :class:`FlatRows` view of ``mat``.
+
+    Resolution order mirrors :func:`row_reader`: exact type then MRO walk
+    through the extractor registry, then :func:`pack_rows` over the
+    operand's ``iter_rows()`` for unregistered layouts.
+    """
+    for base in type(mat).__mro__:
+        extractor = _FLAT_ROWS_REGISTRY.get(base)
+        if extractor is not None:
+            return extractor(mat)
+    return pack_rows(row_reader(mat).iter_rows())
 
 
 def row_reader(mat: Any) -> RowReader:

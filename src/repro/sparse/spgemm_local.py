@@ -25,13 +25,14 @@ from repro.perf.recorder import perf_count, perf_phase
 from repro.semirings import Semiring
 from repro.sparse.bloom import BLOOM_BITS, BloomFilterMatrix
 from repro.sparse.coo import COOMatrix
+from repro.sparse.dcsr import DCSRMatrix
 from repro.sparse.kernels.spgemm import (
     compiled_supported,
     spgemm_rowwise_compiled,
     spgemm_rowwise_masked_compiled,
 )
 from repro.sparse.kernels.tier import count_tier, resolve_kernel_tier
-from repro.sparse.layout import row_reader
+from repro.sparse.layout import flat_rows, pack_rows, row_reader
 from repro.sparse.spa import SparseAccumulator
 
 __all__ = ["spgemm_local", "spgemm_local_masked", "spgemm_rowwise_spa"]
@@ -75,19 +76,68 @@ def _scipy_convertible(mat) -> bool:
     return hasattr(mat, "to_scipy") or hasattr(mat, "to_csr")
 
 
+def _live_entries(a, b, semiring: Semiring):
+    """``a`` without the entries that meet an empty row of a smaller ``b``.
+
+    In the Y-term ``A·B*`` almost every entry of the big left operand meets
+    an empty row.  The survivors keep their indices and their native in-row
+    order (one flat gather, one filter, no sort), so every kernel forms the
+    same terms in the same order as on the whole operand: values, explicit
+    zeros, Bloom bits and ``spgemm.*`` counts cannot change.  Operands
+    without ``nnz`` or row access are returned as they are.
+    """
+    b_nnz = getattr(b, "nnz", None)
+    if b_nnz is None or b_nnz >= getattr(a, "nnz", 0):
+        return a
+    try:
+        fa, fb = flat_rows(a), flat_rows(b)
+    except TypeError:
+        return a
+    keep = np.isin(fa.cols, fb.row_ids[np.diff(fb.row_ptr) > 0])
+    rows = np.repeat(fa.row_ids, np.diff(fa.row_ptr))[keep]
+    nz_rows, starts = np.unique(rows, return_index=True)
+    indptr = np.append(starts, rows.size)
+    return DCSRMatrix(a.shape, nz_rows, indptr, fa.cols[keep], fa.vals[keep], semiring)
+
+
+def _selected_rows(b, inner: np.ndarray, semiring: Semiring):
+    """Rows ``inner`` of ``b``, one ``row_arrays`` call each, as a DCSR.
+
+    In the X-term ``A*·B'`` these are the few rows the update's columns
+    select; an operand without row access is converted whole.
+    """
+    try:
+        b_row = row_reader(b).row_arrays
+    except TypeError:
+        return b.to_csr()
+    flat = pack_rows((k, *b_row(k)) for k in inner.tolist())
+    return DCSRMatrix(b.shape, *flat, semiring=semiring)
+
+
 def _scipy_fast_path(a, b, semiring: Semiring) -> COOMatrix:
-    """``(+, ·)`` fast path via scipy.sparse CSR multiplication."""
+    """``(+, ·)`` fast path via scipy.sparse CSR multiplication.
 
-    def to_scipy(mat):
-        if hasattr(mat, "to_scipy"):
-            return mat.to_scipy()
-        if hasattr(mat, "to_csr"):
-            return mat.to_csr().to_scipy()
-        raise TypeError(type(mat).__name__)
+    An operand with a scipy form of its own (CSR, DCSR, COO) hands over its
+    storage.  One without (a DHB block) is read by row, and only where the
+    other operand can meet it: :func:`_live_entries` on the left,
+    :func:`_selected_rows` on the right.
+    """
 
-    sa = to_scipy(a).astype(np.float64)
-    sb = to_scipy(b).astype(np.float64)
-    sc = (sa @ sb).tocoo()
+    def canonical(mat):
+        mat = mat.tocsr().astype(np.float64, copy=False)
+        if not mat.has_canonical_format:
+            # rows read from a DHB block arrive in adjacency order; scipy
+            # sums a row's terms in stored order, so sort a private copy
+            mat = mat.copy()
+            mat.sum_duplicates()
+        return mat
+
+    if not hasattr(a, "to_scipy"):
+        a = _live_entries(a, b, semiring)
+    sa = canonical((a if hasattr(a, "to_scipy") else a.to_csr()).to_scipy())
+    if not hasattr(b, "to_scipy"):
+        b = _selected_rows(b, np.unique(sa.indices), semiring)
+    sc = (sa @ canonical(b.to_scipy())).tocoo()
     return COOMatrix(
         shape=(a.shape[0], b.shape[1]),
         rows=sc.row.astype(np.int64),
@@ -154,18 +204,18 @@ def spgemm_local(
         and _scipy_convertible(b)
     )
     use_scipy = can_scipy if use_scipy is None else (use_scipy and can_scipy)
-    if use_scipy:
-        with perf_phase("spgemm_local"):
+    with perf_phase("spgemm_local"):
+        if use_scipy:
             result = _scipy_fast_path(a, b, semiring)
-        perf_count("spgemm.scipy_calls")
-        perf_count("spgemm.output_nnz", result.nnz)
-        return result, None
+            perf_count("spgemm.scipy_calls")
+            perf_count("spgemm.output_nnz", result.nnz)
+            return result, None
 
-    perf_count("spgemm.rowwise_calls")
-    tier = resolve_kernel_tier(kernel_tier)
-    if tier == "compiled" and compiled_supported(semiring):
-        count_tier("spgemm_rowwise", "compiled")
-        with perf_phase("spgemm_local"):
+        perf_count("spgemm.rowwise_calls")
+        a = _live_entries(a, b, semiring)
+        tier = resolve_kernel_tier(kernel_tier)
+        if tier == "compiled" and compiled_supported(semiring):
+            count_tier("spgemm_rowwise", "compiled")
             result, bloom, n_terms, n_rows = spgemm_rowwise_compiled(
                 a,
                 b,
@@ -174,12 +224,11 @@ def spgemm_local(
                 compute_bloom=compute_bloom,
                 inner_offset=inner_offset,
             )
-        perf_count("spgemm.terms", n_terms)
-        perf_count("spgemm.rows", n_rows)
-        perf_count("spgemm.output_nnz", result.nnz)
-        return result, bloom
-    count_tier("spgemm_rowwise", "python")
-    with perf_phase("spgemm_local"):
+            perf_count("spgemm.terms", n_terms)
+            perf_count("spgemm.rows", n_rows)
+            perf_count("spgemm.output_nnz", result.nnz)
+            return result, bloom
+        count_tier("spgemm_rowwise", "python")
         return _spgemm_rowwise(
             a,
             b,
@@ -277,24 +326,23 @@ def spgemm_local_masked(
     ``kernel_tier`` overrides ``REPRO_KERNEL_TIER`` per call.
     """
     tier = resolve_kernel_tier(kernel_tier)
-    if tier == "compiled" and compiled_supported(semiring):
-        count_tier("spgemm_masked", "compiled")
-        shape = _check_shapes(a.shape, b.shape)
-        with perf_phase("spgemm_local_masked"):
+    with perf_phase("spgemm_local_masked"):
+        a = _live_entries(a, b, semiring)
+        if tier == "compiled" and compiled_supported(semiring):
+            count_tier("spgemm_masked", "compiled")
             result, bloom, n_terms, n_rows = spgemm_rowwise_masked_compiled(
                 a,
                 b,
                 semiring,
                 mask_rows,
-                shape,
+                _check_shapes(a.shape, b.shape),
                 compute_bloom=compute_bloom,
                 inner_offset=inner_offset,
             )
-        perf_count("spgemm.masked_terms", n_terms)
-        perf_count("spgemm.masked_rows", n_rows)
-        return result, bloom
-    count_tier("spgemm_masked", "python")
-    with perf_phase("spgemm_local_masked"):
+            perf_count("spgemm.masked_terms", n_terms)
+            perf_count("spgemm.masked_rows", n_rows)
+            return result, bloom
+        count_tier("spgemm_masked", "python")
         return _spgemm_rowwise_masked(
             a,
             b,

@@ -8,15 +8,25 @@ to identical results:
 * ``DHBMatrix.insert_batch`` — ``strategy="vectorized"`` vs.
   ``strategy="per_element"`` (and the ``"auto"`` dispatch) across combine
   modes, including hash-index integrity after follow-up point operations.
+
+The last section pins, by counting and never by timing, that a local
+multiply reads its big operand in proportion to the update: only the rows
+the hypersparse left operand selects, only the left entries that meet a
+non-empty row of a hypersparse right operand, never a whole DHB block.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.apps import DynamicTriangleCounter
+from repro.graphs import erdos_renyi_edges
+from repro.runtime import ProcessGrid, SimMPI
 from repro.semirings import MIN_PLUS, PLUS_TIMES
-from repro.sparse import CSRMatrix, DHBMatrix
+from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
 from repro.sparse.spa import SparseAccumulator
 from repro.sparse.spgemm_local import spgemm_local, spgemm_rowwise_spa
 
@@ -179,3 +189,96 @@ def test_dhb_vectorized_handles_empty_and_single():
     assert matrix.insert_batch([], [], [], strategy="vectorized") == 0
     assert matrix.insert_batch([2], [3], [1.5], strategy="vectorized") == 1
     assert matrix.get(2, 3) == 1.5
+
+
+# ----------------------------------------------------------------------
+# local work scales with the update (counted, not timed)
+# ----------------------------------------------------------------------
+class _SpyDHB(DHBMatrix):
+    """A DHB block that records row reads and refuses to be read whole."""
+
+    def __init__(self, coo: COOMatrix) -> None:
+        super().__init__(coo.shape, coo.semiring)
+        self.insert_batch(coo.rows, coo.cols, coo.values)
+        self.rows_read: list[int] = []
+
+    def row_arrays(self, i):
+        self.rows_read.append(int(i))
+        return super().row_arrays(i)
+
+    def _whole(self, *_args, **_kwargs):
+        raise AssertionError("the whole DHB block was read")
+
+    to_coo = to_csr = to_dcsr = iter_rows = _whole
+
+
+def _random_coo(rng, shape, nnz, semiring=PLUS_TIMES) -> COOMatrix:
+    n, m = shape
+    return COOMatrix(
+        shape, rng.integers(0, n, nnz), rng.integers(0, m, nnz), rng.random(nnz) + 0.5, semiring
+    ).sum_duplicates()
+
+
+@pytest.mark.parametrize("use_scipy", [None, False], ids=["scipy", "rowwise"])
+def test_hypersparse_left_reads_only_the_selected_rows(use_scipy):
+    rng = np.random.default_rng(11)
+    big = _random_coo(rng, (300, 300), 4000)
+    update = DCSRMatrix.from_coo(_random_coo(rng, (300, 300), 12))
+    spy = _SpyDHB(big)
+    result, _ = spgemm_local(update, spy, PLUS_TIMES, use_scipy=use_scipy)
+    selected = np.unique(update.indices)
+    assert set(spy.rows_read) <= set(selected.tolist())
+    # scipy gathers every selected row once; Gustavson reads one per entry
+    assert len(spy.rows_read) <= (selected.size if use_scipy is None else update.nnz)
+    oracle, _ = spgemm_local(update, CSRMatrix.from_coo(big), PLUS_TIMES, use_scipy=use_scipy)
+    assert result.values.tobytes() == oracle.values.tobytes()
+    assert np.array_equal(result.rows, oracle.rows) and np.array_equal(result.cols, oracle.cols)
+
+
+@pytest.mark.parametrize("use_scipy", [None, False], ids=["scipy", "rowwise"])
+def test_hypersparse_right_keeps_only_the_live_left_entries(use_scipy, monkeypatch):
+    rng = np.random.default_rng(13)
+    big = _random_coo(rng, (300, 300), 4000)
+    update = DCSRMatrix.from_coo(_random_coo(rng, (300, 300), 12))
+    live = int(np.isin(big.cols, update.nz_rows).sum())
+    assert 0 < live < big.nnz // 10
+
+    # the module: ``repro.sparse.spgemm_local`` the attribute is the function
+    kernels = sys.modules["repro.sparse.spgemm_local"]
+    survivors: list[int] = []
+    live_entries = kernels._live_entries
+
+    def recording(a, b, semiring):
+        out = live_entries(a, b, semiring)
+        survivors.append(out.nnz)
+        return out
+
+    monkeypatch.setattr(kernels, "_live_entries", recording)
+    # the spy refuses whole-block conversions, so only the filter can feed scipy
+    result, _ = spgemm_local(_SpyDHB(big), update, PLUS_TIMES, use_scipy=use_scipy)
+    assert survivors == [live]
+    oracle, _ = spgemm_local(DHBMatrix.from_coo(big), update, PLUS_TIMES, use_scipy=False)
+    assert np.array_equal(result.rows, oracle.rows) and np.array_equal(result.cols, oracle.cols)
+    assert np.allclose(result.values, oracle.values, rtol=1e-12)
+
+
+def test_triangle_insert_never_converts_a_whole_block(monkeypatch):
+    n = 2048
+    src, dst = erdos_renyi_edges(n, 10_000, seed=7)
+    comm, grid = SimMPI(4), ProcessGrid(4)
+    counter = DynamicTriangleCounter(comm, grid, n, src, dst)
+    whole: list[str] = []
+    for name in ("to_csr", "to_coo", "to_dcsr"):
+        original = getattr(DHBMatrix, name)
+
+        def counting(self, _original=original, _name=name):
+            whole.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(DHBMatrix, name, counting)
+    rng = np.random.default_rng(7)
+    inserted = counter.insert_edges(rng.integers(0, n, 8), rng.integers(0, n, 8), seed=1)
+    assert inserted > 0
+    assert whole == []
+    monkeypatch.undo()
+    assert counter.verify()

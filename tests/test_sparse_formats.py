@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.semirings import MIN_PLUS, PLUS_TIMES
-from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix
+from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
+from repro.sparse.layout import flat_rows, registered_flat_rows_layouts
 
 from tests.conftest import random_dense
 
@@ -276,3 +277,73 @@ class TestDCSR:
         dcsr = DCSRMatrix.from_coo(coo)
         assert np.allclose(csr.to_dense(), dcsr.to_dense())
         assert csr.nnz == dcsr.nnz
+
+
+class TestDHBFlatRows:
+    """DHB is read with one gather: ``flat_rows`` and everything built on it."""
+
+    @staticmethod
+    def _churned(seed: int = 3) -> DHBMatrix:
+        """Bulk-loaded rows (lazy index), then deletes and re-inserts."""
+        rng = np.random.default_rng(seed)
+        dense = random_dense(12, 9, 0.4, seed=seed)
+        mat = DHBMatrix.from_dense(dense)
+        rows, cols = np.nonzero(dense)
+        for t in rng.choice(rows.size, size=rows.size // 3, replace=False):
+            mat.delete(int(rows[t]), int(cols[t]))  # swap-with-last
+            mat.insert(int(rows[t]), int(cols[t]), dense[rows[t], cols[t]])
+        mat.delete(int(rows[0]), int(cols[0]))  # leaves slack behind
+        return mat
+
+    @staticmethod
+    def _per_row_coo(mat: DHBMatrix) -> COOMatrix:
+        """The construction ``to_coo`` used before the gather (the oracle)."""
+        pieces_r, pieces_c, pieces_v = [], [], []
+        for i, cols, vals in mat.iter_rows():
+            pieces_r.append(np.full(cols.size, i, dtype=np.int64))
+            pieces_c.append(cols.copy())
+            pieces_v.append(vals.copy())
+        return COOMatrix(
+            mat.shape,
+            np.concatenate(pieces_r),
+            np.concatenate(pieces_c),
+            np.concatenate(pieces_v),
+            mat.semiring,
+        ).sort()
+
+    def test_dhb_has_a_registered_extractor(self):
+        assert DHBMatrix in registered_flat_rows_layouts()
+
+    def test_flat_rows_preserves_adjacency_order(self):
+        mat = self._churned()
+        flat = flat_rows(mat)
+        assert flat.row_ids.tolist() == sorted(mat._rows)
+        assert flat.row_ptr[-1] == mat.nnz == flat.cols.size == flat.vals.size
+        for s, i in enumerate(flat.row_ids.tolist()):
+            cols, vals = mat.row_arrays(i)
+            lo, hi = flat.row_ptr[s], flat.row_ptr[s + 1]
+            assert flat.cols[lo:hi].tolist() == cols.tolist()  # not sorted
+            assert flat.vals[lo:hi].tobytes() == vals.tobytes()
+        # the gather copies: the view must not alias the adjacency arrays
+        flat.cols[:] = -1
+        assert all(c >= 0 for _i, cols, _v in mat.iter_rows() for c in cols)
+
+    def test_conversions_equal_the_per_row_construction(self):
+        mat = self._churned()
+        oracle = self._per_row_coo(mat)
+        coo = mat.to_coo()
+        for field in ("rows", "cols", "values"):
+            assert getattr(coo, field).tobytes() == getattr(oracle, field).tobytes()
+        for converted in (mat.to_csr(), mat.to_dcsr(), mat.copy()):
+            back = converted.to_coo()
+            for field in ("rows", "cols", "values"):
+                assert getattr(back, field).tobytes() == getattr(oracle, field).tobytes()
+        assert np.array_equal(mat.to_dense(), oracle.to_dense())
+
+    def test_empty_matrix_round_trips(self):
+        mat = DHBMatrix.empty((4, 5), MIN_PLUS)
+        flat = flat_rows(mat)
+        assert flat.row_ids.size == flat.cols.size == flat.vals.size == 0
+        assert flat.row_ptr.tolist() == [0]
+        assert mat.to_coo().nnz == mat.to_csr().nnz == mat.copy().nnz == 0
+        assert mat.to_coo().semiring is MIN_PLUS

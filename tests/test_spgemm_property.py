@@ -6,24 +6,44 @@ generated operands, across every standard semiring and every combination of
 the four local matrix layouts (COO, CSR, DCSR, DHB) — exercising the
 uniform ``iter_rows()`` / ``row_arrays()`` row-access protocol that replaced
 the old per-layout ``isinstance`` dispatch.
+
+:class:`TestPrunedKernelsByteIdentical` pins the update-proportional
+reading of the operands (dead left entries dropped in front of the rowwise
+kernels, only the selected rows of a DHB block read by the scipy path): for
+every layout pair it must return the bytes, Bloom bits and ``spgemm.*``
+counts of the same kernel on the whole operands.
 """
 
 from __future__ import annotations
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.sparse.kernels.tier as tiermod
+from repro.perf import PerfRecorder, use_recorder
 from repro.semirings import get_semiring
 from repro.sparse import (
     COOMatrix,
     CSRMatrix,
     DCSRMatrix,
     DHBMatrix,
+    pattern_row_index,
     register_row_layout,
     row_reader,
     spgemm_local,
+    spgemm_local_masked,
     spgemm_rowwise_spa,
 )
+from repro.sparse.kernels.spgemm import (
+    spgemm_rowwise_compiled,
+    spgemm_rowwise_masked_compiled,
+)
+from repro.sparse.layout import flat_rows
 
 SEMIRINGS = ["plus_times", "min_plus", "max_plus", "max_min", "max_times", "boolean"]
 
@@ -187,3 +207,234 @@ class TestRowReaderRegistry:
     def test_unsupported_layout_raises_type_error(self):
         with pytest.raises(TypeError, match="unsupported operand layout"):
             row_reader(object())
+
+
+# ----------------------------------------------------------------------
+# update-proportional operand reading must not change a byte
+# ----------------------------------------------------------------------
+#: the module (``repro.sparse.spgemm_local`` the attribute is the function)
+_KERNELS = sys.modules["repro.sparse.spgemm_local"]
+
+#: order-sensitive under ⊕ = + (so a changed summation order shows), with
+#: explicit zeros and a negative zero
+_VALUES = [0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 1e16, -1e16]
+
+
+def _churned_dhb(coo: COOMatrix, churn: list[int]) -> DHBMatrix:
+    """A DHB block the way a long-lived one looks.
+
+    Bulk-loaded rows keep their lazily built hash index; the entries named
+    by ``churn`` are deleted (swap-with-last) and re-inserted (appended, in
+    a row that grew), which permutes the adjacency order and leaves
+    capacity slack behind.
+    """
+    mat = DHBMatrix.from_coo(coo)
+    for t in churn:
+        mat.delete(int(coo.rows[t]), int(coo.cols[t]))
+    for t in churn:
+        mat.insert(int(coo.rows[t]), int(coo.cols[t]), coo.values[t])
+    return mat
+
+
+def _in_layout(name: str, coo: COOMatrix, churn: list[int]):
+    return _churned_dhb(coo, churn) if name == "dhb" else LAYOUTS[name](coo)
+
+
+def _whole_csr(mat, semiring) -> CSRMatrix:
+    """``mat`` as one CSR in its native in-row order (nothing pruned)."""
+    flat = flat_rows(mat)
+    counts = np.zeros(mat.shape[0], dtype=np.int64)
+    counts[flat.row_ids] = np.diff(flat.row_ptr)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return CSRMatrix(mat.shape, indptr, flat.cols, flat.vals, semiring)
+
+
+def _spgemm_counts(rec: PerfRecorder) -> dict:
+    names = (
+        "spgemm.terms",
+        "spgemm.rows",
+        "spgemm.output_nnz",
+        "spgemm.masked_terms",
+        "spgemm.masked_rows",
+        "spgemm.scipy_calls",
+    )
+    return {name: rec.counters.get(name, 0) for name in names}
+
+
+def _assert_identical(got, want, what: str) -> None:
+    (g_coo, g_bloom, g_counts), (w_coo, w_bloom, w_counts) = got, want
+    for field in ("rows", "cols", "values"):
+        assert getattr(g_coo, field).tobytes() == getattr(w_coo, field).tobytes(), (
+            f"{what}: {field} differ"
+        )
+    assert g_bloom == w_bloom, f"{what}: bloom differs"
+    assert g_counts == w_counts, f"{what}: counters differ"
+
+
+@st.composite
+def _operand_pairs(draw):
+    n, k, m = (draw(st.integers(1, 6)) for _ in range(3))
+    value = st.sampled_from(_VALUES)
+
+    def entries(rows, cols):
+        cells = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                value,
+                max_size=24,
+            )
+        )
+        return sorted(cells.items())
+
+    def churn(cells):
+        if not cells:
+            return []
+        return draw(st.lists(st.integers(0, len(cells) - 1), unique=True, max_size=6))
+
+    a, b, mask = entries(n, k), entries(k, m), entries(n, m)
+    return (n, k, m), a, b, mask, churn(a), churn(b)
+
+
+_ORDER_SENSITIVE = (
+    (2, 3, 1),
+    [((0, 0), 0.1), ((0, 1), 0.2), ((0, 2), 0.3), ((1, 0), 1.0)],
+    [((0, 0), 1.0), ((1, 0), 1.0), ((2, 0), 1.0)],
+    [((0, 0), 1.0)],
+    [0],
+    [],
+)
+
+
+class TestPrunedKernelsByteIdentical:
+    """Pruned reading == the same kernel on the whole operands, byte for byte."""
+
+    @staticmethod
+    def _coo(shape, cells, semiring) -> COOMatrix:
+        return COOMatrix(
+            shape,
+            [i for (i, _j), _v in cells],
+            [j for (_i, j), _v in cells],
+            [v for _ij, v in cells],
+            semiring,
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        pair=_operand_pairs(),
+        layouts=st.tuples(st.sampled_from(sorted(LAYOUTS)), st.sampled_from(sorted(LAYOUTS))),
+        semiring_name=st.sampled_from(SEMIRINGS),
+        compute_bloom=st.booleans(),
+        use_scipy=st.sampled_from([None, False]),
+        tier=st.sampled_from(["python", "compiled"]),
+        inner_offset=st.integers(0, 70),
+    )
+    # empty intersection: A only hits row 1, B only fills row 0
+    @example(
+        pair=((2, 2, 2), [((0, 1), 1.0)], [((0, 0), 2.0), ((0, 1), 3.0)], [((0, 0), 1.0)], [], [0]),
+        layouts=("dcsr", "dhb"), semiring_name="plus_times", compute_bloom=False,
+        use_scipy=None, tier="python", inner_offset=0,
+    )
+    # all-empty right operand
+    @example(
+        pair=((2, 2, 2), [((0, 0), 1.0), ((1, 1), 0.3)], [], [((0, 0), 1.0)], [1], []),
+        layouts=("dhb", "dhb"), semiring_name="plus_times", compute_bloom=True,
+        use_scipy=None, tier="compiled", inner_offset=63,
+    )
+    # explicit zeros on both sides, big left operand against one live row
+    @example(
+        pair=(
+            (3, 3, 2),
+            [((0, 0), 0.0), ((0, 2), 0.1), ((1, 2), 0.2), ((2, 1), 0.3), ((2, 2), -1.0)],
+            [((2, 0), 0.0), ((2, 1), 1e16)],
+            [((0, 0), 1.0), ((2, 1), 1.0)],
+            [0, 4],
+            [],
+        ),
+        layouts=("dhb", "dcsr"), semiring_name="plus_times", compute_bloom=False,
+        use_scipy=None, tier="python", inner_offset=5,
+    )
+    # three order-sensitive terms in one output entry, left DHB row permuted
+    # by a swap-with-last delete: scipy must see it sorted, Gustavson as stored
+    @example(
+        pair=_ORDER_SENSITIVE, layouts=("dhb", "dcsr"), semiring_name="plus_times",
+        compute_bloom=False, use_scipy=None, tier="python", inner_offset=0,
+    )
+    @example(
+        pair=_ORDER_SENSITIVE, layouts=("dhb", "dcsr"), semiring_name="plus_times",
+        compute_bloom=False, use_scipy=False, tier="python", inner_offset=0,
+    )
+    @example(
+        pair=_ORDER_SENSITIVE, layouts=("dhb", "dcsr"), semiring_name="plus_times",
+        compute_bloom=True, use_scipy=None, tier="compiled", inner_offset=9,
+    )
+    def test_matches_whole_operand_kernels(
+        self, pair, layouts, semiring_name, compute_bloom, use_scipy, tier, inner_offset
+    ):
+        shape, a_cells, b_cells, mask_cells, a_churn, b_churn = pair
+        n, k, m = shape
+        semiring = get_semiring(semiring_name)
+        a_coo = self._coo((n, k), a_cells, semiring)
+        b_coo = self._coo((k, m), b_cells, semiring)
+        a = _in_layout(layouts[0], a_coo, a_churn)
+        b = _in_layout(layouts[1], b_coo, b_churn)
+        mask_rows = pattern_row_index(
+            CSRMatrix.from_coo(self._coo((n, m), mask_cells, semiring))
+        )
+        a_whole, b_whole = _whole_csr(a, semiring), _whole_csr(b, semiring)
+        what = f"{layouts}/{semiring_name}/bloom={compute_bloom}/scipy={use_scipy}/{tier}"
+
+        def recorded(fn, *args, **kwargs):
+            rec = PerfRecorder()
+            with use_recorder(rec):
+                out = fn(*args, **kwargs)
+            return out, rec
+
+        with mock.patch.object(tiermod, "numba_available", lambda: True):
+            (coo, bloom), rec = recorded(
+                spgemm_local, a, b, semiring, compute_bloom=compute_bloom,
+                use_scipy=use_scipy, inner_offset=inner_offset, kernel_tier=tier,
+            )
+            (z, h), rec_masked = recorded(
+                spgemm_local_masked, a, b, semiring, mask_rows,
+                compute_bloom=compute_bloom, inner_offset=inner_offset, kernel_tier=tier,
+            )
+        got = (coo, bloom, _spgemm_counts(rec))
+        got_masked = (z, h, _spgemm_counts(rec_masked))
+
+        kwargs = dict(compute_bloom=compute_bloom, inner_offset=inner_offset)
+        if rec.counters.get("spgemm.scipy_calls"):
+            # CSR hands scipy its storage: nothing is pruned on this side
+            (w_coo, w_bloom), w_rec = recorded(
+                spgemm_local, CSRMatrix.from_coo(a.to_coo()),
+                CSRMatrix.from_coo(b.to_coo()), semiring, use_scipy=True,
+            )
+            want = (w_coo, w_bloom, _spgemm_counts(w_rec))
+        elif tier == "compiled":
+            (w_coo, w_bloom, terms, rows), _ = recorded(
+                spgemm_rowwise_compiled, a_whole, b_whole, semiring, (n, m), **kwargs
+            )
+            want = (w_coo, w_bloom, dict(_spgemm_counts(PerfRecorder()), **{
+                "spgemm.terms": terms, "spgemm.rows": rows, "spgemm.output_nnz": w_coo.nnz,
+            }))
+        else:
+            (w_coo, w_bloom), w_rec = recorded(
+                _KERNELS._spgemm_rowwise, a_whole, b_whole, semiring, (n, m), **kwargs
+            )
+            want = (w_coo, w_bloom, _spgemm_counts(w_rec))
+        _assert_identical(got, want, what)
+
+        if tier == "compiled":
+            (w_z, w_h, terms, rows), _ = recorded(
+                spgemm_rowwise_masked_compiled, a_whole, b_whole, semiring,
+                mask_rows, (n, m), **kwargs,
+            )
+            want_masked = (w_z, w_h, dict(_spgemm_counts(PerfRecorder()), **{
+                "spgemm.masked_terms": terms, "spgemm.masked_rows": rows,
+            }))
+        else:
+            (w_z, w_h), w_rec = recorded(
+                _KERNELS._spgemm_rowwise_masked, a_whole, b_whole, semiring,
+                mask_rows, **kwargs,
+            )
+            want_masked = (w_z, w_h, _spgemm_counts(w_rec))
+        _assert_identical(got_masked, want_masked, "masked/" + what)
