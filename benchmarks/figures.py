@@ -52,7 +52,7 @@ from repro.distributed import (
 from repro.distributed.dist_matrix import StaticDistMatrix
 from repro.distributed.distribution import BlockDistribution
 from repro.graphs import TABLE1_INSTANCES, rmat_edges
-from repro.perf import PerfRecorder, perf_count, use_recorder
+from repro.perf import perf_count
 from repro.runtime import (
     OVERLAP_ENV_VAR,
     REPARTITION_ENV_VAR,
@@ -465,43 +465,37 @@ def fig11_scenarios(profile: BenchProfile, seed: int) -> Scenarios:
 
 
 def measure_dhb_insertion(seed: int) -> dict[str, Any]:
-    """Median-of-3 comparison of DHB insertion strategies.
+    """Median-of-3 comparison of a scalar ``insert`` loop with ``insert_batch``.
 
-    Two regimes where the batched path is expected to win: bulk
-    construction from empty and dense-per-row insertion batches.  Timings
-    come from the instrumented ``dhb_insert`` phase of a
-    :class:`PerfRecorder`, not from an external stopwatch.
+    Two regimes where the batch is expected to win: bulk construction from
+    empty and dense-per-row insertion batches (~100 entries per touched
+    row, heavy in-batch duplication) on top of an existing matrix.  Both
+    sides apply the same triplets with the semiring's ``plus``.
     """
     rng = np.random.default_rng(seed + 71)
-    # Construction regime: one large batch into an empty matrix (the
-    # fig 3/8 protocol).  Dense regime: skewed batches hammering a hot
-    # submatrix (~100 entries per touched row, heavy in-batch duplication)
-    # on top of an existing matrix — the shape where the whole-batch
-    # ``reduceat`` merge and the vectorised hit-slot combine win, as
-    # opposed to one-entry-per-row scatter where the per-element loop
-    # stays the right choice (and what the "auto" heuristic picks).
     n = 20000
     build_size = 100000
     batch_rows = 200
     batch_cols = 150
     batch_size = 100 * batch_rows
 
-    def timed_insert(strategy: str, preload, batches) -> float:
+    def one_by_one(matrix: DHBMatrix, rows, cols, vals) -> None:
+        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            matrix.insert(i, j, v, PLUS_TIMES.plus)
+
+    def batched(matrix: DHBMatrix, rows, cols, vals) -> None:
+        matrix.insert_batch(rows, cols, vals, combine=PLUS_TIMES.plus)
+
+    def timed_insert(apply, preload, batches) -> float:
         samples = []
         for _ in range(3):
-            # setup (matrix construction / preload) happens before the
-            # recorder is installed, so only the strategy under test lands
-            # in the measured dhb_insert phase
             matrix = DHBMatrix((n, n))
             if preload is not None:
                 matrix.insert_batch(*preload, combine=PLUS_TIMES.plus)
-            recorder = PerfRecorder()
-            with use_recorder(recorder):
-                for batch in batches:
-                    matrix.insert_batch(
-                        *batch, combine=PLUS_TIMES.plus, strategy=strategy
-                    )
-            samples.append(recorder.phase_seconds("dhb_insert"))
+            started = time.perf_counter()
+            for batch in batches:
+                apply(matrix, *batch)
+            samples.append(time.perf_counter() - started)
         return float(np.median(samples))
 
     build = (
@@ -522,12 +516,12 @@ def measure_dhb_insertion(seed: int) -> dict[str, Any]:
         ("construction", None, [build]),
         ("dense_batches", build, dense_batches),
     ):
-        per_element = timed_insert("per_element", preload, batches)
-        batched = timed_insert("auto", preload, batches)
+        per_element = timed_insert(one_by_one, preload, batches)
+        batch_seconds = timed_insert(batched, preload, batches)
         out[regime] = {
             "per_element_seconds": per_element,
-            "batched_seconds": batched,
-            "speedup": per_element / batched if batched else float("inf"),
+            "batched_seconds": batch_seconds,
+            "speedup": per_element / batch_seconds if batch_seconds else float("inf"),
         }
     return out
 
@@ -893,10 +887,11 @@ def _kernels_plan(ctx: Context) -> Plan:
     """The hot local kernels under one explicit ``kernel_tier`` per cell.
 
     ``spgemm_rmat`` is the workload the compiled ``_gustavson_core`` exists
-    for; ``dhb_batch_insert`` lands on rows that already exist, so the
-    hit/miss probe is the hot path (the SPA bulk merge is exercised
-    implicitly by the SpGEMM cells).  The ``kernels.tier_*`` counters show
-    which tier executed; ``compiled`` without numba raises.
+    for (the SPA bulk merge is exercised implicitly by the SpGEMM cells).
+    The ``kernels.tier_*`` counters show which tier executed; ``compiled``
+    without numba raises.  ``dhb_batch_insert`` lands on rows that already
+    exist, so the hash probe is the hot path; it has one implementation,
+    carries no tier and belongs to the combined document only.
     """
     a, b = _spgemm_operands(ctx.seed)
     base, batch = _dhb_workload(ctx.seed)
@@ -917,17 +912,13 @@ def _kernels_plan(ctx: Context) -> Plan:
         tag = "spgemm_rmat:bloom" if compute_bloom else "spgemm_rmat"
         return Cell(run, "local", "csr", tag, tier)
 
-    def dhb_cell(tier: str) -> Cell:
-        def run() -> float:
-            # base construction is tier-independent setup — only the batch
-            # insertion is timed
-            mat = DHBMatrix((DHB_ROWS, DHB_COLS))
-            mat.insert_batch(*base)
-            started = time.perf_counter()
-            mat.insert_batch(*batch, strategy="vectorized", kernel_tier=tier)
-            return time.perf_counter() - started
-
-        return Cell(run, "local", "dhb", "dhb_batch_insert", tier)
+    def dhb_batch_insert() -> float:
+        # base construction is setup — only the batch insertion is timed
+        mat = DHBMatrix((DHB_ROWS, DHB_COLS))
+        mat.insert_batch(*base)
+        started = time.perf_counter()
+        mat.insert_batch(*batch)
+        return time.perf_counter() - started
 
     cells = []
     for tier in ctx.variants:
@@ -937,10 +928,10 @@ def _kernels_plan(ctx: Context) -> Plan:
             # shares its per-entry filter-build cost across tiers,
             # diluting the measured ratio — informative in the combined
             # figure, excluded from the gated single-tier documents so
-            # ``--expect-speedup`` gates exactly the two acceptance
-            # workloads.
+            # ``--expect-speedup`` gates exactly the acceptance workload.
             cells.append(spgemm_cell(tier, True))
-        cells.append(dhb_cell(tier))
+    if ctx.combined:
+        cells.append(Cell(dhb_batch_insert, "local", "dhb", "dhb_batch_insert"))
     return cells, lambda: {
         "tiers": list(ctx.variants),
         "numba_available": numba_available(),

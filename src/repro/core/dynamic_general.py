@@ -379,20 +379,21 @@ def dynamic_spgemm_general(
         f_blk = f[rank]
 
         def _merge(pieces=pieces, cstar=cstar, c_blk=c_blk, f_blk=f_blk, h_blk=h_blk):
+            rows, cols = cstar.rows, cstar.cols
+            kept = np.zeros(rows.size, dtype=bool)
             if pieces:
-                z_map = pieces[0].concatenate(*pieces[1:]).sum_duplicates().to_dict()
-            else:
-                z_map = {}
-            for i, j in zip(cstar.rows, cstar.cols):
-                key = (int(i), int(j))
-                if key in z_map:
-                    c_blk.insert(key[0], key[1], z_map[key], combine=None)
-                    f_blk.overwrite(key[0], key[1], h_blk.get(key[0], key[1]))
+                z = pieces[0].concatenate(*pieces[1:]).sum_duplicates()
+                width = cstar.shape[1]
+                kept = np.isin(rows * width + cols, z.rows * width + z.cols)
+                c_blk.insert_batch(z.rows, z.cols, z.values, combine=None)
+            # No surviving contribution: the entry becomes a structural
+            # zero of C'.
+            c_blk.delete_batch(rows[~kept], cols[~kept])
+            for i, j, keep in zip(rows.tolist(), cols.tolist(), kept.tolist()):
+                if keep:
+                    f_blk.overwrite(i, j, h_blk.get(i, j))
                 else:
-                    # No surviving contribution: the entry becomes a
-                    # structural zero of C'.
-                    c_blk.delete(key[0], key[1])
-                    f_blk.delete(key[0], key[1])
+                    f_blk.delete(i, j)
 
         comm.run_local(rank, _merge, category=StatCategory.LOCAL_ADDITION)
     return int(comm.host_fold(recomputed, lambda x, y: x + y))

@@ -145,13 +145,11 @@ class DistMatrixBase:
             block = self.blocks[rank]
 
             def _probe(block=block, lrows=lrows, lcols=lcols):
-                if hasattr(block, "contains"):
-                    found = [block.contains(int(i), int(j)) for i, j in zip(lrows, lcols)]
-                else:
-                    coo = block.to_coo()
-                    keys = coo.rows * block.shape[1] + coo.cols
-                    found = np.isin(lrows * block.shape[1] + lcols, keys)
-                return np.asarray(found, dtype=bool)
+                if hasattr(block, "contains_batch"):
+                    return block.contains_batch(lrows, lcols)
+                coo = block.to_coo()
+                keys = coo.rows * block.shape[1] + coo.cols
+                return np.isin(lrows * block.shape[1] + lcols, keys)
 
             present = self.comm.run_local(rank, _probe)
             hits[rank] = sel[present]

@@ -4,10 +4,12 @@ The checkpoint subsystem (:mod:`repro.scenarios.checkpoint`) must restore a
 world so exactly that continuing a trace after a crash is *byte-identical*
 to never having crashed.  That rules out round-tripping blocks through a
 canonical form: a :class:`~repro.sparse.dhb.DHBMatrix` keeps its entries in
-adjacency-array order (deletions swap with the last entry), and that order
-is observable downstream, so the codec preserves it — together with per-row
-capacity and ``grow_count`` so memory-management accounting continues from
-the same state.
+adjacency-array order (deletions fill holes from the row's tail), and that
+order is observable downstream, so the codec preserves it — together with
+per-row capacity and the block's ``grow_count`` so memory-management
+accounting continues from the same state.  What it does not keep is where a
+row sits in the arena and the hash table: neither is observable, and the
+table is rebuilt on decode.
 
 Every encoded block is a self-describing ``dict`` of plain numpy arrays and
 scalars (safe to ship through ``np.savez`` or any communicator):
@@ -34,7 +36,7 @@ from repro.sparse import (
     DCSRMatrix,
     DHBMatrix,
 )
-from repro.sparse.dhb import DHBRow
+from repro.sparse.dhb import DHBStorage
 
 __all__ = [
     "BlockCodecError",
@@ -61,8 +63,8 @@ def encode_block(block: Any) -> dict[str, Any]:
     """Encode a sparse block into a self-describing dict of arrays.
 
     Supports all four layouts (COO, CSR, DCSR, DHB).  The encoding is
-    *faithful*, not canonical: DHB rows keep their adjacency order, row
-    insertion order, capacities and grow counts, so a decoded matrix is
+    *faithful*, not canonical: DHB rows keep their adjacency order and
+    capacities and the block its grow count, so a decoded matrix is
     indistinguishable from the original under any sequence of further
     updates and accounting queries.
     """
@@ -90,32 +92,13 @@ def encode_block(block: Any) -> dict[str, Any]:
     raise BlockCodecError(f"cannot encode block of type {type(block).__name__}")
 
 
+#: :class:`~repro.sparse.dhb.DHBStorage`'s fields under their encoded names
+_DHB_FIELDS = ("row_ids", "sizes", "capacities", "grow_count", "cols", "values")
+
+
 def _encode_dhb(block: DHBMatrix) -> dict[str, Any]:
-    row_ids: list[int] = []
-    sizes: list[int] = []
-    capacities: list[int] = []
-    grow_counts: list[int] = []
-    col_chunks: list[np.ndarray] = []
-    val_chunks: list[np.ndarray] = []
-    for row_id, row in block._rows.items():
-        row_ids.append(int(row_id))
-        sizes.append(int(row.size))
-        capacities.append(row.capacity())
-        grow_counts.append(int(row.grow_count))
-        col_chunks.append(row.cols[: row.size])
-        val_chunks.append(row.vals[: row.size])
-    dtype = block.semiring.dtype
     out = _base("dhb", block.shape, block.semiring)
-    out["row_ids"] = np.asarray(row_ids, dtype=np.int64)
-    out["sizes"] = np.asarray(sizes, dtype=np.int64)
-    out["capacities"] = np.asarray(capacities, dtype=np.int64)
-    out["grow_counts"] = np.asarray(grow_counts, dtype=np.int64)
-    out["cols"] = (
-        np.concatenate(col_chunks) if col_chunks else np.empty(0, dtype=np.int64)
-    )
-    out["values"] = (
-        np.concatenate(val_chunks) if val_chunks else np.empty(0, dtype=dtype)
-    )
+    out.update(zip(_DHB_FIELDS, block.storage()))
     return out
 
 
@@ -152,29 +135,11 @@ def decode_block(data: dict[str, Any]) -> Any:
 def _decode_dhb(
     data: dict[str, Any], shape: tuple[int, int], semiring: Semiring
 ) -> DHBMatrix:
-    out = DHBMatrix(shape, semiring=semiring)
-    cols = np.asarray(data["cols"], dtype=np.int64)
-    values = semiring.coerce(data["values"])
-    offset = 0
-    nnz = 0
-    for row_id, size, capacity, grow_count in zip(
-        np.asarray(data["row_ids"], dtype=np.int64),
-        np.asarray(data["sizes"], dtype=np.int64),
-        np.asarray(data["capacities"], dtype=np.int64),
-        np.asarray(data["grow_counts"], dtype=np.int64),
-    ):
-        size = int(size)
-        row = DHBRow(semiring.dtype, capacity=int(capacity))
-        row.cols[:size] = cols[offset : offset + size]
-        row.vals[:size] = values[offset : offset + size]
-        row.size = size
-        row.index = None
-        row.grow_count = int(grow_count)
-        out._rows[int(row_id)] = row
-        offset += size
-        nnz += size
-    out._nnz = nnz
-    return out
+    try:
+        storage = DHBStorage(*(data[name] for name in _DHB_FIELDS))
+        return DHBMatrix.from_storage(shape, semiring, storage)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BlockCodecError(f"malformed DHB block: {exc}") from exc
 
 
 def encode_bloom(matrix: BloomFilterMatrix) -> dict[str, Any]:

@@ -75,7 +75,7 @@ __all__ = [
 ]
 
 #: Version stamp of the snapshot schema; bumped on incompatible changes.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _REQUIRED_KEYS = (
     "version",

@@ -3,7 +3,7 @@
 The paper distinguishes three local storage layouts (Section IV):
 
 * **Dynamic matrices** — the DHB data structure (adjacency arrays plus a
-  per-row hash index) supporting O(1) expected insertion, deletion and value
+  hash index) supporting O(1) expected insertion, deletion and value
   update.  Implemented by :class:`~repro.sparse.dhb.DHBMatrix`.
 * **Static CSR** — compressed sparse row, used for sparse but not
   hypersparse operands.  Implemented by :class:`~repro.sparse.csr.CSRMatrix`.
@@ -27,7 +27,7 @@ from repro.sparse.layout import (
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.dcsr import DCSRMatrix
-from repro.sparse.dhb import DHBMatrix, DHBRow
+from repro.sparse.dhb import DHBMatrix, DHBStorage
 from repro.sparse.bloom import BloomFilterMatrix, BLOOM_BITS
 from repro.sparse.spa import SparseAccumulator
 from repro.sparse.elementwise import (
@@ -51,7 +51,7 @@ __all__ = [
     "CSRMatrix",
     "DCSRMatrix",
     "DHBMatrix",
-    "DHBRow",
+    "DHBStorage",
     "BloomFilterMatrix",
     "BLOOM_BITS",
     "SparseAccumulator",

@@ -1,8 +1,8 @@
 """Optional compiled kernel tier for the hot sparse kernels.
 
-This package holds numba-compiled implementations of the three hottest
-local kernels — rowwise SpGEMM (plain and masked), the SPA bulk
-scatter/merge, and the DHB whole-batch insert core — selected at run time
+This package holds numba-compiled implementations of the two hottest
+local kernels — rowwise SpGEMM (plain and masked) and the SPA bulk
+scatter/merge — selected at run time
 by :mod:`repro.sparse.kernels.tier` (``REPRO_KERNEL_TIER`` or a per-call
 ``kernel_tier=`` override).  The pure-Python kernels remain untouched as
 correctness oracles; the compiled tier is pinned byte-identical to them

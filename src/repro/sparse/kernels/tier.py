@@ -1,7 +1,7 @@
 """Kernel-tier selection: pure-Python oracles vs optional compiled kernels.
 
-Three hot kernels (rowwise SpGEMM, the SPA bulk scatter/merge, and the DHB
-whole-batch sorted insert) exist in two implementations: the pure-Python
+Two hot kernels (rowwise SpGEMM and the SPA bulk scatter/merge) exist in
+two implementations: the pure-Python
 (NumPy-orchestrated) originals, which are pinned as correctness oracles,
 and numba-compiled cores in this package.  This module owns the choice
 between them:

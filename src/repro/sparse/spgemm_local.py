@@ -101,11 +101,15 @@ def _live_entries(a, b, semiring: Semiring):
 
 
 def _selected_rows(b, inner: np.ndarray, semiring: Semiring):
-    """Rows ``inner`` of ``b``, one ``row_arrays`` call each, as a DCSR.
+    """Rows ``inner`` of ``b`` as a DCSR.
 
     In the X-term ``A*·B'`` these are the few rows the update's columns
-    select; an operand without row access is converted whole.
+    select: one gather where the layout offers it (DHB), else one
+    ``row_arrays`` call each; an operand without row access is converted
+    whole.
     """
+    if hasattr(b, "flat_rows"):
+        return DCSRMatrix(b.shape, *b.flat_rows(inner), semiring=semiring)
     try:
         b_row = row_reader(b).row_arrays
     except TypeError:

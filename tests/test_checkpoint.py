@@ -84,20 +84,18 @@ def _assert_tuples_equal(a: COOMatrix, b: COOMatrix) -> None:
 
 def _assert_dhb_identical(a: DHBMatrix, b: DHBMatrix) -> None:
     """Full structural identity, not just equal tuples."""
+    a.check_invariants()
+    b.check_invariants()
     assert a.shape == b.shape
     assert a.nnz == b.nnz
     assert a.nbytes == b.nbytes
-    assert list(a._rows) == list(b._rows), "row insertion order differs"
-    for i, ra in a._rows.items():
-        rb = b._rows[i]
-        assert ra.size == rb.size
-        assert ra.capacity() == rb.capacity(), f"row {i}: capacity differs"
-        assert ra.grow_count == rb.grow_count, f"row {i}: grow_count differs"
-        assert np.array_equal(ra.cols[: ra.size], rb.cols[: rb.size]), (
-            f"row {i}: adjacency order differs"
-        )
-        assert np.array_equal(ra.vals[: ra.size], rb.vals[: rb.size])
-        assert ra.ensure_index() == rb.ensure_index()
+    sa, sb = a.storage(), b.storage()
+    assert np.array_equal(sa.row_ids, sb.row_ids), "rows owning an extent differ"
+    assert np.array_equal(sa.sizes, sb.sizes)
+    assert np.array_equal(sa.capacities, sb.capacities), "capacities differ"
+    assert sa.grow_count == sb.grow_count, "grow_count differs"
+    assert np.array_equal(sa.cols, sb.cols), "adjacency order differs"
+    assert np.array_equal(sa.vals, sb.vals)
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +176,39 @@ def test_codec_rejects_unknown_layouts() -> None:
         decode_block({"shape": (2, 2)})
     with pytest.raises(BlockCodecError):
         decode_bloom({"layout": "coo"})
+
+
+def _encoded_dhb() -> dict:
+    mat = DHBMatrix.from_coo(_random_coo(5))
+    for i, j in zip(*(a.tolist() for a in (mat.to_coo().rows[::3], mat.to_coo().cols[::3]))):
+        mat.delete(i, j)  # sizes below capacities, rows out of column order
+    return encode_block(mat)
+
+
+@pytest.mark.parametrize(
+    "damage, complaint",
+    [
+        (lambda e: e.update(cols=e["cols"][:-1]), "sizes do not sum"),
+        (lambda e: e.update(values=e["values"][:-1]), "sizes do not sum"),
+        (lambda e: e.update(sizes=e["sizes"] + (e["capacities"] - e["sizes"] + 1)), "capacity"),
+        (lambda e: e.update(row_ids=e["row_ids"][::-1].copy()), "strictly increasing"),
+        (lambda e: e["row_ids"].__setitem__(1, e["row_ids"][0]), "strictly increasing"),
+        (lambda e: e["row_ids"].__setitem__(-1, e["shape"][0]), "inside the shape"),
+        (lambda e: e["cols"].__setitem__(0, e["shape"][1]), "column outside"),
+        (lambda e: e["cols"].__setitem__(1, e["cols"][0]), "same column twice"),
+        (lambda e: e.update(sizes=e["sizes"][:-1]), "aligned"),
+        (lambda e: e.pop("capacities"), "capacities"),
+        (lambda e: e.pop("grow_count"), "grow_count"),
+    ],
+)
+def test_codec_rejects_inconsistent_dhb_encodings(damage, complaint) -> None:
+    """Nothing is built from a truncated or self-contradicting DHB block."""
+    encoded = _encoded_dhb()
+    assert encoded["sizes"][0] >= 2  # the duplicate-column case needs two
+    _assert_dhb_identical(decode_block(encoded), decode_block(_encoded_dhb()))
+    damage(encoded)
+    with pytest.raises(BlockCodecError, match=complaint):
+        decode_block(encoded)
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +292,25 @@ def test_load_snapshot_rejects_future_versions(tmp_path) -> None:
     path = tmp_path / "future.npz"
     with pytest.raises(S.SnapshotFormatError, match="version"):
         S.save_snapshot(path, snapshot)
+
+
+def test_version_2_snapshots_are_refused(tmp_path, monkeypatch) -> None:
+    """Version 2 stored a DHB block row object by row object (rows in
+    insertion order, one grow count each); this build reads the arena form."""
+    import repro.scenarios.checkpoint as checkpoint
+
+    assert S.SNAPSHOT_VERSION == 3
+    _, _, store = _checkpointed_drill(tmp_path)
+    snapshot = dict(store.load("default", 0))
+    snapshot["version"] = 2
+    with pytest.raises(S.SnapshotFormatError, match="version 2 is not supported"):
+        S.check_snapshot(snapshot)
+    path = tmp_path / "v2.npz"
+    with monkeypatch.context() as patched:
+        patched.setattr(checkpoint, "SNAPSHOT_VERSION", 2)
+        S.save_snapshot(path, snapshot)
+    with pytest.raises(S.SnapshotFormatError, match="file version 2 is not supported"):
+        S.load_snapshot(path)
 
 
 def test_check_snapshot_rejects_schema_violations(tmp_path) -> None:

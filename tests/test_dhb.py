@@ -1,60 +1,45 @@
-"""Tests for the DHB dynamic matrix (including property-based model checks)."""
+"""Tests for the DHB dynamic matrix.
+
+Unit cases for the public surface, the documented within-row order and the
+arena / hash-table housekeeping, then one model-based state machine that
+interleaves every kind of update against a dict-of-dicts model, a twin
+matrix driven through the scalar route, ``check_invariants()`` and the block
+codec.
+"""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.distributed import decode_block, encode_block
 from repro.semirings import MIN_PLUS, PLUS_TIMES
-from repro.sparse import COOMatrix, DHBMatrix, DHBRow
+from repro.sparse import COOMatrix, DHBMatrix
+from repro.sparse import dhb as dhb_module
 
 from tests.conftest import random_dense
 
 
-class TestDHBRow:
-    def test_insert_get_delete(self):
-        row = DHBRow(np.dtype(np.float64))
-        assert row.insert_or_assign(5, 1.0)
-        assert not row.insert_or_assign(5, 2.0)  # overwrite
-        assert row.get(5) == pytest.approx(2.0)
-        assert row.contains(5)
-        assert row.delete(5)
-        assert not row.delete(5)
-        assert not row.contains(5)
-        assert len(row) == 0
+@contextmanager
+def scalar_route(limit: int):
+    """Apply batches below ``limit`` entries one by one (0: none, huge: all)."""
+    saved = dhb_module._SCALAR_BATCH
+    dhb_module._SCALAR_BATCH = limit
+    try:
+        yield
+    finally:
+        dhb_module._SCALAR_BATCH = saved
 
-    def test_combine_on_existing(self):
-        row = DHBRow(np.dtype(np.float64))
-        row.insert_or_assign(2, 1.0)
-        row.insert_or_assign(2, 3.0, combine=np.add)
-        assert row.get(2) == pytest.approx(4.0)
 
-    def test_growth_keeps_entries(self):
-        row = DHBRow(np.dtype(np.float64), capacity=2)
-        for col in range(50):
-            row.insert_or_assign(col, float(col))
-        assert len(row) == 50
-        assert row.grow_count >= 1
-        cols, vals = row.as_arrays()
-        assert set(cols.tolist()) == set(range(50))
-        assert all(vals[i] == cols[i] for i in range(50))
-
-    def test_swap_delete_keeps_index_consistent(self):
-        row = DHBRow(np.dtype(np.float64))
-        for col in (1, 2, 3, 4):
-            row.insert_or_assign(col, float(col))
-        row.delete(2)
-        for col in (1, 3, 4):
-            assert row.get(col) == pytest.approx(float(col))
-
-    def test_from_arrays_lazy_index(self):
-        row = DHBRow.from_arrays(np.array([3, 7, 9]), np.array([1.0, 2.0, 3.0]))
-        assert row.index is None  # lazy until first point access
-        assert row.get(7) == pytest.approx(2.0)
-        assert row.index is not None
-        assert row.get_slot(9) == 2
+def assert_same_storage(a: DHBMatrix, b: DHBMatrix) -> None:
+    """Sizes, capacities, grow count and adjacency order all agree."""
+    for name, x, y in zip(a.storage()._fields, a.storage(), b.storage()):
+        assert np.array_equal(x, y), f"{name} differs"
 
 
 class TestDHBMatrix:
@@ -78,6 +63,33 @@ class TestDHBMatrix:
             mat.get(0, 3)
         with pytest.raises(IndexError):
             mat.insert_batch([0], [7], [1.0])
+        with pytest.raises(IndexError):
+            mat.delete_batch([-1], [0])
+        with pytest.raises(IndexError):
+            mat.contains_batch([0, 3], [0, 0])
+        with pytest.raises(IndexError):
+            mat.reserve_batch([3])
+
+    def test_contains_checks_bounds_like_get(self):
+        """An out-of-range coordinate used to be silently "absent" here and
+        an ``IndexError`` in ``get``."""
+        mat = DHBMatrix((3, 4))
+        mat.insert(2, 3, 1.0)
+        assert mat.contains(2, 3) and not mat.contains(0, 0)
+        for i, j in [(3, 0), (0, 4), (-1, 0), (0, -1)]:
+            with pytest.raises(IndexError):
+                mat.contains(i, j)
+            with pytest.raises(IndexError):
+                mat.get(i, j)
+
+    def test_contains_batch_matches_contains_on_both_routes(self):
+        dense = random_dense(9, 11, 0.3, seed=2)
+        mat = DHBMatrix.from_dense(dense)
+        rows, cols = np.divmod(np.arange(99), 11)
+        expected = dense[rows, cols] != 0
+        assert np.array_equal(mat.contains_batch(rows, cols), expected)
+        assert np.array_equal(mat.contains_batch(rows[:5], cols[:5]), expected[:5])
+        assert mat.contains_batch([], []).size == 0
 
     def test_bulk_build_matches_dense(self):
         dense = random_dense(20, 20, 0.3, seed=1)
@@ -160,9 +172,13 @@ class TestDHBMatrix:
     def test_reserve_batch_counts_growth(self):
         mat = DHBMatrix((10, 10))
         mat.insert_batch(np.arange(10), np.arange(10), np.ones(10), combine=None)
-        grows = mat.reserve_batch(np.zeros(50, dtype=np.int64))
-        assert grows >= 0  # growth counting is best-effort but non-negative
+        before = mat.grow_count
+        # row 0 had an extent and is reallocated, row 9's is large enough
+        assert mat.reserve_batch(np.array([0] * 50 + [9])) == 1
+        assert mat.grow_count == before + 1
         assert mat.nnz == 10
+        assert mat.reserve_batch(np.zeros(50, dtype=np.int64)) == 0
+        mat.check_invariants()
 
     def test_scattered_path_after_bulk_build(self):
         dense = random_dense(30, 30, 0.2, seed=11)
@@ -224,44 +240,274 @@ class TestDHBMatrix:
         assert np.allclose(bulk.to_dense(), scattered.to_dense())
 
 
-class TestDuplicateCombineSemantics:
-    """The vectorised path must reproduce the per-element baseline for
-    arbitrary combiners over duplicate (row, col) keys (it used to
-    pre-fold duplicate groups, which computes ``combine(existing,
-    fold(v1..vk))`` instead of ``fold(combine(existing, v1)..vk)``)."""
+
+
+class TestAdjacencyOrder:
+    """The within-row order rules of the module docstring."""
 
     @staticmethod
-    def _run(strategy, combine):
+    def _row(cols) -> DHBMatrix:
+        mat = DHBMatrix((2, 64))
+        for col in cols:  # scalar inserts append in call order
+            mat.insert(1, col, float(col))
+        return mat
+
+    def test_new_entries_of_a_batch_append_in_ascending_column_order(self):
+        for limit in (0, 10**9):
+            mat = self._row([9, 3])
+            with scalar_route(limit):
+                mat.insert_batch([1, 1, 1, 1], [7, 3, 50, 1], [1.0, 2.0, 3.0, 4.0])
+            assert mat.row_arrays(1)[0].tolist() == [9, 3, 1, 7, 50]
+            assert mat.get(1, 3) == 2.0
+
+    def test_losing_one_entry_is_swap_with_last(self):
+        for limit in (0, 10**9):
+            mat = self._row([10, 11, 12, 13, 14])
+            with scalar_route(limit):
+                assert mat.delete_batch([1], [11]) == 1
+            assert mat.row_arrays(1)[0].tolist() == [10, 14, 12, 13]
+            assert mat.delete(1, 13)  # the last entry just goes
+            assert mat.row_arrays(1)[0].tolist() == [10, 14, 12]
+
+    def test_losing_several_fills_the_holes_from_the_tail_in_slot_order(self):
+        for limit in (0, 10**9):
+            mat = self._row([10, 11, 12, 13, 14, 15, 16])
+            with scalar_route(limit):
+                # 7 - 3 entries stay: holes at slots 0 and 2, and of the
+                # tail (slots 4..6) 14 dies, so 15 and 16 move, in that order
+                assert mat.delete_batch([1, 1, 1, 0], [12, 14, 10, 5]) == 3
+            assert mat.row_arrays(1)[0].tolist() == [15, 11, 16, 13]
+            assert mat.row_arrays(1)[1].tolist() == [15.0, 11.0, 16.0, 13.0]
+            assert [mat.get(1, c) for c in (15, 11, 16, 13)] == [15.0, 11.0, 16.0, 13.0]
+            mat.check_invariants()
+
+    def test_a_row_that_loses_everything_gives_its_extent_up(self):
+        for limit in (0, 10**9):
+            mat = self._row([1, 2, 3])
+            with scalar_route(limit):
+                assert mat.delete_batch([1, 1, 1], [3, 2, 1]) == 3
+            assert mat.nnz == mat.n_nonzero_rows == 0
+            assert mat.storage().row_ids.size == 0
+            assert mat.row_arrays(1)[0].size == 0
+            mat.check_invariants()
+
+
+class TestHousekeeping:
+    def test_rows_relocate_with_doubled_capacity_and_the_arena_compacts(self):
+        mat = DHBMatrix((40, 4000))
+        for i in range(40):
+            mat.insert(i, 0, 1.0)
+        assert mat.storage().capacities.tolist() == [4] * 40
+        assert mat.grow_count == 0
+        # grow every row again and again: old extents die at the front
+        for width in (5, 9, 17, 33, 65):
+            rows = np.repeat(np.arange(40), width)
+            cols = np.tile(np.arange(width), 40)
+            mat.insert_batch(rows, cols, np.ones(rows.size))
+            mat.check_invariants()
+        caps = mat.storage().capacities
+        assert np.all(caps >= 65) and np.all(caps <= 130)
+        assert mat.grow_count == 40 * 5
+        # dead space never exceeds the live extents by more than the last jump
+        assert mat._end <= 2 * mat._live_cap + caps.sum()
+        dead_before = mat._end - mat._live_cap
+        mat.delete_batch(np.repeat(np.arange(1, 40), 65), np.tile(np.arange(65), 39))
+        assert mat.n_nonzero_rows == 1
+        mat.insert_batch(np.full(5000, 0), np.arange(5000) % 4000, np.ones(5000))
+        mat.check_invariants()
+        assert mat._end - mat._live_cap < dead_before  # compaction reclaimed it
+        assert mat.nnz == 4000
+
+    def test_tombstones_force_a_rebuild_at_the_load_bound(self):
+        mat = DHBMatrix((4, 4))
+        mat.insert(0, 0, 1.0)
+        table = mat._tkeys.size
+        for _ in range(3 * table):  # each round leaves one tombstone
+            assert mat.delete(3, 3) is False
+            assert mat.insert(3, 3, 2.0)
+            assert mat.delete(3, 3)
+            mat.check_invariants()
+        assert mat._tkeys.size == table  # rebuilt in place, never grown
+        assert mat.get(0, 0) == 1.0 and mat.nnz == 1
+
+    def test_the_index_is_built_by_the_first_probe(self):
+        dense = random_dense(10, 10, 0.4, seed=9)
+        mat = DHBMatrix.from_dense(dense)
+        assert mat._tkeys is None  # loading and reading never needed it
+        assert np.array_equal(mat.to_dense(), dense)
+        assert mat._tkeys is None
+        i, j = (int(k[0]) for k in np.nonzero(dense))
+        assert mat.contains(i, j)
+        assert mat._tkeys is not None
+        mat.check_invariants()
+
+    def test_wide_blocks_use_64_bit_keys(self):
+        mat = DHBMatrix((3, 1 << 40))
+        cols = (np.arange(60, dtype=np.int64) * 0x1234567) % (1 << 40)
+        mat.insert_batch(np.arange(60) % 3, cols, np.arange(60.0))
+        assert mat.get(2, int(cols[5])) == 5.0
+        mat.check_invariants()
+        assert mat._tkeys.dtype == np.int64
+        small = DHBMatrix.from_dense(np.eye(3))
+        assert small.contains(1, 1) and small._tkeys.dtype == np.int32
+        with pytest.raises(ValueError, match="64-bit"):
+            DHBMatrix((1 << 31, 1 << 31))
+
+    def test_check_invariants_catches_a_broken_index(self):
+        mat = DHBMatrix.from_dense(random_dense(6, 6, 0.5, seed=4))
+        mat.check_invariants()
+        mat._tslots[mat._tkeys >= 0] += 1
+        with pytest.raises(AssertionError, match="wrong slot"):
+            mat.check_invariants()
+        mat._tslots[mat._tkeys >= 0] -= 1
+        mat._size[mat._size.argmax()] -= 1
+        with pytest.raises(AssertionError, match="nnz"):
+            mat.check_invariants()
+
+    def test_arbitrary_combiner_folds_duplicates_in_batch_order(self):
+        """``fold(combine(existing, v1) .. vk)``, which for a combiner that is
+        not associative differs from ``combine(existing, fold(v1 .. vk))``."""
         mat = DHBMatrix((4, 4))
         mat.insert_batch([1, 2], [1, 2], [10.0, 20.0])
-        # three duplicates of (1, 1) plus a duplicate pair on a new key
         created = mat.insert_batch(
-            [1, 1, 3, 1, 3],
-            [1, 1, 0, 1, 0],
-            [1.0, 2.0, 5.0, 3.0, 7.0],
+            [1, 1, 3, 1, 3], [1, 1, 0, 1, 0], [1.0, 2.0, 5.0, 3.0, 7.0],
             lambda a, b: a - 2.0 * b,
-            strategy=strategy,
         )
-        return mat, created
+        assert created == 1
+        assert mat.get(1, 1) == -2.0  # ((10 - 2·1) - 2·2) - 2·3
+        assert mat.get(3, 0) == -9.0  # 5 - 2·7
+        mat.check_invariants()
 
-    def test_vectorized_matches_per_element_for_noncommutative_combine(self):
-        ref, created_ref = self._run("per_element", lambda a, b: a - 2.0 * b)
-        got, created_got = self._run("vectorized", lambda a, b: a - 2.0 * b)
-        assert created_ref == created_got
-        assert np.array_equal(ref.to_dense(), got.to_dense())
-        # sequential fold: ((((10-2·1)-2·2)-2·3) = -2, (5-2·7) = -9
-        assert ref.get(1, 1) == -2.0
-        assert got.get(1, 1) == -2.0
-        assert got.get(3, 0) == -9.0
 
-    def test_arbitrary_combine_reroutes_to_per_element_loop(self):
-        from repro.perf import PerfRecorder, use_recorder
+# ----------------------------------------------------------------------
+# the model-based machine
+# ----------------------------------------------------------------------
+SHAPE = (10, 48)
+COMBINERS = {
+    "overwrite": None,
+    "plus": PLUS_TIMES.plus,
+    "arbitrary": lambda old, new: old - 2.0 * new,
+}
 
-        mat = DHBMatrix((4, 4))
-        mat.insert_batch([0], [0], [1.0])
-        rec = PerfRecorder()
-        with use_recorder(rec):
-            mat.insert_batch(
-                [0, 0], [0, 0], [1.0, 2.0], lambda a, b: a - b, strategy="vectorized"
-            )
-        assert rec.counters.get("dhb.insert.path_combine_fallback") == 1
+
+class DHBMachine(RuleBasedStateMachine):
+    """``DHBMatrix`` against a dict-of-dicts model and a scalar-route twin.
+
+    Values are small integers stored as floats, so every fold is exact and
+    the model can apply a batch entry by entry in batch order.  ``twin``
+    receives every call with the scalar route forced; it never goes through
+    the codec, so after a round trip ``matrix`` must still match it field
+    for field — which is "restored equals never crashed" for one block.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.matrix = DHBMatrix(SHAPE)
+        self.twin = DHBMatrix(SHAPE)
+        self.model: dict[int, dict[int, float]] = {}
+
+    def _both(self, method: str, *args):
+        result = getattr(self.matrix, method)(*args)
+        with scalar_route(10**9):
+            assert getattr(self.twin, method)(*args) == result
+        return result
+
+    def _live(self) -> list[tuple[int, int]]:
+        return [(i, j) for i, row in self.model.items() for j in row]
+
+    def _forget(self, rows, cols) -> int:
+        gone = 0
+        for i, j in zip(rows, cols):
+            if self.model.get(i, {}).pop(j, None) is not None:
+                gone += 1
+                if not self.model[i]:
+                    del self.model[i]
+        return gone
+
+    @rule(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 150),
+        row_span=st.integers(1, SHAPE[0]),
+        kind=st.sampled_from(sorted(COMBINERS)),
+    )
+    def insert_batch(self, seed, size, row_span, kind):
+        """Sparse or concentrated, below and above the scalar threshold,
+        with duplicates inside the batch."""
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, row_span, size)
+        cols = rng.integers(0, SHAPE[1], size)
+        vals = rng.integers(-4, 5, size).astype(np.float64)
+        combine = COMBINERS[kind]
+        created = 0
+        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            row = self.model.setdefault(i, {})
+            created += j not in row
+            row[j] = v if combine is None or j not in row else combine(row[j], v)
+        assert self._both("insert_batch", rows, cols, vals, combine) == created
+
+    @rule(seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0), absent=st.integers(0, 40))
+    def mask_update(self, seed, share, absent):
+        """Rows lose one, several or all of their entries; absent keys ride along."""
+        rng = np.random.default_rng(seed)
+        live = self._live()
+        picked = [live[k] for k in np.flatnonzero(rng.random(len(live)) < share)]
+        if self.model and rng.random() < 0.5:  # and one whole row
+            i = int(rng.choice(sorted(self.model)))
+            picked += [(i, j) for j in self.model[i]]
+        picked += zip(
+            rng.integers(0, SHAPE[0], absent).tolist(), rng.integers(0, SHAPE[1], absent).tolist()
+        )
+        coo = COOMatrix(
+            SHAPE, [i for i, _ in picked], [j for _, j in picked], np.ones(len(picked))
+        ).sum_duplicates()
+        assert self._both("mask_update", coo) == self._forget(coo.rows.tolist(), coo.cols.tolist())
+
+    @rule(i=st.integers(0, SHAPE[0] - 1), j=st.integers(0, SHAPE[1] - 1),
+          value=st.integers(-4, 4), kind=st.sampled_from(sorted(COMBINERS)))
+    def insert(self, i, j, value, kind):
+        combine = COMBINERS[kind]
+        row = self.model.setdefault(i, {})
+        new = j not in row
+        row[j] = float(value) if new or combine is None else combine(row[j], float(value))
+        assert self._both("insert", i, j, float(value), combine) == new
+
+    @rule(i=st.integers(0, SHAPE[0] - 1), j=st.integers(0, SHAPE[1] - 1))
+    def delete(self, i, j):
+        assert self._both("delete", i, j) == bool(self._forget([i], [j]))
+
+    @rule(seed=st.integers(0, 2**32 - 1))
+    def reserve(self, seed):
+        rng = np.random.default_rng(seed)
+        self._both("reserve_batch", rng.integers(0, SHAPE[0], int(rng.integers(0, 90))))
+
+    @rule(rounds=st.integers(1, 12))
+    def churn_one_cell(self, rounds):
+        """Tombstones pile up until the table is rebuilt at its load bound."""
+        for _ in range(rounds):
+            self.insert(0, 0, 1, "overwrite")
+            self.delete(0, 0)
+
+    @rule()
+    def round_trip_through_the_codec(self):
+        decoded = decode_block(encode_block(self.matrix))
+        assert_same_storage(decoded, self.matrix)
+        self.matrix = decoded
+
+    @invariant()
+    def agrees_with_model_and_twin(self):
+        self.matrix.check_invariants()
+        expected = sorted((i, j, v) for i, row in self.model.items() for j, v in row.items())
+        coo = self.matrix.to_coo()
+        assert list(zip(coo.rows.tolist(), coo.cols.tolist(), coo.values.tolist())) == expected
+        assert self.matrix.nnz == len(expected)
+        assert self.matrix.n_nonzero_rows == len(self.model)
+        assert_same_storage(self.matrix, self.twin)
+        rows, cols = np.divmod(np.arange(0, SHAPE[0] * SHAPE[1], 7), SHAPE[1])
+        present = [j in self.model.get(i, {}) for i, j in zip(rows.tolist(), cols.tolist())]
+        assert self.matrix.contains_batch(rows, cols).tolist() == present
+        for i, j, v in expected[:: max(1, len(expected) // 5)]:
+            assert self.matrix.get(i, j) == v
+
+
+TestDHBMachine = DHBMachine.TestCase
+TestDHBMachine.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)

@@ -197,6 +197,34 @@ class TestDistMatrices:
         for i, j in [(0, 0), (7, 13), (19, 19)]:
             assert mat.get(i, j) == pytest.approx(dense[i, j])
 
+    def test_contains_tuples_probes_each_block_once(self, comm16, grid16, monkeypatch):
+        """One ``contains_batch`` per owning block, never a call per pair;
+        static blocks answer the same way from their tuples."""
+        from repro.sparse import DHBMatrix
+
+        dense = random_dense(20, 20, 0.3, seed=6)
+        rows, cols = np.divmod(np.arange(0, 400, 3), 20)
+        expected = dense[rows, cols] != 0
+        static = static_from_dense(comm16, grid16, dense, layout="dcsr")
+        assert np.array_equal(static.contains_tuples(rows, cols), expected)
+
+        probes = []
+        probe = DHBMatrix.contains_batch
+
+        def counting(self, block_rows, block_cols):
+            probes.append(len(block_rows))
+            return probe(self, block_rows, block_cols)
+
+        def per_pair(self, i, j):
+            raise AssertionError("a block was probed pair by pair")
+
+        monkeypatch.setattr(DHBMatrix, "contains_batch", counting)
+        monkeypatch.setattr(DHBMatrix, "contains", per_pair)
+        mat = dist_from_dense(comm16, grid16, dense)
+        assert np.array_equal(mat.contains_tuples(rows, cols), expected)
+        assert len(probes) <= 16 and sum(probes) == rows.size
+        assert mat.contains_tuples([], []).size == 0
+
     def test_add_merge_mask_updates_are_local_and_correct(self, comm16, grid16):
         dense = random_dense(24, 24, 0.25, seed=9)
         mat = dist_from_dense(comm16, grid16, dense)

@@ -4,10 +4,10 @@ Every fast path keeps a slow oracle alongside it; these tests pin the two
 to identical results:
 
 * ``SparseAccumulator.accumulate_scaled_row`` — bulk load into an empty
-  accumulator and NumPy-array masks vs. the per-element loop,
-* ``DHBMatrix.insert_batch`` — ``strategy="vectorized"`` vs.
-  ``strategy="per_element"`` (and the ``"auto"`` dispatch) across combine
-  modes, including hash-index integrity after follow-up point operations.
+  accumulator and NumPy-array masks vs. the per-element loop.
+
+(``DHBMatrix.insert_batch`` has one path; ``tests/test_dhb.py`` checks it
+against a dict model and its scalar route against its array route.)
 
 The last section pins, by counting and never by timing, that a local
 multiply reads its big operand in proportion to the update: only the rows
@@ -104,94 +104,6 @@ def test_spa_oracle_spgemm_still_matches_vectorised_kernel():
 
 
 # ----------------------------------------------------------------------
-# DHB insert strategies
-# ----------------------------------------------------------------------
-def _random_batch(rng, n, size):
-    return (
-        rng.integers(0, n, size),
-        rng.integers(0, n, size),
-        rng.random(size),
-    )
-
-
-def _as_canonical(matrix: DHBMatrix):
-    coo = matrix.to_coo()
-    return coo.rows, coo.cols, coo.values
-
-
-@pytest.mark.parametrize("combine_mode", ["add", "overwrite", "custom"])
-@pytest.mark.parametrize("preload", [0, 300])
-def test_dhb_strategies_equivalent(combine_mode, preload):
-    n = 64
-    semiring = PLUS_TIMES
-    combine = {
-        "add": semiring.plus,
-        "overwrite": None,
-        "custom": lambda old, new: old - new,
-    }[combine_mode]
-    results = {}
-    for strategy in ("per_element", "vectorized", "auto"):
-        rng = np.random.default_rng(7)
-        matrix = DHBMatrix((n, n), semiring)
-        if preload:
-            matrix.insert_batch(*_random_batch(rng, n, preload), combine=semiring.plus)
-        created = 0
-        for _ in range(3):
-            created += matrix.insert_batch(
-                *_random_batch(rng, n, 150), combine=combine, strategy=strategy
-            )
-        results[strategy] = (created, matrix.nnz, _as_canonical(matrix))
-    ref_created, ref_nnz, (ref_rows, ref_cols, ref_vals) = results["per_element"]
-    for strategy in ("vectorized", "auto"):
-        created, nnz, (rows, cols, vals) = results[strategy]
-        assert created == ref_created
-        assert nnz == ref_nnz
-        assert np.array_equal(rows, ref_rows)
-        assert np.array_equal(cols, ref_cols)
-        # values may differ in the last bit: reduceat-based duplicate
-        # merging is free to reassociate the segment sum
-        assert np.allclose(vals, ref_vals, rtol=1e-12)
-
-
-def test_dhb_vectorized_leaves_consistent_index():
-    # Point operations after a vectorised batch exercise the per-row hash
-    # index (lazy for bulk-loaded rows) and the swap-with-last deletion.
-    rng = np.random.default_rng(13)
-    matrix = DHBMatrix((32, 32))
-    rows, cols, vals = _random_batch(rng, 32, 400)
-    matrix.insert_batch(rows, cols, vals, combine=None, strategy="vectorized")
-    reference = {}
-    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-        reference[(i, j)] = v  # last write wins
-    assert matrix.nnz == len(reference)
-    for (i, j), v in list(reference.items())[:50]:
-        assert matrix.get(i, j) == v
-    # delete half the entries, then reinsert some
-    deleted = 0
-    for (i, j) in list(reference)[::2]:
-        assert matrix.delete(i, j)
-        del reference[(i, j)]
-        deleted += 1
-    assert deleted > 0
-    assert matrix.nnz == len(reference)
-    assert matrix.insert(3, 3, 42.0) == ((3, 3) not in reference)
-    assert matrix.get(3, 3) == 42.0
-
-
-def test_dhb_strategy_argument_validated():
-    matrix = DHBMatrix((4, 4))
-    with pytest.raises(ValueError):
-        matrix.insert_batch([0], [0], [1.0], strategy="warp-speed")
-
-
-def test_dhb_vectorized_handles_empty_and_single():
-    matrix = DHBMatrix((8, 8))
-    assert matrix.insert_batch([], [], [], strategy="vectorized") == 0
-    assert matrix.insert_batch([2], [3], [1.5], strategy="vectorized") == 1
-    assert matrix.get(2, 3) == 1.5
-
-
-# ----------------------------------------------------------------------
 # local work scales with the update (counted, not timed)
 # ----------------------------------------------------------------------
 class _SpyDHB(DHBMatrix):
@@ -205,6 +117,12 @@ class _SpyDHB(DHBMatrix):
     def row_arrays(self, i):
         self.rows_read.append(int(i))
         return super().row_arrays(i)
+
+    def flat_rows(self, rows=None):
+        if rows is None:
+            self._whole()
+        self.rows_read.extend(rows.tolist())
+        return super().flat_rows(rows)
 
     def _whole(self, *_args, **_kwargs):
         raise AssertionError("the whole DHB block was read")

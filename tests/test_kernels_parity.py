@@ -13,8 +13,8 @@ This suite pins that contract:
 * rowwise and masked SpGEMM parity across every standard semiring, all
   four local layouts and adversarial operand structures (empty rows,
   hotspot inner columns, negative zeros, fully empty operands);
-* SPA bulk-load parity and DHB batch-insert parity (three-way against
-  the per-element baseline, including non-commutative combiners);
+* SPA bulk-load parity (DHB batch insertion has one implementation; its
+  model-based suite is ``tests/test_dhb.py``);
 * a scenario-differential leg replaying a generator-library scenario
   under ``REPRO_KERNEL_TIER=compiled`` on the sim and (emulated) mpi
   backends across loopback world sizes 1/2/4.
@@ -32,8 +32,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.sparse.kernels.tier as tiermod
 from repro.perf import PerfRecorder, use_recorder
@@ -155,10 +153,6 @@ class TestTierSelection:
             spgemm_local(a, a, PLUS_TIMES, use_scipy=False, kernel_tier="nope")
         with pytest.raises(ValueError, match="kernel_tier"):
             spgemm_local_masked(a, a, PLUS_TIMES, {}, kernel_tier="nope")
-        with pytest.raises(ValueError, match="kernel_tier"):
-            DHBMatrix((3, 3)).insert_batch(
-                [0], [0], [1.0], strategy="vectorized", kernel_tier="native"
-            )
 
     def test_selection_is_counted_per_site(self, fake_numba):
         a = CSRMatrix.from_dense(np.eye(4))
@@ -381,170 +375,6 @@ class TestSpaParity:
             assert np.array_equal(c_py, c_c)
             assert np.array_equal(v_py, v_c)
             assert np.array_equal(b_py, b_c)
-
-
-# ----------------------------------------------------------------------
-# DHB batch-insert parity (incl. duplicate-combine semantics)
-# ----------------------------------------------------------------------
-def _seeded_dhb(seed: int, shape=(16, 12)) -> DHBMatrix:
-    mat = DHBMatrix(shape)
-    rng = np.random.default_rng(1000 + seed)
-    k = 30
-    mat.insert_batch(
-        rng.integers(0, shape[0], size=k),
-        rng.integers(0, shape[1], size=k),
-        rng.random(k) + 0.1,
-    )
-    return mat
-
-
-def _dup_batch(seed: int, shape=(16, 12), size=50):
-    """A batch with many duplicate (row, col) keys and hotspot rows."""
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, max(2, shape[0] // 4), size=size)
-    cols = rng.integers(0, shape[1], size=size)
-    vals = rng.random(size) + 0.1
-    return rows, cols, vals
-
-
-def _dhb_state(mat: DHBMatrix):
-    """Adjacency-ordered state: list of (row, cols-tuple, vals-tuple)."""
-    return [(i, tuple(c.tolist()), tuple(v.tolist())) for i, c, v in mat.iter_rows()]
-
-
-def _dhb_canonical(mat: DHBMatrix):
-    """(row, col)-sorted tuples — strategy-independent canonical state."""
-    coo = mat.to_coo().sort()
-    return (
-        tuple(coo.rows.tolist()),
-        tuple(coo.cols.tolist()),
-        tuple(coo.values.tolist()),
-    )
-
-
-class TestDHBParity:
-    @pytest.mark.parametrize("combine_kind", ["overwrite", "plus", "noncommutative"])
-    def test_three_way_strategy_parity(self, fake_numba, combine_kind):
-        for seed in range(4):
-            rows, cols, vals = _dup_batch(seed)
-            variants = {}
-            counters = {}
-            for key, kwargs in [
-                ("per_element", dict(strategy="per_element")),
-                ("python", dict(strategy="vectorized", kernel_tier="python")),
-                ("compiled", dict(strategy="vectorized", kernel_tier="compiled")),
-            ]:
-                mat = _seeded_dhb(seed)
-                combine = {
-                    "overwrite": None,
-                    "plus": mat.semiring.plus,
-                    "noncommutative": lambda a, b: a - 2.0 * b,
-                }[combine_kind]
-                rec = PerfRecorder()
-                with use_recorder(rec):
-                    created = mat.insert_batch(rows, cols, vals, combine, **kwargs)
-                variants[key] = (mat, created)
-                counters[key] = rec
-
-            mat_pe, created_pe = variants["per_element"]
-            mat_py, created_py = variants["python"]
-            mat_c, created_c = variants["compiled"]
-            assert created_pe == created_py == created_c
-            assert mat_pe.nnz == mat_py.nnz == mat_c.nnz
-
-            # compiled vs python vectorised: byte-identical, adjacency
-            # order included, and identical deterministic counters
-            assert _dhb_state(mat_py) == _dhb_state(mat_c)
-            _assert_counters_match(
-                counters["python"], counters["compiled"], what=f"dhb seed={seed}"
-            )
-
-            # vectorised vs the per-element baseline: the adjacency order
-            # legitimately differs (batch order vs sorted order), so the
-            # comparison is over canonical sorted tuples — exact except
-            # for ``plus``, whose segmented reduceat is a documented
-            # reassociation of the sequential fold
-            canon_pe, canon_py = _dhb_canonical(mat_pe), _dhb_canonical(mat_py)
-            if combine_kind == "plus":
-                assert canon_pe[:2] == canon_py[:2]
-                assert np.allclose(canon_pe[2], canon_py[2])
-            else:
-                assert canon_pe == canon_py
-
-    def test_compiled_tier_grows_existing_rows_and_updates_index(self, fake_numba):
-        mat = DHBMatrix((4, 64))
-        mat.insert_batch([0, 0, 1], [3, 7, 5], [1.0, 2.0, 3.0])
-        # large second batch on existing rows forces reserve+append misses
-        cols = np.arange(40, dtype=np.int64)
-        created = mat.insert_batch(
-            np.zeros(40, dtype=np.int64),
-            cols,
-            np.arange(40, dtype=np.float64),
-            None,
-            strategy="vectorized",
-            kernel_tier="compiled",
-        )
-        assert created == 38  # cols 3 and 7 already present
-        ref = DHBMatrix((4, 64))
-        ref.insert_batch([0, 0, 1], [3, 7, 5], [1.0, 2.0, 3.0])
-        ref.insert_batch(
-            np.zeros(40, dtype=np.int64),
-            cols,
-            np.arange(40, dtype=np.float64),
-            None,
-            strategy="vectorized",
-            kernel_tier="python",
-        )
-        assert _dhb_state(mat) == _dhb_state(ref)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        data=st.lists(
-            st.tuples(
-                st.integers(0, 5),
-                st.integers(0, 5),
-                st.floats(
-                    min_value=-8.0, max_value=8.0, allow_nan=False, width=32
-                ),
-            ),
-            min_size=1,
-            max_size=40,
-        ),
-        combine_kind=st.sampled_from(["overwrite", "noncommutative"]),
-    )
-    def test_duplicate_combine_pinned_by_hypothesis(self, data, combine_kind):
-        """Per-element ≡ vectorised(python) ≡ vectorised(compiled) for
-        last-write-wins and a non-commutative, non-associative combiner on
-        batches dense with duplicate ``(row, col)`` keys."""
-        rows = np.array([r for r, _, _ in data], dtype=np.int64)
-        cols = np.array([c for _, c, _ in data], dtype=np.int64)
-        vals = np.array([v for _, _, v in data], dtype=np.float64)
-        states, adjacency, createds = [], [], []
-        # hypothesis forbids function-scoped monkeypatch; swap by hand
-        orig = tiermod.numba_available
-        tiermod.numba_available = lambda: True
-        try:
-            for kwargs in (
-                dict(strategy="per_element"),
-                dict(strategy="vectorized", kernel_tier="python"),
-                dict(strategy="vectorized", kernel_tier="compiled"),
-            ):
-                mat = DHBMatrix((6, 6))
-                mat.insert_batch([0, 5], [0, 5], [0.5, 0.25])
-                combine = None if combine_kind == "overwrite" else (
-                    lambda a, b: a - 2.0 * b
-                )
-                createds.append(mat.insert_batch(rows, cols, vals, combine, **kwargs))
-                states.append(_dhb_canonical(mat))
-                adjacency.append(_dhb_state(mat))
-        finally:
-            tiermod.numba_available = orig
-        assert createds[0] == createds[1] == createds[2]
-        # canonical content identical across all three paths ...
-        assert states[0] == states[1] == states[2]
-        # ... and the two vectorised tiers are byte-identical including
-        # the adjacency order
-        assert adjacency[1] == adjacency[2]
 
 
 # ----------------------------------------------------------------------

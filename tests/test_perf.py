@@ -488,6 +488,9 @@ def test_kernels_figure_dispatches_the_tier_it_tags():
     document = _document("kernels")
     tiers = document["extras"]["tiers"]
     for run in document["runs"]:
+        if run["scenario"] == "dhb_batch_insert":  # one implementation, no tier
+            assert not any(name.startswith("kernels.tier_") for name in run["counters"])
+            continue
         tier = run["scenario"].rsplit(":", 1)[1] if len(tiers) > 1 else tiers[0]
         assert run["counters"][f"kernels.tier_{tier}"] >= 1
     if not numba_available():
