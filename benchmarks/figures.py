@@ -2,8 +2,7 @@
 
 A :class:`Figure` is data: the document's title, rank count and default
 seed/repeats, how its cells are measured, at most one *variant axis*
-(competitor, overlap mode, kernel tier, micro-batch size, partitioner) and
-one hook,
+(competitor, kernel tier, micro-batch size, partitioner) and one hook,
 :attr:`Figure.plan`, that turns the resolved command line (a
 :class:`Context`) into the :class:`Cell` list plus the ``extras``.  A cell
 is a tag and a thunk; everything else — warm-up, repeats, medians, variant
@@ -30,7 +29,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.bench.config import BenchProfile, paper_regime_machine
+from repro.bench.config import BenchProfile
 from repro.bench.workloads import (
     batched_operation_scenario,
     construction_scenario,
@@ -40,7 +39,6 @@ from repro.bench.workloads import (
     spgemm_stream_scenario,
 )
 from repro.core import dynamic_spgemm_algebraic
-from repro.core.api import DynamicProduct, UpdateBatch
 from repro.core.summa import summa_spgemm
 from repro.distributed import (
     DynamicDistMatrix,
@@ -54,7 +52,6 @@ from repro.distributed.distribution import BlockDistribution
 from repro.graphs import TABLE1_INSTANCES, rmat_edges
 from repro.perf import perf_count
 from repro.runtime import (
-    OVERLAP_ENV_VAR,
     REPARTITION_ENV_VAR,
     MachineModel,
     MPIBackend,
@@ -721,118 +718,6 @@ def _apps_plan(ctx: Context) -> Plan:
 
 
 # ----------------------------------------------------------------------
-# overlap: nonblocking pipelines vs their blocking schedules
-# ----------------------------------------------------------------------
-#: Extra factor on the paper-regime latency/bandwidth terms; chosen so the
-#: pipelined broadcasts are a first-order share of the simulated elapsed
-#: time on the down-scaled surrogate workloads, as they are at the paper's
-#: scale.
-OVERLAP_COMM_SCALE = 4
-
-#: The (workload, world) cells.  The CI gate requires a >= 20% simulated
-#: speedup on every cell, so only cells with robust headroom are listed.
-OVERLAP_CELLS = (("summa", 4), ("summa", 16), ("update_bcast", 16))
-
-
-def overlap_regime_machine() -> MachineModel:
-    """Paper-regime machine with comm scaled ``OVERLAP_COMM_SCALE``x."""
-    base = paper_regime_machine()
-    return MachineModel(
-        alpha=base.alpha * OVERLAP_COMM_SCALE,
-        beta=base.beta * OVERLAP_COMM_SCALE,
-        intra_node_alpha=base.intra_node_alpha * OVERLAP_COMM_SCALE,
-        intra_node_beta=base.intra_node_beta * OVERLAP_COMM_SCALE,
-    )
-
-
-def _random_tuples(n: int, nnz: int, seed: int):
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, n, nnz), rng.integers(0, n, nnz), rng.random(nnz)
-
-
-def _run_summa(comm, n_ranks: int, seed: int) -> float:
-    """The Fig. 11 protocol: static SUMMA at fixed problem size per rank.
-
-    The double-buffered schedule posts round ``k+1``'s row/column
-    broadcasts before round ``k``'s local multiplies.
-    """
-    grid = ProcessGrid(n_ranks)
-    n, nnz = 2000, 2500 * n_ranks
-    a = StaticDistMatrix.from_tuples(
-        comm, grid, (n, n), {0: _random_tuples(n, nnz, seed + 1)},
-        PLUS_TIMES, layout="csr",
-    )
-    b = StaticDistMatrix.from_tuples(
-        comm, grid, (n, n), {0: _random_tuples(n, nnz, seed + 2)},
-        PLUS_TIMES, layout="csr",
-    )
-    start = comm.elapsed()
-    summa_spgemm(comm, grid, a, b)
-    return comm.elapsed() - start
-
-
-def _run_update_bcast(comm, n_ranks: int, seed: int) -> float:
-    """The Fig. 4 style protocol: a general-mode dynamic SpGEMM stream.
-
-    Each batch recomputes ``C`` with the affected-row (``A^R``) broadcasts
-    pipelined across SUMMA rounds.  Dense ``A`` against a very sparse
-    ``B`` keeps the reduce volume (the non-pipelined share) small relative
-    to the pipelined broadcasts, matching the broadcast-bound regime of
-    the paper's update-heavy experiments.
-    """
-    grid = ProcessGrid(n_ranks)
-    n, nnz_a, nnz_b, nnz_upd, batches = 3000, 400000, 3000, 20000, 2
-    a = DynamicDistMatrix.from_tuples(
-        comm, grid, (n, n), {0: _random_tuples(n, nnz_a, seed + 1)}, PLUS_TIMES
-    )
-    b = DynamicDistMatrix.from_tuples(
-        comm, grid, (n, n), {0: _random_tuples(n, nnz_b, seed + 2)}, PLUS_TIMES
-    )
-    product = DynamicProduct(comm, grid, a, b, mode="general")
-    start = comm.elapsed()
-    for index in range(batches):
-        rows, cols, values = _random_tuples(n, nnz_upd, seed + 7 + index)
-        batch = UpdateBatch.from_global(
-            (n, n), rows, cols, values, n_ranks, kind="insert",
-            seed=seed + 13 + index,
-        )
-        product.apply_updates(a_batch=batch)
-    return comm.elapsed() - start
-
-
-_OVERLAP_PROTOCOLS = {"summa": _run_summa, "update_bcast": _run_update_bcast}
-
-
-def _overlap_plan(ctx: Context) -> Plan:
-    """One cell per (workload, world, ``REPRO_OVERLAP`` mode).
-
-    Results are byte-identical between the two modes by construction; the
-    differential suite asserts that separately.
-    """
-    backend = ctx.backends[0]
-    machine = overlap_regime_machine()
-
-    def cell(workload: str, world: int, mode: str) -> Cell:
-        def run() -> float:
-            with mock.patch.dict(os.environ, {OVERLAP_ENV_VAR: mode}):
-                comm = make_communicator(backend, n_ranks=world, machine=machine)
-                return _OVERLAP_PROTOCOLS[workload](comm, world, ctx.seed)
-
-        return Cell(run, backend, "csr", f"{workload}@p{world}", mode)
-
-    cells = [
-        cell(workload, world, mode)
-        for workload, world in OVERLAP_CELLS
-        for mode in ctx.variants
-    ]
-    return cells, lambda: {
-        "modes": list(ctx.variants),
-        "comm_scale": OVERLAP_COMM_SCALE,
-        "cells": [f"{workload}@p{world}" for workload, world in OVERLAP_CELLS],
-    }
-
-
-# ----------------------------------------------------------------------
 # kernels: compiled cores vs the pure-Python oracles
 # ----------------------------------------------------------------------
 #: SpGEMM operand scale: n×n R-MAT-skewed operands with ~AVG_DEG·n terms.
@@ -1341,15 +1226,6 @@ FIGURES: dict[str, Figure] = {
         ),
         Figure(
             "apps", "Dynamic graph analytics applications", _apps_plan
-        ),
-        Figure(
-            "overlap",
-            "Compute/communication overlap (nonblocking pipelines)",
-            _overlap_plan,
-            n_ranks=max(world for _, world in OVERLAP_CELLS),
-            repeats=5,
-            warmup=True,
-            variants=("off", "on"),
         ),
         Figure(
             "partition",

@@ -22,8 +22,8 @@ Restrict the matrix, bump the repeat count or pick a larger profile::
 
 One variant of one figure, for a two-document gate::
 
-    python benchmarks/run_suite.py --figs overlap --variant off \
-        --filename BENCH_overlap_off.json
+    python benchmarks/run_suite.py --figs service --variant 1 \
+        --filename BENCH_service_single.json
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ runtime:
 :func:`bloom_reduce_to_root` is the same pattern for Bloom-filter matrices
 with bitwise-OR combination.
 
-Both functions follow the partial-mapping contract of the communicator
+:func:`pipelined_rounds` is the double-buffered ``√p``-round broadcast
+loop shared by SUMMA, Algorithm 1 and step 5 of Algorithm 2.
+
+Both reductions follow the partial-mapping contract of the communicator
 protocol: ``contributions`` holds entries only for the group ranks this
 process owns (possibly none), which is why the output block ``shape`` is an
 explicit required argument — it cannot be inferred from a mapping that may
@@ -31,7 +34,7 @@ the process owning ``root`` and is ``None`` everywhere else.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,7 +43,40 @@ from repro.runtime.stats import StatCategory
 from repro.semirings import Semiring
 from repro.sparse import BloomFilterMatrix, COOMatrix
 
-__all__ = ["sparse_reduce_to_root", "bloom_reduce_to_root"]
+__all__ = ["pipelined_rounds", "sparse_reduce_to_root", "bloom_reduce_to_root"]
+
+Posted = TypeVar("Posted")
+Received = TypeVar("Received")
+
+
+def pipelined_rounds(
+    n_rounds: int,
+    post: Callable[[int], Posted],
+    complete: Callable[[Posted], Received],
+) -> Iterator[tuple[int, Received]]:
+    """Double-buffered broadcast rounds: yield ``(k, complete(post(k)))``.
+
+    ``post(k)`` issues round ``k``'s nonblocking broadcasts and returns
+    their handles; ``complete`` waits on them and returns what arrived.
+    Round 0 is posted up front; then, for each ``k``, round ``k`` is
+    completed, round ``k + 1`` is posted, and only then is round ``k``
+    yielded to the caller's local work — so the next round's transfers
+    progress while this round multiplies.
+
+    Posting-order invariant: every process posts the same requests in the
+    same order (round by round, and within a round in the order ``post``
+    issues them), and ``complete`` must wait on them in that order.  The
+    set of posted broadcasts may depend only on globally agreed facts
+    (grid shape, nnz censuses), never on local data.
+    """
+    if n_rounds < 1:
+        return
+    pending = post(0)
+    for k in range(n_rounds):
+        received = complete(pending)
+        if k + 1 < n_rounds:
+            pending = post(k + 1)
+        yield k, received
 
 
 def _row_range_offsets(n_rows: int, parts: int) -> np.ndarray:

@@ -40,14 +40,18 @@ result matrix ``C``.
 
 from __future__ import annotations
 
-from repro.runtime.config import overlap_enabled
+from repro.core.collectives import (
+    bloom_reduce_to_root,
+    pipelined_rounds,
+    sparse_reduce_to_root,
+)
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
 from repro.semirings import Semiring, SemiringError
 from repro.sparse import BloomFilterMatrix, COOMatrix, spgemm_local
 from repro.distributed import BlockDistribution, DynamicDistMatrix
-from repro.distributed.dist_matrix import DistMatrixBase, StaticDistMatrix
+from repro.distributed.dist_matrix import DistMatrixBase
 
 __all__ = ["compute_cstar", "dynamic_spgemm_algebraic"]
 
@@ -171,19 +175,13 @@ def compute_cstar(
             r: BloomFilterMatrix(out_dist.block_shape_of_rank(r)) for r in owned
         }
 
-    from repro.core.collectives import bloom_reduce_to_root, sparse_reduce_to_root
-
-    overlapped = overlap_enabled()
-    send = comm.ibcast if overlapped else comm.bcast
-
     def _start(term: _Term, k: int):
-        """Start the round-``k`` broadcasts of one term.
+        """Post the round-``k`` broadcasts of one term.
 
         Returns ``None`` when the whole round is skipped (every root block
-        empty), otherwise ``(group_ranks, handle_or_None)`` pairs in
-        posting order — a ``None`` handle records a per-root empty-block
-        skip.  A handle is the request of a posted ``ibcast`` on the
-        overlapped schedule and the received mapping itself otherwise.
+        empty), otherwise ``(group_ranks, request_or_None)`` pairs in
+        posting order — a ``None`` request records a per-root empty-block
+        skip.
         """
         roots = [term.bcast_root(line, k) for line in range(q)]
         if not any(term.nnz[root] for root in roots):
@@ -191,22 +189,24 @@ def compute_cstar(
         started = []
         for line, root in enumerate(roots):
             group_ranks = term.bcast_group(line)
-            handle = None
+            req = None
             if term.nnz[root]:
-                handle = send(
+                req = comm.ibcast(
                     root,
                     term.star_t.get(root),
                     group=group_ranks,
                     category=StatCategory.BCAST,
                 )
-            started.append((group_ranks, handle))
+            started.append((group_ranks, req))
         return started
 
     def _finish(started):
         """Complete a started term in posting order; ``None`` marks skips."""
+        if started is None:
+            return None
         recv: dict[int, object] = {}
-        for group_ranks, handle in started:
-            received = comm.wait(handle) if overlapped and handle is not None else handle
+        for group_ranks, req in started:
+            received = None if req is None else comm.wait(req)
             for rank in group_ranks:
                 recv[rank] = None if received is None else received[rank]
         return recv
@@ -259,25 +259,16 @@ def compute_cstar(
                     if reduced_bloom is not None:
                         bloom_parts[root].or_inplace(reduced_bloom)
 
-    pending = [_start(term, 0) for term in terms] if overlapped else []
-    for k in range(q):
-        if overlapped:
-            # Complete the prefetched round-k broadcasts, then post round
-            # k+1 so the hypersparse update blocks travel while this
-            # round's multiplies and sparse reductions run.
-            received = [None if s is None else _finish(s) for s in pending]
-            if k + 1 < q:
-                pending = [_start(term, k + 1) for term in terms]
-            for term, recv in zip(terms, received):
-                if recv is not None:
-                    _multiply_reduce(term, k, recv)
-        else:
-            # Synchronous schedule: each term broadcasts, multiplies and
-            # reduces before the next term starts.
-            for term in terms:
-                started = _start(term, k)
-                if started is not None:
-                    _multiply_reduce(term, k, _finish(started))
+    # The hypersparse update blocks of round k+1 travel while round k's
+    # multiplies and sparse reductions run.
+    for k, received in pipelined_rounds(
+        q,
+        lambda k: [_start(term, k) for term in terms],
+        lambda pending: [_finish(started) for started in pending],
+    ):
+        for term, recv in zip(terms, received):
+            if recv is not None:
+                _multiply_reduce(term, k, recv)
 
     # ------------------------------------------------------------------
     # Per-rank accumulation of the reduced contributions (owned ranks).

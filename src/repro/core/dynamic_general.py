@@ -32,7 +32,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.runtime.config import overlap_enabled
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
@@ -47,7 +46,11 @@ from repro.sparse import (
 )
 from repro.distributed import DynamicDistMatrix
 from repro.distributed.dist_matrix import DistMatrixBase
-from repro.core.collectives import bloom_reduce_to_root, sparse_reduce_to_root
+from repro.core.collectives import (
+    bloom_reduce_to_root,
+    pipelined_rounds,
+    sparse_reduce_to_root,
+)
 from repro.core.dynamic_algebraic import compute_cstar, _transpose_exchange
 
 __all__ = ["dynamic_spgemm_general", "filter_by_row_bloom"]
@@ -226,14 +229,14 @@ def dynamic_spgemm_general(
         r: BloomFilterMatrix(out_dist.block_shape_of_rank(r)) for r in owned
     }
 
-    overlapped = overlap_enabled()
-
     def _post_round(k: int):
         """Post round-``k`` broadcasts (A^R rows, then gated C* columns).
 
-        The gate ``cstar_nnz[root] == 0`` mirrors the synchronous schedule
-        exactly — the nnz census is globally known before the loop, so the
-        set of posted broadcasts is identical on every process.
+        ``A^R_{k,i}`` goes across each process row ``i`` (root ``(i, k)``)
+        and the ``C*_{k,j}`` pattern down each column ``j`` (root
+        ``(k, j)``) unless that block is empty.  The gate reads the nnz
+        census, which is globally known before the loop, so the set of
+        posted broadcasts is identical on every process.
         """
         reqs = []
         for i in range(q):
@@ -272,48 +275,32 @@ def dynamic_spgemm_general(
             )
         return reqs
 
-    pending = _post_round(0) if overlapped else None
-    for k in range(q):
+    def _wait_round(reqs):
+        """Complete a posted round in posting order.
+
+        Returns ``(ar_recv, cstar_recv)``: the received ``A^R`` block per
+        rank, and the received ``C*`` mapping per column-broadcast root.
+        """
         ar_recv: dict[int, DCSRMatrix] = {}
         cstar_recv: dict[int, dict] = {}
-        if overlapped:
-            # Complete the prefetched round-k broadcasts in posting order,
-            # then immediately post round k+1 so those transfers overlap
-            # with this round's masked multiplies and reductions.
-            for kind, group_ranks, root, req in pending:
-                received = comm.wait(req)
-                if kind == "row":
-                    for rank in group_ranks:
-                        ar_recv[rank] = received[rank]
-                else:
-                    cstar_recv[root] = received
-            pending = _post_round(k + 1) if k + 1 < q else None
-        else:
-            # Broadcast A^R_{k,i} across each process row i (root (i, k)).
-            for i in range(q):
-                root = grid.rank_of(i, k)
-                row_ranks = grid.row_group(i)
-                received = comm.bcast(
-                    root, ar_t.get(root), group=row_ranks, category=StatCategory.BCAST
-                )
-                for rank in row_ranks:
+        for kind, group_ranks, root, req in reqs:
+            received = comm.wait(req)
+            if kind == "row":
+                for rank in group_ranks:
                     ar_recv[rank] = received[rank]
+            else:
+                cstar_recv[root] = received
+        return ar_recv, cstar_recv
 
+    # Round k+1's broadcasts travel while round k's masked multiplies and
+    # reductions run.
+    for k, (ar_recv, cstar_recv) in pipelined_rounds(q, _post_round, _wait_round):
         for j in range(q):
             col_ranks = grid.col_group(j)
             root = grid.rank_of(k, j)
             if cstar_nnz[root] == 0:
                 continue
-            if overlapped:
-                received = cstar_recv[root]
-            else:
-                # Broadcast the C*_{k,j} pattern down column j (root (k, j)).
-                received = comm.bcast(
-                    root,
-                    cstar_blocks.get(root),
-                    group=col_ranks,
-                    category=StatCategory.BCAST,
-                )
+            received = cstar_recv[root]
             contributions: dict[int, COOMatrix] = {}
             bloom_contribs: dict[int, BloomFilterMatrix] = {}
             local_any = False

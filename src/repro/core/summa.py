@@ -8,12 +8,11 @@ aggregation is entirely local, which is SUMMA's advantage when both
 operands have similar sizes and its disadvantage when one operand is tiny
 (the whole large operand still gets broadcast).
 
-When :func:`repro.runtime.config.overlap_enabled` is true (the default),
-the broadcasts are double-buffered: the panels of round ``k + 1`` are
-posted with :meth:`Communicator.ibcast` before the round-``k`` local
-multiplies run, so panel transfers overlap with compute.  Requests are
-completed in posting order, which keeps the results byte-identical to the
-synchronous schedule (set ``REPRO_OVERLAP=off`` for the oracle).
+The broadcasts are double-buffered (:func:`repro.core.collectives.
+pipelined_rounds`): the panels of round ``k + 1`` are posted with
+:meth:`Communicator.ibcast` before the round-``k`` local multiplies run,
+so panel transfers overlap with compute.  Requests are completed in
+posting order, which keeps the payload placement deterministic.
 
 This implementation is used
 
@@ -26,8 +25,8 @@ This implementation is used
 
 from __future__ import annotations
 
+from repro.core.collectives import pipelined_rounds
 from repro.perf.recorder import perf_phase
-from repro.runtime.config import overlap_enabled
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
@@ -37,11 +36,6 @@ from repro.distributed import BlockDistribution, DynamicDistMatrix, StaticDistMa
 from repro.distributed.dist_matrix import DistMatrixBase
 
 __all__ = ["summa_spgemm"]
-
-
-def _local_block_as_operand(block):
-    """Blocks participate in local SpGEMM as-is (all layouts supported)."""
-    return block
 
 
 def summa_spgemm(
@@ -77,6 +71,8 @@ def summa_spgemm(
         ``C`` is a distributed matrix on the same grid; ``blooms`` maps rank
         to its local Bloom filter (``None`` unless ``compute_bloom``).
     """
+    if output not in ("dynamic", "static"):
+        raise ValueError(f"unknown output layout {output!r} (use 'dynamic' or 'static')")
     semiring = semiring if semiring is not None else a.semiring
     n, k_dim = a.shape
     k_dim2, m = b.shape
@@ -97,109 +93,66 @@ def summa_spgemm(
             r: BloomFilterMatrix(out_dist.block_shape_of_rank(r)) for r in owned
         }
 
-    overlapped = overlap_enabled()
-
     def _post_round(k: int):
         """Post the round-``k`` panel broadcasts as nonblocking requests.
 
-        Returns ``(group_ranks, request)`` pairs in deterministic order
-        (row broadcasts ``i = 0..q-1``, then column broadcasts
-        ``j = 0..q-1``) — the same order the synchronous oracle issues its
-        blocking broadcasts, so waiting in posting order reproduces the
-        exact payload placement.
+        Returns ``(group_ranks, request)`` pairs: ``A_{i,k}`` across each
+        process row ``i = 0..q-1``, then ``B_{k,j}`` down each process
+        column ``j = 0..q-1``.  Only the process owning a root holds its
+        payload; the backend moves it to everyone hosting a rank of the
+        group.
         """
-        reqs = []
-        for i in range(q):
-            root = grid.rank_of(i, k)
-            row_ranks = grid.row_group(i)
-            reqs.append(
-                (
-                    row_ranks,
-                    comm.ibcast(
-                        root,
-                        a.blocks.get(root),
-                        group=row_ranks,
-                        category=bcast_category,
-                    ),
-                )
-            )
-        for j in range(q):
-            root = grid.rank_of(k, j)
-            col_ranks = grid.col_group(j)
-            reqs.append(
-                (
-                    col_ranks,
-                    comm.ibcast(
-                        root,
-                        b.blocks.get(root),
-                        group=col_ranks,
-                        category=bcast_category,
-                    ),
-                )
-            )
-        return reqs
-
-    def _wait_round(reqs):
-        """Complete a posted round in posting order; return (a_recv, b_recv)."""
-        a_recv: dict[int, object] = {}
-        b_recv: dict[int, object] = {}
-        for idx, (group_ranks, req) in enumerate(reqs):
-            received = comm.wait(req)
-            target = a_recv if idx < q else b_recv
-            for rank in group_ranks:
-                target[rank] = received[rank]
-        return a_recv, b_recv
-
-    with perf_phase("summa"):
-        pending = None
-        if overlapped:
-            with perf_phase("bcast"):
-                pending = _post_round(0)
-        for k in range(q):
-            with perf_phase("bcast"):
-                if overlapped:
-                    # Double buffering: complete the already-posted round-k
-                    # panels, then immediately post round k+1 so its
-                    # broadcasts progress while this round's local
-                    # multiplies run.
-                    a_recv, b_recv = _wait_round(pending)
-                    pending = _post_round(k + 1) if k + 1 < q else None
-                else:
-                    # Synchronous oracle schedule: broadcast A_{i,k} across
-                    # each process row i and B_{k,j} across each process
-                    # column j.  Only the process owning the root holds the
-                    # payload; the backend moves it to everyone hosting a
-                    # rank of the group.
-                    a_recv = {}
-                    for i in range(q):
-                        root = grid.rank_of(i, k)
-                        row_ranks = grid.row_group(i)
-                        received = comm.bcast(
+        with perf_phase("bcast"):
+            reqs = []
+            for i in range(q):
+                root = grid.rank_of(i, k)
+                row_ranks = grid.row_group(i)
+                reqs.append(
+                    (
+                        row_ranks,
+                        comm.ibcast(
                             root,
                             a.blocks.get(root),
                             group=row_ranks,
                             category=bcast_category,
-                        )
-                        for rank in row_ranks:
-                            a_recv[rank] = received[rank]
-                    b_recv = {}
-                    for j in range(q):
-                        root = grid.rank_of(k, j)
-                        col_ranks = grid.col_group(j)
-                        received = comm.bcast(
+                        ),
+                    )
+                )
+            for j in range(q):
+                root = grid.rank_of(k, j)
+                col_ranks = grid.col_group(j)
+                reqs.append(
+                    (
+                        col_ranks,
+                        comm.ibcast(
                             root,
                             b.blocks.get(root),
                             group=col_ranks,
                             category=bcast_category,
-                        )
-                        for rank in col_ranks:
-                            b_recv[rank] = received[rank]
+                        ),
+                    )
+                )
+            return reqs
 
+    def _wait_round(reqs):
+        """Complete a posted round in posting order; return (a_recv, b_recv)."""
+        with perf_phase("bcast"):
+            a_recv: dict[int, object] = {}
+            b_recv: dict[int, object] = {}
+            for idx, (group_ranks, req) in enumerate(reqs):
+                received = comm.wait(req)
+                target = a_recv if idx < q else b_recv
+                for rank in group_ranks:
+                    target[rank] = received[rank]
+            return a_recv, b_recv
+
+    with perf_phase("summa"):
+        for k, (a_recv, b_recv) in pipelined_rounds(q, _post_round, _wait_round):
             inner_offset = int(a.dist.col_offsets[k])
             with perf_phase("local_mult"):
                 for rank in owned:
-                    a_blk = _local_block_as_operand(a_recv[rank])
-                    b_blk = _local_block_as_operand(b_recv[rank])
+                    a_blk = a_recv[rank]
+                    b_blk = b_recv[rank]
 
                     def _mult(a_blk=a_blk, b_blk=b_blk, inner_offset=inner_offset):
                         return spgemm_local(
@@ -240,8 +193,6 @@ def summa_spgemm(
         result: DistMatrixBase = DynamicDistMatrix(
             comm, grid, out_dist, semiring, out_blocks
         )
-    elif output == "static":
-        result = StaticDistMatrix(comm, grid, out_dist, semiring, out_blocks, layout="csr")
     else:
-        raise ValueError(f"unknown output layout {output!r} (use 'dynamic' or 'static')")
+        result = StaticDistMatrix(comm, grid, out_dist, semiring, out_blocks, layout="csr")
     return result, blooms

@@ -11,6 +11,8 @@ owns block ``(i, j)``.  The paper's scheme:
 3. group by destination *process-grid column* (counting sort again);
 4. ``ALLTOALL`` within the grid *row*.
 
+The ``√p`` group-local exchanges of one phase are posted together as
+nonblocking point-to-point messages rather than one group after another.
 Each ``ALLTOALL`` involves only ``√p`` peers, in contrast to the
 single-phase scheme used by CombBLAS (one global ``ALLTOALL`` over all
 ``p`` ranks preceded by a comparison sort of the whole tuple set), which is
@@ -25,7 +27,6 @@ from typing import Mapping
 import numpy as np
 
 from repro.perf.recorder import perf_count, perf_phase
-from repro.runtime.config import overlap_enabled
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
@@ -167,13 +168,12 @@ def _exchange_chunks(
 ) -> dict[int, dict[int, TupleArrays]]:
     """Deliver per-rank outgoing chunks with ``isend``/``irecv``.
 
-    The overlap-schedule replacement for the per-group ``alltoallv`` calls
-    of the synchronous redistribution: every cross-rank chunk travels as
-    one point-to-point message, all sends are posted before any receive is
-    waited on, and self-addressed chunks are delivered locally *without*
-    posting a request — exactly like ``alltoallv``, which never charges
-    self-messages — so the per-category communication volume stays
-    identical to the blocking schedule.  The send pattern is agreed
+    Every cross-rank chunk travels as one point-to-point message, all
+    sends are posted before any receive is waited on, and self-addressed
+    chunks are delivered locally *without* posting a request — exactly
+    like ``alltoallv``, which never charges self-messages — so the
+    per-category communication volume equals that of one ``alltoallv``
+    per process-grid line.  The send pattern is agreed
     through the uncharged ``host_merge`` control plane, so every process
     knows which sources each of its ranks must wait on; receives are
     completed in sorted ``(rank, src)`` order, keeping assembly
@@ -232,10 +232,13 @@ def redistribute_tuples(
     dtype = np.dtype(value_dtype)
     q = grid.q
     owned = comm.owned_ranks(grid.all_ranks())
-    overlapped = overlap_enabled()
 
-    def route(local, bucket_of, dest_rank_of, groups) -> dict[int, TupleArrays]:
-        """One phase: bucket each rank's tuples, deliver, reassemble."""
+    def route(local, bucket_of, dest_rank_of) -> dict[int, TupleArrays]:
+        """One phase: bucket each rank's tuples, deliver, reassemble.
+
+        The chunks of all ``√p`` groups travel in one point-to-point
+        exchange, concurrently rather than one group barrier at a time.
+        """
         sendbufs: dict[int, dict[int, TupleArrays]] = {}
         with perf_phase("sort"):
             for rank in owned:
@@ -244,22 +247,8 @@ def redistribute_tuples(
                     comm, rank, local[rank], bucket_of, dests, sort_mode, sort_category
                 )
         with perf_phase("comm"):
-            if overlapped:
-                # Overlap schedule: one point-to-point exchange across all
-                # groups at once — chunks of different groups travel
-                # concurrently instead of one group barrier at a time.
-                recv = _exchange_chunks(comm, sendbufs, category=comm_category)
-            else:
-                recv = {}
-                for group in groups:
-                    recv.update(
-                        comm.alltoallv(
-                            {r: sendbufs[r] for r in comm.owned_ranks(group)},
-                            group=group,
-                            category=comm_category,
-                        )
-                    )
-            return {rank: _concat_inbox(recv.get(rank, {}), dtype) for rank in owned}
+            recv = _exchange_chunks(comm, sendbufs, category=comm_category)
+            return {rank: _concat_inbox(recv[rank], dtype) for rank in owned}
 
     with perf_phase("redistribute"):
         # Per-rank state is partial: this process materialises (and sorts,
@@ -275,7 +264,6 @@ def redistribute_tuples(
             local,
             lambda rows, cols: dist.block_row_of(rows),
             lambda rank, dest_row: grid.rank_of(dest_row, grid.col_of(rank)),
-            [grid.col_group(col) for col in range(q)],
         )
         # phase 2: tuples are now on the right grid row; route to the
         # correct process-grid column, communicating within each grid row
@@ -283,7 +271,6 @@ def redistribute_tuples(
             local,
             lambda rows, cols: dist.block_col_of(cols),
             lambda rank, dest_col: grid.rank_of(grid.row_of(rank), dest_col),
-            [grid.row_group(row) for row in range(q)],
         )
 
 

@@ -25,9 +25,9 @@ at least ``X`` (a fraction, e.g. ``0.2``) *faster* than the baseline.
 Per-phase timings are not compared in this mode — an optimisation such as
 compute/communication overlap intentionally redistributes time between
 phases — but the communication volume checks still apply, so the speedup
-cannot come from silently doing less work.  This is the CI overlap gate:
-``BENCH_overlap`` documents produced with ``REPRO_OVERLAP=off`` (baseline)
-and ``on`` (current) are compared with ``--expect-speedup 0.2``.
+cannot come from silently doing less work.  This is the CI service gate:
+``BENCH_service`` documents produced with ``--variant 1`` (baseline) and
+``--variant 16`` (current) are compared with ``--expect-speedup 0.25``.
 
 ``--expect-reduction METRIC=FRACTION`` (repeatable) gates arbitrary
 deterministic metrics instead of wall-clock time: each matched run must

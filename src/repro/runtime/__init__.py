@@ -33,13 +33,7 @@ from repro.runtime.backend import (
     register_backend,
     resolve_backend_name,
 )
-from repro.runtime.config import (
-    MachineModel,
-    NODE_CONFIGS,
-    OVERLAP_ENV_VAR,
-    overlap_enabled,
-    ranks_for_nodes,
-)
+from repro.runtime.config import MachineModel, NODE_CONFIGS, ranks_for_nodes
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.loopback import LoopbackComm, LoopbackWorld, run_spmd
 from repro.runtime.mpi_backend import (
@@ -76,8 +70,6 @@ __all__ = [
     "resolve_backend_name",
     "MachineModel",
     "NODE_CONFIGS",
-    "OVERLAP_ENV_VAR",
-    "overlap_enabled",
     "ranks_for_nodes",
     "ProcessGrid",
     "CommStats",

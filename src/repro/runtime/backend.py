@@ -458,8 +458,8 @@ class Communicator(Protocol):
         """Complete requests *in posting order*; returns their results.
 
         The deterministic completion order is what keeps floating-point
-        accumulation and statistics byte-identical between the overlapped
-        and the synchronous schedules.
+        accumulation and statistics byte-identical across backends and
+        world sizes.
         """
         ...
 

@@ -24,51 +24,9 @@ time:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
-from repro.sparse.kernels.tier import KERNEL_TIER_ENV_VAR, resolve_kernel_tier
-
-__all__ = [
-    "KERNEL_TIER_ENV_VAR",
-    "MachineModel",
-    "NODE_CONFIGS",
-    "OVERLAP_ENV_VAR",
-    "overlap_enabled",
-    "ranks_for_nodes",
-    "resolve_kernel_tier",
-]
-
-#: Environment variable selecting the communication schedule: ``on``
-#: (default) uses the overlapped pipelines (double-buffered SUMMA,
-#: pipelined C* broadcasts, overlapped redistribution); ``off`` keeps the
-#: synchronous schedule, which serves as the differential oracle.
-OVERLAP_ENV_VAR = "REPRO_OVERLAP"
-
-# ``KERNEL_TIER_ENV_VAR`` (``REPRO_KERNEL_TIER``) and
-# ``resolve_kernel_tier`` are re-exported from
-# :mod:`repro.sparse.kernels.tier` so runtime configuration has one
-# import home for the environment switches; see that module for the
-# ``python`` / ``compiled`` / ``auto`` semantics.
-
-
-def overlap_enabled() -> bool:
-    """Whether the compute/comm-overlap pipelines are enabled.
-
-    Resolved from the ``REPRO_OVERLAP`` environment variable: ``on`` /
-    ``1`` / ``true`` / unset enable overlap, ``off`` / ``0`` / ``false``
-    select the synchronous oracle schedule.  Any other value raises so a
-    typo cannot silently flip the schedule under a benchmark run.
-    """
-    raw = os.environ.get(OVERLAP_ENV_VAR, "on").strip().lower()
-    if raw in ("on", "1", "true", "yes", ""):
-        return True
-    if raw in ("off", "0", "false", "no"):
-        return False
-    raise ValueError(
-        f"{OVERLAP_ENV_VAR}={raw!r} is not a recognised setting; "
-        "use 'on' or 'off'"
-    )
+__all__ = ["MachineModel", "NODE_CONFIGS", "ranks_for_nodes"]
 
 
 @dataclass(frozen=True)
@@ -93,7 +51,7 @@ class MachineModel:
     compute_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+        if min(self.alpha, self.beta, self.intra_node_alpha, self.intra_node_beta) < 0:
             raise ValueError("latency/bandwidth parameters must be non-negative")
         if self.ranks_per_node < 1:
             raise ValueError("ranks_per_node must be >= 1")

@@ -133,6 +133,8 @@ class TestSUMMA:
         b = DynamicDistMatrix.empty(comm16, grid16, (8, 8))
         with pytest.raises(ValueError, match="output layout"):
             summa_spgemm(comm16, grid16, a, b, output="bogus")
+        # rejected before any broadcast round or local multiply ran
+        assert not comm16.stats.categories
 
 
 # ----------------------------------------------------------------------

@@ -381,13 +381,12 @@ def test_compare_cli_round_trip(tmp_path):
 # ----------------------------------------------------------------------
 # the figure registry and its runner, every figure on reduced cells
 # ----------------------------------------------------------------------
-#: Cell tags kept per figure.  The full smoke matrix takes ~80 s (half of
-#: it the p=16 overlap cells); one cell of each kind exercises the same
-#: code.  The paper's figures keep the first instance at its smallest and
-#: largest batch, or only the smallest where nothing is claimed over sizes.
+#: Cell tags kept per figure.  The full smoke matrix takes ~25 s; one cell
+#: of each kind exercises the same code.  The paper's figures keep the
+#: first instance at its smallest and largest batch, or only the smallest
+#: where nothing is claimed over sizes.
 _ENDS = {"LiveJournal@b16", "LiveJournal@b256"}
 KEPT_TAGS = {
-    "overlap": {"summa@p4"},
     "partition": {"bursty_skewed_stream@w2"},
     "service": {"ingest", "query", "tenants@2"},
     "fig03": {"LiveJournal"},
@@ -517,7 +516,7 @@ def test_run_suite_cli_writes_and_rejects(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["ingest", "16"]
     for bad in (
         ["--figs", "fig99"],
-        ["--figs", "overlap", "--variant", "sideways"],
+        ["--figs", "service", "--variant", "sideways"],
         ["--figs", "fig08", "--variant", "on"],
         ["--figs", "fig04,fig08", "--filename", "one.json"],
         ["--figs", "fig08", "--profile", "nope"],

@@ -35,6 +35,14 @@ class TestMachineModel:
         with pytest.raises(ValueError):
             MachineModel(ranks_per_node=0)
 
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta", "intra_node_alpha", "intra_node_beta"]
+    )
+    def test_negative_message_costs_rejected(self, field):
+        # a negative cost would run the simulated clocks backwards
+        with pytest.raises(ValueError, match="non-negative"):
+            MachineModel(**{field: -1e-9})
+
     def test_message_cost_intra_vs_inter_node(self):
         model = MachineModel(ranks_per_node=4)
         intra = model.message_cost(0, 1, 1000)  # same node

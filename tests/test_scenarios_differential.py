@@ -235,6 +235,99 @@ def test_multiprocess_worlds_match_sim(results, generator_name, world):
         )
 
 
+#: Exact per-category ``(messages, bytes)`` of every generator at p=4
+#: (seed 2022).  These were recorded from the blocking schedule that the
+#: pipelines replaced; it and the pipelines gave the same numbers on both
+#: backends and all four layouts.  The pipelines must keep posting exactly
+#: the same traffic.
+PINNED_SIGNATURES_P4 = {
+    "bursty_skewed_stream": {"redist_comm": (62, 9072)},
+    "dhb_bucket_collision_stream": {"redist_comm": (77, 6720)},
+    "grow_from_empty": {"redist_comm": (48, 7608)},
+    "hotspot_vertex_stream": {"redist_comm": (55, 6480)},
+    "mixed_update_multiply": {
+        "bcast": (16, 4464),
+        "redist_comm": (40, 8184),
+        "reduce_scatter": (32, 6744),
+        "scatter": (16, 7008),
+        "send_recv": (8, 4464),
+    },
+    "multilevel_contraction": {
+        "bcast": (48, 21536),
+        "redist_comm": (41, 4368),
+        "send_recv": (6, 4608),
+    },
+    "oscillating_insert_delete": {"redist_comm": (72, 11232)},
+    "road_churn_sssp": {
+        "allreduce": (4, 48),
+        "bcast": (36, 6152),
+        "redist_comm": (47, 2856),
+        "scatter": (8, 144),
+        "send_recv": (14, 2416),
+    },
+    "sliding_window": {"redist_comm": (88, 10152)},
+    "social_triangle_stream": {
+        "bcast": (28, 9344),
+        "redist_comm": (30, 4272),
+        "reduce_scatter": (47, 16968),
+        "scatter": (28, 14400),
+        "send_recv": (16, 9376),
+    },
+    "steady_state_churn": {"redist_comm": (104, 14568)},
+}
+
+
+def test_pinned_signatures_cover_the_library():
+    assert set(PINNED_SIGNATURES_P4) == set(SCENARIO_GENERATORS)
+
+
+@pytest.mark.parametrize("layout", REPLAY_LAYOUTS)
+@pytest.mark.parametrize("generator_name", sorted(PINNED_SIGNATURES_P4))
+def test_pinned_comm_signature_p4(results, generator_name, layout):
+    for backend in BACKENDS:
+        result = results[(generator_name, backend, layout)]
+        assert result.comm_signature() == PINNED_SIGNATURES_P4[generator_name], (
+            f"{generator_name}/{backend}/{layout}"
+        )
+
+
+#: Exact per-category ``(messages, bytes)`` of the one communication
+#: schedule at p=16 (seed 2022, sim, csr): the pipelined redistribution,
+#: SUMMA, Algorithm 1's per-term census skips and Algorithm 2's gated
+#: ``A^R``/``C*`` broadcasts.  A rescheduling that changes what is posted
+#: changes these numbers.
+PINNED_SIGNATURES_P16 = {
+    "grow_from_empty": {"redist_comm": (336, 11736)},
+    "mixed_update_multiply": {
+        "bcast": (171, 14760),
+        "redist_comm": (262, 12072),
+        "reduce_scatter": (265, 11280),
+        "scatter": (192, 10896),
+        "send_recv": (48, 4976),
+    },
+    "road_churn_sssp": {
+        "allreduce": (24, 144),
+        "bcast": (300, 21072),
+        "redist_comm": (174, 5160),
+        "reduce_scatter": (12, 288),
+        "scatter": (36, 144),
+        "send_recv": (84, 3136),
+    },
+    "multilevel_contraction": {
+        "bcast": (576, 74640),
+        "redist_comm": (194, 6792),
+        "send_recv": (36, 4608),
+    },
+}
+
+
+@pytest.mark.parametrize("generator_name", sorted(PINNED_SIGNATURES_P16))
+def test_pinned_comm_signature_p16(generator_name):
+    scenario = SCENARIO_GENERATORS[generator_name](seed=SEED)
+    result = replay(scenario, backend="sim", n_ranks=16, layout="csr")
+    assert result.comm_signature() == PINNED_SIGNATURES_P16[generator_name]
+
+
 @pytest.mark.skipif(
     world_size() < 2,
     reason="real multi-process leg runs under mpiexec -n p with mpi4py",
