@@ -2,7 +2,7 @@
 
 A :class:`Figure` is data: the document's title, rank count and default
 seed/repeats, how its cells are measured, at most one *variant axis*
-(competitor, kernel tier, micro-batch size, partitioner) and one hook,
+(competitor, micro-batch size, partitioner) and one hook,
 :attr:`Figure.plan`, that turns the resolved command line (a
 :class:`Context`) into the :class:`Cell` list plus the ``extras``.  A cell
 is a tag and a thunk; everything else — warm-up, repeats, medians, variant
@@ -80,10 +80,9 @@ from repro.scenarios import (
     with_checkpoint,
     with_crash,
 )
-from repro.semirings import MIN_PLUS, PLUS_TIMES
+from repro.semirings import PLUS_TIMES
 from repro.service import GraphService, ServiceConfig
-from repro.sparse import COOMatrix, CSRMatrix, DHBMatrix, spgemm_local
-from repro.sparse.kernels import numba_available
+from repro.sparse import DHBMatrix
 
 
 # ----------------------------------------------------------------------
@@ -159,8 +158,6 @@ class Figure:
     recorded: bool = True
     #: the accepted values of the variant axis (empty: no axis)
     variants: tuple[str, ...] = ()
-    #: what ``--variant all`` measures (``None``: every accepted value)
-    default_variants: tuple[str, ...] | None = None
     #: joins tag and variant in a combined document
     variant_sep: str = ":"
     #: the cells drive their own worlds, so under ``mpiexec`` only world
@@ -718,115 +715,6 @@ def _apps_plan(ctx: Context) -> Plan:
 
 
 # ----------------------------------------------------------------------
-# kernels: compiled cores vs the pure-Python oracles
-# ----------------------------------------------------------------------
-#: SpGEMM operand scale: n×n R-MAT-skewed operands with ~AVG_DEG·n terms.
-SPGEMM_N = 1500
-SPGEMM_AVG_DEG = 8
-
-#: DHB insert scale: rows of the seeded matrix hit by the dense batch.
-DHB_ROWS = 600
-DHB_COLS = 4096
-DHB_BATCH = 24_000
-
-
-def _rmat_coo(n: int, nnz: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """R-MAT-style skewed edge endpoints (power-law rows and columns)."""
-    rng = np.random.default_rng(seed)
-    # squaring a uniform variate biases ids towards 0 — the bursty-hub
-    # degree profile that makes Gustavson rows collide heavily
-    rows = np.minimum((rng.random(nnz) ** 2 * n).astype(np.int64), n - 1)
-    cols = np.minimum((rng.random(nnz) ** 2 * n).astype(np.int64), n - 1)
-    return rows, cols
-
-
-def _spgemm_operands(seed: int) -> tuple[CSRMatrix, CSRMatrix]:
-    n, nnz = SPGEMM_N, SPGEMM_N * SPGEMM_AVG_DEG
-    mats = []
-    for offset in (0, 1):
-        rows, cols = _rmat_coo(n, nnz, seed + offset)
-        vals = np.random.default_rng(seed + 10 + offset).random(nnz) + 0.1
-        coo = COOMatrix((n, n), rows, cols, vals).sum_duplicates()
-        mats.append(CSRMatrix.from_coo(coo, dedup=False))
-    return mats[0], mats[1]
-
-
-def _dhb_workload(seed: int):
-    rng = np.random.default_rng(seed)
-    base_rows = np.repeat(np.arange(DHB_ROWS, dtype=np.int64), 8)
-    base_cols = rng.integers(0, DHB_COLS, size=base_rows.size)
-    base_vals = rng.random(base_rows.size) + 0.1
-    batch_rows = rng.integers(0, DHB_ROWS, size=DHB_BATCH)
-    batch_cols = rng.integers(0, DHB_COLS, size=DHB_BATCH)
-    batch_vals = rng.random(DHB_BATCH) + 0.1
-    return (base_rows, base_cols, base_vals), (batch_rows, batch_cols, batch_vals)
-
-
-KERNEL_TIERS = ("python", "compiled")
-# without numba the compiled column would just re-run the shimmed Python
-# code, and the suite must stay green on numba-free hosts
-KERNEL_TIERS_HERE = KERNEL_TIERS if numba_available() else ("python",)
-
-
-def _kernels_plan(ctx: Context) -> Plan:
-    """The hot local kernels under one explicit ``kernel_tier`` per cell.
-
-    ``spgemm_rmat`` is the workload the compiled ``_gustavson_core`` exists
-    for (the SPA bulk merge is exercised implicitly by the SpGEMM cells).
-    The ``kernels.tier_*`` counters show which tier executed; ``compiled``
-    without numba raises.  ``dhb_batch_insert`` lands on rows that already
-    exist, so the hash probe is the hot path; it has one implementation,
-    carries no tier and belongs to the combined document only.
-    """
-    a, b = _spgemm_operands(ctx.seed)
-    base, batch = _dhb_workload(ctx.seed)
-
-    def spgemm_cell(tier: str, compute_bloom: bool) -> Cell:
-        def run() -> float:
-            started = time.perf_counter()
-            spgemm_local(
-                a,
-                b,
-                MIN_PLUS if compute_bloom else PLUS_TIMES,
-                use_scipy=False,
-                compute_bloom=compute_bloom,
-                kernel_tier=tier,
-            )
-            return time.perf_counter() - started
-
-        tag = "spgemm_rmat:bloom" if compute_bloom else "spgemm_rmat"
-        return Cell(run, "local", "csr", tag, tier)
-
-    def dhb_batch_insert() -> float:
-        # base construction is setup — only the batch insertion is timed
-        mat = DHBMatrix((DHB_ROWS, DHB_COLS))
-        mat.insert_batch(*base)
-        started = time.perf_counter()
-        mat.insert_batch(*batch)
-        return time.perf_counter() - started
-
-    cells = []
-    for tier in ctx.variants:
-        cells.append(spgemm_cell(tier, False))
-        if ctx.combined:
-            # The Bloom fold (the bit expansion is its own inner loop)
-            # shares its per-entry filter-build cost across tiers,
-            # diluting the measured ratio — informative in the combined
-            # figure, excluded from the gated single-tier documents so
-            # ``--expect-speedup`` gates exactly the acceptance workload.
-            cells.append(spgemm_cell(tier, True))
-    if ctx.combined:
-        cells.append(Cell(dhb_batch_insert, "local", "dhb", "dhb_batch_insert"))
-    return cells, lambda: {
-        "tiers": list(ctx.variants),
-        "numba_available": numba_available(),
-        "spgemm_n": SPGEMM_N,
-        "spgemm_avg_degree": SPGEMM_AVG_DEG,
-        "dhb_batch": DHB_BATCH,
-    }
-
-
-# ----------------------------------------------------------------------
 # service: micro-batched ingestion, query latency, tenancy
 # ----------------------------------------------------------------------
 SERVICE_N = 96
@@ -1257,17 +1145,6 @@ FIGURES: dict[str, Figure] = {
             variants=SERVICE_FLUSH_SIZES,
             variant_sep="@flush",
             rank0_only=True,
-        ),
-        Figure(
-            "kernels",
-            "Compiled kernel tier vs pure-Python oracles",
-            _kernels_plan,
-            n_ranks=1,
-            seed=2022,
-            repeats=5,
-            warmup=True,
-            variants=KERNEL_TIERS,
-            default_variants=KERNEL_TIERS_HERE,
         ),
     )
 }

@@ -51,11 +51,11 @@ from repro.runtime import world_rank
 def resolve_variants(figure: Figure, variant: str = "all") -> tuple[str, ...]:
     """The variants one document of ``figure`` measures.
 
-    ``"all"`` is every variant that can run here (none for a figure
-    without an axis); anything else must be an accepted value of the axis.
+    ``"all"`` is every variant (none for a figure without an axis);
+    anything else must be an accepted value of the axis.
     """
     if variant == "all":
-        return figure.default_variants or figure.variants
+        return figure.variants
     if variant not in figure.variants:
         raise ValueError(
             f"figure {figure.name!r} has no variant {variant!r} "
@@ -67,8 +67,8 @@ def resolve_variants(figure: Figure, variant: str = "all") -> tuple[str, ...]:
 def measure(figure: Figure, cell: Cell, repeats: int) -> dict[str, Any]:
     """One ``runs[]`` entry, not yet tagged with its scenario."""
     if figure.warmup:
-        # the first call pays import, cache and (with numba) JIT costs that
-        # would otherwise skew the measured repeats
+        # the first call pays import and cache costs that would otherwise
+        # skew the measured repeats
         cell.run()
     outs, recorders = [], []
     for _ in range(repeats):
@@ -195,9 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         "--variant",
         default="all",
         help="one value of the figure's variant axis (paper figures: the competitor "
-        "ours|combblas|ctf|petsc, overlap: off|on, kernels: python|compiled, "
-        "service: flush size 1|4|16, partition: a partitioner) or 'all' for the "
-        "combined document (default); a value needs a single figure",
+        "ours|combblas|ctf|petsc, service: flush size 1|4|16, partition: a "
+        "partitioner) or 'all' for the combined document (default); a value "
+        "needs a single figure",
     )
     add("--filename", help="output file name, single figure only (BENCH_<fig>.json)")
     add("--backends", default="sim,mpi", help="comma-separated communicator backends")

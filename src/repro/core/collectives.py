@@ -222,21 +222,10 @@ def bloom_reduce_to_root(
         if bloom is None:
             bloom = BloomFilterMatrix(shape)
 
-        def _split(bloom=bloom):
-            pieces: dict[int, BloomFilterMatrix] = {}
-            for (i, j), bits in bloom.items():
-                slot = int(np.searchsorted(offsets, i, side="right") - 1)
-                piece = pieces.get(slot)
-                if piece is None:
-                    piece = BloomFilterMatrix(shape)
-                    pieces[slot] = piece
-                piece.set_bits(i, j, bits)
-            return pieces
-
-        pieces = comm.run_local(rank, _split, category=combine_category)
-        sendbufs[rank] = {
-            group[slot]: piece for slot, piece in pieces.items() if piece.nnz
-        }
+        pieces = comm.run_local(
+            rank, bloom.split_rows, offsets, category=combine_category
+        )
+        sendbufs[rank] = {group[slot]: piece for slot, piece in pieces.items()}
     received = comm.alltoallv(sendbufs, group=group, category=scatter_category)
 
     combined: dict[int, BloomFilterMatrix] = {}
@@ -244,10 +233,7 @@ def bloom_reduce_to_root(
         pieces = [p for _src, p in sorted(received.get(rank, {}).items())]
 
         def _combine(pieces=pieces):
-            out = BloomFilterMatrix(shape)
-            for piece in pieces:
-                out.or_inplace(piece)
-            return out
+            return BloomFilterMatrix(shape).or_with(*pieces)
 
         combined[rank] = comm.run_local(rank, _combine, category=combine_category)
 
@@ -257,10 +243,7 @@ def bloom_reduce_to_root(
         return None
 
     def _assemble():
-        out = BloomFilterMatrix(shape)
-        for _r, piece in sorted(gathered.items()):
-            if piece is not None:
-                out.or_inplace(piece)
-        return out
+        pieces = [p for _r, p in sorted(gathered.items()) if p is not None]
+        return BloomFilterMatrix(shape).or_with(*pieces)
 
     return comm.run_local(root, _assemble, category=combine_category)

@@ -41,9 +41,9 @@ from repro.sparse import (
     BloomFilterMatrix,
     COOMatrix,
     DCSRMatrix,
-    pattern_row_index,
     spgemm_local_masked,
 )
+from repro.sparse.layout import flat_rows
 from repro.distributed import DynamicDistMatrix
 from repro.distributed.dist_matrix import DistMatrixBase
 from repro.core.collectives import (
@@ -61,47 +61,22 @@ def filter_by_row_bloom(
 ) -> DCSRMatrix:
     """Filter a local block of ``A'`` by the row Bloom vector ``R``.
 
-    Keeps row ``r`` only when ``row_bits[r] != 0`` and, within a kept row,
-    keeps column ``k`` only when bit ``(k + col_offset) mod 64`` is set in
-    ``row_bits[r]`` (``col_offset`` converts block-local columns to global
-    inner indices).  Returns a hypersparse DCSR block ``A^R``.
+    Keeps entry ``(r, k)`` only when bit ``(k + col_offset) mod 64`` is set
+    in ``row_bits[r]`` (``col_offset`` converts block-local columns to
+    global inner indices; rows past ``row_bits`` admit nothing).  One pass
+    over the block's flat rows; returns the hypersparse DCSR block ``A^R``.
     """
-    rows_out: list[np.ndarray] = []
-    cols_out: list[np.ndarray] = []
-    vals_out: list[np.ndarray] = []
-    iterator = (
-        block.iter_rows()
-        if hasattr(block, "iter_rows")
-        else _csr_iter(block)
+    flat = flat_rows(block)
+    rows = np.repeat(flat.row_ids, np.diff(flat.row_ptr))
+    bits = np.zeros(rows.size, dtype=np.uint64)
+    inside = rows < row_bits.size
+    bits[inside] = row_bits[rows[inside]]
+    shift = ((flat.cols + col_offset) % BLOOM_BITS).astype(np.uint64)
+    admitted = ((bits >> shift) & np.uint64(1)).astype(bool)
+    survivors = COOMatrix(
+        block.shape, rows[admitted], flat.cols[admitted], flat.vals[admitted], semiring
     )
-    for r, cols, vals in iterator:
-        bits = int(row_bits[r]) if r < row_bits.size else 0
-        if bits == 0 or cols.size == 0:
-            continue
-        global_k = cols.astype(np.uint64) + np.uint64(col_offset)
-        admitted = ((np.uint64(bits) >> (global_k % np.uint64(BLOOM_BITS))) & np.uint64(1)).astype(bool)
-        if not np.any(admitted):
-            continue
-        kept = cols[admitted]
-        rows_out.append(np.full(kept.size, r, dtype=np.int64))
-        cols_out.append(kept)
-        vals_out.append(vals[admitted])
-    if not rows_out:
-        return DCSRMatrix.empty(block.shape, semiring)
-    coo = COOMatrix(
-        shape=block.shape,
-        rows=np.concatenate(rows_out),
-        cols=np.concatenate(cols_out),
-        values=np.concatenate(vals_out),
-        semiring=semiring,
-    )
-    return DCSRMatrix.from_coo(coo, dedup=False)
-
-
-def _csr_iter(block):
-    for i in block.nonzero_rows():
-        cols, vals = block.row(int(i))
-        yield int(i), cols, vals
+    return DCSRMatrix.from_coo(survivors, dedup=False)
 
 
 def dynamic_spgemm_general(
@@ -179,13 +154,11 @@ def dynamic_spgemm_general(
         fstar_blk = fstar_blocks[rank]
 
         def _row_or(cstar=cstar, f_blk=f_blk, fstar_blk=fstar_blk, block_rows=block_rows):
-            merged = f_blk.or_with(fstar_blk)
-            pattern = zip(cstar.rows, cstar.cols)
-            e = merged.masked_by((int(i), int(j)) for i, j in pattern)
-            bits = np.zeros(block_rows, dtype=np.uint64)
-            for (i, _j), b in e.items():
-                bits[i] |= np.uint64(b)
-            return bits
+            e = f_blk.or_with(fstar_blk).masked_by(cstar.rows, cstar.cols)
+            rows, bits = e.reduce_rows_or()
+            row_bits = np.zeros(block_rows, dtype=np.uint64)
+            row_bits[rows] = bits
+            return row_bits
 
         row_bits_per_rank[rank] = comm.run_local(
             rank, _row_or, category=StatCategory.LOCAL_COMPUTE
@@ -317,15 +290,13 @@ def dynamic_spgemm_general(
                     cstar_pattern=cstar_pattern,
                     inner_offset=inner_offset,
                 ):
-                    # Section VI-B: each rank builds its own hash index of
-                    # the broadcast C* block rather than receiving the hash
-                    # table itself.
-                    mask_rows = pattern_row_index(cstar_pattern)
+                    # Section VI-B: each rank masks at the broadcast C* block
+                    # itself rather than receiving a hash table of it.
                     return spgemm_local_masked(
                         ar_blk,
                         b_blk,
                         semiring,
-                        mask_rows,
+                        cstar_pattern,
                         compute_bloom=True,
                         inner_offset=inner_offset,
                     )
@@ -376,11 +347,9 @@ def dynamic_spgemm_general(
             # No surviving contribution: the entry becomes a structural
             # zero of C'.
             c_blk.delete_batch(rows[~kept], cols[~kept])
-            for i, j, keep in zip(rows.tolist(), cols.tolist(), kept.tolist()):
-                if keep:
-                    f_blk.overwrite(i, j, h_blk.get(i, j))
-                else:
-                    f_blk.delete(i, j)
+            # F' = (F without C*) | (H at the recomputed entries)
+            f_blk.drop_pattern(rows, cols)
+            f_blk.or_inplace(h_blk.masked_by(rows[kept], cols[kept]))
 
         comm.run_local(rank, _merge, category=StatCategory.LOCAL_ADDITION)
     return int(comm.host_fold(recomputed, lambda x, y: x + y))

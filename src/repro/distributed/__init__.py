@@ -14,8 +14,8 @@ This package implements Section IV of the paper:
 * :mod:`repro.distributed.updates` — batch-update representation and the
   construction of distributed (hypersparse, DCSR) update matrices.
 * :mod:`repro.distributed.serialization` — faithful block codecs used by
-  the checkpoint/restore subsystem (adjacency order, capacities and bloom
-  insertion order all survive the round trip).
+  the checkpoint/restore subsystem (adjacency order and capacities survive
+  the round trip; bloom filters are checked as they are read).
 """
 
 from repro.distributed.distribution import BlockDistribution, IndexPermutation

@@ -18,8 +18,8 @@ scalars (safe to ship through ``np.savez`` or any communicator):
 
 plus the layout-specific arrays.  Bloom filter matrices (the incremental
 state ``F`` of the general dynamic-SpGEMM algorithm) get their own pair of
-helpers; their ``(row, col) -> bits`` mapping is encoded in insertion order
-so the rebuilt dict iterates identically.
+helpers: a filter is already three typed arrays in ``(row, col)`` order,
+and decoding checks that what it reads can only describe one filter.
 """
 
 from __future__ import annotations
@@ -143,15 +143,8 @@ def _decode_dhb(
 
 
 def encode_bloom(matrix: BloomFilterMatrix) -> dict[str, Any]:
-    """Encode a bloom-filter matrix, preserving entry insertion order."""
-    n_entries = len(matrix._bits)
-    rows = np.empty(n_entries, dtype=np.int64)
-    cols = np.empty(n_entries, dtype=np.int64)
-    bits = np.empty(n_entries, dtype=np.uint64)
-    for k, ((i, j), b) in enumerate(matrix._bits.items()):
-        rows[k] = i
-        cols[k] = j
-        bits[k] = b
+    """Encode a bloom-filter matrix as its sorted ``(rows, cols, bits)`` arrays."""
+    rows, cols, bits = matrix.to_arrays()
     return {
         "layout": "bloom",
         "shape": (int(matrix.shape[0]), int(matrix.shape[1])),
@@ -162,12 +155,32 @@ def encode_bloom(matrix: BloomFilterMatrix) -> dict[str, Any]:
 
 
 def decode_bloom(data: dict[str, Any]) -> BloomFilterMatrix:
-    """Rebuild a bloom-filter matrix from its :func:`encode_bloom` form."""
+    """Rebuild a bloom-filter matrix from its :func:`encode_bloom` form.
+
+    Entries may come in any order: snapshots written while ``F`` was a
+    dict list them in insertion order.  Raises :class:`BlockCodecError`
+    unless the encoding holds aligned ``int64``/``int64``/``uint64`` arrays
+    of in-shape coordinates, each coordinate once, with no zero bitfield.
+    """
     if data.get("layout") != "bloom":
         raise BlockCodecError(
             f"expected a bloom encoding, got layout {data.get('layout')!r}"
         )
-    shape = (int(data["shape"][0]), int(data["shape"][1]))
-    return BloomFilterMatrix.from_arrays(
-        shape, data["rows"], data["cols"], data["bits"]
-    )
+    try:
+        n, m = (int(data["shape"][0]), int(data["shape"][1]))
+        rows, cols, bits = (np.asarray(data[key]) for key in ("rows", "cols", "bits"))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise BlockCodecError(f"malformed bloom encoding: {exc}") from exc
+    dtypes = (rows.dtype, cols.dtype, bits.dtype)
+    if dtypes != (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.uint64)):
+        raise BlockCodecError(f"bloom arrays must be int64, int64, uint64: {dtypes}")
+    if np.any(bits == 0):
+        raise BlockCodecError("bloom entry with an empty bitfield")
+    try:
+        matrix = BloomFilterMatrix.from_arrays((n, m), rows, cols, bits)
+    except (ValueError, IndexError) as exc:
+        raise BlockCodecError(f"malformed bloom encoding: {exc}") from exc
+    # no bitfield is zero, so only a repeated coordinate folds entries away
+    if matrix.nnz != rows.size:
+        raise BlockCodecError("bloom encoding repeats a (row, col) coordinate")
+    return matrix

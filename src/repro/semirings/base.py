@@ -9,9 +9,9 @@ paper.
 
 The implementation is deliberately NumPy-first: ``add`` and ``mul`` must be
 NumPy ufuncs (or ufunc-like callables supporting ``reduceat`` /
-``reduce``) so that the Gustavson accumulation in
-:mod:`repro.sparse.spgemm_local` can merge duplicate column indices without
-Python loops.
+``reduce``) so that the expand–sort–compress kernel in
+:mod:`repro.sparse.spgemm_local` can merge duplicate output coordinates
+without Python loops.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ The paper distinguishes three local storage layouts (Section IV):
 
 On top of these the package provides the local kernels needed by the
 distributed algorithms: element-wise ``ADD`` / ``MERGE`` / ``MASK``
-(Section IV-A), Gustavson's row-wise SpGEMM with a sparse accumulator,
-its masked variant, and the 64-bit Bloom-filter matrices of Section V-B.
+(Section IV-A), an expand–sort–compress SpGEMM and its masked variant
+(with a sparse-accumulator Gustavson loop as their test oracle), and the
+64-bit Bloom-filter matrices of Section V-B.
 """
 
 from repro.sparse.layout import (
@@ -34,7 +35,6 @@ from repro.sparse.elementwise import (
     add_coo,
     mask_pattern,
     merge_pattern,
-    pattern_row_index,
 )
 from repro.sparse.spgemm_local import (
     spgemm_local,
@@ -58,7 +58,6 @@ __all__ = [
     "add_coo",
     "merge_pattern",
     "mask_pattern",
-    "pattern_row_index",
     "spgemm_local",
     "spgemm_local_masked",
     "spgemm_rowwise_spa",

@@ -47,7 +47,13 @@ from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.dcsr import DCSRMatrix
-from repro.sparse.layout import FlatRows, register_flat_rows, register_row_layout
+from repro.sparse.layout import (
+    FlatRows,
+    _ranges,
+    _runs,
+    register_flat_rows,
+    register_row_layout,
+)
 
 __all__ = ["DHBMatrix", "DHBStorage"]
 
@@ -82,22 +88,6 @@ class DHBStorage(NamedTuple):
     grow_count: int
     cols: np.ndarray
     vals: np.ndarray
-
-
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``."""
-    ends = lens.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    return (starts - ends + lens).repeat(lens) + np.arange(total)
-
-
-def _runs(sorted_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, length)`` of each run of equal values in a non-empty sorted array."""
-    change = np.empty(sorted_ids.size + 1, dtype=bool)
-    change[0] = change[-1] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=change[1:-1])
-    edges = change.nonzero()[0]
-    return edges[:-1], edges[1:] - edges[:-1]
 
 
 class DHBMatrix:

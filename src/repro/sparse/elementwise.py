@@ -10,8 +10,6 @@ element-wise kernels:
   ``A*`` (insert those that are missing).
 * :func:`mask_pattern` — MASK: delete entries of ``A`` that are non-zero in
   ``A*``.
-* :func:`pattern_row_index` — row → sorted column-array view of a sparsity
-  pattern, the representation used for masked SpGEMM.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 
 from repro.sparse.coo import COOMatrix
 
-__all__ = ["add_coo", "merge_pattern", "mask_pattern", "pattern_row_index"]
+__all__ = ["add_coo", "merge_pattern", "mask_pattern"]
 
 
 def _coo_of(mat) -> COOMatrix:
@@ -83,28 +81,3 @@ def mask_pattern(a, update) -> COOMatrix:
         values=ca.values[keep],
         semiring=ca.semiring,
     ).sum_duplicates()
-
-
-def pattern_row_index(mat) -> dict[int, np.ndarray]:
-    """Row → sorted array of non-zero columns for a sparsity pattern.
-
-    This is the mask representation consumed by
-    :func:`repro.sparse.spgemm_local.spgemm_local_masked` and by the local
-    hash-table construction described in Section VI-B.
-    """
-    coo = _coo_of(mat)
-    out: dict[int, np.ndarray] = {}
-    if coo.nnz == 0:
-        return out
-    canon = coo.sum_duplicates()
-    order = np.argsort(canon.rows, kind="stable")
-    rows_sorted = canon.rows[order]
-    cols_sorted = canon.cols[order]
-    boundaries = np.flatnonzero(
-        np.concatenate(([True], rows_sorted[1:] != rows_sorted[:-1]))
-    )
-    boundaries = np.append(boundaries, rows_sorted.size)
-    for b in range(len(boundaries) - 1):
-        lo, hi = boundaries[b], boundaries[b + 1]
-        out[int(rows_sorted[lo])] = np.sort(cols_sorted[lo:hi])
-    return out

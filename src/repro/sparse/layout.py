@@ -21,17 +21,17 @@ to an adapter factory, and :func:`row_reader` resolves an operand by walking
 its MRO through the registry before falling back to the native protocol.
 This replaces the ``isinstance`` dispatch chains the kernels used to carry.
 
-The compiled kernel tier (:mod:`repro.sparse.kernels`) needs a third view:
-the operand's non-empty rows as *flat arrays* it can hand to a jitted
-core.  :func:`flat_rows` produces a :class:`FlatRows` record through a
-second per-type registry (:func:`register_flat_rows` — CSR and DCSR expose
-their storage zero-copy, DHB gathers its row arrays in one pass) with a
-generic fallback for unregistered layouts that concatenates ``iter_rows()``
-output.  Every extractor preserves each row's native within-row order —
-which is what keeps the compiled tier byte-identical to the Python tier
+The expand–sort–compress kernel of :mod:`repro.sparse.spgemm_local` needs
+a third view: the operand's non-empty rows as *flat arrays* it can expand
+in one pass.  :func:`flat_rows` produces a :class:`FlatRows` record through
+a second per-type registry (:func:`register_flat_rows` — CSR and DCSR
+expose their storage zero-copy, DHB gathers its row arrays in one pass)
+with a generic fallback for unregistered layouts that concatenates
+``iter_rows()`` output.  Every extractor preserves each row's native
+within-row order — which fixes the order a product's terms are folded in
 for layouts like DHB whose rows are in adjacency (insertion) order — and
-the same view is what DHB's conversions, the left-operand pruning of
-:mod:`repro.sparse.spgemm_local` and the triangle query read.
+the same view is what DHB's conversions, the left-operand pruning in front
+of the kernel, Algorithm 2's ``A^R`` filter and the triangle query read.
 """
 
 from __future__ import annotations
@@ -116,6 +116,22 @@ def register_flat_rows(cls: type, extractor: Callable[[Any], FlatRows]) -> None:
 def registered_flat_rows_layouts() -> tuple[type, ...]:
     """The layout classes with a registered flat-row extractor."""
     return tuple(_FLAT_ROWS_REGISTRY)
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lens)])``."""
+    ends = lens.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    return (starts - ends + lens).repeat(lens) + np.arange(total)
+
+
+def _runs(sorted_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, length)`` of each run of equal values in a non-empty sorted array."""
+    change = np.empty(sorted_ids.size + 1, dtype=bool)
+    change[0] = change[-1] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=change[1:-1])
+    edges = change.nonzero()[0]
+    return edges[:-1], edges[1:] - edges[:-1]
 
 
 def pack_rows(rows: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> FlatRows:

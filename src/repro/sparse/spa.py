@@ -8,20 +8,17 @@ that accumulator: a dict maps an output column to its slot in dynamic
 ``cols`` / ``vals`` lists, so accumulation is O(1) expected per term and the
 result can be emitted without sorting.
 
-The vectorised kernel in :mod:`repro.sparse.spgemm_local` does not need this
-class (it uses sort + ``reduceat``), but the SPA-based reference
-implementation is kept both for fidelity to the paper and as an independent
-oracle for the property-based tests.
+The expand–sort–compress kernel in :mod:`repro.sparse.spgemm_local` does
+not use this class; the SPA, one hash probe per term, backs the reference
+implementation :func:`~repro.sparse.spgemm_local.spgemm_rowwise_spa` —
+faithful to the paper and independent of the kernel it checks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.perf.recorder import perf_count
 from repro.semirings import Semiring
-from repro.sparse.kernels.spa import sort_merge_order
-from repro.sparse.kernels.tier import count_tier, resolve_kernel_tier
 
 __all__ = ["SparseAccumulator"]
 
@@ -63,82 +60,18 @@ class SparseAccumulator:
         cols: np.ndarray,
         vals: np.ndarray,
         bloom_bit: int = 0,
-        allowed: "set[int] | np.ndarray | None" = None,
+        allowed: set[int] | None = None,
     ) -> None:
         """Accumulate ``scale ⊗ vals`` into the columns ``cols``.
 
-        ``allowed`` optionally restricts output columns (masked SpGEMM); it
-        may be a Python set (tested per element inside the oracle loop) or a
-        NumPy array of allowed columns, which is intersected vectorised
-        before any scattering happens.
-
-        An empty accumulator takes a vectorised bulk-load fast path (one
-        sort plus a segmented ``reduceat`` merge); scattering on top of
-        existing entries keeps the per-element hash-probe loop, which *is*
-        the accumulator design the paper describes and the oracle the
-        property tests rely on.
+        ``allowed`` optionally restricts the output columns (masked SpGEMM);
+        it is tested per element, like every other step of the loop.
         """
         scaled = self.semiring.times(scale, vals)
-        cols_arr = np.asarray(cols, dtype=np.int64)
-        if isinstance(allowed, np.ndarray):
-            keep = np.isin(cols_arr, allowed)
-            cols_arr = cols_arr[keep]
-            scaled = np.asarray(scaled)[keep]
-            allowed = None
-        if allowed is None and not self._cols:
-            self._bulk_load(cols_arr, scaled, bloom_bit)
-            return
-        perf_count("spa.scatter_loop")
-        # One dtype conversion for the whole row: ``tolist`` yields native
-        # Python ints, so the hot loop avoids a per-element ``int(c)`` call.
-        cols_int = cols_arr.tolist()
-        if allowed is None:
-            for c, v in zip(cols_int, scaled):
+        # ``tolist`` yields native Python ints: one conversion for the row
+        for c, v in zip(np.asarray(cols, dtype=np.int64).tolist(), scaled):
+            if allowed is None or c in allowed:
                 self.accumulate(c, v, bloom_bit)
-        else:
-            for c, v in zip(cols_int, scaled):
-                if c in allowed:
-                    self.accumulate(c, v, bloom_bit)
-
-    def _bulk_load(self, cols: np.ndarray, scaled, bloom_bit: int) -> None:
-        """Vectorised scatter of a whole row into the *empty* accumulator.
-
-        Duplicate columns are ⊕-combined with a stable sort plus segmented
-        ``reduceat``; stability preserves the encounter order within each
-        column, so the result matches the per-element oracle (up to the
-        floating-point reassociation ``ufunc.reduceat`` is free to apply
-        inside a segment).
-
-        The compiled kernel tier replaces only the sort/segmentation with
-        :func:`repro.sparse.kernels.spa.sort_merge_order`; the ⊕-fold uses
-        the same ``Semiring.add_reduceat`` call in both tiers, and a
-        stable sort permutation is unique, so the tiers are
-        byte-identical.
-        """
-        if cols.size == 0:
-            return
-        perf_count("spa.scatter_bulk")
-        vals = self.semiring.coerce(scaled)
-        tier = resolve_kernel_tier()
-        count_tier("spa_bulk_load", tier)
-        if tier == "compiled":
-            order, starts = sort_merge_order(cols)
-            cols_s = cols[order]
-        else:
-            order = np.argsort(cols, kind="stable")
-            cols_s = cols[order]
-            boundary = np.empty(cols_s.size, dtype=bool)
-            boundary[0] = True
-            np.not_equal(cols_s[1:], cols_s[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-        vals_s = vals[order]
-        if starts.size != cols_s.size:
-            cols_s = cols_s[starts]
-            vals_s = self.semiring.add_reduceat(vals_s, starts)
-        self._cols = cols_s.tolist()
-        self._vals = vals_s.tolist()
-        self._bits = [int(bloom_bit)] * len(self._cols)
-        self._slot = dict(zip(self._cols, range(len(self._cols))))
 
     # ------------------------------------------------------------------
     @property

@@ -2,17 +2,29 @@
 
 The distributed algorithms reduce to repeated *local* multiplications of a
 (usually hypersparse) left operand with a local block of the right operand.
-Three kernels are provided:
+Every such multiplication that scipy does not take runs through one
+expand–sort–compress (ESC) kernel, the SpGEMM of Dalton, Olson and Bell
+(ACM TOMS 2015), over whole blocks in NumPy:
 
-* :func:`spgemm_local` — Gustavson's row-wise algorithm, vectorised with
-  NumPy (concatenate the scaled ``B`` rows selected by each ``A`` row, then
-  sort + ``reduceat`` to ⊕-combine duplicate output columns).  Optionally
-  produces the Bloom-filter bits of Section V-B and falls back to a
-  ``scipy.sparse`` fast path for the ``(+, ·)`` semiring.
+* **expand** every term ``(i, j, a_ik ⊗ b_kj, bit(k))`` in Gustavson's
+  order — the left operand's rows ascending, ``k`` in native in-row order,
+  then the ``B`` row in native order;
+* **sort** the terms with one stable sort by ``(i, j)``;
+* **compress** each run with one ``Semiring.add_reduceat`` and one
+  ``bitwise_or.reduceat``.
+
+A stable sort keeps Gustavson's order inside every run, and a ``reduceat``
+segment does not depend on where it sits in the buffer, so each output
+entry is ⊕-folded exactly as a row-by-row Gustavson loop would fold it.
+The entry points:
+
+* :func:`spgemm_local` — ``C = A ⊗.⊕ B``, optionally with the Bloom-filter
+  bits of Section V-B; the ``(+, ·)`` semiring without Bloom bits takes a
+  ``scipy.sparse`` fast path.
 * :func:`spgemm_local_masked` — the masked variant used by the
-  general-update algorithm: only output positions present in the mask are
-  produced (Section VI-B builds a hash table of the mask; here the mask is a
-  row → sorted-columns index and membership is tested with ``np.isin``).
+  general-update algorithm: only output positions in the pattern of a
+  ``C*`` block are produced (Section VI-B builds a hash table of the mask;
+  here membership is one ``searchsorted`` of ``row·m + col`` keys).
 * :func:`spgemm_rowwise_spa` — a literal sparse-accumulator implementation
   (slow, loop-based) kept as an independent oracle for tests.
 """
@@ -26,13 +38,7 @@ from repro.semirings import Semiring
 from repro.sparse.bloom import BLOOM_BITS, BloomFilterMatrix
 from repro.sparse.coo import COOMatrix
 from repro.sparse.dcsr import DCSRMatrix
-from repro.sparse.kernels.spgemm import (
-    compiled_supported,
-    spgemm_rowwise_compiled,
-    spgemm_rowwise_masked_compiled,
-)
-from repro.sparse.kernels.tier import count_tier, resolve_kernel_tier
-from repro.sparse.layout import flat_rows, pack_rows, row_reader
+from repro.sparse.layout import _ranges, _runs, flat_rows, pack_rows, row_reader
 from repro.sparse.spa import SparseAccumulator
 
 __all__ = ["spgemm_local", "spgemm_local_masked", "spgemm_rowwise_spa"]
@@ -44,31 +50,6 @@ def _check_shapes(a_shape: tuple[int, int], b_shape: tuple[int, int]) -> tuple[i
     if k != k2:
         raise ValueError(f"inner dimensions do not match: {a_shape} x {b_shape}")
     return n, m
-
-
-def _dedup_row(
-    cols: np.ndarray,
-    vals: np.ndarray,
-    bits: np.ndarray | None,
-    semiring: Semiring,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """⊕-combine duplicate columns of one output row (bits OR-combined)."""
-    if cols.size == 0:
-        return cols, vals, bits
-    order = np.argsort(cols, kind="stable")
-    cols_sorted = cols[order]
-    vals_sorted = vals[order]
-    boundary = np.empty(cols_sorted.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(cols_sorted[1:], cols_sorted[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    out_cols = cols_sorted[starts]
-    out_vals = semiring.add.reduceat(vals_sorted, starts)
-    out_bits = None
-    if bits is not None:
-        bits_sorted = bits[order]
-        out_bits = np.bitwise_or.reduceat(bits_sorted, starts)
-    return out_cols, out_vals, out_bits
 
 
 def _scipy_convertible(mat) -> bool:
@@ -151,6 +132,75 @@ def _scipy_fast_path(a, b, semiring: Semiring) -> COOMatrix:
     ).sort()
 
 
+def _esc(
+    a,
+    b,
+    semiring: Semiring,
+    *,
+    compute_bloom: bool,
+    inner_offset: int,
+    mask=None,
+) -> tuple[COOMatrix, BloomFilterMatrix | None, int, int]:
+    """Expand–sort–compress ``A·B``, restricted to ``mask``'s pattern if given.
+
+    Returns ``(C, F or None, terms, rows)``: ``terms`` counts the expanded
+    terms (of the left rows the mask keeps, before the mask filters them)
+    and ``rows`` the output rows that received an entry.
+    """
+    shape = _check_shapes(a.shape, b.shape)
+    m = shape[1]
+    fa = flat_rows(a)
+    a_rows = np.repeat(fa.row_ids, np.diff(fa.row_ptr))
+    a_cols, a_vals = fa.cols, fa.vals
+    if mask is not None:
+        mask = mask.to_coo()
+        in_mask = np.isin(a_rows, mask.rows)
+        a_rows, a_cols, a_vals = a_rows[in_mask], a_cols[in_mask], a_vals[in_mask]
+    # B's rows: a DHB block gathers only those A selects; the others are
+    # read zero-copy (CSR, DCSR) or packed once
+    fb = b.flat_rows(np.unique(a_cols)) if hasattr(b, "flat_rows") else flat_rows(b)
+    b_start = np.zeros(b.shape[0], dtype=np.int64)
+    b_len = np.zeros(b.shape[0], dtype=np.int64)
+    b_start[fb.row_ids] = fb.row_ptr[:-1]
+    b_len[fb.row_ids] = np.diff(fb.row_ptr)
+
+    # expand
+    lens = b_len[a_cols]
+    at = _ranges(b_start[a_cols], lens)
+    rows = np.repeat(a_rows, lens)
+    cols = fb.cols[at]
+    vals = semiring.times(np.repeat(a_vals, lens), fb.vals[at])
+    n_terms = int(cols.size)
+    keys = rows * np.int64(m) + cols
+    if compute_bloom:
+        shift = (np.repeat(a_cols, lens) + inner_offset) % BLOOM_BITS
+        bits = np.uint64(1) << shift.astype(np.uint64)
+    if mask is not None:
+        mask_keys = np.unique(mask.rows * np.int64(m) + mask.cols)
+        pos = np.minimum(np.searchsorted(mask_keys, keys), mask_keys.size - 1)
+        kept = mask_keys[pos] == keys
+        keys, rows, cols, vals = keys[kept], rows[kept], cols[kept], vals[kept]
+        if compute_bloom:
+            bits = bits[kept]
+
+    bloom = BloomFilterMatrix(shape) if compute_bloom else None
+    if keys.size == 0:
+        return COOMatrix.empty(shape, semiring), bloom, n_terms, 0
+    # sort
+    order = np.argsort(keys, kind="stable")
+    starts, _ = _runs(keys[order])
+    # compress
+    out_rows, out_cols = rows[order][starts], cols[order][starts]
+    result = COOMatrix(
+        shape, out_rows, out_cols, semiring.add_reduceat(vals[order], starts), semiring
+    )
+    if compute_bloom:
+        bloom = BloomFilterMatrix.from_arrays(
+            shape, out_rows, out_cols, np.bitwise_or.reduceat(bits[order], starts)
+        )
+    return result, bloom, n_terms, int(np.count_nonzero(np.diff(out_rows))) + 1
+
+
 # ----------------------------------------------------------------------
 # main kernels
 # ----------------------------------------------------------------------
@@ -162,7 +212,6 @@ def spgemm_local(
     compute_bloom: bool = False,
     use_scipy: bool | None = None,
     inner_offset: int = 0,
-    kernel_tier: str | None = None,
 ) -> tuple[COOMatrix, BloomFilterMatrix | None]:
     """Local SpGEMM ``C = A ⊗.⊕ B`` returning ``(C as COO, bloom or None)``.
 
@@ -170,8 +219,7 @@ def spgemm_local(
     ----------
     a, b:
         Left / right operand in any of the local layouts (COO, CSR, DCSR,
-        DHB).  The right operand needs row access and is converted to CSR
-        when given as COO.
+        DHB) or any operand with row access.
     semiring:
         Semiring used for ⊗ and ⊕.
     compute_bloom:
@@ -187,13 +235,8 @@ def spgemm_local(
         Bloom bitfield.  Distributed callers pass the global column offset
         of the left operand's block so that bits refer to *global* inner
         indices.
-    kernel_tier:
-        Per-call override of the kernel tier (``'python'``, ``'compiled'``
-        or ``'auto'``); ``None`` defers to ``REPRO_KERNEL_TIER``.  The
-        compiled tier only applies to the rowwise path and falls back to
-        Python for semirings its cores cannot represent exactly.
     """
-    n, m = _check_shapes(a.shape, b.shape)
+    _check_shapes(a.shape, b.shape)
     eligible = semiring.name == "plus_times" and not compute_bloom
     # scipy is applicable only when the semiring/Bloom request permit it,
     # both operands are non-empty, and both are convertible — a *forced*
@@ -216,251 +259,69 @@ def spgemm_local(
             return result, None
 
         perf_count("spgemm.rowwise_calls")
-        a = _live_entries(a, b, semiring)
-        tier = resolve_kernel_tier(kernel_tier)
-        if tier == "compiled" and compiled_supported(semiring):
-            count_tier("spgemm_rowwise", "compiled")
-            result, bloom, n_terms, n_rows = spgemm_rowwise_compiled(
-                a,
-                b,
-                semiring,
-                (n, m),
-                compute_bloom=compute_bloom,
-                inner_offset=inner_offset,
-            )
-            perf_count("spgemm.terms", n_terms)
-            perf_count("spgemm.rows", n_rows)
-            perf_count("spgemm.output_nnz", result.nnz)
-            return result, bloom
-        count_tier("spgemm_rowwise", "python")
-        return _spgemm_rowwise(
-            a,
+        result, bloom, n_terms, n_rows = _esc(
+            _live_entries(a, b, semiring),
             b,
             semiring,
-            (n, m),
             compute_bloom=compute_bloom,
             inner_offset=inner_offset,
         )
-
-
-def _spgemm_rowwise(
-    a,
-    b,
-    semiring: Semiring,
-    shape: tuple[int, int],
-    *,
-    compute_bloom: bool,
-    inner_offset: int,
-) -> tuple[COOMatrix, BloomFilterMatrix | None]:
-    """The vectorised Gustavson loop shared by the scipy-free path."""
-    n, m = shape
-    b_row = row_reader(b).row_arrays
-    out_rows: list[np.ndarray] = []
-    out_cols: list[np.ndarray] = []
-    out_vals: list[np.ndarray] = []
-    bloom_entries: list[tuple[int, np.ndarray, np.ndarray]] = []
-    n_terms = 0
-
-    for i, a_cols, a_vals in row_reader(a).iter_rows():
-        chunks_c: list[np.ndarray] = []
-        chunks_v: list[np.ndarray] = []
-        chunks_b: list[np.ndarray] = []
-        for k, a_ik in zip(a_cols, a_vals):
-            b_cols, b_vals = b_row(int(k))
-            if b_cols.size == 0:
-                continue
-            chunks_c.append(b_cols)
-            chunks_v.append(semiring.times(a_ik, b_vals))
-            if compute_bloom:
-                bit = np.uint64(1) << np.uint64((int(k) + inner_offset) % BLOOM_BITS)
-                chunks_b.append(np.full(b_cols.size, bit, dtype=np.uint64))
-        if not chunks_c:
-            continue
-        cols = np.concatenate(chunks_c)
-        vals = np.concatenate(chunks_v)
-        bits = np.concatenate(chunks_b) if compute_bloom else None
-        n_terms += cols.size
-        cols, vals, bits = _dedup_row(cols, vals, bits, semiring)
-        out_rows.append(np.full(cols.size, i, dtype=np.int64))
-        out_cols.append(cols)
-        out_vals.append(vals)
-        if compute_bloom:
-            bloom_entries.append((i, cols, bits))
-
-    perf_count("spgemm.terms", n_terms)
-    perf_count("spgemm.rows", len(out_rows))
-
-    if not out_rows:
-        result = COOMatrix.empty((n, m), semiring)
-    else:
-        result = COOMatrix(
-            shape=(n, m),
-            rows=np.concatenate(out_rows),
-            cols=np.concatenate(out_cols),
-            values=np.concatenate(out_vals),
-            semiring=semiring,
-        )
-    bloom = None
-    if compute_bloom:
-        bloom = BloomFilterMatrix((n, m))
-        for i, cols, bits in bloom_entries:
-            for j, bitfield in zip(cols, bits):
-                bloom.set_bits(int(i), int(j), int(bitfield))
-    perf_count("spgemm.output_nnz", result.nnz)
-    return result, bloom
+        perf_count("spgemm.terms", n_terms)
+        perf_count("spgemm.rows", n_rows)
+        perf_count("spgemm.output_nnz", result.nnz)
+        return result, bloom
 
 
 def spgemm_local_masked(
     a,
     b,
     semiring: Semiring,
-    mask_rows: dict[int, np.ndarray],
+    mask,
     *,
     compute_bloom: bool = True,
     inner_offset: int = 0,
-    kernel_tier: str | None = None,
 ) -> tuple[COOMatrix, BloomFilterMatrix | None]:
-    """Masked local SpGEMM: only output positions present in the mask.
+    """Masked local SpGEMM: only output positions in the pattern of ``mask``.
 
-    ``mask_rows`` maps an output row to the sorted array of allowed output
-    columns (as produced by
-    :func:`repro.sparse.elementwise.pattern_row_index`); rows absent from
-    the mapping produce no output.  This is the kernel of Algorithm 2's
-    local step ``Z, H ← A^R_{k,i} B'_{i,j} masked at C*_{k,j}``.
-    ``kernel_tier`` overrides ``REPRO_KERNEL_TIER`` per call.
+    ``mask`` is a sparse block of the output's shape (the received ``C*``
+    block); its structural entries are the allowed positions, whatever
+    their values.  Left rows with no mask entry are not expanded at all.
+    This is the kernel of Algorithm 2's local step
+    ``Z, H ← A^R_{k,i} B'_{i,j} masked at C*_{k,j}``.
     """
-    tier = resolve_kernel_tier(kernel_tier)
     with perf_phase("spgemm_local_masked"):
-        a = _live_entries(a, b, semiring)
-        if tier == "compiled" and compiled_supported(semiring):
-            count_tier("spgemm_masked", "compiled")
-            result, bloom, n_terms, n_rows = spgemm_rowwise_masked_compiled(
-                a,
-                b,
-                semiring,
-                mask_rows,
-                _check_shapes(a.shape, b.shape),
-                compute_bloom=compute_bloom,
-                inner_offset=inner_offset,
-            )
-            perf_count("spgemm.masked_terms", n_terms)
-            perf_count("spgemm.masked_rows", n_rows)
-            return result, bloom
-        count_tier("spgemm_masked", "python")
-        return _spgemm_rowwise_masked(
-            a,
+        result, bloom, n_terms, n_rows = _esc(
+            _live_entries(a, b, semiring),
             b,
             semiring,
-            mask_rows,
             compute_bloom=compute_bloom,
             inner_offset=inner_offset,
+            mask=mask,
         )
+        perf_count("spgemm.masked_terms", n_terms)
+        perf_count("spgemm.masked_rows", n_rows)
+        return result, bloom
 
 
-def _spgemm_rowwise_masked(
-    a,
-    b,
-    semiring: Semiring,
-    mask_rows: dict[int, np.ndarray],
-    *,
-    compute_bloom: bool,
-    inner_offset: int,
-) -> tuple[COOMatrix, BloomFilterMatrix | None]:
-    """Row-wise masked Gustavson loop behind :func:`spgemm_local_masked`."""
-    n, m = _check_shapes(a.shape, b.shape)
-    b_row = row_reader(b).row_arrays
-    out_rows: list[np.ndarray] = []
-    out_cols: list[np.ndarray] = []
-    out_vals: list[np.ndarray] = []
-    bloom_entries: list[tuple[int, np.ndarray, np.ndarray]] = []
-    n_terms = 0
-
-    for i, a_cols, a_vals in row_reader(a).iter_rows():
-        allowed = mask_rows.get(int(i))
-        if allowed is None or allowed.size == 0:
-            continue
-        chunks_c: list[np.ndarray] = []
-        chunks_v: list[np.ndarray] = []
-        chunks_b: list[np.ndarray] = []
-        for k, a_ik in zip(a_cols, a_vals):
-            b_cols, b_vals = b_row(int(k))
-            if b_cols.size == 0:
-                continue
-            chunks_c.append(b_cols)
-            chunks_v.append(semiring.times(a_ik, b_vals))
-            if compute_bloom:
-                bit = np.uint64(1) << np.uint64((int(k) + inner_offset) % BLOOM_BITS)
-                chunks_b.append(np.full(b_cols.size, bit, dtype=np.uint64))
-        if not chunks_c:
-            continue
-        cols = np.concatenate(chunks_c)
-        vals = np.concatenate(chunks_v)
-        bits = np.concatenate(chunks_b) if compute_bloom else None
-        n_terms += cols.size
-        # One mask intersection for the whole output row (filtering commutes
-        # with the concatenation), instead of one ``np.isin`` per (row, k)
-        # term as the loop used to do.
-        keep = np.isin(cols, allowed)
-        if not np.any(keep):
-            continue
-        cols = cols[keep]
-        vals = vals[keep]
-        if bits is not None:
-            bits = bits[keep]
-        cols, vals, bits = _dedup_row(cols, vals, bits, semiring)
-        out_rows.append(np.full(cols.size, i, dtype=np.int64))
-        out_cols.append(cols)
-        out_vals.append(vals)
-        if compute_bloom:
-            bloom_entries.append((i, cols, bits))
-
-    perf_count("spgemm.masked_terms", n_terms)
-    perf_count("spgemm.masked_rows", len(out_rows))
-
-    if not out_rows:
-        result = COOMatrix.empty((n, m), semiring)
-    else:
-        result = COOMatrix(
-            shape=(n, m),
-            rows=np.concatenate(out_rows),
-            cols=np.concatenate(out_cols),
-            values=np.concatenate(out_vals),
-            semiring=semiring,
-        )
-    bloom = None
-    if compute_bloom:
-        bloom = BloomFilterMatrix((n, m))
-        for i, cols, bits in bloom_entries:
-            for j, bitfield in zip(cols, bits):
-                bloom.set_bits(int(i), int(j), int(bitfield))
-    return result, bloom
-
-
-def spgemm_rowwise_spa(
-    a,
-    b,
-    semiring: Semiring,
-    *,
-    mask_rows: dict[int, np.ndarray] | None = None,
-) -> COOMatrix:
+def spgemm_rowwise_spa(a, b, semiring: Semiring, *, mask=None) -> COOMatrix:
     """Reference Gustavson SpGEMM using an explicit sparse accumulator.
 
     Slow but simple; used by the test-suite as an independent oracle for
-    both the plain and the masked vectorised kernels.
+    both the plain and the masked (``mask``: a pattern block) kernels.
     """
     with perf_phase("spgemm_spa"):
-        return _spgemm_rowwise_spa(a, b, semiring, mask_rows=mask_rows)
+        return _spgemm_rowwise_spa(a, b, semiring, mask=mask)
 
 
-def _spgemm_rowwise_spa(
-    a,
-    b,
-    semiring: Semiring,
-    *,
-    mask_rows: dict[int, np.ndarray] | None = None,
-) -> COOMatrix:
+def _spgemm_rowwise_spa(a, b, semiring: Semiring, *, mask=None) -> COOMatrix:
     """Accumulator loop behind :func:`spgemm_rowwise_spa`."""
     n, m = _check_shapes(a.shape, b.shape)
+    allowed_in: dict[int, set[int]] | None = None
+    if mask is not None:
+        allowed_in = {}
+        coo = mask.to_coo()
+        for i, j in zip(coo.rows.tolist(), coo.cols.tolist()):
+            allowed_in.setdefault(i, set()).add(j)
     b_row = row_reader(b).row_arrays
     spa = SparseAccumulator(semiring)
     rows_out: list[np.ndarray] = []
@@ -468,11 +329,10 @@ def _spgemm_rowwise_spa(
     vals_out: list[np.ndarray] = []
     for i, a_cols, a_vals in row_reader(a).iter_rows():
         allowed: set[int] | None = None
-        if mask_rows is not None:
-            allowed_arr = mask_rows.get(int(i))
-            if allowed_arr is None or allowed_arr.size == 0:
+        if allowed_in is not None:
+            allowed = allowed_in.get(int(i))
+            if not allowed:
                 continue
-            allowed = {int(c) for c in allowed_arr}
         spa.clear()
         for k, a_ik in zip(a_cols, a_vals):
             b_cols, b_vals = b_row(int(k))

@@ -152,19 +152,52 @@ def test_dhb_codec_preserves_update_history(seed: int, n_ops: int) -> None:
     _assert_dhb_identical(mat, decoded)
 
 
+_BLOOM_ARRAYS = ("rows", "cols", "bits")
+
+
+def _random_bloom(seed: int) -> BloomFilterMatrix:
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 40))
+    return BloomFilterMatrix.from_arrays(
+        (8, 8), rng.integers(0, 8, size), rng.integers(0, 8, size), rng.integers(1, 16, size)
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
-def test_bloom_codec_preserves_insertion_order(seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    bloom = BloomFilterMatrix((8, 8))
-    for _ in range(int(rng.integers(1, 40))):
-        bloom.set_bits(
-            int(rng.integers(8)), int(rng.integers(8)), int(rng.integers(1, 16))
-        )
-    decoded = decode_bloom(encode_bloom(bloom))
-    assert decoded.shape == bloom.shape
-    assert list(decoded._bits.items()) == list(bloom._bits.items())
+def test_bloom_codec_round_trips_sorted_arrays(seed: int) -> None:
+    bloom = _random_bloom(seed)
+    encoded = encode_bloom(bloom)
+    keys = encoded["rows"] * 8 + encoded["cols"]
+    assert np.all(keys[1:] > keys[:-1]) and np.all(encoded["bits"] != 0)
+    decoded = decode_bloom(encoded)
+    assert decoded == bloom
+    for a, b in zip(decoded.to_arrays(), bloom.to_arrays()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert decoded.nbytes == bloom.nbytes
+
+
+@pytest.mark.parametrize(
+    "damage, complaint",
+    [
+        (lambda e: e.update(bits=e["bits"][:-1]), "aligned"),
+        (lambda e: e.update(cols=e["cols"][:, None]), "aligned"),
+        (lambda e: e.update(rows=e["rows"].astype(np.int32)), "int64, int64, uint64"),
+        (lambda e: e.update(bits=e["bits"].astype(np.int64)), "int64, int64, uint64"),
+        (lambda e: e["rows"].__setitem__(-1, e["shape"][0]), "outside"),
+        (lambda e: e["cols"].__setitem__(0, -1), "outside"),
+        (lambda e: e.update({k: np.repeat(e[k], 2) for k in _BLOOM_ARRAYS}), "repeats"),
+        (lambda e: e["bits"].__setitem__(1, 0), "empty bitfield"),
+        (lambda e: e.pop("bits"), "malformed"),
+    ],
+)
+def test_bloom_codec_rejects_what_a_filter_cannot_hold(damage, complaint) -> None:
+    """Nothing is returned (and nothing silently truncated) from a bad encoding."""
+    encoded = encode_bloom(_random_bloom(7))
+    assert encoded["rows"].size >= 3
+    damage(encoded)
+    with pytest.raises(BlockCodecError, match=complaint):
+        decode_bloom(encoded)
 
 
 def test_codec_rejects_unknown_layouts() -> None:
@@ -509,6 +542,34 @@ def test_construct_seed_independent_of_missing_partition_seeds() -> None:
     assert rebuilt.construct_seed == original.construct_seed
 
 
+_DHB_SIM = dict(backend="sim", n_ranks=4, layout="dhb")
+
+
+def _general_mode_drill():
+    """General-mode ``mixed_update_multiply``, checkpointed at step 3 and
+    crashed at step 4: ``(uninterrupted run, drill, recovered run, store)``."""
+    scenario = S.mixed_update_multiply(seed=SEED)
+    steps = [
+        dataclasses.replace(s, mode="general") if isinstance(s, S.SpGEMMStep) else s
+        for s in scenario.steps
+    ]
+    base = S.with_checkpoint(dataclasses.replace(scenario, name="general_mum", steps=steps), at=3)
+    drill, store = S.with_crash(base, at=4), S.CheckpointStore()
+    faults = FaultInjector(FaultPlan())
+    recovered = S.replay(
+        drill, checkpoint_store=store, faults=faults, on_crash="restore", **_DHB_SIM
+    )
+    return S.replay(base, **_DHB_SIM), drill, recovered, store
+
+
+def _assert_same_continuation(reference, got) -> None:
+    for a, b in zip(reference.final_c, got.final_c):
+        assert np.array_equal(a, b)
+    signature = dict(got.comm_signature())
+    signature.pop("recovery", None)
+    assert signature == dict(reference.comm_signature())
+
+
 def test_general_mode_bloom_state_survives_restore() -> None:
     """The incremental filter state ``F`` is part of the snapshot.
 
@@ -516,29 +577,29 @@ def test_general_mode_bloom_state_survives_restore() -> None:
     block; losing it across restore would change later multiplication
     pruning and with it the comm signature of the continuation.
     """
-    scenario = S.mixed_update_multiply(seed=SEED)
-    general_steps = [
-        dataclasses.replace(s, mode="general")
-        if isinstance(s, S.SpGEMMStep)
-        else s
-        for s in scenario.steps
-    ]
-    general = dataclasses.replace(scenario, name="general_mum", steps=general_steps)
-    base = S.with_checkpoint(general, at=3)
-    reference = S.replay(base, backend="sim", n_ranks=4, layout="dhb")
-    recovered = S.replay(
-        S.with_crash(base, at=4),
-        backend="sim",
-        n_ranks=4,
-        layout="dhb",
-        checkpoint_store=S.CheckpointStore(),
-        faults=FaultInjector(FaultPlan()),
-        on_crash="restore",
-    )
+    reference, _drill, recovered, _store = _general_mode_drill()
     for a, b in zip(reference.final_a, recovered.final_a):
         assert np.array_equal(a, b)
-    for a, b in zip(reference.final_c, recovered.final_c):
-        assert np.array_equal(a, b)
-    got = dict(recovered.comm_signature())
-    got.pop("recovery", None)
-    assert got == dict(reference.comm_signature())
+    _assert_same_continuation(reference, recovered)
+
+
+def test_snapshot_with_insertion_ordered_bloom_entries_restores() -> None:
+    """Version-3 snapshots list ``F`` in the insertion order of a dict.
+
+    Filters were once dicts, and a snapshot stored their entries in the
+    order they were first set.  Such a file still restores to the same
+    filters: the continuation matches the uninterrupted run byte for byte.
+    """
+    reference, drill, _recovered, store = _general_mode_drill()
+    snapshot = store.load("default", 0)
+    rng = np.random.default_rng(SEED)
+    shuffled = 0
+    for encoded in snapshot["state"]["product"]["f"].values():
+        original = decode_bloom(encoded)
+        order = rng.permutation(encoded["rows"].size)
+        shuffled += int(np.any(order != np.arange(order.size)))
+        for key in _BLOOM_ARRAYS:
+            encoded[key] = encoded[key][order]
+        assert decode_bloom(encoded) == original
+    assert shuffled
+    _assert_same_continuation(reference, S.replay(drill, resume_from=snapshot, **_DHB_SIM))

@@ -1,13 +1,9 @@
-"""Equivalence pins for the vectorised fast paths added with the perf work.
+"""Pins for the vectorised fast paths added with the perf work.
 
-Every fast path keeps a slow oracle alongside it; these tests pin the two
-to identical results:
-
-* ``SparseAccumulator.accumulate_scaled_row`` — bulk load into an empty
-  accumulator and NumPy-array masks vs. the per-element loop.
-
-(``DHBMatrix.insert_batch`` has one path; ``tests/test_dhb.py`` checks it
-against a dict model and its scalar route against its array route.)
+The sparse-accumulator oracle must keep agreeing with the expand–sort–
+compress kernel it checks.  (``DHBMatrix.insert_batch`` has one path;
+``tests/test_dhb.py`` checks it against a dict model and its scalar route
+against its array route.)
 
 The last section pins, by counting and never by timing, that a local
 multiply reads its big operand in proportion to the update: only the rows
@@ -25,7 +21,7 @@ import pytest
 from repro.apps import DynamicTriangleCounter
 from repro.graphs import erdos_renyi_edges
 from repro.runtime import ProcessGrid, SimMPI
-from repro.semirings import MIN_PLUS, PLUS_TIMES
+from repro.semirings import MAX_MIN, MIN_PLUS, PLUS_TIMES
 from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
 from repro.sparse.spa import SparseAccumulator
 from repro.sparse.spgemm_local import spgemm_local, spgemm_rowwise_spa
@@ -34,52 +30,8 @@ from repro.sparse.spgemm_local import spgemm_local, spgemm_rowwise_spa
 # ----------------------------------------------------------------------
 # SparseAccumulator
 # ----------------------------------------------------------------------
-def _loop_oracle(semiring, scale, cols, vals, bloom_bit=0, allowed=None):
-    """Per-element reference: the pre-fast-path accumulate loop."""
-    spa = SparseAccumulator(semiring)
-    scaled = semiring.times(scale, vals)
-    for c, v in zip(cols.tolist(), scaled):
-        if allowed is None or c in allowed:
-            spa.accumulate(c, v, bloom_bit)
-    return spa
-
-
-@pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS])
-def test_spa_bulk_load_matches_loop(semiring):
-    rng = np.random.default_rng(3)
-    cols = rng.integers(0, 40, 200)  # heavy duplication
-    vals = rng.random(200)
-    fast = SparseAccumulator(semiring)
-    fast.accumulate_scaled_row(2.0, cols, vals, bloom_bit=4)
-    oracle = _loop_oracle(semiring, 2.0, cols, vals, bloom_bit=4)
-    fc, fv, fb = fast.emit()
-    oc, ov, ob = oracle.emit()
-    assert np.array_equal(fc, oc)
-    # columns and bloom bits are exact; values may differ in the last bit
-    # because ufunc.reduceat is free to reassociate the segment sum
-    assert np.allclose(fv, ov, rtol=1e-12)
-    assert np.array_equal(fb, ob)
-
-
-def test_spa_array_mask_matches_set_mask():
-    rng = np.random.default_rng(5)
-    cols = rng.integers(0, 64, 120)
-    vals = rng.random(120)
-    allowed_arr = np.unique(rng.integers(0, 64, 20))
-    via_array = SparseAccumulator(PLUS_TIMES)
-    via_array.accumulate_scaled_row(1.5, cols, vals, allowed=allowed_arr)
-    via_set = _loop_oracle(
-        PLUS_TIMES, 1.5, cols, vals, allowed={int(c) for c in allowed_arr}
-    )
-    ac, av, _ = via_array.emit()
-    sc, sv, _ = via_set.emit()
-    assert np.array_equal(ac, sc)
-    assert np.allclose(av, sv, rtol=1e-12)
-
-
-def test_spa_accumulate_on_top_of_bulk_load():
-    # The fast path must leave a consistent hash index behind: scattering a
-    # second row on top of a bulk-loaded one exercises slot lookups.
+def test_spa_accumulates_a_row_on_top_of_another():
+    # Scattering a second row on top of a loaded one exercises slot lookups.
     spa = SparseAccumulator(PLUS_TIMES)
     spa.accumulate_scaled_row(1.0, np.array([5, 1, 5]), np.array([1.0, 2.0, 3.0]))
     spa.accumulate_scaled_row(1.0, np.array([1, 9]), np.array([10.0, 20.0]))
@@ -88,6 +40,34 @@ def test_spa_accumulate_on_top_of_bulk_load():
     assert vals.tolist() == [12.0, 4.0, 20.0]
     assert spa.get(5) == 4.0
     assert spa.contains(9)
+
+
+@pytest.mark.parametrize("semiring", [PLUS_TIMES, MIN_PLUS, MAX_MIN], ids=lambda s: s.name)
+def test_spa_folds_duplicated_columns_like_the_kernel(semiring):
+    # 12 scaled rows of 5 columns each: 60 terms onto 9 output columns
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        b_cols = [np.sort(rng.choice(9, size=5, replace=False)) for _ in range(12)]
+        b_vals = [rng.random(5) + 0.1 for _ in range(12)]
+        a_vals = rng.random(12) + 0.1
+        spa = SparseAccumulator(semiring)
+        for k, (cols, vals) in enumerate(zip(b_cols, b_vals)):
+            spa.accumulate_scaled_row(a_vals[k], cols, vals, bloom_bit=1 << k)
+        cols, vals, bits = spa.emit()
+
+        a = COOMatrix((1, 12), np.zeros(12, np.int64), np.arange(12), a_vals, semiring)
+        b = COOMatrix(
+            (12, 9), np.repeat(np.arange(12), 5), np.concatenate(b_cols),
+            np.concatenate(b_vals), semiring,
+        )
+        c, bloom = spgemm_local(a, b, semiring, compute_bloom=True)
+        assert np.array_equal(c.cols, cols)
+        assert np.array_equal(bloom.to_arrays()[2], bits)
+        if semiring is PLUS_TIMES:
+            # the SPA folds left to right; the kernel's reduceat may pair terms
+            assert np.allclose(c.values, vals, rtol=1e-12)
+        else:
+            assert c.values.tobytes() == vals.tobytes()
 
 
 def test_spa_oracle_spgemm_still_matches_vectorised_kernel():

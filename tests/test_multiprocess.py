@@ -248,11 +248,9 @@ class TestSparseReducePartial:
         def program(comm):
             contribs = {}
             for r in comm.owned_ranks():
-                bloom = BloomFilterMatrix(shape)
-                bloom.set_bits(r, r, 1 << r)
-                contribs[r] = bloom
+                contribs[r] = BloomFilterMatrix.from_entries(shape, [(r, r, 1 << r)])
             out = bloom_reduce_to_root(comm, [0, 1, 2, 3], 0, contribs, shape=shape)
-            return None if out is None else [(i, j, b) for (i, j), b in sorted(out.items())]
+            return None if out is None else list(zip(*(a.tolist() for a in out.to_arrays())))
 
         expected = [(r, r, 1 << r) for r in range(4)]
         for result in _spmd(world, program):

@@ -35,7 +35,6 @@ from repro.bench.config import get_profile
 from repro.competitors import PETScBackend
 from repro.runtime import SimMPI, StatCategory, make_communicator
 from repro.scenarios import grow_from_empty, replay
-from repro.sparse.kernels import numba_available
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
 
@@ -437,7 +436,7 @@ def test_every_registry_figure_builds_a_valid_document(name):
     tags = [run.get("scenario") for run in document["runs"]]
     suffixes = [figure.variant_sep + variant for variant in variants]
     if len(variants) < 2:
-        # no axis (or one usable value): nothing carries a variant suffix
+        # no axis (or a one-value axis): nothing carries a variant suffix
         assert not any(tag and tag.endswith(tuple(suffixes)) for tag in tags)
         return
     # combined document: every variant tags its own copy of the same stems
@@ -481,21 +480,6 @@ def test_replay_figures_record_their_phases():
     assert any("app_triangle_count" in p for p in phases)
     assert any("app_sssp_query" in p for p in phases)
     assert any("app_contract" in p for p in phases)
-
-
-def test_kernels_figure_dispatches_the_tier_it_tags():
-    document = _document("kernels")
-    tiers = document["extras"]["tiers"]
-    for run in document["runs"]:
-        if run["scenario"] == "dhb_batch_insert":  # one implementation, no tier
-            assert not any(name.startswith("kernels.tier_") for name in run["counters"])
-            continue
-        tier = run["scenario"].rsplit(":", 1)[1] if len(tiers) > 1 else tiers[0]
-        assert run["counters"][f"kernels.tier_{tier}"] >= 1
-    if not numba_available():
-        assert tiers == ["python"]
-        with pytest.raises(RuntimeError, match="requires numba"):
-            _document("kernels", "compiled")
 
 
 def test_run_suite_cli_writes_and_rejects(tmp_path, capsys):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.perf import PerfRecorder, use_recorder
 from repro.semirings import BOOLEAN, MAX_PLUS, MIN_PLUS, PLUS_TIMES
 from repro.sparse import (
     BLOOM_BITS,
+    COOMatrix,
     CSRMatrix,
     DCSRMatrix,
     DHBMatrix,
-    pattern_row_index,
     spgemm_local,
     spgemm_local_masked,
     spgemm_rowwise_spa,
@@ -153,20 +154,17 @@ def test_masked_spgemm_only_produces_entries_inside_mask():
     # mask: a subset of the true output pattern plus some never-produced spots
     rng = np.random.default_rng(19)
     keep = rng.random(full.nnz) < 0.5
-    mask_rows = {}
-    for i, j in zip(full.rows[keep], full.cols[keep]):
-        mask_rows.setdefault(int(i), []).append(int(j))
-    mask_rows = {i: np.array(sorted(js)) for i, js in mask_rows.items()}
+    mask = COOMatrix(full.shape, full.rows[keep], full.cols[keep], full.values[keep], MIN_PLUS)
     masked, bloom = spgemm_local_masked(
         CSRMatrix.from_dense(a, MIN_PLUS),
         CSRMatrix.from_dense(b, MIN_PLUS),
         MIN_PLUS,
-        mask_rows,
+        mask,
     )
     assert bloom is not None
     full_dict = full.to_dict()
     masked_dict = masked.to_dict()
-    allowed = {(i, int(j)) for i, js in mask_rows.items() for j in js}
+    allowed = set(mask.to_dict())
     assert set(masked_dict).issubset(allowed)
     # every masked position that has contributions must be produced with the
     # same value as the unmasked product
@@ -178,7 +176,7 @@ def test_masked_spgemm_only_produces_entries_inside_mask():
 def test_masked_spgemm_empty_mask_gives_empty_result():
     a, b = _dense_pair(PLUS_TIMES, 23)
     masked, _ = spgemm_local_masked(
-        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, {}
+        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, COOMatrix.empty((14, 9))
     )
     assert masked.nnz == 0
 
@@ -186,12 +184,11 @@ def test_masked_spgemm_empty_mask_gives_empty_result():
 def test_masked_spgemm_agrees_with_spa_oracle():
     a, b = _dense_pair(PLUS_TIMES, 29)
     full, _ = spgemm_local(CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES)
-    mask_rows = pattern_row_index(full)
     masked, _ = spgemm_local_masked(
-        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, mask_rows
+        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, full
     )
     spa = spgemm_rowwise_spa(
-        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, mask_rows=mask_rows
+        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, mask=full
     )
     assert np.allclose(masked.to_dense(), spa.to_dense())
     # with the full pattern as mask, the masked product equals the product
@@ -222,3 +219,57 @@ def test_property_spgemm_matches_dense(seed, density, semiring_idx):
     assert np.allclose(
         result.to_dense(), semiring.dense_matmul(a, b), equal_nan=True
     )
+
+
+# ----------------------------------------------------------------------
+# scipy fast-path clamping (forced use_scipy=True must stay safe)
+# ----------------------------------------------------------------------
+def _assert_coo_identical(a, b, *, what: str) -> None:
+    assert np.array_equal(a.rows, b.rows), f"{what}: rows differ"
+    assert np.array_equal(a.cols, b.cols), f"{what}: cols differ"
+    assert a.values.tobytes() == b.values.tobytes(), f"{what}: values differ"
+
+
+class _DuckRows:
+    """Row-layout duck type with no ``to_scipy``/``to_csr`` conversion."""
+
+    def __init__(self, csr: CSRMatrix) -> None:
+        self.shape = csr.shape
+        self.nnz = csr.nnz
+        self._csr = csr
+
+    def iter_rows(self):
+        return self._csr.iter_rows()
+
+    def row_arrays(self, i: int):
+        return self._csr.row_arrays(i)
+
+
+class TestScipyClamp:
+    def test_forced_scipy_with_empty_operand_falls_back(self):
+        a = CSRMatrix.from_dense(np.zeros((4, 3)))
+        b = CSRMatrix.from_dense(np.ones((3, 2)))
+        rec = PerfRecorder()
+        with use_recorder(rec):
+            result, _ = spgemm_local(a, b, PLUS_TIMES, use_scipy=True)
+        assert result.nnz == 0
+        assert "spgemm.scipy_calls" not in rec.counters
+        assert rec.counters["spgemm.rowwise_calls"] == 1
+
+    def test_forced_scipy_with_unconvertible_layout_falls_back(self):
+        a = _DuckRows(CSRMatrix.from_dense(random_dense(5, 4, 0.5, seed=1)))
+        b = CSRMatrix.from_dense(random_dense(4, 3, 0.5, seed=2))
+        rec = PerfRecorder()
+        with use_recorder(rec):
+            result, _ = spgemm_local(a, b, PLUS_TIMES, use_scipy=True)
+        ref, _ = spgemm_local(a._csr, b, PLUS_TIMES, use_scipy=False)
+        _assert_coo_identical(ref, result, what="duck layout fallback")
+        assert "spgemm.scipy_calls" not in rec.counters
+
+    def test_forced_scipy_still_used_when_applicable(self):
+        a = CSRMatrix.from_dense(random_dense(5, 4, 0.5, seed=3))
+        b = CSRMatrix.from_dense(random_dense(4, 3, 0.5, seed=4))
+        rec = PerfRecorder()
+        with use_recorder(rec):
+            spgemm_local(a, b, PLUS_TIMES, use_scipy=True)
+        assert rec.counters["spgemm.scipy_calls"] == 1
