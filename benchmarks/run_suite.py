@@ -46,6 +46,7 @@ from figures import FIGURES, Cell, Context, Figure
 from repro.bench.config import BenchProfile, get_profile
 from repro.perf import PerfRecorder, bench_document, bench_run_entry, use_recorder
 from repro.runtime import world_rank
+from repro.scenarios import REPLAY_LAYOUTS
 
 
 def resolve_variants(figure: Figure, variant: str = "all") -> tuple[str, ...]:
@@ -201,14 +202,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     add("--filename", help="output file name, single figure only (BENCH_<fig>.json)")
     add("--backends", default="sim,mpi", help="comma-separated communicator backends")
-    add("--layouts", default="csr,dhb", help="comma-separated local layouts")
+    add(
+        "--layouts",
+        default=",".join(REPLAY_LAYOUTS),
+        help="comma-separated replay layouts of the static right operand "
+        "(default: %(default)s)",
+    )
     add("--repeats", type=int, help="measured calls per cell (default: the figure's)")
     add("--seed", type=int, help="base seed (default: the figure's)")
     add("--out", default="bench_out", help="output directory (default: %(default)s)")
     add("--profile", default="smoke", help="smoke|default|large (default: %(default)s)")
     add("--smoke", action="store_true", help="alias of --profile smoke")
     args = parser.parse_args(argv)
-    figs = _csv(args.figs)
+    figs, layouts = _csv(args.figs), _csv(args.layouts)
     try:
         if (args.variant != "all" or args.filename) and len(figs) != 1:
             raise ValueError("--variant and --filename need a single --figs entry")
@@ -216,9 +222,14 @@ def main(argv: list[str] | None = None) -> int:
             if fig not in FIGURES:
                 raise ValueError(f"unknown figure {fig!r}; known: {', '.join(FIGURES)}")
             resolve_variants(FIGURES[fig], args.variant)
+        for layout in layouts:
+            if layout not in REPLAY_LAYOUTS:
+                raise ValueError(
+                    f"unknown layout {layout!r}; known: {', '.join(REPLAY_LAYOUTS)}"
+                )
         profile = get_profile("smoke" if args.smoke else args.profile)
     except (KeyError, ValueError) as exc:
-        # KeyError: unknown profile; ValueError: unknown figure or variant
+        # KeyError: unknown profile; ValueError: unknown figure, variant or layout
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     written = 0
@@ -234,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
             profile=profile,
             variant=args.variant,
             backends=_csv(args.backends),
-            layouts=_csv(args.layouts),
+            layouts=layouts,
             repeats=args.repeats,
             seed=args.seed,
         )

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from repro.runtime.stats import StatCategory
 from repro.distributed import BlockDistribution, StaticDistMatrix
-from repro.distributed.dist_matrix import DistMatrixBase
-from repro.sparse import CSRMatrix, DCSRMatrix
+from repro.distributed.dist_matrix import DistMatrixBase, static_layout
 
 __all__ = ["transpose_dist"]
 
@@ -26,8 +25,10 @@ def transpose_dist(mat: DistMatrixBase, *, layout: str = "csr") -> StaticDistMat
 
     Every block is exchanged with its transposed grid position (one
     point-to-point message per off-diagonal rank) and transposed locally.
-    The result is a static distributed matrix in the requested layout.
+    The result is a static distributed matrix in the requested layout; an
+    unknown layout raises :class:`ValueError` before any block is sent.
     """
+    _, build = static_layout(layout)
     comm, grid = mat.comm, mat.grid
     n, m = mat.shape
     out_dist = BlockDistribution(m, n, grid)
@@ -48,10 +49,7 @@ def transpose_dist(mat: DistMatrixBase, *, layout: str = "csr") -> StaticDistMat
         block = items[0][1]
 
         def _local_transpose(block=block):
-            coo = block.to_coo().transpose()
-            if layout == "csr":
-                return CSRMatrix.from_coo(coo, dedup=False)
-            return DCSRMatrix.from_coo(coo, dedup=False)
+            return build(block.to_coo().transpose())
 
         out_blocks[rank] = comm.run_local(
             rank, _local_transpose, category=StatCategory.LOCAL_COMPUTE

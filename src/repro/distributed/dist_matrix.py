@@ -5,10 +5,11 @@ Two flavours, mirroring Section IV of the paper:
 * :class:`DynamicDistMatrix` — every rank stores its block as a DHB dynamic
   matrix; updates are applied *in place* and purely locally once the update
   tuples (or a distributed update matrix) have been routed to their owners.
-* :class:`StaticDistMatrix` — every rank stores its block as CSR or DCSR;
-  used for the right-hand operand of SpGEMM, for update matrices (DCSR,
-  hypersparse) and by the competitor backends that rebuild static storage
-  on every batch.
+* :class:`StaticDistMatrix` — every rank stores a block that is not updated
+  in place, built in one layout of :data:`STATIC_LAYOUTS` (CSR, DCSR or
+  DHB); used for the right-hand operand of SpGEMM, for update matrices
+  (DCSR, hypersparse) and by the competitor backends that rebuild static
+  storage on every batch.
 
 Both classes live on the orchestration runtime and follow its
 partial-mapping contract: ``blocks`` holds the local block of every rank
@@ -35,9 +36,38 @@ from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
 from repro.distributed.distribution import BlockDistribution
 from repro.distributed.redistribution import _route_tuples
 
-__all__ = ["DistMatrixBase", "DynamicDistMatrix", "StaticDistMatrix"]
+__all__ = [
+    "STATIC_LAYOUTS",
+    "DistMatrixBase",
+    "DynamicDistMatrix",
+    "StaticDistMatrix",
+    "static_layout",
+]
 
 TupleArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Layouts of a :class:`StaticDistMatrix` block: name → (block class,
+#: builder).  A builder takes a duplicate-free COO in any order and returns
+#: the block with its entries in (row, col) order.  The lambdas look
+#: ``from_coo`` up when called, so a wrapped constructor is the one used.
+STATIC_LAYOUTS: dict[str, tuple[type, Callable[[COOMatrix], object]]] = {
+    "csr": (CSRMatrix, lambda coo: CSRMatrix.from_coo(coo, dedup=False)),
+    "dcsr": (DCSRMatrix, lambda coo: DCSRMatrix.from_coo(coo, dedup=False)),
+    "dhb": (
+        DHBMatrix,
+        lambda coo: DHBMatrix.from_coo(coo.sort(), combine_duplicates=False),
+    ),
+}
+
+
+def static_layout(layout: str) -> tuple[type, Callable[[COOMatrix], object]]:
+    """The ``(block class, builder)`` of a static layout (ValueError if unknown)."""
+    try:
+        return STATIC_LAYOUTS[layout]
+    except KeyError:
+        raise ValueError(
+            f"unknown static layout {layout!r} (use one of {tuple(STATIC_LAYOUTS)})"
+        ) from None
 
 
 class DistMatrixBase:
@@ -351,7 +381,7 @@ class DynamicDistMatrix(DistMatrixBase):
 
 # ----------------------------------------------------------------------
 class StaticDistMatrix(DistMatrixBase):
-    """Distributed matrix with static (CSR or DCSR) blocks."""
+    """Distributed matrix whose blocks are built once, in one static layout."""
 
     def __init__(
         self,
@@ -362,8 +392,7 @@ class StaticDistMatrix(DistMatrixBase):
         blocks: dict[int, object],
         layout: str = "csr",
     ) -> None:
-        if layout not in ("csr", "dcsr"):
-            raise ValueError(f"unknown static layout {layout!r} (use 'csr' or 'dcsr')")
+        static_layout(layout)
         super().__init__(comm, grid, dist, semiring, blocks)
         self.layout = layout
 
@@ -379,9 +408,9 @@ class StaticDistMatrix(DistMatrixBase):
         layout: str = "csr",
     ) -> "StaticDistMatrix":
         dist = BlockDistribution(shape[0], shape[1], grid)
-        maker = CSRMatrix.empty if layout == "csr" else DCSRMatrix.empty
+        block_cls, _ = static_layout(layout)
         blocks = {
-            rank: maker(dist.block_shape_of_rank(rank), semiring)
+            rank: block_cls.empty(dist.block_shape_of_rank(rank), semiring)
             for rank in comm.owned_ranks(grid.all_ranks())
         }
         return cls(comm, grid, dist, semiring, blocks, layout=layout)
@@ -415,7 +444,8 @@ class StaticDistMatrix(DistMatrixBase):
         Duplicates are ⊕-combined (``combine="add"``) or resolved last write
         wins; the blocks follow ``self.dist`` and ``self.layout``.
         """
-        semiring, layout = self.semiring, self.layout
+        semiring = self.semiring
+        _, build = static_layout(self.layout)
         local = self._route_to_blocks(tuples_per_rank, redistribution)
         for rank, (lrows, lcols, vals) in local.items():
             block_shape = self.dist.block_shape_of_rank(rank)
@@ -430,10 +460,9 @@ class StaticDistMatrix(DistMatrixBase):
                     values=vals,
                     semiring=semiring,
                 )
-                coo = coo.sum_duplicates() if combine == "add" else coo.last_write_wins()
-                if layout == "csr":
-                    return CSRMatrix.from_coo(coo, dedup=False)
-                return DCSRMatrix.from_coo(coo, dedup=False)
+                return build(
+                    coo.sum_duplicates() if combine == "add" else coo.last_write_wins()
+                )
 
             self.blocks[rank] = self.comm.run_local(
                 rank, _build, category=StatCategory.LOCAL_CONSTRUCT
@@ -443,11 +472,8 @@ class StaticDistMatrix(DistMatrixBase):
     def from_dynamic(
         cls, dynamic: DynamicDistMatrix, *, layout: str = "csr"
     ) -> "StaticDistMatrix":
-        blocks: dict[int, object] = {}
-        for rank, block in dynamic.blocks.items():
-            blocks[rank] = (
-                block.to_csr() if layout == "csr" else block.to_dcsr()
-            )
+        _, build = static_layout(layout)
+        blocks = {rank: build(block.to_coo()) for rank, block in dynamic.blocks.items()}
         return cls(
             dynamic.comm,
             dynamic.grid,
@@ -459,10 +485,8 @@ class StaticDistMatrix(DistMatrixBase):
 
     # ------------------------------------------------------------------
     def to_dynamic(self) -> DynamicDistMatrix:
-        blocks = {
-            rank: DHBMatrix.from_coo(block.to_coo(), combine_duplicates=False)
-            for rank, block in self.blocks.items()
-        }
+        _, build = static_layout("dhb")
+        blocks = {rank: build(block.to_coo()) for rank, block in self.blocks.items()}
         return DynamicDistMatrix(self.comm, self.grid, self.dist, self.semiring, blocks)
 
     def copy(self) -> "StaticDistMatrix":

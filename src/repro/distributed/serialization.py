@@ -14,7 +14,7 @@ table is rebuilt on decode.
 Every encoded block is a self-describing ``dict`` of plain numpy arrays and
 scalars (safe to ship through ``np.savez`` or any communicator):
 
-``{"layout": <coo|csr|dcsr|dhb>, "shape": (n, m), "semiring": <name>, ...}``
+``{"layout": <csr|dcsr|dhb>, "shape": (n, m), "semiring": <name>, ...}``
 
 plus the layout-specific arrays.  Bloom filter matrices (the incremental
 state ``F`` of the general dynamic-SpGEMM algorithm) get their own pair of
@@ -29,13 +29,7 @@ from typing import Any
 import numpy as np
 
 from repro.semirings import Semiring, get_semiring
-from repro.sparse import (
-    BloomFilterMatrix,
-    COOMatrix,
-    CSRMatrix,
-    DCSRMatrix,
-    DHBMatrix,
-)
+from repro.sparse import BloomFilterMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
 from repro.sparse.dhb import DHBStorage
 
 __all__ = [
@@ -62,18 +56,12 @@ def _base(layout: str, shape: tuple[int, int], semiring: Semiring) -> dict[str, 
 def encode_block(block: Any) -> dict[str, Any]:
     """Encode a sparse block into a self-describing dict of arrays.
 
-    Supports all four layouts (COO, CSR, DCSR, DHB).  The encoding is
-    *faithful*, not canonical: DHB rows keep their adjacency order and
-    capacities and the block its grow count, so a decoded matrix is
-    indistinguishable from the original under any sequence of further
-    updates and accounting queries.
+    Supports the three layouts a distributed matrix can hold (CSR, DCSR,
+    DHB).  The encoding is *faithful*, not canonical: DHB rows keep their
+    adjacency order and capacities and the block its grow count, so a
+    decoded matrix is indistinguishable from the original under any
+    sequence of further updates and accounting queries.
     """
-    if isinstance(block, COOMatrix):
-        out = _base("coo", block.shape, block.semiring)
-        out["rows"] = np.ascontiguousarray(block.rows)
-        out["cols"] = np.ascontiguousarray(block.cols)
-        out["values"] = np.ascontiguousarray(block.values)
-        return out
     if isinstance(block, CSRMatrix):
         out = _base("csr", block.shape, block.semiring)
         out["indptr"] = np.ascontiguousarray(block.indptr)
@@ -110,10 +98,6 @@ def decode_block(data: dict[str, Any]) -> Any:
         semiring = get_semiring(str(data["semiring"]))
     except (KeyError, IndexError, TypeError) as exc:
         raise BlockCodecError(f"malformed encoded block: {exc}") from exc
-    if layout == "coo":
-        return COOMatrix(
-            shape, data["rows"], data["cols"], data["values"], semiring=semiring
-        )
     if layout == "csr":
         return CSRMatrix(
             shape, data["indptr"], data["indices"], data["values"], semiring=semiring

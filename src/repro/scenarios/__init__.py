@@ -39,7 +39,8 @@ Module map
                 shared with the service config (the cold-replay oracle
                 runs under exactly the tenant's options).
 ``replay``      :func:`replay` — run any scenario on any communicator
-                backend, rank count and local layout (``REPLAY_LAYOUTS``),
+                backend, rank count and layout of the static right
+                operand (``REPLAY_LAYOUTS``: ``csr``, ``dhb``),
                 with fault injection (``faults=``) and retry-or-restore
                 crash recovery (``on_crash=``).
 ``checkpoint``  Durable snapshots and the drill helpers:
@@ -55,7 +56,7 @@ A scenario materialises all randomness at generation time (per-step tuples
 plus explicit partition seeds derived via ``SeedSequence``), so one trace
 replays bit-for-bit on the ``sim`` and ``mpi`` backends — the property the
 cross-backend differential suite (``tests/test_scenarios_differential.py``)
-asserts for every library scenario, every layout and both backends.
+asserts for every library scenario, both replay layouts and both backends.
 """
 
 from repro.scenarios.model import (

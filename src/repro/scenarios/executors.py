@@ -6,8 +6,8 @@ application of steps to an *executor*:
 * :class:`NativeExecutor` — the paper's own machinery: a
   :class:`~repro.distributed.DynamicDistMatrix` target, hypersparse update
   matrices, Algorithm 1 / 2 for :class:`~repro.scenarios.model.SpGEMMStep`
-  steps and support for all four local layouts (COO, CSR, DCSR, DHB) of the
-  static right-hand operand.
+  steps, with the static right-hand operand of an Algorithm 1 replay built
+  in one of the two :data:`REPLAY_LAYOUTS` (CSR or DHB).
 * :class:`CompetitorExecutor` — wraps any backend from
   :mod:`repro.competitors` (``combblas``, ``ctf``, ``petsc``), so the
   figures can replay one scenario against every system under comparison.
@@ -47,7 +47,6 @@ from repro.scenarios.model import (
     canonical_tuples,
 )
 from repro.semirings import PLUS_TIMES, Semiring
-from repro.sparse import DCSRMatrix, DHBMatrix
 
 __all__ = [
     "REPLAY_LAYOUTS",
@@ -56,27 +55,13 @@ __all__ = [
     "CompetitorExecutor",
 ]
 
-#: Local layouts a scenario can be replayed against (the differential
-#: harness sweeps all of them).
-REPLAY_LAYOUTS = ("coo", "csr", "dcsr", "dhb")
+#: Layouts of the static right operand ``B`` a scenario can be replayed
+#: against (the differential harness sweeps both).
+REPLAY_LAYOUTS = ("csr", "dhb")
 
 
 class ScenarioCheckError(RuntimeError):
     """A :class:`SnapshotCheck` assertion failed during replay."""
-
-
-def _as_layout(block, layout: str):
-    """Convert a CSR block to the requested local layout."""
-    if layout == "csr":
-        return block
-    coo = block.to_coo()
-    if layout == "coo":
-        return coo
-    if layout == "dcsr":
-        return DCSRMatrix.from_coo(coo, dedup=False)
-    if layout == "dhb":
-        return DHBMatrix.from_coo(coo, combine_duplicates=False)
-    raise ValueError(f"unknown replay layout {layout!r} (use one of {REPLAY_LAYOUTS})")
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +78,6 @@ class NativeExecutor:
     """
 
     name = "native"
-    supports_layouts = True
     #: the maintained application instance (None outside app scenarios)
     app = None
 
@@ -217,13 +201,8 @@ class NativeExecutor:
             )
         else:
             b = StaticDistMatrix.from_tuples(
-                comm, grid, shape, self._b_per_rank, self.semiring, layout="csr"
+                comm, grid, shape, self._b_per_rank, self.semiring, layout=self.layout
             )
-            if self.layout != "csr":
-                for rank in list(b.blocks):
-                    b.blocks[rank] = comm.run_local(
-                        rank, _as_layout, b.blocks[rank], self.layout
-                    )
         self.product = DynamicProduct(
             comm,
             grid,
@@ -415,7 +394,6 @@ class CompetitorExecutor:
     """
 
     name = "competitor"
-    supports_layouts = False
     #: competitor backends expose no incremental application state
     app = None
 

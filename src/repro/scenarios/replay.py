@@ -1,8 +1,8 @@
 """Replay driver: run a :class:`~repro.scenarios.model.Scenario` anywhere.
 
 :func:`replay` executes a scenario against any registered communicator
-backend (``sim``, ``mpi``, …), any rank count and any local storage layout,
-and returns a structured :class:`~repro.scenarios.model.ScenarioResult`.
+backend (``sim``, ``mpi``, …), any rank count and either replay layout of
+the static right operand, and returns a structured :class:`~repro.scenarios.model.ScenarioResult`.
 It is a thin driver: communicator resolution, fault arming and the
 crash/recovery loop live here, while the actual step application is the
 shared :class:`~repro.scenarios.engine.ScenarioEngine` (also driven,
@@ -10,7 +10,7 @@ incrementally, by the always-on :class:`repro.service.GraphService`) and
 the per-step semantics live in the executors
 (:mod:`repro.scenarios.executors`):
 
-* :class:`NativeExecutor` — the paper's own machinery (all four local
+* :class:`NativeExecutor` — the paper's own machinery (both replay
   layouts, Algorithm 1 / 2, app-aware on ``AppSpec`` scenarios).
 * :class:`CompetitorExecutor` — wraps any :mod:`repro.competitors`
   backend; unsupported steps truncate the replay
@@ -45,7 +45,6 @@ from repro.scenarios.executors import (
     CompetitorExecutor,
     NativeExecutor,
     ScenarioCheckError,
-    _as_layout,
 )
 from repro.scenarios.model import Scenario, ScenarioResult
 from repro.scenarios.options import ReplayOptions
@@ -83,7 +82,7 @@ def replay(
         Communicator configuration (ignored when ``comm`` is passed).
     layout:
         Local storage layout of the static right-hand operand, one of
-        :data:`REPLAY_LAYOUTS`.
+        :data:`REPLAY_LAYOUTS` (``"csr"`` or ``"dhb"``).
     partitioner:
         Logical-rank→process placement strategy (a name or a
         :class:`~repro.runtime.partitioner.Partitioner`); defaults to the

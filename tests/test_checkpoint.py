@@ -2,7 +2,8 @@
 
 Covers the serialisation layer the fault drills rest on:
 
-* property-based round trips of the block codec for **all four** layouts —
+* property-based round trips of the block codec for **all three** layouts a
+  distributed matrix can hold (CSR, DCSR, DHB) —
   a decoded block must be indistinguishable from the original, including
   DHB adjacency order, per-row capacities, grow counters and hash-index
   content (the state a canonicalising codec would silently discard);
@@ -35,6 +36,7 @@ from repro.distributed import (
     encode_block,
     encode_bloom,
 )
+from repro.runtime import SimMPI
 from repro.runtime.faults import (
     FaultInjector,
     FaultPlan,
@@ -53,7 +55,6 @@ from repro.sparse import (
 SEED = 2022
 
 _LAYOUT_BUILDERS = {
-    "coo": lambda coo: coo,
     "csr": CSRMatrix.from_coo,
     "dcsr": DCSRMatrix.from_coo,
     "dhb": DHBMatrix.from_coo,
@@ -69,10 +70,6 @@ def _random_coo(seed: int, *, n: int = 16, nnz: int = 40) -> COOMatrix:
     flat = rng.choice(n * n, size=nnz, replace=False)
     rows, cols = (flat // n).astype(np.int64), (flat % n).astype(np.int64)
     return COOMatrix((n, n), rows, cols, rng.random(nnz) + 0.25)
-
-
-def _as_coo(block) -> COOMatrix:
-    return block if isinstance(block, COOMatrix) else block.to_coo()
 
 
 def _assert_tuples_equal(a: COOMatrix, b: COOMatrix) -> None:
@@ -102,7 +99,9 @@ def _assert_dhb_identical(a: DHBMatrix, b: DHBMatrix) -> None:
 # block codec round trips (property-based)
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), layout=st.sampled_from(S.REPLAY_LAYOUTS))
+@given(
+    seed=st.integers(0, 2**31 - 1), layout=st.sampled_from(sorted(_LAYOUT_BUILDERS))
+)
 def test_codec_round_trips_all_layouts(seed: int, layout: str) -> None:
     coo = _random_coo(seed)
     block = _LAYOUT_BUILDERS[layout](coo)
@@ -110,7 +109,7 @@ def test_codec_round_trips_all_layouts(seed: int, layout: str) -> None:
     assert type(decoded) is type(block)
     assert decoded.nnz == block.nnz
     assert decoded.semiring.name == block.semiring.name
-    _assert_tuples_equal(_as_coo(decoded), _as_coo(block))
+    _assert_tuples_equal(decoded.to_coo(), block.to_coo())
     if layout == "csr":
         assert np.array_equal(decoded.indptr, block.indptr)
         assert np.array_equal(decoded.indices, block.indices)
@@ -203,8 +202,12 @@ def test_bloom_codec_rejects_what_a_filter_cannot_hold(damage, complaint) -> Non
 def test_codec_rejects_unknown_layouts() -> None:
     with pytest.raises(BlockCodecError):
         encode_block(object())
+    # no distributed matrix holds a COO block, so the codec has no COO form
     with pytest.raises(BlockCodecError):
-        decode_block({"layout": "sparsity_map", "shape": (2, 2), "semiring": "plus_times"})
+        encode_block(_random_coo(3))
+    for layout in ("sparsity_map", "coo"):
+        with pytest.raises(BlockCodecError):
+            decode_block({"layout": layout, "shape": (2, 2), "semiring": "plus_times"})
     with pytest.raises(BlockCodecError):
         decode_block({"shape": (2, 2)})
     with pytest.raises(BlockCodecError):
@@ -603,3 +606,46 @@ def test_snapshot_with_insertion_ordered_bloom_entries_restores() -> None:
         assert decode_bloom(encoded) == original
     assert shuffled
     _assert_same_continuation(reference, S.replay(drill, resume_from=snapshot, **_DHB_SIM))
+
+
+# ----------------------------------------------------------------------
+# a dhb replay's static B: built as DHB, labelled and checkpointed as DHB
+# ----------------------------------------------------------------------
+def _algebraic_dhb_drill():
+    """Algorithm 1 ``mixed_update_multiply`` on a ``dhb`` B, checkpointed at
+    step 3 and crashed at step 4: ``(uninterrupted run, drill, store)``."""
+    base = S.with_checkpoint(S.mixed_update_multiply(seed=SEED), at=3)
+    drill, store = S.with_crash(base, at=4), S.CheckpointStore()
+    faults = FaultInjector(FaultPlan())
+    S.replay(drill, checkpoint_store=store, faults=faults, on_crash="restore", **_DHB_SIM)
+    return S.replay(base, **_DHB_SIM), drill, store
+
+
+def test_dhb_replay_builds_its_static_b_as_dhb() -> None:
+    engine = S.ScenarioEngine(
+        S.mixed_update_multiply(seed=SEED), SimMPI(4), layout="dhb"
+    ).begin()
+    b = engine.executor.b_static
+    assert b.layout == "dhb"
+    assert b.blocks and all(type(block) is DHBMatrix for block in b.blocks.values())
+
+
+def test_dhb_replay_checkpoints_its_true_static_layout() -> None:
+    _reference, _drill, store = _algebraic_dhb_drill()
+    assert store.load("default", 0)["state"]["product"]["b"]["static_layout"] == "dhb"
+
+
+def test_snapshot_labelling_a_dhb_b_as_csr_still_restores() -> None:
+    """Snapshots once labelled every static B ``csr``, whatever its blocks.
+
+    Such a file restores the blocks it holds, and the continuation matches
+    the uninterrupted run byte for byte.
+    """
+    reference, drill, store = _algebraic_dhb_drill()
+    snapshot = store.load("default", 0)
+    assert snapshot["version"] == S.SNAPSHOT_VERSION == 3
+    snapshot["state"]["product"]["b"]["static_layout"] = "csr"
+    resumed = S.replay(drill, resume_from=snapshot, **_DHB_SIM)
+    for a, b in zip(reference.final_a, resumed.final_a):
+        assert np.array_equal(a, b)
+    _assert_same_continuation(reference, resumed)

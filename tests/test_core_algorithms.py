@@ -141,13 +141,20 @@ class TestSUMMA:
 # distributed transpose
 # ----------------------------------------------------------------------
 class TestTranspose:
-    @pytest.mark.parametrize("layout", ["csr", "dcsr"])
+    @pytest.mark.parametrize("layout", ["csr", "dcsr", "dhb"])
     def test_transpose_matches_dense(self, comm16, grid16, layout):
         dense = random_dense(18, 11, 0.3, seed=5)
         mat = dist_from_dense(comm16, grid16, dense)
         t = transpose_dist(mat, layout=layout)
         assert t.shape == (11, 18)
         assert np.allclose(t.to_dense(), dense.T)
+
+    def test_unknown_layout_is_rejected_before_any_exchange(self, comm16, grid16):
+        mat = dist_from_dense(comm16, grid16, random_dense(8, 8, 0.3, seed=3))
+        before = comm16.stats.as_dict()
+        with pytest.raises(ValueError, match="bogus"):
+            transpose_dist(mat, layout="bogus")
+        assert comm16.stats.as_dict() == before
 
     def test_double_transpose_is_identity(self, comm16, grid16):
         dense = random_dense(14, 14, 0.3, seed=7)

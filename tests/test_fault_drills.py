@@ -1,7 +1,7 @@
 """Kill-and-recover drill matrix: byte-identical continuation after crashes.
 
 The centrepiece of the fault-tolerance contract: for every scenario
-generator, both in-process backends and all four local layouts, a run that
+generator, both in-process backends and both replay layouts, a run that
 is killed at a chosen step and restored from its last checkpoint must be
 **byte-identical** to the uninterrupted run — final tuples of ``A`` (and
 ``C`` where maintained), application query payloads, and per-category

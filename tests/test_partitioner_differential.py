@@ -8,7 +8,7 @@ the backend/layout differential matrix (`tests/test_scenarios_differential.py`)
 along a third axis:
 
 * ``REPRO_PARTITIONER`` environment sweep across the ``sim`` and emulated
-  ``mpi`` backends × all four layouts (the env var must be validated and
+  ``mpi`` backends × both replay layouts (the env var must be validated and
   honoured everywhere, including backends with no placement surface), and
 * explicit ``replay(partitioner=...)`` sweeps across loopback worlds
   1/2/4, where placements genuinely differ between strategies.

@@ -513,6 +513,14 @@ def test_run_suite_cli_writes_and_rejects(tmp_path, capsys):
     ]
 
 
+def test_run_suite_rejects_unknown_layouts_before_measuring(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    for bad in (["--figs", "table1", "--layouts", "bogus"], ["--layouts", "csr,coo"]):
+        assert bench_runner.main([*bad, *out]) == 2
+        assert "error: unknown layout" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # ----------------------------------------------------------------------
 # what the reproduction reproduces: the paper's claims, on the same documents
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Cross-backend differential harness for the scenario library.
 
 Every generator-library scenario is replayed on the ``sim`` backend and on
-the (emulated) ``mpi`` backend, across **all four** local layouts of the
-static right-hand operand (COO, CSR, DCSR, DHB).  For each (scenario,
-layout) pair the two backends must produce
+the (emulated) ``mpi`` backend, across **both** replay layouts of the
+static right-hand operand (CSR, DHB).  For each (scenario, layout) pair
+the two backends must produce
 
 * bit-identical final tuples of the maintained matrix ``A`` (and of the
   maintained product ``C`` where the scenario multiplies),
@@ -238,8 +238,8 @@ def test_multiprocess_worlds_match_sim(results, generator_name, world):
 #: Exact per-category ``(messages, bytes)`` of every generator at p=4
 #: (seed 2022).  These were recorded from the blocking schedule that the
 #: pipelines replaced; it and the pipelines gave the same numbers on both
-#: backends and all four layouts.  The pipelines must keep posting exactly
-#: the same traffic.
+#: backends and every layout.  The pipelines must keep posting exactly the
+#: same traffic.
 PINNED_SIGNATURES_P4 = {
     "bursty_skewed_stream": {"redist_comm": (62, 9072)},
     "dhb_bucket_collision_stream": {"redist_comm": (77, 6720)},

@@ -162,9 +162,9 @@ class TestCoalesce:
 class TestReplayOptions:
     def test_kwargs_and_options_are_equivalent(self):
         scenario = steady_state_churn(seed=5)
-        by_kwargs = replay(scenario, backend="sim", n_ranks=4, layout="dcsr")
+        by_kwargs = replay(scenario, backend="sim", n_ranks=4, layout="dhb")
         by_options = replay(
-            scenario, options=ReplayOptions(backend="sim", n_ranks=4, layout="dcsr")
+            scenario, options=ReplayOptions(backend="sim", n_ranks=4, layout="dhb")
         )
         assert by_kwargs.comm_signature() == by_options.comm_signature()
         assert np.array_equal(by_kwargs.final_a[0], by_options.final_a[0])

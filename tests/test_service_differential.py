@@ -14,7 +14,7 @@ byte-identically:
 * per-category communication volume (messages and bytes) — possible
   because mid-trace result sampling uses only the uncharged control plane.
 
-Legs: ``sim`` and (emulated) ``mpi`` across all four layouts, application
+Legs: ``sim`` and (emulated) ``mpi`` across both replay layouts, application
 tenants, and threaded loopback worlds of size 1, 2 and 4 where the service
 and the cold replay share one persistent multi-process world.  Under
 ``mpiexec`` the world legs run on the genuine ``MPI.COMM_WORLD``.
