@@ -47,9 +47,7 @@ from repro.runtime import (
     ProcessGrid,
     SimMPI,
     StatCategory,
-    available_backends,
     make_communicator,
-    register_backend,
 )
 from repro.sparse import (
     BloomFilterMatrix,
@@ -104,8 +102,6 @@ __all__ = [
     "SimMPI",
     "MPIBackend",
     "make_communicator",
-    "register_backend",
-    "available_backends",
     "ProcessGrid",
     "MachineModel",
     "CommStats",

@@ -5,7 +5,7 @@ few blocks over time, so a placement that was balanced at construction
 drifts: a few processes carry most of the data while others idle.  This
 module watches the per-process nnz loads between batches and, when the
 ``max/mean`` imbalance exceeds the armed ``REPRO_REPARTITION`` threshold
-(see :func:`repro.runtime.partitioner.repartition_threshold`), computes a
+(parsed by :class:`repro.runtime.config.RuntimeConfig`), computes a
 fresh nnz-aware placement and migrates block ownership through
 :meth:`~repro.runtime.mpi_backend.MPIBackend.migrate_ownership` — the
 blocks travel as intact pickled objects over the same bucketed all-to-all

@@ -3,7 +3,8 @@
 Distributed algorithms in this repository are written in bulk-synchronous
 SPMD "orchestration" style against the :class:`Communicator` protocol; which
 runtime actually executes them is selected by :func:`make_communicator`
-(``backend=...`` argument or the ``REPRO_BACKEND`` environment variable):
+(``backend=...`` argument or the ``REPRO_BACKEND`` switch, which
+:class:`RuntimeConfig` parses with the other three):
 
 * ``"sim"`` (default) — :class:`SimMPI`, a single-process simulator.  Each
   simulated rank owns local state; local kernels are executed rank-by-rank
@@ -23,17 +24,17 @@ and measured local time for either backend — this is what the paper's
 breakdown figures (Fig. 7 and Fig. 12) report.
 """
 
-from repro.runtime.backend import (
+from repro.runtime.backend import CommRequest, Communicator
+from repro.runtime.config import (
     BACKEND_ENV_VAR,
-    DEFAULT_BACKEND,
-    CommRequest,
-    Communicator,
-    available_backends,
-    make_communicator,
-    register_backend,
-    resolve_backend_name,
+    FAULTS_ENV_VAR,
+    NODE_CONFIGS,
+    PARTITIONER_ENV_VAR,
+    REPARTITION_ENV_VAR,
+    MachineModel,
+    RuntimeConfig,
+    ranks_for_nodes,
 )
-from repro.runtime.config import MachineModel, NODE_CONFIGS, ranks_for_nodes
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.loopback import LoopbackComm, LoopbackWorld, run_spmd
 from repro.runtime.mpi_backend import (
@@ -44,31 +45,33 @@ from repro.runtime.mpi_backend import (
     world_size,
 )
 from repro.runtime.partitioner import (
-    DEFAULT_PARTITIONER,
-    PARTITIONER_ENV_VAR,
-    REPARTITION_ENV_VAR,
+    PARTITIONERS,
     Partitioner,
     available_partitioners,
     make_partitioner,
-    register_partitioner,
-    repartition_threshold,
-    resolve_partitioner_name,
     verify_placement,
 )
 from repro.runtime.simmpi import SimMPI, payload_nbytes
 from repro.runtime.stats import CommStats, StatCategory
-from repro.runtime.world import ServiceWorld
+from repro.runtime.world import (
+    BACKENDS,
+    ServiceWorld,
+    backend_name_of,
+    make_communicator,
+)
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
+    "BACKENDS",
     "CommRequest",
     "Communicator",
-    "available_backends",
+    "backend_name_of",
     "make_communicator",
-    "register_backend",
-    "resolve_backend_name",
+    "BACKEND_ENV_VAR",
+    "FAULTS_ENV_VAR",
+    "PARTITIONER_ENV_VAR",
+    "REPARTITION_ENV_VAR",
     "MachineModel",
+    "RuntimeConfig",
     "NODE_CONFIGS",
     "ranks_for_nodes",
     "ProcessGrid",
@@ -84,15 +87,10 @@ __all__ = [
     "run_spmd",
     "world_rank",
     "world_size",
-    "DEFAULT_PARTITIONER",
-    "PARTITIONER_ENV_VAR",
-    "REPARTITION_ENV_VAR",
+    "PARTITIONERS",
     "Partitioner",
     "available_partitioners",
     "make_partitioner",
-    "register_partitioner",
-    "repartition_threshold",
-    "resolve_partitioner_name",
     "verify_placement",
     "ServiceWorld",
 ]

@@ -1,4 +1,4 @@
-"""Backend-agnostic communicator protocol, registry and factory.
+"""Backend-agnostic communicator protocol and shared helpers.
 
 Every distributed algorithm in this repository is written in bulk-synchronous
 "global orchestration" style against a small communicator surface: local
@@ -19,15 +19,14 @@ Two backends ship with the repository:
   single-rank emulator when mpi4py is not installed (so the code path can be
   exercised on any machine).
 
-Backends live in a registry keyed by name; external code can plug in its own
-implementation with :func:`register_backend`.  :func:`make_communicator`
-resolves the backend from an explicit argument, else from the
-``REPRO_BACKEND`` environment variable, else the default ``"sim"``.
+The name ↔ class table of the two backends and :func:`make_communicator`
+live in :mod:`repro.runtime.world`.  Any other implementation of the
+protocol can be handed to the algorithms (and to ``replay(comm=...)``)
+directly.
 """
 
 from __future__ import annotations
 
-import os
 from typing import (
     Any,
     Callable,
@@ -42,24 +41,11 @@ from repro.runtime.config import MachineModel
 from repro.runtime.stats import CommStats, StatCategory
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
     "CommRequest",
     "Communicator",
-    "available_backends",
     "check_rank",
-    "make_communicator",
     "normalize_group",
-    "register_backend",
-    "resolve_backend_name",
 ]
-
-#: Environment variable consulted by :func:`make_communicator` when no
-#: explicit backend name is given.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: Backend used when neither an argument nor the environment selects one.
-DEFAULT_BACKEND = "sim"
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +160,6 @@ class Communicator(Protocol):
     n_ranks: int
     machine: MachineModel
     stats: CommStats
-    track_time: bool
 
     # -- clock / bookkeeping ------------------------------------------
     @property
@@ -264,16 +249,6 @@ class Communicator(Protocol):
         aligned with ``group``; returns ``rank -> result`` for the ranks
         that executed locally.
         """
-        ...
-
-    def charge_local(
-        self,
-        rank: int,
-        measured_seconds: float,
-        *,
-        category: str = StatCategory.LOCAL_COMPUTE,
-    ) -> None:
-        """Charge already-measured local seconds to ``rank`` under ``category``."""
         ...
 
     # -- point-to-point -----------------------------------------------
@@ -366,7 +341,6 @@ class Communicator(Protocol):
         *,
         group: Sequence[int] | None = None,
         category: str = StatCategory.REDUCE,
-        measure_combine: bool = True,
     ) -> Any:
         """Tree-reduce one payload per rank onto ``root`` with ``combine``."""
         ...
@@ -463,85 +437,3 @@ class Communicator(Protocol):
         """
         ...
 
-
-# ----------------------------------------------------------------------
-# backend registry + factory
-# ----------------------------------------------------------------------
-_BACKEND_REGISTRY: dict[str, Callable[..., Communicator]] = {}
-
-
-def register_backend(name: str, factory: Callable[..., Communicator]) -> None:
-    """Register (or replace) a communicator backend under ``name``.
-
-    ``factory`` is called as ``factory(n_ranks=..., machine=..., **kwargs)``
-    and must return a :class:`Communicator` implementation.
-    """
-    if not name or not name.strip():
-        raise ValueError("backend name must be a non-empty string")
-    _BACKEND_REGISTRY[name.strip().lower()] = factory
-
-
-def available_backends() -> list[str]:
-    """Sorted names of all registered backends."""
-    return sorted(_BACKEND_REGISTRY)
-
-
-def resolve_backend_name(backend: str | None = None) -> str:
-    """Resolve the effective backend name (argument → env var → default)."""
-    if backend is None or not backend.strip():
-        backend = (os.environ.get(BACKEND_ENV_VAR) or "").strip() or DEFAULT_BACKEND
-    return backend.strip().lower()
-
-
-def make_communicator(
-    backend: str | None = None,
-    *,
-    n_ranks: int = 1,
-    machine: MachineModel | None = None,
-    **kwargs: Any,
-) -> Communicator:
-    """Create a communicator for ``n_ranks`` logical ranks.
-
-    Parameters
-    ----------
-    backend:
-        Registered backend name (``"sim"`` or ``"mpi"`` out of the box).
-        When omitted, the ``REPRO_BACKEND`` environment variable is
-        consulted, then the default ``"sim"``.
-    n_ranks:
-        Number of logical ranks the orchestration program addresses.
-    machine:
-        Optional :class:`MachineModel` (cost model for the simulator;
-        carried as metadata by real backends).
-    kwargs:
-        Extra backend-specific options (e.g. ``track_time=False`` or the
-        mpi backend's ``force_emulator=True``).
-    """
-    name = resolve_backend_name(backend)
-    factory = _BACKEND_REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown communicator backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        )
-    return factory(n_ranks=n_ranks, machine=machine, **kwargs)
-
-
-def _sim_factory(
-    n_ranks: int = 1, machine: MachineModel | None = None, **kwargs: Any
-) -> Communicator:
-    from repro.runtime.simmpi import SimMPI
-
-    return SimMPI(n_ranks, machine, **kwargs)
-
-
-def _mpi_factory(
-    n_ranks: int = 1, machine: MachineModel | None = None, **kwargs: Any
-) -> Communicator:
-    from repro.runtime.mpi_backend import MPIBackend
-
-    return MPIBackend(n_ranks, machine, **kwargs)
-
-
-register_backend("sim", _sim_factory)
-register_backend("mpi", _mpi_factory)

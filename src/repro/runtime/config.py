@@ -1,4 +1,8 @@
-"""Machine model for the simulated cluster.
+"""Run configuration: the simulated cluster's machine model and the run switches.
+
+:class:`RuntimeConfig` is the one reader of the process environment: the
+four ``REPRO_*`` switches are parsed by :meth:`RuntimeConfig.from_env` and
+nowhere else (see ``docs/backends.md`` for the table of switches).
 
 The paper's testbed: 16 nodes, 2× Intel Xeon 6126 (12 cores each), 192 GB
 RAM, 100 GBit Omni-Path.  CombBLAS/CTF/our-code run 4 MPI ranks per node
@@ -24,9 +28,98 @@ time:
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, replace
+from typing import Mapping
 
-__all__ = ["MachineModel", "NODE_CONFIGS", "ranks_for_nodes"]
+from repro.runtime.faults import FaultPlan
+from repro.runtime.partitioner import PARTITIONERS
+
+__all__ = [
+    "BACKEND_ENV_VAR",
+    "FAULTS_ENV_VAR",
+    "MachineModel",
+    "NODE_CONFIGS",
+    "PARTITIONER_ENV_VAR",
+    "REPARTITION_ENV_VAR",
+    "RuntimeConfig",
+    "ranks_for_nodes",
+]
+
+#: communicator backend built when no ``backend=``/``comm=`` is given
+BACKEND_ENV_VAR = "REPRO_BACKEND"
+#: placement strategy the scenario engine installs when none is given
+PARTITIONER_ENV_VAR = "REPRO_PARTITIONER"
+#: max/mean per-process nnz imbalance that arms online repartitioning
+REPARTITION_ENV_VAR = "REPRO_REPARTITION"
+#: fault plan a replay arms when none is given
+FAULTS_ENV_VAR = "REPRO_FAULTS"
+
+
+def _backend(text: str) -> str:
+    from repro.runtime.world import BACKENDS
+
+    name = text.lower() or "sim"
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend (available: {', '.join(sorted(BACKENDS))})")
+    return name
+
+
+def _partitioner(text: str) -> str | None:
+    if text and text not in PARTITIONERS:
+        raise ValueError(
+            f"unknown partitioner (available: {', '.join(sorted(PARTITIONERS))})"
+        )
+    return text or None
+
+
+def _repartition(text: str) -> float | None:
+    if text.lower() in ("", "off", "0", "none", "false"):
+        return None
+    value = float(text)
+    if not (math.isfinite(value) and value > 1.0):
+        raise ValueError("want a finite max/mean imbalance ratio > 1, or 'off'")
+    return value
+
+
+@dataclass(frozen=True)
+class RuntimeConfig:
+    """The four run switches of this process, parsed and validated once.
+
+    ``partitioner`` and ``repartition`` are ``None`` when unset (keep the
+    backend's round-robin start; no online repartitioning), ``faults``
+    when no plan is armed.  Readers build one with :meth:`from_env` where
+    they act on a switch; nothing takes a ``RuntimeConfig`` argument.
+    """
+
+    backend: str = "sim"
+    partitioner: str | None = None
+    repartition: float | None = None
+    faults: FaultPlan | None = None
+
+    @classmethod
+    def from_env(cls, environ: Mapping[str, str] | None = None) -> "RuntimeConfig":
+        """Parse the switches from ``environ`` (default: ``os.environ``).
+
+        Every value is checked here, so a typo raises a ``ValueError``
+        naming its switch before any work starts.
+        """
+        env = os.environ if environ is None else environ
+
+        def parse(name, parser):
+            text = env.get(name, "").strip()
+            try:
+                return parser(text)
+            except ValueError as exc:
+                raise ValueError(f"{name}={text!r}: {exc}") from None
+
+        return cls(
+            backend=parse(BACKEND_ENV_VAR, _backend),
+            partitioner=parse(PARTITIONER_ENV_VAR, _partitioner),
+            repartition=parse(REPARTITION_ENV_VAR, _repartition),
+            faults=parse(FAULTS_ENV_VAR, lambda t: FaultPlan.parse(t) if t else None),
+        )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 A :class:`FaultPlan` describes *what goes wrong and when* — process kills at
 chosen scenario step indices, probabilistic message drops, probabilistic
-message delays — parsed from the ``REPRO_FAULTS`` environment variable (or
-built programmatically).  A :class:`FaultInjector` executes one plan
+message delays — parsed from the ``REPRO_FAULTS`` switch by
+:meth:`repro.runtime.config.RuntimeConfig.from_env` (or built
+programmatically).  A :class:`FaultInjector` executes one plan
 deterministically: the same spec and seed always kill the same step and
 charge the same recovery traffic, so a fault drill is as replayable as the
 trace it interrupts.
@@ -29,7 +30,7 @@ retry-or-restore recovery depending on its ``on_crash`` policy.
 
 from __future__ import annotations
 
-import os
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -38,16 +39,11 @@ import numpy as np
 from repro.runtime.stats import set_fault_hook
 
 __all__ = [
-    "FAULTS_ENV_VAR",
     "SimulatedCrash",
     "FaultPlanError",
     "FaultPlan",
     "FaultInjector",
-    "faults_from_env",
 ]
-
-#: Environment variable holding the fault specification.
-FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 
 class SimulatedCrash(RuntimeError):
@@ -63,7 +59,7 @@ class SimulatedCrash(RuntimeError):
 
 
 class FaultPlanError(ValueError):
-    """A ``REPRO_FAULTS`` specification could not be parsed."""
+    """A ``REPRO_FAULTS`` specification is malformed or out of range."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +77,18 @@ class FaultPlan:
     delay_seconds: float = 0.0
     #: seed for the drop/delay pseudo-random draws
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # Checked here, not at the first message draw: a plan that parses
+        # must run to the end.
+        if any(step < 0 or (proc or 0) < 0 for step, proc in self.kills):
+            raise FaultPlanError("kill steps and processes must be non-negative")
+        if min(self.drop_one_in, self.delay_one_in, self.seed) < 0:
+            raise FaultPlanError("1/<N> ratios and the seed must be non-negative")
+        if not (math.isfinite(self.delay_seconds) and self.delay_seconds >= 0):
+            raise FaultPlanError(
+                f"delay seconds must be finite and non-negative, got {self.delay_seconds}"
+            )
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
@@ -319,11 +327,3 @@ def _release_shared_hook(injector: FaultInjector) -> None:
         if not _HOOK_INJECTORS:
             set_fault_hook(None)
 
-
-def faults_from_env(env: "os._Environ[str] | dict[str, str] | None" = None) -> FaultPlan | None:
-    """The :class:`FaultPlan` selected by ``REPRO_FAULTS`` (or ``None``)."""
-    source = os.environ if env is None else env
-    spec = source.get(FAULTS_ENV_VAR, "").strip()
-    if not spec:
-        return None
-    return FaultPlan.parse(spec)

@@ -4,9 +4,9 @@
 :class:`~repro.runtime.backend.Communicator` surface as
 :class:`~repro.runtime.simmpi.SimMPI`, but on top of a *real* MPI
 communicator, in SPMD fashion: every process executes the same
-orchestration program, logical ranks are placed on processes by a
-pluggable :class:`~repro.runtime.partitioner.Partitioner` (round-robin —
-rank ``r`` on process ``r % world_size`` — by default; see
+orchestration program, logical ranks start round-robin on the processes
+(rank ``r`` on process ``r % world_size``; :meth:`MPIBackend.set_placement`
+installs any :class:`~repro.runtime.partitioner.Partitioner`'s map — see
 ``docs/backends.md`` for the nnz-aware and locality-aware strategies),
 ``run_local`` executes kernels only for owned ranks, and the collectives
 accept partial per-process payload mappings and merge them through the
@@ -16,11 +16,11 @@ with a warning) are all supported; per-process memory and local compute
 scale with the number of *owned* ranks, which is the point of running
 multi-process in the first place.
 
-When mpi4py is not installed (or ``force_emulator=True``) the underlying
-communicator is :class:`EmulatedComm` — a size-1 stand-in for
-``mpi4py.MPI.COMM_WORLD`` in the spirit of cctbx's ``libtbx.mpi4py``
-fallback.  With a world of one process every logical rank is owned locally,
-so the backend behaves like a cost-model-free ``SimMPI``: identical payload
+When mpi4py is not installed the underlying communicator is
+:class:`EmulatedComm` — a size-1 stand-in for ``mpi4py.MPI.COMM_WORLD`` in
+the spirit of cctbx's ``libtbx.mpi4py`` fallback (pass
+``comm=EmulatedComm()`` to pick it explicitly).  With a world of one
+process every logical rank is owned locally, so the backend behaves like a cost-model-free ``SimMPI``: identical payload
 routing and identical per-category byte / message accounting, with
 ``elapsed()`` reporting real wall-clock time instead of modelled time.
 Multi-process behaviour can be exercised without mpi4py through
@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from repro.perf.recorder import perf_count, record_comm_event
 from repro.runtime.backend import CommRequest, check_rank, normalize_group
 from repro.runtime.config import MachineModel
-from repro.runtime.partitioner import Partitioner, make_partitioner, verify_placement
+from repro.runtime.partitioner import RoundRobinPartitioner, verify_placement
 from repro.runtime.simmpi import payload_nbytes
 from repro.runtime.stats import CommStats, StatCategory
 
@@ -152,25 +152,24 @@ def mpi_is_available() -> bool:
     return True
 
 
-def load_mpi(force_emulator: bool = False):
-    """Return ``(comm, is_real)``: mpi4py's ``COMM_WORLD`` or the emulator.
+def load_mpi() -> Any:
+    """mpi4py's ``COMM_WORLD``, or the single-rank emulator without mpi4py.
 
     Follows the cctbx ``libtbx.mpi4py`` idiom — try the real package, warn
-    once and fall back to the single-rank emulator when it is absent.
+    once and fall back to the emulator when it is absent.
     """
-    if not force_emulator:
-        try:
-            from mpi4py import MPI
+    try:
+        from mpi4py import MPI
 
-            return MPI.COMM_WORLD, True
-        except ImportError:
-            warnings.warn(
-                "mpi4py is not installed; the 'mpi' backend runs on the "
-                "built-in single-rank emulator",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return EmulatedComm(), False
+        return MPI.COMM_WORLD
+    except ImportError:
+        warnings.warn(
+            "mpi4py is not installed; the 'mpi' backend runs on the "
+            "built-in single-rank emulator",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return EmulatedComm()
 
 
 class MPIBackend:
@@ -190,23 +189,17 @@ class MPIBackend:
         n_ranks: int,
         machine: MachineModel | None = None,
         *,
-        track_time: bool = True,
         comm: Any = None,
-        force_emulator: bool = False,
-        partitioner: str | Partitioner | None = None,
     ) -> None:
         if n_ranks < 1:
             raise ValueError("communicator needs at least one rank")
         self.n_ranks = int(n_ranks)
         self.machine = machine if machine is not None else MachineModel()
         self.stats = CommStats()
-        self.track_time = track_time
         if comm is None:
-            comm, is_real = load_mpi(force_emulator)
-        else:
-            is_real = not isinstance(comm, EmulatedComm)
+            comm = load_mpi()
         self._comm = comm
-        self.is_real_mpi = is_real
+        self.is_real_mpi = not isinstance(comm, EmulatedComm)
         self.world_size = int(comm.Get_size())
         self.world_rank = int(comm.Get_rank())
         if self.world_size > self.n_ranks:
@@ -224,16 +217,13 @@ class MPIBackend:
         #: (src, dst) -> FIFO of payloads isent between two locally-owned
         #: logical ranks (delivered at the matching irecv wait)
         self._p2p_mail: dict[tuple[int, int], list[Any]] = {}
-        # The logical-rank -> process map.  The default partitioner
-        # reproduces the historical round-robin (``r % world_size``)
-        # placement exactly; grid-/weight-aware placements are installed
+        # The logical-rank -> process map starts round-robin
+        # (``r % world_size``); grid-/weight-aware placements are installed
         # later through :meth:`set_placement` (strategies may need the
         # process grid or nnz estimates the backend does not know about).
-        self.partitioner = make_partitioner(partitioner)
-        self._placement: dict[int, int] = self.partitioner.placement(
+        self._placement: dict[int, int] = RoundRobinPartitioner().placement(
             self.n_ranks, self.world_size
         )
-        verify_placement(self._placement, self.n_ranks, self.world_size)
         #: physical cross-process traffic recorded by this process
         #: (deterministic modelled counts, not wire measurements)
         self.interprocess_bytes = 0
@@ -433,8 +423,6 @@ class MPIBackend:
         check_rank(self.n_ranks, rank)
         if not self.owns(rank):
             return None
-        if not self.track_time:
-            return fn(*args, **kwargs)
         start = time.perf_counter()
         result = fn(*args, **kwargs)
         measured = time.perf_counter() - start
@@ -470,25 +458,6 @@ class MPIBackend:
             if self.owns(rank):
                 results[rank] = self.run_local(rank, fn, *args, category=category)
         return results
-
-    def charge_local(
-        self,
-        rank: int,
-        measured_seconds: float,
-        *,
-        category: str = StatCategory.LOCAL_COMPUTE,
-    ) -> None:
-        """Record already-measured local time for an owned rank."""
-        check_rank(self.n_ranks, rank)
-        if not self.owns(rank):
-            return
-        record_comm_event(
-            self.stats,
-            category,
-            operations=1,
-            modeled_seconds=measured_seconds,
-            measured_seconds=measured_seconds,
-        )
 
     # ------------------------------------------------------------------
     # point-to-point communication
@@ -787,7 +756,6 @@ class MPIBackend:
         *,
         group: Sequence[int] | None = None,
         category: str = StatCategory.REDUCE,
-        measure_combine: bool = True,
     ) -> Any:
         """Reduce one payload per rank onto ``root``.
 

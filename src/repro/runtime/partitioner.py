@@ -10,8 +10,8 @@ sizes).  What placement does change is *performance*: per-process memory,
 local compute, and how much of the logical traffic crosses a process
 boundary.
 
-A :class:`Partitioner` owns the ``logical rank -> process`` map.  Four
-strategies are registered:
+A :class:`Partitioner` owns the ``logical rank -> process`` map.  The
+:data:`PARTITIONERS` table holds four strategies:
 
 ``round_robin``
     ``r % n_processes`` — the historical default and the oracle the
@@ -36,23 +36,19 @@ strategies are registered:
     two-phase redistribution peers — land on the same process and their
     traffic never crosses a process boundary.
 
-Selection follows the usual environment pattern: ``REPRO_PARTITIONER``
-names the strategy for scenario replay (``replay(partitioner=...)``
-overrides it), and ``REPRO_REPARTITION`` arms the online repartitioning
-hook (a max/mean per-process nnz imbalance threshold ``> 1``; unset or
-``off`` disables it) — see ``docs/backends.md``.
+A multi-process backend starts round-robin; the scenario engine installs
+the strategy named by ``replay(partitioner=...)`` or the
+``REPRO_PARTITIONER`` switch (parsed by
+:class:`~repro.runtime.config.RuntimeConfig`) — see ``docs/backends.md``.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
-    "PARTITIONER_ENV_VAR",
-    "REPARTITION_ENV_VAR",
-    "DEFAULT_PARTITIONER",
+    "PARTITIONERS",
     "Partitioner",
     "RoundRobinPartitioner",
     "BlockCyclicPartitioner",
@@ -60,20 +56,8 @@ __all__ = [
     "LocalityAwarePartitioner",
     "available_partitioners",
     "make_partitioner",
-    "register_partitioner",
-    "resolve_partitioner_name",
-    "repartition_threshold",
     "verify_placement",
 ]
-
-#: Environment variable naming the placement strategy for scenario replay.
-PARTITIONER_ENV_VAR = "REPRO_PARTITIONER"
-
-#: Environment variable arming the online repartitioning hook.
-REPARTITION_ENV_VAR = "REPRO_REPARTITION"
-
-#: Strategy used when neither the env var nor an argument names one.
-DEFAULT_PARTITIONER = "round_robin"
 
 
 def _active_processes(n_ranks: int, n_processes: int) -> int:
@@ -117,7 +101,7 @@ def verify_placement(
 class Partitioner:
     """Base class: a strategy producing the logical-rank→process map."""
 
-    #: registry key (subclasses override)
+    #: key in :data:`PARTITIONERS` (subclasses override)
     name = "abstract"
     #: whether :meth:`placement` makes use of per-rank nnz weights
     uses_weights = False
@@ -279,71 +263,32 @@ class LocalityAwarePartitioner(Partitioner):
 
 
 # ----------------------------------------------------------------------
-# registry / resolution
+# the strategy table
 # ----------------------------------------------------------------------
-_REGISTRY: dict[str, Callable[[], Partitioner]] = {}
-
-
-def register_partitioner(name: str, factory: Callable[[], Partitioner]) -> None:
-    """Register a partitioner factory under ``name``."""
-    _REGISTRY[name] = factory
-
-
-register_partitioner("round_robin", RoundRobinPartitioner)
-register_partitioner("block_cyclic", BlockCyclicPartitioner)
-register_partitioner("nnz_aware", NnzAwarePartitioner)
-register_partitioner("locality_aware", LocalityAwarePartitioner)
+#: strategy name -> class
+PARTITIONERS: dict[str, type[Partitioner]] = {
+    "round_robin": RoundRobinPartitioner,
+    "block_cyclic": BlockCyclicPartitioner,
+    "nnz_aware": NnzAwarePartitioner,
+    "locality_aware": LocalityAwarePartitioner,
+}
 
 
 def available_partitioners() -> tuple[str, ...]:
-    """Registered strategy names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Strategy names, sorted."""
+    return tuple(sorted(PARTITIONERS))
 
 
-def resolve_partitioner_name(name: str | None = None) -> str:
-    """Resolve a strategy name: argument → ``REPRO_PARTITIONER`` → default.
+def make_partitioner(name: str | Partitioner) -> Partitioner:
+    """Instantiate a strategy by name (an instance passes through).
 
-    Raises ``ValueError`` on unknown names (from either source) so typos
-    in the environment fail loudly instead of silently running the
-    default placement.
+    Unknown names raise ``ValueError`` listing the strategies.
     """
-    if name is None:
-        name = os.environ.get(PARTITIONER_ENV_VAR) or DEFAULT_PARTITIONER
-    if name not in _REGISTRY:
+    if isinstance(name, Partitioner):
+        return name
+    if name not in PARTITIONERS:
         raise ValueError(
             f"unknown partitioner {name!r} "
             f"(available: {', '.join(available_partitioners())})"
         )
-    return name
-
-
-def make_partitioner(name: str | Partitioner | None = None) -> Partitioner:
-    """Instantiate a partitioner by name (env-resolved when ``None``)."""
-    if isinstance(name, Partitioner):
-        return name
-    return _REGISTRY[resolve_partitioner_name(name)]()
-
-
-def repartition_threshold() -> float | None:
-    """The armed ``REPRO_REPARTITION`` imbalance threshold, or ``None``.
-
-    The value is the tolerated max/mean per-process nnz ratio — a float
-    strictly greater than 1 (``1.5`` repartitions once one process holds
-    50% more nnz than the average).  Unset, empty, ``off`` or ``0``
-    disable the hook; anything else unparseable raises.
-    """
-    raw = os.environ.get(REPARTITION_ENV_VAR, "").strip().lower()
-    if raw in ("", "off", "0", "none", "false"):
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{REPARTITION_ENV_VAR} must be a ratio > 1 or 'off', got {raw!r}"
-        ) from None
-    if value <= 1.0:
-        raise ValueError(
-            f"{REPARTITION_ENV_VAR} must be strictly greater than 1 "
-            f"(a max/mean imbalance ratio), got {value}"
-        )
-    return value
+    return PARTITIONERS[name]()

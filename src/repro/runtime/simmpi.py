@@ -95,19 +95,12 @@ def payload_nbytes(obj: Any) -> int:
 class SimMPI:
     """A simulated MPI communicator over ``n_ranks`` ranks."""
 
-    def __init__(
-        self,
-        n_ranks: int,
-        machine: MachineModel | None = None,
-        *,
-        track_time: bool = True,
-    ) -> None:
+    def __init__(self, n_ranks: int, machine: MachineModel | None = None) -> None:
         if n_ranks < 1:
             raise ValueError("communicator needs at least one rank")
         self.n_ranks = int(n_ranks)
         self.machine = machine if machine is not None else MachineModel()
         self.stats = CommStats()
-        self.track_time = track_time
         self._clock = np.zeros(self.n_ranks, dtype=np.float64)
         #: (src, dst) -> FIFO of (finish_time, payload, nbytes) posted by
         #: isend and not yet consumed by a matching irecv wait
@@ -214,8 +207,6 @@ class SimMPI:
         ``category``.
         """
         self._check_rank(rank)
-        if not self.track_time:
-            return fn(*args, **kwargs)
         start = time.perf_counter()
         result = fn(*args, **kwargs)
         measured = time.perf_counter() - start
@@ -257,25 +248,6 @@ class SimMPI:
         for rank, args in items:
             results[rank] = self.run_local(rank, fn, *args, category=category)
         return results
-
-    def charge_local(
-        self,
-        rank: int,
-        measured_seconds: float,
-        *,
-        category: str = StatCategory.LOCAL_COMPUTE,
-    ) -> None:
-        """Charge already-measured local time to a rank's clock."""
-        self._check_rank(rank)
-        modeled = self.machine.compute_time(measured_seconds)
-        self._clock[rank] += modeled
-        record_comm_event(
-            self.stats,
-            category,
-            operations=1,
-            modeled_seconds=modeled,
-            measured_seconds=measured_seconds,
-        )
 
     # ------------------------------------------------------------------
     # point-to-point communication
@@ -564,7 +536,6 @@ class SimMPI:
         *,
         group: Sequence[int] | None = None,
         category: str = StatCategory.REDUCE,
-        measure_combine: bool = True,
     ) -> Any:
         """Tree reduction of one payload per rank onto ``root``.
 
@@ -599,13 +570,10 @@ class SimMPI:
                 self._clock[dst] = arrive
                 total_bytes += nbytes
                 n_msgs += 1
-                if measure_combine:
-                    start = time.perf_counter()
-                    values[dst] = combine(values[dst], payload)
-                    measured = time.perf_counter() - start
-                    self._clock[dst] += self.machine.compute_time(measured)
-                else:
-                    values[dst] = combine(values[dst], payload)
+                start = time.perf_counter()
+                values[dst] = combine(values[dst], payload)
+                measured = time.perf_counter() - start
+                self._clock[dst] += self.machine.compute_time(measured)
                 next_active.append(dst)
             active = next_active
         modeled = float(self._clock[ranks].max() - t0)

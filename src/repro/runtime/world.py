@@ -1,4 +1,8 @@
-"""Long-lived SPMD worlds: create once, serve many runs, shut down once.
+"""Making communicators: the backend table, the factory and long-lived worlds.
+
+:data:`BACKENDS` is the one name ↔ class table of the communicator
+backends: :func:`make_communicator` and :class:`ServiceWorld` read it by
+name, :func:`backend_name_of` by class.
 
 Everything in the batch pipeline tears its world down after one trace.
 :class:`ServiceWorld` inverts that lifecycle, following the long-running
@@ -14,7 +18,7 @@ bookkeeping.  Each minted communicator carries
 
 * its own logical rank count (a *rank namespace*: tenants of the
   always-on service may size their grids independently),
-* its own placement map and partitioner,
+* its own placement map (``mpi``),
 * its own :class:`~repro.runtime.stats.CommStats` — per-tenant traffic
   accounting is isolated by construction, which is what makes the
   service's per-tenant comm signature comparable to a cold replay.
@@ -34,13 +38,60 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.runtime.backend import Communicator, resolve_backend_name
-from repro.runtime.config import MachineModel
+from repro.runtime.backend import Communicator
+from repro.runtime.config import MachineModel, RuntimeConfig
 from repro.runtime.mpi_backend import MPIBackend, load_mpi
-from repro.runtime.partitioner import Partitioner
 from repro.runtime.simmpi import SimMPI
 
-__all__ = ["ServiceWorld"]
+__all__ = ["BACKENDS", "ServiceWorld", "backend_name_of", "make_communicator"]
+
+#: backend name -> communicator class
+BACKENDS: dict[str, type] = {"sim": SimMPI, "mpi": MPIBackend}
+
+
+def backend_name_of(comm: Communicator) -> str:
+    """The :data:`BACKENDS` name of ``comm``'s class (else the class name)."""
+    cls = type(comm)
+    return next(
+        (name for name, known in BACKENDS.items() if known is cls),
+        cls.__name__.lower(),
+    )
+
+
+def _backend_name(backend: str | None) -> str:
+    """``backend``, else the ``REPRO_BACKEND`` switch; checked against the table."""
+    name = (backend or RuntimeConfig.from_env().backend).strip().lower()
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown communicator backend {name!r}; "
+            f"available: {', '.join(sorted(BACKENDS))}"
+        )
+    return name
+
+
+def make_communicator(
+    backend: str | None = None,
+    *,
+    n_ranks: int = 1,
+    machine: MachineModel | None = None,
+    **kwargs: Any,
+) -> Communicator:
+    """Create a communicator for ``n_ranks`` logical ranks.
+
+    Parameters
+    ----------
+    backend:
+        A :data:`BACKENDS` name (``"sim"`` or ``"mpi"``); when omitted, the
+        ``REPRO_BACKEND`` switch, whose default is ``"sim"``.
+    n_ranks:
+        Number of logical ranks the orchestration program addresses.
+    machine:
+        Optional :class:`MachineModel` (cost model for the simulator;
+        carried as metadata by real backends).
+    kwargs:
+        Passed to the backend class — the mpi backend's ``comm=``.
+    """
+    return BACKENDS[_backend_name(backend)](n_ranks, machine, **kwargs)
 
 
 class ServiceWorld:
@@ -49,9 +100,8 @@ class ServiceWorld:
     Parameters
     ----------
     backend:
-        Registered backend name (``"sim"`` or ``"mpi"``); resolved like
-        :func:`repro.runtime.make_communicator` (``REPRO_BACKEND`` applies
-        when ``None``).
+        A :data:`BACKENDS` name; resolved like :func:`make_communicator`
+        (``REPRO_BACKEND`` applies when ``None``).
     comm:
         Low-level mpi4py-surface communicator to multiplex (``mpi``
         backend only): ``MPI.COMM_WORLD``, a loopback world's
@@ -68,14 +118,8 @@ class ServiceWorld:
         *,
         comm: Any = None,
         machine: MachineModel | None = None,
-        force_emulator: bool = False,
     ) -> None:
-        self.backend_name = resolve_backend_name(backend)
-        if self.backend_name not in ("sim", "mpi"):
-            raise ValueError(
-                f"ServiceWorld multiplexes the built-in backends only "
-                f"(got {self.backend_name!r}; use 'sim' or 'mpi')"
-            )
+        self.backend_name = _backend_name(backend)
         if self.backend_name == "sim" and comm is not None:
             raise ValueError(
                 "the sim backend is single-process and owns its world; "
@@ -84,12 +128,9 @@ class ServiceWorld:
         self.machine = machine
         self._closed = False
         self._minted = 0
-        if self.backend_name == "mpi":
-            if comm is None:
-                comm, _ = load_mpi(force_emulator)
-            self._comm = comm
-        else:
-            self._comm = None
+        if self.backend_name == "mpi" and comm is None:
+            comm = load_mpi()
+        self._comm = comm
 
     # ------------------------------------------------------------------
     @property
@@ -118,8 +159,6 @@ class ServiceWorld:
         n_ranks: int,
         *,
         machine: MachineModel | None = None,
-        partitioner: "str | Partitioner | None" = None,
-        track_time: bool = True,
     ) -> Communicator:
         """Mint a fresh orchestration communicator over this world.
 
@@ -131,20 +170,11 @@ class ServiceWorld:
         """
         if self._closed:
             raise RuntimeError("ServiceWorld is shut down; no new communicators")
+        machine = machine if machine is not None else self.machine
         if self.backend_name == "sim":
-            comm: Communicator = SimMPI(
-                n_ranks,
-                machine if machine is not None else self.machine,
-                track_time=track_time,
-            )
+            comm: Communicator = SimMPI(n_ranks, machine)
         else:
-            comm = MPIBackend(
-                n_ranks,
-                machine if machine is not None else self.machine,
-                comm=self._comm,
-                partitioner=partitioner,
-                track_time=track_time,
-            )
+            comm = MPIBackend(n_ranks, machine, comm=self._comm)
         self._minted += 1
         return comm
 

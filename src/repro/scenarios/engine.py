@@ -28,7 +28,6 @@ suite the service's correctness oracle.
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 import numpy as np
@@ -36,14 +35,9 @@ import numpy as np
 from repro.distributed.distribution import BlockDistribution
 from repro.distributed.repartition import maybe_repartition
 from repro.perf.recorder import perf_phase
-from repro.runtime import ProcessGrid
+from repro.runtime import ProcessGrid, RuntimeConfig, backend_name_of
 from repro.runtime.backend import Communicator
-from repro.runtime.partitioner import (
-    PARTITIONER_ENV_VAR,
-    Partitioner,
-    make_partitioner,
-    repartition_threshold,
-)
+from repro.runtime.partitioner import Partitioner, make_partitioner
 from repro.runtime.stats import CommStats
 from repro.scenarios.executors import NativeExecutor, ScenarioCheckError
 from repro.scenarios.model import (
@@ -62,23 +56,11 @@ from repro.scenarios.model import (
 
 __all__ = [
     "ScenarioEngine",
-    "registry_name_of",
     "install_placement",
     "scenario_nnz_weights",
     "global_stats_diff",
     "merged_stats",
 ]
-
-#: built-in communicator classes -> registered backend names, so results
-#: carry the same backend labels whether a comm or a name was passed
-_COMM_CLASS_NAMES = {"SimMPI": "sim", "MPIBackend": "mpi"}
-
-
-def registry_name_of(comm: Communicator) -> str:
-    """The registered backend name a communicator instance answers to."""
-    cls = type(comm).__name__
-    return _COMM_CLASS_NAMES.get(cls, cls.lower())
-
 
 def scenario_nnz_weights(
     scenario: Scenario, grid: ProcessGrid, n_ranks: int
@@ -119,23 +101,17 @@ def install_placement(
     grid: ProcessGrid,
     partitioner: "str | Partitioner | None",
 ) -> None:
-    """Resolve the requested partitioner and install its placement.
+    """Install the placement of ``partitioner`` (``None``: leave it alone).
 
     Strategy names are validated even when the communicator has no
-    placement surface (the simulator), so ``REPRO_PARTITIONER`` typos fail
-    loudly on every backend.  The placement is only *installed* when one
-    was explicitly requested (argument or environment): a caller-provided
-    communicator may already carry a custom placement that an unsolicited
-    reset to the default would silently destroy.
+    placement surface (the simulator), so typos fail loudly on every
+    backend.  Nothing is installed unless a strategy was requested: a
+    caller-provided communicator may already carry a custom placement that
+    an unsolicited reset to the default would silently destroy.
     """
-    requested = (
-        partitioner
-        if partitioner is not None
-        else (os.environ.get(PARTITIONER_ENV_VAR) or None)
-    )
-    if requested is None:
+    if partitioner is None:
         return
-    strategy = make_partitioner(requested)
+    strategy = make_partitioner(partitioner)
     if not hasattr(comm, "set_placement"):
         return
     weights = (
@@ -174,10 +150,12 @@ class ScenarioEngine:
 
     The engine is bound to a communicator and a scenario at construction
     (placement is installed immediately, before any per-rank state is
-    materialised).  Non-square rank counts degrade to the largest ``q×q``
-    subgrid — surplus ranks idle — so e.g. ``mpiexec -n 6`` replays on a
-    2×2 grid instead of aborting inside grid construction; everything
-    downstream uses the effective ``self.n_ranks``.
+    materialised; ``partitioner`` defaults to the ``REPRO_PARTITIONER``
+    switch, and ``REPRO_REPARTITION`` arms online repartitioning).
+    Non-square rank counts degrade to the largest ``q×q`` subgrid —
+    surplus ranks idle — so e.g. ``mpiexec -n 6`` replays on a 2×2 grid
+    instead of aborting inside grid construction; everything downstream
+    uses the effective ``self.n_ranks``.
 
     The scenario's step list may grow *after* construction: ``advance()``
     re-reads ``scenario.steps`` on every call and applies whatever lies
@@ -190,7 +168,6 @@ class ScenarioEngine:
         scenario: Scenario,
         comm: Communicator,
         *,
-        backend_name: str | None = None,
         layout: str = "csr",
         partitioner: "str | Partitioner | None" = None,
         executor_factory: Callable | None = None,
@@ -201,7 +178,7 @@ class ScenarioEngine:
     ) -> None:
         self.scenario = scenario
         self.comm = comm
-        self.backend_name = backend_name or registry_name_of(comm)
+        self.backend_name = backend_name_of(comm)
         self.layout = layout
         self.check_snapshots = check_snapshots
         self.store = store
@@ -212,8 +189,14 @@ class ScenarioEngine:
         self.grid = ProcessGrid.fit(comm.p)
         self.n_ranks = self.grid.n_ranks
         # Placement must be agreed before any per-rank state is materialised.
-        install_placement(comm, scenario, self.grid, partitioner)
-        self._repartition_at = repartition_threshold()
+        env = RuntimeConfig.from_env()
+        install_placement(
+            comm,
+            scenario,
+            self.grid,
+            partitioner if partitioner is not None else env.partitioner,
+        )
+        self._repartition_at = env.repartition
         factory = executor_factory or NativeExecutor
         self.executor = factory(comm, self.grid, scenario, layout=layout)
 

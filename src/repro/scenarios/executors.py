@@ -405,7 +405,6 @@ class CompetitorExecutor:
         *,
         backend_name: str,
         layout: str = "csr",
-        **backend_kwargs,
     ) -> None:
         from repro.competitors import get_backend
 
@@ -416,24 +415,17 @@ class CompetitorExecutor:
         self.backend_name = backend_name
         backend_cls = get_backend(backend_name)
         semiring = scenario.semiring if backend_cls.supports_semirings else PLUS_TIMES
-        self.backend = backend_cls(
-            comm, grid, scenario.shape, semiring, **backend_kwargs
-        )
+        self.backend = backend_cls(comm, grid, scenario.shape, semiring)
         #: the framework's dynamic-SpGEMM protocol (SpGEMM scenarios only)
         self.stream = None
 
     @classmethod
-    def factory(cls, backend_name: str, **backend_kwargs) -> Callable:
+    def factory(cls, backend_name: str) -> Callable:
         """An ``executor_factory`` for :func:`replay` bound to a backend."""
 
         def make(comm, grid, scenario, *, layout="csr"):
             return cls(
-                comm,
-                grid,
-                scenario,
-                layout=layout,
-                backend_name=backend_name,
-                **backend_kwargs,
+                comm, grid, scenario, layout=layout, backend_name=backend_name
             )
 
         return make

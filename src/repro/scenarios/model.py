@@ -572,11 +572,11 @@ class Scenario:
         }
 
     # ------------------------------------------------------------------
-    def replay(self, **kwargs) -> "ScenarioResult":
+    def replay(self, options=None, *, comm=None, **fields) -> "ScenarioResult":
         """Run this scenario; see :func:`repro.scenarios.replay.replay`."""
         from repro.scenarios.replay import replay
 
-        return replay(self, **kwargs)
+        return replay(self, options, comm=comm, **fields)
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """Replay configuration as a first-class object.
 
-:class:`ReplayOptions` consolidates the (previously sprawling) keyword
-surface of :func:`repro.scenarios.replay.replay` into one dataclass that
-can be stored, shared and overridden:
+:class:`ReplayOptions` is the whole configuration surface of
+:func:`repro.scenarios.replay.replay`, one dataclass that can be stored,
+shared and overridden:
 
 * ``replay(scenario, options=opts)`` runs with the bundled configuration;
-* every historical keyword still works — ``replay(scenario, layout="dhb",
-  partitioner="nnz_aware")`` — and explicit keywords override the bundle;
-* unknown keywords flow into ``backend_kwargs`` and are forwarded to
-  :func:`repro.runtime.make_communicator`, exactly as ``**backend_kwargs``
-  always did;
+* ``replay(scenario, layout="dhb", partitioner="nnz_aware")`` sets fields
+  by keyword (over ``options`` when both are given) — a keyword that is not
+  a field raises ``TypeError``;
 * the always-on service embeds the same object in its
   :class:`repro.service.ServiceConfig`, so ``tenant.replay_options()`` is
   *the* configuration of the cold-replay correctness oracle — one source
@@ -18,7 +16,7 @@ can be stored, shared and overridden:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.runtime.config import MachineModel
@@ -31,9 +29,8 @@ __all__ = ["ReplayOptions"]
 class ReplayOptions:
     """Everything :func:`~repro.scenarios.replay.replay` can be told.
 
-    Field semantics are documented on :func:`repro.scenarios.replay.replay`
-    (they are the historical keyword arguments, unchanged).  ``backend_kwargs``
-    collects extra keywords for the communicator factory.
+    Field semantics are documented on :func:`repro.scenarios.replay.replay`;
+    its keywords are exactly these fields.
     """
 
     backend: str | None = None
@@ -49,24 +46,6 @@ class ReplayOptions:
     faults: Any = None
     on_crash: str = "raise"
     max_recoveries: int = 8
-    backend_kwargs: dict[str, Any] = field(default_factory=dict)
-
-    def merged(self, **overrides: Any) -> "ReplayOptions":
-        """A copy with ``overrides`` applied.
-
-        Known field names replace the bundled values; anything else lands
-        in ``backend_kwargs`` (merged over the bundled ones), preserving
-        the historical ``replay(..., **backend_kwargs)`` contract.
-        """
-        known = {f.name for f in fields(self)} - {"backend_kwargs"}
-        updates: dict[str, Any] = {}
-        extra = dict(self.backend_kwargs)
-        for key, value in overrides.items():
-            if key in known:
-                updates[key] = value
-            else:
-                extra[key] = value
-        return replace(self, backend_kwargs=extra, **updates)
 
     def validate(self) -> "ReplayOptions":
         """Check cross-field invariants; returns ``self`` for chaining."""

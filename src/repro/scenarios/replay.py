@@ -22,24 +22,20 @@ set, batch scattering (``partition_tuples_round_robin``) happens outside
 the timed region, and each step's timed region covers exactly the update /
 multiply work.
 
-Configuration can be passed as historical keywords, as a bundled
-:class:`~repro.scenarios.options.ReplayOptions`, or both (keywords win).
+Configuration is one :class:`~repro.scenarios.options.ReplayOptions`,
+passed whole, field by field as keywords, or both (keywords win).
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import nullcontext
+from dataclasses import replace
 
-from repro.runtime import make_communicator, resolve_backend_name
+from repro.runtime import RuntimeConfig, backend_name_of, make_communicator
 from repro.runtime.backend import Communicator
-from repro.runtime.faults import (
-    FaultInjector,
-    FaultPlan,
-    SimulatedCrash,
-    faults_from_env,
-)
-from repro.scenarios.engine import ScenarioEngine, registry_name_of
+from repro.runtime.faults import FaultInjector, FaultPlan, SimulatedCrash
+from repro.scenarios.engine import ScenarioEngine
 from repro.scenarios.executors import (
     REPLAY_LAYOUTS,
     CompetitorExecutor,
@@ -62,22 +58,27 @@ __all__ = [
 
 def replay(
     scenario: Scenario,
-    *,
     options: ReplayOptions | None = None,
+    *,
     comm: Communicator | None = None,
-    **kwargs,
+    **fields,
 ) -> ScenarioResult:
     """Replay ``scenario`` and return its structured result.
 
     Parameters
     ----------
     options:
-        A bundled :class:`~repro.scenarios.options.ReplayOptions`.  Any
-        keyword below overrides the bundled value; unknown keywords are
-        forwarded to :func:`repro.runtime.make_communicator`.
+        A bundled :class:`~repro.scenarios.options.ReplayOptions`.  Every
+        other keyword is one of its fields, listed below, and overrides the
+        bundled value; any other keyword raises ``TypeError``.
+    comm:
+        A ready communicator to replay on (any
+        :class:`~repro.runtime.backend.Communicator`); built from
+        ``backend``, ``n_ranks`` and ``machine`` when omitted.
     backend:
-        Communicator backend name (``"sim"``, ``"mpi"``, …); resolved like
-        :func:`repro.runtime.make_communicator` when ``comm`` is not given.
+        Communicator backend name (``"sim"`` or ``"mpi"``); the
+        ``REPRO_BACKEND`` switch when omitted.  With ``comm`` given it
+        only labels the result, and must name ``comm``'s backend.
     n_ranks, machine:
         Communicator configuration (ignored when ``comm`` is passed).
     layout:
@@ -86,7 +87,7 @@ def replay(
     partitioner:
         Logical-rank→process placement strategy (a name or a
         :class:`~repro.runtime.partitioner.Partitioner`); defaults to the
-        ``REPRO_PARTITIONER`` environment variable.  Placement is physical
+        ``REPRO_PARTITIONER`` switch.  Placement is physical
         — results are byte-identical under every strategy; only the
         multi-process backends act on it.  Weight-using strategies
         (``nnz_aware``) estimate per-rank nnz from the initial matrix and
@@ -122,7 +123,7 @@ def replay(
         ``REPRO_FAULTS``-grammar string, or a pre-armed
         :class:`~repro.runtime.faults.FaultInjector` (pass the same
         injector across recovery attempts so fired kills do not refire).
-        Defaults to the ``REPRO_FAULTS`` environment variable.
+        Defaults to the ``REPRO_FAULTS`` switch.
     on_crash:
         What to do when an injected crash fires: ``"raise"`` (default —
         the multi-process harness catches it and restarts the world),
@@ -133,23 +134,18 @@ def replay(
     from repro.scenarios.checkpoint import CheckpointStore, load_snapshot
     from repro.scenarios.model import CheckpointStep, RestoreStep
 
-    opts = (options if options is not None else ReplayOptions()).merged(**kwargs)
-    opts.validate()
+    opts = replace(options or ReplayOptions(), **fields).validate()
+    env = RuntimeConfig.from_env()
     if comm is None:
-        backend_name = resolve_backend_name(opts.backend)
         comm = make_communicator(
-            backend_name,
-            n_ranks=opts.n_ranks,
-            machine=opts.machine,
-            **opts.backend_kwargs,
+            opts.backend or env.backend, n_ranks=opts.n_ranks, machine=opts.machine
         )
-    else:
-        backend_name = (
-            resolve_backend_name(opts.backend)
-            if opts.backend
-            else registry_name_of(comm)
+    elif opts.backend and opts.backend.strip().lower() != backend_name_of(comm):
+        raise ValueError(
+            f"backend={opts.backend!r} disagrees with comm=, "
+            f"a {backend_name_of(comm)!r} communicator"
         )
-    faults = opts.faults if opts.faults is not None else faults_from_env()
+    faults = opts.faults if opts.faults is not None else env.faults
     if isinstance(faults, str):
         faults = FaultPlan.parse(faults)
     injector = (
@@ -173,7 +169,6 @@ def replay(
             return _replay_once(
                 scenario,
                 comm=comm,
-                backend_name=backend_name,
                 opts=opts,
                 store=store,
                 resume=resume,
@@ -197,7 +192,6 @@ def _replay_once(
     scenario: Scenario,
     *,
     comm: Communicator,
-    backend_name: str,
     opts: ReplayOptions,
     store,
     resume,
@@ -208,7 +202,6 @@ def _replay_once(
     engine = ScenarioEngine(
         scenario,
         comm,
-        backend_name=backend_name,
         layout=opts.layout,
         partitioner=opts.partitioner,
         executor_factory=opts.executor_factory,

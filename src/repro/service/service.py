@@ -76,6 +76,16 @@ _STEP_CLASSES = {
     "delete": DeleteBatch,
 }
 
+#: ``ReplayOptions`` fields only a cold replay acts on; a tenant cannot
+#: honour them, so ``create_tenant`` refuses them rather than drop them
+_REPLAY_ONLY_FIELDS = (
+    "faults",
+    "resume_from",
+    "on_crash",
+    "max_recoveries",
+    "collect_final",
+)
+
 
 @dataclass
 class ServiceConfig:
@@ -84,8 +94,11 @@ class ServiceConfig:
     ``replay`` is the shared configuration surface: the tenant's engine
     runs under it *and* :meth:`GraphTenant.replay_options` hands the very
     same bundle to the cold-replay oracle, so there is one source of truth
-    for layout, placement, executor and snapshot checking.  The queue
-    knobs map onto :class:`~repro.service.queue.FlushPolicy`.
+    for layout, placement, executor and snapshot checking.  Fields only a
+    cold replay acts on (faults, resuming, crash recovery,
+    ``collect_final``, a backend other than the world's) must stay at
+    their defaults.  The queue knobs map onto
+    :class:`~repro.service.queue.FlushPolicy`.
     """
 
     replay: ReplayOptions = field(default_factory=lambda: ReplayOptions(n_ranks=4))
@@ -133,7 +146,6 @@ class GraphTenant:
         self._engine = ScenarioEngine(
             log,
             comm,
-            backend_name=service.world.backend_name,
             layout=opts.layout,
             partitioner=opts.partitioner,
             executor_factory=opts.executor_factory,
@@ -447,13 +459,15 @@ class GraphService:
         The tenant's request log starts as an empty
         :class:`~repro.scenarios.model.Scenario` carrying the construction
         inputs (``initial_tuples``, ``b_tuples``, ``app``, seeds), so a
-        cold replay constructs exactly the same starting state.
+        cold replay constructs exactly the same starting state.  A
+        ``config.replay`` a tenant cannot honour raises ``ValueError``.
         """
         if self.closed:
             raise RuntimeError("service is shut down")
         if name in self._tenants:
             raise ValueError(f"tenant {name!r} already exists")
         cfg = config if config is not None else self.config
+        self._check_servable(cfg.replay)
         ranks = n_ranks if n_ranks is not None else cfg.replay.n_ranks
         comm = self.world.communicator(ranks, machine=cfg.replay.machine)
         log = Scenario(
@@ -470,6 +484,21 @@ class GraphService:
         tenant = GraphTenant(self, name, log, comm, cfg)
         self._tenants[name] = tenant
         return tenant
+
+    def _check_servable(self, options: ReplayOptions) -> None:
+        defaults = ReplayOptions()
+        for name in _REPLAY_ONLY_FIELDS:
+            if getattr(options, name) != getattr(defaults, name):
+                raise ValueError(
+                    f"ServiceConfig.replay.{name} applies to cold replays only; "
+                    "a service tenant cannot honour it"
+                )
+        backend = options.backend
+        if backend and backend.strip().lower() != self.world.backend_name:
+            raise ValueError(
+                f"ServiceConfig.replay.backend={backend!r} differs from the "
+                f"world's {self.world.backend_name!r} backend"
+            )
 
     def tenant(self, name: str) -> GraphTenant:
         """Look one tenant up by name."""

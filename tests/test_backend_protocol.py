@@ -17,14 +17,15 @@ import pytest
 
 from repro.perf import PerfRecorder, use_recorder
 from repro.runtime import (
+    BACKENDS,
     Communicator,
     MachineModel,
     MPIBackend,
+    ServiceWorld,
     SimMPI,
-    available_backends,
+    backend_name_of,
     make_communicator,
     payload_nbytes,
-    register_backend,
 )
 from repro.runtime.mpi_backend import EmulatedComm
 
@@ -34,16 +35,16 @@ def _sim(p: int) -> Communicator:
 
 
 def _mpi_emulated(p: int) -> Communicator:
-    return MPIBackend(p, force_emulator=True)
+    return MPIBackend(p, comm=EmulatedComm())
 
 
-BACKENDS = [
+FACTORIES = [
     pytest.param(_sim, id="sim"),
     pytest.param(_mpi_emulated, id="mpi-emulated"),
 ]
 
 
-@pytest.mark.parametrize("factory", BACKENDS)
+@pytest.mark.parametrize("factory", FACTORIES)
 class TestConformance:
     def test_satisfies_protocol(self, factory):
         comm = factory(4)
@@ -274,7 +275,7 @@ def _collective_script(comm: Communicator) -> None:
 
 def test_logical_traffic_accounting_matches_simulator():
     """Emulated MPIBackend records the same logical bytes/messages as SimMPI."""
-    sim, mpi = SimMPI(4), MPIBackend(4, force_emulator=True)
+    sim, mpi = SimMPI(4), MPIBackend(4, comm=EmulatedComm())
     _collective_script(sim)
     _collective_script(mpi)
     assert set(sim.stats.categories) == set(mpi.stats.categories)
@@ -347,7 +348,7 @@ class TestSimMPIOverlapModel:
 
 class TestMPIBackendSpecifics:
     def test_emulated_world_owns_every_rank(self):
-        comm = MPIBackend(6, force_emulator=True)
+        comm = MPIBackend(6, comm=EmulatedComm())
         assert not comm.is_real_mpi
         assert comm.world_size == 1
         assert all(comm.owns(r) for r in range(6))
@@ -412,19 +413,20 @@ class TestFactory:
         with pytest.raises(ValueError, match="unknown communicator backend"):
             make_communicator("no-such-backend", n_ranks=2)
 
-    def test_register_custom_backend(self):
-        created = {}
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_backend_table_reads_both_ways(self, name):
+        """Name -> class builds the communicator; class -> name labels it."""
+        extra = {"comm": EmulatedComm()} if name == "mpi" else {}
+        comm = make_communicator(name, n_ranks=3, **extra)
+        assert type(comm) is BACKENDS[name] and comm.n_ranks == 3
+        assert backend_name_of(comm) == name
+        assert backend_name_of(ServiceWorld(name, **extra).communicator(2)) == name
 
-        def factory(n_ranks=1, machine=None, **kwargs):
-            comm = SimMPI(n_ranks, machine)
-            created["comm"] = comm
-            return comm
+    def test_communicators_outside_the_table_are_labelled_by_class(self):
+        class CustomComm(SimMPI):
+            pass
 
-        register_backend("test-custom", factory)
-        assert "test-custom" in available_backends()
-        comm = make_communicator("test-custom", n_ranks=3)
-        assert comm is created["comm"]
-        assert comm.n_ranks == 3
+        assert backend_name_of(CustomComm(2)) == "customcomm"
 
 
 class TestPayloadNbytes:

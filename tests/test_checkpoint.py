@@ -42,7 +42,6 @@ from repro.runtime.faults import (
     FaultPlan,
     FaultPlanError,
     SimulatedCrash,
-    faults_from_env,
 )
 from repro.sparse import (
     BloomFilterMatrix,
@@ -436,12 +435,6 @@ def test_fault_plan_grammar_round_trips() -> None:
 def test_fault_plan_rejects_malformed_specs(spec: str) -> None:
     with pytest.raises(FaultPlanError):
         FaultPlan.parse(spec)
-
-
-def test_faults_from_env_reads_the_variable() -> None:
-    assert faults_from_env({}) is None
-    plan = faults_from_env({"REPRO_FAULTS": "kill@2;seed=4"})
-    assert plan == FaultPlan(kills=((2, None),), seed=4)
 
 
 def test_kill_points_fire_exactly_once() -> None:

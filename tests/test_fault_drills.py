@@ -29,10 +29,9 @@ import numpy as np
 import pytest
 
 import repro.scenarios as S
-from repro.runtime import MPIBackend
-from repro.runtime.faults import FaultInjector, FaultPlan, faults_from_env
+from repro.runtime import REPARTITION_ENV_VAR, MPIBackend, RuntimeConfig
+from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.loopback import run_spmd
-from repro.runtime.partitioner import REPARTITION_ENV_VAR
 
 N_RANKS = 4
 SEED = 2022
@@ -279,7 +278,9 @@ def test_loopback_env_plan_kill(world):
     """A ``REPRO_FAULTS`` plan shared across the world drives the drill."""
     base = _base_trace("grow_from_empty")
     refs = _loopback_reference(base, world)
-    plan = faults_from_env({"REPRO_FAULTS": f"kill@{CRASH_AT}:proc=0;seed=2"})
+    plan = RuntimeConfig.from_env(
+        {"REPRO_FAULTS": f"kill@{CRASH_AT}:proc=0;seed=2"}
+    ).faults
     results = _loopback_drill(base, world, injector=FaultInjector(plan))
     for reference, recovered in zip(refs, results):
         _assert_continuation_identical(

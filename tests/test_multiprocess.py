@@ -22,7 +22,13 @@ import pytest
 from repro.core import DynamicProduct, compute_cstar, summa_spgemm
 from repro.core.collectives import bloom_reduce_to_root, sparse_reduce_to_root
 from repro.distributed import DynamicDistMatrix, StaticDistMatrix, UpdateBatch
-from repro.runtime import MPIBackend, ProcessGrid, SimMPI, available_partitioners
+from repro.runtime import (
+    MPIBackend,
+    ProcessGrid,
+    SimMPI,
+    available_partitioners,
+    make_partitioner,
+)
 from repro.runtime.loopback import LoopbackWorld, run_spmd
 from repro.semirings import MIN_PLUS, PLUS_TIMES
 from repro.sparse import BloomFilterMatrix, COOMatrix
@@ -104,7 +110,10 @@ class TestOwnership:
         processes of an oversubscribed world must own nothing."""
 
         def wrapped(comm_obj, world_rank):
-            comm = MPIBackend(4, comm=comm_obj, partitioner=name)
+            comm = MPIBackend(4, comm=comm_obj)
+            comm.set_placement(
+                make_partitioner(name).placement(4, comm.world_size)
+            )
             owned = comm.owned_ranks()
             assert owned == comm.owned_ranks(list(range(4)))
             return world_rank, owned, comm.placement()

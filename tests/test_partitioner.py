@@ -1,8 +1,9 @@
 """Unit tests for the pluggable logical-rank→process placement layer.
 
 Covers the strategy algebra (``repro.runtime.partitioner``), placement
-validation, the environment/argument resolution chain, block migration and
-the online repartitioning hook, plus the ``--expect-reduction`` mode of
+validation, block migration and the online repartitioning hook (the
+``REPRO_PARTITIONER``/``REPRO_REPARTITION`` parsing is in the
+``RuntimeConfig`` table of ``tests/test_runtime.py``), plus the ``--expect-reduction`` mode of
 ``repro.perf.compare`` that gates the placement benchmark in CI.  The
 cross-world byte-identity sweeps live in
 ``tests/test_partitioner_differential.py``.
@@ -15,18 +16,14 @@ import pytest
 
 from repro.perf.compare import compare_documents, parse_expect_reduction
 from repro.perf.schema import bench_document, bench_run_entry
-from repro.runtime import MPIBackend, ProcessGrid, run_spmd
+from repro.runtime import REPARTITION_ENV_VAR, MPIBackend, ProcessGrid, run_spmd
 from repro.runtime.partitioner import (
-    PARTITIONER_ENV_VAR,
-    REPARTITION_ENV_VAR,
     BlockCyclicPartitioner,
     LocalityAwarePartitioner,
     NnzAwarePartitioner,
     RoundRobinPartitioner,
     available_partitioners,
     make_partitioner,
-    repartition_threshold,
-    resolve_partitioner_name,
     verify_placement,
 )
 from repro.scenarios import SCENARIO_GENERATORS
@@ -114,6 +111,13 @@ class TestStrategies:
         active = min(world, n_ranks)
         assert set(placement.values()) <= set(range(active))
 
+    def test_make_partitioner_takes_names_and_instances(self):
+        assert isinstance(make_partitioner("locality_aware"), LocalityAwarePartitioner)
+        instance = BlockCyclicPartitioner(block_size=3)
+        assert make_partitioner(instance) is instance
+        with pytest.raises(ValueError, match="unknown partitioner"):
+            make_partitioner("nnz_awre")
+
 
 # ----------------------------------------------------------------------
 # placement validation
@@ -134,66 +138,6 @@ class TestVerifyPlacement:
 
     def test_valid_placement_passes(self):
         verify_placement({0: 1, 1: 0, 2: 1}, 3, 2)
-
-
-# ----------------------------------------------------------------------
-# resolution: argument -> environment -> default
-# ----------------------------------------------------------------------
-class TestResolution:
-    def test_default_is_round_robin(self, monkeypatch):
-        monkeypatch.delenv(PARTITIONER_ENV_VAR, raising=False)
-        assert resolve_partitioner_name() == "round_robin"
-        assert isinstance(make_partitioner(), RoundRobinPartitioner)
-
-    def test_env_var_selects_strategy(self, monkeypatch):
-        monkeypatch.setenv(PARTITIONER_ENV_VAR, "locality_aware")
-        assert isinstance(make_partitioner(), LocalityAwarePartitioner)
-
-    def test_typos_raise_from_argument_and_environment(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            resolve_partitioner_name("nnz_awre")
-        monkeypatch.setenv(PARTITIONER_ENV_VAR, "roundrobin")
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            make_partitioner()
-
-    def test_instance_passthrough(self):
-        instance = BlockCyclicPartitioner(block_size=3)
-        assert make_partitioner(instance) is instance
-
-    def test_replay_validates_env_even_on_sim(self, monkeypatch):
-        scenario = SCENARIO_GENERATORS["grow_from_empty"](seed=2022)
-        monkeypatch.setenv(PARTITIONER_ENV_VAR, "no_such_strategy")
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            replay(scenario, backend="sim", n_ranks=4, layout="csr")
-
-
-# ----------------------------------------------------------------------
-# REPRO_REPARTITION parsing
-# ----------------------------------------------------------------------
-class TestRepartitionThreshold:
-    @pytest.mark.parametrize("raw", ["", "off", "0", "none", "false", "OFF"])
-    def test_disabled_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(REPARTITION_ENV_VAR, raw)
-        assert repartition_threshold() is None
-
-    def test_unset_is_disabled(self, monkeypatch):
-        monkeypatch.delenv(REPARTITION_ENV_VAR, raising=False)
-        assert repartition_threshold() is None
-
-    def test_valid_ratio(self, monkeypatch):
-        monkeypatch.setenv(REPARTITION_ENV_VAR, "1.5")
-        assert repartition_threshold() == 1.5
-
-    @pytest.mark.parametrize("raw", ["1.0", "0.5", "-2"])
-    def test_ratio_at_or_below_one_raises(self, monkeypatch, raw):
-        monkeypatch.setenv(REPARTITION_ENV_VAR, raw)
-        with pytest.raises(ValueError, match="strictly greater than 1"):
-            repartition_threshold()
-
-    def test_junk_raises(self, monkeypatch):
-        monkeypatch.setenv(REPARTITION_ENV_VAR, "sometimes")
-        with pytest.raises(ValueError, match="ratio > 1 or 'off'"):
-            repartition_threshold()
 
 
 # ----------------------------------------------------------------------

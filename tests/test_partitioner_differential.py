@@ -25,9 +25,14 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.runtime import MPIBackend, available_partitioners, make_partitioner
+from repro.runtime import (
+    PARTITIONER_ENV_VAR,
+    MPIBackend,
+    available_partitioners,
+    make_partitioner,
+    verify_placement,
+)
 from repro.runtime.loopback import run_spmd
-from repro.runtime.partitioner import PARTITIONER_ENV_VAR, verify_placement
 from repro.scenarios import (
     REPLAY_LAYOUTS,
     SCENARIO_GENERATORS,

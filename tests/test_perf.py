@@ -33,7 +33,7 @@ from repro.perf import (
 )
 from repro.bench.config import get_profile
 from repro.competitors import PETScBackend
-from repro.runtime import SimMPI, StatCategory, make_communicator
+from repro.runtime import EmulatedComm, SimMPI, StatCategory, make_communicator
 from repro.scenarios import grow_from_empty, replay
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -746,7 +746,7 @@ def test_comm_volume_identical_across_backends():
     volumes = {}
     for backend in ("sim", "mpi"):
         rec = PerfRecorder()
-        comm = make_communicator(backend, n_ranks=4, force_emulator=True) \
+        comm = make_communicator(backend, n_ranks=4, comm=EmulatedComm()) \
             if backend == "mpi" else make_communicator(backend, n_ranks=4)
         with use_recorder(rec):
             replay(scenario, comm=comm, collect_final=False)

@@ -2,19 +2,95 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.runtime import (
-    MachineModel,
     NODE_CONFIGS,
+    EmulatedComm,
+    MachineModel,
+    MPIBackend,
     ProcessGrid,
+    RuntimeConfig,
     SimMPI,
     StatCategory,
     ranks_for_nodes,
 )
+from repro.runtime.faults import FaultPlan
 from repro.runtime.simmpi import payload_nbytes
+from repro.scenarios import SCENARIO_GENERATORS, replay
 from repro.sparse import CSRMatrix
+
+#: a spelling the parser must refuse
+REJECT = object()
+
+#: ``(switch, raw value, parsed field value or REJECT)``: every accepted
+#: spelling and every rejection of the four switches
+SWITCH_TABLE = [
+    ("REPRO_BACKEND", "", "sim"),
+    ("REPRO_BACKEND", "sim", "sim"),
+    ("REPRO_BACKEND", "mpi", "mpi"),
+    ("REPRO_BACKEND", " MPI ", "mpi"),
+    ("REPRO_BACKEND", "simm", REJECT),
+    ("REPRO_BACKEND", "mpich", REJECT),
+    ("REPRO_PARTITIONER", "", None),
+    ("REPRO_PARTITIONER", "round_robin", "round_robin"),
+    ("REPRO_PARTITIONER", "block_cyclic", "block_cyclic"),
+    ("REPRO_PARTITIONER", "nnz_aware", "nnz_aware"),
+    ("REPRO_PARTITIONER", "locality_aware", "locality_aware"),
+    ("REPRO_PARTITIONER", "roundrobin", REJECT),
+    ("REPRO_PARTITIONER", "nnz_awre", REJECT),
+    ("REPRO_PARTITIONER", "ROUND_ROBIN", REJECT),
+    ("REPRO_REPARTITION", "", None),
+    ("REPRO_REPARTITION", "off", None),
+    ("REPRO_REPARTITION", "OFF", None),
+    ("REPRO_REPARTITION", "0", None),
+    ("REPRO_REPARTITION", "none", None),
+    ("REPRO_REPARTITION", "false", None),
+    ("REPRO_REPARTITION", "1.5", 1.5),
+    ("REPRO_REPARTITION", "1.01", 1.01),
+    ("REPRO_REPARTITION", "1.0", REJECT),
+    ("REPRO_REPARTITION", "0.5", REJECT),
+    ("REPRO_REPARTITION", "-2", REJECT),
+    ("REPRO_REPARTITION", "sometimes", REJECT),
+    ("REPRO_REPARTITION", "nan", REJECT),
+    ("REPRO_REPARTITION", "inf", REJECT),
+    ("REPRO_FAULTS", "", None),
+    ("REPRO_FAULTS", "kill@2;seed=4", FaultPlan(kills=((2, None),), seed=4)),
+    (
+        "REPRO_FAULTS",
+        "kill@3;kill@7:proc=1;drop=1/50;delay=1/20:0.002;seed=9",
+        FaultPlan(
+            kills=((3, None), (7, 1)),
+            drop_one_in=50,
+            delay_one_in=20,
+            delay_seconds=0.002,
+            seed=9,
+        ),
+    ),
+    ("REPRO_FAULTS", "delay=1/4:0", FaultPlan(delay_one_in=4)),
+    ("REPRO_FAULTS", "kill@", REJECT),
+    ("REPRO_FAULTS", "kill@3:node=1", REJECT),
+    ("REPRO_FAULTS", "kill@-1", REJECT),
+    ("REPRO_FAULTS", "kill@2:proc=-1", REJECT),
+    ("REPRO_FAULTS", "drop=50", REJECT),
+    ("REPRO_FAULTS", "drop=1/0", REJECT),
+    ("REPRO_FAULTS", "drop=1/2;seed=-3", REJECT),
+    ("REPRO_FAULTS", "delay=1/4", REJECT),
+    ("REPRO_FAULTS", "delay=1/4:-5", REJECT),
+    ("REPRO_FAULTS", "delay=1/4:nan", REJECT),
+    ("REPRO_FAULTS", "delay=1/4:inf", REJECT),
+    ("REPRO_FAULTS", "explode=now", REJECT),
+]
+
+_FIELD_OF = {
+    "REPRO_BACKEND": "backend",
+    "REPRO_PARTITIONER": "partitioner",
+    "REPRO_REPARTITION": "repartition",
+    "REPRO_FAULTS": "faults",
+}
 
 
 class TestMachineModel:
@@ -62,6 +138,34 @@ class TestMachineModel:
         model = MachineModel()
         assert model.with_threads(12).threads_per_rank == 12
         assert model.with_ranks_per_node(1).ranks_per_node == 1
+
+
+class TestRuntimeConfig:
+    def test_unset_environment_gives_the_defaults(self):
+        assert RuntimeConfig.from_env({}) == RuntimeConfig("sim", None, None, None)
+
+    @pytest.mark.parametrize(
+        "switch,raw,want", SWITCH_TABLE, ids=[f"{s}={r!r}" for s, r, _ in SWITCH_TABLE]
+    )
+    def test_from_env_table(self, switch, raw, want):
+        if want is REJECT:
+            with pytest.raises(ValueError, match=f"^{switch}="):
+                RuntimeConfig.from_env({switch: raw})
+            return
+        config = RuntimeConfig.from_env({switch: raw})
+        assert config == dataclasses.replace(RuntimeConfig(), **{_FIELD_OF[switch]: want})
+
+    def test_bad_switch_fails_the_run_not_the_backend(self, monkeypatch):
+        """Backends read no switch: they construct under a bad one, while
+        the replay that would act on it refuses to start — on every
+        backend, including the simulator that has no placement surface."""
+        monkeypatch.setenv("REPRO_PARTITIONER", "bogus")
+        comm = MPIBackend(4, comm=EmulatedComm())
+        assert comm.placement() == {rank: 0 for rank in range(4)}
+        scenario = SCENARIO_GENERATORS["grow_from_empty"](seed=2022)
+        for backend_comm in (comm, SimMPI(4)):
+            with pytest.raises(ValueError, match="REPRO_PARTITIONER='bogus'"):
+                replay(scenario, comm=backend_comm)
 
 
 class TestProcessGrid:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.runtime import MPIBackend, resolve_backend_name, world_rank, world_size
+from repro.runtime import MPIBackend, RuntimeConfig, world_rank, world_size
 from repro.runtime.loopback import run_spmd
 from repro.scenarios import (
     REPLAY_LAYOUTS,
@@ -42,10 +42,9 @@ from repro.scenarios import (
 
 N_RANKS = 4
 SEED = 2022
-#: Both backends are always replayed; REPRO_BACKEND (via
-#: resolve_backend_name) selects which one leads as the reference leg of
-#: the cross-layout comparisons.
-_PREFERRED = resolve_backend_name(None)
+#: Both backends are always replayed; REPRO_BACKEND selects which one
+#: leads as the reference leg of the cross-layout comparisons.
+_PREFERRED = RuntimeConfig.from_env().backend
 BACKENDS = (_PREFERRED, "mpi" if _PREFERRED == "sim" else "sim")
 REFERENCE = BACKENDS[0]
 

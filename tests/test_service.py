@@ -2,7 +2,8 @@
 
 Covers the micro-batch queue (flush-by-count, flush-by-deadline on the
 logical clock, order-preserving coalescing), the :class:`ReplayOptions`
-configuration bundle (back-compat with the historical keyword surface),
+configuration bundle (``replay()`` keywords are its fields and nothing
+else),
 :class:`ServiceWorld` lifecycle (persistent minting, shutdown semantics)
 and :class:`GraphService` tenancy — including the tenant-isolation
 properties: identical seeded traces on one world produce identical
@@ -170,21 +171,25 @@ class TestReplayOptions:
         assert np.array_equal(by_kwargs.final_a[0], by_options.final_a[0])
         assert np.array_equal(by_kwargs.final_a[2], by_options.final_a[2])
 
-    def test_kwargs_override_options(self):
-        merged = ReplayOptions(layout="csr", n_ranks=16).merged(layout="dhb")
-        assert merged.layout == "dhb"
-        assert merged.n_ranks == 16
-
-    def test_unknown_kwargs_become_backend_kwargs(self):
-        merged = ReplayOptions().merged(track_time=False, n_ranks=8)
-        assert merged.backend_kwargs == {"track_time": False}
-        assert merged.n_ranks == 8
-
-    def test_merged_does_not_mutate_original(self):
-        options = ReplayOptions()
-        options.merged(layout="dhb", track_time=False)
+    def test_kwargs_override_options_without_mutating_them(self):
+        options = ReplayOptions(backend="sim", layout="csr", n_ranks=4)
+        result = replay(steady_state_churn(seed=5), options, layout="dhb")
+        assert (result.layout, result.n_ranks) == ("dhb", 4)
         assert options.layout == "csr"
-        assert options.backend_kwargs == {}
+
+    @pytest.mark.parametrize("keyword", ["lyout", "n_rank", "backend_name"])
+    def test_keyword_that_is_not_a_field_raises(self, keyword):
+        """A misspelt keyword must fail, not run the defaults silently."""
+        with pytest.raises(TypeError, match=keyword):
+            replay(steady_state_churn(seed=5), comm=SimMPI(4), **{keyword: "dhb"})
+        with pytest.raises(TypeError, match=keyword):
+            steady_state_churn(seed=5).replay(comm=SimMPI(4), **{keyword: "dhb"})
+
+    def test_backend_must_name_the_comm_it_labels(self):
+        scenario = steady_state_churn(seed=5)
+        with pytest.raises(ValueError, match="'mpi' disagrees.*'sim'"):
+            replay(scenario, comm=SimMPI(4), backend="mpi")
+        assert replay(scenario, comm=SimMPI(4), backend="SIM").backend == "sim"
 
     def test_validate_rejects_bad_on_crash(self):
         with pytest.raises(ValueError, match="on_crash"):
@@ -275,6 +280,30 @@ class TestServiceLifecycle:
             service.create_tenant("a", (N, N), n_ranks=4)
         assert not world.closed
         world.shutdown()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("faults", "kill@1"),
+            ("resume_from", "/nonexistent.npz"),
+            ("on_crash", "restore"),
+            ("max_recoveries", 0),
+            ("collect_final", False),
+            ("backend", "mpi"),
+        ],
+    )
+    def test_replay_only_options_are_refused(self, field, value):
+        """A tenant cannot honour these; serving on while handing them to the
+        cold-replay oracle would make the two disagree."""
+        with _service(**{field: value}) as service:
+            with pytest.raises(ValueError, match=f"replay.{field}"):
+                service.create_tenant("a", (N, N))
+            assert service.tenants == ()
+
+    def test_first_refused_field_is_named(self):
+        with _service(faults="kill@1", resume_from="/nonexistent.npz") as service:
+            with pytest.raises(ValueError, match="replay.faults "):
+                service.create_tenant("a", (N, N))
 
     def test_closed_tenant_log_survives(self):
         with _service() as service:

@@ -36,13 +36,8 @@ sys.path.insert(
 
 import numpy as np
 
-from repro.runtime import world_rank
-from repro.runtime.faults import (
-    FAULTS_ENV_VAR,
-    FaultInjector,
-    FaultPlan,
-    SimulatedCrash,
-)
+from repro.runtime import FAULTS_ENV_VAR, world_rank
+from repro.runtime.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.scenarios import (
     SCENARIO_GENERATORS,
     CheckpointStore,
