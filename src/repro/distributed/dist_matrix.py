@@ -284,7 +284,9 @@ class DynamicDistMatrix(DistMatrixBase):
         (identical on every process).  The phases are charged to the Fig. 7
         categories: redistribution sort and communication inside
         :func:`redistribute_tuples`, adjacency-array growth to *memory
-        management* and the per-entry inserts to *local construct*.
+        management* (``reserve=True``; otherwise rows grow inside the
+        insert, exactly as far as the new entries need) and the per-entry
+        inserts to *local construct*.
         """
         combine_fn = self._combine_fn(combine)
         local = self._route_to_blocks(tuples_per_rank, redistribution)
@@ -308,6 +310,31 @@ class DynamicDistMatrix(DistMatrixBase):
                 category=StatCategory.LOCAL_CONSTRUCT,
             )
         return int(self.comm.host_fold(created, lambda x, y: x + y))
+
+    def delete_tuples(
+        self,
+        tuples_per_rank: Mapping[int, TupleArrays],
+        *,
+        redistribution: str = "two_phase",
+    ) -> int:
+        """Redistribute raw coordinates and delete them from the blocks (MASK).
+
+        The values are ignored markers; coordinates that are absent or
+        repeated delete nothing extra.  Returns the *global* number of
+        deleted non-zeros (identical on every process); the per-block
+        deletes are charged to *local addition*, like :meth:`mask_update`.
+        """
+        local = self._route_to_blocks(tuples_per_rank, redistribution)
+        deleted = 0
+        for rank, (lrows, lcols, _) in local.items():
+            deleted += self.comm.run_local(
+                rank,
+                self.blocks[rank].delete_batch,
+                lrows,
+                lcols,
+                category=StatCategory.LOCAL_ADDITION,
+            )
+        return int(self.comm.host_fold(deleted, lambda x, y: x + y))
 
     def add_update(self, update: "StaticDistMatrix") -> int:
         """``A ← A ⊕ A*`` block-by-block; purely local (no communication).

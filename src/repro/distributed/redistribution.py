@@ -71,8 +71,21 @@ def _route_tuples(
 ) -> dict[int, TupleArrays]:
     """Route with the named scheme: ``"two_phase"`` or ``"single_phase"``.
 
-    Every owned rank has an entry in the result (possibly empty).
+    Every owned rank has an entry in the result (possibly empty).  A
+    non-empty share on a rank outside the grid is a ``ValueError``, raised
+    before any communication: the schemes read only the grid's ranks, so
+    those tuples would be lost.
     """
+    grid_ranks = set(grid.all_ranks())
+    stray = sorted(
+        rank
+        for rank, data in tuples_per_rank.items()
+        if rank not in grid_ranks and data is not None and np.size(data[0])
+    )
+    if stray:
+        raise ValueError(
+            f"tuples held by ranks {stray} outside the {grid.n_ranks}-rank grid"
+        )
     if redistribution == "two_phase":
         route = redistribute_tuples
     elif redistribution == "single_phase":

@@ -4,8 +4,9 @@ The :class:`~repro.scenarios.engine.ScenarioEngine` delegates the actual
 application of steps to an *executor*:
 
 * :class:`NativeExecutor` — the paper's own machinery: a
-  :class:`~repro.distributed.DynamicDistMatrix` target, hypersparse update
-  matrices, Algorithm 1 / 2 for :class:`~repro.scenarios.model.SpGEMMStep`
+  :class:`~repro.distributed.DynamicDistMatrix` target whose DHB blocks
+  take a plain step's routed tuples in place, hypersparse update matrices
+  and Algorithm 1 / 2 for :class:`~repro.scenarios.model.SpGEMMStep`
   steps, with the static right-hand operand of an Algorithm 1 replay built
   in one of the two :data:`REPLAY_LAYOUTS` (CSR or DHB).
 * :class:`CompetitorExecutor` — wraps any backend from
@@ -29,7 +30,6 @@ from repro.distributed import (
     DynamicDistMatrix,
     StaticDistMatrix,
     UpdateBatch,
-    build_update_matrix,
     partition_tuples_round_robin,
 )
 from repro.runtime import ProcessGrid
@@ -232,19 +232,15 @@ class NativeExecutor:
             )
             return self.product.apply_updates(a_batch=batch).touched_outputs
         assert self.a is not None
-        update = build_update_matrix(
-            self.comm,
-            self.grid,
-            self.a.dist,
+        # A plain step needs no update matrix: the routed tuples go straight
+        # into the DHB blocks, which fold duplicates themselves.
+        if step.kind == "delete":
+            return self.a.delete_tuples(per_rank)
+        return self.a.insert_tuples(
             per_rank,
-            self.semiring,
             combine="add" if step.kind == "insert" else "last",
+            reserve=False,
         )
-        if step.kind == "insert":
-            return self.a.add_update(update)
-        if step.kind == "update":
-            return self.a.merge_update(update)
-        return self.a.mask_update(update)
 
     def _apply_app(self, step: ScenarioStep) -> int:
         """Route one update step through the maintained application.

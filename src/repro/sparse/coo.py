@@ -144,8 +144,14 @@ class COOMatrix:
         return self.rows * np.int64(self.shape[1]) + self.cols
 
     def sort(self) -> "COOMatrix":
-        """Return a copy sorted by (row, col); duplicates are kept."""
-        order = np.argsort(self._sort_key(), kind="stable")
+        """Return a matrix sorted by (row, col); duplicates are kept.
+
+        Triplets already in order are shared as views rather than re-sorted
+        (the arrays are never mutated in place).
+        """
+        keys = self._sort_key()
+        in_order = (keys[1:] >= keys[:-1]).all()
+        order = slice(None) if in_order else np.argsort(keys, kind="stable")
         return COOMatrix(
             shape=self.shape,
             rows=self.rows[order],
@@ -183,16 +189,15 @@ class COOMatrix:
         boundary = np.empty(keys_sorted.size, dtype=bool)
         boundary[-1] = True
         np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=boundary[:-1])
+        # the last of each run of equal keys, already in (row, col) order
         keep = order[np.flatnonzero(boundary)]
-        keep.sort()
-        out = COOMatrix(
+        return COOMatrix(
             shape=self.shape,
             rows=self.rows[keep],
             cols=self.cols[keep],
             values=self.values[keep],
             semiring=self.semiring,
         )
-        return out.sort()
 
     def drop_zeros(self) -> "COOMatrix":
         """Remove entries whose value equals the semiring zero."""

@@ -23,7 +23,7 @@ import numpy as np
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.layout import FlatRows, register_flat_rows, register_row_layout
+from repro.sparse.layout import FlatRows, _runs, register_flat_rows, register_row_layout
 
 __all__ = ["DCSRMatrix"]
 
@@ -78,16 +78,15 @@ class DCSRMatrix:
 
     @classmethod
     def from_coo(cls, coo: COOMatrix, *, dedup: bool = True) -> "DCSRMatrix":
+        """Build from COO; duplicates are ⊕-combined when ``dedup``."""
         canon = coo.sum_duplicates() if dedup else coo.sort()
         if canon.nnz == 0:
             return cls.empty(coo.shape, coo.semiring)
-        nz_rows, counts = np.unique(canon.rows, return_counts=True)
-        indptr = np.zeros(len(nz_rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        first, _ = _runs(canon.rows)
         return cls(
             shape=coo.shape,
-            nz_rows=nz_rows.astype(np.int64),
-            indptr=indptr,
+            nz_rows=canon.rows[first],
+            indptr=np.append(first, canon.nnz),
             indices=canon.cols.copy(),
             values=canon.values.copy(),
             semiring=coo.semiring,

@@ -123,6 +123,24 @@ class TestCOO:
 
     @settings(max_examples=30, deadline=None)
     @given(coo=coo_matrices())
+    def test_property_last_write_wins_is_canonical(self, coo):
+        last = {}
+        for i, j, v in zip(coo.rows.tolist(), coo.cols.tolist(), coo.values.tolist()):
+            last[(i, j)] = v
+        out = coo.last_write_wins()
+        assert list(zip(out.rows.tolist(), out.cols.tolist())) == sorted(last)
+        assert out.values.tolist() == [last[key] for key in sorted(last)]
+
+    def test_sort_shares_triplets_already_in_order(self):
+        canon = COOMatrix.from_dense(random_dense(6, 6, 0.4, seed=4))
+        out = canon.sort()
+        assert np.shares_memory(out.rows, canon.rows)
+        assert np.shares_memory(out.values, canon.values)
+        shuffled = COOMatrix((2, 2), [1, 0, 0], [0, 1, 0], [1.0, 2.0, 3.0])
+        assert shuffled.sort().rows.tolist() == [0, 0, 1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(coo=coo_matrices())
     def test_property_sum_duplicates_idempotent(self, coo):
         once = coo.sum_duplicates()
         twice = once.sum_duplicates()
@@ -213,6 +231,15 @@ class TestCSR:
 # DCSR
 # ----------------------------------------------------------------------
 class TestDCSR:
+    @settings(max_examples=30, deadline=None)
+    @given(coo=coo_matrices())
+    def test_property_row_runs_match_unique_rows(self, coo):
+        dcsr = DCSRMatrix.from_coo(coo)
+        canon = coo.sum_duplicates()
+        nz_rows, counts = np.unique(canon.rows, return_counts=True)
+        assert np.array_equal(dcsr.nz_rows, nz_rows)
+        assert np.array_equal(np.diff(dcsr.indptr), counts)
+
     def test_round_trip(self):
         dense = random_dense(10, 10, 0.1, seed=41)
         dcsr = DCSRMatrix.from_dense(dense)
