@@ -296,7 +296,7 @@ class DynamicProduct:
         """
         a_global = CSRMatrix.from_coo(self.a.to_coo_global())
         b_global = CSRMatrix.from_coo(self.b.to_coo_global())
-        ref, _ = spgemm_local(a_global, b_global, self.semiring, use_scipy=False)
+        ref, _ = spgemm_local(a_global, b_global, self.semiring)
         return ref
 
     def result_coo(self) -> COOMatrix:

@@ -19,12 +19,7 @@ distributed algorithms: element-wise ``ADD`` / ``MERGE`` / ``MASK``
 64-bit Bloom-filter matrices of Section V-B.
 """
 
-from repro.sparse.layout import (
-    RowReader,
-    register_row_layout,
-    registered_row_layouts,
-    row_reader,
-)
+from repro.sparse.layout import RowReader, row_reader
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.dcsr import DCSRMatrix
@@ -44,8 +39,6 @@ from repro.sparse.spgemm_local import (
 
 __all__ = [
     "RowReader",
-    "register_row_layout",
-    "registered_row_layouts",
     "row_reader",
     "COOMatrix",
     "CSRMatrix",

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.semirings import PLUS_TIMES, Semiring
-from repro.sparse.layout import register_row_layout
 
 __all__ = ["COOMatrix"]
 
@@ -277,14 +276,6 @@ class COOMatrix:
         dense[canon.rows, canon.cols] = canon.values
         return dense
 
-    def to_scipy(self):
-        """Convert to ``scipy.sparse.coo_matrix`` (numeric semirings only)."""
-        import scipy.sparse as sp
-
-        return sp.coo_matrix(
-            (self.values, (self.rows, self.cols)), shape=self.shape
-        )
-
     def to_dict(self) -> dict[tuple[int, int], float]:
         """Dict view ``(i, j) -> value`` (duplicates ⊕-combined)."""
         canon = self.sum_duplicates()
@@ -307,6 +298,3 @@ class COOMatrix:
             f"COOMatrix(shape={self.shape}, nnz={self.nnz}, "
             f"semiring={self.semiring.name!r})"
         )
-
-
-register_row_layout(COOMatrix)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse.coo import COOMatrix
-from repro.sparse.layout import FlatRows, register_flat_rows, register_row_layout
+from repro.sparse.layout import FlatRows, register_flat_rows
 
 __all__ = ["CSRMatrix"]
 
@@ -239,7 +239,6 @@ class CSRMatrix:
         )
 
 
-register_row_layout(CSRMatrix)
 register_flat_rows(
     CSRMatrix,
     # zero-copy: every row is a segment, empty rows included

@@ -23,7 +23,7 @@ import numpy as np
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.layout import FlatRows, _runs, register_flat_rows, register_row_layout
+from repro.sparse.layout import FlatRows, _runs, register_flat_rows
 
 __all__ = ["DCSRMatrix"]
 
@@ -187,15 +187,6 @@ class DCSRMatrix:
     def to_dense(self) -> np.ndarray:
         return self.to_coo().to_dense()
 
-    def to_scipy(self):
-        """scipy CSR with the same entries (row pointers re-expanded)."""
-        import scipy.sparse as sp
-
-        indptr = np.zeros(self.shape[0] + 1, dtype=np.int64)
-        indptr[self.nz_rows + 1] = np.diff(self.indptr)
-        np.cumsum(indptr, out=indptr)
-        return sp.csr_matrix((self.values, self.indices, indptr), shape=self.shape)
-
     def transpose(self) -> "DCSRMatrix":
         return DCSRMatrix.from_coo(self.to_coo().transpose(), dedup=False)
 
@@ -218,7 +209,6 @@ class DCSRMatrix:
         )
 
 
-register_row_layout(DCSRMatrix)
 register_flat_rows(
     DCSRMatrix,
     # zero-copy: DCSR storage *is* the flat non-empty-row form

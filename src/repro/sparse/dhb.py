@@ -47,13 +47,7 @@ from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.dcsr import DCSRMatrix
-from repro.sparse.layout import (
-    FlatRows,
-    _ranges,
-    _runs,
-    register_flat_rows,
-    register_row_layout,
-)
+from repro.sparse.layout import FlatRows, _ranges, _runs, register_flat_rows
 
 __all__ = ["DHBMatrix", "DHBStorage"]
 
@@ -792,5 +786,4 @@ def _as_coo(mat) -> COOMatrix:
     raise TypeError(f"cannot interpret {type(mat).__name__} as an update matrix")
 
 
-register_row_layout(DHBMatrix)
 register_flat_rows(DHBMatrix, DHBMatrix.flat_rows)

@@ -1,4 +1,4 @@
-"""Uniform row-access protocol and registry over sparse matrix layouts.
+"""Uniform row-access protocol over sparse matrix layouts.
 
 The local SpGEMM kernels need exactly two capabilities from an operand,
 regardless of its storage layout:
@@ -8,23 +8,18 @@ regardless of its storage layout:
 * ``row_arrays(i)`` — return ``(cols, vals)`` of row ``i``, empty arrays
   when the row is empty (right operands are accessed row-by-row).
 
-:class:`RowReader` captures this as a structural protocol.  All built-in
-layouts (:class:`~repro.sparse.coo.COOMatrix`,
+:class:`RowReader` captures this as a structural protocol, and
+:func:`row_reader` accepts exactly the operands that implement it.  All
+built-in layouts (:class:`~repro.sparse.coo.COOMatrix`,
 :class:`~repro.sparse.csr.CSRMatrix`, :class:`~repro.sparse.dcsr.DCSRMatrix`,
 :class:`~repro.sparse.dhb.DHBMatrix`) implement it natively — DCSR caches
 its row-id → slot index and COO caches its converted forms, so repeated
 kernel invocations on the same operand do not rebuild them.
 
-Layouts that cannot (or should not) implement the methods themselves are
-plugged in through a type registry: :func:`register_row_layout` maps a class
-to an adapter factory, and :func:`row_reader` resolves an operand by walking
-its MRO through the registry before falling back to the native protocol.
-This replaces the ``isinstance`` dispatch chains the kernels used to carry.
-
 The expand–sort–compress kernel of :mod:`repro.sparse.spgemm_local` needs
 a third view: the operand's non-empty rows as *flat arrays* it can expand
 in one pass.  :func:`flat_rows` produces a :class:`FlatRows` record through
-a second per-type registry (:func:`register_flat_rows` — CSR and DCSR
+a per-type registry (:func:`register_flat_rows` — CSR and DCSR
 expose their storage zero-copy, DHB gathers its row arrays in one pass)
 with a generic fallback for unregistered layouts that concatenates
 ``iter_rows()`` output.  Every extractor preserves each row's native
@@ -47,9 +42,7 @@ __all__ = [
     "flat_rows",
     "pack_rows",
     "register_flat_rows",
-    "register_row_layout",
     "registered_flat_rows_layouts",
-    "registered_row_layouts",
     "row_reader",
 ]
 
@@ -65,26 +58,6 @@ class RowReader(Protocol):
     def row_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """``(cols, vals)`` of row ``i`` (empty arrays for an empty row)."""
         ...
-
-
-#: type -> adapter factory returning a :class:`RowReader` for an instance.
-_ROW_LAYOUT_REGISTRY: dict[type, Callable[[Any], RowReader]] = {}
-
-
-def register_row_layout(
-    cls: type, adapter: Callable[[Any], RowReader] | None = None
-) -> None:
-    """Register ``cls`` as a row-readable layout.
-
-    ``adapter`` turns an instance into a :class:`RowReader`; omit it for
-    classes that implement the protocol themselves (identity adapter).
-    """
-    _ROW_LAYOUT_REGISTRY[cls] = adapter if adapter is not None else (lambda m: m)
-
-
-def registered_row_layouts() -> tuple[type, ...]:
-    """The registered layout classes (mainly for introspection/tests)."""
-    return tuple(_ROW_LAYOUT_REGISTRY)
 
 
 class FlatRows(NamedTuple):
@@ -164,9 +137,9 @@ def pack_rows(rows: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> FlatRows:
 def flat_rows(mat: Any) -> FlatRows:
     """Resolve a :class:`FlatRows` view of ``mat``.
 
-    Resolution order mirrors :func:`row_reader`: exact type then MRO walk
-    through the extractor registry, then :func:`pack_rows` over the
-    operand's ``iter_rows()`` for unregistered layouts.
+    Exact type then MRO walk through the extractor registry, then
+    :func:`pack_rows` over the operand's ``iter_rows()`` for unregistered
+    layouts.
     """
     for base in type(mat).__mro__:
         extractor = _FLAT_ROWS_REGISTRY.get(base)
@@ -176,19 +149,14 @@ def flat_rows(mat: Any) -> FlatRows:
 
 
 def row_reader(mat: Any) -> RowReader:
-    """Resolve a :class:`RowReader` for ``mat``.
+    """``mat`` itself if it implements :class:`RowReader`.
 
-    Resolution order: exact type in the registry, then base classes in MRO
-    order, then the native method protocol.  Raises :class:`TypeError` for
-    operands that provide none of these.
+    Raises :class:`TypeError` for an operand without
+    ``iter_rows()``/``row_arrays()``.
     """
-    for base in type(mat).__mro__:
-        adapter = _ROW_LAYOUT_REGISTRY.get(base)
-        if adapter is not None:
-            return adapter(mat)
     if isinstance(mat, RowReader):
         return mat
     raise TypeError(
-        f"unsupported operand layout {type(mat).__name__}: expected a "
-        "registered layout or an object with iter_rows()/row_arrays()"
+        f"unsupported operand layout {type(mat).__name__}: expected an "
+        "object with iter_rows()/row_arrays()"
     )

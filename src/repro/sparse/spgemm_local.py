@@ -2,14 +2,15 @@
 
 The distributed algorithms reduce to repeated *local* multiplications of a
 (usually hypersparse) left operand with a local block of the right operand.
-Every such multiplication that scipy does not take runs through one
+Every such multiplication, in every semiring, runs through one
 expand–sort–compress (ESC) kernel, the SpGEMM of Dalton, Olson and Bell
 (ACM TOMS 2015), over whole blocks in NumPy:
 
 * **expand** every term ``(i, j, a_ik ⊗ b_kj, bit(k))`` in Gustavson's
   order — the left operand's rows ascending, ``k`` in native in-row order,
   then the ``B`` row in native order;
-* **sort** the terms with one stable sort by ``(i, j)``;
+* **sort** the terms with one stable sort by ``(i, j)`` (one NumPy sort of
+  keys packed with their positions, :func:`_stable_sort`);
 * **compress** each run with one ``Semiring.add_reduceat`` and one
   ``bitwise_or.reduceat``.
 
@@ -19,8 +20,8 @@ entry is ⊕-folded exactly as a row-by-row Gustavson loop would fold it.
 The entry points:
 
 * :func:`spgemm_local` — ``C = A ⊗.⊕ B``, optionally with the Bloom-filter
-  bits of Section V-B; the ``(+, ·)`` semiring without Bloom bits takes a
-  ``scipy.sparse`` fast path.
+  bits of Section V-B.  An entry whose terms cancel, or that is formed from
+  explicit zeros, is kept, whatever the semiring and the Bloom request.
 * :func:`spgemm_local_masked` — the masked variant used by the
   general-update algorithm: only output positions in the pattern of a
   ``C*`` block are produced (Section VI-B builds a hash table of the mask;
@@ -38,7 +39,7 @@ from repro.semirings import Semiring
 from repro.sparse.bloom import BLOOM_BITS, BloomFilterMatrix
 from repro.sparse.coo import COOMatrix
 from repro.sparse.dcsr import DCSRMatrix
-from repro.sparse.layout import _ranges, _runs, flat_rows, pack_rows, row_reader
+from repro.sparse.layout import _ranges, _runs, flat_rows, row_reader
 from repro.sparse.spa import SparseAccumulator
 
 __all__ = ["spgemm_local", "spgemm_local_masked", "spgemm_rowwise_spa"]
@@ -52,17 +53,12 @@ def _check_shapes(a_shape: tuple[int, int], b_shape: tuple[int, int]) -> tuple[i
     return n, m
 
 
-def _scipy_convertible(mat) -> bool:
-    """Whether the scipy fast path can convert ``mat`` at all."""
-    return hasattr(mat, "to_scipy") or hasattr(mat, "to_csr")
-
-
 def _live_entries(a, b, semiring: Semiring):
     """``a`` without the entries that meet an empty row of a smaller ``b``.
 
     In the Y-term ``A·B*`` almost every entry of the big left operand meets
     an empty row.  The survivors keep their indices and their native in-row
-    order (one flat gather, one filter, no sort), so every kernel forms the
+    order (one flat gather, one filter, no sort), so the kernel forms the
     same terms in the same order as on the whole operand: values, explicit
     zeros, Bloom bits and ``spgemm.*`` counts cannot change.  Operands
     without ``nnz`` or row access are returned as they are.
@@ -81,55 +77,21 @@ def _live_entries(a, b, semiring: Semiring):
     return DCSRMatrix(a.shape, nz_rows, indptr, fa.cols[keep], fa.vals[keep], semiring)
 
 
-def _selected_rows(b, inner: np.ndarray, semiring: Semiring):
-    """Rows ``inner`` of ``b`` as a DCSR.
+def _stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, keys[order])`` for the stable sort of ``0 <= keys < bound``.
 
-    In the X-term ``A*·B'`` these are the few rows the update's columns
-    select: one gather where the layout offers it (DHB), else one
-    ``row_arrays`` call each; an operand without row access is converted
-    whole.
+    Each key is packed with its position into one int64, so no two values
+    are equal and NumPy's vectorised (unstable) sort returns exactly the
+    stable order, faster than a stable argsort plus a gather.  Where the
+    packed value would not fit in 63 bits, a stable argsort gives the same
+    permutation.
     """
-    if hasattr(b, "flat_rows"):
-        return DCSRMatrix(b.shape, *b.flat_rows(inner), semiring=semiring)
-    try:
-        b_row = row_reader(b).row_arrays
-    except TypeError:
-        return b.to_csr()
-    flat = pack_rows((k, *b_row(k)) for k in inner.tolist())
-    return DCSRMatrix(b.shape, *flat, semiring=semiring)
-
-
-def _scipy_fast_path(a, b, semiring: Semiring) -> COOMatrix:
-    """``(+, ·)`` fast path via scipy.sparse CSR multiplication.
-
-    An operand with a scipy form of its own (CSR, DCSR, COO) hands over its
-    storage.  One without (a DHB block) is read by row, and only where the
-    other operand can meet it: :func:`_live_entries` on the left,
-    :func:`_selected_rows` on the right.
-    """
-
-    def canonical(mat):
-        mat = mat.tocsr().astype(np.float64, copy=False)
-        if not mat.has_canonical_format:
-            # rows read from a DHB block arrive in adjacency order; scipy
-            # sums a row's terms in stored order, so sort a private copy
-            mat = mat.copy()
-            mat.sum_duplicates()
-        return mat
-
-    if not hasattr(a, "to_scipy"):
-        a = _live_entries(a, b, semiring)
-    sa = canonical((a if hasattr(a, "to_scipy") else a.to_csr()).to_scipy())
-    if not hasattr(b, "to_scipy"):
-        b = _selected_rows(b, np.unique(sa.indices), semiring)
-    sc = (sa @ canonical(b.to_scipy())).tocoo()
-    return COOMatrix(
-        shape=(a.shape[0], b.shape[1]),
-        rows=sc.row.astype(np.int64),
-        cols=sc.col.astype(np.int64),
-        values=semiring.coerce(sc.data),
-        semiring=semiring,
-    ).sort()
+    width = max(keys.size - 1, 1).bit_length()
+    if (bound - 1).bit_length() + width > 63:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = np.sort((keys << width) | np.arange(keys.size))
+    return packed & ((1 << width) - 1), packed >> width
 
 
 def _esc(
@@ -164,14 +126,12 @@ def _esc(
     b_start[fb.row_ids] = fb.row_ptr[:-1]
     b_len[fb.row_ids] = np.diff(fb.row_ptr)
 
-    # expand
+    # expand: term (i, j) is keyed i·m + j
     lens = b_len[a_cols]
     at = _ranges(b_start[a_cols], lens)
-    rows = np.repeat(a_rows, lens)
-    cols = fb.cols[at]
+    keys = np.repeat(a_rows * np.int64(m), lens) + fb.cols[at]
     vals = semiring.times(np.repeat(a_vals, lens), fb.vals[at])
-    n_terms = int(cols.size)
-    keys = rows * np.int64(m) + cols
+    n_terms = int(keys.size)
     if compute_bloom:
         shift = (np.repeat(a_cols, lens) + inner_offset) % BLOOM_BITS
         bits = np.uint64(1) << shift.astype(np.uint64)
@@ -179,7 +139,7 @@ def _esc(
         mask_keys = np.unique(mask.rows * np.int64(m) + mask.cols)
         pos = np.minimum(np.searchsorted(mask_keys, keys), mask_keys.size - 1)
         kept = mask_keys[pos] == keys
-        keys, rows, cols, vals = keys[kept], rows[kept], cols[kept], vals[kept]
+        keys, vals = keys[kept], vals[kept]
         if compute_bloom:
             bits = bits[kept]
 
@@ -187,10 +147,10 @@ def _esc(
     if keys.size == 0:
         return COOMatrix.empty(shape, semiring), bloom, n_terms, 0
     # sort
-    order = np.argsort(keys, kind="stable")
-    starts, _ = _runs(keys[order])
+    order, keys = _stable_sort(keys, shape[0] * m)
+    starts, _ = _runs(keys)
     # compress
-    out_rows, out_cols = rows[order][starts], cols[order][starts]
+    out_rows, out_cols = np.divmod(keys[starts], m)
     result = COOMatrix(
         shape, out_rows, out_cols, semiring.add_reduceat(vals[order], starts), semiring
     )
@@ -210,7 +170,6 @@ def spgemm_local(
     semiring: Semiring,
     *,
     compute_bloom: bool = False,
-    use_scipy: bool | None = None,
     inner_offset: int = 0,
 ) -> tuple[COOMatrix, BloomFilterMatrix | None]:
     """Local SpGEMM ``C = A ⊗.⊕ B`` returning ``(C as COO, bloom or None)``.
@@ -225,11 +184,8 @@ def spgemm_local(
     compute_bloom:
         When ``True``, also return a :class:`BloomFilterMatrix` with bit
         ``k mod 64`` set in entry ``(i, j)`` whenever the term
-        ``a_{i,k} ⊗ b_{k,j}`` contributed to ``c_{i,j}``.
-    use_scipy:
-        Force (``True``) or forbid (``False``) the scipy fast path; the
-        default picks it automatically for the ``(+, ·)`` semiring when no
-        Bloom filter is requested.
+        ``a_{i,k} ⊗ b_{k,j}`` contributed to ``c_{i,j}``.  The product's
+        entries are the same either way.
     inner_offset:
         Added to the local inner index ``k`` before folding it into the
         Bloom bitfield.  Distributed callers pass the global column offset
@@ -237,27 +193,7 @@ def spgemm_local(
         indices.
     """
     _check_shapes(a.shape, b.shape)
-    eligible = semiring.name == "plus_times" and not compute_bloom
-    # scipy is applicable only when the semiring/Bloom request permit it,
-    # both operands are non-empty, and both are convertible — a *forced*
-    # request is clamped on all three (an empty operand or a duck-typed
-    # layout without to_scipy()/to_csr() used to slip past the clamp and
-    # raise TypeError inside the fast path).
-    can_scipy = (
-        eligible
-        and getattr(a, "nnz", 0) > 0
-        and getattr(b, "nnz", 0) > 0
-        and _scipy_convertible(a)
-        and _scipy_convertible(b)
-    )
-    use_scipy = can_scipy if use_scipy is None else (use_scipy and can_scipy)
     with perf_phase("spgemm_local"):
-        if use_scipy:
-            result = _scipy_fast_path(a, b, semiring)
-            perf_count("spgemm.scipy_calls")
-            perf_count("spgemm.output_nnz", result.nnz)
-            return result, None
-
         perf_count("spgemm.rowwise_calls")
         result, bloom, n_terms, n_rows = _esc(
             _live_entries(a, b, semiring),

@@ -76,7 +76,7 @@ def test_spa_oracle_spgemm_still_matches_vectorised_kernel():
     b = (rng.random((9, 14)) < 0.3) * rng.random((9, 14))
     a_csr = CSRMatrix.from_dense(a, PLUS_TIMES)
     b_csr = CSRMatrix.from_dense(b, PLUS_TIMES)
-    fast, _ = spgemm_local(a_csr, b_csr, PLUS_TIMES, use_scipy=False)
+    fast, _ = spgemm_local(a_csr, b_csr, PLUS_TIMES)
     oracle = spgemm_rowwise_spa(a_csr, b_csr, PLUS_TIMES)
     assert np.array_equal(fast.sort().rows, oracle.sort().rows)
     assert np.array_equal(fast.sort().cols, oracle.sort().cols)
@@ -117,24 +117,21 @@ def _random_coo(rng, shape, nnz, semiring=PLUS_TIMES) -> COOMatrix:
     ).sum_duplicates()
 
 
-@pytest.mark.parametrize("use_scipy", [None, False], ids=["scipy", "rowwise"])
-def test_hypersparse_left_reads_only_the_selected_rows(use_scipy):
+def test_hypersparse_left_reads_only_the_rows_it_selects():
     rng = np.random.default_rng(11)
     big = _random_coo(rng, (300, 300), 4000)
     update = DCSRMatrix.from_coo(_random_coo(rng, (300, 300), 12))
     spy = _SpyDHB(big)
-    result, _ = spgemm_local(update, spy, PLUS_TIMES, use_scipy=use_scipy)
+    result, _ = spgemm_local(update, spy, PLUS_TIMES)
     selected = np.unique(update.indices)
-    assert set(spy.rows_read) <= set(selected.tolist())
-    # scipy gathers every selected row once; Gustavson reads one per entry
-    assert len(spy.rows_read) <= (selected.size if use_scipy is None else update.nnz)
-    oracle, _ = spgemm_local(update, CSRMatrix.from_coo(big), PLUS_TIMES, use_scipy=use_scipy)
+    # one gather of every selected row, each read once
+    assert sorted(spy.rows_read) == selected.tolist()
+    oracle, _ = spgemm_local(update, CSRMatrix.from_coo(big), PLUS_TIMES)
     assert result.values.tobytes() == oracle.values.tobytes()
     assert np.array_equal(result.rows, oracle.rows) and np.array_equal(result.cols, oracle.cols)
 
 
-@pytest.mark.parametrize("use_scipy", [None, False], ids=["scipy", "rowwise"])
-def test_hypersparse_right_keeps_only_the_live_left_entries(use_scipy, monkeypatch):
+def test_hypersparse_right_keeps_only_the_live_left_entries(monkeypatch):
     rng = np.random.default_rng(13)
     big = _random_coo(rng, (300, 300), 4000)
     update = DCSRMatrix.from_coo(_random_coo(rng, (300, 300), 12))
@@ -152,10 +149,10 @@ def test_hypersparse_right_keeps_only_the_live_left_entries(use_scipy, monkeypat
         return out
 
     monkeypatch.setattr(kernels, "_live_entries", recording)
-    # the spy refuses whole-block conversions, so only the filter can feed scipy
-    result, _ = spgemm_local(_SpyDHB(big), update, PLUS_TIMES, use_scipy=use_scipy)
+    # the spy refuses whole-block conversions, so only the filter can feed the kernel
+    result, _ = spgemm_local(_SpyDHB(big), update, PLUS_TIMES)
     assert survivors == [live]
-    oracle, _ = spgemm_local(DHBMatrix.from_coo(big), update, PLUS_TIMES, use_scipy=False)
+    oracle, _ = spgemm_local(DHBMatrix.from_coo(big), update, PLUS_TIMES)
     assert np.array_equal(result.rows, oracle.rows) and np.array_equal(result.cols, oracle.cols)
     assert np.allclose(result.values, oracle.values, rtol=1e-12)
 

@@ -117,12 +117,6 @@ class TestCOO:
 
     @settings(max_examples=30, deadline=None)
     @given(coo=coo_matrices())
-    def test_property_dense_round_trip_via_scipy(self, coo):
-        canon = coo.sum_duplicates()
-        assert np.allclose(canon.to_dense(), canon.to_scipy().toarray())
-
-    @settings(max_examples=30, deadline=None)
-    @given(coo=coo_matrices())
     def test_property_last_write_wins_is_canonical(self, coo):
         last = {}
         for i, j, v in zip(coo.rows.tolist(), coo.cols.tolist(), coo.values.tolist()):

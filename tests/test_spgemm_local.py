@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,9 @@ from tests.conftest import random_dense
 
 SEMIRINGS = [PLUS_TIMES, MIN_PLUS, MAX_PLUS, BOOLEAN]
 
+#: the module (``repro.sparse.spgemm_local`` the attribute is the function)
+_KERNELS = sys.modules["repro.sparse.spgemm_local"]
+
 
 def _dense_pair(semiring, seed, n=14, k=11, m=9, density=0.3):
     a = random_dense(n, k, density, semiring, seed=seed)
@@ -42,21 +47,9 @@ def test_spgemm_matches_dense_reference(semiring, seed):
         CSRMatrix.from_dense(a, semiring),
         CSRMatrix.from_dense(b, semiring),
         semiring,
-        use_scipy=False,
     )
     expected = semiring.dense_matmul(a, b)
     assert np.allclose(result.to_dense(), expected, equal_nan=True)
-
-
-def test_scipy_fast_path_matches_generic_path():
-    a, b = _dense_pair(PLUS_TIMES, 7)
-    fast, _ = spgemm_local(
-        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, use_scipy=True
-    )
-    slow, _ = spgemm_local(
-        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, use_scipy=False
-    )
-    assert np.allclose(fast.to_dense(), slow.to_dense())
 
 
 @pytest.mark.parametrize("left_layout", ["csr", "dcsr", "dhb", "coo"])
@@ -69,10 +62,77 @@ def test_all_operand_layout_combinations(left_layout, right_layout):
         "dhb": DHBMatrix.from_dense,
         "coo": lambda d: CSRMatrix.from_dense(d).to_coo(),
     }
-    result, _ = spgemm_local(
-        makers[left_layout](a), makers[right_layout](b), PLUS_TIMES, use_scipy=False
-    )
+    result, _ = spgemm_local(makers[left_layout](a), makers[right_layout](b), PLUS_TIMES)
     assert np.allclose(result.to_dense(), a @ b)
+
+
+# ----------------------------------------------------------------------
+# one kernel: the output structure does not depend on the Bloom request
+# ----------------------------------------------------------------------
+LEFT_LAYOUTS = {
+    "coo": lambda coo: coo,
+    "csr": CSRMatrix.from_coo,
+    "dcsr": DCSRMatrix.from_coo,
+    "dhb": DHBMatrix.from_coo,
+}
+
+
+@pytest.mark.parametrize("compute_bloom", [False, True], ids=["plain", "bloom"])
+@pytest.mark.parametrize("layout", sorted(LEFT_LAYOUTS))
+def test_cancelling_terms_and_explicit_zeros_keep_their_entries(layout, compute_bloom):
+    # row 0: [1, 1]·[2, −2]ᵀ cancels to 0.0; row 1: a stored 0.0 times 2.0
+    a = COOMatrix((2, 2), [0, 0, 1], [0, 1, 0], [1.0, 1.0, 0.0])
+    b = COOMatrix((2, 1), [0, 1], [0, 0], [2.0, -2.0])
+    result, bloom = spgemm_local(
+        LEFT_LAYOUTS[layout](a), b, PLUS_TIMES, compute_bloom=compute_bloom
+    )
+    assert result.rows.tolist() == [0, 1]
+    assert result.cols.tolist() == [0, 0]
+    assert result.values.tolist() == [0.0, 0.0]
+    if compute_bloom:
+        assert bloom.to_arrays()[2].tolist() == [0b11, 0b01]
+    else:
+        assert bloom is None
+
+
+@pytest.mark.parametrize("bound", [1 << 20, 1 << 62], ids=["packed", "argsort"])
+def test_term_sort_is_the_stable_argsort(bound):
+    keys = np.random.default_rng(3).integers(0, 50, 5000)  # many ties
+    order, sorted_keys = _KERNELS._stable_sort(keys, bound)
+    want = np.argsort(keys, kind="stable")
+    assert np.array_equal(order, want)
+    assert np.array_equal(sorted_keys, keys[want])
+
+
+@pytest.mark.parametrize("compute_bloom", [False, True], ids=["plain", "bloom"])
+def test_product_whose_keys_need_62_bits(compute_bloom):
+    # (2^31 x 4)·(4 x 2^31): row·m + col does not leave room to pack a position
+    n = 1 << 31
+    a = DCSRMatrix.from_coo(COOMatrix((n, 4), [5, 5, n - 1], [1, 2, 1], [1.0, 2.0, 3.0]))
+    b = DCSRMatrix.from_coo(COOMatrix((4, n), [1, 1, 2], [0, n - 1, n - 1], [10.0, 20.0, 30.0]))
+    result, bloom = spgemm_local(a, b, PLUS_TIMES, compute_bloom=compute_bloom)
+    assert result.rows.tolist() == [5, 5, n - 1, n - 1]
+    assert result.cols.tolist() == [0, n - 1, 0, n - 1]
+    assert result.values.tolist() == [10.0, 80.0, 30.0, 60.0]
+    if compute_bloom:
+        assert bloom.to_arrays()[2].tolist() == [0b010, 0b110, 0b010, 0b010]
+
+
+@pytest.mark.parametrize("compute_bloom", [False, True], ids=["plain", "bloom"])
+def test_plus_times_counts_every_term(compute_bloom):
+    a, b = _dense_pair(PLUS_TIMES, 5)
+    rec = PerfRecorder()
+    with use_recorder(rec):
+        result, _ = spgemm_local(
+            CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES,
+            compute_bloom=compute_bloom,
+        )
+    # a_ik meets every stored entry of B's row k
+    terms = int(((a != 0).astype(int) @ (b != 0).astype(int)).sum())
+    assert rec.counters["spgemm.rowwise_calls"] == 1
+    assert rec.counters["spgemm.terms"] == terms > 0
+    assert rec.counters["spgemm.output_nnz"] == result.nnz
+    assert rec.counters["spgemm.rows"] == np.unique(result.rows).size
 
 
 def test_shape_mismatch_raises():
@@ -85,7 +145,7 @@ def test_shape_mismatch_raises():
 def test_empty_operands_give_empty_result():
     a = CSRMatrix.empty((4, 5))
     b = CSRMatrix.from_dense(np.ones((5, 3)))
-    result, _ = spgemm_local(a, b, PLUS_TIMES, use_scipy=False)
+    result, _ = spgemm_local(a, b, PLUS_TIMES)
     assert result.nnz == 0
     assert result.shape == (4, 3)
 
@@ -97,7 +157,6 @@ def test_spa_reference_agrees_with_vectorised_kernel(semiring):
         CSRMatrix.from_dense(a, semiring),
         CSRMatrix.from_dense(b, semiring),
         semiring,
-        use_scipy=False,
     )
     spa = spgemm_rowwise_spa(
         CSRMatrix.from_dense(a, semiring), CSRMatrix.from_dense(b, semiring), semiring
@@ -214,62 +273,8 @@ def test_property_spgemm_matches_dense(seed, density, semiring_idx):
         CSRMatrix.from_dense(a, semiring),
         CSRMatrix.from_dense(b, semiring),
         semiring,
-        use_scipy=False,
     )
     assert np.allclose(
         result.to_dense(), semiring.dense_matmul(a, b), equal_nan=True
     )
 
-
-# ----------------------------------------------------------------------
-# scipy fast-path clamping (forced use_scipy=True must stay safe)
-# ----------------------------------------------------------------------
-def _assert_coo_identical(a, b, *, what: str) -> None:
-    assert np.array_equal(a.rows, b.rows), f"{what}: rows differ"
-    assert np.array_equal(a.cols, b.cols), f"{what}: cols differ"
-    assert a.values.tobytes() == b.values.tobytes(), f"{what}: values differ"
-
-
-class _DuckRows:
-    """Row-layout duck type with no ``to_scipy``/``to_csr`` conversion."""
-
-    def __init__(self, csr: CSRMatrix) -> None:
-        self.shape = csr.shape
-        self.nnz = csr.nnz
-        self._csr = csr
-
-    def iter_rows(self):
-        return self._csr.iter_rows()
-
-    def row_arrays(self, i: int):
-        return self._csr.row_arrays(i)
-
-
-class TestScipyClamp:
-    def test_forced_scipy_with_empty_operand_falls_back(self):
-        a = CSRMatrix.from_dense(np.zeros((4, 3)))
-        b = CSRMatrix.from_dense(np.ones((3, 2)))
-        rec = PerfRecorder()
-        with use_recorder(rec):
-            result, _ = spgemm_local(a, b, PLUS_TIMES, use_scipy=True)
-        assert result.nnz == 0
-        assert "spgemm.scipy_calls" not in rec.counters
-        assert rec.counters["spgemm.rowwise_calls"] == 1
-
-    def test_forced_scipy_with_unconvertible_layout_falls_back(self):
-        a = _DuckRows(CSRMatrix.from_dense(random_dense(5, 4, 0.5, seed=1)))
-        b = CSRMatrix.from_dense(random_dense(4, 3, 0.5, seed=2))
-        rec = PerfRecorder()
-        with use_recorder(rec):
-            result, _ = spgemm_local(a, b, PLUS_TIMES, use_scipy=True)
-        ref, _ = spgemm_local(a._csr, b, PLUS_TIMES, use_scipy=False)
-        _assert_coo_identical(ref, result, what="duck layout fallback")
-        assert "spgemm.scipy_calls" not in rec.counters
-
-    def test_forced_scipy_still_used_when_applicable(self):
-        a = CSRMatrix.from_dense(random_dense(5, 4, 0.5, seed=3))
-        b = CSRMatrix.from_dense(random_dense(4, 3, 0.5, seed=4))
-        rec = PerfRecorder()
-        with use_recorder(rec):
-            spgemm_local(a, b, PLUS_TIMES, use_scipy=True)
-        assert rec.counters["spgemm.scipy_calls"] == 1

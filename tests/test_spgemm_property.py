@@ -19,7 +19,7 @@ the kernel under a whole Algorithm 2 replay: nothing observable may move.
 
 :class:`TestPrunedKernelsByteIdentical` pins the update-proportional
 reading of the operands (dead left entries dropped in front of the ESC
-kernel, only the selected rows of a DHB block read by the scipy path): for
+kernel, only the selected rows of a DHB right operand gathered): for
 every layout pair it must return the bytes, Bloom bits and ``spgemm.*``
 counts of the same kernel on the whole operands.
 """
@@ -45,7 +45,6 @@ from repro.sparse import (
     CSRMatrix,
     DCSRMatrix,
     DHBMatrix,
-    register_row_layout,
     row_reader,
     spgemm_local,
     spgemm_local_masked,
@@ -101,7 +100,7 @@ def test_spgemm_local_matches_spa_oracle(semiring_name, layout_name, seed):
     convert = LAYOUTS[layout_name]
     a, b = convert(a_coo), convert(b_coo)
 
-    result, bloom = spgemm_local(a, b, semiring, use_scipy=False)
+    result, bloom = spgemm_local(a, b, semiring)
     oracle = spgemm_rowwise_spa(a_coo, b_coo, semiring)
     assert bloom is None
     assert_same_result(result, oracle)
@@ -116,19 +115,9 @@ def test_spgemm_local_mixed_layout_operands(left, right):
     b_coo = random_coo((10, 6), semiring, rng)
     a, b = LAYOUTS[left](a_coo), LAYOUTS[right](b_coo)
 
-    result, _ = spgemm_local(a, b, semiring, use_scipy=False)
+    result, _ = spgemm_local(a, b, semiring)
     oracle = spgemm_rowwise_spa(a_coo, b_coo, semiring)
     assert_same_result(result, oracle)
-
-
-def test_scipy_fast_path_agrees_with_kernel():
-    semiring = get_semiring("plus_times")
-    rng = np.random.default_rng(7)
-    a = random_coo((12, 12), semiring, rng)
-    b = random_coo((12, 12), semiring, rng)
-    fast, _ = spgemm_local(a, b, semiring, use_scipy=True)
-    slow, _ = spgemm_local(a, b, semiring, use_scipy=False)
-    assert_same_result(fast, slow)
 
 
 class TestRowAccessCaches:
@@ -166,7 +155,7 @@ class TestRowAccessCaches:
         assert cols.size == 0 and vals.size == 0
 
 
-class TestRowReaderRegistry:
+class TestRowReaderProtocol:
     def test_builtin_layouts_resolve(self):
         semiring = get_semiring("plus_times")
         rng = np.random.default_rng(9)
@@ -191,26 +180,9 @@ class TestRowReaderRegistry:
                     return np.array([1], dtype=np.int64), np.array([3.0])
                 return np.empty(0, dtype=np.int64), np.empty(0)
 
-        result, _ = spgemm_local(
-            MiniLayout(), MiniLayout(), MiniLayout.semiring, use_scipy=False
-        )
+        result, _ = spgemm_local(MiniLayout(), MiniLayout(), MiniLayout.semiring)
         # A's only entry is (0, 1) and B's row 1 is empty, so C is empty.
         assert result.nnz == 0
-
-    def test_registered_adapter_is_preferred(self):
-        class Wrapped:
-            def __init__(self, inner):
-                self.inner = inner
-                self.shape = inner.shape
-
-        register_row_layout(Wrapped, lambda w: w.inner)
-        semiring = get_semiring("plus_times")
-        rng = np.random.default_rng(11)
-        coo = random_coo((6, 6), semiring, rng)
-        a = Wrapped(CSRMatrix.from_coo(coo))
-        result, _ = spgemm_local(a, CSRMatrix.from_coo(coo), semiring, use_scipy=False)
-        oracle = spgemm_rowwise_spa(coo, coo, semiring)
-        assert_same_result(result, oracle)
 
     def test_unsupported_layout_raises_type_error(self):
         with pytest.raises(TypeError, match="unsupported operand layout"):
@@ -263,7 +235,6 @@ _COUNTERS = (
     "spgemm.output_nnz",
     "spgemm.masked_terms",
     "spgemm.masked_rows",
-    "spgemm.scipy_calls",
 )
 
 
@@ -425,7 +396,7 @@ def test_esc_matches_per_row_reference_byte_for_byte(
     if masked:
         (coo, bloom), rec = _recorded(spgemm_local_masked, a, b, semiring, mask, **kwargs)
     else:
-        (coo, bloom), rec = _recorded(spgemm_local, a, b, semiring, use_scipy=False, **kwargs)
+        (coo, bloom), rec = _recorded(spgemm_local, a, b, semiring, **kwargs)
     want = _per_row_reference(a, b, semiring, mask=mask, **kwargs)
     what = f"{layouts}/{semiring_name}/masked={masked}/bloom={compute_bloom}"
     _assert_bytes((coo, bloom, _spgemm_counts(rec)), want, what)
@@ -505,9 +476,7 @@ class TestAdversarialOperandsByteIdentical:
                 b = _operand(right, _adversarial(semiring, seed + 100, kind, (11, 9)))
                 for compute_bloom in (False, True):
                     kwargs = dict(compute_bloom=compute_bloom, inner_offset=3 * seed)
-                    (coo, bloom), rec = _recorded(
-                        spgemm_local, a, b, semiring, use_scipy=False, **kwargs
-                    )
+                    (coo, bloom), rec = _recorded(spgemm_local, a, b, semiring, **kwargs)
                     want = _per_row_reference(a, b, semiring, **kwargs)
                     what = f"{semiring_name}/{layout}/{kind}/{seed}/bloom={compute_bloom}"
                     _assert_bytes((coo, bloom, _spgemm_counts(rec)), want, what)
@@ -609,20 +578,19 @@ class TestPrunedKernelsByteIdentical:
         layouts=st.tuples(st.sampled_from(sorted(LAYOUTS)), st.sampled_from(sorted(LAYOUTS))),
         semiring_name=st.sampled_from(SEMIRINGS),
         compute_bloom=st.booleans(),
-        use_scipy=st.sampled_from([None, False]),
         inner_offset=st.integers(0, 70),
     )
     # empty intersection: A only hits row 1, B only fills row 0
     @example(
         pair=((2, 2, 2), [((0, 1), 1.0)], [((0, 0), 2.0), ((0, 1), 3.0)], [((0, 0), 1.0)], [], [0]),
         layouts=("dcsr", "dhb"), semiring_name="plus_times", compute_bloom=False,
-        use_scipy=None, inner_offset=0,
+        inner_offset=0,
     )
     # all-empty right operand
     @example(
         pair=((2, 2, 2), [((0, 0), 1.0), ((1, 1), 0.3)], [], [((0, 0), 1.0)], [1], []),
         layouts=("dhb", "dhb"), semiring_name="plus_times", compute_bloom=True,
-        use_scipy=None, inner_offset=63,
+        inner_offset=63,
     )
     # explicit zeros on both sides, big left operand against one live row
     @example(
@@ -635,24 +603,20 @@ class TestPrunedKernelsByteIdentical:
             [],
         ),
         layouts=("dhb", "dcsr"), semiring_name="plus_times", compute_bloom=False,
-        use_scipy=None, inner_offset=5,
+        inner_offset=5,
     )
     # three order-sensitive terms in one output entry, left DHB row permuted
-    # by a swap-with-last delete: scipy must see it sorted, Gustavson as stored
+    # by a swap-with-last delete: Gustavson folds the row as stored
     @example(
         pair=_ORDER_SENSITIVE, layouts=("dhb", "dcsr"), semiring_name="plus_times",
-        compute_bloom=False, use_scipy=None, inner_offset=0,
+        compute_bloom=False, inner_offset=0,
     )
     @example(
         pair=_ORDER_SENSITIVE, layouts=("dhb", "dcsr"), semiring_name="plus_times",
-        compute_bloom=False, use_scipy=False, inner_offset=0,
-    )
-    @example(
-        pair=_ORDER_SENSITIVE, layouts=("dhb", "dcsr"), semiring_name="plus_times",
-        compute_bloom=True, use_scipy=None, inner_offset=9,
+        compute_bloom=True, inner_offset=9,
     )
     def test_matches_whole_operand_kernels(
-        self, pair, layouts, semiring_name, compute_bloom, use_scipy, inner_offset
+        self, pair, layouts, semiring_name, compute_bloom, inner_offset
     ):
         shape, a_cells, b_cells, mask_cells, a_churn, b_churn = pair
         n, k, m = shape
@@ -661,12 +625,10 @@ class TestPrunedKernelsByteIdentical:
         b = _in_layout(layouts[1], _coo((k, m), b_cells, semiring), b_churn)
         mask = CSRMatrix.from_coo(_coo((n, m), mask_cells, semiring))
         a_whole, b_whole = _whole_csr(a, semiring), _whole_csr(b, semiring)
-        what = f"{layouts}/{semiring_name}/bloom={compute_bloom}/scipy={use_scipy}"
+        what = f"{layouts}/{semiring_name}/bloom={compute_bloom}"
         kwargs = dict(compute_bloom=compute_bloom, inner_offset=inner_offset)
 
-        (coo, bloom), rec = _recorded(
-            spgemm_local, a, b, semiring, use_scipy=use_scipy, **kwargs
-        )
+        (coo, bloom), rec = _recorded(spgemm_local, a, b, semiring, **kwargs)
         (z, h), rec_masked = _recorded(spgemm_local_masked, a, b, semiring, mask, **kwargs)
 
         def whole(**mask_kw):
@@ -679,16 +641,7 @@ class TestPrunedKernelsByteIdentical:
                 counts["spgemm.output_nnz"] = w_coo.nnz
             return w_coo, w_bloom, dict(dict.fromkeys(_COUNTERS, 0), **counts)
 
-        if rec.counters.get("spgemm.scipy_calls"):
-            # CSR hands scipy its storage: nothing is pruned on this side
-            (w_coo, w_bloom), w_rec = _recorded(
-                spgemm_local, CSRMatrix.from_coo(a.to_coo()),
-                CSRMatrix.from_coo(b.to_coo()), semiring, use_scipy=True,
-            )
-            want = (w_coo, w_bloom, _spgemm_counts(w_rec))
-        else:
-            want = whole()
-        _assert_identical((coo, bloom, _spgemm_counts(rec)), want, what)
+        _assert_identical((coo, bloom, _spgemm_counts(rec)), whole(), what)
         _assert_identical(
             (z, h, _spgemm_counts(rec_masked)), whole(mask=mask), "masked/" + what
         )
