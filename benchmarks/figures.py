@@ -122,7 +122,7 @@ class Cell:
     ``run`` performs the workload once.  In a :attr:`Figure.recorded`
     figure it returns the elapsed seconds (simulated or wall-clock,
     whichever the figure reports) and the runner's ``PerfRecorder``
-    supplies phases, counters and comm volume; otherwise it returns a
+    supplies counters and comm volume; otherwise it returns a
     :class:`Sample`.
     """
 

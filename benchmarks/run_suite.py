@@ -3,11 +3,12 @@
 
 Every figure of ``benchmarks/figures.py`` goes through the same steps,
 written here once: resolve the variant axis, plan the cells, measure each
-(warm-up, repeats, medians over :class:`repro.perf.PerfRecorder` data or
-over the cell's own samples), tag the runs, assemble and validate the
-document, and let world rank 0 write it.  The documents are the input of
-the regression gate ``python -m repro.perf.compare`` (see
-``docs/performance.md`` for the figure/variant/gate table).
+(warm-up, repeats, the median time plus the counters and comm volume of
+a :class:`repro.perf.PerfRecorder` or of the cell's own samples), tag the
+runs, assemble and validate the document, and let world rank 0 write it.
+The documents are the input of the regression gate
+``python -m repro.perf.compare`` (see ``docs/performance.md`` for the
+figure/variant/gate table).
 
 Examples
 --------
@@ -71,31 +72,22 @@ def measure(figure: Figure, cell: Cell, repeats: int) -> dict[str, Any]:
         # the first call pays import and cache costs that would otherwise
         # skew the measured repeats
         cell.run()
-    outs, recorders = [], []
+    outs = []
     for _ in range(repeats):
         recorder = PerfRecorder()
         with use_recorder(recorder) if figure.recorded else nullcontext():
             outs.append(cell.run())
-        recorders.append(recorder)
     if figure.recorded:
-        last = recorders[-1]
-        paths = sorted({path for rec in recorders for path in rec.phases})
+        # counters and comm are deterministic: the last repeat's stand
         seconds = outs
-        phase_seconds = {
-            path: median(rec.phase_seconds(path) for rec in recorders)
-            for path in paths
-        }
-        phase_calls = {
-            path: median(
-                rec.phases[path].calls if path in rec.phases else 0
-                for rec in recorders
-            )
-            for path in paths
-        }
-        counters, comm, categories = last.counters, last.total_comm(), last.comm
+        counters, comm, categories = (
+            recorder.counters,
+            recorder.total_comm(),
+            recorder.comm,
+        )
     else:
         seconds = [t for out in outs for t in out.seconds]
-        phase_seconds = phase_calls = categories = {}
+        categories = {}
         counters = {
             key: median(out.counters[key] for out in outs)
             for key in outs[-1].counters
@@ -106,8 +98,6 @@ def measure(figure: Figure, cell: Cell, repeats: int) -> dict[str, Any]:
         layout=cell.layout,
         repeats=len(seconds),
         elapsed_seconds_median=median(seconds),
-        phase_seconds_median=phase_seconds,
-        phase_calls=phase_calls,
         counters=counters,
         comm=comm,
         comm_categories=categories or None,

@@ -24,8 +24,9 @@ The package provides
   figure of the paper (:mod:`repro.bench`),
 * replayable, fully seeded dynamic-graph scenarios and the cross-backend
   replay driver (:mod:`repro.scenarios`),
-* unified performance instrumentation — nested phase timers, counters and
-  the ``BENCH_*.json`` regression harness (:mod:`repro.perf`).
+* unified performance instrumentation — counters, the per-category
+  communication funnel and the ``BENCH_*.json`` regression harness
+  (:mod:`repro.perf`).
 """
 
 from repro.semirings import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perf import perf_count, perf_phase
+from repro.perf import perf_count
 from repro.runtime import Communicator, ProcessGrid
 from repro.semirings import PLUS_TIMES
 from repro.sparse import COOMatrix
@@ -70,22 +70,21 @@ def contract_graph(
         raise ValueError(
             f"clustering has {clusters.size} entries but the graph has {n} vertices"
         )
-    with perf_phase("app_contract"):
-        s = contraction_matrix(comm, grid, clusters, n_clusters=n_clusters)
-        # A · S  (n × k)
-        a_s, _ = summa_spgemm(comm, grid, adjacency, s, output="static")
-        # Sᵀ (k × n) by distributed transposition, then Sᵀ · (A·S)
-        s_t = transpose_dist(s)
-        contracted, _ = summa_spgemm(comm, grid, s_t, a_s, output="static")
-        result = contracted.to_coo_global()
-        if drop_self_loops:
-            keep = result.rows != result.cols
-            result = COOMatrix(
-                shape=result.shape,
-                rows=result.rows[keep],
-                cols=result.cols[keep],
-                values=result.values[keep],
-                semiring=result.semiring,
-            )
-        perf_count("app_contract_nnz", result.nnz)
-        return result
+    s = contraction_matrix(comm, grid, clusters, n_clusters=n_clusters)
+    # A · S  (n × k)
+    a_s, _ = summa_spgemm(comm, grid, adjacency, s, output="static")
+    # Sᵀ (k × n) by distributed transposition, then Sᵀ · (A·S)
+    s_t = transpose_dist(s)
+    contracted, _ = summa_spgemm(comm, grid, s_t, a_s, output="static")
+    result = contracted.to_coo_global()
+    if drop_self_loops:
+        keep = result.rows != result.cols
+        result = COOMatrix(
+            shape=result.shape,
+            rows=result.rows[keep],
+            cols=result.cols[keep],
+            values=result.values[keep],
+            semiring=result.semiring,
+        )
+    perf_count("app_contract_nnz", result.nnz)
+    return result

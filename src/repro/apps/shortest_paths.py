@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perf import perf_count, perf_phase
+from repro.perf import perf_count
 from repro.runtime import Communicator, ProcessGrid
 from repro.semirings import MIN_PLUS
 from repro.sparse import CSRMatrix, COOMatrix, spgemm_local
@@ -187,19 +187,18 @@ class DynamicMultiSourceShortestPaths:
         Duplicate coordinates within one batch resolve last-write-wins.
         Returns the number of maintained-product entries recomputed.
         """
-        with perf_phase("app_sssp_update"):
-            perf_count("app_sssp_edges_updated", len(rows))
-            batch = UpdateBatch.from_global(
-                (self.n, self.n),
-                rows,
-                cols,
-                weights,
-                self.grid.n_ranks,
-                kind="update",
-                semiring=MIN_PLUS,
-                seed=seed,
-            )
-            return int(self.product.apply_updates(b_batch=batch).touched_outputs)
+        perf_count("app_sssp_edges_updated", len(rows))
+        batch = UpdateBatch.from_global(
+            (self.n, self.n),
+            rows,
+            cols,
+            weights,
+            self.grid.n_ranks,
+            kind="update",
+            semiring=MIN_PLUS,
+            seed=seed,
+        )
+        return int(self.product.apply_updates(b_batch=batch).touched_outputs)
 
     def delete_edges(self, rows: np.ndarray, cols: np.ndarray, *, seed: int = 0) -> int:
         """Delete edges (general update; triggers masked recomputation).
@@ -207,19 +206,18 @@ class DynamicMultiSourceShortestPaths:
         Deleting a coordinate that is not present is a structural no-op.
         Returns the number of maintained-product entries recomputed.
         """
-        with perf_phase("app_sssp_delete"):
-            perf_count("app_sssp_edges_deleted", len(rows))
-            batch = UpdateBatch.from_global(
-                (self.n, self.n),
-                rows,
-                cols,
-                np.zeros(len(rows)),
-                self.grid.n_ranks,
-                kind="delete",
-                semiring=MIN_PLUS,
-                seed=seed,
-            )
-            return int(self.product.apply_updates(b_batch=batch).touched_outputs)
+        perf_count("app_sssp_edges_deleted", len(rows))
+        batch = UpdateBatch.from_global(
+            (self.n, self.n),
+            rows,
+            cols,
+            np.zeros(len(rows)),
+            self.grid.n_ranks,
+            kind="delete",
+            semiring=MIN_PLUS,
+            seed=seed,
+        )
+        return int(self.product.apply_updates(b_batch=batch).touched_outputs)
 
     # ------------------------------------------------------------------
     def full_distances(self, *, max_hops: int | None = None) -> np.ndarray:
@@ -260,9 +258,8 @@ class DynamicMultiSourceShortestPaths:
         :class:`~repro.scenarios.model.ShortestPathCheck` steps record and
         the differential harness compares across backends and world sizes.
         """
-        with perf_phase("app_sssp_query"):
-            perf_count("app_sssp_queries")
-            return distances_to_tuples(self.full_distances(max_hops=max_hops))
+        perf_count("app_sssp_queries")
+        return distances_to_tuples(self.full_distances(max_hops=max_hops))
 
     def verify_one_hop(self) -> bool:
         """Check the maintained one-hop product against recomputation."""

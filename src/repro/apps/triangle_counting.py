@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perf import perf_count, perf_phase
+from repro.perf import perf_count
 from repro.runtime import Communicator, ProcessGrid
 from repro.runtime.stats import StatCategory
 from repro.semirings import PLUS_TIMES
@@ -146,22 +146,21 @@ class DynamicTriangleCounter:
         present in the graph are all screened out; returns the number of new
         directed non-zeros actually inserted.
         """
-        with perf_phase("app_triangle_insert"):
-            rows, cols = self._symmetrize(rows, cols)
-            rows, cols = self._unique_edges(rows, cols)
-            if rows.size:
-                rows, cols = self._new_edges_only(rows, cols)
-            if rows.size == 0:
-                return 0
-            perf_count("app_triangle_edges_inserted", rows.size)
-            values = np.ones(rows.size, dtype=np.float64)
-            # (A+Δ)² = A² + A·Δ + Δ·A': the aliased product applies the one
-            # batch to both sides.
-            batch = UpdateBatch.from_global(
-                (self.n, self.n), rows, cols, values, self.grid.n_ranks, seed=seed
-            )
-            self.product.apply_updates(a_batch=batch)
-            return int(rows.size)
+        rows, cols = self._symmetrize(rows, cols)
+        rows, cols = self._unique_edges(rows, cols)
+        if rows.size:
+            rows, cols = self._new_edges_only(rows, cols)
+        if rows.size == 0:
+            return 0
+        perf_count("app_triangle_edges_inserted", rows.size)
+        values = np.ones(rows.size, dtype=np.float64)
+        # (A+Δ)² = A² + A·Δ + Δ·A': the aliased product applies the one
+        # batch to both sides.
+        batch = UpdateBatch.from_global(
+            (self.n, self.n), rows, cols, values, self.grid.n_ranks, seed=seed
+        )
+        self.product.apply_updates(a_batch=batch)
+        return int(rows.size)
 
     # ------------------------------------------------------------------
     def closed_wedge_weight(self) -> float:
@@ -189,9 +188,8 @@ class DynamicTriangleCounter:
 
     def triangle_count(self) -> int:
         """Current number of triangles: ``sum(A² ∘ A) / 6``."""
-        with perf_phase("app_triangle_count"):
-            perf_count("app_triangle_queries")
-            return int(round(self.closed_wedge_weight() / 6.0))
+        perf_count("app_triangle_queries")
+        return int(round(self.closed_wedge_weight() / 6.0))
 
     def verify(self) -> bool:
         """Check the maintained product against a fresh recomputation."""

@@ -26,7 +26,6 @@ This implementation is used
 from __future__ import annotations
 
 from repro.core.collectives import pipelined_rounds
-from repro.perf.recorder import perf_phase
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
@@ -102,92 +101,87 @@ def summa_spgemm(
         payload; the backend moves it to everyone hosting a rank of the
         group.
         """
-        with perf_phase("bcast"):
-            reqs = []
-            for i in range(q):
-                root = grid.rank_of(i, k)
-                row_ranks = grid.row_group(i)
-                reqs.append(
-                    (
-                        row_ranks,
-                        comm.ibcast(
-                            root,
-                            a.blocks.get(root),
-                            group=row_ranks,
-                            category=bcast_category,
-                        ),
-                    )
+        reqs = []
+        for i in range(q):
+            root = grid.rank_of(i, k)
+            row_ranks = grid.row_group(i)
+            reqs.append(
+                (
+                    row_ranks,
+                    comm.ibcast(
+                        root,
+                        a.blocks.get(root),
+                        group=row_ranks,
+                        category=bcast_category,
+                    ),
                 )
-            for j in range(q):
-                root = grid.rank_of(k, j)
-                col_ranks = grid.col_group(j)
-                reqs.append(
-                    (
-                        col_ranks,
-                        comm.ibcast(
-                            root,
-                            b.blocks.get(root),
-                            group=col_ranks,
-                            category=bcast_category,
-                        ),
-                    )
+            )
+        for j in range(q):
+            root = grid.rank_of(k, j)
+            col_ranks = grid.col_group(j)
+            reqs.append(
+                (
+                    col_ranks,
+                    comm.ibcast(
+                        root,
+                        b.blocks.get(root),
+                        group=col_ranks,
+                        category=bcast_category,
+                    ),
                 )
-            return reqs
+            )
+        return reqs
 
     def _wait_round(reqs):
         """Complete a posted round in posting order; return (a_recv, b_recv)."""
-        with perf_phase("bcast"):
-            a_recv: dict[int, object] = {}
-            b_recv: dict[int, object] = {}
-            for idx, (group_ranks, req) in enumerate(reqs):
-                received = comm.wait(req)
-                target = a_recv if idx < q else b_recv
-                for rank in group_ranks:
-                    target[rank] = received[rank]
-            return a_recv, b_recv
+        a_recv: dict[int, object] = {}
+        b_recv: dict[int, object] = {}
+        for idx, (group_ranks, req) in enumerate(reqs):
+            received = comm.wait(req)
+            target = a_recv if idx < q else b_recv
+            for rank in group_ranks:
+                target[rank] = received[rank]
+        return a_recv, b_recv
 
-    with perf_phase("summa"):
-        for k, (a_recv, b_recv) in pipelined_rounds(q, _post_round, _wait_round):
-            inner_offset = int(a.dist.col_offsets[k])
-            with perf_phase("local_mult"):
-                for rank in owned:
-                    a_blk = a_recv[rank]
-                    b_blk = b_recv[rank]
+    for k, (a_recv, b_recv) in pipelined_rounds(q, _post_round, _wait_round):
+        inner_offset = int(a.dist.col_offsets[k])
+        for rank in owned:
+            a_blk = a_recv[rank]
+            b_blk = b_recv[rank]
 
-                    def _mult(a_blk=a_blk, b_blk=b_blk, inner_offset=inner_offset):
-                        return spgemm_local(
-                            a_blk,
-                            b_blk,
-                            semiring,
-                            compute_bloom=compute_bloom,
-                            inner_offset=inner_offset,
-                        )
-
-                    coo, bloom = comm.run_local(rank, _mult, category=mult_category)
-                    if coo.nnz:
-                        partials[rank].append(coo)
-                    if compute_bloom and bloom is not None and blooms is not None:
-                        blooms[rank].or_inplace(bloom)
-
-        # Local accumulation of the per-round partial products.
-        out_blocks: dict[int, object] = {}
-        with perf_phase("accumulate"):
-            for rank in owned:
-                block_shape = out_dist.block_shape_of_rank(rank)
-                pieces = partials[rank]
-
-                def _accumulate(pieces=pieces, block_shape=block_shape):
-                    if not pieces:
-                        combined = COOMatrix.empty(block_shape, semiring)
-                    else:
-                        combined = pieces[0].concatenate(*pieces[1:]).sum_duplicates()
-                    if output == "dynamic":
-                        return DHBMatrix.from_coo(combined, combine_duplicates=False)
-                    return CSRMatrix.from_coo(combined, dedup=False)
-
-                out_blocks[rank] = comm.run_local(
-                    rank, _accumulate, category=mult_category
+            def _mult(a_blk=a_blk, b_blk=b_blk, inner_offset=inner_offset):
+                return spgemm_local(
+                    a_blk,
+                    b_blk,
+                    semiring,
+                    compute_bloom=compute_bloom,
+                    inner_offset=inner_offset,
                 )
+
+            coo, bloom = comm.run_local(rank, _mult, category=mult_category)
+            if coo.nnz:
+                partials[rank].append(coo)
+            if compute_bloom and bloom is not None and blooms is not None:
+                blooms[rank].or_inplace(bloom)
+
+    # Local accumulation of the per-round partial products.
+    out_blocks: dict[int, object] = {}
+    for rank in owned:
+        block_shape = out_dist.block_shape_of_rank(rank)
+        pieces = partials[rank]
+
+        def _accumulate(pieces=pieces, block_shape=block_shape):
+            if not pieces:
+                combined = COOMatrix.empty(block_shape, semiring)
+            else:
+                combined = pieces[0].concatenate(*pieces[1:]).sum_duplicates()
+            if output == "dynamic":
+                return DHBMatrix.from_coo(combined, combine_duplicates=False)
+            return CSRMatrix.from_coo(combined, dedup=False)
+
+        out_blocks[rank] = comm.run_local(
+            rank, _accumulate, category=mult_category
+        )
 
     if output == "dynamic":
         result: DistMatrixBase = DynamicDistMatrix(

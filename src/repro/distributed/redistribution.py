@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.perf.recorder import perf_count, perf_phase
+from repro.perf.recorder import perf_count
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
@@ -253,38 +253,35 @@ def redistribute_tuples(
         exchange, concurrently rather than one group barrier at a time.
         """
         sendbufs: dict[int, dict[int, TupleArrays]] = {}
-        with perf_phase("sort"):
-            for rank in owned:
-                dests = [dest_rank_of(rank, bucket) for bucket in range(q)]
-                sendbufs[rank] = _bucket_for_sending(
-                    comm, rank, local[rank], bucket_of, dests, sort_mode, sort_category
-                )
-        with perf_phase("comm"):
-            recv = _exchange_chunks(comm, sendbufs, category=comm_category)
-            return {rank: _concat_inbox(recv[rank], dtype) for rank in owned}
+        for rank in owned:
+            dests = [dest_rank_of(rank, bucket) for bucket in range(q)]
+            sendbufs[rank] = _bucket_for_sending(
+                comm, rank, local[rank], bucket_of, dests, sort_mode, sort_category
+            )
+        recv = _exchange_chunks(comm, sendbufs, category=comm_category)
+        return {rank: _concat_inbox(recv[rank], dtype) for rank in owned}
 
-    with perf_phase("redistribute"):
-        # Per-rank state is partial: this process materialises (and sorts,
-        # and sends) only the tuples generated by the ranks it owns.
-        local = {
-            rank: _as_tuple_arrays(tuples_per_rank.get(rank), dtype)
-            for rank in owned
-        }
-        perf_count("redistribute.tuples", sum(t[0].size for t in local.values()))
-        # phase 1: route to the correct process-grid row, communicating
-        # within each grid column
-        local = route(
-            local,
-            lambda rows, cols: dist.block_row_of(rows),
-            lambda rank, dest_row: grid.rank_of(dest_row, grid.col_of(rank)),
-        )
-        # phase 2: tuples are now on the right grid row; route to the
-        # correct process-grid column, communicating within each grid row
-        return route(
-            local,
-            lambda rows, cols: dist.block_col_of(cols),
-            lambda rank, dest_col: grid.rank_of(grid.row_of(rank), dest_col),
-        )
+    # Per-rank state is partial: this process materialises (and sorts,
+    # and sends) only the tuples generated by the ranks it owns.
+    local = {
+        rank: _as_tuple_arrays(tuples_per_rank.get(rank), dtype)
+        for rank in owned
+    }
+    perf_count("redistribute.tuples", sum(t[0].size for t in local.values()))
+    # phase 1: route to the correct process-grid row, communicating
+    # within each grid column
+    local = route(
+        local,
+        lambda rows, cols: dist.block_row_of(rows),
+        lambda rank, dest_row: grid.rank_of(dest_row, grid.col_of(rank)),
+    )
+    # phase 2: tuples are now on the right grid row; route to the
+    # correct process-grid column, communicating within each grid row
+    return route(
+        local,
+        lambda rows, cols: dist.block_col_of(cols),
+        lambda rank, dest_col: grid.rank_of(grid.row_of(rank), dest_col),
+    )
 
 
 def redistribute_tuples_single_phase(
@@ -307,14 +304,11 @@ def redistribute_tuples_single_phase(
     dtype = np.dtype(value_dtype)
     p = grid.n_ranks
     owned = comm.owned_ranks(grid.all_ranks())
-    with perf_phase("redistribute_single_phase"):
-        sendbufs: dict[int, dict[int, TupleArrays]] = {}
-        with perf_phase("sort"):
-            for rank in owned:
-                tuples = _as_tuple_arrays(tuples_per_rank.get(rank), dtype)
-                sendbufs[rank] = _bucket_for_sending(
-                    comm, rank, tuples, dist.owner_of, range(p), sort_mode, sort_category
-                )
-        with perf_phase("comm"):
-            recv = comm.alltoallv(sendbufs, group=grid.all_ranks(), category=comm_category)
-        return {rank: _concat_inbox(recv.get(rank, {}), dtype) for rank in owned}
+    sendbufs: dict[int, dict[int, TupleArrays]] = {}
+    for rank in owned:
+        tuples = _as_tuple_arrays(tuples_per_rank.get(rank), dtype)
+        sendbufs[rank] = _bucket_for_sending(
+            comm, rank, tuples, dist.owner_of, range(p), sort_mode, sort_category
+        )
+    recv = comm.alltoallv(sendbufs, group=grid.all_ranks(), category=comm_category)
+    return {rank: _concat_inbox(recv.get(rank, {}), dtype) for rank in owned}

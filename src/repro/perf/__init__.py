@@ -3,14 +3,14 @@
 Three pieces, layered bottom to top:
 
 ``recorder``
-    :class:`PerfRecorder` — nested phase timers plus a counter registry,
-    with per-phase communication-volume attribution.  One module-level
+    :class:`PerfRecorder` — a counter registry plus a per-category
+    communication-volume mirror of ``CommStats``.  One module-level
     *active* recorder (installed with :func:`use_recorder`) is consulted by
-    the instrumented hot paths (``spgemm_local``, DHB batch insertion, the
-    SPA, SUMMA, tuple redistribution, scenario replay) and by both
-    communicator backends through the :func:`record_comm_event` funnel —
-    the single code path that accounts bytes/messages for ``SimMPI`` *and*
-    ``MPIBackend``.  When no recorder is active every probe is a cheap
+    the :func:`perf_count` probes of the instrumented kernels (local
+    SpGEMM, DHB batch insertion, tuple redistribution, the applications)
+    and by both communicator backends through the :func:`record_comm_event`
+    funnel — the single code path that accounts bytes/messages for
+    ``SimMPI`` *and* ``MPIBackend``.  When no recorder is active every probe is a cheap
     no-op, so production code pays almost nothing.
 
 ``schema``
@@ -24,6 +24,10 @@ Three pieces, layered bottom to top:
     diff two ``BENCH_*.json`` files and fail (exit code 1) on a relative
     slowdown above the threshold.
 
+Time is not attributed to layers here: the paper's breakdowns are per
+communication category (``CommStats``), and per-layer self time is what
+the ``perf_ledger`` tracer measures from outside.
+
 The subsystem is dependency-free by design (stdlib + NumPy only) and never
 imports :mod:`repro.runtime`, so the runtime backends can import it without
 cycles.
@@ -31,10 +35,8 @@ cycles.
 
 from repro.perf.recorder import (
     PerfRecorder,
-    PhaseTotals,
     get_recorder,
     perf_count,
-    perf_phase,
     record_comm_event,
     use_recorder,
 )
@@ -69,10 +71,8 @@ def __getattr__(name: str):
 
 __all__ = [
     "PerfRecorder",
-    "PhaseTotals",
     "get_recorder",
     "use_recorder",
-    "perf_phase",
     "perf_count",
     "record_comm_event",
     "BENCH_SCHEMA",

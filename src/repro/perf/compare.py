@@ -10,22 +10,20 @@ or as a CLI (the CI perf gate)::
 
     python -m repro.perf.compare BENCH_old.json BENCH_new.json --threshold 0.25
 
-A metric regresses when ``current > baseline * (1 + threshold)`` **and**
-the absolute slowdown exceeds ``--min-seconds`` (timing metrics only) — the
-absolute floor keeps micro-phases with sub-millisecond medians from
-tripping the gate on scheduler noise.  Compared metrics: per-run
-``elapsed_seconds_median``, every shared ``phase_seconds_median`` entry and
-the communication volume (``comm.bytes`` / ``comm.messages``, which must
-not regress at all beyond the threshold since they are deterministic).
-The CLI exits 1 when any regression is found, 2 on malformed inputs.
+Compared metrics: per-run ``elapsed_seconds_median`` and the
+communication volume (``comm.bytes`` / ``comm.messages``, which are
+deterministic).  A metric regresses when
+``current > baseline * (1 + threshold)``; the threshold must be finite and
+non-negative.  ``elapsed_seconds_median`` must in addition be slower by
+at least :data:`DEFAULT_MIN_SECONDS` (0.5 ms), so sub-millisecond runs do
+not trip the gate on scheduler noise.  The CLI exits 1 when any regression
+is found, 2 on malformed inputs or options.
 
 ``--expect-speedup X`` flips the gate around: instead of tolerating a
 bounded slowdown, every matched run's ``elapsed_seconds_median`` must be
 at least ``X`` (a fraction, e.g. ``0.2``) *faster* than the baseline.
-Per-phase timings are not compared in this mode — an optimisation such as
-compute/communication overlap intentionally redistributes time between
-phases — but the communication volume checks still apply, so the speedup
-cannot come from silently doing less work.  This is the CI service gate:
+The communication volume checks still apply, so the speedup cannot come
+from silently doing less work.  This is the CI service gate:
 ``BENCH_service`` documents produced with ``--variant 1`` (baseline) and
 ``--variant 16`` (current) are compared with ``--expect-speedup 0.25``.
 
@@ -47,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -64,7 +63,8 @@ __all__ = [
 #: Default relative slowdown tolerated before a metric counts as regressed.
 DEFAULT_THRESHOLD = 0.25
 
-#: Default absolute floor (seconds) under which timing drift is ignored.
+#: Absolute floor (seconds) under which ``elapsed_seconds_median`` drift
+#: is ignored.
 DEFAULT_MIN_SECONDS = 5e-4
 
 
@@ -74,7 +74,7 @@ class Regression:
 
     #: run identifier, e.g. ``"sim/csr"``
     run: str
-    #: metric name, e.g. ``"phase:replay/step"`` or ``"comm.bytes"``
+    #: metric name, e.g. ``"elapsed_seconds_median"`` or ``"comm.bytes"``
     metric: str
     baseline: float
     current: float
@@ -170,7 +170,6 @@ def compare_documents(
     current: Mapping[str, Any],
     *,
     threshold: float = DEFAULT_THRESHOLD,
-    min_seconds: float = DEFAULT_MIN_SECONDS,
     expect_speedup: float | None = None,
     expect_reduction: Mapping[str, float] | None = None,
 ) -> ComparisonReport:
@@ -179,14 +178,18 @@ def compare_documents(
     With ``expect_speedup`` set (a fraction in ``(0, 1)``), each matched
     run's ``elapsed_seconds_median`` must satisfy
     ``current <= baseline * (1 - expect_speedup)`` or the run is reported
-    as a regression; phase timings are skipped and the communication
-    volume checks keep their usual threshold semantics.
+    as a regression; the communication volume checks keep their usual
+    threshold semantics.
 
     With ``expect_reduction`` set (metric path -> required fractional
     reduction), **only** those metrics are compared: each matched run must
     satisfy ``current <= baseline * (1 - fraction)`` per metric.  The two
     expectation modes are mutually exclusive.
+
+    Raises ``ValueError`` for a negative or non-finite ``threshold``.
     """
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     if expect_speedup is not None and not 0.0 < expect_speedup < 1.0:
         raise ValueError(f"expect_speedup must be in (0, 1), got {expect_speedup!r}")
     if expect_reduction is not None:
@@ -212,15 +215,12 @@ def compare_documents(
     cur_runs = {_run_key(run): run for run in current["runs"]}
     report.unmatched_runs = sorted(set(base_runs) ^ set(cur_runs))
 
-    def check(run: str, metric: str, base: float, cur: float, *, timing: bool) -> None:
+    def check(run: str, metric: str, base: float, cur: float, floor: float) -> None:
         report.compared_metrics += 1
-        if cur <= base * (1.0 + threshold):
-            return
-        if timing and (cur - base) < min_seconds:
-            return
-        report.regressions.append(
-            Regression(run=run, metric=metric, baseline=base, current=cur)
-        )
+        if cur > base * (1.0 + threshold) and cur - base >= floor:
+            report.regressions.append(
+                Regression(run=run, metric=metric, baseline=base, current=cur)
+            )
 
     for key in sorted(set(base_runs) & set(cur_runs)):
         base, cur = base_runs[key], cur_runs[key]
@@ -261,25 +261,15 @@ def compare_documents(
                 "elapsed_seconds_median",
                 base_elapsed,
                 cur_elapsed,
-                timing=True,
+                DEFAULT_MIN_SECONDS,
             )
-            base_phases = base["phase_seconds_median"]
-            cur_phases = cur["phase_seconds_median"]
-            for phase in sorted(set(base_phases) & set(cur_phases)):
-                check(
-                    key,
-                    f"phase:{phase}",
-                    float(base_phases[phase]),
-                    float(cur_phases[phase]),
-                    timing=True,
-                )
         for volume in ("messages", "bytes"):
             check(
                 key,
                 f"comm.{volume}",
                 float(base["comm"][volume]),
                 float(cur["comm"][volume]),
-                timing=False,
+                0.0,
             )
     report.regressions.sort(key=lambda r: r.ratio, reverse=True)
     return report
@@ -305,13 +295,7 @@ def main(argv: list[str] | None = None) -> int:
         "--threshold",
         type=float,
         default=DEFAULT_THRESHOLD,
-        help="relative slowdown tolerated before failing (default %(default)s)",
-    )
-    parser.add_argument(
-        "--min-seconds",
-        type=float,
-        default=DEFAULT_MIN_SECONDS,
-        help="absolute timing floor below which drift is ignored "
+        help="relative slowdown tolerated before failing, finite and >= 0 "
         "(default %(default)s)",
     )
     parser.add_argument(
@@ -320,8 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="X",
         help="require every matched run to be at least this fraction "
-        "faster than the baseline (e.g. 0.2 for a 20%% speedup); "
-        "phase timings are not compared in this mode",
+        "faster than the baseline (e.g. 0.2 for a 20%% speedup)",
     )
     parser.add_argument(
         "--expect-reduction",
@@ -341,7 +324,6 @@ def main(argv: list[str] | None = None) -> int:
             baseline,
             current,
             threshold=args.threshold,
-            min_seconds=args.min_seconds,
             expect_speedup=args.expect_speedup,
             expect_reduction=parse_expect_reduction(args.expect_reduction),
         )

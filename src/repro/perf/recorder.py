@@ -1,149 +1,55 @@
-"""Nested phase timers, counters and communication attribution.
+"""Counters and communication attribution.
 
 :class:`PerfRecorder` is the accumulation target of all performance
-instrumentation in this repository.  It records three kinds of facts:
+instrumentation in this repository.  It records two kinds of facts:
 
-* **phases** — nested named regions.  Entering ``phase("summa")`` then
-  ``phase("local_mult")`` accumulates under the path
-  ``"summa/local_mult"``; each path keeps call counts and *inclusive*
-  wall-clock seconds (exclusive time is derived, see
-  :meth:`PerfRecorder.exclusive_seconds`).
 * **counters** — named monotonic tallies (``"dhb.insert.entries"``,
-  ``"spgemm.flops"``, …) incremented by the instrumented kernels.
-* **communication** — per-category and per-phase message/byte volume,
-  delivered by the :func:`record_comm_event` funnel that both
+  ``"spgemm.terms"``, …) incremented by the instrumented kernels.
+* **communication** — per-category message/byte volume, delivered by the
+  :func:`record_comm_event` funnel that both
   :class:`~repro.runtime.simmpi.SimMPI` and
   :class:`~repro.runtime.mpi_backend.MPIBackend` call instead of invoking
   ``CommStats.record`` directly.  This is the single definition of how a
   communication event is accounted, for every backend.
 
 Instrumented code never holds a recorder reference: it calls the
-module-level probes :func:`perf_phase` / :func:`perf_count`, which consult
-the *active* recorder installed with :func:`use_recorder` and no-op when
-none is active.  Recorders merge (:meth:`PerfRecorder.merge`), so per-rank
+module-level probe :func:`perf_count`, which consults the *active*
+recorder installed with :func:`use_recorder` and no-ops when none is
+active.  Recorders merge (:meth:`PerfRecorder.merge`), so per-rank
 recorders of a real multi-process run can be combined into one global view.
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Iterator
 
 __all__ = [
-    "PhaseTotals",
     "PerfRecorder",
     "get_recorder",
     "use_recorder",
-    "perf_phase",
     "perf_count",
     "record_comm_event",
 ]
 
-#: Separator of nested phase names inside a phase path.
-PATH_SEP = "/"
 
-
-@dataclass
-class PhaseTotals:
-    """Accumulated totals of one phase path."""
-
-    #: times the phase was entered
-    calls: int = 0
-    #: inclusive wall-clock seconds (children included)
-    seconds: float = 0.0
-    #: point-to-point / collective messages attributed to the phase
-    messages: int = 0
-    #: payload bytes attributed to the phase
-    bytes: int = 0
-
-    def add(self, other: "PhaseTotals") -> None:
-        """Accumulate ``other`` into this bucket (for cross-rank merges)."""
-        self.calls += other.calls
-        self.seconds += other.seconds
-        self.messages += other.messages
-        self.bytes += other.bytes
-
-    def as_dict(self) -> dict[str, float]:
-        """JSON-friendly view."""
-        return {
-            "calls": self.calls,
-            "seconds": self.seconds,
-            "messages": self.messages,
-            "bytes": self.bytes,
-        }
+def _empty_comm_bucket() -> dict[str, float]:
+    return {"events": 0, "messages": 0, "bytes": 0, "seconds": 0.0}
 
 
 class PerfRecorder:
-    """Accumulates nested phase timings, counters and comm volume."""
+    """Accumulates counters and per-category comm volume."""
 
-    def __init__(self, *, clock=time.perf_counter) -> None:
-        self.phases: dict[str, PhaseTotals] = {}
+    def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         #: per communication category: {"events", "messages", "bytes",
         #: "seconds"} — the recorder-side mirror of ``CommStats``
         self.comm: dict[str, dict[str, float]] = {}
-        self._stack: list[str] = []
-        self._clock = clock
 
-    # ------------------------------------------------------------------
-    # phases
-    # ------------------------------------------------------------------
-    def current_path(self) -> str:
-        """The phase path currently open (``""`` outside any phase)."""
-        return self._stack[-1] if self._stack else ""
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[PhaseTotals]:
-        """Time a named region, nesting under the currently open phase."""
-        if not name or PATH_SEP in name:
-            raise ValueError(
-                f"phase name must be non-empty and must not contain {PATH_SEP!r}: "
-                f"{name!r}"
-            )
-        parent = self.current_path()
-        path = f"{parent}{PATH_SEP}{name}" if parent else name
-        bucket = self.phases.get(path)
-        if bucket is None:
-            bucket = PhaseTotals()
-            self.phases[path] = bucket
-        self._stack.append(path)
-        start = self._clock()
-        try:
-            yield bucket
-        finally:
-            bucket.seconds += self._clock() - start
-            bucket.calls += 1
-            self._stack.pop()
-
-    def phase_seconds(self, path: str) -> float:
-        """Inclusive seconds of ``path`` (0.0 when never entered)."""
-        bucket = self.phases.get(path)
-        return bucket.seconds if bucket is not None else 0.0
-
-    def exclusive_seconds(self, path: str) -> float:
-        """Seconds spent in ``path`` itself, minus its direct children."""
-        total = self.phase_seconds(path)
-        prefix = path + PATH_SEP
-        depth = path.count(PATH_SEP) + 1
-        children = sum(
-            bucket.seconds
-            for child, bucket in self.phases.items()
-            if child.startswith(prefix) and child.count(PATH_SEP) == depth
-        )
-        return total - children
-
-    # ------------------------------------------------------------------
-    # counters
-    # ------------------------------------------------------------------
     def count(self, name: str, n: float = 1) -> None:
         """Increment counter ``name`` by ``n``."""
         self.counters[name] = self.counters.get(name, 0) + n
 
-    # ------------------------------------------------------------------
-    # communication
-    # ------------------------------------------------------------------
     def record_comm(
         self,
         category: str,
@@ -152,24 +58,12 @@ class PerfRecorder:
         nbytes: int = 0,
         seconds: float = 0.0,
     ) -> None:
-        """Attribute one communication event to ``category``.
-
-        The volume is also charged to every phase currently open (inclusive
-        attribution, matching the inclusive phase seconds), so the BENCH
-        documents can report communication per phase at any nesting depth.
-        """
-        bucket = self.comm.get(category)
-        if bucket is None:
-            bucket = {"events": 0, "messages": 0, "bytes": 0, "seconds": 0.0}
-            self.comm[category] = bucket
+        """Attribute one communication event to ``category``."""
+        bucket = self.comm.setdefault(category, _empty_comm_bucket())
         bucket["events"] += 1
         bucket["messages"] += messages
         bucket["bytes"] += nbytes
         bucket["seconds"] += seconds
-        for path in self._stack:
-            phase = self.phases[path]
-            phase.messages += messages
-            phase.bytes += nbytes
 
     def total_comm(self) -> dict[str, float]:
         """Total messages/bytes over all categories."""
@@ -178,54 +72,31 @@ class PerfRecorder:
             "bytes": sum(b["bytes"] for b in self.comm.values()),
         }
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def merge(self, other: "PerfRecorder") -> "PerfRecorder":
-        """Accumulate ``other``'s phases, counters and comm into ``self``.
+        """Accumulate ``other``'s counters and comm into ``self``.
 
         Used to combine per-rank recorders into one global view; returns
         ``self`` so merges chain.
         """
-        for path, bucket in other.phases.items():
-            mine = self.phases.get(path)
-            if mine is None:
-                mine = PhaseTotals()
-                self.phases[path] = mine
-            mine.add(bucket)
         for name, value in other.counters.items():
             self.counters[name] = self.counters.get(name, 0) + value
         for category, bucket in other.comm.items():
-            mine_c = self.comm.get(category)
-            if mine_c is None:
-                mine_c = {"events": 0, "messages": 0, "bytes": 0, "seconds": 0.0}
-                self.comm[category] = mine_c
+            mine = self.comm.setdefault(category, _empty_comm_bucket())
             for key, value in bucket.items():
-                mine_c[key] += value
+                mine[key] += value
         return self
 
     def reset(self) -> None:
-        """Drop everything accumulated so far (open phases stay open)."""
-        self.phases.clear()
+        """Drop everything accumulated so far."""
         self.counters.clear()
         self.comm.clear()
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-friendly view of all phases, counters and comm categories."""
+        """JSON-friendly view of all counters and comm categories."""
         return {
-            "phases": {
-                path: bucket.as_dict() for path, bucket in sorted(self.phases.items())
-            },
             "counters": dict(sorted(self.counters.items())),
             "comm": {cat: dict(b) for cat, b in sorted(self.comm.items())},
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(
-            f"{path}: {bucket.seconds * 1e3:.3f} ms x{bucket.calls}"
-            for path, bucket in sorted(self.phases.items())
-        )
-        return f"PerfRecorder({parts})"
 
 
 # ----------------------------------------------------------------------
@@ -254,17 +125,6 @@ def use_recorder(recorder: PerfRecorder) -> Iterator[PerfRecorder]:
         _ACTIVE = previous
 
 
-@contextmanager
-def perf_phase(name: str) -> Iterator[None]:
-    """Time a named region on the active recorder (no-op when none)."""
-    recorder = _ACTIVE
-    if recorder is None:
-        yield
-        return
-    with recorder.phase(name):
-        yield
-
-
 def perf_count(name: str, n: float = 1) -> None:
     """Increment a counter on the active recorder (no-op when none)."""
     recorder = _ACTIVE
@@ -288,8 +148,7 @@ def record_comm_event(
     record their per-category accounting: the event lands in the backend's
     ``stats`` (a :class:`~repro.runtime.stats.CommStats`, duck-typed here
     to keep this package import-free of the runtime) *and*, when
-    instrumentation is active, in the active :class:`PerfRecorder` with
-    per-phase message/byte attribution.
+    instrumentation is active, in the active :class:`PerfRecorder`.
     """
     stats.record(
         category,

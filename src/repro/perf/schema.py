@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: Version stamped into every document; bump on incompatible layout changes.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 _NUMBER = {"type": "number"}
 _STRING = {"type": "string"}
@@ -43,8 +43,6 @@ _RUN_SCHEMA: dict[str, Any] = {
         "layout",
         "repeats",
         "elapsed_seconds_median",
-        "phase_seconds_median",
-        "phase_calls",
         "counters",
         "comm",
     ],
@@ -53,8 +51,6 @@ _RUN_SCHEMA: dict[str, Any] = {
         "layout": _STRING,
         "repeats": {"type": "integer", "minimum": 1},
         "elapsed_seconds_median": _COUNT,
-        "phase_seconds_median": {"type": "object", "additionalProperties": _COUNT},
-        "phase_calls": {"type": "object", "additionalProperties": _COUNT},
         "counters": {"type": "object", "additionalProperties": _NUMBER},
         "comm": {
             "type": "object",
@@ -186,8 +182,6 @@ def bench_run_entry(
     layout: str,
     repeats: int,
     elapsed_seconds_median: float,
-    phase_seconds_median: Mapping[str, float],
-    phase_calls: Mapping[str, float],
     counters: Mapping[str, float],
     comm: Mapping[str, float],
     comm_categories: Mapping[str, Mapping[str, float]] | None = None,
@@ -198,8 +192,6 @@ def bench_run_entry(
         "layout": layout,
         "repeats": int(repeats),
         "elapsed_seconds_median": float(elapsed_seconds_median),
-        "phase_seconds_median": {k: float(v) for k, v in phase_seconds_median.items()},
-        "phase_calls": {k: float(v) for k, v in phase_calls.items()},
         "counters": {k: float(v) for k, v in counters.items()},
         "comm": {k: float(v) for k, v in comm.items()},
     }

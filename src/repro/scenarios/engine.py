@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.distributed.distribution import BlockDistribution
 from repro.distributed.repartition import maybe_repartition
-from repro.perf.recorder import perf_phase
 from repro.runtime import ProcessGrid, RuntimeConfig, backend_name_of
 from repro.runtime.backend import Communicator
 from repro.runtime.partitioner import Partitioner, make_partitioner
@@ -266,8 +265,7 @@ class ScenarioEngine:
             self._prefix_comm = progress["comm_stats"]
             self._prefix_update = progress["update_stats"]
             self._prefix_elapsed = float(progress["elapsed"])
-            with perf_phase("replay_restore"):
-                restore_state(self.executor, resume)
+            restore_state(self.executor, resume)
             # Recovery traffic lands between `_start` and here: it shows up
             # in the run's comm_stats (recovery category only) but not in
             # the update-phase statistics.
@@ -277,11 +275,10 @@ class ScenarioEngine:
         # The round-robin scatter is measurement infrastructure, not part
         # of the construction protocol: it always stays outside the timed
         # region.
-        with perf_phase("replay_prepare"):
-            self.executor.prepare()
+        self.executor.prepare()
         if scenario.timed_construction:
             before = comm.stats.snapshot()
-            with comm.timer() as timer, perf_phase("replay_construct"):
+            with comm.timer() as timer:
                 self.executor.construct()
             diff = global_stats_diff(comm, before)
             n_initial = (
@@ -302,8 +299,7 @@ class ScenarioEngine:
                 )
             )
         else:
-            with perf_phase("replay_construct"):
-                self.executor.construct()
+            self.executor.construct()
         self._post_construct = comm.stats.snapshot()
         return self
 
@@ -375,8 +371,7 @@ class ScenarioEngine:
                 )
             snapshot = self.store.load(step.tag, self.world_rank)
             before = comm.stats.snapshot()
-            with perf_phase("replay_restore"):
-                n_blocks = restore_state(executor, snapshot)
+            n_blocks = restore_state(executor, snapshot)
             diff = global_stats_diff(comm, before)
             self.step_stats.append(
                 StepStats(
@@ -422,7 +417,7 @@ class ScenarioEngine:
         if isinstance(step, AppQueryStep):
             before = comm.stats.snapshot()
             try:
-                with comm.timer() as timer, perf_phase(f"replay_{step.kind}"):
+                with comm.timer() as timer:
                     applied, payload = executor.query(
                         step, check=self.check_snapshots
                     )
@@ -470,7 +465,7 @@ class ScenarioEngine:
         )
         before = comm.stats.snapshot()
         try:
-            with comm.timer() as timer, perf_phase(f"replay_{step.kind}"):
+            with comm.timer() as timer:
                 applied = executor.apply(step, per_rank)
         except UnsupportedOperation:
             self.step_stats.append(
@@ -513,10 +508,9 @@ class ScenarioEngine:
             and executor.product is None
             and executor.a is not None
         ):
-            with perf_phase("replay_repartition"):
-                maybe_repartition(
-                    comm, self.grid, [executor.a], threshold=self._repartition_at
-                )
+            maybe_repartition(
+                comm, self.grid, [executor.a], threshold=self._repartition_at
+            )
 
     # ------------------------------------------------------------------
     # results

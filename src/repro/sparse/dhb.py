@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.perf.recorder import perf_count, perf_phase
+from repro.perf.recorder import perf_count
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
@@ -497,11 +497,10 @@ class DHBMatrix:
         keys = self._batch_keys(rows, cols)
         if rows.size == 0:
             return 0
-        with perf_phase("dhb_insert"):
-            perf_count("dhb.insert.entries", rows.size)
-            created = self._apply(keys, rows, cols, values, combine)
-            perf_count("dhb.insert.created", created)
-            return created
+        perf_count("dhb.insert.entries", rows.size)
+        created = self._apply(keys, rows, cols, values, combine)
+        perf_count("dhb.insert.created", created)
+        return created
 
     def _apply(self, keys, rows, cols, values, combine) -> int:
         if keys.size > 1 and not (keys[1:] > keys[:-1]).all():

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perf.recorder import perf_count, perf_phase
+from repro.perf.recorder import perf_count
 from repro.semirings import Semiring
 from repro.sparse.bloom import BLOOM_BITS, BloomFilterMatrix
 from repro.sparse.coo import COOMatrix
@@ -193,19 +193,18 @@ def spgemm_local(
         indices.
     """
     _check_shapes(a.shape, b.shape)
-    with perf_phase("spgemm_local"):
-        perf_count("spgemm.rowwise_calls")
-        result, bloom, n_terms, n_rows = _esc(
-            _live_entries(a, b, semiring),
-            b,
-            semiring,
-            compute_bloom=compute_bloom,
-            inner_offset=inner_offset,
-        )
-        perf_count("spgemm.terms", n_terms)
-        perf_count("spgemm.rows", n_rows)
-        perf_count("spgemm.output_nnz", result.nnz)
-        return result, bloom
+    perf_count("spgemm.rowwise_calls")
+    result, bloom, n_terms, n_rows = _esc(
+        _live_entries(a, b, semiring),
+        b,
+        semiring,
+        compute_bloom=compute_bloom,
+        inner_offset=inner_offset,
+    )
+    perf_count("spgemm.terms", n_terms)
+    perf_count("spgemm.rows", n_rows)
+    perf_count("spgemm.output_nnz", result.nnz)
+    return result, bloom
 
 
 def spgemm_local_masked(
@@ -225,18 +224,17 @@ def spgemm_local_masked(
     This is the kernel of Algorithm 2's local step
     ``Z, H ← A^R_{k,i} B'_{i,j} masked at C*_{k,j}``.
     """
-    with perf_phase("spgemm_local_masked"):
-        result, bloom, n_terms, n_rows = _esc(
-            _live_entries(a, b, semiring),
-            b,
-            semiring,
-            compute_bloom=compute_bloom,
-            inner_offset=inner_offset,
-            mask=mask,
-        )
-        perf_count("spgemm.masked_terms", n_terms)
-        perf_count("spgemm.masked_rows", n_rows)
-        return result, bloom
+    result, bloom, n_terms, n_rows = _esc(
+        _live_entries(a, b, semiring),
+        b,
+        semiring,
+        compute_bloom=compute_bloom,
+        inner_offset=inner_offset,
+        mask=mask,
+    )
+    perf_count("spgemm.masked_terms", n_terms)
+    perf_count("spgemm.masked_rows", n_rows)
+    return result, bloom
 
 
 def spgemm_rowwise_spa(a, b, semiring: Semiring, *, mask=None) -> COOMatrix:
@@ -245,12 +243,6 @@ def spgemm_rowwise_spa(a, b, semiring: Semiring, *, mask=None) -> COOMatrix:
     Slow but simple; used by the test-suite as an independent oracle for
     both the plain and the masked (``mask``: a pattern block) kernels.
     """
-    with perf_phase("spgemm_spa"):
-        return _spgemm_rowwise_spa(a, b, semiring, mask=mask)
-
-
-def _spgemm_rowwise_spa(a, b, semiring: Semiring, *, mask=None) -> COOMatrix:
-    """Accumulator loop behind :func:`spgemm_rowwise_spa`."""
     n, m = _check_shapes(a.shape, b.shape)
     allowed_in: dict[int, set[int]] | None = None
     if mask is not None:

@@ -223,8 +223,6 @@ def _doc(bytes_: float, share: float) -> dict:
         layout="csr",
         repeats=1,
         elapsed_seconds_median=1.0,
-        phase_seconds_median={},
-        phase_calls={},
         counters={"partition.max_nnz_share": share},
         comm={"messages": 10.0, "bytes": bytes_},
     )

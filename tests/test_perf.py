@@ -1,10 +1,11 @@
 """Tests for the perf instrumentation subsystem (`repro.perf`).
 
-Covers: nested-timer correctness, counter/phase merge across per-rank
-recorders, the backend accounting funnel, BENCH schema round-trips and the
-compare gate's pass/fail thresholds — plus the instrumentation contract of
-the replay driver (phases show up, comm volume is attributed) and the
-``benchmarks/`` figure registry with its one runner, on reduced cells.
+Covers: counter/comm merge across per-rank recorders, the backend
+accounting funnel, BENCH schema round-trips and the compare gate's
+pass/fail thresholds — plus the instrumentation contract of the replay
+driver (counters show up, the recorder's comm mirror agrees with
+``CommStats`` per category) and the ``benchmarks/`` figure registry with
+its one runner, on reduced cells.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from repro.perf import (
     compare_documents,
     get_recorder,
     perf_count,
-    perf_phase,
     use_recorder,
     validate_bench,
 )
 from repro.bench.config import get_profile
 from repro.competitors import PETScBackend
 from repro.runtime import EmulatedComm, SimMPI, StatCategory, make_communicator
-from repro.scenarios import grow_from_empty, replay
+from repro.scenarios import grow_from_empty, library_scenarios, replay
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
 
@@ -43,79 +43,13 @@ import run_suite as bench_runner  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# recorder: nested timers
-# ----------------------------------------------------------------------
-class FakeClock:
-    """Deterministic clock: each read advances by `step` seconds."""
-
-    def __init__(self, step: float = 1.0) -> None:
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        value = self.now
-        self.now += self.step
-        return value
-
-
-def test_nested_phases_accumulate_under_paths():
-    rec = PerfRecorder()
-    with rec.phase("outer"):
-        with rec.phase("inner"):
-            pass
-        with rec.phase("inner"):
-            pass
-    assert rec.phases["outer"].calls == 1
-    assert rec.phases["outer/inner"].calls == 2
-    assert "inner" not in rec.phases  # nested path, not a sibling root
-
-
-def test_nested_phase_timing_is_inclusive_and_exclusive_derives():
-    # Each clock read advances 1s: outer spans reads (0, 5) = 5s inclusive;
-    # the two inner phases span (1, 2) and (3, 4) = 1s each.
-    rec = PerfRecorder(clock=FakeClock())
-    with rec.phase("outer"):
-        with rec.phase("inner"):
-            pass
-        with rec.phase("inner"):
-            pass
-    assert rec.phase_seconds("outer") == pytest.approx(5.0)
-    assert rec.phase_seconds("outer/inner") == pytest.approx(2.0)
-    assert rec.exclusive_seconds("outer") == pytest.approx(3.0)
-    # exclusive only subtracts *direct* children
-    assert rec.exclusive_seconds("outer/inner") == pytest.approx(2.0)
-
-
-def test_phase_stack_restored_on_exception():
-    rec = PerfRecorder()
-    with pytest.raises(RuntimeError):
-        with rec.phase("outer"):
-            with rec.phase("inner"):
-                raise RuntimeError("boom")
-    assert rec.current_path() == ""
-    assert rec.phases["outer"].calls == 1
-    assert rec.phases["outer/inner"].calls == 1
-
-
-def test_phase_name_validation():
-    rec = PerfRecorder()
-    with pytest.raises(ValueError):
-        with rec.phase("bad/name"):
-            pass
-    with pytest.raises(ValueError):
-        with rec.phase(""):
-            pass
-
-
-# ----------------------------------------------------------------------
 # recorder: counters, comm, merge
 # ----------------------------------------------------------------------
 def test_counters_and_comm_attribution():
     rec = PerfRecorder()
-    with rec.phase("work"):
-        rec.count("widgets", 3)
-        rec.record_comm("bcast", messages=4, nbytes=100, seconds=0.5)
-    rec.record_comm("bcast", messages=1, nbytes=10, seconds=0.1)  # outside phase
+    rec.count("widgets", 3)
+    rec.record_comm("bcast", messages=4, nbytes=100, seconds=0.5)
+    rec.record_comm("bcast", messages=1, nbytes=10, seconds=0.1)
     assert rec.counters["widgets"] == 3
     assert rec.comm["bcast"] == {
         "events": 2,
@@ -123,9 +57,6 @@ def test_counters_and_comm_attribution():
         "bytes": 110,
         "seconds": pytest.approx(0.6),
     }
-    # only the in-phase share lands on the phase
-    assert rec.phases["work"].messages == 4
-    assert rec.phases["work"].bytes == 100
     assert rec.total_comm() == {"messages": 5, "bytes": 110}
 
 
@@ -133,24 +64,21 @@ def test_merge_across_ranks_sums_everything():
     ranks = []
     for rank in range(3):
         rec = PerfRecorder()
-        with rec.phase("step"):
-            rec.count("entries", 10 * (rank + 1))
-            rec.record_comm("alltoall", messages=2, nbytes=rank + 1)
+        rec.count("entries", 10 * (rank + 1))
+        rec.record_comm("alltoall", messages=2, nbytes=rank + 1)
         ranks.append(rec)
     merged = PerfRecorder()
     for rec in ranks:
         merged.merge(rec)
     assert merged.counters["entries"] == 60
-    assert merged.phases["step"].calls == 3
+    assert merged.comm["alltoall"]["events"] == 3
     assert merged.comm["alltoall"]["messages"] == 6
     assert merged.comm["alltoall"]["bytes"] == 6
-    assert merged.phases["step"].bytes == 6
 
 
 def test_module_probes_noop_without_active_recorder():
     assert get_recorder() is None
-    with perf_phase("anything"):
-        perf_count("nothing")  # must not raise
+    perf_count("nothing")  # must not raise
 
 
 def test_use_recorder_nests_and_restores():
@@ -170,26 +98,49 @@ def test_backend_funnel_records_into_stats_and_recorder():
     rec = PerfRecorder()
     with use_recorder(rec):
         comm = SimMPI(4)
-        with rec.phase("exchange"):
-            comm.exchange([(0, 1, np.zeros(8)), (2, 3, np.zeros(4))])
+        comm.exchange([(0, 1, np.zeros(8)), (2, 3, np.zeros(4))])
     # CommStats side (unchanged semantics)
     assert comm.stats.categories["send_recv"].messages == 2
     assert comm.stats.categories["send_recv"].bytes == 96
-    # recorder side, attributed to the open phase
+    # recorder side: the same event, in the same category
+    assert rec.comm["send_recv"]["events"] == 1
     assert rec.comm["send_recv"]["messages"] == 2
-    assert rec.phases["exchange"].bytes == 96
+    assert rec.comm["send_recv"]["bytes"] == 96
 
 
-def test_replay_populates_phases_and_comm():
+def test_replay_populates_counters_and_comm():
     scenario = grow_from_empty(n=48, n_batches=2, batch=64, seed=5)
     rec = PerfRecorder()
     with use_recorder(rec):
-        replay(scenario, n_ranks=4, collect_final=False)
-    assert rec.phases["replay_construct"].calls == 1
-    assert rec.phases["replay_insert"].calls == 2
-    assert rec.phase_seconds("replay_insert/redistribute") > 0.0
-    assert rec.phases["replay_insert"].bytes > 0
+        result = replay(scenario, n_ranks=4, collect_final=False)
     assert rec.counters["dhb.insert.entries"] > 0
+    assert rec.counters["redistribute.tuples"] > 0
+    assert rec.comm["redist_comm"]["bytes"] > 0
+    assert rec.total_comm()["bytes"] == sum(
+        totals["bytes"] for totals in result.comm_stats.values()
+    )
+
+
+@pytest.mark.parametrize("backend", ["sim", "mpi"])
+@pytest.mark.parametrize(
+    "scenario", library_scenarios(), ids=lambda scenario: scenario.name
+)
+def test_recorder_comm_mirror_agrees_with_comm_stats(scenario, backend):
+    """BENCH ``comm_categories`` (the recorder) and the ``breakdown.*``
+    counters (``CommStats``) describe the same events, category by category."""
+    extra = {"comm": EmulatedComm()} if backend == "mpi" else {}
+    comm = make_communicator(backend, n_ranks=4, **extra)
+    rec = PerfRecorder()
+    with use_recorder(rec):
+        result = replay(scenario, comm=comm, collect_final=False)
+    stats = result.comm_stats
+    assert set(rec.comm) <= set(stats)
+    for category, totals in stats.items():
+        mirror = rec.comm.get(category, {"messages": 0, "bytes": 0})
+        assert (mirror["messages"], mirror["bytes"]) == (
+            totals["messages"],
+            totals["bytes"],
+        ), category
 
 
 # ----------------------------------------------------------------------
@@ -201,8 +152,6 @@ def _sample_run(**overrides):
         layout="csr",
         repeats=3,
         elapsed_seconds_median=0.25,
-        phase_seconds_median={"replay_insert": 0.1, "replay_insert/redistribute": 0.04},
-        phase_calls={"replay_insert": 4},
         counters={"dhb.insert.entries": 4096},
         comm={"messages": 480, "bytes": 123456},
         comm_categories={"alltoall": {"messages": 480, "bytes": 123456}},
@@ -240,6 +189,7 @@ def test_bench_document_round_trips_through_json():
     "corrupt",
     [
         {"schema_version": 99},
+        {"schema_version": 1},
         {"runs": [{"backend": "sim"}]},
         {"seed": "zero"},
         {"n_ranks": 0},
@@ -273,11 +223,11 @@ def test_compare_identical_documents_passes():
 def test_compare_flags_injected_2x_slowdown():
     base = _sample_document()
     slow = _sample_document()
-    slow["runs"][0]["phase_seconds_median"]["replay_insert"] *= 2.0
+    slow["runs"][0]["elapsed_seconds_median"] *= 2.0
     report = compare_documents(base, slow, threshold=0.25)
     assert report.regressed
     (regression,) = report.regressions
-    assert regression.metric == "phase:replay_insert"
+    assert regression.metric == "elapsed_seconds_median"
     assert regression.ratio == pytest.approx(2.0)
 
 
@@ -288,24 +238,30 @@ def test_compare_tolerates_drift_below_threshold():
     assert not compare_documents(base, near, threshold=0.25).regressed
 
 
-def test_compare_absolute_floor_ignores_micro_phases():
+def test_compare_timing_floor_spares_elapsed_but_not_comm_volume():
     base = _sample_document()
-    noisy = _sample_document()
-    noisy["runs"][0]["phase_seconds_median"]["replay_insert/redistribute"] = 0.0402
-    base["runs"][0]["phase_seconds_median"]["replay_insert/redistribute"] = 0.0200
-    # 2x ratio but only +20ms; with a large floor it must pass, with the
-    # default floor it must fail
-    assert not compare_documents(base, noisy, min_seconds=0.05).regressed
-    assert compare_documents(base, noisy, min_seconds=5e-4).regressed
+    base["runs"][0]["elapsed_seconds_median"] = 2e-4
+    base["runs"][0]["comm"] = {"messages": 1, "bytes": 2}
+    # 2x on both, but the elapsed time grows by only 0.2 ms: under the
+    # absolute floor; the deterministic volume has no floor
+    tiny = json.loads(json.dumps(base))
+    tiny["runs"][0]["elapsed_seconds_median"] = 4e-4
+    tiny["runs"][0]["comm"]["bytes"] = 4
+    report = compare_documents(base, tiny)
+    assert [r.metric for r in report.regressions] == ["comm.bytes"]
 
 
-def test_compare_comm_volume_has_no_timing_floor():
-    base = _sample_document()
-    bloated = _sample_document()
-    bloated["runs"][0]["comm"]["bytes"] *= 2
-    report = compare_documents(base, bloated, min_seconds=1e9)
-    assert report.regressed
-    assert report.regressions[0].metric == "comm.bytes"
+@pytest.mark.parametrize("threshold", [-0.5, float("nan"), float("inf")])
+def test_compare_rejects_a_negative_or_non_finite_threshold(threshold, tmp_path, capsys):
+    from repro.perf.compare import main
+
+    doc = _sample_document()
+    with pytest.raises(ValueError, match="threshold"):
+        compare_documents(doc, doc, threshold=threshold)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), str(path), "--threshold", str(threshold)]) == 2
+    assert capsys.readouterr().out.startswith("error:")
 
 
 def test_compare_refuses_cross_figure_documents():
@@ -337,14 +293,12 @@ def test_compare_expect_speedup_requires_faster_current():
     assert compare_documents(base, base, expect_speedup=0.2).regressed
 
 
-def test_compare_expect_speedup_skips_phases_but_keeps_volume():
+def test_compare_expect_speedup_keeps_the_volume_check():
     base = _sample_document()
     current = _sample_document()
     current["runs"][0]["elapsed_seconds_median"] *= 0.5
-    # phases may shift freely between modes...
-    current["runs"][0]["phase_seconds_median"]["replay_insert"] *= 10.0
     assert not compare_documents(base, current, expect_speedup=0.2).regressed
-    # ...but the communication volume must not grow
+    # the speedup must not come from a change in communication volume
     current["runs"][0]["comm"]["bytes"] *= 2
     report = compare_documents(base, current, expect_speedup=0.2)
     assert report.regressed
@@ -455,14 +409,16 @@ def test_every_registry_figure_builds_a_valid_document(name):
     assert not compare_documents(single, single).unmatched_runs
 
 
-def test_replay_figures_record_their_phases():
+def test_replay_figures_record_counters_and_comm():
     runs = _document("fig08")["runs"]
     assert [run["scenario"] for run in runs] == [
         "strong@p4", "strong@p16", "weak@p4", "weak@p16"
     ]
     for run in runs:
         assert (run["backend"], run["layout"]) == ("sim", "csr")
-        assert run["phase_seconds_median"]["replay_construct"] > 0.0
+        assert run["counters"]["dhb.insert.entries"] > 0
+        categories = run["comm_categories"]
+        assert run["comm"]["bytes"] == sum(c["bytes"] for c in categories.values())
     assert set(_document("fig04")["extras"]["dhb_insertion"]) == {
         "construction",
         "dense_batches",
@@ -475,11 +431,10 @@ def test_replay_figures_record_their_phases():
         "road_churn_sssp",
         "multilevel_contraction",
     }
-    # the app phases recorded by the instrumented applications are present
-    phases = {p for run in apps["runs"] for p in run["phase_seconds_median"]}
-    assert any("app_triangle_count" in p for p in phases)
-    assert any("app_sssp_query" in p for p in phases)
-    assert any("app_contract" in p for p in phases)
+    # the counters of the instrumented applications are present
+    counters = {c for run in apps["runs"] for c in run["counters"]}
+    assert {"app_triangle_queries", "app_sssp_queries"} <= counters
+    assert any(c.startswith("app_contract") for c in counters)
 
 
 def test_run_suite_cli_writes_and_rejects(tmp_path, capsys):
@@ -715,8 +670,6 @@ def test_compare_distinguishes_scenario_tagged_runs():
                 layout="csr",
                 repeats=1,
                 elapsed_seconds_median=elapsed,
-                phase_seconds_median={},
-                phase_calls={},
                 counters={},
                 comm={"messages": 1, "bytes": 100},
             )
