@@ -33,6 +33,7 @@ from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
+from repro.sparse.layout import flat_rows
 from repro.distributed.distribution import BlockDistribution
 from repro.distributed.redistribution import _route_tuples
 
@@ -123,30 +124,36 @@ class DistMatrixBase:
         return int(self.comm.host_fold(local, lambda x, y: x + y))
 
     def to_coo_global(self) -> COOMatrix:
-        """Assemble the full matrix in global coordinates (for testing).
+        """The full matrix in global coordinates, sorted by ``(row, col)``.
 
-        Every process receives the complete matrix (the owned pieces are
-        merged through the control plane), so assertions against the result
-        hold identically on all processes.
+        The snapshot read behind ``ScenarioEngine.result()``,
+        ``DynamicProduct.check_consistency``, the SSSP query,
+        ``contract_graph`` and the competitors' read-back.  Each owned block
+        contributes its :func:`flat_rows` as global ``row·m + col`` keys (no
+        per-block sort); the pieces are merged through the control plane in
+        rank order and sorted once by :meth:`Semiring.sum_duplicates`, so
+        every process receives the same matrix.
         """
-        local_pieces: dict[int, COOMatrix] = {}
+        m = np.int64(self.shape[1])
+        local: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for rank, block in self.blocks.items():
-            coo = block.to_coo()
-            if coo.nnz == 0:
+            flat = flat_rows(block)
+            if flat.cols.size == 0:
                 continue
-            grows, gcols = self.dist.to_global(rank, coo.rows, coo.cols)
-            local_pieces[rank] = COOMatrix(
-                shape=self.shape,
-                rows=grows,
-                cols=gcols,
-                values=coo.values,
-                semiring=self.semiring,
+            grows, gcols = self.dist.to_global(
+                rank, np.repeat(flat.row_ids, np.diff(flat.row_ptr)), flat.cols
             )
-        merged = self.comm.host_merge(local_pieces)
-        pieces = [merged[rank] for rank in sorted(merged)]
-        if not pieces:
+            local[rank] = (grows * m + gcols, flat.vals)
+        merged = self.comm.host_merge(local)
+        if not merged:
             return COOMatrix.empty(self.shape, self.semiring)
-        return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
+        pieces = [merged[rank] for rank in sorted(merged)]
+        keys, vals = self.semiring.sum_duplicates(
+            np.concatenate([keys for keys, _ in pieces]),
+            np.concatenate([vals for _, vals in pieces]),
+        )
+        rows, cols = np.divmod(keys, m)
+        return COOMatrix(self.shape, rows, cols, vals, self.semiring)
 
     def to_dense(self) -> np.ndarray:
         return self.to_coo_global().to_dense()

@@ -26,7 +26,8 @@ with a generic fallback for unregistered layouts that concatenates
 within-row order — which fixes the order a product's terms are folded in
 for layouts like DHB whose rows are in adjacency (insertion) order — and
 the same view is what DHB's conversions, the left-operand pruning in front
-of the kernel, Algorithm 2's ``A^R`` filter and the triangle query read.
+of the kernel, Algorithm 2's ``A^R`` filter, the triangle query and the
+distributed snapshot read (``to_coo_global``) read.
 """
 
 from __future__ import annotations
