@@ -24,7 +24,6 @@ from repro.perf import perf_count
 from repro.runtime import Communicator, ProcessGrid
 from repro.runtime.stats import StatCategory
 from repro.semirings import PLUS_TIMES
-from repro.sparse.layout import flat_rows
 from repro.distributed import DynamicDistMatrix, UpdateBatch
 from repro.core import DynamicProduct
 from repro.apps.reductions import rank_ordered_sum
@@ -57,7 +56,7 @@ def _block_closed_weight(dist, rank: int, a2_block, adj_block) -> float:
     m = dist.shape[1]
 
     def global_coords(block):
-        flat = flat_rows(block)
+        flat = block.flat_rows()
         rows = np.repeat(flat.row_ids, np.diff(flat.row_ptr))
         grows, gcols = dist.to_global(rank, rows, flat.cols)
         return grows, gcols, flat.vals

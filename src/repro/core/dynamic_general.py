@@ -43,7 +43,6 @@ from repro.sparse import (
     DCSRMatrix,
     spgemm_local_masked,
 )
-from repro.sparse.layout import flat_rows
 from repro.distributed import DynamicDistMatrix
 from repro.distributed.dist_matrix import DistMatrixBase
 from repro.core.collectives import (
@@ -66,7 +65,7 @@ def filter_by_row_bloom(
     global inner indices; rows past ``row_bits`` admit nothing).  One pass
     over the block's flat rows; returns the hypersparse DCSR block ``A^R``.
     """
-    flat = flat_rows(block)
+    flat = block.flat_rows()
     rows = np.repeat(flat.row_ids, np.diff(flat.row_ptr))
     bits = np.zeros(rows.size, dtype=np.uint64)
     inside = rows < row_bits.size

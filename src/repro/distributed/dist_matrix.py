@@ -33,7 +33,6 @@ from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
-from repro.sparse.layout import flat_rows
 from repro.distributed.distribution import BlockDistribution
 from repro.distributed.redistribution import _route_tuples
 
@@ -129,7 +128,7 @@ class DistMatrixBase:
         The snapshot read behind ``ScenarioEngine.result()``,
         ``DynamicProduct.check_consistency``, the SSSP query,
         ``contract_graph`` and the competitors' read-back.  Each owned block
-        contributes its :func:`flat_rows` as global ``row·m + col`` keys (no
+        contributes its ``flat_rows()`` as global ``row·m + col`` keys (no
         per-block sort); the pieces are merged through the control plane in
         rank order and sorted once by :meth:`Semiring.sum_duplicates`, so
         every process receives the same matrix.
@@ -137,7 +136,7 @@ class DistMatrixBase:
         m = np.int64(self.shape[1])
         local: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for rank, block in self.blocks.items():
-            flat = flat_rows(block)
+            flat = block.flat_rows()
             if flat.cols.size == 0:
                 continue
             grows, gcols = self.dist.to_global(

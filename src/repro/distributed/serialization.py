@@ -53,6 +53,13 @@ def _base(layout: str, shape: tuple[int, int], semiring: Semiring) -> dict[str, 
     }
 
 
+#: layout -> (class, the attributes it is encoded as, in constructor order)
+_STATIC_FIELDS = {
+    "csr": (CSRMatrix, ("indptr", "indices", "values")),
+    "dcsr": (DCSRMatrix, ("nz_rows", "indptr", "indices", "values")),
+}
+
+
 def encode_block(block: Any) -> dict[str, Any]:
     """Encode a sparse block into a self-describing dict of arrays.
 
@@ -62,19 +69,11 @@ def encode_block(block: Any) -> dict[str, Any]:
     decoded matrix is indistinguishable from the original under any
     sequence of further updates and accounting queries.
     """
-    if isinstance(block, CSRMatrix):
-        out = _base("csr", block.shape, block.semiring)
-        out["indptr"] = np.ascontiguousarray(block.indptr)
-        out["indices"] = np.ascontiguousarray(block.indices)
-        out["values"] = np.ascontiguousarray(block.values)
-        return out
-    if isinstance(block, DCSRMatrix):
-        out = _base("dcsr", block.shape, block.semiring)
-        out["nz_rows"] = np.ascontiguousarray(block.nz_rows)
-        out["indptr"] = np.ascontiguousarray(block.indptr)
-        out["indices"] = np.ascontiguousarray(block.indices)
-        out["values"] = np.ascontiguousarray(block.values)
-        return out
+    for layout, (cls, fields) in _STATIC_FIELDS.items():
+        if isinstance(block, cls):
+            out = _base(layout, block.shape, block.semiring)
+            out.update((name, np.ascontiguousarray(getattr(block, name))) for name in fields)
+            return out
     if isinstance(block, DHBMatrix):
         return _encode_dhb(block)
     raise BlockCodecError(f"cannot encode block of type {type(block).__name__}")
@@ -98,19 +97,12 @@ def decode_block(data: dict[str, Any]) -> Any:
         semiring = get_semiring(str(data["semiring"]))
     except (KeyError, IndexError, TypeError) as exc:
         raise BlockCodecError(f"malformed encoded block: {exc}") from exc
-    if layout == "csr":
-        return CSRMatrix(
-            shape, data["indptr"], data["indices"], data["values"], semiring=semiring
-        )
-    if layout == "dcsr":
-        return DCSRMatrix(
-            shape,
-            data["nz_rows"],
-            data["indptr"],
-            data["indices"],
-            data["values"],
-            semiring=semiring,
-        )
+    if layout in _STATIC_FIELDS:
+        cls, fields = _STATIC_FIELDS[layout]
+        try:
+            return cls(shape, *(data[name] for name in fields), semiring=semiring)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BlockCodecError(f"malformed {layout.upper()} block: {exc}") from exc
     if layout == "dhb":
         return _decode_dhb(data, shape, semiring)
     raise BlockCodecError(f"unknown block layout {layout!r}")

@@ -19,7 +19,6 @@ distributed algorithms: element-wise ``ADD`` / ``MERGE`` / ``MASK``
 64-bit Bloom-filter matrices of Section V-B.
 """
 
-from repro.sparse.layout import RowReader, row_reader
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.dcsr import DCSRMatrix
@@ -38,8 +37,6 @@ from repro.sparse.spgemm_local import (
 )
 
 __all__ = [
-    "RowReader",
-    "row_reader",
     "COOMatrix",
     "CSRMatrix",
     "DCSRMatrix",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.semirings import PLUS_TIMES, Semiring
+from repro.sparse.layout import FlatRows
 
 __all__ = ["COOMatrix"]
 
@@ -59,10 +60,6 @@ class COOMatrix:
                 raise ValueError("row index out of bounds for shape")
             if self.cols.min() < 0 or self.cols.max() >= m:
                 raise ValueError("column index out of bounds for shape")
-        # Lazily built row-access views (the triplet arrays are never
-        # mutated in place, so these cannot go stale).
-        self._dcsr_view = None
-        self._csr_view = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -240,27 +237,13 @@ class COOMatrix:
         return out.sort()
 
     # ------------------------------------------------------------------
-    # row access (uniform layout protocol)
+    # row access
     # ------------------------------------------------------------------
-    def iter_rows(self):
-        """Yield ``(row, cols, vals)`` per non-empty row (duplicates kept).
-
-        Backed by a lazily built, cached DCSR view so that repeated kernel
-        invocations on the same operand pay the conversion only once.
-        """
+    def flat_rows(self) -> FlatRows:
+        """The non-empty rows, each sorted by column (duplicates kept)."""
         from repro.sparse.dcsr import DCSRMatrix
 
-        if self._dcsr_view is None:
-            self._dcsr_view = DCSRMatrix.from_coo(self, dedup=False)
-        return self._dcsr_view.iter_rows()
-
-    def row_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(cols, vals)`` of row ``i`` via a cached CSR view."""
-        from repro.sparse.csr import CSRMatrix
-
-        if self._csr_view is None:
-            self._csr_view = CSRMatrix.from_coo(self, dedup=False)
-        return self._csr_view.row(i)
+        return DCSRMatrix.from_coo(self, dedup=False).flat_rows()
 
     # ------------------------------------------------------------------
     # conversions

@@ -12,13 +12,12 @@ kernel relies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse.coo import COOMatrix
-from repro.sparse.layout import FlatRows, register_flat_rows
+from repro.sparse.layout import FlatRows
 
 __all__ = ["CSRMatrix"]
 
@@ -134,23 +133,14 @@ class CSRMatrix:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi]
 
-    def row_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(cols, vals)`` of row ``i`` — the uniform row-access protocol."""
-        return self.row(i)
-
-    def iter_rows(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(row, cols, vals)`` for every non-empty row."""
-        for i in self.nonzero_rows():
-            cols, vals = self.row(int(i))
-            yield int(i), cols, vals
-
-    def row_nnz(self) -> np.ndarray:
-        """Number of structural non-zeros in every row."""
-        return np.diff(self.indptr)
-
-    def nonzero_rows(self) -> np.ndarray:
-        """Indices of rows with at least one structural non-zero."""
-        return np.flatnonzero(np.diff(self.indptr) > 0).astype(np.int64)
+    def flat_rows(self) -> FlatRows:
+        """Zero-copy: every row is a segment, empty rows included."""
+        return FlatRows(
+            row_ids=np.arange(self.shape[0], dtype=np.int64),
+            row_ptr=self.indptr,
+            cols=self.indices,
+            vals=self.values,
+        )
 
     def get(self, i: int, j: int, default: float | None = None) -> float:
         """Value at ``(i, j)``; the semiring zero (or ``default``) if absent."""
@@ -237,15 +227,3 @@ class CSRMatrix:
             f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, "
             f"semiring={self.semiring.name!r})"
         )
-
-
-register_flat_rows(
-    CSRMatrix,
-    # zero-copy: every row is a segment, empty rows included
-    lambda m: FlatRows(
-        row_ids=np.arange(m.shape[0], dtype=np.int64),
-        row_ptr=m.indptr,
-        cols=m.indices,
-        vals=m.values,
-    ),
-)

@@ -16,14 +16,13 @@ algorithms needs it (rows are only ever *iterated*).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.layout import FlatRows, _runs, register_flat_rows
+from repro.sparse.layout import FlatRows, _runs
 
 __all__ = ["DCSRMatrix"]
 
@@ -51,6 +50,8 @@ class DCSRMatrix:
             raise ValueError("indices and values must have identical lengths")
         if self.indptr.size and (self.indptr[0] != 0 or self.indptr[-1] != len(self.indices)):
             raise ValueError("indptr must start at 0 and end at nnz")
+        if np.any(np.diff(self.indptr) < 0):
+            raise ValueError("indptr must be non-decreasing")
         if self.nz_rows.size:
             if self.nz_rows.min() < 0 or self.nz_rows.max() >= n:
                 raise ValueError("non-zero row index out of bounds")
@@ -58,9 +59,6 @@ class DCSRMatrix:
                 raise ValueError("nz_rows must be strictly increasing")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= m):
             raise ValueError("column index out of bounds for shape")
-        #: lazily built row-id -> stored-slot index (the arrays are never
-        #: mutated in place, so the cache cannot go stale)
-        self._row_index: dict[int, int] | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -133,38 +131,13 @@ class DCSRMatrix:
         )
 
     # ------------------------------------------------------------------
-    # iteration / access
+    # row access
     # ------------------------------------------------------------------
-    def iter_rows(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(row, column indices, values)`` for each non-empty row."""
-        for k, row in enumerate(self.nz_rows):
-            lo, hi = self.indptr[k], self.indptr[k + 1]
-            yield int(row), self.indices[lo:hi], self.values[lo:hi]
-
-    def row_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(cols, vals)`` of row ``i``; empty arrays for an empty row.
-
-        DCSR has no O(1) row lookup, so the first call builds a row-id →
-        slot hash index which is cached for the lifetime of the matrix —
-        SpGEMM kernels probe the right operand once per left-operand entry
-        and must not rebuild the index on every invocation.
-        """
-        if self._row_index is None:
-            self._row_index = {
-                int(r): k for k, r in enumerate(self.nz_rows)
-            }
-        slot = self._row_index.get(int(i))
-        if slot is None:
-            return np.empty(0, dtype=np.int64), self.semiring.zeros(0)
-        lo, hi = self.indptr[slot], self.indptr[slot + 1]
-        return self.indices[lo:hi], self.values[lo:hi]
-
-    def row_by_position(self, k: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """The ``k``-th stored (non-empty) row."""
-        if not (0 <= k < self.n_nonzero_rows):
-            raise IndexError(f"stored-row position {k} out of range")
-        lo, hi = self.indptr[k], self.indptr[k + 1]
-        return int(self.nz_rows[k]), self.indices[lo:hi], self.values[lo:hi]
+    def flat_rows(self) -> FlatRows:
+        """Zero-copy: DCSR storage *is* the flat non-empty-row form."""
+        return FlatRows(
+            row_ids=self.nz_rows, row_ptr=self.indptr, cols=self.indices, vals=self.values
+        )
 
     # ------------------------------------------------------------------
     # conversions
@@ -207,12 +180,3 @@ class DCSRMatrix:
             f"DCSRMatrix(shape={self.shape}, nnz={self.nnz}, "
             f"nz_rows={self.n_nonzero_rows}, semiring={self.semiring.name!r})"
         )
-
-
-register_flat_rows(
-    DCSRMatrix,
-    # zero-copy: DCSR storage *is* the flat non-empty-row form
-    lambda m: FlatRows(
-        row_ids=m.nz_rows, row_ptr=m.indptr, cols=m.indices, vals=m.values
-    ),
-)

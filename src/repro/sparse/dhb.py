@@ -38,7 +38,7 @@ The batch operations are those of Section IV-A: semiring ``ADD``, ``MERGE``
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.dcsr import DCSRMatrix
-from repro.sparse.layout import FlatRows, _ranges, _runs, register_flat_rows
+from repro.sparse.layout import FlatRows, _ranges, _runs
 
 __all__ = ["DHBMatrix", "DHBStorage"]
 
@@ -677,22 +677,8 @@ class DHBMatrix:
                 raise ValueError(f"update {what} {theirs!r} does not match matrix {what} {ours!r}")
 
     # ------------------------------------------------------------------
-    # iteration / conversion
+    # row access / conversion
     # ------------------------------------------------------------------
-    def iter_rows(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(row, cols, vals)`` for non-empty rows in ascending order."""
-        ids = np.flatnonzero(self._size)
-        starts = self._start[ids]
-        ends = starts + self._size[ids]
-        for i, lo, hi in zip(ids.tolist(), starts.tolist(), ends.tolist()):
-            yield i, self._cols[lo:hi], self._vals[lo:hi]
-
-    def row_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(cols, vals)`` of row ``i`` (empty arrays when the row is empty)."""
-        lo = self._start.item(i)
-        hi = lo + self._size.item(i)
-        return self._cols[lo:hi], self._vals[lo:hi]
-
     def flat_rows(self, rows: np.ndarray | None = None) -> FlatRows:
         """One gather of adjacency arrays, each in its adjacency order.
 
@@ -783,6 +769,3 @@ def _as_coo(mat) -> COOMatrix:
     if hasattr(mat, "to_coo"):
         return mat.to_coo()
     raise TypeError(f"cannot interpret {type(mat).__name__} as an update matrix")
-
-
-register_flat_rows(DHBMatrix, DHBMatrix.flat_rows)

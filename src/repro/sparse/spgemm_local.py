@@ -39,7 +39,8 @@ from repro.semirings import Semiring
 from repro.sparse.bloom import BLOOM_BITS, BloomFilterMatrix
 from repro.sparse.coo import COOMatrix
 from repro.sparse.dcsr import DCSRMatrix
-from repro.sparse.layout import _ranges, _runs, flat_rows, row_reader
+from repro.sparse.dhb import DHBMatrix
+from repro.sparse.layout import _ranges, _runs
 from repro.sparse.spa import SparseAccumulator
 
 __all__ = ["spgemm_local", "spgemm_local_masked", "spgemm_rowwise_spa"]
@@ -60,16 +61,11 @@ def _live_entries(a, b, semiring: Semiring):
     an empty row.  The survivors keep their indices and their native in-row
     order (one flat gather, one filter, no sort), so the kernel forms the
     same terms in the same order as on the whole operand: values, explicit
-    zeros, Bloom bits and ``spgemm.*`` counts cannot change.  Operands
-    without ``nnz`` or row access are returned as they are.
+    zeros, Bloom bits and ``spgemm.*`` counts cannot change.
     """
-    b_nnz = getattr(b, "nnz", None)
-    if b_nnz is None or b_nnz >= getattr(a, "nnz", 0):
+    if b.nnz >= a.nnz:
         return a
-    try:
-        fa, fb = flat_rows(a), flat_rows(b)
-    except TypeError:
-        return a
+    fa, fb = a.flat_rows(), b.flat_rows()
     keep = np.isin(fa.cols, fb.row_ids[np.diff(fb.row_ptr) > 0])
     rows = np.repeat(fa.row_ids, np.diff(fa.row_ptr))[keep]
     nz_rows, starts = np.unique(rows, return_index=True)
@@ -111,7 +107,7 @@ def _esc(
     """
     shape = _check_shapes(a.shape, b.shape)
     m = shape[1]
-    fa = flat_rows(a)
+    fa = a.flat_rows()
     a_rows = np.repeat(fa.row_ids, np.diff(fa.row_ptr))
     a_cols, a_vals = fa.cols, fa.vals
     if mask is not None:
@@ -119,8 +115,8 @@ def _esc(
         in_mask = np.isin(a_rows, mask.rows)
         a_rows, a_cols, a_vals = a_rows[in_mask], a_cols[in_mask], a_vals[in_mask]
     # B's rows: a DHB block gathers only those A selects; the others are
-    # read zero-copy (CSR, DCSR) or packed once
-    fb = b.flat_rows(np.unique(a_cols)) if hasattr(b, "flat_rows") else flat_rows(b)
+    # read zero-copy (CSR, DCSR) or packed once (COO)
+    fb = b.flat_rows(np.unique(a_cols)) if isinstance(b, DHBMatrix) else b.flat_rows()
     b_start = np.zeros(b.shape[0], dtype=np.int64)
     b_len = np.zeros(b.shape[0], dtype=np.int64)
     b_start[fb.row_ids] = fb.row_ptr[:-1]
@@ -178,7 +174,7 @@ def spgemm_local(
     ----------
     a, b:
         Left / right operand in any of the local layouts (COO, CSR, DCSR,
-        DHB) or any operand with row access.
+        DHB) or any operand with ``shape``, ``nnz`` and ``flat_rows()``.
     semiring:
         Semiring used for ⊗ and ⊕.
     compute_bloom:
@@ -241,7 +237,9 @@ def spgemm_rowwise_spa(a, b, semiring: Semiring, *, mask=None) -> COOMatrix:
     """Reference Gustavson SpGEMM using an explicit sparse accumulator.
 
     Slow but simple; used by the test-suite as an independent oracle for
-    both the plain and the masked (``mask``: a pattern block) kernels.
+    both the plain and the masked (``mask``: a pattern block) kernels.  The
+    left rows are the segments of ``a.flat_rows()``; a right row is found
+    by ``searchsorted`` on ``b.flat_rows().row_ids``.
     """
     n, m = _check_shapes(a.shape, b.shape)
     allowed_in: dict[int, set[int]] | None = None
@@ -250,23 +248,26 @@ def spgemm_rowwise_spa(a, b, semiring: Semiring, *, mask=None) -> COOMatrix:
         coo = mask.to_coo()
         for i, j in zip(coo.rows.tolist(), coo.cols.tolist()):
             allowed_in.setdefault(i, set()).add(j)
-    b_row = row_reader(b).row_arrays
+    fa, fb = a.flat_rows(), b.flat_rows()
     spa = SparseAccumulator(semiring)
     rows_out: list[np.ndarray] = []
     cols_out: list[np.ndarray] = []
     vals_out: list[np.ndarray] = []
-    for i, a_cols, a_vals in row_reader(a).iter_rows():
+    for s, i in enumerate(fa.row_ids.tolist()):
         allowed: set[int] | None = None
         if allowed_in is not None:
-            allowed = allowed_in.get(int(i))
+            allowed = allowed_in.get(i)
             if not allowed:
                 continue
         spa.clear()
-        for k, a_ik in zip(a_cols, a_vals):
-            b_cols, b_vals = b_row(int(k))
-            if b_cols.size == 0:
-                continue
-            spa.accumulate_scaled_row(a_ik, b_cols, b_vals, allowed=allowed)
+        lo, hi = fa.row_ptr[s], fa.row_ptr[s + 1]
+        for k, a_ik in zip(fa.cols[lo:hi].tolist(), fa.vals[lo:hi]):
+            t = int(np.searchsorted(fb.row_ids, k))
+            if t < fb.row_ids.size and fb.row_ids[t] == k:
+                b_lo, b_hi = fb.row_ptr[t], fb.row_ptr[t + 1]
+                spa.accumulate_scaled_row(
+                    a_ik, fb.cols[b_lo:b_hi], fb.vals[b_lo:b_hi], allowed=allowed
+                )
         if spa.is_empty():
             continue
         cols, vals, _bits = spa.emit()

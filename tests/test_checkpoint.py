@@ -246,6 +246,37 @@ def test_codec_rejects_inconsistent_dhb_encodings(damage, complaint) -> None:
         decode_block(encoded)
 
 
+def _bump_second_pointer(e: dict) -> None:
+    """Make ``indptr`` decrease while it still starts at 0 and ends at nnz."""
+    assert e["indptr"].size >= 4 and e["indptr"][2] < e["indptr"][-1]
+    e["indptr"][1] = e["indptr"][-1]
+
+
+@pytest.mark.parametrize(
+    "layout, damage, complaint",
+    [
+        ("csr", lambda e: e.pop("indptr"), "malformed CSR block: 'indptr'"),
+        ("csr", _bump_second_pointer, "non-decreasing"),
+        ("csr", lambda e: e["indptr"].__setitem__(-1, e["indptr"][-1] - 1), "end at nnz"),
+        ("csr", lambda e: e["indices"].__setitem__(0, e["shape"][1]), "column index out"),
+        ("csr", lambda e: e.update(values=e["values"][:-1]), "identical lengths"),
+        ("dcsr", lambda e: e.pop("nz_rows"), "malformed DCSR block: 'nz_rows'"),
+        ("dcsr", _bump_second_pointer, "non-decreasing"),
+        ("dcsr", lambda e: e["indptr"].__setitem__(-1, e["indptr"][-1] - 1), "end at nnz"),
+        ("dcsr", lambda e: e["indices"].__setitem__(0, e["shape"][1]), "column index out"),
+        ("dcsr", lambda e: e.update(nz_rows=e["nz_rows"][::-1].copy()), "strictly increasing"),
+        ("dcsr", lambda e: e.update(values=e["values"][:-1]), "identical lengths"),
+    ],
+)
+def test_codec_rejects_inconsistent_csr_dcsr_encodings(layout, damage, complaint) -> None:
+    """A bad CSR/DCSR encoding raises the codec's error, not a bare one."""
+    encoded = encode_block(_LAYOUT_BUILDERS[layout](_random_coo(5)))
+    _assert_tuples_equal(decode_block(encoded).to_coo(), _random_coo(5))
+    damage(encoded)
+    with pytest.raises(BlockCodecError, match=complaint):
+        decode_block(encoded)
+
+
 # ----------------------------------------------------------------------
 # snapshot files: save / load round trip and schema rejection
 # ----------------------------------------------------------------------

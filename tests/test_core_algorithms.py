@@ -280,9 +280,9 @@ class TestDynamicGeneral:
         bits = np.zeros(8, dtype=np.uint64)
         bits[2] = np.uint64(1) << np.uint64(3)  # row 2, admit columns ≡ 3 (mod 64)
         filtered = filter_by_row_bloom(block, bits, 0, MIN_PLUS)
-        for row, cols, _vals in filtered.iter_rows():
-            assert row == 2
-            assert all(c % BLOOM_BITS == 3 for c in cols)
+        flat = filtered.flat_rows()
+        assert set(flat.row_ids.tolist()) <= {2}
+        assert all(c % BLOOM_BITS == 3 for c in flat.cols.tolist())
 
     @pytest.mark.parametrize("p", [4, 16])
     def test_deletions_match_recomputation(self, p):

@@ -42,6 +42,11 @@ def assert_same_storage(a: DHBMatrix, b: DHBMatrix) -> None:
         assert np.array_equal(x, y), f"{name} differs"
 
 
+def _row_one(mat: DHBMatrix):
+    """Row 1's adjacency array, in its stored order."""
+    return mat.flat_rows(np.array([1]))
+
+
 class TestDHBMatrix:
     def test_single_entry_operations(self):
         mat = DHBMatrix((5, 5))
@@ -159,15 +164,17 @@ class TestDHBMatrix:
         assert np.allclose(mat.copy().to_dense(), dense)
         assert np.allclose(DHBMatrix.from_csr(mat.to_csr()).to_dense(), dense)
 
-    def test_row_arrays_and_iter_rows(self):
+    def test_flat_rows_gathers_the_rows_asked_for(self):
         dense = random_dense(7, 7, 0.4, seed=7)
         mat = DHBMatrix.from_dense(dense)
-        cols, vals = mat.row_arrays(0)
-        assert set(cols.tolist()) == set(np.nonzero(dense[0])[0].tolist())
-        rows_seen = [i for i, _c, _v in mat.iter_rows()]
+        flat = mat.flat_rows(np.array([0]))
+        assert flat.row_ids.tolist() == [0]
+        assert set(flat.cols.tolist()) == set(np.nonzero(dense[0])[0].tolist())
+        rows_seen = mat.flat_rows().row_ids.tolist()
         assert rows_seen == sorted(rows_seen)
-        empty_cols, empty_vals = DHBMatrix((3, 3)).row_arrays(1)
-        assert empty_cols.size == 0 and empty_vals.size == 0
+        empty = DHBMatrix((3, 3)).flat_rows(np.array([1]))
+        assert empty.row_ptr.tolist() == [0, 0]
+        assert empty.cols.size == 0 and empty.vals.size == 0
 
     def test_reserve_batch_counts_growth(self):
         mat = DHBMatrix((10, 10))
@@ -257,7 +264,7 @@ class TestAdjacencyOrder:
             mat = self._row([9, 3])
             with scalar_route(limit):
                 mat.insert_batch([1, 1, 1, 1], [7, 3, 50, 1], [1.0, 2.0, 3.0, 4.0])
-            assert mat.row_arrays(1)[0].tolist() == [9, 3, 1, 7, 50]
+            assert _row_one(mat).cols.tolist() == [9, 3, 1, 7, 50]
             assert mat.get(1, 3) == 2.0
 
     def test_losing_one_entry_is_swap_with_last(self):
@@ -265,9 +272,9 @@ class TestAdjacencyOrder:
             mat = self._row([10, 11, 12, 13, 14])
             with scalar_route(limit):
                 assert mat.delete_batch([1], [11]) == 1
-            assert mat.row_arrays(1)[0].tolist() == [10, 14, 12, 13]
+            assert _row_one(mat).cols.tolist() == [10, 14, 12, 13]
             assert mat.delete(1, 13)  # the last entry just goes
-            assert mat.row_arrays(1)[0].tolist() == [10, 14, 12]
+            assert _row_one(mat).cols.tolist() == [10, 14, 12]
 
     def test_losing_several_fills_the_holes_from_the_tail_in_slot_order(self):
         for limit in (0, 10**9):
@@ -276,8 +283,8 @@ class TestAdjacencyOrder:
                 # 7 - 3 entries stay: holes at slots 0 and 2, and of the
                 # tail (slots 4..6) 14 dies, so 15 and 16 move, in that order
                 assert mat.delete_batch([1, 1, 1, 0], [12, 14, 10, 5]) == 3
-            assert mat.row_arrays(1)[0].tolist() == [15, 11, 16, 13]
-            assert mat.row_arrays(1)[1].tolist() == [15.0, 11.0, 16.0, 13.0]
+            assert _row_one(mat).cols.tolist() == [15, 11, 16, 13]
+            assert _row_one(mat).vals.tolist() == [15.0, 11.0, 16.0, 13.0]
             assert [mat.get(1, c) for c in (15, 11, 16, 13)] == [15.0, 11.0, 16.0, 13.0]
             mat.check_invariants()
 
@@ -288,7 +295,7 @@ class TestAdjacencyOrder:
                 assert mat.delete_batch([1, 1, 1], [3, 2, 1]) == 3
             assert mat.nnz == mat.n_nonzero_rows == 0
             assert mat.storage().row_ids.size == 0
-            assert mat.row_arrays(1)[0].size == 0
+            assert _row_one(mat).cols.size == 0
             mat.check_invariants()
 
 

@@ -87,27 +87,31 @@ def test_spa_oracle_spgemm_still_matches_vectorised_kernel():
 # local work scales with the update (counted, not timed)
 # ----------------------------------------------------------------------
 class _SpyDHB(DHBMatrix):
-    """A DHB block that records row reads and refuses to be read whole."""
+    """A DHB block that records row reads and refuses to be read whole.
 
-    def __init__(self, coo: COOMatrix) -> None:
+    ``whole_reads`` is how many flat gathers of every row it allows;
+    conversions it always refuses.
+    """
+
+    def __init__(self, coo: COOMatrix, whole_reads: int = 0) -> None:
         super().__init__(coo.shape, coo.semiring)
         self.insert_batch(coo.rows, coo.cols, coo.values)
         self.rows_read: list[int] = []
-
-    def row_arrays(self, i):
-        self.rows_read.append(int(i))
-        return super().row_arrays(i)
+        self.whole_reads = whole_reads
 
     def flat_rows(self, rows=None):
         if rows is None:
-            self._whole()
-        self.rows_read.extend(rows.tolist())
+            if self.whole_reads == 0:
+                self._whole()
+            self.whole_reads -= 1
+        else:
+            self.rows_read.extend(rows.tolist())
         return super().flat_rows(rows)
 
     def _whole(self, *_args, **_kwargs):
         raise AssertionError("the whole DHB block was read")
 
-    to_coo = to_csr = to_dcsr = iter_rows = _whole
+    to_coo = to_csr = to_dcsr = _whole
 
 
 def _random_coo(rng, shape, nnz, semiring=PLUS_TIMES) -> COOMatrix:
@@ -149,9 +153,12 @@ def test_hypersparse_right_keeps_only_the_live_left_entries(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "_live_entries", recording)
-    # the spy refuses whole-block conversions, so only the filter can feed the kernel
-    result, _ = spgemm_local(_SpyDHB(big), update, PLUS_TIMES)
+    # the filter's one gather is the only whole read the spy allows, and it
+    # refuses conversions, so only the filter's survivors can feed the kernel
+    spy = _SpyDHB(big, whole_reads=1)
+    result, _ = spgemm_local(spy, update, PLUS_TIMES)
     assert survivors == [live]
+    assert spy.whole_reads == 0
     oracle, _ = spgemm_local(DHBMatrix.from_coo(big), update, PLUS_TIMES)
     assert np.array_equal(result.rows, oracle.rows) and np.array_equal(result.cols, oracle.cols)
     assert np.allclose(result.values, oracle.values, rtol=1e-12)

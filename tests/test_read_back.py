@@ -27,7 +27,6 @@ from repro.semirings import (
     PLUS_TIMES,
 )
 from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
-from repro.sparse.layout import flat_rows
 
 ALL_SEMIRINGS = [PLUS_TIMES, MIN_PLUS, MAX_PLUS, BOOLEAN, MAX_MIN, MAX_TIMES]
 LAYOUTS = ("csr", "dcsr", "dhb")
@@ -120,7 +119,7 @@ def test_negative_zero_survives_the_read(layout):
 def test_dhb_rows_are_read_in_adjacency_order():
     """The precondition the DHB cases rely on: flat order is not sorted."""
     mat = _build(make_communicator("sim", n_ranks=1), "dhb", (36, 36), PLUS_TIMES)
-    flat = flat_rows(mat.blocks[0])
+    flat = mat.blocks[0].flat_rows()
     keys = np.repeat(flat.row_ids, np.diff(flat.row_ptr)) * 36 + flat.cols
     assert np.any(np.diff(keys) < 0)
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.semirings import MIN_PLUS, PLUS_TIMES
+from repro.semirings import MIN_PLUS, PLUS_TIMES, get_semiring, list_semirings
 from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
-from repro.sparse.layout import flat_rows, registered_flat_rows_layouts
 
 from tests.conftest import random_dense
 
@@ -192,15 +191,6 @@ class TestCSR:
         expected[[1, 3]] = dense[[1, 3]]
         assert np.allclose(sub.to_dense(), expected)
 
-    def test_nonzero_rows_and_row_nnz(self):
-        dense = np.zeros((4, 4))
-        dense[1, 2] = 1.0
-        dense[3, 0] = 2.0
-        dense[3, 3] = 3.0
-        csr = CSRMatrix.from_dense(dense)
-        assert list(csr.nonzero_rows()) == [1, 3]
-        assert list(csr.row_nnz()) == [0, 1, 0, 2]
-
     def test_equal(self):
         dense = random_dense(5, 5, 0.4, seed=23)
         a = CSRMatrix.from_dense(dense)
@@ -257,26 +247,6 @@ class TestDCSR:
         csr = CSRMatrix.from_dense(dense)
         assert dcsr.nbytes < csr.nbytes / 10
 
-    def test_iter_rows(self):
-        dense = random_dense(8, 8, 0.2, seed=43)
-        dcsr = DCSRMatrix.from_dense(dense)
-        seen = {}
-        for row, cols, vals in dcsr.iter_rows():
-            seen[row] = dict(zip(cols.tolist(), vals.tolist()))
-        for i in range(8):
-            expected = {j: dense[i, j] for j in np.nonzero(dense[i])[0]}
-            assert seen.get(i, {}) == pytest.approx(expected)
-
-    def test_row_by_position(self):
-        dense = np.zeros((6, 6))
-        dense[2, [1, 4]] = [1.0, 2.0]
-        dcsr = DCSRMatrix.from_dense(dense)
-        row, cols, vals = dcsr.row_by_position(0)
-        assert row == 2
-        assert set(cols.tolist()) == {1, 4}
-        with pytest.raises(IndexError):
-            dcsr.row_by_position(1)
-
     def test_transpose(self):
         dense = random_dense(9, 4, 0.2, seed=47)
         assert np.allclose(DCSRMatrix.from_dense(dense).transpose().to_dense(), dense.T)
@@ -284,12 +254,15 @@ class TestDCSR:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             DCSRMatrix((3, 3), [0, 0], [0, 1, 2], [0, 1], [1.0])  # repeated nz row
+        # starts at 0 and ends at nnz, but row 2 would span 3 -> 2
+        with pytest.raises(ValueError, match="non-decreasing"):
+            DCSRMatrix((4, 4), [0, 2], [0, 3, 2], [0, 1], [1.0, 2.0])
 
     def test_empty(self):
         dcsr = DCSRMatrix.empty((5, 5))
         assert dcsr.nnz == 0
         assert dcsr.n_nonzero_rows == 0
-        assert list(dcsr.iter_rows()) == []
+        assert dcsr.flat_rows().row_ids.size == 0
 
     @settings(max_examples=25, deadline=None)
     @given(coo=coo_matrices(max_dim=10))
@@ -317,10 +290,17 @@ class TestDHBFlatRows:
         return mat
 
     @staticmethod
-    def _per_row_coo(mat: DHBMatrix) -> COOMatrix:
+    def _adjacency(mat: DHBMatrix, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``i``'s live slots, read straight from the arena (the oracle)."""
+        lo = int(mat._start[i])
+        hi = lo + int(mat._size[i])
+        return mat._cols[lo:hi], mat._vals[lo:hi]
+
+    def _per_row_coo(self, mat: DHBMatrix) -> COOMatrix:
         """The construction ``to_coo`` used before the gather (the oracle)."""
         pieces_r, pieces_c, pieces_v = [], [], []
-        for i, cols, vals in mat.iter_rows():
+        for i in np.flatnonzero(mat._size).tolist():
+            cols, vals = self._adjacency(mat, i)
             pieces_r.append(np.full(cols.size, i, dtype=np.int64))
             pieces_c.append(cols.copy())
             pieces_v.append(vals.copy())
@@ -332,22 +312,19 @@ class TestDHBFlatRows:
             mat.semiring,
         ).sort()
 
-    def test_dhb_has_a_registered_extractor(self):
-        assert DHBMatrix in registered_flat_rows_layouts()
-
     def test_flat_rows_preserves_adjacency_order(self):
         mat = self._churned()
-        flat = flat_rows(mat)
+        flat = mat.flat_rows()
         assert flat.row_ids.tolist() == np.flatnonzero(mat.to_dense().any(axis=1)).tolist()
         assert flat.row_ptr[-1] == mat.nnz == flat.cols.size == flat.vals.size
         for s, i in enumerate(flat.row_ids.tolist()):
-            cols, vals = mat.row_arrays(i)
+            cols, vals = self._adjacency(mat, i)
             lo, hi = flat.row_ptr[s], flat.row_ptr[s + 1]
             assert flat.cols[lo:hi].tolist() == cols.tolist()  # not sorted
             assert flat.vals[lo:hi].tobytes() == vals.tobytes()
         # the gather copies: the view must not alias the adjacency arrays
         flat.cols[:] = -1
-        assert all(c >= 0 for _i, cols, _v in mat.iter_rows() for c in cols)
+        mat.check_invariants()
 
     def test_conversions_equal_the_per_row_construction(self):
         mat = self._churned()
@@ -363,8 +340,76 @@ class TestDHBFlatRows:
 
     def test_empty_matrix_round_trips(self):
         mat = DHBMatrix.empty((4, 5), MIN_PLUS)
-        flat = flat_rows(mat)
+        flat = mat.flat_rows()
         assert flat.row_ids.size == flat.cols.size == flat.vals.size == 0
         assert flat.row_ptr.tolist() == [0]
         assert mat.to_coo().nnz == mat.to_csr().nnz == mat.copy().nnz == 0
         assert mat.to_coo().semiring is MIN_PLUS
+
+
+# ----------------------------------------------------------------------
+# the one row view: flat_rows() on every layout
+# ----------------------------------------------------------------------
+def _known_entries(case: str) -> tuple[tuple[int, int], list[tuple[int, int]]]:
+    """``(shape, coordinates)`` in input order: unsorted, no duplicates."""
+    if case == "empty":
+        return (3, 4), []
+    if case == "empty_rows":  # rows 0, 2 and 5 stay empty
+        return (6, 5), [(3, 4), (1, 2), (3, 0), (4, 1), (1, 0), (3, 2), (4, 4)]
+    rng = np.random.default_rng(11)
+    flat = rng.choice(9 * 7, size=20, replace=False)
+    return (9, 7), [(int(k) // 7, int(k) % 7) for k in flat]
+
+
+def _flat_row_layouts(shape, entries, values, semiring) -> dict:
+    coo = COOMatrix(
+        shape,
+        np.array([i for i, _ in entries], dtype=np.int64),
+        np.array([j for _, j in entries], dtype=np.int64),
+        values,
+        semiring,
+    )
+    dhb = DHBMatrix(shape, semiring)
+    for (i, j), value in zip(entries, values):
+        dhb.insert(i, j, value)  # scalar inserts append in call order
+    return {
+        "coo": coo,
+        "csr": CSRMatrix.from_coo(coo),
+        "dcsr": DCSRMatrix.from_coo(coo),
+        "dhb": dhb,
+    }
+
+
+class TestFlatRowsContract:
+    """``flat_rows()`` hands over exactly the entries, one segment per row."""
+
+    @pytest.mark.parametrize("case", ["empty", "empty_rows", "random"])
+    @pytest.mark.parametrize("semiring_name", list_semirings())
+    def test_every_layout_hands_over_exactly_its_entries(self, case, semiring_name):
+        semiring = get_semiring(semiring_name)
+        shape, entries = _known_entries(case)
+        values = semiring.coerce(1.0 + np.arange(len(entries)) % 5)
+        for name, mat in _flat_row_layouts(shape, entries, values, semiring).items():
+            flat = mat.flat_rows()
+            ids, ptr = flat.row_ids, flat.row_ptr
+            assert ids.dtype == ptr.dtype == flat.cols.dtype == np.int64, name
+            assert flat.vals.dtype == semiring.dtype, name
+            assert np.all(np.diff(ids) > 0), name
+            assert ptr.size == ids.size + 1 and ptr[0] == 0, name
+            assert np.all(np.diff(ptr) >= 0), name
+            assert ptr[-1] == flat.cols.size == flat.vals.size == len(entries), name
+            if name == "csr":
+                assert ids.tolist() == list(range(shape[0]))
+            else:
+                assert np.all(np.diff(ptr) > 0), f"{name}: empty segment"
+            got: dict[int, list] = {}
+            for s, i in enumerate(ids.tolist()):
+                lo, hi = ptr[s], ptr[s + 1]
+                if hi > lo:
+                    got[i] = list(zip(flat.cols[lo:hi].tolist(), flat.vals[lo:hi].tolist()))
+            want: dict[int, list] = {}
+            for (i, j), value in zip(entries, values.tolist()):
+                want.setdefault(i, []).append((j, value))
+            if name != "dhb":  # DHB keeps insertion order, the others sort
+                want = {i: sorted(row) for i, row in want.items()}
+            assert got == want, name

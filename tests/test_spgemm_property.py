@@ -3,9 +3,8 @@
 The expand–sort–compress :func:`spgemm_local` kernel is pitted against the
 loop-based :func:`spgemm_rowwise_spa` sparse-accumulator oracle on randomly
 generated operands, across every standard semiring and every combination of
-the four local matrix layouts (COO, CSR, DCSR, DHB) — exercising the
-uniform ``iter_rows()`` / ``row_arrays()`` row-access protocol that replaced
-the old per-layout ``isinstance`` dispatch.
+the four local matrix layouts (COO, CSR, DCSR, DHB) — every operand is
+read through its ``flat_rows()`` view, whatever its layout.
 
 The oracle agrees only up to rounding.  :func:`_per_row_reference` is what
 pins the bytes: it *defines* the order in which every output entry is
@@ -45,12 +44,10 @@ from repro.sparse import (
     CSRMatrix,
     DCSRMatrix,
     DHBMatrix,
-    row_reader,
     spgemm_local,
     spgemm_local_masked,
     spgemm_rowwise_spa,
 )
-from repro.sparse.layout import flat_rows
 
 SEMIRINGS = ["plus_times", "min_plus", "max_plus", "max_min", "max_times", "boolean"]
 
@@ -120,75 +117,6 @@ def test_spgemm_local_mixed_layout_operands(left, right):
     assert_same_result(result, oracle)
 
 
-class TestRowAccessCaches:
-    def test_dcsr_row_index_is_built_once(self):
-        semiring = get_semiring("plus_times")
-        rng = np.random.default_rng(5)
-        mat = DCSRMatrix.from_coo(random_coo((50, 8), semiring, rng, density=0.05))
-        assert mat._row_index is None
-        cols, vals = mat.row_arrays(int(mat.nz_rows[0]))
-        assert cols.size == vals.size > 0
-        index = mat._row_index
-        assert index is not None
-        mat.row_arrays(3)
-        assert mat._row_index is index
-
-    def test_coo_views_are_cached(self):
-        semiring = get_semiring("plus_times")
-        rng = np.random.default_rng(6)
-        mat = random_coo((10, 10), semiring, rng)
-        list(mat.iter_rows())
-        first_dcsr = mat._dcsr_view
-        list(mat.iter_rows())
-        assert mat._dcsr_view is first_dcsr
-        mat.row_arrays(0)
-        first_csr = mat._csr_view
-        mat.row_arrays(5)
-        assert mat._csr_view is first_csr
-
-    def test_empty_rows_return_empty_arrays(self):
-        semiring = get_semiring("plus_times")
-        mat = DCSRMatrix.from_coo(
-            COOMatrix.from_tuples((6, 6), [(0, 1, 2.0)], semiring)
-        )
-        cols, vals = mat.row_arrays(4)
-        assert cols.size == 0 and vals.size == 0
-
-
-class TestRowReaderProtocol:
-    def test_builtin_layouts_resolve(self):
-        semiring = get_semiring("plus_times")
-        rng = np.random.default_rng(9)
-        coo = random_coo((5, 5), semiring, rng)
-        for convert in LAYOUTS.values():
-            reader = row_reader(convert(coo))
-            rows = list(reader.iter_rows())
-            assert rows
-            cols, vals = reader.row_arrays(rows[0][0])
-            assert cols.size == vals.size
-
-    def test_duck_typed_layout_is_accepted(self):
-        class MiniLayout:
-            shape = (2, 2)
-            semiring = get_semiring("plus_times")
-
-            def iter_rows(self):
-                yield 0, np.array([1], dtype=np.int64), np.array([3.0])
-
-            def row_arrays(self, i):
-                if i == 0:
-                    return np.array([1], dtype=np.int64), np.array([3.0])
-                return np.empty(0, dtype=np.int64), np.empty(0)
-
-        result, _ = spgemm_local(MiniLayout(), MiniLayout(), MiniLayout.semiring)
-        # A's only entry is (0, 1) and B's row 1 is empty, so C is empty.
-        assert result.nnz == 0
-
-    def test_unsupported_layout_raises_type_error(self):
-        with pytest.raises(TypeError, match="unsupported operand layout"):
-            row_reader(object())
-
-
 # ----------------------------------------------------------------------
 # byte-level pins: fold order, update-proportional operand reading
 # ----------------------------------------------------------------------
@@ -222,7 +150,7 @@ def _in_layout(name: str, coo: COOMatrix, churn: list[int]):
 
 def _whole_csr(mat, semiring) -> CSRMatrix:
     """``mat`` as one CSR in its native in-row order (nothing pruned)."""
-    flat = flat_rows(mat)
+    flat = mat.flat_rows()
     counts = np.zeros(mat.shape[0], dtype=np.int64)
     counts[flat.row_ids] = np.diff(flat.row_ptr)
     indptr = np.concatenate(([0], np.cumsum(counts)))
@@ -319,15 +247,19 @@ def _per_row_reference(a, b, semiring, *, compute_bloom, inner_offset, mask=None
         allowed = {}
         for i, j in zip(mask.rows.tolist(), mask.cols.tolist()):
             allowed.setdefault(i, []).append(j)
-    b_row = row_reader(b).row_arrays
+    fa, fb = a.flat_rows(), b.flat_rows()
+    b_segment = {k: t for t, k in enumerate(fb.row_ids.tolist())}
     out_rows, out_cols, out_vals, out_bits = [], [], [], []
     n_terms = 0
-    for i, a_cols, a_vals in row_reader(a).iter_rows():
+    for s, i in enumerate(fa.row_ids.tolist()):
         if allowed is not None and i not in allowed:
             continue
+        lo, hi = fa.row_ptr[s], fa.row_ptr[s + 1]
         cols, vals, bits = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.uint64)]
-        for k, a_ik in zip(a_cols.tolist(), a_vals):
-            b_cols, b_vals = b_row(k)
+        for k, a_ik in zip(fa.cols[lo:hi].tolist(), fa.vals[lo:hi]):
+            t = b_segment.get(k)
+            b_lo, b_hi = (fb.row_ptr[t], fb.row_ptr[t + 1]) if t is not None else (0, 0)
+            b_cols, b_vals = fb.cols[b_lo:b_hi], fb.vals[b_lo:b_hi]
             cols.append(b_cols)
             vals.append(semiring.times(a_ik, b_vals))
             bits.append(np.full(b_cols.size, 1 << ((k + inner_offset) % 64), np.uint64))
