@@ -28,7 +28,7 @@ from repro.apps.shortest_paths import (
     sssp_minplus_reference,
     sssp_reference,
 )
-from repro.apps.contraction import contract_graph, contraction_matrix
+from repro.apps.contraction import contract_graph
 from repro.apps.reductions import rank_ordered_sum
 
 __all__ = [
@@ -39,6 +39,5 @@ __all__ = [
     "sssp_minplus_reference",
     "distances_to_tuples",
     "contract_graph",
-    "contraction_matrix",
     "rank_ordered_sum",
 ]

@@ -17,7 +17,6 @@ from repro.bench.workloads import (
     construction_scenario,
     spgemm_stream_scenario,
 )
-from repro.bench import workloads
 
 __all__ = [
     "BenchProfile",
@@ -25,5 +24,4 @@ __all__ = [
     "batched_operation_scenario",
     "construction_scenario",
     "spgemm_stream_scenario",
-    "workloads",
 ]

@@ -29,27 +29,18 @@ paper's comparisons (who wins, how the gap shrinks as batches grow), not
 the absolute constants of the closed-source implementations.
 """
 
-from repro.competitors.base import Backend, UnsupportedOperation, get_backend, list_backends
+from repro.competitors.base import Backend, UnsupportedOperation, get_backend
 from repro.competitors.combblas import CombBLASBackend
 from repro.competitors.ctf import CTFBackend
 from repro.competitors.petsc import PETScBackend
-from repro.competitors.spgemm_baselines import (
-    spgemm_stream,
-    static_spgemm_combblas,
-    static_spgemm_ctf,
-    static_spgemm_petsc_1d,
-)
+from repro.competitors.spgemm_baselines import spgemm_stream
 
 __all__ = [
     "Backend",
     "UnsupportedOperation",
     "get_backend",
-    "list_backends",
     "CombBLASBackend",
     "CTFBackend",
     "PETScBackend",
     "spgemm_stream",
-    "static_spgemm_combblas",
-    "static_spgemm_ctf",
-    "static_spgemm_petsc_1d",
 ]

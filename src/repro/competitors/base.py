@@ -20,7 +20,7 @@ from repro.runtime.backend import Communicator
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse import COOMatrix
 
-__all__ = ["Backend", "UnsupportedOperation", "get_backend", "list_backends"]
+__all__ = ["Backend", "UnsupportedOperation", "get_backend"]
 
 TupleArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -131,11 +131,6 @@ def _registry() -> dict[str, type[Backend]]:
         "ctf": CTFBackend,
         "petsc": PETScBackend,
     }
-
-
-def list_backends() -> list[str]:
-    """Names of the available backends."""
-    return list(_registry())
 
 
 def get_backend(name: str) -> type[Backend]:

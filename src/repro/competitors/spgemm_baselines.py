@@ -44,13 +44,7 @@ from repro.competitors.combblas import CombBLASBackend
 from repro.competitors.ctf import CTFBackend
 from repro.competitors.petsc import PETScBackend
 
-__all__ = [
-    "static_spgemm_combblas",
-    "static_spgemm_ctf",
-    "static_spgemm_petsc_1d",
-    "add_product_to_result",
-    "spgemm_stream",
-]
+__all__ = ["spgemm_stream"]
 
 
 def add_product_to_result(

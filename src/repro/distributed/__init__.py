@@ -20,7 +20,6 @@ This package implements Section IV of the paper:
 
 from repro.distributed.distribution import BlockDistribution, IndexPermutation
 from repro.distributed.redistribution import (
-    group_by_buckets,
     redistribute_tuples,
     redistribute_tuples_single_phase,
 )
@@ -45,7 +44,6 @@ from repro.distributed.serialization import (
 __all__ = [
     "BlockDistribution",
     "IndexPermutation",
-    "group_by_buckets",
     "redistribute_tuples",
     "redistribute_tuples_single_phase",
     "DistMatrixBase",

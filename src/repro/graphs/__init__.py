@@ -14,8 +14,6 @@ hold them is available here, so this package provides:
   instance a scaled-down synthetic surrogate with the same category
   (social / web / peer-to-peer), the same n : nnz ratio and a skew chosen
   per category.
-* :mod:`repro.graphs.nx_interop` — conversion to/from NetworkX for the
-  application examples.
 """
 
 from repro.graphs.rmat import GRAPH500_PARAMS, rmat_edges
@@ -27,7 +25,6 @@ from repro.graphs.instances import (
     get_instance,
     list_instances,
 )
-from repro.graphs.nx_interop import edges_to_networkx, networkx_to_edges
 
 __all__ = [
     "GRAPH500_PARAMS",
@@ -39,6 +36,4 @@ __all__ = [
     "generate_instance",
     "get_instance",
     "list_instances",
-    "edges_to_networkx",
-    "networkx_to_edges",
 ]

@@ -28,19 +28,16 @@ from repro.runtime.backend import CommRequest, Communicator
 from repro.runtime.config import (
     BACKEND_ENV_VAR,
     FAULTS_ENV_VAR,
-    NODE_CONFIGS,
     PARTITIONER_ENV_VAR,
     REPARTITION_ENV_VAR,
     MachineModel,
     RuntimeConfig,
-    ranks_for_nodes,
 )
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.loopback import LoopbackComm, LoopbackWorld, run_spmd
 from repro.runtime.mpi_backend import (
     EmulatedComm,
     MPIBackend,
-    mpi_is_available,
     world_rank,
     world_size,
 )
@@ -72,8 +69,6 @@ __all__ = [
     "REPARTITION_ENV_VAR",
     "MachineModel",
     "RuntimeConfig",
-    "NODE_CONFIGS",
-    "ranks_for_nodes",
     "ProcessGrid",
     "CommStats",
     "StatCategory",
@@ -83,7 +78,6 @@ __all__ = [
     "LoopbackComm",
     "LoopbackWorld",
     "MPIBackend",
-    "mpi_is_available",
     "run_spmd",
     "world_rank",
     "world_size",

@@ -2,10 +2,12 @@
 
 Every distributed algorithm in this repository is written in bulk-synchronous
 "global orchestration" style against a small communicator surface: local
-kernels are dispatched per rank via ``run_local`` / ``map_local``, payloads
-move between ranks through ``exchange`` and the MPI-style collectives, and
-per-category accounting lands in a :class:`~repro.runtime.stats.CommStats`.
-:class:`Communicator` captures that surface as a structural
+kernels are dispatched per rank via ``run_local``, payloads move between
+ranks through ``exchange`` / ``isend`` / ``irecv`` and the collectives
+(``ibcast``, ``bcast``, ``alltoallv``, ``gather``, ``reduce``,
+``allreduce``), and per-category accounting lands in a
+:class:`~repro.runtime.stats.CommStats`.  :class:`Communicator` captures
+exactly the members the algorithms call as a structural
 :class:`typing.Protocol`, so algorithms depend on the *contract* rather than
 on a concrete backend class.
 
@@ -81,7 +83,7 @@ class CommRequest:
     """Handle for an in-flight nonblocking communication operation.
 
     Returned by the nonblocking primitives (``isend`` / ``irecv`` /
-    ``ibcast`` / ``iallgather``).  A request is *completed* exactly once —
+    ``ibcast``, and the backends' ``iallgather``).  A request is *completed* exactly once —
     through :meth:`Communicator.wait`, :meth:`Communicator.waitall` or
     :meth:`wait` directly — and completion is when the backend resolves the
     operation's result and records its statistics.  ``waitall`` completes
@@ -135,6 +137,13 @@ class Communicator(Protocol):
     ``run_local`` to attribute local kernels to a rank and the collectives
     to move per-rank payload mappings; how ranks map onto real processes
     (all-in-one simulation, mpi4py, …) is the backend's business.
+
+    **Surface.**  The protocol holds what Algorithms 1 and 2, SUMMA and the
+    redistribution call and nothing more: ``run_local``; ``exchange`` and
+    ``isend`` / ``irecv`` / ``wait`` / ``waitall``; the collectives
+    ``alltoallv``, ``bcast`` / ``ibcast``, ``gather``, ``reduce`` and
+    ``allreduce``; ``elapsed`` / ``timer``; and the ownership and
+    ``host_*`` control plane below.
 
     **Ownership and partial mappings.**  Logical ranks are partitioned over
     the participating processes (one process owns everything on the
@@ -202,18 +211,6 @@ class Communicator(Protocol):
         """Parallel time so far (modelled or wall-clock, backend-defined)."""
         ...
 
-    def reset_clock(self) -> None:
-        """Reset the clock(s) behind :meth:`elapsed` (statistics survive)."""
-        ...
-
-    def reset(self) -> None:
-        """Reset clocks *and* accumulated statistics."""
-        ...
-
-    def barrier(self, group: Sequence[int] | None = None) -> None:
-        """Synchronise the ranks of ``group`` (default: all ranks)."""
-        ...
-
     def timer(self) -> Any:
         """Context manager yielding an object with a ``seconds`` attribute."""
         ...
@@ -235,22 +232,6 @@ class Communicator(Protocol):
         """
         ...
 
-    def map_local(
-        self,
-        fn: Callable[..., Any],
-        per_rank_args: Sequence[tuple] | Mapping[int, tuple],
-        *,
-        category: str = StatCategory.LOCAL_COMPUTE,
-        group: Sequence[int] | None = None,
-    ) -> dict[int, Any]:
-        """Run ``fn`` once per rank with rank-specific argument tuples.
-
-        ``per_rank_args`` is a mapping ``rank -> args`` or a sequence
-        aligned with ``group``; returns ``rank -> result`` for the ranks
-        that executed locally.
-        """
-        ...
-
     # -- point-to-point -----------------------------------------------
     def exchange(
         self,
@@ -262,18 +243,6 @@ class Communicator(Protocol):
 
         Returns ``dst -> [(src, payload), ...]`` in posting order.
         """
-        ...
-
-    def sendrecv(
-        self,
-        rank_a: int,
-        rank_b: int,
-        payload_ab: Any,
-        payload_ba: Any,
-        *,
-        category: str = StatCategory.SEND_RECV,
-    ) -> tuple[Any, Any]:
-        """Pairwise exchange; returns ``(received_by_a, received_by_b)``."""
         ...
 
     # -- collectives --------------------------------------------------
@@ -310,27 +279,6 @@ class Communicator(Protocol):
         category: str = StatCategory.GATHER,
     ) -> dict[int, Any]:
         """Gather one payload per group member onto ``root`` as ``{src: payload}``."""
-        ...
-
-    def scatter(
-        self,
-        root: int,
-        payloads: Mapping[int, Any],
-        *,
-        group: Sequence[int] | None = None,
-        category: str = StatCategory.SCATTER,
-    ) -> dict[int, Any]:
-        """Scatter rank-specific payloads from ``root`` to the group."""
-        ...
-
-    def allgather(
-        self,
-        payloads: Mapping[int, Any],
-        *,
-        group: Sequence[int] | None = None,
-        category: str = StatCategory.ALLGATHER,
-    ) -> dict[int, dict[int, Any]]:
-        """All-gather: every rank receives every payload."""
         ...
 
     def reduce(
@@ -407,20 +355,6 @@ class Communicator(Protocol):
         only the *charged time* may differ, because the transfer is
         modelled as overlapping with whatever work runs between post and
         wait.
-        """
-        ...
-
-    def iallgather(
-        self,
-        payloads: Mapping[int, Any],
-        *,
-        group: Sequence[int] | None = None,
-        category: str = StatCategory.ALLGATHER,
-    ) -> CommRequest:
-        """Post a nonblocking allgather of one payload per group member.
-
-        Waiting yields the same result mapping as :meth:`allgather`, with
-        identical volume accounting.
         """
         ...
 

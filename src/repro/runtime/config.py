@@ -40,11 +40,9 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "FAULTS_ENV_VAR",
     "MachineModel",
-    "NODE_CONFIGS",
     "PARTITIONER_ENV_VAR",
     "REPARTITION_ENV_VAR",
     "RuntimeConfig",
-    "ranks_for_nodes",
 ]
 
 #: communicator backend built when no ``backend=``/``comm=`` is given
@@ -187,22 +185,3 @@ class MachineModel:
         """A copy of this model with a different thread count per rank."""
         return replace(self, threads_per_rank=threads_per_rank)
 
-
-#: The node configurations used in the paper's scaling experiments
-#: (Figures 6–8 and 11–12): "nodes x ranks-per-node" → total MPI ranks.
-NODE_CONFIGS: dict[str, int] = {
-    "1x4": 4,
-    "4x4": 16,
-    "16x4": 64,
-}
-
-
-def ranks_for_nodes(nodes: int, ranks_per_node: int = 4) -> int:
-    """Total MPI ranks for a node count, mirroring the paper's setup.
-
-    The paper requires a square process grid, hence node counts of 1, 4 and
-    16 with 4 ranks per node (p = 4, 16, 64).
-    """
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    return nodes * ranks_per_node

@@ -52,6 +52,8 @@ class LoopbackWorld:
         #: thread mailboxes behind the nonblocking point-to-point surface
         self._mail: dict[tuple[int, int, int], list[bytes]] = {}
         self._mail_cond = threading.Condition()
+        #: set by :meth:`abort`; wakes receivers blocked in fetch_message
+        self._aborted = False
 
     # ------------------------------------------------------------------
     def comm(self, world_rank: int) -> "LoopbackComm":
@@ -84,12 +86,19 @@ class LoopbackWorld:
             self._mail_cond.notify_all()
 
     def fetch_message(self, src: int, dst: int, tag: int) -> Any:
-        """Block until a matching message is available; unpickle and return it."""
+        """Block until a matching message is available; unpickle and return it.
+
+        Raises :class:`threading.BrokenBarrierError` when the world is
+        aborted while waiting, like a collective of a crashed world.
+        """
         key = (src, dst, tag)
         with self._mail_cond:
             ok = self._mail_cond.wait_for(
-                lambda: self._mail.get(key), timeout=self.P2P_TIMEOUT
+                lambda: self._aborted or self._mail.get(key),
+                timeout=self.P2P_TIMEOUT,
             )
+            if self._aborted:
+                raise threading.BrokenBarrierError
             if not ok:
                 raise TimeoutError(
                     f"loopback recv (proc {src} -> {dst}, tag {tag}) saw no "
@@ -100,18 +109,20 @@ class LoopbackWorld:
         return pickle.loads(wire)
 
     def abort(self) -> None:
-        """Break the barrier so peers of a crashed thread do not hang."""
+        """Break the barrier and wake blocked receivers of a crashed world."""
         self._barrier.abort()
         with self._mail_cond:
+            self._aborted = True
             self._mail_cond.notify_all()
 
 
 class LoopbackComm:
     """One process's endpoint into a :class:`LoopbackWorld`.
 
-    Implements the communicator methods :class:`MPIBackend` calls, with
-    mpi4py's lowercase-method semantics (``gather`` returns ``None`` on
-    non-root processes, ``alltoall`` takes one send item per destination).
+    Implements exactly the communicator methods :class:`MPIBackend` and
+    :class:`~repro.runtime.world.ServiceWorld` call, with mpi4py's
+    lowercase-method semantics (``gather`` returns ``None`` on non-root
+    processes, ``alltoall`` takes one send item per destination).
     """
 
     def __init__(self, world: LoopbackWorld, world_rank: int) -> None:
@@ -131,8 +142,6 @@ class LoopbackComm:
     def barrier(self) -> None:
         """Block until every world process reaches the barrier."""
         self._world.exchange_all(self._rank, None)
-
-    Barrier = barrier
 
     # -- collectives ---------------------------------------------------
     def bcast(self, obj: Any, root: int = 0) -> Any:

@@ -46,7 +46,6 @@ __all__ = [
     "EmulatedComm",
     "MPIBackend",
     "load_mpi",
-    "mpi_is_available",
     "world_rank",
     "world_size",
 ]
@@ -55,9 +54,12 @@ __all__ = [
 class EmulatedComm:
     """Single-process stand-in for ``mpi4py.MPI.COMM_WORLD``.
 
-    Implements the lowercase (pickle-based) mpi4py communicator methods the
-    backend uses, for a world of exactly one rank, so the same
-    :class:`MPIBackend` code path runs whether or not mpi4py is installed.
+    Implements the lowercase (pickle-based) mpi4py communicator methods
+    that :class:`MPIBackend` and :class:`~repro.runtime.world.ServiceWorld`
+    call, for a world of exactly one rank, so the same code path runs
+    whether or not mpi4py is installed.  ``isend`` / ``recv`` / ``scatter``
+    are absent: a one-process world never sends point to point, and
+    :meth:`MPIBackend.scatter` scatters only across processes.
     """
 
     def Get_rank(self) -> int:
@@ -70,8 +72,6 @@ class EmulatedComm:
 
     def barrier(self) -> None:
         """No-op: a single-rank world is always synchronised."""
-
-    Barrier = barrier
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast: the single rank receives its own object."""
@@ -87,27 +87,11 @@ class EmulatedComm:
         """All-gather: a one-element list of the single rank's payload."""
         return [sendobj]
 
-    def scatter(self, sendobj: Sequence[Any], root: int = 0) -> Any:
-        """Scatter: unwrap the single rank's share."""
-        self._check_root(root)
-        if len(sendobj) != 1:
-            raise ValueError("scatter payload must have one entry per rank")
-        return sendobj[0]
-
     def alltoall(self, sendobj: Sequence[Any]) -> list[Any]:
         """All-to-all: the single rank's bucket comes straight back."""
         if len(sendobj) != 1:
             raise ValueError("alltoall payload must have one entry per rank")
         return list(sendobj)
-
-    def reduce(self, sendobj: Any, op: Any = None, root: int = 0) -> Any:
-        """Reduce of one payload: the payload itself."""
-        self._check_root(root)
-        return sendobj
-
-    def allreduce(self, sendobj: Any, op: Any = None) -> Any:
-        """Allreduce of one payload: the payload itself."""
-        return sendobj
 
     @staticmethod
     def _check_root(root: int) -> None:
@@ -143,15 +127,6 @@ def world_size() -> int:
         return 1
 
 
-def mpi_is_available() -> bool:
-    """``True`` when the real ``mpi4py`` package can be imported."""
-    try:
-        import mpi4py  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def load_mpi() -> Any:
     """mpi4py's ``COMM_WORLD``, or the single-rank emulator without mpi4py.
 
@@ -182,6 +157,11 @@ class MPIBackend:
     ``modeled_seconds`` record measured wall-clock time — on a real backend
     the model *is* the measurement.  With a multi-process world each process
     records only the traffic of the logical ranks it owns.
+
+    ``barrier``, ``map_local``, ``sendrecv``, ``scatter``, ``allgather``
+    and ``iallgather`` are not part of :class:`Communicator`: nothing in
+    the library calls them, and they stay only while the span tracer of
+    ``perf_ledger/tracer.py`` names them as targets.
     """
 
     def __init__(
@@ -375,20 +355,8 @@ class MPIBackend:
     # clock management
     # ------------------------------------------------------------------
     def elapsed(self) -> float:
-        """Wall-clock seconds since creation / the last clock reset."""
+        """Wall-clock seconds since the backend was created."""
         return time.perf_counter() - self._t0
-
-    def reset_clock(self) -> None:
-        """Restart the wall-clock behind :meth:`elapsed`."""
-        self._t0 = time.perf_counter()
-
-    def reset(self) -> None:
-        """Reset the clock *and* statistics (drops undelivered isend payloads)."""
-        self.reset_clock()
-        self._p2p_mail.clear()
-        self.stats.reset()
-        self.interprocess_bytes = 0
-        self.interprocess_messages = 0
 
     def barrier(self, group: Sequence[int] | None = None) -> None:
         """Synchronise the processes hosting ``group`` (no-op world of 1)."""

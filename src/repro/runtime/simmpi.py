@@ -93,7 +93,13 @@ def payload_nbytes(obj: Any) -> int:
 
 
 class SimMPI:
-    """A simulated MPI communicator over ``n_ranks`` ranks."""
+    """A simulated MPI communicator over ``n_ranks`` ranks.
+
+    ``barrier``, ``map_local``, ``sendrecv``, ``scatter``, ``allgather``
+    and ``iallgather`` are not part of :class:`Communicator`: nothing in
+    the library calls them, and they stay only while the span tracer of
+    ``perf_ledger/tracer.py`` names them as targets.
+    """
 
     def __init__(self, n_ranks: int, machine: MachineModel | None = None) -> None:
         if n_ranks < 1:
@@ -150,17 +156,6 @@ class SimMPI:
     def elapsed(self) -> float:
         """Modelled parallel time so far (maximum over rank clocks)."""
         return float(self._clock.max())
-
-    def reset_clock(self) -> None:
-        """Reset all rank clocks to zero (does not reset statistics)."""
-        self._clock[:] = 0.0
-        self._send_busy[:] = 0.0
-
-    def reset(self) -> None:
-        """Reset clocks *and* statistics (drops undelivered isend payloads)."""
-        self.reset_clock()
-        self._mailboxes.clear()
-        self.stats.reset()
 
     def barrier(self, group: Sequence[int] | None = None) -> None:
         """Synchronise the clocks of ``group`` (default: all ranks)."""

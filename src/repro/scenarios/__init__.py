@@ -49,7 +49,7 @@ Module map
                 :class:`CheckpointStore`, :func:`scenario_fingerprint`,
                 the trace editors :func:`with_checkpoint` /
                 :func:`with_crash`, and the loopback drill loop
-                :func:`run_with_recovery` / :func:`crash_cause`.
+                :func:`run_with_recovery`.
 ==============  ==========================================================
 
 A scenario materialises all randomness at generation time (per-step tuples
@@ -79,7 +79,6 @@ from repro.scenarios.model import (
     TriangleCountCheck,
     ValueUpdateBatch,
     canonical_tuples,
-    trimmed_mean_seconds,
 )
 from repro.scenarios.generators import (
     SCENARIO_GENERATORS,
@@ -111,7 +110,6 @@ from repro.scenarios.checkpoint import (
     SnapshotFormatError,
     build_snapshot,
     check_snapshot,
-    crash_cause,
     load_snapshot,
     restore_state,
     run_with_recovery,
@@ -138,7 +136,6 @@ __all__ = [
     "ScenarioResult",
     "StepStats",
     "canonical_tuples",
-    "trimmed_mean_seconds",
     "SCENARIO_GENERATORS",
     "library_scenarios",
     "grow_from_empty",
@@ -167,7 +164,6 @@ __all__ = [
     "SnapshotFormatError",
     "build_snapshot",
     "check_snapshot",
-    "crash_cause",
     "load_snapshot",
     "restore_state",
     "run_with_recovery",

@@ -61,7 +61,6 @@ __all__ = [
     "StepStats",
     "ScenarioResult",
     "canonical_tuples",
-    "trimmed_mean_seconds",
     "spawn_seeds",
     "seed_int",
 ]

@@ -25,11 +25,7 @@ from repro.sparse.dcsr import DCSRMatrix
 from repro.sparse.dhb import DHBMatrix, DHBStorage
 from repro.sparse.bloom import BloomFilterMatrix, BLOOM_BITS
 from repro.sparse.spa import SparseAccumulator
-from repro.sparse.elementwise import (
-    add_coo,
-    mask_pattern,
-    merge_pattern,
-)
+from repro.sparse.elementwise import mask_pattern, merge_pattern
 from repro.sparse.spgemm_local import (
     spgemm_local,
     spgemm_local_masked,
@@ -45,7 +41,6 @@ __all__ = [
     "BloomFilterMatrix",
     "BLOOM_BITS",
     "SparseAccumulator",
-    "add_coo",
     "merge_pattern",
     "mask_pattern",
     "spgemm_local",

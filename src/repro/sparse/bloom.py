@@ -26,20 +26,12 @@ import numpy as np
 
 from repro.sparse.layout import _runs
 
-__all__ = ["BLOOM_BITS", "BloomFilterMatrix", "bits_for_inner_indices"]
+__all__ = ["BLOOM_BITS", "BloomFilterMatrix"]
 
 #: Width of the per-entry bitfield (ℓ in the paper).
 BLOOM_BITS = 64
 
 _MASK64 = (1 << BLOOM_BITS) - 1
-
-
-def bits_for_inner_indices(inner: np.ndarray) -> np.ndarray:
-    """Bitfield (as uint64) with bit ``k mod ℓ`` set for each inner index."""
-    inner = np.asarray(inner, dtype=np.int64)
-    return (np.uint64(1) << (inner.astype(np.uint64) % np.uint64(BLOOM_BITS))).astype(
-        np.uint64
-    )
 
 
 class BloomFilterMatrix:

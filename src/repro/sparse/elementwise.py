@@ -5,7 +5,6 @@ in place; the *static* competitors (CombBLAS-, CTF- and PETSc-style
 backends) instead rebuild their matrices, which requires out-of-place
 element-wise kernels:
 
-* :func:`add_coo` — semiring ``A ⊕ A*``.
 * :func:`merge_pattern` — MERGE: overwrite entries of ``A`` present in
   ``A*`` (insert those that are missing).
 * :func:`mask_pattern` — MASK: delete entries of ``A`` that are non-zero in
@@ -18,7 +17,7 @@ import numpy as np
 
 from repro.sparse.coo import COOMatrix
 
-__all__ = ["add_coo", "merge_pattern", "mask_pattern"]
+__all__ = ["merge_pattern", "mask_pattern"]
 
 
 def _coo_of(mat) -> COOMatrix:
@@ -34,13 +33,6 @@ def _check(a: COOMatrix, b: COOMatrix) -> None:
         raise ValueError(
             f"semiring mismatch: {a.semiring.name} vs {b.semiring.name}"
         )
-
-
-def add_coo(a, b) -> COOMatrix:
-    """Element-wise semiring addition of two sparse matrices (as COO)."""
-    ca, cb = _coo_of(a), _coo_of(b)
-    _check(ca, cb)
-    return ca.add(cb)
 
 
 def merge_pattern(a, update) -> COOMatrix:

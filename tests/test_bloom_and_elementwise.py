@@ -14,11 +14,9 @@ from repro.sparse import (
     BLOOM_BITS,
     BloomFilterMatrix,
     COOMatrix,
-    add_coo,
     mask_pattern,
     merge_pattern,
 )
-from repro.sparse.bloom import bits_for_inner_indices
 
 from tests.conftest import random_dense
 
@@ -116,14 +114,6 @@ class TestBloomFilterMatrix:
         assert np.array_equal(r, rows) and np.array_equal(c, cols)
         assert np.array_equal(b, bits)
 
-    @settings(max_examples=30, deadline=None)
-    @given(inner=st.lists(st.integers(0, 500), min_size=0, max_size=40))
-    def test_property_bits_for_inner_indices_no_false_negatives(self, inner):
-        bits = bits_for_inner_indices(np.array(inner, dtype=np.int64))
-        combined = int(np.bitwise_or.reduce(bits)) if len(inner) else 0
-        for k in inner:
-            assert (combined >> (k % BLOOM_BITS)) & 1 == 1
-
 
 #: small enough that random coordinates collide often
 _SHAPE = (4, 5)
@@ -214,18 +204,10 @@ TestBloomModel.settings = settings(max_examples=60, stateful_step_count=20, dead
 
 
 class TestElementwise:
-    def test_add_coo(self):
-        a = random_dense(6, 6, 0.4, seed=1)
-        b = random_dense(6, 6, 0.4, seed=2)
-        out = add_coo(COOMatrix.from_dense(a), COOMatrix.from_dense(b))
-        assert np.allclose(out.to_dense(), a + b)
-
-    def test_add_coo_min_plus(self):
+    def test_coo_add_min_plus(self):
         a = random_dense(6, 6, 0.4, MIN_PLUS, seed=3)
         b = random_dense(6, 6, 0.4, MIN_PLUS, seed=4)
-        out = add_coo(
-            COOMatrix.from_dense(a, MIN_PLUS), COOMatrix.from_dense(b, MIN_PLUS)
-        )
+        out = COOMatrix.from_dense(a, MIN_PLUS).add(COOMatrix.from_dense(b, MIN_PLUS))
         assert np.allclose(out.to_dense(), np.minimum(a, b), equal_nan=True)
 
     def test_merge_pattern_overwrites_and_inserts(self):

@@ -13,7 +13,8 @@ from repro.competitors import (
     PETScBackend,
     UnsupportedOperation,
     get_backend,
-    list_backends,
+)
+from repro.competitors.spgemm_baselines import (
     static_spgemm_combblas,
     static_spgemm_ctf,
     static_spgemm_petsc_1d,
@@ -41,7 +42,6 @@ def _tuples_from_dense(dense, p, seed=0):
 
 class TestBackendRegistry:
     def test_registry(self):
-        assert set(list_backends()) == set(ALL_BACKENDS)
         assert get_backend("combblas") is CombBLASBackend
         assert get_backend("ctf") is CTFBackend
         assert get_backend("petsc") is PETScBackend

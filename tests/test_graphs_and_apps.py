@@ -9,12 +9,10 @@ from repro import ProcessGrid, SimMPI
 from repro.graphs import (
     GRAPH500_PARAMS,
     TABLE1_INSTANCES,
-    edges_to_networkx,
     erdos_renyi_edges,
     generate_instance,
     get_instance,
     list_instances,
-    networkx_to_edges,
     ring_of_cliques_edges,
     rmat_edges,
 )
@@ -22,10 +20,10 @@ from repro.apps import (
     DynamicMultiSourceShortestPaths,
     DynamicTriangleCounter,
     contract_graph,
-    contraction_matrix,
     count_triangles_reference,
     sssp_reference,
 )
+from repro.apps.contraction import contraction_matrix
 from repro.distributed import UpdateBatch, DynamicDistMatrix
 
 from tests.conftest import dist_from_dense, random_dense
@@ -113,29 +111,6 @@ class TestRandomGraphsAndNX:
         assert src.size == 4 * 6 + 4 * 2
         with pytest.raises(ValueError):
             ring_of_cliques_edges(0, 3)
-
-    def test_networkx_round_trip(self):
-        src, dst = erdos_renyi_edges(20, 60, seed=2)
-        weights = np.random.default_rng(2).random(src.size)
-        graph = edges_to_networkx(20, src, dst, weights)
-        n, r, c, w = networkx_to_edges(graph)
-        assert n == 20
-        original = dict(zip(zip(src.tolist(), dst.tolist()), weights.tolist()))
-        back = dict(zip(zip(r.tolist(), c.tolist()), w.tolist()))
-        assert back == pytest.approx(original)
-
-    def test_networkx_undirected_symmetrizes(self):
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_edge(0, 1, weight=2.0)
-        _n, r, c, _w = networkx_to_edges(graph)
-        assert {(0, 1), (1, 0)} == set(zip(r.tolist(), c.tolist()))
-        graph_bad = nx.Graph()
-        graph_bad.add_edge("a", "b")
-        with pytest.raises(ValueError):
-            networkx_to_edges(graph_bad)
-
 
 class TestApplications:
     def test_triangle_counter_matches_reference(self):

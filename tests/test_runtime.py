@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from repro.runtime import (
-    NODE_CONFIGS,
     EmulatedComm,
     MachineModel,
     MPIBackend,
@@ -16,9 +16,9 @@ from repro.runtime import (
     RuntimeConfig,
     SimMPI,
     StatCategory,
-    ranks_for_nodes,
 )
 from repro.runtime.faults import FaultPlan
+from repro.runtime.loopback import LoopbackWorld, run_spmd
 from repro.runtime.simmpi import payload_nbytes
 from repro.scenarios import SCENARIO_GENERATORS, replay
 from repro.sparse import CSRMatrix
@@ -128,12 +128,6 @@ class TestMachineModel:
         with pytest.raises(ValueError):
             model.message_cost(0, 1, -5)
 
-    def test_node_configs(self):
-        assert NODE_CONFIGS == {"1x4": 4, "4x4": 16, "16x4": 64}
-        assert ranks_for_nodes(16) == 64
-        with pytest.raises(ValueError):
-            ranks_for_nodes(0)
-
     def test_with_helpers(self):
         model = MachineModel()
         assert model.with_threads(12).threads_per_rank == 12
@@ -231,11 +225,9 @@ class TestSimMPI:
         comm.run_local(2, lambda: sum(range(1000)))
         assert comm.clock[2] > 0.0
         assert comm.clock[0] == 0.0
+        assert comm.elapsed() == comm.clock[2]
         comm.barrier()
         assert np.all(comm.clock == comm.clock[2])
-        comm.reset()
-        assert comm.elapsed() == 0.0
-        assert comm.stats.categories == {}
 
     def test_invalid_rank_raises(self):
         comm = SimMPI(2)
@@ -350,3 +342,22 @@ class TestSimMPI:
         assert comm.stats.total_bytes() > 0
         assert comm.stats.total_messages() >= 2
         assert comm.stats.total_modeled_seconds() > 0
+
+
+class TestLoopbackWorld:
+    def test_crashed_peer_wakes_a_waiting_irecv(self, monkeypatch):
+        """A receiver blocked on a crashed sender is released at once, and
+        the launcher reports the crashing process's own error."""
+        monkeypatch.setattr(LoopbackWorld, "P2P_TIMEOUT", 30.0)
+
+        def program(world_comm, world_rank):
+            comm = MPIBackend(2, comm=world_comm)
+            if world_rank == 0:
+                raise ValueError("rank 0 crashed before its isend")
+            return comm.wait(comm.irecv(0, 1))
+
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="process 0 failed") as info:
+            run_spmd(2, program)
+        assert time.perf_counter() - start < LoopbackWorld.P2P_TIMEOUT / 6
+        assert isinstance(info.value.__cause__, ValueError)
