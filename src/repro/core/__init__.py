@@ -2,9 +2,10 @@
 
 Modules
 -------
-* :mod:`repro.core.collectives` — the custom sparse reduce-scatter used to
-  aggregate partial results (Section VI-A), plus a bitwise-OR reduction for
-  Bloom-filter matrices.
+* :mod:`repro.core.collectives` — every communication pattern of the
+  algorithms below, written once: the pipelined ``√p``-round broadcasts,
+  the transpose send/receive round and the custom sparse reduce-scatter
+  of Section VI-A (with its bitwise-OR twin for Bloom-filter matrices).
 * :mod:`repro.core.summa` — static sparse SUMMA, the "algorithm of choice"
   baseline that CombBLAS uses and that the dynamic algorithms replace.
 * :mod:`repro.core.dynamic_algebraic` — Algorithm 1 (algebraic updates):
@@ -19,7 +20,6 @@ Modules
   maintained-product interface used by the examples and applications.
 """
 
-from repro.core.collectives import sparse_reduce_to_root, bloom_reduce_to_root
 from repro.core.summa import summa_spgemm
 from repro.core.dynamic_algebraic import dynamic_spgemm_algebraic, compute_cstar
 from repro.core.dynamic_general import dynamic_spgemm_general
@@ -27,8 +27,6 @@ from repro.core.transpose import transpose_dist
 from repro.core.api import DynamicProduct
 
 __all__ = [
-    "sparse_reduce_to_root",
-    "bloom_reduce_to_root",
     "summa_spgemm",
     "dynamic_spgemm_algebraic",
     "compute_cstar",

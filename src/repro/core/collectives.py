@@ -1,28 +1,34 @@
-"""Sparse aggregation collectives.
+"""Communication patterns of Algorithms 1–2 and SUMMA, written once.
 
-The partial products ``X^i_{k,j}`` produced on different ranks have
-*different sparsity patterns*, so a plain ``MPI_Reduce`` over dense buffers
-is not applicable.  Section VI-A describes the solution: "an approach based
-on a custom reduce-scatter implementation for sparse matrices".
+The three algorithms of :mod:`repro.core` share three patterns; each lives
+here exactly once, so the posting-order invariant every process must
+follow is kept in one place:
 
-:func:`sparse_reduce_to_root` implements that scheme on the orchestration
-runtime:
+* :func:`pipelined_broadcasts` — the double-buffered ``√p``-round
+  broadcast loop of SUMMA, Algorithm 1 and step 5 of Algorithm 2.  The
+  callers only say *what* each round broadcasts.
+* :func:`transpose_blocks` — the transpose send/receive round that moves
+  every block to its transposed grid position (Algorithms 1–2 and
+  :func:`repro.core.transpose.transpose_dist`).
+* The custom sparse reduce-scatter of Section VI-A.  The partial products
+  ``X^i_{k,j}`` produced on different ranks have *different sparsity
+  patterns*, so a plain ``MPI_Reduce`` over dense buffers is not
+  applicable; one skeleton runs
 
-1. every contributing rank splits its local sparse partial result into
-   ``g`` row ranges (one per group member) — the *scatter* pattern;
-2. one ``ALLTOALLV`` inside the group delivers each row range to the rank
-   responsible for it (charged to the *Reduce-Scatter* category of the
-   Fig. 12 breakdown);
-3. each rank ⊕-combines the pieces it received (local work);
-4. the combined row ranges are gathered onto the root (charged to the
-   *Scatter* category, matching the paper's naming of the final
-   redistribution step).
+  1. every contributing rank splits its local partial result into ``g``
+     row ranges (one per group member) — the *scatter* pattern;
+  2. one ``ALLTOALLV`` inside the group delivers each row range to the
+     rank responsible for it (charged to the *Reduce-Scatter* category of
+     the Fig. 12 breakdown);
+  3. each rank combines the pieces it received (local work);
+  4. the combined row ranges are gathered onto the root (charged to the
+     *Scatter* category, matching the paper's naming of the final
+     redistribution step).
 
-:func:`bloom_reduce_to_root` is the same pattern for Bloom-filter matrices
-with bitwise-OR combination.
-
-:func:`pipelined_rounds` is the double-buffered ``√p``-round broadcast
-loop shared by SUMMA, Algorithm 1 and step 5 of Algorithm 2.
+  :func:`sparse_reduce_to_root` ⊕-combines COO partials and
+  :func:`bloom_reduce_to_root` ORs Bloom-filter matrices with it;
+  :func:`reduce_line` is the gated pair of both that Algorithms 1–2 run
+  per process line and round.
 
 Both reductions follow the partial-mapping contract of the communicator
 protocol: ``contributions`` holds entries only for the group ranks this
@@ -34,49 +40,104 @@ the process owning ``root`` and is ``None`` everywhere else.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.runtime.backend import Communicator
+from repro.runtime.grid import ProcessGrid
 from repro.runtime.stats import StatCategory
 from repro.semirings import Semiring
 from repro.sparse import BloomFilterMatrix, COOMatrix
 
-__all__ = ["pipelined_rounds", "sparse_reduce_to_root", "bloom_reduce_to_root"]
+__all__ = [
+    "Broadcast", "pipelined_broadcasts", "transpose_blocks", "sum_pieces",
+    "sparse_reduce_to_root", "bloom_reduce_to_root", "reduce_line",
+]
 
-Posted = TypeVar("Posted")
-Received = TypeVar("Received")
+#: one broadcast of a round: ``(root, payload, group)``, or ``None`` if skipped
+Broadcast = tuple[int, Any, Sequence[int]] | None
 
 
-def pipelined_rounds(
+def pipelined_broadcasts(
+    comm: Communicator,
     n_rounds: int,
-    post: Callable[[int], Posted],
-    complete: Callable[[Posted], Received],
-) -> Iterator[tuple[int, Received]]:
-    """Double-buffered broadcast rounds: yield ``(k, complete(post(k)))``.
+    plan: Callable[[int], Sequence[Broadcast]],
+) -> Iterator[tuple[int, list[dict[int, Any] | None]]]:
+    """Double-buffered broadcast rounds: yield ``(k, received)``.
 
-    ``post(k)`` issues round ``k``'s nonblocking broadcasts and returns
-    their handles; ``complete`` waits on them and returns what arrived.
+    ``plan(k)`` lists round ``k``'s broadcasts in posting order, each as
+    ``(root, payload, group)`` or ``None`` for a skipped one; every entry is
+    posted with :meth:`Communicator.ibcast`.  ``received[i]`` is the
+    ``rank -> payload`` mapping of entry ``i`` (``None`` if it was skipped).
     Round 0 is posted up front; then, for each ``k``, round ``k`` is
     completed, round ``k + 1`` is posted, and only then is round ``k``
     yielded to the caller's local work — so the next round's transfers
     progress while this round multiplies.
 
     Posting-order invariant: every process posts the same requests in the
-    same order (round by round, and within a round in the order ``post``
-    issues them), and ``complete`` must wait on them in that order.  The
-    set of posted broadcasts may depend only on globally agreed facts
-    (grid shape, nnz censuses), never on local data.
+    same order (round by round, and within a round in plan order) and
+    waits on them in that order.  Which entries ``plan`` skips may depend
+    only on globally agreed facts (grid shape, nnz censuses), never on
+    local data.
     """
+
+    def post(k: int) -> list:
+        requests = []
+        for entry in plan(k):
+            if entry is not None:
+                root, payload, group = entry
+                entry = comm.ibcast(
+                    root, payload, group=group, category=StatCategory.BCAST
+                )
+            requests.append(entry)
+        return requests
+
     if n_rounds < 1:
         return
     pending = post(0)
     for k in range(n_rounds):
-        received = complete(pending)
+        received = [None if req is None else comm.wait(req) for req in pending]
         if k + 1 < n_rounds:
             pending = post(k + 1)
         yield k, received
+
+
+def transpose_blocks(
+    comm: Communicator, grid: ProcessGrid, blocks: Mapping[int, Any]
+) -> dict[int, Any]:
+    """Send every block to its transposed grid position.
+
+    ``blocks`` is a partial ``rank -> block`` mapping over this process's
+    owned ranks.  The returned (again partial) mapping holds, for each owned
+    rank ``(r, c)``, the block stored on rank ``(c, r)`` — the block that
+    rank broadcasts in round ``r`` (row broadcasts) or ``c`` (column
+    broadcasts).  One point-to-point message per off-diagonal rank.
+    """
+    owned = comm.owned_ranks(grid.all_ranks())
+    inbox = comm.exchange(
+        [(rank, grid.transpose_rank(rank), blocks[rank]) for rank in owned],
+        category=StatCategory.SEND_RECV,
+    )
+    received: dict[int, Any] = {}
+    for rank in owned:
+        items = inbox.get(rank, [])
+        if len(items) != 1:
+            raise RuntimeError(
+                f"transpose exchange delivered {len(items)} blocks to rank {rank}"
+            )
+        received[rank] = items[0][1]
+    return received
+
+
+def sum_pieces(
+    pieces: Sequence[COOMatrix], shape: tuple[int, int], semiring: Semiring
+) -> COOMatrix:
+    """⊕-combine sparse pieces of one block; empty pieces are ignored."""
+    pieces = [p for p in pieces if p.nnz]
+    if not pieces:
+        return COOMatrix.empty(shape, semiring)
+    return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
 
 
 def _row_range_offsets(n_rows: int, parts: int) -> np.ndarray:
@@ -89,9 +150,25 @@ def _row_range_offsets(n_rows: int, parts: int) -> np.ndarray:
     return offsets
 
 
-def _check_contribution_shapes(
-    contributions: Mapping[int, object], shape: tuple[int, int]
-) -> None:
+def _reduce_to_root(
+    comm: Communicator,
+    group: Sequence[int],
+    root: int,
+    contributions: Mapping[int, Any],
+    shape: tuple[int, int],
+    empty: Callable[[], Any],
+    split: Callable[[Any, np.ndarray], dict[int, Any]],
+    fold: Callable[[list], Any],
+) -> Any:
+    """Split, exchange, combine and gather ``contributions`` onto ``root``.
+
+    ``split(item, offsets)`` cuts one partial into its non-empty row ranges
+    keyed by group slot, ``fold(pieces)`` combines pieces of one block, and
+    ``empty()`` stands in for an owned rank without a contribution.
+    """
+    group = list(group)
+    if root not in group:
+        raise ValueError(f"reduction root {root} is not part of the group")
     mismatched = {
         c.shape for c in contributions.values() if c is not None and c.shape != shape
     }
@@ -100,6 +177,36 @@ def _check_contribution_shapes(
             f"contributions disagree with the declared block shape {shape}: "
             f"{sorted(mismatched)}"
         )
+    offsets = _row_range_offsets(shape[0], len(group))
+
+    # Steps 1+2: split by destination row range, exchange within the group.
+    sendbufs: dict[int, dict[int, Any]] = {}
+    for rank in comm.owned_ranks(group):
+        item = contributions.get(rank)
+        if item is None:
+            item = empty()
+        pieces = comm.run_local(
+            rank, split, item, offsets, category=StatCategory.REDUCE_SCATTER
+        )
+        sendbufs[rank] = {group[slot]: piece for slot, piece in pieces.items()}
+    received = comm.alltoallv(
+        sendbufs, group=group, category=StatCategory.REDUCE_SCATTER
+    )
+
+    # Step 3: locally combine the received row-range pieces.
+    combined: dict[int, Any] = {}
+    for rank in comm.owned_ranks(group):
+        pieces = [p for _src, p in sorted(received.get(rank, {}).items())]
+        combined[rank] = comm.run_local(
+            rank, fold, pieces, category=StatCategory.REDUCE_SCATTER
+        )
+
+    # Step 4: gather the combined row ranges onto the root.
+    gathered = comm.gather(root, combined, group=group, category=StatCategory.SCATTER)
+    if not comm.owns(root):
+        return None
+    pieces = [p for _r, p in sorted(gathered.items()) if p is not None]
+    return comm.run_local(root, fold, pieces, category=StatCategory.REDUCE_SCATTER)
 
 
 def sparse_reduce_to_root(
@@ -110,9 +217,6 @@ def sparse_reduce_to_root(
     semiring: Semiring,
     *,
     shape: tuple[int, int],
-    scatter_category: str = StatCategory.REDUCE_SCATTER,
-    gather_category: str = StatCategory.SCATTER,
-    combine_category: str = StatCategory.REDUCE_SCATTER,
 ) -> COOMatrix | None:
     """⊕-reduce sparse partial results of a group onto ``root``.
 
@@ -127,69 +231,23 @@ def sparse_reduce_to_root(
     Returns the combined COO matrix on the process owning ``root`` and
     ``None`` on every other process.
     """
-    group = list(group)
-    if root not in group:
-        raise ValueError(f"reduction root {root} is not part of the group")
-    _check_contribution_shapes(contributions, shape)
-    g = len(group)
-    offsets = _row_range_offsets(shape[0], g)
 
-    # Step 1+2: split by destination row range, exchange within the group.
-    sendbufs: dict[int, dict[int, COOMatrix]] = {}
-    for rank in comm.owned_ranks(group):
-        coo = contributions.get(rank)
-        if coo is None:
-            coo = COOMatrix.empty(shape, semiring)
+    def split(coo: COOMatrix, offsets: np.ndarray) -> dict[int, COOMatrix]:
+        dest = np.searchsorted(offsets, coo.rows, side="right") - 1
+        pieces: dict[int, COOMatrix] = {}
+        for slot in np.unique(dest):
+            sel = dest == slot
+            pieces[int(slot)] = COOMatrix(
+                shape, coo.rows[sel], coo.cols[sel], coo.values[sel], semiring
+            )
+        return pieces
 
-        def _split(coo=coo):
-            pieces: dict[int, COOMatrix] = {}
-            if coo.nnz == 0:
-                return pieces
-            dest = np.searchsorted(offsets, coo.rows, side="right") - 1
-            for slot in np.unique(dest):
-                sel = dest == slot
-                pieces[int(slot)] = COOMatrix(
-                    shape=shape,
-                    rows=coo.rows[sel],
-                    cols=coo.cols[sel],
-                    values=coo.values[sel],
-                    semiring=semiring,
-                )
-            return pieces
-
-        pieces = comm.run_local(rank, _split, category=combine_category)
-        sendbufs[rank] = {
-            group[slot]: piece for slot, piece in pieces.items() if piece.nnz
-        }
-    received = comm.alltoallv(sendbufs, group=group, category=scatter_category)
-
-    # Step 3: locally ⊕-combine the received row-range pieces.
-    combined: dict[int, COOMatrix] = {}
-    for rank in comm.owned_ranks(group):
-        pieces = [p for _src, p in sorted(received.get(rank, {}).items())]
-
-        def _combine(pieces=pieces):
-            if not pieces:
-                return COOMatrix.empty(shape, semiring)
-            return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
-
-        combined[rank] = comm.run_local(rank, _combine, category=combine_category)
-
-    # Step 4: gather the combined row ranges onto the root.
-    gathered = comm.gather(root, combined, group=group, category=gather_category)
-
-    if not comm.owns(root):
-        return None
-
-    def _assemble():
-        pieces = [p for _r, p in sorted(gathered.items()) if p is not None and p.nnz]
-        if not pieces:
-            return COOMatrix.empty(shape, semiring)
-        # Row ranges are disjoint, so a plain concatenation would suffice;
-        # sum_duplicates keeps the result canonical regardless.
-        return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
-
-    return comm.run_local(root, _assemble, category=combine_category)
+    return _reduce_to_root(
+        comm, group, root, contributions, shape,
+        lambda: COOMatrix.empty(shape, semiring),
+        split,
+        lambda pieces: sum_pieces(pieces, shape, semiring),
+    )
 
 
 def bloom_reduce_to_root(
@@ -199,9 +257,6 @@ def bloom_reduce_to_root(
     contributions: Mapping[int, BloomFilterMatrix],
     *,
     shape: tuple[int, int],
-    scatter_category: str = StatCategory.REDUCE_SCATTER,
-    gather_category: str = StatCategory.SCATTER,
-    combine_category: str = StatCategory.REDUCE_SCATTER,
 ) -> BloomFilterMatrix | None:
     """Bitwise-OR reduce Bloom-filter partials of a group onto ``root``.
 
@@ -209,41 +264,39 @@ def bloom_reduce_to_root(
     :func:`sparse_reduce_to_root`; returns ``None`` on processes that do
     not own ``root``.
     """
-    group = list(group)
-    if root not in group:
-        raise ValueError(f"reduction root {root} is not part of the group")
-    _check_contribution_shapes(contributions, shape)
-    g = len(group)
-    offsets = _row_range_offsets(shape[0], g)
+    return _reduce_to_root(
+        comm, group, root, contributions, shape,
+        lambda: BloomFilterMatrix(shape),
+        BloomFilterMatrix.split_rows,
+        lambda pieces: BloomFilterMatrix(shape).or_with(*pieces),
+    )
 
-    sendbufs: dict[int, dict[int, BloomFilterMatrix]] = {}
-    for rank in comm.owned_ranks(group):
-        bloom = contributions.get(rank)
-        if bloom is None:
-            bloom = BloomFilterMatrix(shape)
 
-        pieces = comm.run_local(
-            rank, bloom.split_rows, offsets, category=combine_category
-        )
-        sendbufs[rank] = {group[slot]: piece for slot, piece in pieces.items()}
-    received = comm.alltoallv(sendbufs, group=group, category=scatter_category)
+def reduce_line(
+    comm: Communicator,
+    group: Sequence[int],
+    root: int,
+    contributions: Mapping[int, COOMatrix],
+    blooms: Mapping[int, BloomFilterMatrix] | None,
+    semiring: Semiring,
+    *,
+    shape: tuple[int, int],
+) -> tuple[COOMatrix | None, BloomFilterMatrix | None]:
+    """Reduce one line's partial products (and Bloom bits) onto ``root``.
 
-    combined: dict[int, BloomFilterMatrix] = {}
-    for rank in comm.owned_ranks(group):
-        pieces = [p for _src, p in sorted(received.get(rank, {}).items())]
-
-        def _combine(pieces=pieces):
-            return BloomFilterMatrix(shape).or_with(*pieces)
-
-        combined[rank] = comm.run_local(rank, _combine, category=combine_category)
-
-    gathered = comm.gather(root, combined, group=group, category=gather_category)
-
-    if not comm.owns(root):
-        return None
-
-    def _assemble():
-        pieces = [p for _r, p in sorted(gathered.items()) if p is not None]
-        return BloomFilterMatrix(shape).or_with(*pieces)
-
-    return comm.run_local(root, _assemble, category=combine_category)
+    Nothing is communicated unless some process holds a non-empty
+    contribution — a decision agreed over the uncharged ``host_fold``
+    control plane, so every process takes the same branch.  Otherwise the
+    sparse reduce runs, then the Bloom reduce unless ``blooms`` is ``None``.
+    Returns ``(values, bloom)`` as the two reduces do (``None`` off the
+    root); ``(None, None)`` when the gate skips the line.
+    """
+    local_any = any(coo.nnz > 0 for coo in contributions.values())
+    if not comm.host_fold(local_any, lambda x, y: x or y):
+        return None, None
+    reduced = sparse_reduce_to_root(
+        comm, group, root, contributions, semiring, shape=shape
+    )
+    if blooms is None:
+        return reduced, None
+    return reduced, bloom_reduce_to_root(comm, group, root, blooms, shape=shape)

@@ -41,9 +41,11 @@ result matrix ``C``.
 from __future__ import annotations
 
 from repro.core.collectives import (
-    bloom_reduce_to_root,
-    pipelined_rounds,
-    sparse_reduce_to_root,
+    Broadcast,
+    pipelined_broadcasts,
+    reduce_line,
+    sum_pieces,
+    transpose_blocks,
 )
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
@@ -113,12 +115,12 @@ class _Term:
         self.grid = grid
         self.left = left
         self.operand = operand
-        self.star_t = _transpose_exchange(comm, grid, star)
+        self.star_t = transpose_blocks(comm, grid, star.blocks)
         self.nnz = _nnz_census(comm, self.star_t)
         self.bcast_group = grid.row_group if left else grid.col_group
         self.reduce_group = grid.col_group if left else grid.row_group
-        #: inner block index of a rank's local multiplication
-        self.inner_of = grid.row_of if left else grid.col_of
+        #: broadcast line of a rank, also the inner block index it multiplies
+        self.line_of = grid.row_of if left else grid.col_of
 
     def bcast_root(self, line: int, k: int) -> int:
         """Rank holding the round-``k`` update block of broadcast line ``line``."""
@@ -127,6 +129,16 @@ class _Term:
     def reduce_root(self, line: int, k: int) -> int:
         """Rank the round-``k`` partials of reduction line ``line`` land on."""
         return self.bcast_root(k, line)
+
+    def plan(self, k: int) -> list[Broadcast]:
+        """Round ``k``'s broadcasts; an empty update block is skipped."""
+        roots = [self.bcast_root(line, k) for line in range(self.grid.q)]
+        return [
+            (root, self.star_t.get(root), self.bcast_group(line))
+            if self.nnz[root]
+            else None
+            for line, root in enumerate(roots)
+        ]
 
 
 def compute_cstar(
@@ -175,100 +187,54 @@ def compute_cstar(
             r: BloomFilterMatrix(out_dist.block_shape_of_rank(r)) for r in owned
         }
 
-    def _start(term: _Term, k: int):
-        """Post the round-``k`` broadcasts of one term.
-
-        Returns ``None`` when the whole round is skipped (every root block
-        empty), otherwise ``(group_ranks, request_or_None)`` pairs in
-        posting order — a ``None`` request records a per-root empty-block
-        skip.
-        """
-        roots = [term.bcast_root(line, k) for line in range(q)]
-        if not any(term.nnz[root] for root in roots):
-            return None
-        started = []
-        for line, root in enumerate(roots):
-            group_ranks = term.bcast_group(line)
-            req = None
-            if term.nnz[root]:
-                req = comm.ibcast(
-                    root,
-                    term.star_t.get(root),
-                    group=group_ranks,
-                    category=StatCategory.BCAST,
-                )
-            started.append((group_ranks, req))
-        return started
-
-    def _finish(started):
-        """Complete a started term in posting order; ``None`` marks skips."""
-        if started is None:
-            return None
-        recv: dict[int, object] = {}
-        for group_ranks, req in started:
-            received = None if req is None else comm.wait(req)
-            for rank in group_ranks:
-                recv[rank] = None if received is None else received[rank]
-        return recv
-
-    def _multiply_reduce(term: _Term, k: int, recv: dict[int, object]) -> None:
+    def _multiply_reduce(term: _Term, k: int, received: list) -> None:
         """Local multiplies of one term's round, then its sparse reductions."""
         for line in range(q):
             group_ranks = term.reduce_group(line)
             root = term.reduce_root(line, k)
             contributions: dict[int, COOMatrix] = {}
             bloom_contribs: dict[int, BloomFilterMatrix] = {}
-            local_any = False
             for rank in comm.owned_ranks(group_ranks):
-                star_blk = recv[rank]
-                if star_blk is None:
+                got = received[term.line_of(rank)]
+                if got is None:
                     continue
-                big_blk = term.operand.blocks[rank]
-                left_blk, right_blk = (
-                    (star_blk, big_blk) if term.left else (big_blk, star_blk)
-                )
-                inner_offset = int(a.dist.col_offsets[term.inner_of(rank)])
-
-                def _mult(left_blk=left_blk, right_blk=right_blk, inner_offset=inner_offset):
-                    return spgemm_local(
-                        left_blk,
-                        right_blk,
-                        semiring,
-                        compute_bloom=compute_bloom,
-                        inner_offset=inner_offset,
-                    )
-
+                star_blk, big_blk = got[rank], term.operand.blocks[rank]
                 coo, bloom = comm.run_local(
-                    rank, _mult, category=StatCategory.LOCAL_MULT
+                    rank,
+                    spgemm_local,
+                    *((star_blk, big_blk) if term.left else (big_blk, star_blk)),
+                    semiring,
+                    compute_bloom=compute_bloom,
+                    inner_offset=int(a.dist.col_offsets[term.line_of(rank)]),
+                    category=StatCategory.LOCAL_MULT,
                 )
                 contributions[rank] = coo
-                local_any = local_any or coo.nnz > 0
-                if compute_bloom and bloom is not None:
+                if bloom is not None:
                     bloom_contribs[rank] = bloom
-            if comm.host_fold(local_any, lambda x, y: x or y):
-                shape = out_dist.block_shape_of_rank(root)
-                reduced = sparse_reduce_to_root(
-                    comm, group_ranks, root, contributions, semiring, shape=shape
-                )
-                if reduced is not None and reduced.nnz:
-                    partials[root].append(reduced)
-                if compute_bloom and bloom_parts is not None:
-                    reduced_bloom = bloom_reduce_to_root(
-                        comm, group_ranks, root, bloom_contribs, shape=shape
-                    )
-                    if reduced_bloom is not None:
-                        bloom_parts[root].or_inplace(reduced_bloom)
+            reduced, reduced_bloom = reduce_line(
+                comm,
+                group_ranks,
+                root,
+                contributions,
+                bloom_contribs if compute_bloom else None,
+                semiring,
+                shape=out_dist.block_shape_of_rank(root),
+            )
+            if reduced is not None and reduced.nnz:
+                partials[root].append(reduced)
+            if reduced_bloom is not None:
+                bloom_parts[root].or_inplace(reduced_bloom)
 
     # The hypersparse update blocks of round k+1 travel while round k's
-    # multiplies and sparse reductions run.
-    for k, received in pipelined_rounds(
-        q,
-        lambda k: [_start(term, k) for term in terms],
-        lambda pending: [_finish(started) for started in pending],
+    # multiplies and sparse reductions run; a term whose round-k update
+    # blocks are all empty skips the round.
+    for k, received in pipelined_broadcasts(
+        comm, q, lambda k: [entry for term in terms for entry in term.plan(k)]
     ):
-        for term, recv in zip(terms, received):
-            if recv is not None:
-                _multiply_reduce(term, k, recv)
+        for t, term in enumerate(terms):
+            term_received = received[t * q : (t + 1) * q]
+            if any(got is not None for got in term_received):
+                _multiply_reduce(term, k, term_received)
 
     # ------------------------------------------------------------------
     # Per-rank accumulation of the reduced contributions (owned ranks).
@@ -278,13 +244,13 @@ def compute_cstar(
         block_shape = out_dist.block_shape_of_rank(rank)
         pieces = partials[rank]
 
-        def _accumulate(pieces=pieces, block_shape=block_shape):
-            if not pieces:
-                return COOMatrix.empty(block_shape, semiring)
-            return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
-
         cstar_blocks[rank] = comm.run_local(
-            rank, _accumulate, category=StatCategory.LOCAL_MULT
+            rank,
+            sum_pieces,
+            partials[rank],
+            out_dist.block_shape_of_rank(rank),
+            semiring,
+            category=StatCategory.LOCAL_MULT,
         )
     return cstar_blocks, bloom_parts
 
@@ -342,32 +308,3 @@ def dynamic_spgemm_algebraic(
         )
     return int(comm.host_fold(touched, lambda x, y: x + y))
 
-
-def _transpose_exchange(
-    comm: Communicator, grid: ProcessGrid, mat
-) -> dict[int, object]:
-    """Send every block to its transposed grid position.
-
-    ``mat`` is either a distributed matrix or a plain partial
-    ``rank -> block`` mapping over this process's owned ranks.  Afterwards
-    the returned (again partial) mapping holds, for each owned rank
-    ``(r, c)``, the block originally stored on rank ``(c, r)`` — i.e. block
-    ``(c, r)`` of the matrix — which is exactly the block that rank must
-    broadcast in round ``r`` (for row broadcasts) or ``c`` (for column
-    broadcasts).
-    """
-    blocks = mat.blocks if hasattr(mat, "blocks") else mat
-    messages = []
-    for rank in comm.owned_ranks(grid.all_ranks()):
-        dst = grid.transpose_rank(rank)
-        messages.append((rank, dst, blocks[rank]))
-    inbox = comm.exchange(messages, category=StatCategory.SEND_RECV)
-    received: dict[int, object] = {}
-    for rank in comm.owned_ranks(grid.all_ranks()):
-        items = inbox.get(rank, [])
-        if len(items) != 1:
-            raise RuntimeError(
-                f"transpose exchange delivered {len(items)} blocks to rank {rank}"
-            )
-        received[rank] = items[0][1]
-    return received

@@ -46,11 +46,13 @@ from repro.sparse import (
 from repro.distributed import DynamicDistMatrix
 from repro.distributed.dist_matrix import DistMatrixBase
 from repro.core.collectives import (
-    bloom_reduce_to_root,
-    pipelined_rounds,
-    sparse_reduce_to_root,
+    Broadcast,
+    pipelined_broadcasts,
+    reduce_line,
+    sum_pieces,
+    transpose_blocks,
 )
-from repro.core.dynamic_algebraic import compute_cstar, _transpose_exchange
+from repro.core.dynamic_algebraic import compute_cstar
 
 __all__ = ["dynamic_spgemm_general", "filter_by_row_bloom"]
 
@@ -110,12 +112,26 @@ def dynamic_spgemm_general(
         The maintained dynamic result matrix and its per-rank Bloom filter;
         both are updated in place.
 
-    Returns the number of output entries that were recomputed.
+    Returns the number of output entries that were recomputed.  Operands
+    of the wrong shape, or an ``f`` without a block for some owned rank,
+    raise :class:`ValueError` before anything is communicated.
     """
     semiring = semiring if semiring is not None else c.semiring
     q = grid.q
     out_dist = c.dist
     owned = comm.owned_ranks(grid.all_ranks())
+    if a_old.shape != a_prime.shape:
+        raise ValueError(
+            f"old A shape {a_old.shape} does not match A' shape {a_prime.shape}"
+        )
+    if c.shape != (a_prime.shape[0], b_prime.shape[1]):
+        raise ValueError(
+            f"result shape {c.shape} does not match A' x B' = "
+            f"({a_prime.shape[0]}, {b_prime.shape[1]})"
+        )
+    missing = [rank for rank in owned if rank not in f]
+    if missing:
+        raise ValueError(f"Bloom filter F has no block for owned ranks {missing}")
 
     # ------------------------------------------------------------------
     # 1. C* pattern and F* (COMPUTE_PATTERN).  Both mappings are partial
@@ -195,129 +211,63 @@ def dynamic_spgemm_general(
     # ------------------------------------------------------------------
     # 5. SUMMA-like masked multiplication loop.
     # ------------------------------------------------------------------
-    ar_t = _transpose_exchange(comm, grid, ar_blocks)
+    ar_t = transpose_blocks(comm, grid, ar_blocks)
     z_blocks: dict[int, list[COOMatrix]] = {r: [] for r in owned}
     h_blocks: dict[int, BloomFilterMatrix] = {
         r: BloomFilterMatrix(out_dist.block_shape_of_rank(r)) for r in owned
     }
 
-    def _post_round(k: int):
-        """Post round-``k`` broadcasts (A^R rows, then gated C* columns).
-
-        ``A^R_{k,i}`` goes across each process row ``i`` (root ``(i, k)``)
-        and the ``C*_{k,j}`` pattern down each column ``j`` (root
-        ``(k, j)``) unless that block is empty.  The gate reads the nnz
-        census, which is globally known before the loop, so the set of
-        posted broadcasts is identical on every process.
-        """
-        reqs = []
-        for i in range(q):
-            root = grid.rank_of(i, k)
-            row_ranks = grid.row_group(i)
-            reqs.append(
-                (
-                    "row",
-                    row_ranks,
-                    root,
-                    comm.ibcast(
-                        root,
-                        ar_t.get(root),
-                        group=row_ranks,
-                        category=StatCategory.BCAST,
-                    ),
-                )
-            )
-        for j in range(q):
-            root = grid.rank_of(k, j)
-            if cstar_nnz[root] == 0:
-                continue
-            col_ranks = grid.col_group(j)
-            reqs.append(
-                (
-                    "col",
-                    col_ranks,
-                    root,
-                    comm.ibcast(
-                        root,
-                        cstar_blocks.get(root),
-                        group=col_ranks,
-                        category=StatCategory.BCAST,
-                    ),
-                )
-            )
-        return reqs
-
-    def _wait_round(reqs):
-        """Complete a posted round in posting order.
-
-        Returns ``(ar_recv, cstar_recv)``: the received ``A^R`` block per
-        rank, and the received ``C*`` mapping per column-broadcast root.
-        """
-        ar_recv: dict[int, DCSRMatrix] = {}
-        cstar_recv: dict[int, dict] = {}
-        for kind, group_ranks, root, req in reqs:
-            received = comm.wait(req)
-            if kind == "row":
-                for rank in group_ranks:
-                    ar_recv[rank] = received[rank]
-            else:
-                cstar_recv[root] = received
-        return ar_recv, cstar_recv
+    def _plan(k: int) -> list[Broadcast]:
+        """Round ``k``: ``A^R_{i,k}`` across each process row ``i``, then the
+        ``C*_{k,j}`` pattern down each process column ``j`` unless it is
+        empty — a gate read from the globally known nnz census."""
+        rows = [(grid.rank_of(i, k), grid.row_group(i)) for i in range(q)]
+        cols = [(grid.rank_of(k, j), grid.col_group(j)) for j in range(q)]
+        return [(root, ar_t.get(root), ranks) for root, ranks in rows] + [
+            (root, cstar_blocks.get(root), ranks) if cstar_nnz[root] else None
+            for root, ranks in cols
+        ]
 
     # Round k+1's broadcasts travel while round k's masked multiplies and
     # reductions run.
-    for k, (ar_recv, cstar_recv) in pipelined_rounds(q, _post_round, _wait_round):
+    for k, received in pipelined_broadcasts(comm, q, _plan):
         for j in range(q):
+            cstar_recv = received[q + j]
+            if cstar_recv is None:
+                continue
             col_ranks = grid.col_group(j)
             root = grid.rank_of(k, j)
-            if cstar_nnz[root] == 0:
-                continue
-            received = cstar_recv[root]
             contributions: dict[int, COOMatrix] = {}
             bloom_contribs: dict[int, BloomFilterMatrix] = {}
-            local_any = False
             for rank in comm.owned_ranks(col_ranks):
                 i = grid.row_of(rank)
-                ar_blk = ar_recv[rank]
-                b_blk = b_prime.blocks[rank]
-                cstar_pattern = received[rank]
-                inner_offset = int(a_prime.dist.col_offsets[i])
-
-                def _mult(
-                    ar_blk=ar_blk,
-                    b_blk=b_blk,
-                    cstar_pattern=cstar_pattern,
-                    inner_offset=inner_offset,
-                ):
-                    # Section VI-B: each rank masks at the broadcast C* block
-                    # itself rather than receiving a hash table of it.
-                    return spgemm_local_masked(
-                        ar_blk,
-                        b_blk,
-                        semiring,
-                        cstar_pattern,
-                        compute_bloom=True,
-                        inner_offset=inner_offset,
-                    )
-
+                # Section VI-B: each rank masks at the broadcast C* block
+                # itself rather than receiving a hash table of it.
                 coo, bloom = comm.run_local(
-                    rank, _mult, category=StatCategory.LOCAL_MULT
+                    rank,
+                    spgemm_local_masked,
+                    received[i][rank],
+                    b_prime.blocks[rank],
+                    semiring,
+                    cstar_recv[rank],
+                    compute_bloom=True,
+                    inner_offset=int(a_prime.dist.col_offsets[i]),
+                    category=StatCategory.LOCAL_MULT,
                 )
                 contributions[rank] = coo
-                local_any = local_any or coo.nnz > 0
                 if bloom is not None:
                     bloom_contribs[rank] = bloom
-            if not comm.host_fold(local_any, lambda x, y: x or y):
-                continue
-            shape = out_dist.block_shape_of_rank(root)
-            reduced = sparse_reduce_to_root(
-                comm, col_ranks, root, contributions, semiring, shape=shape
+            reduced, reduced_bloom = reduce_line(
+                comm,
+                col_ranks,
+                root,
+                contributions,
+                bloom_contribs,
+                semiring,
+                shape=out_dist.block_shape_of_rank(root),
             )
             if reduced is not None and reduced.nnz:
                 z_blocks[root].append(reduced)
-            reduced_bloom = bloom_reduce_to_root(
-                comm, col_ranks, root, bloom_contribs, shape=shape
-            )
             if reduced_bloom is not None:
                 h_blocks[root].or_inplace(reduced_bloom)
 
@@ -339,7 +289,7 @@ def dynamic_spgemm_general(
             rows, cols = cstar.rows, cstar.cols
             kept = np.zeros(rows.size, dtype=bool)
             if pieces:
-                z = pieces[0].concatenate(*pieces[1:]).sum_duplicates()
+                z = sum_pieces(pieces, cstar.shape, semiring)
                 width = cstar.shape[1]
                 kept = np.isin(rows * width + cols, z.rows * width + z.cols)
                 c_blk.insert_batch(z.rows, z.cols, z.values, combine=None)

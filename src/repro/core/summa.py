@@ -8,11 +8,11 @@ aggregation is entirely local, which is SUMMA's advantage when both
 operands have similar sizes and its disadvantage when one operand is tiny
 (the whole large operand still gets broadcast).
 
-The broadcasts are double-buffered (:func:`repro.core.collectives.
-pipelined_rounds`): the panels of round ``k + 1`` are posted with
-:meth:`Communicator.ibcast` before the round-``k`` local multiplies run,
-so panel transfers overlap with compute.  Requests are completed in
-posting order, which keeps the payload placement deterministic.
+SUMMA only says which panels each round broadcasts; the double-buffered
+rounds are :func:`repro.core.collectives.pipelined_broadcasts`, which posts
+round ``k + 1``'s panels before the round-``k`` local multiplies run, so
+panel transfers overlap with compute, and completes them in posting order,
+which keeps the payload placement deterministic.
 
 This implementation is used
 
@@ -25,7 +25,7 @@ This implementation is used
 
 from __future__ import annotations
 
-from repro.core.collectives import pipelined_rounds
+from repro.core.collectives import Broadcast, pipelined_broadcasts, sum_pieces
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
@@ -46,8 +46,6 @@ def summa_spgemm(
     semiring: Semiring | None = None,
     output: str = "dynamic",
     compute_bloom: bool = False,
-    bcast_category: str = StatCategory.BCAST,
-    mult_category: str = StatCategory.LOCAL_MULT,
 ) -> tuple[DistMatrixBase, dict[int, BloomFilterMatrix] | None]:
     """Distributed ``C = A·B`` with the sparse SUMMA algorithm.
 
@@ -92,73 +90,28 @@ def summa_spgemm(
             r: BloomFilterMatrix(out_dist.block_shape_of_rank(r)) for r in owned
         }
 
-    def _post_round(k: int):
-        """Post the round-``k`` panel broadcasts as nonblocking requests.
+    def _plan(k: int) -> list[Broadcast]:
+        """Round ``k``: ``A_{i,k}`` across each process row ``i``, then
+        ``B_{k,j}`` down each process column ``j``."""
+        rows = [(grid.rank_of(i, k), grid.row_group(i)) for i in range(q)]
+        cols = [(grid.rank_of(k, j), grid.col_group(j)) for j in range(q)]
+        return [(root, a.blocks.get(root), ranks) for root, ranks in rows] + [
+            (root, b.blocks.get(root), ranks) for root, ranks in cols
+        ]
 
-        Returns ``(group_ranks, request)`` pairs: ``A_{i,k}`` across each
-        process row ``i = 0..q-1``, then ``B_{k,j}`` down each process
-        column ``j = 0..q-1``.  Only the process owning a root holds its
-        payload; the backend moves it to everyone hosting a rank of the
-        group.
-        """
-        reqs = []
-        for i in range(q):
-            root = grid.rank_of(i, k)
-            row_ranks = grid.row_group(i)
-            reqs.append(
-                (
-                    row_ranks,
-                    comm.ibcast(
-                        root,
-                        a.blocks.get(root),
-                        group=row_ranks,
-                        category=bcast_category,
-                    ),
-                )
-            )
-        for j in range(q):
-            root = grid.rank_of(k, j)
-            col_ranks = grid.col_group(j)
-            reqs.append(
-                (
-                    col_ranks,
-                    comm.ibcast(
-                        root,
-                        b.blocks.get(root),
-                        group=col_ranks,
-                        category=bcast_category,
-                    ),
-                )
-            )
-        return reqs
-
-    def _wait_round(reqs):
-        """Complete a posted round in posting order; return (a_recv, b_recv)."""
-        a_recv: dict[int, object] = {}
-        b_recv: dict[int, object] = {}
-        for idx, (group_ranks, req) in enumerate(reqs):
-            received = comm.wait(req)
-            target = a_recv if idx < q else b_recv
-            for rank in group_ranks:
-                target[rank] = received[rank]
-        return a_recv, b_recv
-
-    for k, (a_recv, b_recv) in pipelined_rounds(q, _post_round, _wait_round):
+    for k, received in pipelined_broadcasts(comm, q, _plan):
         inner_offset = int(a.dist.col_offsets[k])
         for rank in owned:
-            a_blk = a_recv[rank]
-            b_blk = b_recv[rank]
-
-            def _mult(a_blk=a_blk, b_blk=b_blk, inner_offset=inner_offset):
-                return spgemm_local(
-                    a_blk,
-                    b_blk,
-                    semiring,
-                    compute_bloom=compute_bloom,
-                    inner_offset=inner_offset,
-                )
-
-            coo, bloom = comm.run_local(rank, _mult, category=mult_category)
+            coo, bloom = comm.run_local(
+                rank,
+                spgemm_local,
+                received[grid.row_of(rank)][rank],
+                received[q + grid.col_of(rank)][rank],
+                semiring,
+                compute_bloom=compute_bloom,
+                inner_offset=inner_offset,
+                category=StatCategory.LOCAL_MULT,
+            )
             if coo.nnz:
                 partials[rank].append(coo)
             if compute_bloom and bloom is not None and blooms is not None:
@@ -171,16 +124,13 @@ def summa_spgemm(
         pieces = partials[rank]
 
         def _accumulate(pieces=pieces, block_shape=block_shape):
-            if not pieces:
-                combined = COOMatrix.empty(block_shape, semiring)
-            else:
-                combined = pieces[0].concatenate(*pieces[1:]).sum_duplicates()
+            combined = sum_pieces(pieces, block_shape, semiring)
             if output == "dynamic":
                 return DHBMatrix.from_coo(combined, combine_duplicates=False)
             return CSRMatrix.from_coo(combined, dedup=False)
 
         out_blocks[rank] = comm.run_local(
-            rank, _accumulate, category=mult_category
+            rank, _accumulate, category=StatCategory.LOCAL_MULT
         )
 
     if output == "dynamic":

@@ -13,6 +13,7 @@ transposed block shapes line up with the ``(m, n)`` distribution exactly.
 
 from __future__ import annotations
 
+from repro.core.collectives import transpose_blocks
 from repro.runtime.stats import StatCategory
 from repro.distributed import BlockDistribution, StaticDistMatrix
 from repro.distributed.dist_matrix import DistMatrixBase, static_layout
@@ -23,30 +24,19 @@ __all__ = ["transpose_dist"]
 def transpose_dist(mat: DistMatrixBase, *, layout: str = "csr") -> StaticDistMatrix:
     """Distributed transpose of a 2D-distributed matrix.
 
-    Every block is exchanged with its transposed grid position (one
-    point-to-point message per off-diagonal rank) and transposed locally.
-    The result is a static distributed matrix in the requested layout; an
-    unknown layout raises :class:`ValueError` before any block is sent.
+    Every block is exchanged with its transposed grid position
+    (:func:`repro.core.collectives.transpose_blocks`) and transposed
+    locally.  The result is a static distributed matrix in the requested
+    layout; an unknown layout raises :class:`ValueError` before any block
+    is sent.
     """
     _, build = static_layout(layout)
     comm, grid = mat.comm, mat.grid
     n, m = mat.shape
     out_dist = BlockDistribution(m, n, grid)
 
-    messages = []
-    for rank in comm.owned_ranks(grid.all_ranks()):
-        dst = grid.transpose_rank(rank)
-        messages.append((rank, dst, mat.blocks[rank]))
-    inbox = comm.exchange(messages, category=StatCategory.SEND_RECV)
-
     out_blocks: dict[int, object] = {}
-    for rank in comm.owned_ranks(grid.all_ranks()):
-        items = inbox.get(rank, [])
-        if len(items) != 1:
-            raise RuntimeError(
-                f"transpose exchange delivered {len(items)} blocks to rank {rank}"
-            )
-        block = items[0][1]
+    for rank, block in transpose_blocks(comm, grid, mat.blocks).items():
 
         def _local_transpose(block=block):
             return build(block.to_coo().transpose())

@@ -20,7 +20,12 @@ from repro import (
     summa_spgemm,
     transpose_dist,
 )
-from repro.core.collectives import bloom_reduce_to_root, sparse_reduce_to_root
+from repro.core.collectives import (
+    bloom_reduce_to_root,
+    pipelined_broadcasts,
+    reduce_line,
+    sparse_reduce_to_root,
+)
 from repro.core.dynamic_general import filter_by_row_bloom
 from repro.semirings import BOOLEAN, MIN_PLUS, PLUS_TIMES
 from repro.sparse import BLOOM_BITS, BloomFilterMatrix, COOMatrix, CSRMatrix
@@ -85,6 +90,95 @@ class TestSparseReduce:
         assert out.get(0, 0) == 3
         assert out.get(2, 3) == 4
         assert out.get(5, 5) == 8
+
+
+class _RecordingSimMPI(SimMPI):
+    """SimMPI that logs every ``ibcast`` post and ``wait`` by payload."""
+
+    def __init__(self, n_ranks: int) -> None:
+        super().__init__(n_ranks)
+        self.log: list[tuple] = []
+        self._payloads: dict[int, object] = {}
+
+    def ibcast(self, root, payload, **kwargs):
+        request = super().ibcast(root, payload, **kwargs)
+        self._payloads[id(request)] = payload
+        self.log.append(("post", payload))
+        return request
+
+    def wait(self, request):
+        self.log.append(("wait", self._payloads[id(request)]))
+        return super().wait(request)
+
+
+class TestPipelinedBroadcasts:
+    def test_next_round_is_posted_before_this_round_is_yielded(self):
+        comm = _RecordingSimMPI(4)
+
+        def plan(k):
+            return [(0, f"a{k}", [0, 1]), (3, f"b{k}", [2, 3])]
+
+        for k, received in pipelined_broadcasts(comm, 3, plan):
+            assert received == [{0: f"a{k}", 1: f"a{k}"}, {2: f"b{k}", 3: f"b{k}"}]
+            comm.log.append(("yield", k))
+        assert comm.log == [
+            ("post", "a0"), ("post", "b0"),
+            ("wait", "a0"), ("wait", "b0"),
+            ("post", "a1"), ("post", "b1"), ("yield", 0),
+            ("wait", "a1"), ("wait", "b1"),
+            ("post", "a2"), ("post", "b2"), ("yield", 1),
+            ("wait", "a2"), ("wait", "b2"), ("yield", 2),
+        ]
+
+    def test_skipped_entry_posts_nothing_and_yields_none(self):
+        comm = _RecordingSimMPI(4)
+        rounds = list(
+            pipelined_broadcasts(comm, 1, lambda k: [None, (1, "x", [0, 1]), None])
+        )
+        assert rounds == [(0, [None, {0: "x", 1: "x"}, None])]
+        assert comm.log == [("post", "x"), ("wait", "x")]
+
+    def test_zero_rounds_post_nothing(self):
+        comm = _RecordingSimMPI(4)
+        assert list(pipelined_broadcasts(comm, 0, lambda k: [(0, "x", [0, 1])])) == []
+        assert comm.log == []
+        assert comm.stats.as_dict() == SimMPI(4).stats.as_dict()
+
+
+class TestReduceLine:
+    group = [1, 5, 9, 13]
+    shape = (12, 10)
+
+    def test_all_empty_contributions_skip_every_reduce(self):
+        comm = SimMPI(16)
+        contributions = {r: COOMatrix.empty(self.shape) for r in self.group}
+        blooms = {r: BloomFilterMatrix(self.shape) for r in self.group}
+        before, clock = comm.stats.as_dict(), comm.elapsed()
+        out = reduce_line(
+            comm, self.group, 9, contributions, blooms, PLUS_TIMES, shape=self.shape
+        )
+        assert out == (None, None)
+        assert comm.stats.as_dict() == before
+        assert comm.elapsed() == clock
+
+    def test_without_blooms_it_is_the_sparse_reduce(self):
+        contributions = {
+            r: COOMatrix.from_dense(random_dense(*self.shape, 0.3, seed=r))
+            for r in self.group
+        }
+        comm, ref_comm = SimMPI(16), SimMPI(16)
+        out, bloom = reduce_line(
+            comm, self.group, 9, contributions, None, PLUS_TIMES, shape=self.shape
+        )
+        ref = sparse_reduce_to_root(
+            ref_comm, self.group, 9, contributions, PLUS_TIMES, shape=self.shape
+        )
+        assert bloom is None
+        assert np.array_equal(out.rows, ref.rows)
+        assert np.array_equal(out.cols, ref.cols)
+        assert np.array_equal(out.values, ref.values)
+        assert comm.stats.total_bytes() == ref_comm.stats.total_bytes()
+        assert comm.stats.total_messages() == ref_comm.stats.total_messages()
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +409,41 @@ class TestDynamicGeneral:
             )
             expected = MIN_PLUS.dense_matmul(current, b)
             assert np.allclose(c.to_dense(), expected, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("c", r"result shape \(20, 16\) does not match"),
+            ("a_old", r"old A shape \(16, 12\) does not match A' shape"),
+            ("f", r"Bloom filter F has no block for owned ranks"),
+        ],
+    )
+    def test_bad_operands_raise_before_any_communication(
+        self, comm16, grid16, case, message
+    ):
+        n = 16
+        da = dist_from_dense(comm16, grid16, random_dense(n, n, 0.25, seed=41))
+        db = dist_from_dense(comm16, grid16, random_dense(n, n, 0.25, seed=42))
+        a_star = static_from_dense(
+            comm16, grid16, random_dense(n, n, 0.1, seed=43), layout="dcsr"
+        )
+        c, blooms = summa_spgemm(
+            comm16, grid16, da, db, output="dynamic", compute_bloom=True
+        )
+        a_old = da
+        if case == "c":
+            c = DynamicDistMatrix.empty(comm16, grid16, (20, n))
+        elif case == "a_old":
+            a_old = DynamicDistMatrix.empty(comm16, grid16, (n, 12))
+        else:
+            blooms = {}
+        before, clock = comm16.stats.as_dict(), comm16.elapsed()
+        with pytest.raises(ValueError, match=message):
+            dynamic_spgemm_general(
+                comm16, grid16, a_old, da, db, a_star, None, c, blooms
+            )
+        assert comm16.stats.as_dict() == before
+        assert comm16.elapsed() == clock
 
     def test_boolean_semiring_deletion(self, comm16, grid16):
         n = 12
