@@ -53,6 +53,7 @@ from repro.graphs import TABLE1_INSTANCES, rmat_edges
 from repro.perf import perf_count
 from repro.runtime import (
     REPARTITION_ENV_VAR,
+    CommStats,
     MachineModel,
     MPIBackend,
     ProcessGrid,
@@ -80,6 +81,7 @@ from repro.scenarios import (
     with_checkpoint,
     with_crash,
 )
+from repro.scenarios.engine import global_stats_diff
 from repro.semirings import PLUS_TIMES
 from repro.service import GraphService, ServiceConfig
 from repro.sparse import DHBMatrix
@@ -121,12 +123,13 @@ class Cell:
 
     ``run`` performs the workload once.  In a :attr:`Figure.recorded`
     figure it returns the elapsed seconds (simulated or wall-clock,
-    whichever the figure reports) and the runner's ``PerfRecorder``
-    supplies counters and comm volume; otherwise it returns a
+    whichever the figure reports) and the run's per-category
+    ``CommStats`` dict, merged over the world, while the runner's
+    ``PerfRecorder`` supplies the counters; otherwise it returns a
     :class:`Sample`.
     """
 
-    run: Callable[[], "float | Sample"]
+    run: Callable[[], "Recorded | Sample"]
     backend: str
     layout: str
     #: the variant-free scenario tag (``None``: the run carries no tag)
@@ -136,6 +139,8 @@ class Cell:
 
 
 Plan = tuple[list[Cell], Callable[[], dict[str, Any]]]
+#: what a recorded cell's thunk returns: seconds and ``CommStats.as_dict()``
+Recorded = tuple[float, dict[str, dict[str, float]]]
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,7 @@ def _replay_cell(
     over the update steps become ``breakdown.<category>.seconds`` counters.
     """
 
-    def run() -> float:
+    def run() -> Recorded:
         comm = make_communicator(backend, n_ranks=n_ranks, machine=machine)
         result = replay(
             scenario,
@@ -215,7 +220,7 @@ def _replay_cell(
         )
         for category, spent in result.breakdown(breakdown).items():
             perf_count(f"breakdown.{category}.seconds", spent)
-        return seconds(result)
+        return seconds(result), result.comm_stats
 
     return Cell(run, backend, layout, tag, variant)
 
@@ -531,6 +536,11 @@ def _fig04_plan(ctx: Context) -> Plan:
 # ----------------------------------------------------------------------
 # ablations: the mechanisms the design rests on, as bare kernel calls
 # ----------------------------------------------------------------------
+def _world_comm(comm) -> dict[str, dict[str, float]]:
+    """Everything ``comm`` recorded so far, merged over the world."""
+    return global_stats_diff(comm, CommStats()).as_dict()
+
+
 def _ablation_redistribution_plan(ctx: Context) -> Plan:
     """Two-phase vs single-phase routing, counting vs comparison sort.
 
@@ -553,12 +563,12 @@ def _ablation_redistribution_plan(ctx: Context) -> Plan:
     }
 
     def cell(strategy: str, sort_mode: str, backend: str) -> Cell:
-        def run() -> float:
+        def run() -> Recorded:
             comm = make_communicator(backend, n_ranks=p, machine=profile.machine)
             perf_count("ablation.tuples", batch_total)
             with comm.timer() as timer:
                 routes[strategy](comm, grid, dist, per_rank, sort_mode=sort_mode)
-            return timer.seconds
+            return timer.seconds, _world_comm(comm)
 
         return Cell(run, backend, "csr", f"{strategy}@{sort_mode}")
 
@@ -601,7 +611,7 @@ def _ablation_summa_crossover_plan(ctx: Context) -> Plan:
     shape = (workload.n, workload.n)
 
     def cell(fraction: float, algorithm: str, backend: str) -> Cell:
-        def run() -> float:
+        def run() -> Recorded:
             comm = make_communicator(
                 backend, n_ranks=p, machine=profile.spgemm_machine
             )
@@ -629,7 +639,7 @@ def _ablation_summa_crossover_plan(ctx: Context) -> Plan:
             perf_count("ablation.update_nnz", a_star.nnz())
             with comm.timer() as timer:
                 CROSSOVER_ALGORITHMS[algorithm](comm, grid, a, b, a_star, c)
-            return timer.seconds
+            return timer.seconds, _world_comm(comm)
 
         return Cell(run, backend, "csr", f"f{fraction}", algorithm)
 

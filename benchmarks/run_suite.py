@@ -3,8 +3,9 @@
 
 Every figure of ``benchmarks/figures.py`` goes through the same steps,
 written here once: resolve the variant axis, plan the cells, measure each
-(warm-up, repeats, the median time plus the counters and comm volume of
-a :class:`repro.perf.PerfRecorder` or of the cell's own samples), tag the
+(warm-up, repeats, the median time plus the counters of a
+:class:`repro.perf.PerfRecorder` and the comm volume the cell's world
+recorded, or the cell's own samples), tag the
 runs, assemble and validate the document, and let world rank 0 write it.
 The documents are the input of the regression gate
 ``python -m repro.perf.compare`` (see ``docs/performance.md`` for the
@@ -79,12 +80,12 @@ def measure(figure: Figure, cell: Cell, repeats: int) -> dict[str, Any]:
             outs.append(cell.run())
     if figure.recorded:
         # counters and comm are deterministic: the last repeat's stand
-        seconds = outs
-        counters, comm, categories = (
-            recorder.counters,
-            recorder.total_comm(),
-            recorder.comm,
-        )
+        seconds = [t for t, _ in outs]
+        counters, categories = recorder.counters, outs[-1][1]
+        comm = {
+            key: sum(totals[key] for totals in categories.values())
+            for key in ("messages", "bytes")
+        }
     else:
         seconds = [t for out in outs for t in out.seconds]
         categories = {}
@@ -240,9 +241,10 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
         )
         # Under a multi-process launch every process measures (one SPMD
-        # program) but only world rank 0 writes: the comm volume is
-        # identical on every rank by construction, and concurrent writers
-        # would race on the files.
+        # program) but only world rank 0 writes, since concurrent writers
+        # would race on the files.  The comm volume is merged over the
+        # world, so it is the same on every process; the counters stay
+        # world rank 0's own.
         if world_rank() != 0:
             continue
         os.makedirs(args.out, exist_ok=True)

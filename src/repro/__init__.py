@@ -24,8 +24,8 @@ The package provides
   figure of the paper (:mod:`repro.bench`),
 * replayable, fully seeded dynamic-graph scenarios and the cross-backend
   replay driver (:mod:`repro.scenarios`),
-* unified performance instrumentation — counters, the per-category
-  communication funnel and the ``BENCH_*.json`` regression harness
+* unified performance instrumentation — counters and the
+  ``BENCH_*.json`` regression harness
   (:mod:`repro.perf`).
 """
 

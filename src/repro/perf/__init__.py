@@ -3,15 +3,14 @@
 Three pieces, layered bottom to top:
 
 ``recorder``
-    :class:`PerfRecorder` — a counter registry plus a per-category
-    communication-volume mirror of ``CommStats``.  One module-level
-    *active* recorder (installed with :func:`use_recorder`) is consulted by
-    the :func:`perf_count` probes of the instrumented kernels (local
-    SpGEMM, DHB batch insertion, tuple redistribution, the applications)
-    and by both communicator backends through the :func:`record_comm_event`
-    funnel — the single code path that accounts bytes/messages for
-    ``SimMPI`` *and* ``MPIBackend``.  When no recorder is active every probe is a cheap
-    no-op, so production code pays almost nothing.
+    :class:`PerfRecorder` — a registry of named counters.  One
+    module-level *active* recorder (installed with :func:`use_recorder`)
+    is consulted by the :func:`perf_count` probes of the instrumented
+    kernels (local SpGEMM, DHB batch insertion, tuple redistribution, the
+    communicator backends, the applications).  When no recorder is active
+    every probe is a cheap no-op, so production code pays almost nothing.
+    Communication volume is not a counter: each communicator accounts its
+    own traffic in its ``CommStats`` (``comm.stats``).
 
 ``schema``
     The checked-in ``BENCH_<fig>.json`` document schema
@@ -37,7 +36,6 @@ from repro.perf.recorder import (
     PerfRecorder,
     get_recorder,
     perf_count,
-    record_comm_event,
     use_recorder,
 )
 #: names resolved lazily from their submodule, so that running the CLIs as
@@ -74,7 +72,6 @@ __all__ = [
     "get_recorder",
     "use_recorder",
     "perf_count",
-    "record_comm_event",
     "BENCH_SCHEMA",
     "BENCH_SCHEMA_VERSION",
     "BenchSchemaError",

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: Version stamped into every document; bump on incompatible layout changes.
-BENCH_SCHEMA_VERSION = 2
+BENCH_SCHEMA_VERSION = 3
 
 _NUMBER = {"type": "number"}
 _STRING = {"type": "string"}

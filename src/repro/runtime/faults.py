@@ -23,7 +23,11 @@ Faults never corrupt results: a dropped message is charged once in its
 nominal category (the payload is assumed retransmitted) and once more in
 :data:`repro.runtime.stats.StatCategory.RECOVERY` for the retransmission,
 so all non-recovery categories stay byte-identical to a fault-free run.
-Delays add modelled seconds only.  Kills raise :class:`SimulatedCrash`,
+Delays add modelled seconds only.  Drops and delays apply to one
+communicator: :func:`repro.scenarios.replay.replay` binds
+:meth:`FaultInjector.on_message` to the ``faults`` field of the replaying
+communicator's ``CommStats`` for each attempt, so traffic any other
+communicator records meanwhile is never charged.  Kills raise :class:`SimulatedCrash`,
 which :func:`repro.scenarios.replay.replay` converts into a
 retry-or-restore recovery depending on its ``on_crash`` policy.
 """
@@ -32,11 +36,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from repro.runtime.stats import set_fault_hook
 
 __all__ = [
     "SimulatedCrash",
@@ -176,12 +178,13 @@ class FaultInjector:
       boundary; raises :class:`SimulatedCrash` the *first* time an armed
       kill point is reached (recovery replays the same step without the
       crash refiring, because fired kills are remembered).
-    * the message hook — installed into
-      :func:`repro.runtime.stats.set_fault_hook` while :meth:`activate` is
-      in effect; draws drop/delay decisions from a dedicated, seeded
+    * :meth:`on_message` — bound, per process, to the ``faults`` field of
+      the replaying communicator's
+      :class:`~repro.runtime.stats.CommStats` for the duration of a replay
+      attempt; draws drop/delay decisions from a dedicated, seeded
       counter-based stream (one draw per recorded message batch) and
       returns the retransmission/delay charge for the ``recovery``
-      category.
+      category.  Traffic of any other communicator is never charged.
 
     Drop/delay draws hash a per-injector counter with the plan seed, so
     determinism survives thread interleaving in loopback worlds: the k-th
@@ -193,7 +196,6 @@ class FaultInjector:
         self._fired_kills: set[tuple] = set()
         self._lock = threading.Lock()
         self._counters: dict[int, int] = {}
-        self._active = threading.local()
 
     # ------------------------------------------------------------------
     def check_step(self, step_index: int, process: int | None = None) -> None:
@@ -235,10 +237,6 @@ class FaultInjector:
             self._counters.clear()
 
     # ------------------------------------------------------------------
-    def activate(self, process: int = 0) -> "_InjectorActivation":
-        """Context manager arming the message hook for the calling thread."""
-        return _InjectorActivation(self, int(process))
-
     def _draw(self, process: int) -> float:
         with self._lock:
             count = self._counters.get(process, 0)
@@ -264,66 +262,4 @@ class FaultInjector:
         if plan.delay_one_in and draw < 1.0 / plan.delay_one_in:
             return (0, 0, float(plan.delay_seconds))
         return None
-
-
-@dataclass
-class _InjectorActivation:
-    """Arms the global stats fault hook for one ``with`` block."""
-
-    injector: FaultInjector
-    process: int
-    _previous_active: bool = field(default=False, repr=False)
-
-    def __enter__(self) -> FaultInjector:
-        local = self.injector._active
-        self._previous_active = getattr(local, "armed", False)
-        local.armed = True
-        local.process = self.process
-        _install_shared_hook(self.injector)
-        return self.injector
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.injector._active.armed = self._previous_active
-        _release_shared_hook(self.injector)
-
-
-# One process-wide hook dispatches to whichever injector armed the calling
-# thread; a refcount tracks nested/concurrent activations so the hook is
-# uninstalled only when the last activation exits.
-_HOOK_LOCK = threading.Lock()
-_HOOK_USERS: dict[int, int] = {}
-_HOOK_INJECTORS: dict[int, FaultInjector] = {}
-
-
-def _shared_hook(
-    category: str, messages: int, nbytes: int
-) -> tuple[int, int, float] | None:
-    for injector in list(_HOOK_INJECTORS.values()):
-        local = injector._active
-        if getattr(local, "armed", False):
-            return injector.on_message(
-                getattr(local, "process", 0), category, messages, nbytes
-            )
-    return None
-
-
-def _install_shared_hook(injector: FaultInjector) -> None:
-    with _HOOK_LOCK:
-        key = id(injector)
-        _HOOK_USERS[key] = _HOOK_USERS.get(key, 0) + 1
-        _HOOK_INJECTORS[key] = injector
-        set_fault_hook(_shared_hook)
-
-
-def _release_shared_hook(injector: FaultInjector) -> None:
-    with _HOOK_LOCK:
-        key = id(injector)
-        count = _HOOK_USERS.get(key, 0) - 1
-        if count <= 0:
-            _HOOK_USERS.pop(key, None)
-            _HOOK_INJECTORS.pop(key, None)
-        else:
-            _HOOK_USERS[key] = count
-        if not _HOOK_INJECTORS:
-            set_fault_hook(None)
 

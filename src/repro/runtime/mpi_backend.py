@@ -35,7 +35,7 @@ import warnings
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.perf.recorder import perf_count, record_comm_event
+from repro.perf.recorder import perf_count
 from repro.runtime.backend import CommRequest, check_rank, normalize_group
 from repro.runtime.config import MachineModel
 from repro.runtime.partitioner import RoundRobinPartitioner, verify_placement
@@ -287,8 +287,7 @@ class MPIBackend:
                     block_maps[index][rank] = block
         self.interprocess_bytes += total_bytes
         self.interprocess_messages += moved
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=moved,
@@ -394,8 +393,7 @@ class MPIBackend:
         start = time.perf_counter()
         result = fn(*args, **kwargs)
         measured = time.perf_counter() - start
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             modeled_seconds=measured,
@@ -467,8 +465,7 @@ class MPIBackend:
             for bucket in arrived:
                 for src, dst, payload in bucket:
                     inbox.setdefault(dst, []).append((src, payload))
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_msgs,
@@ -545,8 +542,7 @@ class MPIBackend:
             for bucket in arrived:
                 for src, dst, payload in bucket:
                     recvbufs[dst][src] = payload
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_msgs,
@@ -583,8 +579,7 @@ class MPIBackend:
             # One physical copy crosses into this process from root's.
             self.interprocess_bytes += nbytes
             self.interprocess_messages += 1
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_recv,
@@ -624,8 +619,7 @@ class MPIBackend:
                 merged = {}
                 for part in parts:
                     merged.update(part)
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_msgs,
@@ -667,8 +661,7 @@ class MPIBackend:
                     for q in range(self.world_size)
                 ]
             part = self._comm.scatter(parts, root=self.owner_of(root))
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_msgs,
@@ -706,8 +699,7 @@ class MPIBackend:
             remote = [r for r in ranks if not self.owns(r)]
             self.interprocess_bytes += sum(sizes[r] for r in remote)
             self.interprocess_messages += len(remote)
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=len(owned) * (g - 1),
@@ -777,8 +769,7 @@ class MPIBackend:
                     else:
                         folded = combine(folded, value)
                 result = folded
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=sum(1 for r in order[1:] if self.owns(r)),
@@ -887,8 +878,7 @@ class MPIBackend:
                 )
                 self.interprocess_bytes += payload_nbytes(payload)
                 self.interprocess_messages += 1
-            record_comm_event(
-                self.stats,
+            self.stats.record(
                 category,
                 operations=1,
                 messages=0 if src == dst else 1,

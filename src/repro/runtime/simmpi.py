@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.perf.recorder import perf_count, record_comm_event
+from repro.perf.recorder import perf_count
 from repro.runtime.backend import CommRequest, check_rank, normalize_group
 from repro.runtime.config import MachineModel
 from repro.runtime.stats import CommStats, StatCategory
@@ -207,8 +207,7 @@ class SimMPI:
         measured = time.perf_counter() - start
         modeled = self.machine.compute_time(measured)
         self._clock[rank] += modeled
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             modeled_seconds=modeled,
@@ -289,8 +288,7 @@ class SimMPI:
         for rank, t in arrival.items():
             self._clock[rank] = max(self._clock[rank], t)
         modeled = float(self._clock.max() - before.max()) if msgs else 0.0
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_msgs,
@@ -371,8 +369,7 @@ class SimMPI:
             finish = t0 + max(send_cost[r], recv_cost[r])
             self._clock[r] = finish
             max_finish = max(max_finish, finish)
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_msgs,
@@ -404,8 +401,7 @@ class SimMPI:
         cost = rounds * (self.machine.alpha + self.machine.beta * nbytes)
         t0 = float(self._clock[ranks].max())
         self._clock[ranks] = t0 + cost
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=max(0, g - 1),
@@ -444,8 +440,7 @@ class SimMPI:
                 total_bytes += nbytes
                 n_msgs += 1
         self._clock[root] = t0 + root_cost
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_msgs,
@@ -480,8 +475,7 @@ class SimMPI:
                 total_bytes += nbytes
                 n_msgs += 1
         self._clock[root] = t0 + root_cost
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_msgs,
@@ -512,8 +506,7 @@ class SimMPI:
         }
         for r in ranks:
             self._clock[r] = t0 + per_rank_cost[r]
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=g * (g - 1),
@@ -572,8 +565,7 @@ class SimMPI:
                 next_active.append(dst)
             active = next_active
         modeled = float(self._clock[ranks].max() - t0)
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=n_msgs,
@@ -625,8 +617,7 @@ class SimMPI:
         full = max(costs.values()) if costs else 0.0
         exposed = max(0.0, after_max - before_max)
         hidden = max(0.0, full - exposed)
-        record_comm_event(
-            self.stats,
+        self.stats.record(
             category,
             operations=1,
             messages=messages,
@@ -705,8 +696,7 @@ class SimMPI:
             # transfer-cost share counts as exposed communication here.
             exposed = min(max(0.0, float(self._clock[dst]) - before), cost)
             hidden = max(0.0, cost - exposed)
-            record_comm_event(
-                self.stats,
+            self.stats.record(
                 category,
                 operations=1,
                 messages=0 if src == dst else 1,

@@ -10,7 +10,11 @@ The paper breaks running time down into named phases:
 :class:`CommStats` accumulates, per category: number of operations, number
 of point-to-point messages, bytes moved, modelled (parallel) seconds and
 measured (single-core wall-clock) seconds.  The benchmark harness snapshots
-and diffs these counters to regenerate the breakdown figures.
+and diffs these counters to regenerate the breakdown figures.  Each
+communicator owns one ``CommStats`` (``comm.stats``) and records every
+event into it directly; it is the only ledger of a communicator's traffic.
+A fault injector is bound to one ``CommStats`` through its ``faults``
+field, so injected faults charge only the communicator being replayed.
 """
 
 from __future__ import annotations
@@ -23,25 +27,7 @@ __all__ = [
     "StatCategory",
     "CategoryTotals",
     "CommStats",
-    "set_fault_hook",
 ]
-
-#: Optional fault-injection hook consulted on every recorded observation
-#: that moves messages.  Installed by :mod:`repro.runtime.faults`; returns
-#: ``(retransmitted_messages, retransmitted_bytes, delay_seconds)`` for the
-#: traffic the injected faults add (charged to ``StatCategory.RECOVERY``),
-#: or ``None`` when no fault fires.  Kept here (not in the backends) so one
-#: hook covers every communicator that funnels through ``CommStats``.
-_FAULT_HOOK: "Callable[[str, int, int], tuple[int, int, float] | None] | None" = None
-
-
-def set_fault_hook(
-    hook: "Callable[[str, int, int], tuple[int, int, float] | None] | None",
-) -> None:
-    """Install (or clear, with ``None``) the global fault-injection hook."""
-    global _FAULT_HOOK
-    _FAULT_HOOK = hook
-
 
 class StatCategory:
     """Well-known category names used throughout the repository."""
@@ -170,6 +156,14 @@ class CommStats:
     #: state reconstruction is accounted as recovery, never as ordinary
     #: protocol traffic (which must stay byte-identical to a clean run)
     redirect_to: str | None = field(default=None, repr=False, compare=False)
+    #: fault injection bound to this communicator, consulted on every
+    #: recorded observation that moves messages: ``(category, messages,
+    #: bytes)`` to ``(retransmitted_messages, retransmitted_bytes,
+    #: delay_seconds)`` charged to ``StatCategory.RECOVERY``, or ``None``
+    #: when no fault fires.  Never carried by snapshots, diffs or merges.
+    faults: "Callable[[str, int, int], tuple[int, int, float] | None] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def category(self, name: str) -> CategoryTotals:
@@ -201,11 +195,11 @@ class CommStats:
             measured_seconds=measured_seconds,
         )
         if (
-            _FAULT_HOOK is not None
+            self.faults is not None
             and messages > 0
             and name != StatCategory.RECOVERY
         ):
-            fault = _FAULT_HOOK(name, messages, nbytes)
+            fault = self.faults(name, messages, nbytes)
             if fault is not None:
                 retrans_messages, retrans_bytes, delay_seconds = fault
                 self.category(StatCategory.RECOVERY).add(

@@ -29,8 +29,8 @@ passed whole, field by field as keywords, or both (keywords win).
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 
 from repro.runtime import RuntimeConfig, backend_name_of, make_communicator
 from repro.runtime.backend import Communicator
@@ -123,7 +123,8 @@ def replay(
         ``REPRO_FAULTS``-grammar string, or a pre-armed
         :class:`~repro.runtime.faults.FaultInjector` (pass the same
         injector across recovery attempts so fired kills do not refire).
-        Defaults to the ``REPRO_FAULTS`` switch.
+        Drops and delays are charged to ``comm.stats`` only.  Defaults to
+        the ``REPRO_FAULTS`` switch.
     on_crash:
         What to do when an injected crash fires: ``"raise"`` (default —
         the multi-process harness catches it and restarts the world),
@@ -210,8 +211,12 @@ def _replay_once(
         injector=injector,
         world_rank=world_rank,
     )
-    armed = injector.activate(world_rank) if injector is not None else nullcontext()
-    with armed:
+    previous = comm.stats.faults
+    if injector is not None:
+        comm.stats.faults = partial(injector.on_message, world_rank)
+    try:
         engine.begin(resume=resume)
         engine.advance()
+    finally:
+        comm.stats.faults = previous
     return engine.result(collect_final=opts.collect_final)

@@ -1,11 +1,11 @@
 """Tests for the perf instrumentation subsystem (`repro.perf`).
 
-Covers: counter/comm merge across per-rank recorders, the backend
-accounting funnel, BENCH schema round-trips and the compare gate's
-pass/fail thresholds — plus the instrumentation contract of the replay
-driver (counters show up, the recorder's comm mirror agrees with
-``CommStats`` per category) and the ``benchmarks/`` figure registry with
-its one runner, on reduced cells.
+Covers: recorder counters, each backend's accounting into its own
+``CommStats``, BENCH schema round-trips and the compare gate's pass/fail
+thresholds — plus the instrumentation contract of the replay driver
+(counters show up, injected faults charge only the replayed
+communicator) and the ``benchmarks/`` figure registry with its one
+runner, on reduced cells.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import functools
 import json
 import pathlib
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -33,8 +34,15 @@ from repro.perf import (
 )
 from repro.bench.config import get_profile
 from repro.competitors import PETScBackend
-from repro.runtime import EmulatedComm, SimMPI, StatCategory, make_communicator
-from repro.scenarios import grow_from_empty, library_scenarios, replay
+from repro.runtime import (
+    CommStats,
+    EmulatedComm,
+    SimMPI,
+    StatCategory,
+    make_communicator,
+    run_spmd,
+)
+from repro.scenarios import NativeExecutor, grow_from_empty, library_scenarios, replay
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
 
@@ -43,37 +51,23 @@ import run_suite as bench_runner  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# recorder: counters, comm, merge
+# recorder counters and each communicator's own CommStats
 # ----------------------------------------------------------------------
 def test_counters_and_comm_attribution():
     rec = PerfRecorder()
     rec.count("widgets", 3)
-    rec.record_comm("bcast", messages=4, nbytes=100, seconds=0.5)
-    rec.record_comm("bcast", messages=1, nbytes=10, seconds=0.1)
-    assert rec.counters["widgets"] == 3
-    assert rec.comm["bcast"] == {
-        "events": 2,
+    stats = CommStats()
+    stats.record("bcast", operations=1, messages=4, nbytes=100, modeled_seconds=0.5)
+    stats.record("bcast", operations=1, messages=1, nbytes=10, modeled_seconds=0.1)
+    assert rec.counters == {"widgets": 3}
+    assert stats.as_dict()["bcast"] == {
+        "operations": 2,
         "messages": 5,
         "bytes": 110,
-        "seconds": pytest.approx(0.6),
+        "modeled_seconds": pytest.approx(0.6),
+        "measured_seconds": 0.0,
     }
-    assert rec.total_comm() == {"messages": 5, "bytes": 110}
-
-
-def test_merge_across_ranks_sums_everything():
-    ranks = []
-    for rank in range(3):
-        rec = PerfRecorder()
-        rec.count("entries", 10 * (rank + 1))
-        rec.record_comm("alltoall", messages=2, nbytes=rank + 1)
-        ranks.append(rec)
-    merged = PerfRecorder()
-    for rec in ranks:
-        merged.merge(rec)
-    assert merged.counters["entries"] == 60
-    assert merged.comm["alltoall"]["events"] == 3
-    assert merged.comm["alltoall"]["messages"] == 6
-    assert merged.comm["alltoall"]["bytes"] == 6
+    assert (stats.total_messages(), stats.total_bytes()) == (5, 110)
 
 
 def test_module_probes_noop_without_active_recorder():
@@ -94,53 +88,76 @@ def test_use_recorder_nests_and_restores():
     assert outer.counters == {}
 
 
-def test_backend_funnel_records_into_stats_and_recorder():
-    rec = PerfRecorder()
-    with use_recorder(rec):
-        comm = SimMPI(4)
-        comm.exchange([(0, 1, np.zeros(8)), (2, 3, np.zeros(4))])
-    # CommStats side (unchanged semantics)
+def test_backend_records_into_its_own_stats():
+    comm = SimMPI(4)
+    comm.exchange([(0, 1, np.zeros(8)), (2, 3, np.zeros(4))])
+    assert comm.stats.categories["send_recv"].operations == 1
     assert comm.stats.categories["send_recv"].messages == 2
     assert comm.stats.categories["send_recv"].bytes == 96
-    # recorder side: the same event, in the same category
-    assert rec.comm["send_recv"]["events"] == 1
-    assert rec.comm["send_recv"]["messages"] == 2
-    assert rec.comm["send_recv"]["bytes"] == 96
 
 
 def test_replay_populates_counters_and_comm():
     scenario = grow_from_empty(n=48, n_batches=2, batch=64, seed=5)
     rec = PerfRecorder()
+    comm = SimMPI(4)
     with use_recorder(rec):
-        result = replay(scenario, n_ranks=4, collect_final=False)
+        result = replay(scenario, comm=comm, collect_final=False)
     assert rec.counters["dhb.insert.entries"] > 0
     assert rec.counters["redistribute.tuples"] > 0
-    assert rec.comm["redist_comm"]["bytes"] > 0
-    assert rec.total_comm()["bytes"] == sum(
-        totals["bytes"] for totals in result.comm_stats.values()
-    )
+    assert result.comm_stats["redist_comm"]["bytes"] > 0
+    # the result reports everything the communicator recorded
+    assert result.total_comm_bytes() == comm.stats.total_bytes()
+    assert result.total_comm_messages() == comm.stats.total_messages()
+
+
+def _volumes(comm_stats):
+    return {
+        category: (totals["messages"], totals["bytes"])
+        for category, totals in comm_stats.items()
+    }
+
+
+class _BystanderExecutor(NativeExecutor):
+    """Also exchanges on a communicator of its own at every update step."""
+
+    def __init__(self, bystander, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.bystander = bystander
+
+    def apply(self, step, per_rank):
+        self.bystander.exchange([(0, 1, np.zeros(4)), (1, 0, np.zeros(4))])
+        return super().apply(step, per_rank)
 
 
 @pytest.mark.parametrize("backend", ["sim", "mpi"])
 @pytest.mark.parametrize(
     "scenario", library_scenarios(), ids=lambda scenario: scenario.name
 )
-def test_recorder_comm_mirror_agrees_with_comm_stats(scenario, backend):
-    """BENCH ``comm_categories`` (the recorder) and the ``breakdown.*``
-    counters (``CommStats``) describe the same events, category by category."""
-    extra = {"comm": EmulatedComm()} if backend == "mpi" else {}
-    comm = make_communicator(backend, n_ranks=4, **extra)
-    rec = PerfRecorder()
-    with use_recorder(rec):
-        result = replay(scenario, comm=comm, collect_final=False)
-    stats = result.comm_stats
-    assert set(rec.comm) <= set(stats)
-    for category, totals in stats.items():
-        mirror = rec.comm.get(category, {"messages": 0, "bytes": 0})
-        assert (mirror["messages"], mirror["bytes"]) == (
-            totals["messages"],
-            totals["bytes"],
-        ), category
+def test_injected_faults_charge_only_the_replaying_communicator(scenario, backend):
+    """Drops are charged to the replayed communicator's ``CommStats``: a
+    bystander exchanging on its own communicator during the replay is
+    charged nothing and leaves the replay's accounting unchanged."""
+
+    def run(executor_factory):
+        extra = {"comm": EmulatedComm()} if backend == "mpi" else {}
+        comm = make_communicator(backend, n_ranks=4, **extra)
+        result = replay(
+            scenario,
+            comm=comm,
+            faults="drop=1/3;seed=5",
+            executor_factory=executor_factory,
+            collect_final=False,
+        )
+        assert comm.stats.faults is None  # unbound once the replay returns
+        return _volumes(result.comm_stats)
+
+    bystander = SimMPI(2)
+    alone = run(None)
+    beside = run(functools.partial(_BystanderExecutor, bystander))
+    assert alone[StatCategory.RECOVERY][0] > 0
+    assert beside == alone
+    assert bystander.stats.total_messages() > 0
+    assert StatCategory.RECOVERY not in bystander.stats.categories
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +454,34 @@ def test_replay_figures_record_counters_and_comm():
     assert any(c.startswith("app_contract") for c in counters)
 
 
+def test_recorded_cell_reports_world_comm_under_loopback(monkeypatch):
+    """Every process of a multi-process world reports the comm of the
+    whole world, not of the logical ranks it owns."""
+    scenario = grow_from_empty(n=48, n_batches=2, batch=64, seed=5)
+    machine = get_profile("smoke").machine
+
+    def cell(backend):
+        return bench_figures._replay_cell(
+            scenario, backend=backend, n_ranks=4, machine=machine
+        )
+
+    _, expected = cell("sim").run()
+    # each thread of the world builds its MPIBackend on its own LoopbackComm
+    local = threading.local()
+    monkeypatch.setattr(
+        bench_figures,
+        "make_communicator",
+        lambda backend, **kwargs: make_communicator(backend, comm=local.comm, **kwargs),
+    )
+
+    def process(comm_obj, _rank):
+        local.comm = comm_obj
+        return cell("mpi").run()[1]
+
+    first, second = run_spmd(2, process)
+    assert _volumes(first) == _volumes(second) == _volumes(expected)
+
+
 def test_run_suite_cli_writes_and_rejects(tmp_path, capsys):
     argv = ["--backends", "sim", "--layouts", "csr", "--repeats", "1"]
     out = ["--out", str(tmp_path)]
@@ -698,10 +743,8 @@ def test_comm_volume_identical_across_backends():
     scenario = grow_from_empty(n=48, n_batches=2, batch=64, seed=5)
     volumes = {}
     for backend in ("sim", "mpi"):
-        rec = PerfRecorder()
         comm = make_communicator(backend, n_ranks=4, comm=EmulatedComm()) \
             if backend == "mpi" else make_communicator(backend, n_ranks=4)
-        with use_recorder(rec):
-            replay(scenario, comm=comm, collect_final=False)
-        volumes[backend] = rec.total_comm()
+        result = replay(scenario, comm=comm, collect_final=False)
+        volumes[backend] = _volumes(result.comm_stats)
     assert volumes["sim"] == volumes["mpi"]
