@@ -2,13 +2,14 @@
 
 A :class:`Figure` is data: the document's title, rank count and default
 seed/repeats, how its cells are measured, at most one *variant axis*
-(competitor, micro-batch size, partitioner) and one hook,
+(competitor, micro-batch size, partitioner), one hook,
 :attr:`Figure.plan`, that turns the resolved command line (a
-:class:`Context`) into the :class:`Cell` list plus the ``extras``.  A cell
-is a tag and a thunk; everything else — warm-up, repeats, medians, variant
-tags, validation, writing — is ``benchmarks/run_suite.py``'s job, written
-there once.  :data:`FIGURES` is the registry; ``docs/performance.md`` has
-the figure/variant/CI-gate table.
+:class:`Context`) into the :class:`Cell` list plus the ``extras``, and the
+:class:`Claim` list the paper makes on those cells.  A cell is a tag and a
+thunk; everything else — warm-up, repeats, medians, variant tags, checking
+the claims, validation, writing — is ``benchmarks/run_suite.py``'s job,
+written there once.  :data:`FIGURES` is the registry; ``docs/performance.md``
+has the figure and claim tables.
 
 The paper's own artefacts (Table I, Figs. 3–12, the ablations) come first:
 every cell of Figs. 3–12 is one :func:`repro.scenarios.replay` of a
@@ -23,7 +24,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
-from operator import attrgetter, methodcaller
+from operator import attrgetter, le, lt, methodcaller
 from typing import Any, Callable, Mapping, Sequence
 from unittest import mock
 
@@ -98,13 +99,8 @@ class Context:
     seed: int
     backends: tuple[str, ...]
     layouts: tuple[str, ...]
-    #: the selected values of the figure's variant axis (empty: no axis)
+    #: the values of the figure's variant axis (empty: no axis)
     variants: tuple[str, ...] = ()
-
-    @property
-    def combined(self) -> bool:
-        """Several variants share this document (tags carry the variant)."""
-        return len(self.variants) > 1
 
 
 @dataclass(frozen=True)
@@ -143,6 +139,79 @@ Plan = tuple[list[Cell], Callable[[], dict[str, Any]]]
 Recorded = tuple[float, dict[str, dict[str, float]]]
 
 
+class MissingCell(LookupError):
+    """A measured claim read a cell its document does not hold."""
+
+
+class Cells:
+    """The measured ``runs[]`` entries a claim reads, by ``(tag, variant)``.
+
+    Only the cells on the claim's backend and layout are visible (``None``
+    filters nothing), so every ``(tag, variant)`` names one run.
+    """
+
+    def __init__(
+        self,
+        measured: Sequence[tuple[Cell, dict[str, Any]]],
+        backend: str | None,
+        layout: str | None,
+    ) -> None:
+        self._runs: dict[tuple[str | None, str | None], dict[str, Any]] = {}
+        for cell, run in measured:
+            if backend in (None, cell.backend) and layout in (None, cell.layout):
+                if self._runs.setdefault((cell.tag, cell.variant), run) is not run:
+                    raise ValueError(f"two runs of cell {cell.tag!r}:{cell.variant!r}")
+
+    def __call__(self, tag: str, variant: str | None = None) -> dict[str, Any]:
+        """The run of one cell; a cell that was not measured raises."""
+        try:
+            return self._runs[tag, variant]
+        except KeyError:
+            raise MissingCell(f"no measured cell {tag!r} of {variant!r}") from None
+
+    def tags(self, variant: str | None = None) -> list[str]:
+        """The tags measured for ``variant``, in run order; none raises."""
+        tags = [tag for tag, name in self._runs if name == variant]
+        if not tags:
+            raise MissingCell(f"no measured cell of {variant!r}")
+        return tags
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One comparative claim, checked on the runs of the document that measures it.
+
+    ``kind`` says what the tested number is made of: ``count`` (a
+    deterministic volume or counter), ``simulated`` (SimMPI seconds, which
+    at smoke scale still contain measured compute, so a failure re-measures
+    the figure once) or ``wall`` (the wall clock).
+    """
+
+    #: the claim, threshold included
+    name: str
+    #: where the paper makes it
+    paper: str
+    kind: str
+    #: ``test(cells)`` returns the number it tested and whether the claim holds
+    test: Callable[[Cells], tuple[float, bool]]
+    #: the ``--backends`` entry the claim's cells need (``None``: the figure
+    #: pins its cells' backend)
+    backend: str | None = "sim"
+    #: the ``--layouts`` entry they need (``None``: the cells have no choice)
+    layout: str | None = None
+
+    def record(
+        self, ctx: Context, measured: Sequence[tuple[Cell, dict[str, Any]]]
+    ) -> dict[str, Any]:
+        """The document's ``claims[]`` entry of this claim."""
+        entry = {"name": self.name, "paper": self.paper, "kind": self.kind}
+        backend_measured = self.backend in (None, *ctx.backends)
+        if not (backend_measured and self.layout in (None, *ctx.layouts)):
+            return {**entry, "status": "not measured"}
+        value, holds = self.test(Cells(measured, self.backend, self.layout))
+        return {**entry, "status": "holds" if holds else "fails", "value": float(value)}
+
+
 @dataclass(frozen=True)
 class Figure:
     """One ``BENCH_<name>.json`` document, declaratively."""
@@ -161,13 +230,15 @@ class Figure:
     warmup: bool = False
     #: the runner installs a ``PerfRecorder`` around every repeat
     recorded: bool = True
-    #: the accepted values of the variant axis (empty: no axis)
+    #: the values of the variant axis (empty: no axis)
     variants: tuple[str, ...] = ()
-    #: joins tag and variant in a combined document
+    #: joins a cell's tag and variant into its run's ``scenario``
     variant_sep: str = ":"
     #: the cells drive their own worlds, so under ``mpiexec`` only world
     #: rank 0 runs them
     rank0_only: bool = False
+    #: what the paper claims on this figure's cells
+    claims: tuple[Claim, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -775,8 +846,8 @@ def _service_plan(ctx: Context) -> Plan:
     request (the naive baseline), and the applied step count is a counter
     so the round reduction shows next to the wall-clock win.  ``query``
     (contraction, the app-free query every tenant supports) and
-    ``tenants@T`` (``T`` workloads on **one** persistent world) belong to
-    the combined document only.
+    ``tenants@T`` (``T`` workloads on **one** persistent world) have no
+    variant.
     """
     shape = (SERVICE_N, SERVICE_N)
     seed = ctx.seed
@@ -842,12 +913,11 @@ def _service_plan(ctx: Context) -> Plan:
         return Cell(run, "sim", "csr", f"tenants@{n_tenants}")
 
     cells = [ingest_cell(size) for size in ctx.variants]
-    if ctx.combined:
-        cells.append(Cell(query, "sim", "csr", "query"))
-        cells.extend(tenants_cell(count) for count in SERVICE_TENANT_COUNTS)
+    cells.append(Cell(query, "sim", "csr", "query"))
+    cells.extend(tenants_cell(count) for count in SERVICE_TENANT_COUNTS)
     return cells, lambda: {
         "flush_sizes": [int(size) for size in ctx.variants],
-        "tenant_counts": list(SERVICE_TENANT_COUNTS) if ctx.combined else [],
+        "tenant_counts": list(SERVICE_TENANT_COUNTS),
         "n_requests": SERVICE_REQUESTS,
         "request_tuples": SERVICE_REQUEST_TUPLES,
         "shape": list(shape),
@@ -1026,6 +1096,100 @@ def _checkpoint_plan(ctx: Context) -> Plan:
 
 
 # ----------------------------------------------------------------------
+# the claims
+# ----------------------------------------------------------------------
+def _within(pairs, factor: float, relation=le) -> tuple[float, bool]:
+    """The largest ``current / base`` of the ``(current, base)`` pairs, and
+    whether ``relation(current, factor * base)`` holds for every pair."""
+    pairs = list(pairs)
+    worst = max(current / base for current, base in pairs)
+    return worst, all(relation(current, factor * base) for current, base in pairs)
+
+
+def _seconds(run: Mapping[str, Any]) -> float:
+    return run["elapsed_seconds_median"]
+
+
+def _batch_ends(cells: Cells, variant: str) -> tuple[tuple[str, int], ...]:
+    """``(tag, per-rank batch)`` of the smallest and the largest batch of the
+    first instance ``variant`` measured (tags are ``<instance>@b<batch>``)."""
+    split = [tag.rpartition("@b") for tag in cells.tags(variant)]
+    sizes = sorted(int(size) for name, _, size in split if name == split[0][0])
+    return tuple((f"{split[0][0]}@b{size}", size) for size in (sizes[0], sizes[-1]))
+
+
+def _fig04_small_batch_penalty(cells: Cells) -> tuple[float, bool]:
+    """Per-non-zero cost at the smallest over the largest batch: ours vs CombBLAS."""
+
+    def penalty(system: str) -> float:
+        small, large = (_seconds(cells(tag, system)) / size for tag, size in ends)
+        return small / large
+
+    ends = _batch_ends(cells, "ours")
+    return _within([(penalty("ours"), penalty("combblas"))], 1.0, lt)
+
+
+def _fig09_seconds(cells: Cells) -> tuple[float, bool]:
+    (small, _), _ = _batch_ends(cells, "ours")
+    pair = (_seconds(cells(small, "ours")), _seconds(cells(small, "combblas")))
+    return _within([pair], 1.5, lt)
+
+
+def _fig09_bytes(cells: Cells) -> tuple[float, bool]:
+    small, large = (
+        cells(tag, "ours")["comm"]["bytes"] / cells(tag, "combblas")["comm"]["bytes"]
+        for tag, _ in _batch_ends(cells, "ours")
+    )
+    return small, small < 1.0 and small < large
+
+
+def _fig10_terms(cells: Cells) -> tuple[float, bool]:
+    pairs = [
+        (
+            cells(tag, "ours")["counters"]["spgemm.masked_terms"],
+            cells(tag, "combblas")["counters"]["spgemm.terms"],
+        )
+        for tag in cells.tags("ours")
+    ]
+    return _within(pairs, 1.0, lt)
+
+
+def _crossover(cells: Cells) -> tuple[float, bool]:
+    """Algorithm 1's speedup over SUMMA, sparsest over densest ``A*``."""
+    sparse, dense = (
+        _seconds(cells(f"f{fraction}", "summa"))
+        / _seconds(cells(f"f{fraction}", "dynamic"))
+        for fraction in (CROSSOVER_FRACTIONS[0], CROSSOVER_FRACTIONS[-1])
+    )
+    return sparse / dense, sparse >= 0.5 * dense
+
+
+def _nnz_share(run: Mapping[str, Any]) -> list[float]:
+    return [run["counters"]["partition.max_nnz_share"]]
+
+
+def _bytes(run: Mapping[str, Any]) -> list[float]:
+    return [run["comm"]["bytes"]]
+
+
+def _volume(run: Mapping[str, Any]) -> list[float]:
+    return [run["comm"]["messages"], run["comm"]["bytes"]]
+
+
+def _versus(variant: str, baseline: str, metrics, factor: float):
+    """``metrics(run)`` of ``variant`` at most ``factor`` times ``baseline``'s,
+    at every tag ``baseline`` measured."""
+
+    def test(cells: Cells) -> tuple[float, bool]:
+        pairs = []
+        for tag in cells.tags(baseline):
+            pairs += zip(metrics(cells(tag, variant)), metrics(cells(tag, baseline)))
+        return _within(pairs, factor)
+
+    return test
+
+
+# ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
 # Figs. 6/7 and 11/12 are two readings of one measurement: the elapsed
@@ -1061,6 +1225,15 @@ FIGURES: dict[str, Figure] = {
             "Batched insertions (Fig. 4 protocol)",
             _fig04_plan,
             variants=_SYSTEMS,
+            claims=(
+                Claim(
+                    "CombBLAS's per-non-zero cost grows more than ours from the "
+                    "largest to the smallest batch",
+                    "Fig. 4",
+                    "simulated",
+                    _fig04_small_batch_penalty,
+                ),
+            ),
         ),
         Figure(
             "fig05a",
@@ -1088,12 +1261,38 @@ FIGURES: dict[str, Figure] = {
             "Algebraic dynamic SpGEMM stream (Fig. 9 protocol)",
             _scenario_plan(fig09_scenarios, "spgemm_machine", sweep_layouts=True),
             variants=_SYSTEMS,
+            claims=(
+                Claim(
+                    "at the smallest batch, ours takes < 1.5x CombBLAS's seconds",
+                    "Fig. 9",
+                    "simulated",
+                    _fig09_seconds,
+                    layout="csr",
+                ),
+                Claim(
+                    "ours moves fewer bytes than CombBLAS at the smallest batch, "
+                    "and the byte ratio grows with the batch",
+                    "Fig. 9",
+                    "count",
+                    _fig09_bytes,
+                    layout="csr",
+                ),
+            ),
         ),
         Figure(
             "fig10",
             "General dynamic SpGEMM stream (Fig. 10 protocol)",
             _scenario_plan(fig10_scenarios, "spgemm_machine"),
             variants=_SYSTEMS,
+            claims=(
+                Claim(
+                    "at every batch, ours' masked multiply forms fewer terms than "
+                    "CombBLAS's recompute",
+                    "Fig. 10",
+                    "count",
+                    _fig10_terms,
+                ),
+            ),
         ),
         Figure(
             "fig11",
@@ -1115,6 +1314,15 @@ FIGURES: dict[str, Figure] = {
             "Dynamic algorithm vs. SUMMA as a function of update density",
             _ablation_summa_crossover_plan,
             variants=tuple(CROSSOVER_ALGORITHMS),
+            claims=(
+                Claim(
+                    "Algorithm 1's speedup over SUMMA at f0.01 is >= 0.5x its "
+                    "speedup at f1.0",
+                    "Sec. VII-C",
+                    "simulated",
+                    _crossover,
+                ),
+            ),
         ),
         Figure(
             "ablation_dynamic_storage",
@@ -1135,6 +1343,24 @@ FIGURES: dict[str, Figure] = {
             recorded=False,
             variants=available_partitioners(),
             rank0_only=True,
+            claims=(
+                Claim(
+                    "at every world, nnz_aware's max process nnz share is <= 0.9x "
+                    "round_robin's",
+                    "partition",
+                    "count",
+                    _versus("nnz_aware", "round_robin", _nnz_share, 0.9),
+                    backend=None,
+                ),
+                Claim(
+                    "at every world, locality_aware's cross-process bytes are "
+                    "<= 0.8x round_robin's",
+                    "partition",
+                    "count",
+                    _versus("locality_aware", "round_robin", _bytes, 0.8),
+                    backend=None,
+                ),
+            ),
         ),
         Figure(
             "checkpoint",
@@ -1155,6 +1381,23 @@ FIGURES: dict[str, Figure] = {
             variants=SERVICE_FLUSH_SIZES,
             variant_sep="@flush",
             rank0_only=True,
+            claims=(
+                Claim(
+                    "ingest@flush16 takes <= 0.75x the seconds of ingest@flush1",
+                    "service",
+                    "wall",
+                    _versus("16", "1", lambda run: [_seconds(run)], 0.75),
+                    backend=None,
+                ),
+                Claim(
+                    "ingest@flush16 moves <= 1.25x the messages and bytes of "
+                    "ingest@flush1",
+                    "service",
+                    "count",
+                    _versus("16", "1", _volume, 1.25),
+                    backend=None,
+                ),
+            ),
         ),
     )
 }

@@ -2,14 +2,14 @@
 """The perf-suite runner: measure registry figures, emit ``BENCH_<fig>.json``.
 
 Every figure of ``benchmarks/figures.py`` goes through the same steps,
-written here once: resolve the variant axis, plan the cells, measure each
-(warm-up, repeats, the median time plus the counters of a
-:class:`repro.perf.PerfRecorder` and the comm volume the cell's world
-recorded, or the cell's own samples), tag the
-runs, assemble and validate the document, and let world rank 0 write it.
-The documents are the input of the regression gate
-``python -m repro.perf.compare`` (see ``docs/performance.md`` for the
-figure/variant/gate table).
+written here once: plan the cells, measure each (warm-up, repeats, the
+median time plus the counters of a :class:`repro.perf.PerfRecorder` and
+the comm volume the cell's world recorded, or the cell's own samples), tag
+the runs, check the figure's claims on them, assemble and validate the
+document, and let world rank 0 write it.  The run exits 1, after writing
+every document, when a measured claim fails.  The documents are also the
+input of the regression gate ``python -m repro.perf.compare`` (see
+``docs/performance.md`` for the figure and claim tables).
 
 Examples
 --------
@@ -21,11 +21,6 @@ Restrict the matrix, bump the repeat count or pick a larger profile::
 
     python benchmarks/run_suite.py --backends sim --layouts csr,dhb \
         --figs fig04,fig09 --repeats 5 --profile default --out bench_out
-
-One variant of one figure, for a two-document gate::
-
-    python benchmarks/run_suite.py --figs service --variant 1 \
-        --filename BENCH_service_single.json
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ import sys
 import time
 from contextlib import nullcontext
 from statistics import median
-from typing import Any
+from typing import Any, Callable
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -47,24 +42,9 @@ from figures import FIGURES, Cell, Context, Figure
 
 from repro.bench.config import BenchProfile, get_profile
 from repro.perf import PerfRecorder, bench_document, bench_run_entry, use_recorder
-from repro.runtime import world_rank
+from repro.runtime import world_rank, world_size
+from repro.runtime.mpi_backend import load_mpi
 from repro.scenarios import REPLAY_LAYOUTS
-
-
-def resolve_variants(figure: Figure, variant: str = "all") -> tuple[str, ...]:
-    """The variants one document of ``figure`` measures.
-
-    ``"all"`` is every variant (none for a figure without an axis);
-    anything else must be an accepted value of the axis.
-    """
-    if variant == "all":
-        return figure.variants
-    if variant not in figure.variants:
-        raise ValueError(
-            f"figure {figure.name!r} has no variant {variant!r} "
-            f"(known: {', '.join(figure.variants) or 'none'})"
-        )
-    return (variant,)
 
 
 def measure(figure: Figure, cell: Cell, repeats: int) -> dict[str, Any]:
@@ -105,40 +85,66 @@ def measure(figure: Figure, cell: Cell, repeats: int) -> dict[str, Any]:
     )
 
 
+def _measure_figure(
+    figure: Figure, ctx: Context, repeats: int
+) -> tuple[list[tuple[Cell, dict[str, Any]]], Callable[[], dict[str, Any]]]:
+    """Every planned cell with its tagged ``runs[]`` entry, and the extras hook."""
+    cells, extras = figure.plan(ctx)
+    measured = []
+    for cell in cells:
+        entry = measure(figure, cell, repeats)
+        if cell.tag is not None:
+            suffix = "" if cell.variant is None else figure.variant_sep + cell.variant
+            entry["scenario"] = cell.tag + suffix
+        measured.append((cell, entry))
+    return measured, extras
+
+
+def _remeasure(figure: Figure, claims: list[dict[str, Any]]) -> bool:
+    """Whether a ``simulated`` claim failed, as world rank 0 sees it.
+
+    Smoke-scale simulated seconds still contain measured compute, so such a
+    failure earns the figure one more measurement.  That measurement is
+    collective, so under ``mpiexec`` every process follows world rank 0.
+    """
+    failed = any(
+        claim["kind"] == "simulated" and claim["status"] == "fails" for claim in claims
+    )
+    if figure.rank0_only or world_size() == 1:
+        return failed
+    return bool(load_mpi().bcast(failed, root=0))
+
+
 def build_document(
     figure: Figure,
     *,
     profile: BenchProfile,
-    variant: str = "all",
     backends: tuple[str, ...],
     layouts: tuple[str, ...],
     repeats: int | None = None,
     seed: int | None = None,
 ) -> dict[str, Any]:
-    """Measure ``figure`` and assemble its validated BENCH document.
+    """Measure ``figure``, check its claims and assemble its validated BENCH document.
 
-    ``repeats``/``seed`` default to the figure's own.  With one variant
-    selected the scenario tags are variant-free, so two single-variant
-    documents match run for run under ``repro.perf.compare``; with several
-    each tag carries its variant as a suffix.
+    ``repeats``/``seed`` default to the figure's own.  A failed
+    ``simulated`` claim re-measures the whole figure once, and the document
+    holds that second measurement; ``count`` and ``wall`` claims are not
+    retried.  A claim that reads a cell the measured backends should have
+    produced, and did not, raises :class:`figures.MissingCell`.
     """
     ctx = Context(
         profile=profile,
         seed=figure.seed if seed is None else seed,
         backends=backends,
         layouts=layouts,
-        variants=resolve_variants(figure, variant),
+        variants=figure.variants,
     )
-    cells, extras = figure.plan(ctx)
-    runs = []
-    for cell in cells:
-        entry = measure(figure, cell, figure.repeats if repeats is None else repeats)
-        if cell.tag is not None:
-            suffix = ctx.combined and cell.variant is not None
-            entry["scenario"] = (
-                f"{cell.tag}{figure.variant_sep}{cell.variant}" if suffix else cell.tag
-            )
-        runs.append(entry)
+    repeats = figure.repeats if repeats is None else repeats
+    for _ in range(2):
+        measured, extras = _measure_figure(figure, ctx, repeats)
+        claims = [claim.record(ctx, measured) for claim in figure.claims]
+        if not _remeasure(figure, claims):
+            break
     # a figure that pins its own rank count ignores the bench profile and
     # labels the document with its own name
     pinned = figure.n_ranks is not None
@@ -148,28 +154,30 @@ def build_document(
         seed=ctx.seed,
         profile=figure.name if pinned else profile.name,
         n_ranks=figure.n_ranks if pinned else profile.n_ranks,
-        runs=runs,
+        runs=[entry for _, entry in measured],
         extras=extras(),
+        claims=claims,
     )
 
 
-def format_runs(figure: Figure, document: dict[str, Any], variant: str) -> str:
-    """The runs of a document built for ``variant``, one fixed-width line each."""
-    variants = resolve_variants(figure, variant)
-    # a combined document's tags end in their variant; a single-variant
-    # document measures nothing else
-    combined = len(variants) > 1
+def format_runs(figure: Figure, document: dict[str, Any]) -> str:
+    """The runs and claims of a document, one fixed-width line each."""
     lines = [f"{'tag':<32} {'variant':<14} {'backend':<7} {'layout':<6} {'median s':>12}"]
     for run in document["runs"]:
-        tag = run.get("scenario", "-")
-        measured = "-" if combined or not variants else variants[0]
-        for name in variants if combined else ():
-            suffix = figure.variant_sep + name
-            if tag.endswith(suffix):
-                tag, measured = tag[: -len(suffix)], name
+        tag, measured = run.get("scenario", "-"), "-"
+        for name in figure.variants:
+            if tag.endswith(figure.variant_sep + name):
+                tag, measured = tag[: -len(figure.variant_sep + name)], name
+                break
         lines.append(
             f"{tag:<32} {measured:<14} {run['backend']:<7} {run['layout']:<6} "
             f"{run['elapsed_seconds_median']:>12.6f}"
+        )
+    for claim in document["claims"]:
+        value = f"{claim['value']:.4g}" if "value" in claim else "-"
+        lines.append(
+            f"claim {claim['status']:<12} {value:>10}  {claim['kind']:<9} "
+            f"{claim['paper']}: {claim['name']}"
         )
     return "\n".join(lines)
 
@@ -183,15 +191,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     add = parser.add_argument
     add("--figs", default=",".join(FIGURES), help="comma-separated figures (default: all)")
-    add(
-        "--variant",
-        default="all",
-        help="one value of the figure's variant axis (paper figures: the competitor "
-        "ours|combblas|ctf|petsc, service: flush size 1|4|16, partition: a "
-        "partitioner) or 'all' for the combined document (default); a value "
-        "needs a single figure",
-    )
-    add("--filename", help="output file name, single figure only (BENCH_<fig>.json)")
     add("--backends", default="sim,mpi", help="comma-separated communicator backends")
     add(
         "--layouts",
@@ -207,12 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     figs, layouts = _csv(args.figs), _csv(args.layouts)
     try:
-        if (args.variant != "all" or args.filename) and len(figs) != 1:
-            raise ValueError("--variant and --filename need a single --figs entry")
         for fig in figs:
             if fig not in FIGURES:
                 raise ValueError(f"unknown figure {fig!r}; known: {', '.join(FIGURES)}")
-            resolve_variants(FIGURES[fig], args.variant)
         for layout in layouts:
             if layout not in REPLAY_LAYOUTS:
                 raise ValueError(
@@ -220,21 +216,21 @@ def main(argv: list[str] | None = None) -> int:
                 )
         profile = get_profile("smoke" if args.smoke else args.profile)
     except (KeyError, ValueError) as exc:
-        # KeyError: unknown profile; ValueError: unknown figure, variant or layout
+        # KeyError: unknown profile; ValueError: unknown figure or layout
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    written = 0
+    written = failed = 0
     for fig in figs:
         figure = FIGURES[fig]
         if figure.rank0_only and world_rank() != 0:
             continue
         started = time.perf_counter()
-        # a checkpoint drill that fails its round trip raises out of here:
-        # the process exits 1 with the mismatch in the traceback
+        # a checkpoint drill that fails its round trip, or a claim that
+        # misses a cell, raises out of here: the process exits 1 with the
+        # cause in the traceback
         document = build_document(
             figure,
             profile=profile,
-            variant=args.variant,
             backends=_csv(args.backends),
             layouts=layouts,
             repeats=args.repeats,
@@ -248,17 +244,21 @@ def main(argv: list[str] | None = None) -> int:
         if world_rank() != 0:
             continue
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, args.filename or f"BENCH_{fig}.json")
+        path = os.path.join(args.out, f"BENCH_{fig}.json")
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
         written += 1
-        print(format_runs(figure, document, args.variant))
+        failed += sum(claim["status"] == "fails" for claim in document["claims"])
+        print(format_runs(figure, document))
         print(
             f"wrote {path}  ({len(document['runs'])} runs, "
             f"{time.perf_counter() - started:.1f}s)"
         )
     print(f"{written} BENCH document(s) written to {args.out}/")
+    if failed:
+        print(f"error: {failed} measured claim(s) failed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -23,7 +23,7 @@ from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
 from repro.semirings import PLUS_TIMES, Semiring
-from repro.sparse import COOMatrix, CSRMatrix
+from repro.sparse import COOMatrix
 from repro.distributed import BlockDistribution
 from repro.competitors.base import Backend, TupleArrays
 
@@ -172,6 +172,3 @@ class CTFBackend(Backend):
         for rank in sorted(merged):
             out = out.concatenate(merged[rank])
         return out.sum_duplicates()
-
-    def to_csr_global(self) -> CSRMatrix:
-        return CSRMatrix.from_coo(self.to_coo_global())

@@ -60,10 +60,6 @@ class GraphInstance:
     #: number of non-zeros (directed edge entries) in the original instance
     nnz_full: int
 
-    @property
-    def avg_degree(self) -> float:
-        return self.nnz_full / self.n_full
-
     def surrogate_size(self, scale_divisor: int = DEFAULT_SCALE_DIVISOR) -> tuple[int, int]:
         """(n, target undirected edge count) of the scaled surrogate."""
         n = max(64, int(self.n_full // scale_divisor))

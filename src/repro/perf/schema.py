@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import subprocess
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: Version stamped into every document; bump on incompatible layout changes.
-BENCH_SCHEMA_VERSION = 3
+BENCH_SCHEMA_VERSION = 4
 
 _NUMBER = {"type": "number"}
 _STRING = {"type": "string"}
@@ -67,6 +67,21 @@ _RUN_SCHEMA: dict[str, Any] = {
     },
 }
 
+#: Schema of one ``claims[]`` entry: a paper claim checked on the runs.
+_CLAIM_SCHEMA: dict[str, Any] = {
+    "type": "object",
+    "required": ["name", "paper", "kind", "status"],
+    "properties": {
+        "name": _STRING,
+        "paper": _STRING,
+        "kind": {"enum": ["count", "simulated", "wall"]},
+        "status": {"enum": ["holds", "fails", "not measured"]},
+        # the number the claim tested (absent when not measured)
+        "value": _NUMBER,
+    },
+    "additionalProperties": False,
+}
+
 #: Schema of a full ``BENCH_<fig>.json`` document.
 BENCH_SCHEMA: dict[str, Any] = {
     "type": "object",
@@ -79,6 +94,7 @@ BENCH_SCHEMA: dict[str, Any] = {
         "profile",
         "n_ranks",
         "runs",
+        "claims",
     ],
     "properties": {
         "schema_version": {"enum": [BENCH_SCHEMA_VERSION]},
@@ -89,6 +105,7 @@ BENCH_SCHEMA: dict[str, Any] = {
         "profile": _STRING,
         "n_ranks": {"type": "integer", "minimum": 1},
         "runs": {"type": "array", "items": _RUN_SCHEMA},
+        "claims": {"type": "array", "items": _CLAIM_SCHEMA},
         "extras": {"type": "object"},
     },
 }
@@ -212,6 +229,7 @@ def bench_document(
     n_ranks: int,
     runs: list[dict[str, Any]],
     extras: Mapping[str, Any] | None = None,
+    claims: Sequence[Mapping[str, Any]] = (),
     sha: str | None = None,
 ) -> dict[str, Any]:
     """Assemble and validate a full ``BENCH_<fig>.json`` document."""
@@ -224,6 +242,7 @@ def bench_document(
         "profile": profile,
         "n_ranks": int(n_ranks),
         "runs": runs,
+        "claims": [dict(claim) for claim in claims],
     }
     if extras is not None:
         document["extras"] = dict(extras)

@@ -112,11 +112,5 @@ class ProcessGrid:
     def all_ranks(self) -> list[int]:
         return list(range(self.n_ranks))
 
-    def iter_coords(self):
-        """Iterate ``(rank, row, col)`` over all grid positions."""
-        for rank in range(self.n_ranks):
-            row, col = self.coords_of(rank)
-            yield rank, row, col
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"ProcessGrid({self.q}x{self.q}, p={self.n_ranks})"

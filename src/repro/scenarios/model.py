@@ -693,12 +693,6 @@ class ScenarioResult:
             out.append(s)
         return out
 
-    def mean_step_seconds(self, kinds: tuple[str, ...] | None = None) -> float:
-        steps = self.measured_steps(kinds)
-        if not steps:
-            return float("nan")
-        return sum(s.seconds for s in steps) / len(steps)
-
     def trimmed_mean_step_seconds(
         self, kinds: tuple[str, ...] | None = None
     ) -> float:

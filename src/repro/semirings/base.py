@@ -198,12 +198,6 @@ class Semiring:
             out = self.add(out, contrib)
         return out
 
-    def dense_add(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Dense element-wise ``A ⊕ B``."""
-        return self.add(
-            np.asarray(A, dtype=self.dtype), np.asarray(B, dtype=self.dtype)
-        )
-
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Semiring({self.name!r})"

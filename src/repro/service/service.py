@@ -300,12 +300,19 @@ class GraphTenant:
         return self._run_query(step)
 
     def check_nnz(self, expect_nnz: int, *, label: str = "") -> None:
-        """Assert the maintained matrix's nnz between batches."""
+        """Assert the maintained matrix's nnz between batches.
+
+        With ``check_snapshots`` on, a mismatch raises
+        :class:`~repro.scenarios.ScenarioCheckError` before anything is
+        logged, so the tenant keeps serving and its log keeps replaying.
+        """
         self._check_open()
         self.flush()
         step = SnapshotCheck(
             expect_nnz=expect_nnz, label=label or f"nnz[{len(self.log.steps)}]"
         )
+        if self._engine.check_snapshots:
+            self._engine.executor.snapshot(step)
         self._append_and_advance(step)
 
     def nnz(self) -> int:

@@ -3,9 +3,9 @@
 Covers the strategy algebra (``repro.runtime.partitioner``), placement
 validation, block migration and the online repartitioning hook (the
 ``REPRO_PARTITIONER``/``REPRO_REPARTITION`` parsing is in the
-``RuntimeConfig`` table of ``tests/test_runtime.py``), plus the ``--expect-reduction`` mode of
-``repro.perf.compare`` that gates the placement benchmark in CI.  The
-cross-world byte-identity sweeps live in
+``RuntimeConfig`` table of ``tests/test_runtime.py``).  The placement
+claims of the ``partition`` figure are checked where it is measured
+(``benchmarks/figures.py``).  The cross-world byte-identity sweeps live in
 ``tests/test_partitioner_differential.py``.
 """
 
@@ -14,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.perf.compare import compare_documents, parse_expect_reduction
-from repro.perf.schema import bench_document, bench_run_entry
 from repro.runtime import REPARTITION_ENV_VAR, MPIBackend, ProcessGrid, run_spmd
 from repro.runtime.partitioner import (
     BlockCyclicPartitioner,
@@ -212,85 +210,3 @@ class TestMigration:
         for world_rank, owned in run_spmd(3, wrapped):
             if world_rank == 2:
                 assert owned == []
-
-
-# ----------------------------------------------------------------------
-# compare --expect-reduction (the CI partition gate)
-# ----------------------------------------------------------------------
-def _doc(bytes_: float, share: float) -> dict:
-    run = bench_run_entry(
-        backend="mpi",
-        layout="csr",
-        repeats=1,
-        elapsed_seconds_median=1.0,
-        counters={"partition.max_nnz_share": share},
-        comm={"messages": 10.0, "bytes": bytes_},
-    )
-    return bench_document(
-        figure="partition",
-        title="test",
-        seed=0,
-        profile="test",
-        n_ranks=9,
-        runs=[run],
-        sha="deadbeef",
-    )
-
-
-class TestExpectReduction:
-    def test_met_reduction_passes_and_checks_only_requested_metrics(self):
-        # bytes drop 50%; nnz share got *worse* but is not requested
-        report = compare_documents(
-            _doc(1000.0, 0.4),
-            _doc(500.0, 0.9),
-            expect_reduction={"comm.bytes": 0.2},
-        )
-        assert not report.regressed
-        assert report.compared_metrics == 1
-
-    def test_unmet_reduction_fails(self):
-        report = compare_documents(
-            _doc(1000.0, 0.4),
-            _doc(900.0, 0.4),
-            expect_reduction={"comm.bytes": 0.2},
-        )
-        assert report.regressed
-        assert "comm.bytes" in report.regressions[0].metric
-
-    def test_counter_metric_path(self):
-        report = compare_documents(
-            _doc(1000.0, 0.6),
-            _doc(2000.0, 0.3),
-            expect_reduction={"counters.partition.max_nnz_share": 0.25},
-        )
-        assert not report.regressed
-
-    def test_unknown_counter_raises(self):
-        with pytest.raises(ValueError, match="no counter"):
-            compare_documents(
-                _doc(1.0, 0.5),
-                _doc(1.0, 0.5),
-                expect_reduction={"counters.nope": 0.1},
-            )
-
-    def test_bad_fractions_and_mode_mixing_rejected(self):
-        with pytest.raises(ValueError, match="in \\(0, 1\\)"):
-            compare_documents(
-                _doc(1.0, 0.5), _doc(1.0, 0.5), expect_reduction={"comm.bytes": 1.5}
-            )
-        with pytest.raises(ValueError, match="exclusive"):
-            compare_documents(
-                _doc(1.0, 0.5),
-                _doc(1.0, 0.5),
-                expect_speedup=0.2,
-                expect_reduction={"comm.bytes": 0.2},
-            )
-
-    def test_cli_spec_parsing(self):
-        assert parse_expect_reduction(None) is None
-        assert parse_expect_reduction(["comm.bytes=0.2", "counters.x=0.5"]) == {
-            "comm.bytes": 0.2,
-            "counters.x": 0.5,
-        }
-        with pytest.raises(ValueError, match="METRIC=FRACTION"):
-            parse_expect_reduction(["comm.bytes"])

@@ -5,7 +5,8 @@ Covers: recorder counters, each backend's accounting into its own
 thresholds — plus the instrumentation contract of the replay driver
 (counters show up, injected faults charge only the replayed
 communicator) and the ``benchmarks/`` figure registry with its one
-runner, on reduced cells.
+runner, on reduced cells: every paper claim a figure declares holds on
+them, and the runner checks claims as specified.
 """
 
 from __future__ import annotations
@@ -212,6 +213,7 @@ def test_bench_document_round_trips_through_json():
         {"n_ranks": 0},
         {"runs": [_sample_run(elapsed_seconds_median=-1.0)]},
         {"runs": [_sample_run(comm={"messages": 1})]},
+        {"claims": [{"name": "c", "paper": "Fig. 4", "kind": "x", "status": "holds"}]},
     ],
 )
 def test_schema_rejects_corrupt_documents(corrupt):
@@ -297,37 +299,6 @@ def test_compare_reports_unmatched_runs():
     assert not report.regressed
 
 
-def test_compare_expect_speedup_requires_faster_current():
-    base = _sample_document()
-    fast = _sample_document()
-    fast["runs"][0]["elapsed_seconds_median"] *= 0.7  # 30% faster
-    assert not compare_documents(base, fast, expect_speedup=0.2).regressed
-    # 30% is not a 40% speedup
-    report = compare_documents(base, fast, expect_speedup=0.4)
-    assert report.regressed
-    assert "expected >= 40% speedup" in report.regressions[0].metric
-    # equal timings are a failure too: no speedup at all
-    assert compare_documents(base, base, expect_speedup=0.2).regressed
-
-
-def test_compare_expect_speedup_keeps_the_volume_check():
-    base = _sample_document()
-    current = _sample_document()
-    current["runs"][0]["elapsed_seconds_median"] *= 0.5
-    assert not compare_documents(base, current, expect_speedup=0.2).regressed
-    # the speedup must not come from a change in communication volume
-    current["runs"][0]["comm"]["bytes"] *= 2
-    report = compare_documents(base, current, expect_speedup=0.2)
-    assert report.regressed
-    assert report.regressions[0].metric == "comm.bytes"
-
-
-def test_compare_expect_speedup_validates_fraction():
-    base = _sample_document()
-    with pytest.raises(ValueError):
-        compare_documents(base, base, expect_speedup=1.5)
-
-
 def test_compare_cli_round_trip(tmp_path):
     from repro.perf.compare import main
 
@@ -341,11 +312,6 @@ def test_compare_cli_round_trip(tmp_path):
     assert main([str(base_path), str(base_path)]) == 0
     assert main([str(base_path), str(slow_path)]) == 1
     assert main([str(base_path), str(tmp_path / "missing.json")]) == 2
-    # --expect-speedup flips the gate: baseline-vs-half-time passes,
-    # self-comparison (no speedup) fails
-    assert main([str(slow_path), str(base_path), "--expect-speedup", "0.2"]) == 0
-    assert main([str(base_path), str(base_path), "--expect-speedup", "0.2"]) == 1
-    assert main([str(base_path), str(base_path), "--expect-speedup", "2"]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +334,7 @@ KEPT_TAGS = {
 }
 
 
-def _build(name: str, variant: str = "all") -> dict:
+def _build(name: str) -> dict:
     figure = bench_figures.FIGURES[name]
     kept = KEPT_TAGS.get(name)
     if kept is not None:
@@ -381,7 +347,6 @@ def _build(name: str, variant: str = "all") -> dict:
     return bench_runner.build_document(
         figure,
         profile=get_profile("smoke"),
-        variant=variant,
         backends=("sim",),
         layouts=("csr",),
         repeats=1,
@@ -402,28 +367,18 @@ def test_every_registry_figure_builds_a_valid_document(name):
     assert bool(document["runs"]) == (name != "table1")
     assert all(run["repeats"] >= 1 for run in document["runs"])
     assert not compare_documents(document, document).regressed
-
-    variants = bench_runner.resolve_variants(figure)
-    tags = [run.get("scenario") for run in document["runs"]]
-    suffixes = [figure.variant_sep + variant for variant in variants]
-    if len(variants) < 2:
-        # no axis (or a one-value axis): nothing carries a variant suffix
-        assert not any(tag and tag.endswith(tuple(suffixes)) for tag in tags)
+    assert len(document["claims"]) == len(figure.claims)
+    if not figure.variants:
         return
-    # combined document: every variant tags its own copy of the same stems
+    # every variant tags its own copy of the same stems
+    tags = [run.get("scenario") for run in document["runs"]]
+    suffixes = [figure.variant_sep + variant for variant in figure.variants]
     stems = {
         suffix: {tag[: -len(suffix)] for tag in tags if tag.endswith(suffix)}
         for suffix in suffixes
     }
     assert stems[suffixes[0]] and len({frozenset(s) for s in stems.values()}) == 1
     assert document["extras"]  # every figure describes its cells
-    # single-variant document: variant-free tags, so two of them match run
-    # for run under compare; the cells are a subset of the combined stems
-    # (the last variant is the cheapest to measure a second time)
-    single = _document(name, variants[-1])
-    single_tags = {run["scenario"] for run in single["runs"]}
-    assert single_tags <= stems[suffixes[0]]
-    assert not compare_documents(single, single).unmatched_runs
 
 
 def test_replay_figures_record_counters_and_comm():
@@ -491,26 +446,15 @@ def test_run_suite_cli_writes_and_rejects(tmp_path, capsys):
     table = capsys.readouterr().out.splitlines()
     assert table[0].split() == ["tag", "variant", "backend", "layout", "median", "s"]
     assert table[1].split()[:4] == ["strong@p4", "-", "sim", "csr"]
-    named = ["--figs", "service", "--variant", "16", "--filename", "micro.json"]
-    assert bench_runner.main([*named, *argv, *out]) == 0
-    with open(tmp_path / "micro.json", "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    assert [run["scenario"] for run in document["runs"]] == ["ingest"]
-    assert document["extras"]["flush_sizes"] == [16] and document["seed"] == 2022
-    assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["ingest", "16"]
-    for bad in (
-        ["--figs", "fig99"],
-        ["--figs", "service", "--variant", "sideways"],
-        ["--figs", "fig08", "--variant", "on"],
-        ["--figs", "fig04,fig08", "--filename", "one.json"],
-        ["--figs", "fig08", "--profile", "nope"],
-    ):
+    # the table splits each tag from its variant, and lists the claims last
+    service = bench_figures.FIGURES["service"]
+    table = bench_runner.format_runs(service, _document("service")).splitlines()
+    assert table[1].split()[:2] == ["ingest", "1"]
+    assert [line.split()[:2] for line in table[-2:]] == [["claim", "holds"]] * 2
+    for bad in (["--figs", "fig99"], ["--figs", "fig08", "--profile", "nope"]):
         assert bench_runner.main([*bad, *out]) == 2
         assert "error:" in capsys.readouterr().err
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "BENCH_fig08.json",
-        "micro.json",
-    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH_fig08.json"]
 
 
 def test_run_suite_rejects_unknown_layouts_before_measuring(tmp_path, capsys):
@@ -522,24 +466,93 @@ def test_run_suite_rejects_unknown_layouts_before_measuring(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# what the reproduction reproduces: the paper's claims, on the same documents
+# the claims: declared on their figures, checked by the run that measures them
 # ----------------------------------------------------------------------
-def _by_cell(document) -> dict[tuple[str, str], dict]:
-    """``(tag, variant) -> run`` of a combined document."""
-    out = {}
-    for run in document["runs"]:
-        tag, _, variant = run["scenario"].rpartition(":")
-        out[tag, variant] = run
-    return out
+CLAIMS = [
+    (name, index)
+    for name, figure in bench_figures.FIGURES.items()
+    for index in range(len(figure.claims))
+]
 
 
-def _holds(name: str, claim) -> bool:
-    """A timing claim, measured once more before it counts as broken.
+@pytest.mark.parametrize("name, index", CLAIMS, ids=[f"{n}[{i}]" for n, i in CLAIMS])
+def test_every_claim_holds_on_the_smoke_documents(name, index):
+    """``KEPT_TAGS`` keeps every cell a claim reads."""
+    claim = _document(name)["claims"][index]
+    assert claim["name"] == bench_figures.FIGURES[name].claims[index].name
+    assert claim["status"] == "holds", claim
 
-    Smoke-scale steps are sub-100µs, so one scheduler stall can corrupt a
-    whole document.
-    """
-    return claim(_by_cell(_document(name))) or claim(_by_cell(_build(name)))
+
+def _stub_figure(*claims, calls=None):
+    """One cell, ``t`` of variant ``a`` on ``sim``/``csr``: 1 s, no traffic."""
+
+    def plan(ctx):
+        if calls is not None:
+            calls.append(ctx)
+        sample = bench_figures.Sample([1.0], {}, {"messages": 0, "bytes": 0})
+        return [bench_figures.Cell(lambda: sample, "sim", "csr", "t", "a")], dict
+
+    return bench_figures.Figure(
+        "stub", "stub", plan, repeats=1, recorded=False, variants=("a",), claims=claims
+    )
+
+
+def _claim(test, kind="count", **where):
+    return bench_figures.Claim("stub claim", "Fig. 0", kind, test, **where)
+
+
+def _build_stub(figure, backends=("sim",)):
+    return bench_runner.build_document(
+        figure, profile=get_profile("smoke"), backends=backends, layouts=("csr",)
+    )
+
+
+def test_claims_on_an_unmeasured_backend_are_recorded_as_not_measured():
+    # under --backends mpi, Fig. 9's claims read the sim runs of ours
+    pinned = _claim(
+        lambda cells: (cells("t", "a")["elapsed_seconds_median"], True), backend=None
+    )
+    fig09 = bench_figures.FIGURES["fig09"].claims
+    claims = _build_stub(_stub_figure(*fig09, pinned), backends=("mpi",))["claims"]
+    assert [claim["status"] for claim in claims] == ["not measured"] * 2 + ["holds"]
+    assert "value" not in claims[0] and claims[2]["value"] == 1.0
+
+
+def test_a_claim_on_a_missing_cell_raises():
+    # Fig. 9's claims on a document without its cells
+    with pytest.raises(bench_figures.MissingCell, match="'ours'"):
+        _build_stub(_stub_figure(*bench_figures.FIGURES["fig09"].claims))
+    with pytest.raises(bench_figures.MissingCell, match="'t' of 'b'"):
+        _build_stub(_stub_figure(_claim(lambda cells: (0.0, cells("t", "b") != {}))))
+
+
+def test_a_failed_simulated_claim_re_measures_the_figure_exactly_once():
+    calls = []
+    flaky = _claim(lambda cells: (len(calls), len(calls) > 1), "simulated")
+    (claim,) = _build_stub(_stub_figure(flaky, calls=calls))["claims"]
+    assert len(calls) == 2 and (claim["status"], claim["value"]) == ("holds", 2.0)
+    for kind, measurements in (("simulated", 2), ("count", 1), ("wall", 1)):
+        calls.clear()
+        broken = _claim(lambda cells: (0.0, False), kind)
+        (claim,) = _build_stub(_stub_figure(broken, calls=calls))["claims"]
+        assert len(calls) == measurements and claim["status"] == "fails"
+
+
+def test_a_failed_claim_fails_the_run_after_writing_its_document(
+    tmp_path, monkeypatch, capsys
+):
+    figure = _stub_figure(_claim(lambda cells: (0.5, False)))
+    monkeypatch.setitem(bench_figures.FIGURES, "stub", figure)
+    assert bench_runner.main(["--figs", "stub", "--out", str(tmp_path)]) == 1
+    with open(tmp_path / "BENCH_stub.json", "r", encoding="utf-8") as handle:
+        (claim,) = json.load(handle)["claims"]
+    assert (claim["status"], claim["value"]) == ("fails", 0.5)
+    assert "error: 1 measured claim(s) failed" in capsys.readouterr().err
+
+
+def _variants(document) -> dict[tuple[str, str], dict]:
+    """``(tag, variant) -> run`` of a document whose tags end in ``:variant``."""
+    return {run["scenario"].rpartition(":")[::2]: run for run in document["runs"]}
 
 
 #: Table I at the smoke profile: instance -> (n, nnz) of the surrogate
@@ -592,27 +605,9 @@ def test_paper_figures_replay_the_seeded_scenarios(name):
     assert FINGERPRINTS[name].items() <= fingerprints.items()
 
 
-def test_fig04_rebuilding_storage_suffers_more_from_small_batches():
-    """CombBLAS rebuilds its static blocks every batch, so its per-non-zero
-    cost explodes as batches shrink; the dynamic structure degrades less."""
-
-    def claim(cells):
-        def sensitivity(system):
-            per_nnz = {
-                size: cells[f"LiveJournal@b{size}", system]["elapsed_seconds_median"] / size
-                for size in (16, 256)
-            }
-            return per_nnz[16] / per_nnz[256]
-
-        return sensitivity("combblas") > sensitivity("ours")
-
-    assert _holds("fig04", claim)
-
-
 def test_fig05b_has_no_petsc_series():
     assert not PETScBackend.supports_deletions
-    document = _document("fig05b")
-    systems = {variant for _, variant in _by_cell(document)}
+    systems = {variant for _, variant in _variants(_document("fig05b"))}
     assert systems == {"ours", "combblas", "ctf"}
 
 
@@ -638,32 +633,8 @@ def test_breakdown_figures_report_exactly_the_paper_phases(name, categories):
         assert sum(phases.values()) > 0.0
 
 
-def test_fig09_dynamic_spgemm_beats_summa_on_hypersparse_batches():
-    smallest, largest = "LiveJournal@b8", "LiveJournal@b32"
-
-    def faster(cells):
-        # fixed overheads dominate at smoke scale, hence the tolerance
-        ours = cells[smallest, "ours"]["elapsed_seconds_median"]
-        return ours < 1.5 * cells[smallest, "combblas"]["elapsed_seconds_median"]
-
-    assert _holds("fig09", faster)
-    # Algorithm 1 never broadcasts B: deterministic, so exact.  The
-    # advantage shrinks as the update matrices stop being hypersparse.
-    cells = _by_cell(_document("fig09"))
-    ratio = {
-        tag: cells[tag, "ours"]["comm"]["bytes"] / cells[tag, "combblas"]["comm"]["bytes"]
-        for tag in (smallest, largest)
-    }
-    assert ratio[smallest] < 1.0
-    assert ratio[smallest] < ratio[largest]
-
-
 def test_fig10_measures_every_system():
-    # Not asserted at surrogate scale: the masked recomputation of
-    # Algorithm 2 is dominated by per-call interpreter overhead here and
-    # does not necessarily beat a from-scratch SUMMA recompute.  The series
-    # is still produced so the trend with batch size can be inspected.
-    cells = _by_cell(_document("fig10"))
+    cells = _variants(_document("fig10"))
     assert {variant for _, variant in cells} == set(bench_figures.COMPETITORS)
     assert all(run["elapsed_seconds_median"] > 0 for run in cells.values())
 
@@ -679,7 +650,7 @@ def test_ablations_match_the_seeded_volumes():
         "single_phase@counting": (4096, 92616),
         "single_phase@comparison": (4096, 92616),
     }
-    crossover = _by_cell(_document("ablation_summa_crossover"))
+    crossover = _variants(_document("ablation_summa_crossover"))
     update_nnz = {
         tag: run["counters"]["ablation.update_nnz"]
         for (tag, algorithm), run in crossover.items()
@@ -688,19 +659,6 @@ def test_ablations_match_the_seeded_volumes():
     assert update_nnz == {
         "f0.01": 150, "f0.05": 734, "f0.2": 2726, "f0.5": 5896, "f1.0": 9551
     }
-
-
-def test_summa_crossover_advantage_shrinks_as_updates_densify():
-    def claim(cells):
-        def speedup(tag):
-            return (
-                cells[tag, "summa"]["elapsed_seconds_median"]
-                / cells[tag, "dynamic"]["elapsed_seconds_median"]
-            )
-
-        return speedup("f0.01") >= 0.5 * speedup("f1.0")
-
-    assert _holds("ablation_summa_crossover", claim)
 
 
 def test_compare_distinguishes_scenario_tagged_runs():

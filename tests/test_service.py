@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import ServiceWorld, SimMPI
-from repro.scenarios import ReplayOptions, replay
+from repro.scenarios import ReplayOptions, ScenarioCheckError, replay
 from repro.scenarios.generators import steady_state_churn
 from repro.service import (
     FlushPolicy,
@@ -395,6 +395,28 @@ class TestIngestion:
             # the log is still a replayable scenario
             cold = replay(tenant.log, options=tenant.replay_options())
             assert cold.final_c[2].tolist() == tenant.result().final_c[2].tolist() == [1.0]
+
+    @pytest.mark.parametrize("check_snapshots", [True, False])
+    def test_a_mismatching_nnz_check_is_refused_before_logging(
+        self, check_snapshots
+    ):
+        two = (np.array([0, 1]), np.array([1, 2]), np.ones(2))
+        with _service(check_snapshots=check_snapshots) as service:
+            tenant = service.create_tenant("a", (N, N), initial_tuples=two)
+            if check_snapshots:
+                with pytest.raises(ScenarioCheckError, match="expected nnz 5, got 2"):
+                    tenant.check_nnz(5)
+                assert tenant.n_steps == 0
+            else:
+                tenant.check_nnz(5)  # recorded, not checked
+                assert tenant.n_steps == 1
+            # the tenant keeps serving and its log keeps replaying
+            tenant.insert([3], [4])
+            tenant.flush()
+            tenant.check_nnz(3)
+            cold = replay(tenant.log, options=tenant.replay_options())
+            for got, want in zip(cold.final_a, tenant.result().final_a):
+                assert np.array_equal(got, want)
 
     def test_flush_on_empty_queue_is_noop(self):
         with _service() as service:
