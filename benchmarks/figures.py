@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 from operator import attrgetter, le, lt, methodcaller
 from typing import Any, Callable, Mapping, Sequence
-from unittest import mock
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from repro.distributed.distribution import BlockDistribution
 from repro.graphs import TABLE1_INSTANCES, rmat_edges
 from repro.perf import perf_count
 from repro.runtime import (
-    REPARTITION_ENV_VAR,
     CommStats,
     MachineModel,
     MPIBackend,
@@ -960,11 +958,9 @@ def _partition_plan(ctx: Context) -> Plan:
             return result, comm.global_interprocess_comm(), comm.placement()
 
         def run() -> Sample:
-            with mock.patch.dict(os.environ):
-                os.environ.pop(REPARTITION_ENV_VAR, None)
-                started = time.perf_counter()
-                result, cross, placement = run_spmd(world, program)[0]
-                elapsed = time.perf_counter() - started
+            started = time.perf_counter()
+            result, cross, placement = run_spmd(world, program)[0]
+            elapsed = time.perf_counter() - started
             # Final-state nnz balance, computed host-side from the replay
             # result so it is exactly reproducible: map every stored entry
             # to its logical rank, then group rank nnz by the placement.

@@ -111,12 +111,6 @@ class DistMatrixBase:
         local = sum(block.nnz for block in self.blocks.values())
         return int(self.comm.host_fold(local, lambda x, y: x + y))
 
-    def block_nnz(self) -> dict[int, int]:
-        """Per-rank structural non-zeros (global; load-balance diagnostics)."""
-        return self.comm.host_merge(
-            {rank: block.nnz for rank, block in self.blocks.items()}
-        )
-
     def nbytes(self) -> int:
         """Total block bytes over all processes."""
         local = sum(block.nbytes for block in self.blocks.values())

@@ -4,7 +4,7 @@ Distributed algorithms in this repository are written in bulk-synchronous
 SPMD "orchestration" style against the :class:`Communicator` protocol; which
 runtime actually executes them is selected by :func:`make_communicator`
 (``backend=...`` argument or the ``REPRO_BACKEND`` switch, which
-:class:`RuntimeConfig` parses with the other three):
+:class:`RuntimeConfig` parses with ``REPRO_FAULTS``):
 
 * ``"sim"`` (default) — :class:`SimMPI`, a single-process simulator.  Each
   simulated rank owns local state; local kernels are executed rank-by-rank
@@ -28,8 +28,6 @@ from repro.runtime.backend import CommRequest, Communicator
 from repro.runtime.config import (
     BACKEND_ENV_VAR,
     FAULTS_ENV_VAR,
-    PARTITIONER_ENV_VAR,
-    REPARTITION_ENV_VAR,
     MachineModel,
     RuntimeConfig,
 )
@@ -42,7 +40,6 @@ from repro.runtime.mpi_backend import (
     world_size,
 )
 from repro.runtime.partitioner import (
-    PARTITIONERS,
     Partitioner,
     available_partitioners,
     make_partitioner,
@@ -65,8 +62,6 @@ __all__ = [
     "make_communicator",
     "BACKEND_ENV_VAR",
     "FAULTS_ENV_VAR",
-    "PARTITIONER_ENV_VAR",
-    "REPARTITION_ENV_VAR",
     "MachineModel",
     "RuntimeConfig",
     "ProcessGrid",
@@ -81,7 +76,6 @@ __all__ = [
     "run_spmd",
     "world_rank",
     "world_size",
-    "PARTITIONERS",
     "Partitioner",
     "available_partitioners",
     "make_partitioner",

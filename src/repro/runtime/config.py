@@ -1,8 +1,9 @@
 """Run configuration: the simulated cluster's machine model and the run switches.
 
 :class:`RuntimeConfig` is the one reader of the process environment: the
-four ``REPRO_*`` switches are parsed by :meth:`RuntimeConfig.from_env` and
-nowhere else (see ``docs/backends.md`` for the table of switches).
+two switches ``REPRO_BACKEND`` and ``REPRO_FAULTS`` are parsed by
+:meth:`RuntimeConfig.from_env` and nowhere else (see ``docs/backends.md``
+for the table of switches).
 
 The paper's testbed: 16 nodes, 2× Intel Xeon 6126 (12 cores each), 192 GB
 RAM, 100 GBit Omni-Path.  CombBLAS/CTF/our-code run 4 MPI ranks per node
@@ -28,29 +29,21 @@ time:
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 from repro.runtime.faults import FaultPlan
-from repro.runtime.partitioner import PARTITIONERS
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "FAULTS_ENV_VAR",
     "MachineModel",
-    "PARTITIONER_ENV_VAR",
-    "REPARTITION_ENV_VAR",
     "RuntimeConfig",
 ]
 
 #: communicator backend built when no ``backend=``/``comm=`` is given
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-#: placement strategy the scenario engine installs when none is given
-PARTITIONER_ENV_VAR = "REPRO_PARTITIONER"
-#: max/mean per-process nnz imbalance that arms online repartitioning
-REPARTITION_ENV_VAR = "REPRO_REPARTITION"
 #: fault plan a replay arms when none is given
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
@@ -64,36 +57,17 @@ def _backend(text: str) -> str:
     return name
 
 
-def _partitioner(text: str) -> str | None:
-    if text and text not in PARTITIONERS:
-        raise ValueError(
-            f"unknown partitioner (available: {', '.join(sorted(PARTITIONERS))})"
-        )
-    return text or None
-
-
-def _repartition(text: str) -> float | None:
-    if text.lower() in ("", "off", "0", "none", "false"):
-        return None
-    value = float(text)
-    if not (math.isfinite(value) and value > 1.0):
-        raise ValueError("want a finite max/mean imbalance ratio > 1, or 'off'")
-    return value
-
-
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """The four run switches of this process, parsed and validated once.
+    """The two run switches of this process, parsed and validated once.
 
-    ``partitioner`` and ``repartition`` are ``None`` when unset (keep the
-    backend's round-robin start; no online repartitioning), ``faults``
-    when no plan is armed.  Readers build one with :meth:`from_env` where
-    they act on a switch; nothing takes a ``RuntimeConfig`` argument.
+    ``faults`` is ``None`` when no plan is armed.  Readers build one with
+    :meth:`from_env` where they act on a switch; nothing takes a
+    ``RuntimeConfig`` argument.  Placement is not a switch: it is the
+    ``partitioner=`` argument of ``replay()`` and the service.
     """
 
     backend: str = "sim"
-    partitioner: str | None = None
-    repartition: float | None = None
     faults: FaultPlan | None = None
 
     @classmethod
@@ -114,8 +88,6 @@ class RuntimeConfig:
 
         return cls(
             backend=parse(BACKEND_ENV_VAR, _backend),
-            partitioner=parse(PARTITIONER_ENV_VAR, _partitioner),
-            repartition=parse(REPARTITION_ENV_VAR, _repartition),
             faults=parse(FAULTS_ENV_VAR, lambda t: FaultPlan.parse(t) if t else None),
         )
 

@@ -237,66 +237,12 @@ class MPIBackend:
     def set_placement(self, placement: Mapping[int, int]) -> None:
         """Install a new logical-rank→process map.
 
-        Must be called *before* any per-rank state is materialised (every
-        process must call it with the identical map — placement is an SPMD
-        agreement); to move already-constructed state use
-        :meth:`migrate_ownership` instead.
+        Must be called *before* any per-rank state is materialised, or
+        while restoring it from a snapshot (every process must call it
+        with the identical map — placement is an SPMD agreement).
         """
         verify_placement(placement, self.n_ranks, self.world_size)
         self._placement = {int(r): int(p) for r, p in placement.items()}
-
-    def migrate_ownership(
-        self,
-        new_placement: Mapping[int, int],
-        block_maps: Sequence[dict[int, Any]],
-        *,
-        category: str = StatCategory.REDIST_COMM,
-    ) -> int:
-        """Move owned per-rank state to the owners of ``new_placement``.
-
-        ``block_maps`` are partial ``rank -> block`` mappings (e.g. the
-        ``DistMatrixBase.blocks`` of every live matrix); blocks whose rank
-        changes process are shipped *as pickled objects* through one
-        bucketed all-to-all — preserving their exact internal state keeps
-        scenario results byte-identical across a migration — and the new
-        placement is installed on completion.  Charged under ``category``
-        (redistribution traffic); returns the number of blocks moved.
-        """
-        verify_placement(new_placement, self.n_ranks, self.world_size)
-        start = time.perf_counter()
-        outgoing: list[list[tuple[int, int, Any]]] = [
-            [] for _ in range(self.world_size)
-        ]
-        total_bytes = 0
-        moved = 0
-        for index, blocks in enumerate(block_maps):
-            for rank in sorted(blocks):
-                if not self.owns(rank):
-                    continue
-                new_owner = int(new_placement[rank])
-                if new_owner == self.world_rank:
-                    continue
-                block = blocks.pop(rank)
-                total_bytes += payload_nbytes(block)
-                moved += 1
-                outgoing[new_owner].append((index, rank, block))
-        if self.world_size > 1:
-            arrived = self._comm.alltoall(outgoing)
-            for bucket in arrived:
-                for index, rank, block in bucket:
-                    block_maps[index][rank] = block
-        self.interprocess_bytes += total_bytes
-        self.interprocess_messages += moved
-        self.stats.record(
-            category,
-            operations=1,
-            messages=moved,
-            nbytes=total_bytes,
-            modeled_seconds=time.perf_counter() - start,
-        )
-        perf_count("partition.migrated_blocks", moved)
-        self._placement = {int(r): int(p) for r, p in new_placement.items()}
-        return moved
 
     # ------------------------------------------------------------------
     # physical cross-process traffic

@@ -11,16 +11,12 @@ local compute, and how much of the logical traffic crosses a process
 boundary.
 
 A :class:`Partitioner` owns the ``logical rank -> process`` map.  The
-:data:`PARTITIONERS` table holds four strategies:
+:data:`PARTITIONERS` table holds three strategies, each with a claim on
+the ``partition`` figure (``round_robin`` is the baseline of both):
 
 ``round_robin``
     ``r % n_processes`` — the historical default and the oracle the
     differential suite compares everything against.
-
-``block_cyclic``
-    ``(r // block_size) % n_processes`` — contiguous runs of ranks dealt
-    cyclically, the classic ScaLAPACK compromise between contiguity and
-    balance.
 
 ``nnz_aware``
     Greedy longest-processing-time bin-packing on per-rank nnz weights
@@ -37,9 +33,8 @@ A :class:`Partitioner` owns the ``logical rank -> process`` map.  The
     traffic never crosses a process boundary.
 
 A multi-process backend starts round-robin; the scenario engine installs
-the strategy named by ``replay(partitioner=...)`` or the
-``REPRO_PARTITIONER`` switch (parsed by
-:class:`~repro.runtime.config.RuntimeConfig`) — see ``docs/backends.md``.
+the strategy named by ``replay(partitioner=...)`` once, before any
+per-rank state exists — see ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ __all__ = [
     "PARTITIONERS",
     "Partitioner",
     "RoundRobinPartitioner",
-    "BlockCyclicPartitioner",
     "NnzAwarePartitioner",
     "LocalityAwarePartitioner",
     "available_partitioners",
@@ -137,22 +131,6 @@ class RoundRobinPartitioner(Partitioner):
         """Deal ranks cyclically over the active processes."""
         active = _active_processes(n_ranks, n_processes)
         return {r: r % active for r in range(n_ranks)}
-
-
-class BlockCyclicPartitioner(Partitioner):
-    """Contiguous runs of ``block_size`` ranks, dealt cyclically."""
-
-    name = "block_cyclic"
-
-    def __init__(self, block_size: int = 2) -> None:
-        if block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        self.block_size = int(block_size)
-
-    def placement(self, n_ranks, n_processes, *, grid=None, weights=None):
-        """``(r // block_size) % n_processes`` over the active processes."""
-        active = _active_processes(n_ranks, n_processes)
-        return {r: (r // self.block_size) % active for r in range(n_ranks)}
 
 
 class NnzAwarePartitioner(Partitioner):
@@ -268,7 +246,6 @@ class LocalityAwarePartitioner(Partitioner):
 #: strategy name -> class
 PARTITIONERS: dict[str, type[Partitioner]] = {
     "round_robin": RoundRobinPartitioner,
-    "block_cyclic": BlockCyclicPartitioner,
     "nnz_aware": NnzAwarePartitioner,
     "locality_aware": LocalityAwarePartitioner,
 }

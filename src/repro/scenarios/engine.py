@@ -33,8 +33,7 @@ from typing import Callable
 import numpy as np
 
 from repro.distributed.distribution import BlockDistribution
-from repro.distributed.repartition import maybe_repartition
-from repro.runtime import ProcessGrid, RuntimeConfig, backend_name_of
+from repro.runtime import ProcessGrid, backend_name_of
 from repro.runtime.backend import Communicator
 from repro.runtime.partitioner import Partitioner, make_partitioner
 from repro.runtime.stats import CommStats
@@ -149,8 +148,8 @@ class ScenarioEngine:
 
     The engine is bound to a communicator and a scenario at construction
     (placement is installed immediately, before any per-rank state is
-    materialised; ``partitioner`` defaults to the ``REPRO_PARTITIONER``
-    switch, and ``REPRO_REPARTITION`` arms online repartitioning).
+    materialised; ``partitioner=None`` leaves the communicator's placement
+    as it is — round-robin on a fresh backend).
     Non-square rank counts degrade to the largest ``q×q`` subgrid —
     surplus ranks idle — so e.g. ``mpiexec -n 6`` replays on a 2×2 grid
     instead of aborting inside grid construction; everything downstream
@@ -188,14 +187,7 @@ class ScenarioEngine:
         self.grid = ProcessGrid.fit(comm.p)
         self.n_ranks = self.grid.n_ranks
         # Placement must be agreed before any per-rank state is materialised.
-        env = RuntimeConfig.from_env()
-        install_placement(
-            comm,
-            scenario,
-            self.grid,
-            partitioner if partitioner is not None else env.partitioner,
-        )
-        self._repartition_at = env.repartition
+        install_placement(comm, scenario, self.grid, partitioner)
         factory = executor_factory or NativeExecutor
         self.executor = factory(comm, self.grid, scenario, layout=layout)
 
@@ -497,20 +489,6 @@ class ScenarioEngine:
         self.applied_counts[step.kind] = self.applied_counts.get(
             step.kind, 0
         ) + int(applied)
-        # Online repartitioning (REPRO_REPARTITION): only for pure-update
-        # replays on a placement-aware backend — with a maintained product
-        # (SpGEMM state or an application) in play, more matrices than `a`
-        # would have to move in lock-step, which the hook deliberately does
-        # not attempt.
-        if (
-            self._repartition_at is not None
-            and isinstance(executor, NativeExecutor)
-            and executor.product is None
-            and executor.a is not None
-        ):
-            maybe_repartition(
-                comm, self.grid, [executor.a], threshold=self._repartition_at
-            )
 
     # ------------------------------------------------------------------
     # results

@@ -86,14 +86,13 @@ def replay(
         :data:`REPLAY_LAYOUTS` (``"csr"`` or ``"dhb"``).
     partitioner:
         Logical-rank→process placement strategy (a name or a
-        :class:`~repro.runtime.partitioner.Partitioner`); defaults to the
-        ``REPRO_PARTITIONER`` switch.  Placement is physical
+        :class:`~repro.runtime.partitioner.Partitioner`); ``None`` leaves
+        ``comm``'s placement as it is (round-robin on a fresh backend).  Placement is physical
         — results are byte-identical under every strategy; only the
         multi-process backends act on it.  Weight-using strategies
         (``nnz_aware``) estimate per-rank nnz from the initial matrix and
-        a scenario prefix.  With ``REPRO_REPARTITION`` armed, pure-update
-        replays additionally migrate block ownership between batches when
-        the per-process nnz imbalance exceeds the threshold.
+        a scenario prefix.  A resume on the snapshot's world size
+        re-installs the snapshot's placement over this one.
     executor_factory:
         ``(comm, grid, scenario, *, layout) -> executor``; defaults to
         :class:`NativeExecutor`.  Use

@@ -377,7 +377,6 @@ class TestSurface:
         assert _public(MPIBackend) == self.PROTOCOL | TRACED_ONLY | {
             "placement",
             "set_placement",
-            "migrate_ownership",
             "interprocess_comm",
             "global_interprocess_comm",
         }

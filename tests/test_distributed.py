@@ -181,7 +181,6 @@ class TestDistMatrices:
         mat = dist_from_dense(comm, grid, dense)
         assert np.allclose(mat.to_dense(), dense)
         assert mat.nnz() == int((dense != 0).sum())
-        assert sum(mat.block_nnz().values()) == mat.nnz()
 
     def test_static_from_tuples_matches_dense(self, any_grid):
         comm, grid = any_grid

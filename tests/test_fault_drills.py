@@ -13,7 +13,8 @@ Kill points are parametrised over the interesting positions:
 * the very first step (nothing checkpointed yet → full retry);
 * mid-stream (the common case, restored from the checkpoint);
 * immediately after a dynamic-SpGEMM multiply (product + filter state);
-* immediately after an online repartition migration (placement state).
+* on a non-default (nnz-aware or locality-aware) placement, resumed
+  without naming it (placement state travels in the snapshot).
 
 Loopback (emulated multi-process) worlds of size 1, 2 and 4 run the same
 drills through :func:`repro.scenarios.run_with_recovery`, sharing one
@@ -29,9 +30,10 @@ import numpy as np
 import pytest
 
 import repro.scenarios as S
-from repro.runtime import REPARTITION_ENV_VAR, MPIBackend, RuntimeConfig
+from repro.runtime import MPIBackend, RuntimeConfig
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.loopback import run_spmd
+from repro.runtime.partitioner import RoundRobinPartitioner
 
 N_RANKS = 4
 SEED = 2022
@@ -288,14 +290,12 @@ def test_loopback_env_plan_kill(world):
         )
 
 
-@pytest.mark.parametrize("world", (2, 4))
-def test_kill_after_online_repartition_migration(monkeypatch, world):
-    """Crash after a mid-stream ownership migration: the snapshot carries
-    the placement map, so the restored world re-installs it and the
-    continuation (including later migrations) replays byte-identically."""
-    monkeypatch.setenv(REPARTITION_ENV_VAR, "1.01")
-    # 9 logical ranks over 2/4 processes: enough blocks per process that an
-    # nnz-aware placement can actually lower the maximum load and migrate
+def _placement_kill_drill(world: int, partitioner: str) -> None:
+    """Crash a world running on ``partitioner``'s placement and resume it
+    *without* ``partitioner=``: the restored world must re-install the
+    snapshot's map and continue byte-identically."""
+    # 9 logical ranks over 2/4 processes: neither world divides the 3x3
+    # grid, so neither strategy's placement is round-robin
     n_ranks = 9
     base = S.with_checkpoint(
         S.SCENARIO_GENERATORS["bursty_skewed_stream"](seed=SEED), at=3
@@ -303,15 +303,12 @@ def test_kill_after_online_repartition_migration(monkeypatch, world):
 
     def reference_program(comm_obj, world_rank):
         comm = MPIBackend(n_ranks, comm=comm_obj)
-        result = S.replay(base, comm=comm, layout="csr")
+        result = S.replay(base, comm=comm, layout="csr", partitioner=partitioner)
         return result, comm.placement()
 
     refs = run_spmd(world, reference_program)
-    # the aggressive threshold must actually migrate ownership
-    from repro.runtime.partitioner import RoundRobinPartitioner
-
-    start = RoundRobinPartitioner().placement(n_ranks, world)
-    assert any(placement != start for _, placement in refs)
+    round_robin = RoundRobinPartitioner().placement(n_ranks, world)
+    assert all(placement != round_robin for _, placement in refs)
 
     drill = S.with_crash(base, at=6)
     store = S.CheckpointStore()
@@ -319,12 +316,14 @@ def test_kill_after_online_repartition_migration(monkeypatch, world):
 
     def drill_program(comm_obj, world_rank):
         comm = MPIBackend(n_ranks, comm=comm_obj)
+        resume = store.latest(world_rank)
         result = S.replay(
             drill,
             comm=comm,
             layout="csr",
+            partitioner=None if resume is not None else partitioner,
             checkpoint_store=store,
-            resume_from=store.latest(world_rank),
+            resume_from=resume,
             faults=injector,
             on_crash="raise",
         )
@@ -333,9 +332,21 @@ def test_kill_after_online_repartition_migration(monkeypatch, world):
     results = S.run_with_recovery(world, drill_program)
     for (reference, ref_placement), (recovered, got_placement) in zip(refs, results):
         _assert_continuation_identical(
-            reference, recovered, what=f"kill@after-migration world={world}"
+            reference, recovered, what=f"kill@{partitioner} world={world}"
         )
         assert got_placement == ref_placement
+
+
+@pytest.mark.parametrize("world", (2, 4))
+def test_kill_on_nnz_aware_placement_resumes_it(world):
+    """Crash on a weight-derived placement: the snapshot carries the map."""
+    _placement_kill_drill(world, "nnz_aware")
+
+
+@pytest.mark.parametrize("world", (2, 4))
+def test_kill_on_locality_aware_placement_resumes_it(world):
+    """Crash on a grid-banded placement: the snapshot carries the map."""
+    _placement_kill_drill(world, "locality_aware")
 
 
 # ----------------------------------------------------------------------

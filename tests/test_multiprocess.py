@@ -102,7 +102,7 @@ class TestOwnership:
 
         assert all(total == 4 for total in _spmd(world, program))
 
-    @pytest.mark.parametrize("world", (2, 4, 6))
+    @pytest.mark.parametrize("world", (2, 3, 4, 6))
     @pytest.mark.parametrize("name", available_partitioners())
     def test_every_partitioner_excludes_idle_processes(self, world, name):
         """Satellite of the placement work: whatever the strategy, the

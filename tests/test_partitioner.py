@@ -1,22 +1,20 @@
 """Unit tests for the pluggable logical-rank→process placement layer.
 
 Covers the strategy algebra (``repro.runtime.partitioner``), placement
-validation, block migration and the online repartitioning hook (the
-``REPRO_PARTITIONER``/``REPRO_REPARTITION`` parsing is in the
-``RuntimeConfig`` table of ``tests/test_runtime.py``).  The placement
-claims of the ``partition`` figure are checked where it is measured
-(``benchmarks/figures.py``).  The cross-world byte-identity sweeps live in
+validation and installing a placement on a multi-process backend.  The placement claims of the ``partition`` figure are checked
+where it is measured (``benchmarks/figures.py``).  The cross-world byte-identity sweeps live in
 ``tests/test_partitioner_differential.py``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import warnings
+
 import pytest
 
-from repro.runtime import REPARTITION_ENV_VAR, MPIBackend, ProcessGrid, run_spmd
+from repro.runtime import MPIBackend, ProcessGrid, run_spmd
 from repro.runtime.partitioner import (
-    BlockCyclicPartitioner,
+    PARTITIONERS,
     LocalityAwarePartitioner,
     NnzAwarePartitioner,
     RoundRobinPartitioner,
@@ -24,8 +22,6 @@ from repro.runtime.partitioner import (
     make_partitioner,
     verify_placement,
 )
-from repro.scenarios import SCENARIO_GENERATORS
-from repro.scenarios.replay import replay
 
 
 # ----------------------------------------------------------------------
@@ -35,12 +31,6 @@ class TestStrategies:
     def test_round_robin_matches_historical_modulo(self):
         placement = RoundRobinPartitioner().placement(9, 4)
         assert placement == {r: r % 4 for r in range(9)}
-
-    def test_block_cyclic_deals_contiguous_runs(self):
-        placement = BlockCyclicPartitioner(block_size=2).placement(8, 2)
-        assert placement == {0: 0, 1: 0, 2: 1, 3: 1, 4: 0, 5: 0, 6: 1, 7: 1}
-        with pytest.raises(ValueError, match="block_size"):
-            BlockCyclicPartitioner(block_size=0)
 
     def test_nnz_aware_lpt_balances_skewed_weights(self):
         weights = {0: 100.0, 1: 10.0, 2: 10.0, 3: 80.0}
@@ -102,16 +92,64 @@ class TestStrategies:
         assert placement[4] == 0 and placement[5] == 1
 
     @pytest.mark.parametrize("name", available_partitioners())
-    @pytest.mark.parametrize("n_ranks,world", [(1, 1), (4, 6), (9, 2), (16, 3)])
+    @pytest.mark.parametrize(
+        "n_ranks,world",
+        [(1, 1), (4, 6), (9, 2), (16, 3), (9, 4), (16, 16), (25, 6), (36, 5)],
+    )
     def test_every_strategy_produces_valid_placements(self, name, n_ranks, world):
         placement = make_partitioner(name).placement(n_ranks, world)
         verify_placement(placement, n_ranks, world)
         active = min(world, n_ranks)
         assert set(placement.values()) <= set(range(active))
 
+    @pytest.mark.parametrize("name", available_partitioners())
+    @pytest.mark.parametrize("n_ranks,world", [(9, 2), (9, 4), (16, 3), (25, 4)])
+    def test_every_strategy_uses_grid_and_weights_deterministically(
+        self, name, n_ranks, world
+    ):
+        """With the grid and skewed (strictly positive) weights a replay
+        supplies, every strategy places validly, keeps every active process
+        busy and gives the same map on every call — the SPMD agreement each
+        process relies on when it computes the placement independently."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            grid = ProcessGrid.fit(n_ranks)
+        weights = {r: float(1 + (r * 7) % 5) for r in range(n_ranks)}
+        strategy = make_partitioner(name)
+        placement = strategy.placement(n_ranks, world, grid=grid, weights=weights)
+        verify_placement(placement, n_ranks, world)
+        assert set(placement.values()) == set(range(world))
+        again = make_partitioner(name).placement(
+            n_ranks, world, grid=grid, weights=dict(weights)
+        )
+        assert again == placement
+
+    @pytest.mark.parametrize("name", available_partitioners())
+    def test_every_listed_name_makes_its_strategy(self, name):
+        strategy = make_partitioner(name)
+        assert strategy.name == name
+        assert isinstance(strategy, PARTITIONERS[name])
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "roundrobin",
+            "nnz_awre",
+            "ROUND_ROBIN",
+            "round-robin",
+            " nnz_aware",
+            "",
+        ],
+    )
+    def test_unlisted_names_are_refused(self, name):
+        with pytest.raises(ValueError, match="unknown partitioner") as info:
+            make_partitioner(name)
+        # the message lists what is available
+        assert ", ".join(available_partitioners()) in str(info.value)
+
     def test_make_partitioner_takes_names_and_instances(self):
         assert isinstance(make_partitioner("locality_aware"), LocalityAwarePartitioner)
-        instance = BlockCyclicPartitioner(block_size=3)
+        instance = NnzAwarePartitioner()
         assert make_partitioner(instance) is instance
         with pytest.raises(ValueError, match="unknown partitioner"):
             make_partitioner("nnz_awre")
@@ -139,74 +177,49 @@ class TestVerifyPlacement:
 
 
 # ----------------------------------------------------------------------
-# migration and the online repartitioning hook
+# installing a placement on a multi-process backend
 # ----------------------------------------------------------------------
-@pytest.mark.filterwarnings("ignore:MPI world of 3 processes:RuntimeWarning")
-class TestMigration:
-    def test_migrate_ownership_moves_blocks(self):
+class TestSetPlacement:
+    def test_set_placement_moves_ownership(self):
         def wrapped(comm_obj, world_rank):
             comm = MPIBackend(4, comm=comm_obj)
-            blocks = {rank: f"block-{rank}" for rank in comm.owned_ranks()}
+            before = comm.owned_ranks()
             # round-robin start: process 0 owns {0, 2}, process 1 owns
-            # {1, 3}; this map swaps every block to the other process
-            new_placement = {0: 1, 1: 0, 2: 1, 3: 0}
-            moved = comm.migrate_ownership(new_placement, [blocks])
-            return world_rank, moved, blocks, comm.placement()
+            # {1, 3}; this map swaps every rank to the other process
+            comm.set_placement({0: 1, 1: 0, 2: 1, 3: 0})
+            owners = [comm.owner_of(r) for r in range(4)]
+            return world_rank, before, comm.owned_ranks(), owners, comm.placement()
 
-        for world_rank, moved, blocks, placement in run_spmd(2, wrapped):
+        for world_rank, before, after, owners, placement in run_spmd(2, wrapped):
+            assert before == [world_rank, world_rank + 2]
+            assert after == [1 - world_rank, 3 - world_rank]
+            assert owners == [1, 0, 1, 0]
             assert placement == {0: 1, 1: 0, 2: 1, 3: 0}
-            assert moved == 2  # this process shipped both of its blocks
-            owned = {r for r, p in placement.items() if p == world_rank}
-            assert set(blocks) == owned
-            assert all(blocks[r] == f"block-{r}" for r in owned)
 
-    def test_migration_is_charged_as_interprocess_traffic(self):
-        def wrapped(comm_obj, world_rank):
-            comm = MPIBackend(4, comm=comm_obj)
-            blocks = {rank: np.arange(100) for rank in comm.owned_ranks()}
-            before = comm.global_interprocess_comm()
-            comm.migrate_ownership({0: 1, 1: 0, 2: 0, 3: 1}, [blocks])
-            return before, comm.global_interprocess_comm()
-
-        for before, after in run_spmd(2, wrapped):
-            assert after["bytes"] > before["bytes"]
-            assert after["messages"] > before["messages"]
-
-    def test_repartition_hook_preserves_results(self, monkeypatch):
-        """An aggressively low threshold forces mid-replay migrations; the
-        scenario outcome must stay byte-identical to the simulator's."""
-        scenario = SCENARIO_GENERATORS["bursty_skewed_stream"](seed=2022)
-        reference = replay(scenario, backend="sim", n_ranks=9, layout="csr")
-        monkeypatch.setenv(REPARTITION_ENV_VAR, "1.01")
-
-        def wrapped(comm_obj, world_rank):
-            comm = MPIBackend(9, comm=comm_obj)
-            result = replay(scenario, comm=comm, layout="csr")
-            return result, comm.placement()
-
-        results = run_spmd(2, wrapped)
-        start = RoundRobinPartitioner().placement(9, 2)
-        assert any(placement != start for _, placement in results)
-        for result, _ in results:
-            assert np.array_equal(result.final_a[0], reference.final_a[0])
-            assert np.array_equal(result.final_a[1], reference.final_a[1])
-            assert np.array_equal(result.final_a[2], reference.final_a[2])
-            assert result.applied_counts == reference.applied_counts
-            # migrations add redistribution traffic by design; every other
-            # communication category must stay byte-identical
-            signature = dict(result.comm_signature())
-            expected = dict(reference.comm_signature())
-            moved_extra = signature.pop("redist_comm")
-            assert moved_extra > expected.pop("redist_comm")
-            assert signature == expected
-
-    def test_oversubscribed_world_keeps_surplus_idle_after_migration(self):
+    @pytest.mark.filterwarnings("ignore:MPI world of 3 processes:RuntimeWarning")
+    def test_invalid_placement_is_refused_and_the_old_one_kept(self):
         def wrapped(comm_obj, world_rank):
             comm = MPIBackend(2, comm=comm_obj)
-            blocks = {rank: rank for rank in comm.owned_ranks()}
-            comm.migrate_ownership({0: 1, 1: 0}, [blocks])
-            return world_rank, sorted(blocks)
+            start = comm.placement()
+            refusals = []
+            # a missing rank, and a rank on the idle third process
+            for bad in ({0: 0}, {0: 0, 1: 2}):
+                try:
+                    comm.set_placement(bad)
+                except ValueError as exc:
+                    refusals.append(str(exc))
+            return start, comm.placement(), refusals
 
-        for world_rank, owned in run_spmd(3, wrapped):
-            if world_rank == 2:
-                assert owned == []
+        for start, after, refusals in run_spmd(3, wrapped):
+            assert after == start == {0: 0, 1: 1}
+            assert len(refusals) == 2
+            assert "exactly once" in refusals[0]
+            assert "active process domain" in refusals[1]
+
+    def test_placement_returns_a_copy(self):
+        def wrapped(comm_obj, world_rank):
+            comm = MPIBackend(4, comm=comm_obj)
+            comm.placement()[0] = 1
+            return comm.owner_of(0)
+
+        assert run_spmd(2, wrapped) == [0, 0]

@@ -7,11 +7,13 @@ counts and per-category logical communication volume.  The sweep mirrors
 the backend/layout differential matrix (`tests/test_scenarios_differential.py`)
 along a third axis:
 
-* ``REPRO_PARTITIONER`` environment sweep across the ``sim`` and emulated
-  ``mpi`` backends × both replay layouts (the env var must be validated and
-  honoured everywhere, including backends with no placement surface), and
-* explicit ``replay(partitioner=...)`` sweeps across loopback worlds
-  1/2/4, where placements genuinely differ between strategies.
+* ``replay(partitioner=...)`` across the ``sim`` and emulated ``mpi``
+  backends × both replay layouts (the name must be validated and honoured
+  everywhere, including backends with no placement surface), and
+* the same argument across loopback worlds 1/2/3/4, where placements
+  genuinely differ between strategies, installing exactly the strategy's
+  map.  World 3 divides neither the 2x2 grid nor its four ranks, so
+  ``locality_aware`` falls back to contiguous chunks there.
 
 Under ``mpiexec -n p`` the same module runs against the real
 ``COMM_WORLD`` (the loopback legs then exercise world size 1 per
@@ -26,8 +28,8 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    PARTITIONER_ENV_VAR,
     MPIBackend,
+    ProcessGrid,
     available_partitioners,
     make_partitioner,
     verify_placement,
@@ -39,10 +41,11 @@ from repro.scenarios import (
     ScenarioResult,
     replay,
 )
+from repro.scenarios.engine import scenario_nnz_weights
 
 N_RANKS = 4
 SEED = 2022
-WORLD_SIZES = (1, 2, 4)
+WORLD_SIZES = (1, 2, 3, 4)
 BACKENDS = ("sim", "mpi")
 PARTITIONERS = available_partitioners()
 
@@ -79,20 +82,25 @@ def _assert_result_identical(result, ref, *, what: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# REPRO_PARTITIONER environment sweep: backends × layouts
+# partitioner sweep: backends × layouts
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("layout", REPLAY_LAYOUTS)
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
-def test_env_selected_partitioner_is_byte_identical(
-    references, monkeypatch, backend, layout, partitioner
+def test_selected_partitioner_is_byte_identical(
+    references, backend, layout, partitioner
 ):
-    monkeypatch.setenv(PARTITIONER_ENV_VAR, partitioner)
     scenario = SCENARIO_GENERATORS["bursty_skewed_stream"](seed=SEED)
     with warnings.catch_warnings():
         # the emulated-mpi backend warns once when mpi4py is absent
         warnings.simplefilter("ignore", RuntimeWarning)
-        result = replay(scenario, backend=backend, n_ranks=N_RANKS, layout=layout)
+        result = replay(
+            scenario,
+            backend=backend,
+            n_ranks=N_RANKS,
+            layout=layout,
+            partitioner=partitioner,
+        )
     _assert_result_identical(
         result,
         references[("bursty_skewed_stream", layout)],
@@ -129,25 +137,23 @@ def test_loopback_worlds_are_byte_identical(
         )
 
 
-def test_env_var_reaches_loopback_backends(monkeypatch, references):
-    """The environment path must install real placements on multi-process
-    backends, not only validate the name: at world 2 the block-cyclic
-    strategy produces a placement round-robin cannot (locality-aware
-    coincides with round-robin on the 2x2 grid, so it proves nothing
-    here)."""
-    monkeypatch.setenv(PARTITIONER_ENV_VAR, "block_cyclic")
+@pytest.mark.parametrize("world", (2, 3, 4))
+@pytest.mark.parametrize("partitioner", PARTITIONERS)
+def test_partitioner_installs_its_placement(partitioner, world):
+    """``partitioner=`` installs the strategy's own map on every process —
+    for ``nnz_aware`` the one weighted by the scenario's per-rank nnz."""
     scenario = SCENARIO_GENERATORS["bursty_skewed_stream"](seed=SEED)
+    grid = ProcessGrid(N_RANKS)
+    strategy = make_partitioner(partitioner)
+    weights = (
+        scenario_nnz_weights(scenario, grid, N_RANKS) if strategy.uses_weights else None
+    )
+    expected = strategy.placement(N_RANKS, world, grid=grid, weights=weights)
 
     def program(comm_obj, world_rank):
         comm = MPIBackend(N_RANKS, comm=comm_obj)
-        result = replay(scenario, comm=comm, layout="csr")
-        return result, comm.placement()
+        replay(scenario, comm=comm, layout="csr", partitioner=partitioner)
+        return comm.placement()
 
-    round_robin = make_partitioner("round_robin").placement(N_RANKS, 2)
-    for result, placement in run_spmd(2, program):
-        assert placement != round_robin
-        _assert_result_identical(
-            result,
-            references[("bursty_skewed_stream", "csr")],
-            what="env block_cyclic@world=2",
-        )
+    assert run_spmd(world, program) == [expected] * world
+

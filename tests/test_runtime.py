@@ -27,7 +27,7 @@ from repro.sparse import CSRMatrix
 REJECT = object()
 
 #: ``(switch, raw value, parsed field value or REJECT)``: every accepted
-#: spelling and every rejection of the four switches
+#: spelling and every rejection of the two switches
 SWITCH_TABLE = [
     ("REPRO_BACKEND", "", "sim"),
     ("REPRO_BACKEND", "sim", "sim"),
@@ -35,28 +35,6 @@ SWITCH_TABLE = [
     ("REPRO_BACKEND", " MPI ", "mpi"),
     ("REPRO_BACKEND", "simm", REJECT),
     ("REPRO_BACKEND", "mpich", REJECT),
-    ("REPRO_PARTITIONER", "", None),
-    ("REPRO_PARTITIONER", "round_robin", "round_robin"),
-    ("REPRO_PARTITIONER", "block_cyclic", "block_cyclic"),
-    ("REPRO_PARTITIONER", "nnz_aware", "nnz_aware"),
-    ("REPRO_PARTITIONER", "locality_aware", "locality_aware"),
-    ("REPRO_PARTITIONER", "roundrobin", REJECT),
-    ("REPRO_PARTITIONER", "nnz_awre", REJECT),
-    ("REPRO_PARTITIONER", "ROUND_ROBIN", REJECT),
-    ("REPRO_REPARTITION", "", None),
-    ("REPRO_REPARTITION", "off", None),
-    ("REPRO_REPARTITION", "OFF", None),
-    ("REPRO_REPARTITION", "0", None),
-    ("REPRO_REPARTITION", "none", None),
-    ("REPRO_REPARTITION", "false", None),
-    ("REPRO_REPARTITION", "1.5", 1.5),
-    ("REPRO_REPARTITION", "1.01", 1.01),
-    ("REPRO_REPARTITION", "1.0", REJECT),
-    ("REPRO_REPARTITION", "0.5", REJECT),
-    ("REPRO_REPARTITION", "-2", REJECT),
-    ("REPRO_REPARTITION", "sometimes", REJECT),
-    ("REPRO_REPARTITION", "nan", REJECT),
-    ("REPRO_REPARTITION", "inf", REJECT),
     ("REPRO_FAULTS", "", None),
     ("REPRO_FAULTS", "kill@2;seed=4", FaultPlan(kills=((2, None),), seed=4)),
     (
@@ -87,8 +65,6 @@ SWITCH_TABLE = [
 
 _FIELD_OF = {
     "REPRO_BACKEND": "backend",
-    "REPRO_PARTITIONER": "partitioner",
-    "REPRO_REPARTITION": "repartition",
     "REPRO_FAULTS": "faults",
 }
 
@@ -136,7 +112,11 @@ class TestMachineModel:
 
 class TestRuntimeConfig:
     def test_unset_environment_gives_the_defaults(self):
-        assert RuntimeConfig.from_env({}) == RuntimeConfig("sim", None, None, None)
+        assert RuntimeConfig.from_env({}) == RuntimeConfig("sim", None)
+        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
+            "backend",
+            "faults",
+        ]
 
     @pytest.mark.parametrize(
         "switch,raw,want", SWITCH_TABLE, ids=[f"{s}={r!r}" for s, r, _ in SWITCH_TABLE]
@@ -152,14 +132,19 @@ class TestRuntimeConfig:
     def test_bad_switch_fails_the_run_not_the_backend(self, monkeypatch):
         """Backends read no switch: they construct under a bad one, while
         the replay that would act on it refuses to start — on every
-        backend, including the simulator that has no placement surface."""
-        monkeypatch.setenv("REPRO_PARTITIONER", "bogus")
+        backend.  A bad ``partitioner=`` argument fails the same way,
+        including on the simulator that has no placement surface."""
+        monkeypatch.setenv("REPRO_FAULTS", "explode=now")
         comm = MPIBackend(4, comm=EmulatedComm())
         assert comm.placement() == {rank: 0 for rank in range(4)}
         scenario = SCENARIO_GENERATORS["grow_from_empty"](seed=2022)
         for backend_comm in (comm, SimMPI(4)):
-            with pytest.raises(ValueError, match="REPRO_PARTITIONER='bogus'"):
+            with pytest.raises(ValueError, match="REPRO_FAULTS='explode=now'"):
                 replay(scenario, comm=backend_comm)
+        monkeypatch.delenv("REPRO_FAULTS")
+        for backend_comm in (comm, SimMPI(4)):
+            with pytest.raises(ValueError, match="unknown partitioner 'bogus'"):
+                replay(scenario, comm=backend_comm, partitioner="bogus")
 
 
 class TestProcessGrid:

@@ -35,7 +35,6 @@ _DRILL = "checkpoint drill API (docs/fault_tolerance.md)"
 #: exports kept although nothing outside tests/ reads them, with the reason
 ALLOWED: dict[str, str] = {
     "BACKEND_ENV_VAR": _SWITCH,
-    "PARTITIONER_ENV_VAR": _SWITCH,
     "BOOLEAN": _SEMIRING,
     "MAX_MIN": _SEMIRING,
     "MAX_PLUS": _SEMIRING,
