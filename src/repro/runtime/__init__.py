@@ -3,8 +3,8 @@
 Distributed algorithms in this repository are written in bulk-synchronous
 SPMD "orchestration" style against the :class:`Communicator` protocol; which
 runtime actually executes them is selected by :func:`make_communicator`
-(``backend=...`` argument or the ``REPRO_BACKEND`` switch, which
-:class:`RuntimeConfig` parses with ``REPRO_FAULTS``):
+(``backend=...`` argument or the ``REPRO_BACKEND`` switch, the one
+environment variable the package reads, through :func:`backend_switch`):
 
 * ``"sim"`` (default) — :class:`SimMPI`, a single-process simulator.  Each
   simulated rank owns local state; local kernels are executed rank-by-rank
@@ -25,12 +25,7 @@ breakdown figures (Fig. 7 and Fig. 12) report.
 """
 
 from repro.runtime.backend import CommRequest, Communicator
-from repro.runtime.config import (
-    BACKEND_ENV_VAR,
-    FAULTS_ENV_VAR,
-    MachineModel,
-    RuntimeConfig,
-)
+from repro.runtime.config import BACKEND_ENV_VAR, MachineModel, backend_switch
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.loopback import LoopbackComm, LoopbackWorld, run_spmd
 from repro.runtime.mpi_backend import (
@@ -61,9 +56,8 @@ __all__ = [
     "backend_name_of",
     "make_communicator",
     "BACKEND_ENV_VAR",
-    "FAULTS_ENV_VAR",
     "MachineModel",
-    "RuntimeConfig",
+    "backend_switch",
     "ProcessGrid",
     "CommStats",
     "StatCategory",

@@ -1,9 +1,9 @@
-"""Run configuration: the simulated cluster's machine model and the run switches.
+"""Run configuration: the simulated cluster's machine model and the run switch.
 
-:class:`RuntimeConfig` is the one reader of the process environment: the
-two switches ``REPRO_BACKEND`` and ``REPRO_FAULTS`` are parsed by
-:meth:`RuntimeConfig.from_env` and nowhere else (see ``docs/backends.md``
-for the table of switches).
+:func:`backend_switch` is the one reader of the process environment: the
+``REPRO_BACKEND`` switch names the communicator backend built when no
+``backend=``/``comm=`` is given (see ``docs/backends.md``).  Everything
+else — placement, faults, crash recovery — is an argument.
 
 The paper's testbed: 16 nodes, 2× Intel Xeon 6126 (12 cores each), 192 GB
 RAM, 100 GBit Omni-Path.  CombBLAS/CTF/our-code run 4 MPI ranks per node
@@ -31,65 +31,22 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Mapping
-
-from repro.runtime.faults import FaultPlan
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "FAULTS_ENV_VAR",
     "MachineModel",
-    "RuntimeConfig",
+    "backend_switch",
 ]
 
 #: communicator backend built when no ``backend=``/``comm=`` is given
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-#: fault plan a replay arms when none is given
-FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 
-def _backend(text: str) -> str:
-    from repro.runtime.world import BACKENDS
-
-    name = text.lower() or "sim"
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend (available: {', '.join(sorted(BACKENDS))})")
-    return name
-
-
-@dataclass(frozen=True)
-class RuntimeConfig:
-    """The two run switches of this process, parsed and validated once.
-
-    ``faults`` is ``None`` when no plan is armed.  Readers build one with
-    :meth:`from_env` where they act on a switch; nothing takes a
-    ``RuntimeConfig`` argument.  Placement is not a switch: it is the
-    ``partitioner=`` argument of ``replay()`` and the service.
-    """
-
-    backend: str = "sim"
-    faults: FaultPlan | None = None
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "RuntimeConfig":
-        """Parse the switches from ``environ`` (default: ``os.environ``).
-
-        Every value is checked here, so a typo raises a ``ValueError``
-        naming its switch before any work starts.
-        """
-        env = os.environ if environ is None else environ
-
-        def parse(name, parser):
-            text = env.get(name, "").strip()
-            try:
-                return parser(text)
-            except ValueError as exc:
-                raise ValueError(f"{name}={text!r}: {exc}") from None
-
-        return cls(
-            backend=parse(BACKEND_ENV_VAR, _backend),
-            faults=parse(FAULTS_ENV_VAR, lambda t: FaultPlan.parse(t) if t else None),
-        )
+def backend_switch() -> str:
+    """The ``REPRO_BACKEND`` switch, stripped and lower-cased (``"sim"`` when
+    unset); :func:`repro.runtime.world.make_communicator` checks it against
+    the backend table."""
+    return os.environ.get(BACKEND_ENV_VAR, "").strip().lower() or "sim"
 
 
 @dataclass(frozen=True)

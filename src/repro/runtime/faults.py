@@ -2,14 +2,14 @@
 
 A :class:`FaultPlan` describes *what goes wrong and when* — process kills at
 chosen scenario step indices, probabilistic message drops, probabilistic
-message delays — parsed from the ``REPRO_FAULTS`` switch by
-:meth:`repro.runtime.config.RuntimeConfig.from_env` (or built
-programmatically).  A :class:`FaultInjector` executes one plan
+message delays — built programmatically or parsed by :meth:`FaultPlan.parse`
+from the grammar below; a plan reaches a replay only as its ``faults=``
+argument.  A :class:`FaultInjector` executes one plan
 deterministically: the same spec and seed always kill the same step and
 charge the same recovery traffic, so a fault drill is as replayable as the
 trace it interrupts.
 
-``REPRO_FAULTS`` grammar (``;``-separated clauses, order-free)::
+Fault grammar (``;``-separated clauses, order-free)::
 
     kill@<step>              kill the world when step <step> is reached
     kill@<step>:proc=<p>     kill only loopback process <p> at step <step>
@@ -17,7 +17,7 @@ trace it interrupts.
     delay=1/<N>:<seconds>    delay ~1 in N messages by <seconds> (modeled)
     seed=<s>                 RNG seed for the drop/delay draws (default 0)
 
-Example: ``REPRO_FAULTS="kill@3;drop=1/50;seed=7"``.
+Example: ``replay(scenario, faults="kill@3;drop=1/50;seed=7")``.
 
 Faults never corrupt results: a dropped message is charged once in its
 nominal category (the payload is assumed retransmitted) and once more in
@@ -28,8 +28,9 @@ communicator: :func:`repro.scenarios.replay.replay` binds
 :meth:`FaultInjector.on_message` to the ``faults`` field of the replaying
 communicator's ``CommStats`` for each attempt, so traffic any other
 communicator records meanwhile is never charged.  Kills raise :class:`SimulatedCrash`,
-which :func:`repro.scenarios.replay.replay` converts into a
-retry-or-restore recovery depending on its ``on_crash`` policy.
+which :func:`repro.scenarios.replay.replay` re-raises or recovers from
+(restoring the latest stored checkpoint, else rerunning from scratch)
+depending on its ``on_crash`` policy.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class SimulatedCrash(RuntimeError):
 
 
 class FaultPlanError(ValueError):
-    """A ``REPRO_FAULTS`` specification is malformed or out of range."""
+    """A fault specification is malformed or out of range."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
-        """Parse the ``REPRO_FAULTS`` grammar into a plan."""
+        """Parse the fault grammar (module docstring) into a plan."""
         kills: list[tuple[int, int | None]] = []
         drop_one_in = 0
         delay_one_in = 0

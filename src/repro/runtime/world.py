@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.runtime.backend import Communicator
-from repro.runtime.config import MachineModel, RuntimeConfig
+from repro.runtime.config import BACKEND_ENV_VAR, MachineModel, backend_switch
 from repro.runtime.mpi_backend import MPIBackend, load_mpi
 from repro.runtime.simmpi import SimMPI
 
@@ -60,10 +60,11 @@ def backend_name_of(comm: Communicator) -> str:
 
 def _backend_name(backend: str | None) -> str:
     """``backend``, else the ``REPRO_BACKEND`` switch; checked against the table."""
-    name = (backend or RuntimeConfig.from_env().backend).strip().lower()
+    name = backend.strip().lower() if backend else backend_switch()
     if name not in BACKENDS:
+        given = "" if backend else f"{BACKEND_ENV_VAR}={name!r}: "
         raise ValueError(
-            f"unknown communicator backend {name!r}; "
+            f"{given}unknown communicator backend {name!r}; "
             f"available: {', '.join(sorted(BACKENDS))}"
         )
     return name

@@ -41,7 +41,7 @@ Module map
 ``replay``      :func:`replay` — run any scenario on any communicator
                 backend, rank count and layout of the static right
                 operand (``REPLAY_LAYOUTS``: ``csr``, ``dhb``),
-                with fault injection (``faults=``) and retry-or-restore
+                with fault injection (``faults=``) and raise-or-restore
                 crash recovery (``on_crash=``).
 ``checkpoint``  Durable snapshots and the drill helpers:
                 :func:`build_snapshot` / :func:`restore_state`,

@@ -52,12 +52,7 @@ from repro.distributed.dist_matrix import (
 from repro.runtime.faults import SimulatedCrash
 from repro.runtime.simmpi import payload_nbytes
 from repro.runtime.stats import StatCategory
-from repro.scenarios.model import (
-    AppQueryResult,
-    Scenario,
-    ScenarioStep,
-    StepStats,
-)
+from repro.scenarios.model import Scenario, ScenarioStep
 from repro.semirings import get_semiring
 
 __all__ = [
@@ -75,7 +70,7 @@ __all__ = [
 ]
 
 #: Version stamp of the snapshot schema; bumped on incompatible changes.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 _REQUIRED_KEYS = (
     "version",
@@ -188,23 +183,14 @@ def _encode_state(executor) -> dict[str, Any]:
     return state
 
 
-def build_snapshot(
-    executor,
-    *,
-    cursor: int,
-    step_stats: list[StepStats],
-    applied_counts: dict[str, int],
-    app_results: list[AppQueryResult],
-    comm_stats: dict[str, dict[str, float]],
-    update_stats: dict[str, dict[str, float]],
-    elapsed: float,
-) -> dict[str, Any]:
+def build_snapshot(executor, *, cursor: int, progress: dict[str, Any]) -> dict[str, Any]:
     """Serialise the executor's full world state plus replay progress.
 
     ``cursor`` is the index of the first step the restored run must
-    execute; the progress prefix (statistics, counters, recorded query
-    payloads) covers everything before it.  Identical on every process up
-    to per-process wall-clock measurements inside ``step_stats``.
+    execute; ``progress`` (``ScenarioEngine._progress()``: step records,
+    recorded query payloads, comm and update statistics, elapsed time)
+    covers everything before it.  Identical on every process up to
+    per-process wall-clock measurements inside the step records.
     """
     if not hasattr(executor, "a") or not hasattr(executor, "scenario"):
         raise SnapshotFormatError(
@@ -229,8 +215,7 @@ def build_snapshot(
         ),
         "state": _encode_state(executor),
         "progress": {
-            "step_stats": [s.as_dict() for s in step_stats],
-            "applied_counts": dict(applied_counts),
+            "step_stats": [s.as_dict() for s in progress["step_stats"]],
             "app_results": [
                 {
                     "index": r.index,
@@ -238,11 +223,11 @@ def build_snapshot(
                     "label": r.label,
                     "payload": r.payload,
                 }
-                for r in app_results
+                for r in progress["app_results"]
             ],
-            "comm_stats": comm_stats,
-            "update_stats": update_stats,
-            "elapsed": float(elapsed),
+            "comm_stats": progress["comm_stats"],
+            "update_stats": progress["update_stats"],
+            "elapsed": float(progress["elapsed"]),
         },
     }
     check_snapshot(snapshot)
@@ -269,7 +254,7 @@ def check_snapshot(snapshot: dict[str, Any]) -> None:
             f"is not one of {_STATE_KINDS}"
         )
     progress = snapshot["progress"]
-    for key in ("step_stats", "applied_counts", "comm_stats", "elapsed"):
+    for key in ("step_stats", "comm_stats", "elapsed"):
         if key not in progress:
             raise SnapshotFormatError(f"snapshot progress is missing {key!r}")
 

@@ -28,7 +28,7 @@ suite the service's correctness oracle.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from repro.runtime.partitioner import Partitioner, make_partitioner
 from repro.runtime.stats import CommStats
 from repro.scenarios.executors import NativeExecutor, ScenarioCheckError
 from repro.scenarios.model import (
+    CONTROL_KINDS,
     AppQueryResult,
     AppQueryStep,
     CheckpointStep,
@@ -192,7 +193,6 @@ class ScenarioEngine:
         self.executor = factory(comm, self.grid, scenario, layout=layout)
 
         self.step_stats: list[StepStats] = []
-        self.applied_counts: dict[str, int] = {}
         self.app_results: list[AppQueryResult] = []
         self.truncated_at: int | None = None
         #: index of the next step to apply
@@ -244,7 +244,6 @@ class ScenarioEngine:
             progress = resume["progress"]
             self.cursor = int(resume["cursor"])
             self.step_stats = [StepStats(**dict(s)) for s in progress["step_stats"]]
-            self.applied_counts = dict(progress["applied_counts"])
             self.app_results = [
                 AppQueryResult(
                     index=int(r["index"]),
@@ -269,26 +268,18 @@ class ScenarioEngine:
         # region.
         self.executor.prepare()
         if scenario.timed_construction:
-            before = comm.stats.snapshot()
-            with comm.timer() as timer:
-                self.executor.construct()
-            diff = global_stats_diff(comm, before)
             n_initial = (
                 int(scenario.initial_tuples[0].size)
                 if scenario.initial_tuples is not None
                 else 0
             )
-            self.step_stats.append(
-                StepStats(
-                    index=-1,
-                    kind="construct",
-                    label="construct",
-                    n_tuples=n_initial,
-                    applied=n_initial,
-                    seconds=timer.seconds,
-                    comm_messages=diff.total_messages(),
-                    comm_bytes=diff.total_bytes(),
-                )
+            # construct() returns nothing; the step applies every initial tuple
+            self._measure(
+                -1,
+                "construct",
+                "construct",
+                n_initial,
+                lambda: (n_initial, self.executor.construct()),
             )
         else:
             self.executor.construct()
@@ -315,184 +306,134 @@ class ScenarioEngine:
             self.cursor = index + 1
         return self
 
-    def _apply_one(self, index: int, step) -> None:
-        from repro.competitors import UnsupportedOperation
-        from repro.scenarios.checkpoint import build_snapshot
+    def _record(
+        self,
+        index: int,
+        kind: str,
+        label: str,
+        n_tuples: int = 0,
+        applied: int = 0,
+        seconds: float = 0.0,
+        **comm,
+    ) -> None:
+        """Append one step's record (untimed and comm-free by default)."""
+        self.step_stats.append(
+            StepStats(index, kind, label, n_tuples, applied, seconds, **comm)
+        )
 
-        comm, executor = self.comm, self.executor
+    def _measure(self, index: int, kind: str, label: str, n_tuples: int, work) -> Any:
+        """Run ``work() -> (applied, value)`` timed and charged, record the
+        step and return ``value``.
+
+        An unsupported trace step is recorded as such and truncates the
+        engine (returning ``None``); an unsupported construction raises.
+        """
+        from repro.competitors import UnsupportedOperation
+
+        comm = self.comm
+        before = comm.stats.snapshot()
+        try:
+            with comm.timer() as timer:
+                applied, value = work()
+        except UnsupportedOperation:
+            if index < 0:
+                raise
+            self._record(index, kind, label, n_tuples, supported=False)
+            self.truncated_at = index
+            return None
+        diff = global_stats_diff(comm, before)
+        self._record(
+            index,
+            kind,
+            label,
+            n_tuples,
+            int(applied),
+            timer.seconds,
+            comm_messages=diff.total_messages(),
+            comm_bytes=diff.total_bytes(),
+        )
+        return value
+
+    def _apply_one(self, index: int, step) -> None:
+        from repro.scenarios.checkpoint import build_snapshot, restore_state
+
+        executor = self.executor
         if self.injector is not None:
             self.injector.check_step(index, process=self.world_rank)
-        if isinstance(step, CheckpointStep):
-            # The checkpoint's own (untimed, zero-comm) statistics are
-            # part of the snapshot, so the restored run replays it as
-            # already-done.
-            self.step_stats.append(
-                StepStats(
-                    index=index,
-                    kind="checkpoint",
-                    label=step.label,
-                    n_tuples=0,
-                    applied=0,
-                    seconds=0.0,
+        if isinstance(step, (CheckpointStep, CrashStep, SnapshotCheck)):
+            if isinstance(step, CrashStep) and self.injector is not None:
+                self.injector.fire_crash(index, step.process, process=self.world_rank)
+            if isinstance(step, SnapshotCheck) and self.check_snapshots:
+                executor.snapshot(step)
+            self._record(index, step.kind, step.label)
+            if isinstance(step, CheckpointStep):
+                # The checkpoint's own record is part of the snapshot, so
+                # the restored run replays it as already-done.
+                snapshot = build_snapshot(
+                    executor, cursor=index + 1, progress=self._progress()
                 )
-            )
-            snapshot = build_snapshot(
-                executor,
-                cursor=index + 1,
-                step_stats=self.step_stats,
-                applied_counts=self.applied_counts,
-                app_results=self.app_results,
-                comm_stats=merged_stats(
-                    self._prefix_comm, comm, self._start
-                ).as_dict(),
-                update_stats=merged_stats(
-                    self._prefix_update, comm, self._post_construct
-                ).as_dict(),
-                elapsed=self._prefix_elapsed + comm.elapsed() - self._elapsed_start,
-            )
-            if self.store is not None:
-                self.store.save(step.tag, self.world_rank, snapshot)
+                if self.store is not None:
+                    self.store.save(step.tag, self.world_rank, snapshot)
             return
         if isinstance(step, RestoreStep):
-            from repro.scenarios.checkpoint import restore_state
-
             if self.store is None:
                 raise ScenarioCheckError(
                     f"step {step.label!r}: RestoreStep needs a checkpoint "
                     "store (did a CheckpointStep run first?)"
                 )
             snapshot = self.store.load(step.tag, self.world_rank)
-            before = comm.stats.snapshot()
-            n_blocks = restore_state(executor, snapshot)
-            diff = global_stats_diff(comm, before)
-            self.step_stats.append(
-                StepStats(
-                    index=index,
-                    kind="restore",
-                    label=step.label,
-                    n_tuples=0,
-                    applied=int(n_blocks),
-                    seconds=0.0,
-                    comm_messages=diff.total_messages(),
-                    comm_bytes=diff.total_bytes(),
-                )
+            self._measure(
+                index,
+                step.kind,
+                step.label,
+                step.n_tuples,
+                lambda: (restore_state(executor, snapshot), None),
             )
-            return
-        if isinstance(step, CrashStep):
-            if self.injector is not None:
-                self.injector.fire_crash(index, step.process, process=self.world_rank)
-            self.step_stats.append(
-                StepStats(
-                    index=index,
-                    kind="crash",
-                    label=step.label,
-                    n_tuples=0,
-                    applied=0,
-                    seconds=0.0,
-                )
+        elif isinstance(step, AppQueryStep):
+            payload = self._measure(
+                index,
+                step.kind,
+                step.label,
+                step.n_tuples,
+                lambda: executor.query(step, check=self.check_snapshots),
             )
-            return
-        if isinstance(step, SnapshotCheck):
-            if self.check_snapshots:
-                executor.snapshot(step)
-            self.step_stats.append(
-                StepStats(
-                    index=index,
-                    kind="snapshot",
-                    label=step.label,
-                    n_tuples=0,
-                    applied=0,
-                    seconds=0.0,
-                )
-            )
-            return
-        if isinstance(step, AppQueryStep):
-            before = comm.stats.snapshot()
-            try:
-                with comm.timer() as timer:
-                    applied, payload = executor.query(
-                        step, check=self.check_snapshots
-                    )
-            except UnsupportedOperation:
-                self.step_stats.append(
-                    StepStats(
-                        index=index,
-                        kind=step.kind,
-                        label=step.label,
-                        n_tuples=0,
-                        applied=0,
-                        seconds=0.0,
-                        supported=False,
+            if self.truncated_at is None:
+                self.app_results.append(
+                    AppQueryResult(
+                        index=index, kind=step.kind, label=step.label, payload=payload
                     )
                 )
-                self.truncated_at = index
-                return
-            diff = global_stats_diff(comm, before)
-            self.step_stats.append(
-                StepStats(
-                    index=index,
-                    kind=step.kind,
-                    label=step.label,
-                    n_tuples=0,
-                    applied=int(applied),
-                    seconds=timer.seconds,
-                    comm_messages=diff.total_messages(),
-                    comm_bytes=diff.total_bytes(),
-                )
+        else:
+            # the applications re-scatter their (transformed) batches themselves
+            per_rank = (
+                step.per_rank(self.n_ranks)
+                if getattr(executor, "app", None) is None
+                else {}
             )
-            self.app_results.append(
-                AppQueryResult(
-                    index=index, kind=step.kind, label=step.label, payload=payload
-                )
+            self._measure(
+                index,
+                step.kind,
+                step.label,
+                step.n_tuples,
+                lambda: (executor.apply(step, per_rank), None),
             )
-            self.applied_counts[step.kind] = self.applied_counts.get(
-                step.kind, 0
-            ) + int(applied)
-            return
-        # the applications re-scatter their (transformed) batches themselves
-        per_rank = (
-            step.per_rank(self.n_ranks)
-            if getattr(executor, "app", None) is None
-            else {}
-        )
-        before = comm.stats.snapshot()
-        try:
-            with comm.timer() as timer:
-                applied = executor.apply(step, per_rank)
-        except UnsupportedOperation:
-            self.step_stats.append(
-                StepStats(
-                    index=index,
-                    kind=step.kind,
-                    label=step.label,
-                    n_tuples=step.n_tuples,
-                    applied=0,
-                    seconds=0.0,
-                    supported=False,
-                )
-            )
-            self.truncated_at = index
-            return
-        diff = global_stats_diff(comm, before)
-        self.step_stats.append(
-            StepStats(
-                index=index,
-                kind=step.kind,
-                label=step.label,
-                n_tuples=step.n_tuples,
-                applied=int(applied),
-                seconds=timer.seconds,
-                comm_messages=diff.total_messages(),
-                comm_bytes=diff.total_bytes(),
-            )
-        )
-        self.applied_counts[step.kind] = self.applied_counts.get(
-            step.kind, 0
-        ) + int(applied)
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
+    def _progress(self) -> dict[str, Any]:
+        """Everything applied so far, the snapshot prefix stitched on."""
+        comm = self.comm
+        return {
+            "step_stats": list(self.step_stats),
+            "app_results": list(self.app_results),
+            "comm_stats": merged_stats(self._prefix_comm, comm, self._start).as_dict(),
+            "update_stats": merged_stats(
+                self._prefix_update, comm, self._post_construct
+            ).as_dict(),
+            "elapsed": self._prefix_elapsed + comm.elapsed() - self._elapsed_start,
+        }
+
     def result(self, collect_final: bool = True) -> ScenarioResult:
         """Assemble the structured result for everything applied so far.
 
@@ -501,7 +442,6 @@ class ScenarioEngine:
         sampling a mid-trace result leaves the charged comm volume — the
         quantity the differential oracle compares — untouched.
         """
-        comm = self.comm
         empty = (
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
@@ -509,21 +449,24 @@ class ScenarioEngine:
         )
         final_a: TupleArrays = self.executor.final_a() if collect_final else empty
         final_c = self.executor.final_c() if collect_final else None
+        progress = self._progress()
+        applied_counts: dict[str, int] = {}
+        for s in progress["step_stats"]:
+            if s.supported and s.kind not in (*CONTROL_KINDS, "construct"):
+                applied_counts[s.kind] = applied_counts.get(s.kind, 0) + s.applied
         return ScenarioResult(
             scenario=self.scenario.name,
             backend=self.backend_name,
             n_ranks=self.n_ranks,
             layout=self.layout,
             semiring_name=self.scenario.semiring_name,
-            steps=list(self.step_stats),
+            steps=progress["step_stats"],
             final_a=final_a,
             final_c=final_c,
-            applied_counts=dict(self.applied_counts),
-            comm_stats=merged_stats(self._prefix_comm, comm, self._start).as_dict(),
-            update_stats=merged_stats(
-                self._prefix_update, comm, self._post_construct
-            ).as_dict(),
+            applied_counts=applied_counts,
+            comm_stats=progress["comm_stats"],
+            update_stats=progress["update_stats"],
             truncated_at=self.truncated_at,
-            elapsed_modeled=self._prefix_elapsed + comm.elapsed() - self._elapsed_start,
-            app_results=list(self.app_results),
+            elapsed_modeled=progress["elapsed"],
+            app_results=progress["app_results"],
         )

@@ -59,6 +59,7 @@ __all__ = [
     "AppQueryResult",
     "Scenario",
     "StepStats",
+    "CONTROL_KINDS",
     "ScenarioResult",
     "canonical_tuples",
     "spawn_seeds",
@@ -66,6 +67,11 @@ __all__ = [
 ]
 
 TupleArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: step kinds that steer a replay rather than measure it; neither
+#: ``measured_steps()`` nor ``applied_counts`` reads their records (a
+#: restore's traffic is all in the ``recovery`` category)
+CONTROL_KINDS = ("snapshot", "checkpoint", "restore", "crash")
 
 #: Salt mixed into the scenario seed when deriving per-step partition seeds.
 _PARTITION_SALT = 0x5CE7A410
@@ -115,7 +121,8 @@ def _clean_tuples(
 
 
 def trimmed_mean_seconds(times: "list[float]") -> float:
-    """Mean with the extreme samples dropped (midmean for ≥ 4 samples).
+    """Mean with the extreme samples dropped: the smallest and the largest
+    of ≥ 4 samples, the largest of 3, none of fewer.
 
     Per-step wall-clock measurements at benchmark smoke scale are sub-100µs,
     where a single GC pause or scheduler stall (or the interpreter's cold
@@ -589,10 +596,12 @@ class StepStats:
     kind: str
     label: str
     n_tuples: int
-    #: operation-specific count: entries created / changed / deleted, or
-    #: result entries touched for SpGEMM steps; 0 for snapshots
+    #: operation-specific count: entries created / changed / deleted,
+    #: result entries touched for SpGEMM steps, blocks restored for a
+    #: restore; 0 for snapshots, checkpoints and crashes
     applied: int
-    #: measured seconds of the timed region (0.0 for snapshots)
+    #: measured seconds of the timed region (0.0 for snapshots,
+    #: checkpoints and crashes, which run untimed)
     seconds: float
     comm_messages: int = 0
     comm_bytes: int = 0
@@ -683,10 +692,11 @@ class ScenarioResult:
 
     # ------------------------------------------------------------------
     def measured_steps(self, kinds: tuple[str, ...] | None = None) -> list[StepStats]:
-        """Supported, timed (non-snapshot) steps, optionally filtered."""
+        """Supported steps that do the measured work (no control steps),
+        optionally filtered by kind."""
         out = []
         for s in self.steps:
-            if s.kind == "snapshot" or not s.supported:
+            if s.kind in CONTROL_KINDS or not s.supported:
                 continue
             if kinds is not None and s.kind not in kinds:
                 continue

@@ -45,15 +45,11 @@ class ReplayOptions:
     resume_from: Any = None
     faults: Any = None
     on_crash: str = "raise"
-    max_recoveries: int = 8
 
     def validate(self) -> "ReplayOptions":
         """Check cross-field invariants; returns ``self`` for chaining."""
-        if self.on_crash not in ("raise", "retry", "restore"):
+        if self.on_crash not in ("raise", "restore"):
             raise ValueError(
-                f"unknown on_crash policy {self.on_crash!r} "
-                "(use 'raise', 'retry' or 'restore')"
+                f"unknown on_crash policy {self.on_crash!r} (use 'raise' or 'restore')"
             )
-        if self.max_recoveries < 0:
-            raise ValueError("max_recoveries must be non-negative")
         return self

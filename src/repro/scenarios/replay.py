@@ -23,7 +23,9 @@ the timed region, and each step's timed region covers exactly the update /
 multiply work.
 
 Configuration is one :class:`~repro.scenarios.options.ReplayOptions`,
-passed whole, field by field as keywords, or both (keywords win).
+passed whole, field by field as keywords, or both (keywords win).  Faults
+are armed only by the ``faults=`` argument; the environment selects at
+most the backend (``REPRO_BACKEND``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import os
 from dataclasses import replace
 from functools import partial
 
-from repro.runtime import RuntimeConfig, backend_name_of, make_communicator
+from repro.runtime import backend_name_of, make_communicator
 from repro.runtime.backend import Communicator
 from repro.runtime.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.scenarios.engine import ScenarioEngine
@@ -54,6 +56,9 @@ __all__ = [
     "CompetitorExecutor",
     "replay",
 ]
+
+#: crashes ``on_crash="restore"`` recovers from before the replay re-raises
+MAX_RECOVERIES = 8
 
 
 def replay(
@@ -119,40 +124,37 @@ def replay(
         prefix stitched to the resumed suffix.
     faults:
         Fault injection: a :class:`~repro.runtime.faults.FaultPlan`, a
-        ``REPRO_FAULTS``-grammar string, or a pre-armed
-        :class:`~repro.runtime.faults.FaultInjector` (pass the same
-        injector across recovery attempts so fired kills do not refire).
-        Drops and delays are charged to ``comm.stats`` only.  Defaults to
-        the ``REPRO_FAULTS`` switch.
+        string in its grammar (:meth:`~repro.runtime.faults.FaultPlan.parse`),
+        or a pre-armed :class:`~repro.runtime.faults.FaultInjector` (pass
+        the same injector across recovery attempts so fired kills do not
+        refire).  Drops and delays are charged to ``comm.stats`` only.
+        ``None`` (default) arms nothing.
     on_crash:
         What to do when an injected crash fires: ``"raise"`` (default —
-        the multi-process harness catches it and restarts the world),
-        ``"restore"`` (resume from the latest checkpoint, or retry from
-        scratch when none exists yet) or ``"retry"`` (always restart the
-        replay from scratch).  In-process backends only.
+        the multi-process harness catches it and restarts the world) or
+        ``"restore"`` (resume from the latest stored checkpoint, or rerun
+        from scratch when none is stored yet; after
+        :data:`MAX_RECOVERIES` recoveries the crash is re-raised).
+        In-process backends only.
     """
     from repro.scenarios.checkpoint import CheckpointStore, load_snapshot
     from repro.scenarios.model import CheckpointStep, RestoreStep
 
     opts = replace(options or ReplayOptions(), **fields).validate()
-    env = RuntimeConfig.from_env()
     if comm is None:
         comm = make_communicator(
-            opts.backend or env.backend, n_ranks=opts.n_ranks, machine=opts.machine
+            opts.backend, n_ranks=opts.n_ranks, machine=opts.machine
         )
     elif opts.backend and opts.backend.strip().lower() != backend_name_of(comm):
         raise ValueError(
             f"backend={opts.backend!r} disagrees with comm=, "
             f"a {backend_name_of(comm)!r} communicator"
         )
-    faults = opts.faults if opts.faults is not None else env.faults
-    if isinstance(faults, str):
-        faults = FaultPlan.parse(faults)
-    injector = (
-        faults
-        if isinstance(faults, FaultInjector)
-        else (FaultInjector(faults) if faults is not None else None)
-    )
+    injector = opts.faults
+    if isinstance(injector, str):
+        injector = FaultPlan.parse(injector)
+    if isinstance(injector, FaultPlan):
+        injector = FaultInjector(injector)
     store = opts.checkpoint_store
     if store is None and any(
         isinstance(s, (CheckpointStep, RestoreStep)) for s in scenario.steps
@@ -176,16 +178,10 @@ def replay(
                 world_rank=world_rank,
             )
         except SimulatedCrash:
-            if opts.on_crash == "raise":
-                raise
             recoveries += 1
-            if recoveries > opts.max_recoveries:
+            if opts.on_crash == "raise" or recoveries > MAX_RECOVERIES:
                 raise
-            resume = (
-                store.latest(world_rank)
-                if (opts.on_crash == "restore" and store is not None)
-                else None
-            )
+            resume = store.latest(world_rank) if store is not None else None
 
 
 def _replay_once(

@@ -82,7 +82,6 @@ _REPLAY_ONLY_FIELDS = (
     "faults",
     "resume_from",
     "on_crash",
-    "max_recoveries",
     "collect_final",
 )
 

@@ -360,22 +360,29 @@ def test_load_snapshot_rejects_future_versions(tmp_path) -> None:
         S.save_snapshot(path, snapshot)
 
 
-def test_version_2_snapshots_are_refused(tmp_path, monkeypatch) -> None:
+@pytest.mark.parametrize("version", (2, 3))
+def test_older_snapshot_versions_are_refused(tmp_path, monkeypatch, version) -> None:
     """Version 2 stored a DHB block row object by row object (rows in
-    insertion order, one grow count each); this build reads the arena form."""
+    insertion order, one grow count each); version 3 also stored the
+    applied counts, which this build derives from the step records."""
     import repro.scenarios.checkpoint as checkpoint
 
-    assert S.SNAPSHOT_VERSION == 3
+    assert S.SNAPSHOT_VERSION == 4
     _, _, store = _checkpointed_drill(tmp_path)
     snapshot = dict(store.load("default", 0))
-    snapshot["version"] = 2
-    with pytest.raises(S.SnapshotFormatError, match="version 2 is not supported"):
+    assert "applied_counts" not in snapshot["progress"]
+    snapshot["version"] = version
+    with pytest.raises(
+        S.SnapshotFormatError, match=f"version {version} is not supported"
+    ):
         S.check_snapshot(snapshot)
-    path = tmp_path / "v2.npz"
+    path = tmp_path / f"v{version}.npz"
     with monkeypatch.context() as patched:
-        patched.setattr(checkpoint, "SNAPSHOT_VERSION", 2)
+        patched.setattr(checkpoint, "SNAPSHOT_VERSION", version)
         S.save_snapshot(path, snapshot)
-    with pytest.raises(S.SnapshotFormatError, match="file version 2 is not supported"):
+    with pytest.raises(
+        S.SnapshotFormatError, match=f"file version {version} is not supported"
+    ):
         S.load_snapshot(path)
 
 
@@ -667,7 +674,7 @@ def test_snapshot_labelling_a_dhb_b_as_csr_still_restores() -> None:
     """
     reference, drill, store = _algebraic_dhb_drill()
     snapshot = store.load("default", 0)
-    assert snapshot["version"] == S.SNAPSHOT_VERSION == 3
+    assert snapshot["version"] == S.SNAPSHOT_VERSION == 4
     snapshot["state"]["product"]["b"]["static_layout"] = "csr"
     resumed = S.replay(drill, resume_from=snapshot, **_DHB_SIM)
     for a, b in zip(reference.final_a, resumed.final_a):

@@ -10,7 +10,7 @@ communication volume, with all recovery traffic confined to the dedicated
 
 Kill points are parametrised over the interesting positions:
 
-* the very first step (nothing checkpointed yet → full retry);
+* the very first step (nothing checkpointed yet → full rerun from scratch);
 * mid-stream (the common case, restored from the checkpoint);
 * immediately after a dynamic-SpGEMM multiply (product + filter state);
 * on a non-default (nnz-aware or locality-aware) placement, resumed
@@ -30,10 +30,11 @@ import numpy as np
 import pytest
 
 import repro.scenarios as S
-from repro.runtime import MPIBackend, RuntimeConfig
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime import MPIBackend
+from repro.runtime.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.runtime.loopback import run_spmd
 from repro.runtime.partitioner import RoundRobinPartitioner
+from repro.scenarios.replay import MAX_RECOVERIES
 
 N_RANKS = 4
 SEED = 2022
@@ -153,7 +154,8 @@ def test_crash_and_restore_matches_uninterrupted_run(
 # kill-point parametrisation (in-process)
 # ----------------------------------------------------------------------
 def test_kill_at_first_step_retries_from_scratch(references):
-    """Nothing is checkpointed yet: recovery is a full, identical rerun."""
+    """Nothing is checkpointed yet: ``restore`` without a stored snapshot is
+    a full, identical rerun."""
     scenario = _scenario("grow_from_empty")
     reference = _replay(scenario, "sim", "dhb")
     drill = S.with_crash(scenario, at=0)
@@ -162,10 +164,10 @@ def test_kill_at_first_step_retries_from_scratch(references):
         "sim",
         "dhb",
         faults=FaultInjector(FaultPlan()),
-        on_crash="retry",
+        on_crash="restore",
     )
     _assert_continuation_identical(reference, recovered, what="kill@first-step")
-    # a pure retry ships no snapshot blocks
+    # a rerun from scratch ships no snapshot blocks
     assert "recovery" not in dict(recovered.comm_signature())
 
 
@@ -192,22 +194,39 @@ def test_kill_immediately_after_multiply(references):
 
 
 @pytest.mark.parametrize("crash_at", (1, 4, 6))
-def test_env_selected_kills_recover_identically(references, monkeypatch, crash_at):
-    """`REPRO_FAULTS=kill@k` drives the same drill without a CrashStep."""
+def test_env_selected_kills_recover_identically(references, crash_at):
+    """A ``faults="kill@k"`` plan drives the same drill without a CrashStep,
+    before the checkpoint (a rerun from scratch) and after it."""
     base = _base_trace("grow_from_empty")
     reference = _reference(references, "grow_from_empty", "sim", "csr")
-    monkeypatch.setenv("REPRO_FAULTS", f"kill@{crash_at};seed=1")
-    policy = "retry" if crash_at <= CHECKPOINT_AT else "restore"
     recovered = _replay(
         base,
         "sim",
         "csr",
         checkpoint_store=S.CheckpointStore(),
-        on_crash=policy,
+        faults=f"kill@{crash_at};seed=1",
+        on_crash="restore",
     )
     _assert_continuation_identical(
-        reference, recovered, what=f"REPRO_FAULTS kill@{crash_at}"
+        reference, recovered, what=f"faults kill@{crash_at}"
     )
+
+
+def test_restore_gives_up_after_eight_recoveries(references):
+    """Every kill fires once, so eight kills recover; a ninth crash in one
+    replay is re-raised instead of recovered."""
+    base = _base_trace("grow_from_empty")
+    assert len(base.steps) > MAX_RECOVERIES
+    reference = _reference(references, "grow_from_empty", "sim", "csr")
+
+    def drill(n_kills: int):
+        kills = ";".join(f"kill@{k}" for k in range(n_kills))
+        return _replay(base, "sim", "csr", faults=kills, on_crash="restore")
+
+    recovered = drill(MAX_RECOVERIES)
+    _assert_continuation_identical(reference, recovered, what="eight kills")
+    with pytest.raises(SimulatedCrash):
+        drill(MAX_RECOVERIES + 1)
 
 
 # ----------------------------------------------------------------------
@@ -277,12 +296,10 @@ def test_loopback_process_specific_kill(world):
 
 @pytest.mark.parametrize("world", (2, 4))
 def test_loopback_env_plan_kill(world):
-    """A ``REPRO_FAULTS`` plan shared across the world drives the drill."""
+    """A parsed fault plan shared across the world drives the drill."""
     base = _base_trace("grow_from_empty")
     refs = _loopback_reference(base, world)
-    plan = RuntimeConfig.from_env(
-        {"REPRO_FAULTS": f"kill@{CRASH_AT}:proc=0;seed=2"}
-    ).faults
+    plan = FaultPlan.parse(f"kill@{CRASH_AT}:proc=0;seed=2")
     results = _loopback_drill(base, world, injector=FaultInjector(plan))
     for reference, recovered in zip(refs, results):
         _assert_continuation_identical(

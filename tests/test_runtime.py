@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +13,13 @@ from repro.runtime import (
     MachineModel,
     MPIBackend,
     ProcessGrid,
-    RuntimeConfig,
     SimMPI,
     StatCategory,
+    backend_name_of,
+    backend_switch,
+    make_communicator,
 )
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import FaultPlan, FaultPlanError
 from repro.runtime.loopback import LoopbackWorld, run_spmd
 from repro.runtime.simmpi import payload_nbytes
 from repro.scenarios import SCENARIO_GENERATORS, replay
@@ -26,19 +28,23 @@ from repro.sparse import CSRMatrix
 #: a spelling the parser must refuse
 REJECT = object()
 
-#: ``(switch, raw value, parsed field value or REJECT)``: every accepted
-#: spelling and every rejection of the two switches
-SWITCH_TABLE = [
-    ("REPRO_BACKEND", "", "sim"),
-    ("REPRO_BACKEND", "sim", "sim"),
-    ("REPRO_BACKEND", "mpi", "mpi"),
-    ("REPRO_BACKEND", " MPI ", "mpi"),
-    ("REPRO_BACKEND", "simm", REJECT),
-    ("REPRO_BACKEND", "mpich", REJECT),
-    ("REPRO_FAULTS", "", None),
-    ("REPRO_FAULTS", "kill@2;seed=4", FaultPlan(kills=((2, None),), seed=4)),
+#: ``(raw value, backend name or REJECT)``: every accepted spelling and
+#: every rejection of the ``REPRO_BACKEND`` switch
+BACKEND_SWITCH_TABLE = [
+    ("", "sim"),
+    ("sim", "sim"),
+    ("mpi", "mpi"),
+    (" MPI ", "mpi"),
+    ("simm", REJECT),
+    ("mpich", REJECT),
+]
+
+#: ``(spec, parsed plan or REJECT)``: every accepted spelling and every
+#: rejection of the fault grammar ``replay(faults=...)`` takes
+FAULT_GRAMMAR_TABLE = [
+    ("", FaultPlan()),
+    ("kill@2;seed=4", FaultPlan(kills=((2, None),), seed=4)),
     (
-        "REPRO_FAULTS",
         "kill@3;kill@7:proc=1;drop=1/50;delay=1/20:0.002;seed=9",
         FaultPlan(
             kills=((3, None), (7, 1)),
@@ -48,25 +54,20 @@ SWITCH_TABLE = [
             seed=9,
         ),
     ),
-    ("REPRO_FAULTS", "delay=1/4:0", FaultPlan(delay_one_in=4)),
-    ("REPRO_FAULTS", "kill@", REJECT),
-    ("REPRO_FAULTS", "kill@3:node=1", REJECT),
-    ("REPRO_FAULTS", "kill@-1", REJECT),
-    ("REPRO_FAULTS", "kill@2:proc=-1", REJECT),
-    ("REPRO_FAULTS", "drop=50", REJECT),
-    ("REPRO_FAULTS", "drop=1/0", REJECT),
-    ("REPRO_FAULTS", "drop=1/2;seed=-3", REJECT),
-    ("REPRO_FAULTS", "delay=1/4", REJECT),
-    ("REPRO_FAULTS", "delay=1/4:-5", REJECT),
-    ("REPRO_FAULTS", "delay=1/4:nan", REJECT),
-    ("REPRO_FAULTS", "delay=1/4:inf", REJECT),
-    ("REPRO_FAULTS", "explode=now", REJECT),
+    ("delay=1/4:0", FaultPlan(delay_one_in=4)),
+    ("kill@", REJECT),
+    ("kill@3:node=1", REJECT),
+    ("kill@-1", REJECT),
+    ("kill@2:proc=-1", REJECT),
+    ("drop=50", REJECT),
+    ("drop=1/0", REJECT),
+    ("drop=1/2;seed=-3", REJECT),
+    ("delay=1/4", REJECT),
+    ("delay=1/4:-5", REJECT),
+    ("delay=1/4:nan", REJECT),
+    ("delay=1/4:inf", REJECT),
+    ("explode=now", REJECT),
 ]
-
-_FIELD_OF = {
-    "REPRO_BACKEND": "backend",
-    "REPRO_FAULTS": "faults",
-}
 
 
 class TestMachineModel:
@@ -110,38 +111,48 @@ class TestMachineModel:
         assert model.with_ranks_per_node(1).ranks_per_node == 1
 
 
-class TestRuntimeConfig:
-    def test_unset_environment_gives_the_defaults(self):
-        assert RuntimeConfig.from_env({}) == RuntimeConfig("sim", None)
-        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
-            "backend",
-            "faults",
-        ]
+class TestRunSwitch:
+    @pytest.mark.parametrize(
+        "raw,want", BACKEND_SWITCH_TABLE, ids=[repr(r) for r, _ in BACKEND_SWITCH_TABLE]
+    )
+    def test_backend_switch_table(self, monkeypatch, raw, want):
+        monkeypatch.setenv("REPRO_BACKEND", raw)
+        if want is REJECT:
+            with pytest.raises(ValueError, match=f"^REPRO_BACKEND='{raw}': unknown"):
+                make_communicator(n_ranks=1)
+            return
+        assert backend_switch() == want
+        with warnings.catch_warnings():
+            # the emulated-mpi backend warns once when mpi4py is absent
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert backend_name_of(make_communicator(n_ranks=1)) == want
+
+    def test_unset_switch_is_the_simulator(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert backend_switch() == "sim"
 
     @pytest.mark.parametrize(
-        "switch,raw,want", SWITCH_TABLE, ids=[f"{s}={r!r}" for s, r, _ in SWITCH_TABLE]
+        "spec,want", FAULT_GRAMMAR_TABLE, ids=[repr(s) for s, _ in FAULT_GRAMMAR_TABLE]
     )
-    def test_from_env_table(self, switch, raw, want):
+    def test_fault_grammar_table(self, spec, want):
         if want is REJECT:
-            with pytest.raises(ValueError, match=f"^{switch}="):
-                RuntimeConfig.from_env({switch: raw})
+            with pytest.raises(FaultPlanError):
+                FaultPlan.parse(spec)
             return
-        config = RuntimeConfig.from_env({switch: raw})
-        assert config == dataclasses.replace(RuntimeConfig(), **{_FIELD_OF[switch]: want})
+        assert FaultPlan.parse(spec) == want
 
     def test_bad_switch_fails_the_run_not_the_backend(self, monkeypatch):
         """Backends read no switch: they construct under a bad one, while
-        the replay that would act on it refuses to start — on every
-        backend.  A bad ``partitioner=`` argument fails the same way,
-        including on the simulator that has no placement surface."""
-        monkeypatch.setenv("REPRO_FAULTS", "explode=now")
+        the replay that would build a communicator from it refuses to
+        start.  A bad ``partitioner=`` argument fails on every backend,
+        including the simulator that has no placement surface."""
+        monkeypatch.setenv("REPRO_BACKEND", "mpich")
         comm = MPIBackend(4, comm=EmulatedComm())
         assert comm.placement() == {rank: 0 for rank in range(4)}
         scenario = SCENARIO_GENERATORS["grow_from_empty"](seed=2022)
-        for backend_comm in (comm, SimMPI(4)):
-            with pytest.raises(ValueError, match="REPRO_FAULTS='explode=now'"):
-                replay(scenario, comm=backend_comm)
-        monkeypatch.delenv("REPRO_FAULTS")
+        with pytest.raises(ValueError, match="REPRO_BACKEND='mpich'"):
+            replay(scenario, n_ranks=4)
+        monkeypatch.delenv("REPRO_BACKEND")
         for backend_comm in (comm, SimMPI(4)):
             with pytest.raises(ValueError, match="unknown partitioner 'bogus'"):
                 replay(scenario, comm=backend_comm, partitioner="bogus")

@@ -25,6 +25,8 @@ from repro.scenarios import (
     replay,
     sliding_window,
     steady_state_churn,
+    with_checkpoint,
+    with_crash,
 )
 from repro.bench.workloads import (
     batched_operation_scenario,
@@ -193,6 +195,19 @@ class TestReplay:
         assert result.truncated_at == 1
         assert [s.supported for s in result.steps] == [True, False]
         assert len(result.measured_steps()) == 1
+
+    def test_control_steps_are_not_measured(self):
+        """Checkpoint and crash records steer the replay; they take no
+        measured time, so they neither count as measured steps nor add
+        to the applied counts."""
+        plain = replay(grow_from_empty(seed=5), backend="sim", n_ranks=4)
+        drill = with_crash(with_checkpoint(grow_from_empty(seed=5), at=2), at=4)
+        result = replay(drill, backend="sim", n_ranks=4)
+        assert {"checkpoint", "crash"} <= {s.kind for s in result.steps}
+        measured = [s.kind for s in result.measured_steps()]
+        assert len(measured) == 6
+        assert measured == [s.kind for s in plain.measured_steps()]
+        assert result.applied_counts == plain.applied_counts
 
     def test_spgemm_requires_b_tuples(self):
         steps = [SpGEMMStep(np.array([1]), np.array([2]), np.ones(1))]

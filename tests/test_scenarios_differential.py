@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.runtime import MPIBackend, RuntimeConfig, world_rank, world_size
+from repro.runtime import MPIBackend, backend_switch, world_rank, world_size
 from repro.runtime.loopback import run_spmd
 from repro.scenarios import (
     REPLAY_LAYOUTS,
@@ -44,7 +44,7 @@ N_RANKS = 4
 SEED = 2022
 #: Both backends are always replayed; REPRO_BACKEND selects which one
 #: leads as the reference leg of the cross-layout comparisons.
-_PREFERRED = RuntimeConfig.from_env().backend
+_PREFERRED = backend_switch()
 BACKENDS = (_PREFERRED, "mpi" if _PREFERRED == "sim" else "sim")
 REFERENCE = BACKENDS[0]
 

@@ -13,6 +13,8 @@ other tenants sharing the world.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -191,13 +193,15 @@ class TestReplayOptions:
             replay(scenario, comm=SimMPI(4), backend="mpi")
         assert replay(scenario, comm=SimMPI(4), backend="SIM").backend == "sim"
 
-    def test_validate_rejects_bad_on_crash(self):
-        with pytest.raises(ValueError, match="on_crash"):
-            ReplayOptions(on_crash="panic").validate()
+    # ``retry`` is gone: ``restore`` with no stored checkpoint already
+    # reruns from scratch, and no caller wants a stored one ignored
+    @pytest.mark.parametrize("policy", ["panic", "retry"])
+    def test_validate_rejects_bad_on_crash(self, policy):
+        with pytest.raises(ValueError, match=f"on_crash policy '{policy}'"):
+            ReplayOptions(on_crash=policy).validate()
 
-    def test_validate_rejects_negative_recoveries(self):
-        with pytest.raises(ValueError, match="max_recoveries"):
-            ReplayOptions(max_recoveries=-1).validate()
+    def test_options_have_twelve_fields(self):
+        assert len(dataclasses.fields(ReplayOptions)) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,6 @@ class TestServiceLifecycle:
             ("faults", "kill@1"),
             ("resume_from", "/nonexistent.npz"),
             ("on_crash", "restore"),
-            ("max_recoveries", 0),
             ("collect_final", False),
             ("backend", "mpi"),
         ],

@@ -185,6 +185,23 @@ def test_triangle_tenant_matches_cold_replay(backend):
         assert counts[-1] >= counts[0] >= 0  # triangles only accumulate
 
 
+def test_fault_variable_does_not_reach_the_cold_replay(monkeypatch):
+    """Faults are armed only by argument: a leftover ``REPRO_FAULTS`` must
+    not charge the oracle ``recovery`` traffic the live tenant never saw
+    (a tenant refuses ``faults=``, so it cannot honour any plan)."""
+    monkeypatch.setenv("REPRO_FAULTS", "drop=1/1")
+    with _service("sim") as service:
+        tenant = service.create_tenant("faultless", (N, N), seed=SEED)
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            rows, cols = rng.integers(0, N, 40), rng.integers(0, N, 40)
+            tenant.insert(rows, cols, rng.random(40))
+        live = tenant.result()
+        cold = _quiet_replay(tenant.log, tenant.replay_options())
+    assert "recovery" not in live.comm_signature()
+    assert live.comm_signature() == cold.comm_signature()
+
+
 # ---------------------------------------------------------------------------
 # persistent multi-process worlds (threaded loopback; COMM_WORLD under mpiexec)
 # ---------------------------------------------------------------------------

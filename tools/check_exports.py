@@ -25,7 +25,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "repro")
 SCANNED = ("src", "benchmarks", "examples", "perf_ledger", "tools")
 
-_SWITCH = "name of a run switch, beside its siblings (docs/backends.md)"
 _SEMIRING = "standard semiring, for callers' own algebras"
 _CATALOGUE = "Table I catalogue API, beside generate_instance"
 _GATE = "BENCH document format and regression gate (python -m repro.perf.compare)"
@@ -34,7 +33,7 @@ _DRILL = "checkpoint drill API (docs/fault_tolerance.md)"
 
 #: exports kept although nothing outside tests/ reads them, with the reason
 ALLOWED: dict[str, str] = {
-    "BACKEND_ENV_VAR": _SWITCH,
+    "BACKENDS": "the backend name <-> class table (docs/backends.md)",
     "BOOLEAN": _SEMIRING,
     "MAX_MIN": _SEMIRING,
     "MAX_PLUS": _SEMIRING,

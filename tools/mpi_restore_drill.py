@@ -36,7 +36,7 @@ sys.path.insert(
 
 import numpy as np
 
-from repro.runtime import FAULTS_ENV_VAR, world_rank
+from repro.runtime import world_rank
 from repro.runtime.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.scenarios import (
     SCENARIO_GENERATORS,
@@ -102,9 +102,7 @@ def run_resume(args: argparse.Namespace) -> int:
         return 1
     # The snapshot fingerprints the *drill* trace (CrashStep included), so
     # the resume replays the same trace.  With no injector armed the crash
-    # step is a no-op, making this the uninterrupted continuation; the
-    # env var is cleared so a leftover REPRO_FAULTS cannot arm one.
-    os.environ.pop(FAULTS_ENV_VAR, None)
+    # step is a no-op, making this the uninterrupted continuation.
     drill = with_crash(_trace(args.seed), at=CRASH_AT)
     recovered = _replay(drill, args, resume_from=path)
     reference = _replay(drill, args)
