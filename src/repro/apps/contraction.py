@@ -78,13 +78,6 @@ def contract_graph(
     contracted, _ = summa_spgemm(comm, grid, s_t, a_s, output="static")
     result = contracted.to_coo_global()
     if drop_self_loops:
-        keep = result.rows != result.cols
-        result = COOMatrix(
-            shape=result.shape,
-            rows=result.rows[keep],
-            cols=result.cols[keep],
-            values=result.values[keep],
-            semiring=result.semiring,
-        )
+        result = result._take(result.rows != result.cols)
     perf_count("app_contract_nnz", result.nnz)
     return result

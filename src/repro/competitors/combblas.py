@@ -72,12 +72,8 @@ class CombBLASBackend(Backend):
     def _local_coo(self, rank: int, routed: Mapping[int, TupleArrays]) -> COOMatrix:
         rows, cols, vals = routed[rank]
         lrows, lcols = self.dist.to_local(rank, rows, cols)
-        return COOMatrix(
-            shape=self.dist.block_shape_of_rank(rank),
-            rows=lrows,
-            cols=lcols,
-            values=vals,
-            semiring=self.semiring,
+        return COOMatrix._unchecked(
+            self.dist.block_shape_of_rank(rank), lrows, lcols, vals, self.semiring
         )
 
     def _rebuild(self, rank: int, merged: COOMatrix) -> DCSRMatrix:

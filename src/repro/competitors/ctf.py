@@ -115,20 +115,10 @@ class CTFBackend(Backend):
                 cols = np.concatenate([piece[1] for piece in pieces])
                 vals = np.concatenate([piece[2][0] for piece in pieces])
                 flags = np.concatenate([piece[2][1] for piece in pieces]).astype(bool)
-                coo_old = COOMatrix(
-                    shape=self.shape,
-                    rows=rows[~flags],
-                    cols=cols[~flags],
-                    values=vals[~flags],
-                    semiring=self.semiring,
+                shuffled = COOMatrix._unchecked(
+                    self.shape, rows, cols, vals, self.semiring
                 )
-                coo_new = COOMatrix(
-                    shape=self.shape,
-                    rows=rows[flags],
-                    cols=cols[flags],
-                    values=vals[flags],
-                    semiring=self.semiring,
-                )
+                coo_old, coo_new = shuffled._take(~flags), shuffled._take(flags)
                 if combine == "add":
                     return coo_old.concatenate(coo_new).sum_duplicates()
                 if combine == "merge":

@@ -158,12 +158,12 @@ class PETScBackend(Backend):
                 new_rows = np.concatenate(rows) - row_base
                 new_cols = np.concatenate(cols)
                 new_vals = np.concatenate(vals)
-                update = COOMatrix(
-                    shape=old.shape,
-                    rows=new_rows,
-                    cols=new_cols,
-                    values=self.semiring.coerce(new_vals),
-                    semiring=self.semiring,
+                update = COOMatrix._unchecked(
+                    old.shape,
+                    new_rows,
+                    new_cols,
+                    self.semiring.coerce(new_vals),
+                    self.semiring,
                 )
                 base = old.to_coo()
                 if mode == "add":
@@ -213,12 +213,12 @@ class PETScBackend(Backend):
         out: dict[int, CSRMatrix] = {}
         for rank in range(self.n_ranks):
             sel = owners == rank
-            coo = COOMatrix(
-                shape=self._local_shape(rank),
-                rows=matrix.rows[sel] - self.row_offsets[rank],
-                cols=matrix.cols[sel],
-                values=matrix.values[sel],
-                semiring=self.semiring,
+            coo = COOMatrix._unchecked(
+                self._local_shape(rank),
+                matrix.rows[sel] - self.row_offsets[rank],
+                matrix.cols[sel],
+                matrix.values[sel],
+                self.semiring,
             )
             out[rank] = CSRMatrix.from_coo(coo)
         return out
@@ -229,12 +229,12 @@ class PETScBackend(Backend):
         if not merged:
             return COOMatrix.empty(self.shape, self.semiring)
         ranks = sorted(merged)
-        return COOMatrix(
-            shape=self.shape,
-            rows=np.concatenate(
+        return COOMatrix._unchecked(
+            self.shape,
+            np.concatenate(
                 [merged[rank].rows + int(self.row_offsets[rank]) for rank in ranks]
             ),
-            cols=np.concatenate([merged[rank].cols for rank in ranks]),
-            values=np.concatenate([merged[rank].values for rank in ranks]),
-            semiring=self.semiring,
+            np.concatenate([merged[rank].cols for rank in ranks]),
+            np.concatenate([merged[rank].values for rank in ranks]),
+            self.semiring,
         ).sum_duplicates()

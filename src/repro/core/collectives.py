@@ -237,7 +237,7 @@ def sparse_reduce_to_root(
         pieces: dict[int, COOMatrix] = {}
         for slot in np.unique(dest):
             sel = dest == slot
-            pieces[int(slot)] = COOMatrix(
+            pieces[int(slot)] = COOMatrix._unchecked(
                 shape, coo.rows[sel], coo.cols[sel], coo.values[sel], semiring
             )
         return pieces

@@ -74,7 +74,7 @@ def filter_by_row_bloom(
     bits[inside] = row_bits[rows[inside]]
     shift = ((flat.cols + col_offset) % BLOOM_BITS).astype(np.uint64)
     admitted = ((bits >> shift) & np.uint64(1)).astype(bool)
-    survivors = COOMatrix(
+    survivors = COOMatrix._unchecked(
         block.shape, rows[admitted], flat.cols[admitted], flat.vals[admitted], semiring
     )
     return DCSRMatrix.from_coo(survivors, dedup=False)

@@ -146,7 +146,7 @@ class DistMatrixBase:
             np.concatenate([vals for _, vals in pieces]),
         )
         rows, cols = np.divmod(keys, m)
-        return COOMatrix(self.shape, rows, cols, vals, self.semiring)
+        return COOMatrix._unchecked(self.shape, rows, cols, vals, self.semiring)
 
     def to_dense(self) -> np.ndarray:
         return self.to_coo_global().to_dense()
@@ -480,13 +480,7 @@ class StaticDistMatrix(DistMatrixBase):
             def _build(
                 lrows=lrows, lcols=lcols, vals=vals, block_shape=block_shape
             ):
-                coo = COOMatrix(
-                    shape=block_shape,
-                    rows=lrows,
-                    cols=lcols,
-                    values=vals,
-                    semiring=semiring,
-                )
+                coo = COOMatrix._unchecked(block_shape, lrows, lcols, vals, semiring)
                 return build(
                     coo.sum_duplicates() if combine == "add" else coo.last_write_wins()
                 )

@@ -147,12 +147,12 @@ class UpdateBatch:
             pieces_v.append(vals)
         if not pieces_r:
             return COOMatrix.empty(self.shape, self.semiring)
-        coo = COOMatrix(
-            shape=self.shape,
-            rows=np.concatenate(pieces_r),
-            cols=np.concatenate(pieces_c),
-            values=np.concatenate(pieces_v),
-            semiring=self.semiring,
+        coo = COOMatrix._unchecked(
+            self.shape,
+            np.concatenate(pieces_r),
+            np.concatenate(pieces_c),
+            np.concatenate(pieces_v),
+            self.semiring,
         )
         return coo.sum_duplicates() if self.kind != "update" else coo.last_write_wins()
 

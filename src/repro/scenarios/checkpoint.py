@@ -433,12 +433,18 @@ class CheckpointStore:
             f"no checkpoint stored under tag {tag!r} for process {process}"
         )
 
-    def latest(self, process: int) -> dict[str, Any] | None:
-        """The most recently saved snapshot for ``process`` (or ``None``)."""
+    def latest(self, process: int, fingerprint: str) -> dict[str, Any] | None:
+        """The most recently saved snapshot of ``process`` for one trace.
+
+        Only snapshots with this :func:`scenario_fingerprint` count, so a
+        store shared by several traces never resumes one from another's
+        snapshot; ``None`` when the trace has none stored.
+        """
         with self._lock:
             for tag, proc in reversed(self._order):
-                if proc == int(process):
-                    return self._snapshots[(tag, proc)]
+                snapshot = self._snapshots[(tag, proc)]
+                if proc == int(process) and snapshot["fingerprint"] == fingerprint:
+                    return snapshot
         return None
 
     def tags(self) -> list[str]:

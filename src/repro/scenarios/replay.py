@@ -132,12 +132,16 @@ def replay(
     on_crash:
         What to do when an injected crash fires: ``"raise"`` (default —
         the multi-process harness catches it and restarts the world) or
-        ``"restore"`` (resume from the latest stored checkpoint, or rerun
-        from scratch when none is stored yet; after
+        ``"restore"`` (resume from the latest checkpoint this trace
+        stored, or rerun from scratch when it stored none yet; after
         :data:`MAX_RECOVERIES` recoveries the crash is re-raised).
         In-process backends only.
     """
-    from repro.scenarios.checkpoint import CheckpointStore, load_snapshot
+    from repro.scenarios.checkpoint import (
+        CheckpointStore,
+        load_snapshot,
+        scenario_fingerprint,
+    )
     from repro.scenarios.model import CheckpointStep, RestoreStep
 
     opts = replace(options or ReplayOptions(), **fields).validate()
@@ -181,7 +185,11 @@ def replay(
             recoveries += 1
             if opts.on_crash == "raise" or recoveries > MAX_RECOVERIES:
                 raise
-            resume = store.latest(world_rank) if store is not None else None
+            resume = (
+                store.latest(world_rank, scenario_fingerprint(scenario))
+                if store is not None
+                else None
+            )
 
 
 def _replay_once(

@@ -65,15 +65,27 @@ class COOMatrix:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
+    def _unchecked(
+        cls, shape: tuple[int, int], rows, cols, values, semiring: Semiring
+    ) -> "COOMatrix":
+        """Build a derived matrix without :meth:`__post_init__`'s checks.
+
+        Precondition (the caller's, not checked): ``rows`` and ``cols`` are
+        C-contiguous ``int64`` arrays inside ``shape``, ``values`` is a
+        C-contiguous ``semiring.dtype`` array, all three of equal length.
+        Only for derivations of valid arrays inside the library; input from
+        outside goes through the checked constructor.
+        """
+        out = object.__new__(cls)
+        out.shape, out.rows, out.cols, out.values = shape, rows, cols, values
+        out.semiring = semiring
+        return out
+
+    @classmethod
     def empty(cls, shape: tuple[int, int], semiring: Semiring = PLUS_TIMES) -> "COOMatrix":
         """An all-structurally-zero matrix of the given shape."""
-        return cls(
-            shape=shape,
-            rows=np.empty(0, dtype=np.int64),
-            cols=np.empty(0, dtype=np.int64),
-            values=semiring.zeros(0),
-            semiring=semiring,
-        )
+        none = np.empty(0, dtype=np.int64)
+        return cls._unchecked(shape, none, none, semiring.zeros(0), semiring)
 
     @classmethod
     def from_tuples(
@@ -125,13 +137,13 @@ class COOMatrix:
         return int(self.rows.nbytes + self.cols.nbytes + self.values.nbytes)
 
     def copy(self) -> "COOMatrix":
-        return COOMatrix(
-            shape=self.shape,
-            rows=self.rows.copy(),
-            cols=self.cols.copy(),
-            values=self.values.copy(),
-            semiring=self.semiring,
-        )
+        rows, cols, values = self.rows.copy(), self.cols.copy(), self.values.copy()
+        return COOMatrix._unchecked(self.shape, rows, cols, values, self.semiring)
+
+    def _take(self, index) -> "COOMatrix":
+        """The entries at ``index`` (a slice, boolean mask or index array)."""
+        rows, cols, values = self.rows[index], self.cols[index], self.values[index]
+        return COOMatrix._unchecked(self.shape, rows, cols, values, self.semiring)
 
     # ------------------------------------------------------------------
     # canonicalisation
@@ -147,14 +159,7 @@ class COOMatrix:
         """
         keys = self._sort_key()
         in_order = (keys[1:] >= keys[:-1]).all()
-        order = slice(None) if in_order else np.argsort(keys, kind="stable")
-        return COOMatrix(
-            shape=self.shape,
-            rows=self.rows[order],
-            cols=self.cols[order],
-            values=self.values[order],
-            semiring=self.semiring,
-        )
+        return self._take(slice(None) if in_order else np.argsort(keys, kind="stable"))
 
     def sum_duplicates(self) -> "COOMatrix":
         """Combine duplicate coordinates with semiring addition."""
@@ -162,13 +167,8 @@ class COOMatrix:
             return self.copy()
         keys, combined = self.semiring.sum_duplicates(self._sort_key(), self.values)
         m = np.int64(self.shape[1])
-        return COOMatrix(
-            shape=self.shape,
-            rows=(keys // m).astype(np.int64),
-            cols=(keys % m).astype(np.int64),
-            values=combined,
-            semiring=self.semiring,
-        )
+        rows, cols = np.divmod(keys, m)
+        return COOMatrix._unchecked(self.shape, rows, cols, combined, self.semiring)
 
     def last_write_wins(self) -> "COOMatrix":
         """Deduplicate keeping, for each coordinate, the *last* value.
@@ -186,25 +186,11 @@ class COOMatrix:
         boundary[-1] = True
         np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=boundary[:-1])
         # the last of each run of equal keys, already in (row, col) order
-        keep = order[np.flatnonzero(boundary)]
-        return COOMatrix(
-            shape=self.shape,
-            rows=self.rows[keep],
-            cols=self.cols[keep],
-            values=self.values[keep],
-            semiring=self.semiring,
-        )
+        return self._take(order[np.flatnonzero(boundary)])
 
     def drop_zeros(self) -> "COOMatrix":
         """Remove entries whose value equals the semiring zero."""
-        keep = ~self.semiring.is_zero(self.values)
-        return COOMatrix(
-            shape=self.shape,
-            rows=self.rows[keep],
-            cols=self.cols[keep],
-            values=self.values[keep],
-            semiring=self.semiring,
-        )
+        return self._take(~self.semiring.is_zero(self.values))
 
     # ------------------------------------------------------------------
     # operations
@@ -214,12 +200,12 @@ class COOMatrix:
         for other in others:
             self._check_compatible(other)
         parts = (self, *others)
-        return COOMatrix(
-            shape=self.shape,
-            rows=np.concatenate([part.rows for part in parts]),
-            cols=np.concatenate([part.cols for part in parts]),
-            values=np.concatenate([part.values for part in parts]),
-            semiring=self.semiring,
+        return COOMatrix._unchecked(
+            self.shape,
+            np.concatenate([part.rows for part in parts]),
+            np.concatenate([part.cols for part in parts]),
+            np.concatenate([part.values for part in parts]),
+            self.semiring,
         )
 
     def add(self, other: "COOMatrix") -> "COOMatrix":
@@ -227,14 +213,13 @@ class COOMatrix:
         return self.concatenate(other).sum_duplicates()
 
     def transpose(self) -> "COOMatrix":
-        out = COOMatrix(
-            shape=(self.shape[1], self.shape[0]),
-            rows=self.cols.copy(),
-            cols=self.rows.copy(),
-            values=self.values.copy(),
-            semiring=self.semiring,
-        )
-        return out.sort()
+        return COOMatrix._unchecked(
+            (self.shape[1], self.shape[0]),
+            self.cols.copy(),
+            self.rows.copy(),
+            self.values.copy(),
+            self.semiring,
+        ).sort()
 
     # ------------------------------------------------------------------
     # row access

@@ -54,13 +54,31 @@ class CSRMatrix:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
+    def _unchecked(
+        cls, shape: tuple[int, int], indptr, indices, values, semiring: Semiring
+    ) -> "CSRMatrix":
+        """Build a derived matrix without :meth:`__post_init__`'s checks.
+
+        Precondition (the caller's, not checked): ``indptr`` is a
+        C-contiguous non-decreasing ``int64`` array of length
+        ``shape[0] + 1`` from 0 to ``nnz``; ``indices`` is a C-contiguous
+        ``int64`` array inside ``shape[1]`` and ``values`` a C-contiguous
+        ``semiring.dtype`` array, both of length ``nnz``.  Only for
+        derivations of valid arrays inside the library.
+        """
+        out = object.__new__(cls)
+        out.shape, out.indptr, out.indices, out.values = shape, indptr, indices, values
+        out.semiring = semiring
+        return out
+
+    @classmethod
     def empty(cls, shape: tuple[int, int], semiring: Semiring = PLUS_TIMES) -> "CSRMatrix":
-        return cls(
-            shape=shape,
-            indptr=np.zeros(shape[0] + 1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
-            values=semiring.zeros(0),
-            semiring=semiring,
+        return cls._unchecked(
+            shape,
+            np.zeros(shape[0] + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            semiring.zeros(0),
+            semiring,
         )
 
     @classmethod
@@ -71,12 +89,8 @@ class CSRMatrix:
         counts = np.bincount(canon.rows, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(
-            shape=coo.shape,
-            indptr=indptr,
-            indices=canon.cols.copy(),
-            values=canon.values.copy(),
-            semiring=coo.semiring,
+        return cls._unchecked(
+            coo.shape, indptr, canon.cols.copy(), canon.values.copy(), coo.semiring
         )
 
     @classmethod
@@ -115,12 +129,12 @@ class CSRMatrix:
         return self.shape[1]
 
     def copy(self) -> "CSRMatrix":
-        return CSRMatrix(
-            shape=self.shape,
-            indptr=self.indptr.copy(),
-            indices=self.indices.copy(),
-            values=self.values.copy(),
-            semiring=self.semiring,
+        return CSRMatrix._unchecked(
+            self.shape,
+            self.indptr.copy(),
+            self.indices.copy(),
+            self.values.copy(),
+            self.semiring,
         )
 
     # ------------------------------------------------------------------
@@ -162,12 +176,8 @@ class CSRMatrix:
         rows = np.repeat(
             np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
         )
-        return COOMatrix(
-            shape=self.shape,
-            rows=rows,
-            cols=self.indices.copy(),
-            values=self.values.copy(),
-            semiring=self.semiring,
+        return COOMatrix._unchecked(
+            self.shape, rows, self.indices.copy(), self.values.copy(), self.semiring
         )
 
     def to_dense(self) -> np.ndarray:
@@ -195,12 +205,12 @@ class CSRMatrix:
             pieces_v.append(vals)
         if not pieces_r:
             return COOMatrix.empty(self.shape, self.semiring)
-        return COOMatrix(
-            shape=self.shape,
-            rows=np.concatenate(pieces_r),
-            cols=np.concatenate(pieces_c),
-            values=np.concatenate(pieces_v),
-            semiring=self.semiring,
+        return COOMatrix._unchecked(
+            self.shape,
+            np.concatenate(pieces_r),
+            np.concatenate(pieces_c),
+            np.concatenate(pieces_v),
+            self.semiring,
         )
 
     def scale_values(self, factor: float) -> "CSRMatrix":

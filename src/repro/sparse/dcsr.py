@@ -64,14 +64,29 @@ class DCSRMatrix:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
+    def _unchecked(
+        cls, shape: tuple[int, int], nz_rows, indptr, indices, values, semiring: Semiring
+    ) -> "DCSRMatrix":
+        """Build a derived matrix without :meth:`__post_init__`'s checks.
+
+        Precondition (the caller's, not checked): ``nz_rows`` is a
+        C-contiguous strictly increasing ``int64`` array inside
+        ``shape[0]``; ``indptr`` a C-contiguous non-decreasing ``int64``
+        array of length ``len(nz_rows) + 1`` from 0 to ``nnz``; ``indices``
+        a C-contiguous ``int64`` array inside ``shape[1]`` and ``values`` a
+        C-contiguous ``semiring.dtype`` array, both of length ``nnz``.  Only
+        for derivations of valid arrays inside the library.
+        """
+        out = object.__new__(cls)
+        out.shape, out.nz_rows, out.indptr = shape, nz_rows, indptr
+        out.indices, out.values, out.semiring = indices, values, semiring
+        return out
+
+    @classmethod
     def empty(cls, shape: tuple[int, int], semiring: Semiring = PLUS_TIMES) -> "DCSRMatrix":
-        return cls(
-            shape=shape,
-            nz_rows=np.empty(0, dtype=np.int64),
-            indptr=np.zeros(1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int64),
-            values=semiring.zeros(0),
-            semiring=semiring,
+        none = np.empty(0, dtype=np.int64)
+        return cls._unchecked(
+            shape, none, np.zeros(1, dtype=np.int64), none, semiring.zeros(0), semiring
         )
 
     @classmethod
@@ -81,13 +96,13 @@ class DCSRMatrix:
         if canon.nnz == 0:
             return cls.empty(coo.shape, coo.semiring)
         first, _ = _runs(canon.rows)
-        return cls(
-            shape=coo.shape,
-            nz_rows=canon.rows[first],
-            indptr=np.append(first, canon.nnz),
-            indices=canon.cols.copy(),
-            values=canon.values.copy(),
-            semiring=coo.semiring,
+        return cls._unchecked(
+            coo.shape,
+            canon.rows[first],
+            np.append(first, canon.nnz),
+            canon.cols.copy(),
+            canon.values.copy(),
+            coo.semiring,
         )
 
     @classmethod
@@ -121,13 +136,13 @@ class DCSRMatrix:
         )
 
     def copy(self) -> "DCSRMatrix":
-        return DCSRMatrix(
-            shape=self.shape,
-            nz_rows=self.nz_rows.copy(),
-            indptr=self.indptr.copy(),
-            indices=self.indices.copy(),
-            values=self.values.copy(),
-            semiring=self.semiring,
+        return DCSRMatrix._unchecked(
+            self.shape,
+            self.nz_rows.copy(),
+            self.indptr.copy(),
+            self.indices.copy(),
+            self.values.copy(),
+            self.semiring,
         )
 
     # ------------------------------------------------------------------
@@ -146,12 +161,8 @@ class DCSRMatrix:
         if self.nnz == 0:
             return COOMatrix.empty(self.shape, self.semiring)
         rows = np.repeat(self.nz_rows, np.diff(self.indptr))
-        return COOMatrix(
-            shape=self.shape,
-            rows=rows,
-            cols=self.indices.copy(),
-            values=self.values.copy(),
-            semiring=self.semiring,
+        return COOMatrix._unchecked(
+            self.shape, rows, self.indices.copy(), self.values.copy(), self.semiring
         )
 
     def to_csr(self) -> CSRMatrix:

@@ -494,7 +494,10 @@ class DHBMatrix:
         values = self.semiring.coerce(values)
         if rows.size != values.size:
             raise ValueError("rows, cols and values must have identical lengths")
-        keys = self._batch_keys(rows, cols)
+        return self._insert(self._batch_keys(rows, cols), rows, cols, values, combine)
+
+    def _insert(self, keys, rows, cols, values, combine) -> int:
+        """:meth:`insert_batch` on coordinates already checked against the shape."""
         if rows.size == 0:
             return 0
         perf_count("dhb.insert.entries", rows.size)
@@ -648,15 +651,13 @@ class DHBMatrix:
 
     def add_update(self, update: "COOMatrix | DCSRMatrix | CSRMatrix") -> int:
         """``A ← A ⊕ A*`` — algebraic application of an update matrix."""
-        coo = _as_coo(update)
-        self._check_update(coo)
-        return self.insert_batch(coo.rows, coo.cols, coo.values, combine=self.semiring.plus)
+        coo, keys = self._update(update)
+        return self._insert(keys, coo.rows, coo.cols, coo.values, self.semiring.plus)
 
     def merge_update(self, update: "COOMatrix | DCSRMatrix | CSRMatrix") -> int:
         """MERGE(A, A*): overwrite entries of ``A`` present in ``A*``."""
-        coo = _as_coo(update)
-        self._check_update(coo)
-        return self.insert_batch(coo.rows, coo.cols, coo.values, combine=None)
+        coo, keys = self._update(update)
+        return self._insert(keys, coo.rows, coo.cols, coo.values, None)
 
     def mask_update(self, update: "COOMatrix | DCSRMatrix | CSRMatrix") -> int:
         """MASK(A, A*): delete every entry of ``A`` that is non-zero in ``A*``.
@@ -664,17 +665,22 @@ class DHBMatrix:
         Returns the number of deleted entries (entries of ``A*`` absent from
         ``A`` are ignored, matching the paper's deletion semantics).
         """
-        coo = _as_coo(update)
-        self._check_update(coo)  # same shape, so the coordinates are in range
-        return self._delete(coo.rows * self.shape[1] + coo.cols)
+        return self._delete(self._update(update)[1])
 
-    def _check_update(self, coo: COOMatrix) -> None:
+    def _update(self, update) -> tuple[COOMatrix, np.ndarray]:
+        """The update as COO and its keys; refused unless shape and semiring match.
+
+        A valid update matrix of our shape has its coordinates in range and
+        its values in the semiring's dtype, so neither is checked again.
+        """
+        coo = _as_coo(update)
         for what, theirs, ours in (
             ("shape", coo.shape, self.shape),
             ("semiring", coo.semiring.name, self.semiring.name),
         ):
             if theirs != ours:
                 raise ValueError(f"update {what} {theirs!r} does not match matrix {what} {ours!r}")
+        return coo, coo.rows * self.shape[1] + coo.cols
 
     # ------------------------------------------------------------------
     # row access / conversion
@@ -703,13 +709,8 @@ class DHBMatrix:
     def _flat_coo(self) -> COOMatrix:
         """The entries as COO triplets in :meth:`flat_rows` order (unsorted)."""
         flat = self.flat_rows()
-        return COOMatrix(
-            shape=self.shape,
-            rows=np.repeat(flat.row_ids, np.diff(flat.row_ptr)),
-            cols=flat.cols,
-            values=flat.vals,
-            semiring=self.semiring,
-        )
+        rows = np.repeat(flat.row_ids, np.diff(flat.row_ptr))
+        return COOMatrix._unchecked(self.shape, rows, flat.cols, flat.vals, self.semiring)
 
     def to_coo(self) -> COOMatrix:
         """Sorted COO copy of the matrix."""

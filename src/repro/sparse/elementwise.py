@@ -46,14 +46,7 @@ def merge_pattern(a, update) -> COOMatrix:
     update_keys = cu.rows * m + cu.cols
     base_keys = ca.rows * m + ca.cols
     keep = ~np.isin(base_keys, update_keys)
-    merged = COOMatrix(
-        shape=ca.shape,
-        rows=np.concatenate([ca.rows[keep], cu.rows]),
-        cols=np.concatenate([ca.cols[keep], cu.cols]),
-        values=np.concatenate([ca.values[keep], cu.values]),
-        semiring=ca.semiring,
-    )
-    return merged.sort()
+    return ca._take(keep).concatenate(cu).sort()
 
 
 def mask_pattern(a, update) -> COOMatrix:
@@ -66,10 +59,4 @@ def mask_pattern(a, update) -> COOMatrix:
     update_keys = np.unique(cu.rows * m + cu.cols)
     base_keys = ca.rows * m + ca.cols
     keep = ~np.isin(base_keys, update_keys)
-    return COOMatrix(
-        shape=ca.shape,
-        rows=ca.rows[keep],
-        cols=ca.cols[keep],
-        values=ca.values[keep],
-        semiring=ca.semiring,
-    ).sum_duplicates()
+    return ca._take(keep).sum_duplicates()

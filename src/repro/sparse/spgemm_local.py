@@ -70,7 +70,9 @@ def _live_entries(a, b, semiring: Semiring):
     rows = np.repeat(fa.row_ids, np.diff(fa.row_ptr))[keep]
     nz_rows, starts = np.unique(rows, return_index=True)
     indptr = np.append(starts, rows.size)
-    return DCSRMatrix(a.shape, nz_rows, indptr, fa.cols[keep], fa.vals[keep], semiring)
+    return DCSRMatrix._unchecked(
+        a.shape, nz_rows, indptr, fa.cols[keep], fa.vals[keep], semiring
+    )
 
 
 def _stable_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +149,7 @@ def _esc(
     starts, _ = _runs(keys)
     # compress
     out_rows, out_cols = np.divmod(keys[starts], m)
-    result = COOMatrix(
+    result = COOMatrix._unchecked(
         shape, out_rows, out_cols, semiring.add_reduceat(vals[order], starts), semiring
     )
     if compute_bloom:
@@ -276,10 +278,10 @@ def spgemm_rowwise_spa(a, b, semiring: Semiring, *, mask=None) -> COOMatrix:
         vals_out.append(vals)
     if not rows_out:
         return COOMatrix.empty((n, m), semiring)
-    return COOMatrix(
-        shape=(n, m),
-        rows=np.concatenate(rows_out),
-        cols=np.concatenate(cols_out),
-        values=np.concatenate(vals_out),
-        semiring=semiring,
+    return COOMatrix._unchecked(
+        (n, m),
+        np.concatenate(rows_out),
+        np.concatenate(cols_out),
+        np.concatenate(vals_out),
+        semiring,
     )

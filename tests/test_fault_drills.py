@@ -171,6 +171,27 @@ def test_kill_at_first_step_retries_from_scratch(references):
     assert "recovery" not in dict(recovered.comm_signature())
 
 
+def test_restore_skips_another_traces_snapshot():
+    """A store shared with another trace: that trace's snapshot is not this
+    one's checkpoint, so the kill reruns this trace from scratch."""
+    store = S.CheckpointStore()
+    other = S.with_checkpoint(S.SCENARIO_GENERATORS["grow_from_empty"](seed=1), 2)
+    _replay(other, "sim", "csr", checkpoint_store=store)
+    assert store.latest(0, S.scenario_fingerprint(other)) is not None
+    scenario = S.SCENARIO_GENERATORS["steady_state_churn"](seed=1)
+    reference = _replay(scenario, "sim", "csr")
+    recovered = _replay(
+        scenario,
+        "sim",
+        "csr",
+        checkpoint_store=store,
+        faults="kill@1",
+        on_crash="restore",
+    )
+    _assert_continuation_identical(reference, recovered, what="foreign snapshot")
+    assert "recovery" not in dict(recovered.comm_signature())
+
+
 def test_kill_immediately_after_multiply(references):
     """Crash right after a dynamic-SpGEMM round: the maintained product and
     the per-step accounting must continue from the checkpoint, not from a
@@ -257,7 +278,7 @@ def _loopback_drill(
             comm=comm,
             layout=layout,
             checkpoint_store=store,
-            resume_from=store.latest(world_rank),
+            resume_from=store.latest(world_rank, S.scenario_fingerprint(scenario)),
             faults=injector,
             on_crash="raise",
         )
@@ -333,7 +354,7 @@ def _placement_kill_drill(world: int, partitioner: str) -> None:
 
     def drill_program(comm_obj, world_rank):
         comm = MPIBackend(n_ranks, comm=comm_obj)
-        resume = store.latest(world_rank)
+        resume = store.latest(world_rank, S.scenario_fingerprint(drill))
         result = S.replay(
             drill,
             comm=comm,
