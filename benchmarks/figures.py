@@ -62,7 +62,6 @@ from repro.runtime import (
     run_spmd,
     world_size,
 )
-from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.scenarios import (
     SCENARIO_GENERATORS,
     CheckpointStore,
@@ -78,7 +77,6 @@ from repro.scenarios import (
     scenario_fingerprint,
     social_triangle_stream,
     with_checkpoint,
-    with_crash,
 )
 from repro.scenarios.engine import global_stats_diff
 from repro.semirings import PLUS_TIMES
@@ -1035,7 +1033,6 @@ def _checkpoint_plan(ctx: Context) -> Plan:
     """
     scenario = SCENARIO_GENERATORS[CHECKPOINT_SCENARIO](seed=ctx.seed)
     base = with_checkpoint(scenario, at=CHECKPOINT_AT)
-    drill = with_crash(base, at=CRASH_AT)
     # Crash recovery is an in-process protocol (the mpiexec durable drill
     # is tools/mpi_restore_drill.py), so under a real multi-process launch
     # every rank measures its own in-process drill on the sim backend
@@ -1053,10 +1050,10 @@ def _checkpoint_plan(ctx: Context) -> Plan:
                 store = CheckpointStore(tmp_dir)
                 started = time.perf_counter()
                 recovered = replay(
-                    drill,
+                    base,
                     **options,
                     checkpoint_store=store,
-                    faults=FaultInjector(FaultPlan()),
+                    faults=f"kill@{CRASH_AT}",
                     on_crash="restore",
                 )
                 elapsed = time.perf_counter() - started

@@ -19,6 +19,11 @@ Fault grammar (``;``-separated clauses, order-free)::
 
 Example: ``replay(scenario, faults="kill@3;drop=1/50;seed=7")``.
 
+A ``kill@`` clause is the one way to crash a replay.  It fires before
+trace step ``<step>``, which counts every step of ``scenario.steps``,
+checkpoints included; :func:`repro.scenarios.replay.replay` refuses a
+kill that can never fire (:meth:`FaultPlan.check_reachable`).
+
 Faults never corrupt results: a dropped message is charged once in its
 nominal category (the payload is assumed retransmitted) and once more in
 :data:`repro.runtime.stats.StatCategory.RECOVERY` for the retransmission,
@@ -92,6 +97,18 @@ class FaultPlan:
             raise FaultPlanError(
                 f"delay seconds must be finite and non-negative, got {self.delay_seconds}"
             )
+
+    def check_reachable(self, n_steps: int, world_size: int) -> None:
+        """Refuse kills that can never fire in a replay of ``n_steps`` trace
+        steps on ``world_size`` processes (a drill that cannot crash passes
+        vacuously)."""
+        for step, proc in self.kills:
+            if step >= n_steps or (proc or 0) >= world_size:
+                where = "" if proc is None else f":proc={proc}"
+                raise FaultPlanError(
+                    f"kill@{step}{where} can never fire on a trace of "
+                    f"{n_steps} steps and a world of {world_size} process(es)"
+                )
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
@@ -194,48 +211,25 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._fired_kills: set[tuple] = set()
+        self._fired_kills: set[tuple[int, int | None]] = set()
         self._lock = threading.Lock()
         self._counters: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def check_step(self, step_index: int, process: int | None = None) -> None:
         """Raise :class:`SimulatedCrash` when an unfired kill point matches."""
-        for kill_step, kill_process in self.plan.kills:
+        for kill in self.plan.kills:
+            kill_step, kill_process = kill
             if kill_step != step_index:
                 continue
             if kill_process is not None and process is not None:
                 if kill_process != process:
                     continue
-            self._fire_once(("kill", kill_step, kill_process), step_index, kill_process)
-
-    def fire_crash(
-        self, step_index: int, victim: int | None, process: int | None = None
-    ) -> None:
-        """Fire an explicit :class:`~repro.scenarios.model.CrashStep` once.
-
-        ``victim`` restricts the kill to one process; non-victim callers
-        pass through unharmed.  Like plan kills, a fired crash point is
-        remembered so the recovered run replays the step as a no-op.
-        """
-        if victim is not None and process is not None and victim != process:
-            return
-        self._fire_once(("crash", step_index, victim), step_index, victim)
-
-    def _fire_once(
-        self, key: tuple, step_index: int, victim: int | None
-    ) -> None:
-        with self._lock:
-            if key in self._fired_kills:
-                return
-            self._fired_kills.add(key)
-        raise SimulatedCrash(step_index, victim)
-
-    def reset_kills(self) -> None:
-        """Forget fired kill points (so a fresh run re-arms the plan)."""
-        with self._lock:
-            self._fired_kills.clear()
-            self._counters.clear()
+            with self._lock:
+                if kill in self._fired_kills:
+                    continue
+                self._fired_kills.add(kill)
+            raise SimulatedCrash(step_index, kill_process)
 
     # ------------------------------------------------------------------
     def _draw(self, process: int) -> float:

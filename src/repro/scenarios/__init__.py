@@ -12,8 +12,8 @@ Module map
                 the step types :class:`InsertBatch`, :class:`DeleteBatch`,
                 :class:`ValueUpdateBatch`, :class:`SpGEMMStep`,
                 :class:`SnapshotCheck`, the fault-tolerance steps
-                :class:`CheckpointStep` / :class:`RestoreStep` /
-                :class:`CrashStep`, the application pieces
+                :class:`CheckpointStep` / :class:`RestoreStep`, the
+                application pieces
                 :class:`AppSpec` / :class:`TriangleCountCheck` /
                 :class:`ShortestPathCheck` / :class:`ContractStep`, and the
                 structured results :class:`ScenarioResult` /
@@ -41,15 +41,15 @@ Module map
 ``replay``      :func:`replay` — run any scenario on any communicator
                 backend, rank count and layout of the static right
                 operand (``REPLAY_LAYOUTS``: ``csr``, ``dhb``),
-                with fault injection (``faults=``) and raise-or-restore
-                crash recovery (``on_crash=``).
+                with fault injection (``faults=``, whose ``kill@k``
+                clause is the one way to crash a replay) and
+                raise-or-restore crash recovery (``on_crash=``).
 ``checkpoint``  Durable snapshots and the drill helpers:
                 :func:`build_snapshot` / :func:`restore_state`,
                 :func:`save_snapshot` / :func:`load_snapshot`,
                 :class:`CheckpointStore`, :func:`scenario_fingerprint`,
-                the trace editors :func:`with_checkpoint` /
-                :func:`with_crash`, and the loopback drill loop
-                :func:`run_with_recovery`.
+                the trace editor :func:`with_checkpoint`, and the
+                loopback drill loop :func:`run_with_recovery`.
 ==============  ==========================================================
 
 A scenario materialises all randomness at generation time (per-step tuples
@@ -65,7 +65,6 @@ from repro.scenarios.model import (
     AppSpec,
     CheckpointStep,
     ContractStep,
-    CrashStep,
     DeleteBatch,
     InsertBatch,
     RestoreStep,
@@ -116,7 +115,6 @@ from repro.scenarios.checkpoint import (
     save_snapshot,
     scenario_fingerprint,
     with_checkpoint,
-    with_crash,
 )
 
 __all__ = [
@@ -151,7 +149,6 @@ __all__ = [
     "dhb_bucket_collision_stream",
     "CheckpointStep",
     "RestoreStep",
-    "CrashStep",
     "REPLAY_LAYOUTS",
     "replay",
     "ReplayOptions",
@@ -170,5 +167,4 @@ __all__ = [
     "save_snapshot",
     "scenario_fingerprint",
     "with_checkpoint",
-    "with_crash",
 ]

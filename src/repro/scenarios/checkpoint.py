@@ -65,7 +65,6 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
     "with_checkpoint",
-    "with_crash",
     "run_with_recovery",
 ]
 
@@ -552,24 +551,6 @@ def with_checkpoint(
     return dataclasses.replace(scenario, steps=steps)
 
 
-def with_crash(
-    scenario: Scenario, at: int, *, process: int | None = None
-) -> Scenario:
-    """A copy of ``scenario`` with a deterministic kill point at ``at``.
-
-    The :class:`~repro.scenarios.model.CrashStep` only fires when a fault
-    injector is armed, so the same trace replayed without faults is the
-    uninterrupted reference run.
-    """
-    import dataclasses
-
-    from repro.scenarios.model import CrashStep
-
-    steps = list(scenario.steps)
-    steps.insert(int(at), CrashStep(process=process, label=f"crash@{int(at)}"))
-    return dataclasses.replace(scenario, steps=steps)
-
-
 def crash_cause(exc: BaseException | None) -> SimulatedCrash | None:
     """The :class:`SimulatedCrash` in an exception's cause chain (or None)."""
     seen: set[int] = set()
@@ -581,13 +562,7 @@ def crash_cause(exc: BaseException | None) -> SimulatedCrash | None:
     return None
 
 
-def run_with_recovery(
-    world_size: int,
-    program: Callable[..., Any],
-    *,
-    max_restarts: int = 4,
-    timeout: float = 120.0,
-) -> list[Any]:
+def run_with_recovery(world_size: int, program: Callable[..., Any]) -> list[Any]:
     """Run a loopback SPMD program, restarting the world after crashes.
 
     Drives :func:`repro.runtime.loopback.run_spmd`; when the world dies of
@@ -595,20 +570,19 @@ def run_with_recovery(
     as the cause of a process failure) a fresh world is started and
     ``program`` runs again — the program is responsible for resuming from
     its :class:`CheckpointStore` (fault injectors remember fired kills, so
-    a restarted world does not re-crash at the same point).  Any other
-    failure propagates unchanged.
+    a restarted world does not re-crash at the same point).  Like
+    :func:`~repro.scenarios.replay.replay`, it recovers at most
+    :data:`~repro.scenarios.replay.MAX_RECOVERIES` times and re-raises the
+    next crash.  Any other failure propagates unchanged.
     """
     from repro.runtime.loopback import run_spmd
+    from repro.scenarios.replay import MAX_RECOVERIES
 
     restarts = 0
     while True:
         try:
-            return run_spmd(world_size, program, timeout=timeout)
-        except (RuntimeError, SimulatedCrash) as exc:
-            if crash_cause(exc) is None:
-                raise
+            return run_spmd(world_size, program)
+        except RuntimeError as exc:
             restarts += 1
-            if restarts > max_restarts:
-                raise RuntimeError(
-                    f"world failed {restarts} times; giving up recovery"
-                ) from exc
+            if crash_cause(exc) is None or restarts > MAX_RECOVERIES:
+                raise

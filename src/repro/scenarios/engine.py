@@ -43,7 +43,6 @@ from repro.scenarios.model import (
     AppQueryResult,
     AppQueryStep,
     CheckpointStep,
-    CrashStep,
     RestoreStep,
     Scenario,
     ScenarioResult,
@@ -360,9 +359,7 @@ class ScenarioEngine:
         executor = self.executor
         if self.injector is not None:
             self.injector.check_step(index, process=self.world_rank)
-        if isinstance(step, (CheckpointStep, CrashStep, SnapshotCheck)):
-            if isinstance(step, CrashStep) and self.injector is not None:
-                self.injector.fire_crash(index, step.process, process=self.world_rank)
+        if isinstance(step, (CheckpointStep, SnapshotCheck)):
             if isinstance(step, SnapshotCheck) and self.check_snapshots:
                 executor.snapshot(step)
             self._record(index, step.kind, step.label)
@@ -374,6 +371,10 @@ class ScenarioEngine:
                 )
                 if self.store is not None:
                     self.store.save(step.tag, self.world_rank, snapshot)
+                    # No process leaves the checkpoint before every process
+                    # has stored it: a kill at the next step would otherwise
+                    # resume the processes from different cursors.
+                    self.comm.host_fold(None, lambda a, b: a)
             return
         if isinstance(step, RestoreStep):
             if self.store is None:

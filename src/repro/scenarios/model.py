@@ -50,7 +50,6 @@ __all__ = [
     "SnapshotCheck",
     "CheckpointStep",
     "RestoreStep",
-    "CrashStep",
     "AppSpec",
     "AppQueryStep",
     "TriangleCountCheck",
@@ -71,7 +70,7 @@ TupleArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 #: step kinds that steer a replay rather than measure it; neither
 #: ``measured_steps()`` nor ``applied_counts`` reads their records (a
 #: restore's traffic is all in the ``recovery`` category)
-CONTROL_KINDS = ("snapshot", "checkpoint", "restore", "crash")
+CONTROL_KINDS = ("snapshot", "checkpoint", "restore")
 
 #: Salt mixed into the scenario seed when deriving per-step partition seeds.
 _PARTITION_SALT = 0x5CE7A410
@@ -308,26 +307,6 @@ class RestoreStep:
         return 0
 
 
-@dataclass
-class CrashStep:
-    """Deterministic kill point: crash here when a fault plan is armed.
-
-    Without an armed :class:`~repro.runtime.faults.FaultInjector` the step
-    is a no-op, so the *same trace* serves as both the crashing run and the
-    uninterrupted reference of a differential drill.  ``process`` restricts
-    the kill to one loopback process (``None`` kills the world).
-    """
-
-    process: int | None = None
-    label: str = ""
-
-    kind = "crash"
-
-    @property
-    def n_tuples(self) -> int:
-        return 0
-
-
 # ----------------------------------------------------------------------
 # application steps
 # ----------------------------------------------------------------------
@@ -450,7 +429,7 @@ class Scenario:
     name: str
     shape: tuple[int, int]
     steps: list[
-        ScenarioStep | SnapshotCheck | CheckpointStep | RestoreStep | CrashStep | AppQueryStep
+        ScenarioStep | SnapshotCheck | CheckpointStep | RestoreStep | AppQueryStep
     ] = field(default_factory=list)
     #: pre-loaded matrix content, constructed before the trace runs
     initial_tuples: TupleArrays | None = None
@@ -598,10 +577,10 @@ class StepStats:
     n_tuples: int
     #: operation-specific count: entries created / changed / deleted,
     #: result entries touched for SpGEMM steps, blocks restored for a
-    #: restore; 0 for snapshots, checkpoints and crashes
+    #: restore; 0 for snapshots and checkpoints
     applied: int
-    #: measured seconds of the timed region (0.0 for snapshots,
-    #: checkpoints and crashes, which run untimed)
+    #: measured seconds of the timed region (0.0 for snapshots and
+    #: checkpoints, which run untimed)
     seconds: float
     comm_messages: int = 0
     comm_bytes: int = 0

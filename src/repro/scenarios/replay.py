@@ -127,7 +127,10 @@ def replay(
         string in its grammar (:meth:`~repro.runtime.faults.FaultPlan.parse`),
         or a pre-armed :class:`~repro.runtime.faults.FaultInjector` (pass
         the same injector across recovery attempts so fired kills do not
-        refire).  Drops and delays are charged to ``comm.stats`` only.
+        refire).  ``kill@k`` crashes before trace step ``k`` (checkpoint
+        steps count); a kill past the trace or the world raises
+        :class:`~repro.runtime.faults.FaultPlanError` before the replay
+        starts.  Drops and delays are charged to ``comm.stats`` only.
         ``None`` (default) arms nothing.
     on_crash:
         What to do when an injected crash fires: ``"raise"`` (default —
@@ -159,6 +162,10 @@ def replay(
         injector = FaultPlan.parse(injector)
     if isinstance(injector, FaultPlan):
         injector = FaultInjector(injector)
+    if injector is not None:
+        injector.plan.check_reachable(
+            len(scenario.steps), int(getattr(comm, "world_size", 1))
+        )
     store = opts.checkpoint_store
     if store is None and any(
         isinstance(s, (CheckpointStep, RestoreStep)) for s in scenario.steps

@@ -299,15 +299,14 @@ def _checkpointed_drill(tmp_path, *, layout: str = "dhb"):
     """One crashed-and-restored drill with a durable store; returns both legs."""
     base = S.with_checkpoint(S.grow_from_empty(seed=SEED), at=3)
     reference = S.replay(base, backend="sim", n_ranks=4, layout=layout)
-    drill = S.with_crash(base, at=5)
     store = S.CheckpointStore(tmp_path)
     recovered = S.replay(
-        drill,
+        base,
         backend="sim",
         n_ranks=4,
         layout=layout,
         checkpoint_store=store,
-        faults=FaultInjector(FaultPlan()),
+        faults="kill@5",
         on_crash="restore",
     )
     return reference, recovered, store
@@ -326,9 +325,8 @@ def test_snapshot_file_round_trip(tmp_path) -> None:
 def test_restore_from_snapshot_file_is_byte_identical(tmp_path, layout) -> None:
     """Resuming from the durable ``.npz`` matches the uninterrupted run."""
     reference, _, store = _checkpointed_drill(tmp_path, layout=layout)
-    drill = S.with_crash(S.with_checkpoint(S.grow_from_empty(seed=SEED), at=3), at=5)
     resumed = S.replay(
-        drill,
+        S.with_checkpoint(S.grow_from_empty(seed=SEED), at=3),
         backend="sim",
         n_ranks=4,
         layout=layout,
@@ -402,9 +400,7 @@ def test_check_snapshot_rejects_schema_violations(tmp_path) -> None:
 def test_resume_rejects_mismatched_scenarios(tmp_path) -> None:
     """A snapshot only resumes the trace it fingerprints."""
     _, _, store = _checkpointed_drill(tmp_path)
-    other = S.with_crash(
-        S.with_checkpoint(S.grow_from_empty(seed=SEED + 1), at=3), at=5
-    )
+    other = S.with_checkpoint(S.grow_from_empty(seed=SEED + 1), at=3)
     with pytest.raises(S.SnapshotFormatError, match="fingerprint"):
         S.replay(
             other,
@@ -482,9 +478,6 @@ def test_kill_points_fire_exactly_once() -> None:
         injector.check_step(3)
     assert excinfo.value.step_index == 3
     injector.check_step(3)  # recovered runs replay the step without refiring
-    injector.reset_kills()
-    with pytest.raises(SimulatedCrash):
-        injector.check_step(3)
 
 
 def test_fault_injection_is_deterministic() -> None:
@@ -497,12 +490,12 @@ def test_fault_injection_is_deterministic() -> None:
     def drill():
         base = S.with_checkpoint(S.grow_from_empty(seed=SEED), at=3)
         return S.replay(
-            S.with_crash(base, at=5),
+            base,
             backend="sim",
             n_ranks=4,
             layout="dhb",
             checkpoint_store=S.CheckpointStore(),
-            faults=FaultInjector(FaultPlan.parse("drop=1/20;seed=13")),
+            faults=FaultInjector(FaultPlan.parse("kill@5;drop=1/20;seed=13")),
             on_crash="restore",
         )
 
@@ -581,19 +574,18 @@ _DHB_SIM = dict(backend="sim", n_ranks=4, layout="dhb")
 
 def _general_mode_drill():
     """General-mode ``mixed_update_multiply``, checkpointed at step 3 and
-    crashed at step 4: ``(uninterrupted run, drill, recovered run, store)``."""
+    crashed at step 4: ``(uninterrupted run, trace, recovered run, store)``."""
     scenario = S.mixed_update_multiply(seed=SEED)
     steps = [
         dataclasses.replace(s, mode="general") if isinstance(s, S.SpGEMMStep) else s
         for s in scenario.steps
     ]
     base = S.with_checkpoint(dataclasses.replace(scenario, name="general_mum", steps=steps), at=3)
-    drill, store = S.with_crash(base, at=4), S.CheckpointStore()
-    faults = FaultInjector(FaultPlan())
+    store = S.CheckpointStore()
     recovered = S.replay(
-        drill, checkpoint_store=store, faults=faults, on_crash="restore", **_DHB_SIM
+        base, checkpoint_store=store, faults="kill@4", on_crash="restore", **_DHB_SIM
     )
-    return S.replay(base, **_DHB_SIM), drill, recovered, store
+    return S.replay(base, **_DHB_SIM), base, recovered, store
 
 
 def _assert_same_continuation(reference, got) -> None:
@@ -611,7 +603,7 @@ def test_general_mode_bloom_state_survives_restore() -> None:
     block; losing it across restore would change later multiplication
     pruning and with it the comm signature of the continuation.
     """
-    reference, _drill, recovered, _store = _general_mode_drill()
+    reference, _trace, recovered, _store = _general_mode_drill()
     for a, b in zip(reference.final_a, recovered.final_a):
         assert np.array_equal(a, b)
     _assert_same_continuation(reference, recovered)
@@ -624,7 +616,7 @@ def test_snapshot_with_insertion_ordered_bloom_entries_restores() -> None:
     order they were first set.  Such a file still restores to the same
     filters: the continuation matches the uninterrupted run byte for byte.
     """
-    reference, drill, _recovered, store = _general_mode_drill()
+    reference, trace, _recovered, store = _general_mode_drill()
     snapshot = store.load("default", 0)
     rng = np.random.default_rng(SEED)
     shuffled = 0
@@ -636,7 +628,7 @@ def test_snapshot_with_insertion_ordered_bloom_entries_restores() -> None:
             encoded[key] = encoded[key][order]
         assert decode_bloom(encoded) == original
     assert shuffled
-    _assert_same_continuation(reference, S.replay(drill, resume_from=snapshot, **_DHB_SIM))
+    _assert_same_continuation(reference, S.replay(trace, resume_from=snapshot, **_DHB_SIM))
 
 
 # ----------------------------------------------------------------------
@@ -644,12 +636,11 @@ def test_snapshot_with_insertion_ordered_bloom_entries_restores() -> None:
 # ----------------------------------------------------------------------
 def _algebraic_dhb_drill():
     """Algorithm 1 ``mixed_update_multiply`` on a ``dhb`` B, checkpointed at
-    step 3 and crashed at step 4: ``(uninterrupted run, drill, store)``."""
+    step 3 and crashed at step 4: ``(uninterrupted run, trace, store)``."""
     base = S.with_checkpoint(S.mixed_update_multiply(seed=SEED), at=3)
-    drill, store = S.with_crash(base, at=4), S.CheckpointStore()
-    faults = FaultInjector(FaultPlan())
-    S.replay(drill, checkpoint_store=store, faults=faults, on_crash="restore", **_DHB_SIM)
-    return S.replay(base, **_DHB_SIM), drill, store
+    store = S.CheckpointStore()
+    S.replay(base, checkpoint_store=store, faults="kill@4", on_crash="restore", **_DHB_SIM)
+    return S.replay(base, **_DHB_SIM), base, store
 
 
 def test_dhb_replay_builds_its_static_b_as_dhb() -> None:
@@ -662,7 +653,7 @@ def test_dhb_replay_builds_its_static_b_as_dhb() -> None:
 
 
 def test_dhb_replay_checkpoints_its_true_static_layout() -> None:
-    _reference, _drill, store = _algebraic_dhb_drill()
+    _reference, _trace, store = _algebraic_dhb_drill()
     assert store.load("default", 0)["state"]["product"]["b"]["static_layout"] == "dhb"
 
 
@@ -672,11 +663,11 @@ def test_snapshot_labelling_a_dhb_b_as_csr_still_restores() -> None:
     Such a file restores the blocks it holds, and the continuation matches
     the uninterrupted run byte for byte.
     """
-    reference, drill, store = _algebraic_dhb_drill()
+    reference, trace, store = _algebraic_dhb_drill()
     snapshot = store.load("default", 0)
     assert snapshot["version"] == S.SNAPSHOT_VERSION == 4
     snapshot["state"]["product"]["b"]["static_layout"] = "csr"
-    resumed = S.replay(drill, resume_from=snapshot, **_DHB_SIM)
+    resumed = S.replay(trace, resume_from=snapshot, **_DHB_SIM)
     for a, b in zip(reference.final_a, resumed.final_a):
         assert np.array_equal(a, b)
     _assert_same_continuation(reference, resumed)

@@ -31,9 +31,15 @@ import pytest
 
 import repro.scenarios as S
 from repro.runtime import MPIBackend
-from repro.runtime.faults import FaultInjector, FaultPlan, SimulatedCrash
+from repro.runtime.faults import (
+    FaultInjector,
+    FaultPlan,
+    FaultPlanError,
+    SimulatedCrash,
+)
 from repro.runtime.loopback import run_spmd
 from repro.runtime.partitioner import RoundRobinPartitioner
+from repro.scenarios.checkpoint import crash_cause
 from repro.scenarios.replay import MAX_RECOVERIES
 
 N_RANKS = 4
@@ -116,7 +122,6 @@ def test_crash_and_restore_matches_uninterrupted_run(
     references, generator_name, backend, layout
 ):
     reference = _reference(references, generator_name, backend, layout)
-    drill = S.with_crash(_base_trace(generator_name), at=CRASH_AT)
     executors = []
 
     def capture(*args, **kwargs):
@@ -124,11 +129,11 @@ def test_crash_and_restore_matches_uninterrupted_run(
         return executors[-1]
 
     recovered = _replay(
-        drill,
+        _base_trace(generator_name),
         backend,
         layout,
         checkpoint_store=S.CheckpointStore(),
-        faults=FaultInjector(FaultPlan()),
+        faults=f"kill@{CRASH_AT}",
         on_crash="restore",
         executor_factory=capture,
     )
@@ -158,14 +163,7 @@ def test_kill_at_first_step_retries_from_scratch(references):
     a full, identical rerun."""
     scenario = _scenario("grow_from_empty")
     reference = _replay(scenario, "sim", "dhb")
-    drill = S.with_crash(scenario, at=0)
-    recovered = _replay(
-        drill,
-        "sim",
-        "dhb",
-        faults=FaultInjector(FaultPlan()),
-        on_crash="restore",
-    )
+    recovered = _replay(scenario, "sim", "dhb", faults="kill@0", on_crash="restore")
     _assert_continuation_identical(reference, recovered, what="kill@first-step")
     # a rerun from scratch ships no snapshot blocks
     assert "recovery" not in dict(recovered.comm_signature())
@@ -202,13 +200,12 @@ def test_kill_immediately_after_multiply(references):
     # base steps: [SpGEMM, SpGEMM, Snap, CP, SpGEMM, SpGEMM, Snap];
     # index 5 is the step right after the post-checkpoint multiply
     assert isinstance(base.steps[4], S.SpGEMMStep)
-    drill = S.with_crash(base, at=5)
     recovered = _replay(
-        drill,
+        base,
         "sim",
         "dhb",
         checkpoint_store=S.CheckpointStore(),
-        faults=FaultInjector(FaultPlan()),
+        faults="kill@5",
         on_crash="restore",
     )
     _assert_continuation_identical(reference, recovered, what="kill@after-multiply")
@@ -216,8 +213,8 @@ def test_kill_immediately_after_multiply(references):
 
 @pytest.mark.parametrize("crash_at", (1, 4, 6))
 def test_env_selected_kills_recover_identically(references, crash_at):
-    """A ``faults="kill@k"`` plan drives the same drill without a CrashStep,
-    before the checkpoint (a rerun from scratch) and after it."""
+    """A seeded ``faults="kill@k"`` plan drives the drill before the
+    checkpoint (a rerun from scratch) and after it."""
     base = _base_trace("grow_from_empty")
     reference = _reference(references, "grow_from_empty", "sim", "csr")
     recovered = _replay(
@@ -231,6 +228,21 @@ def test_env_selected_kills_recover_identically(references, crash_at):
     _assert_continuation_identical(
         reference, recovered, what=f"faults kill@{crash_at}"
     )
+
+
+@pytest.mark.parametrize(
+    "armed",
+    (str, lambda spec: FaultInjector(FaultPlan.parse(spec))),
+    ids=("spec", "injector"),
+)
+@pytest.mark.parametrize("spec", ("kill@3:proc=1", "kill@99"))
+def test_kill_that_cannot_fire_is_refused(spec, armed):
+    """A kill on a process the world lacks, or past the trace's last step,
+    would let the drill pass without crashing; replay refuses it."""
+    base = S.with_checkpoint(S.grow_from_empty(seed=1), at=2)
+    assert len(base.steps) < 99
+    with pytest.raises(FaultPlanError, match="can never fire"):
+        S.replay(base, backend="sim", n_ranks=4, faults=armed(spec), on_crash="raise")
 
 
 def test_restore_gives_up_after_eight_recoveries(references):
@@ -291,8 +303,8 @@ def _loopback_drill(
 def test_loopback_world_crash_and_restore(generator_name, world):
     base = _base_trace(generator_name)
     refs = _loopback_reference(base, world)
-    drill = S.with_crash(base, at=CRASH_AT)
-    results = _loopback_drill(drill, world, injector=FaultInjector(FaultPlan()))
+    plan = FaultPlan.parse(f"kill@{CRASH_AT}")
+    results = _loopback_drill(base, world, injector=FaultInjector(plan))
     assert len(results) == world
     for rank, (reference, recovered) in enumerate(zip(refs, results)):
         _assert_continuation_identical(
@@ -303,29 +315,51 @@ def test_loopback_world_crash_and_restore(generator_name, world):
 
 
 @pytest.mark.parametrize("world", (2, 4))
-def test_loopback_process_specific_kill(world):
+@pytest.mark.parametrize("proc", (0, 1))
+def test_loopback_process_specific_kill(proc, world):
     """Killing a single process still tears down (and recovers) the world."""
     base = _base_trace("grow_from_empty")
     refs = _loopback_reference(base, world)
-    drill = S.with_crash(base, at=CRASH_AT, process=1)
-    results = _loopback_drill(drill, world, injector=FaultInjector(FaultPlan()))
+    plan = FaultPlan.parse(f"kill@{CRASH_AT}:proc={proc};seed=2")
+    results = _loopback_drill(base, world, injector=FaultInjector(plan))
     for reference, recovered in zip(refs, results):
         _assert_continuation_identical(
-            reference, recovered, what=f"proc-kill@world={world}"
+            reference, recovered, what=f"proc{proc}-kill@world={world}"
         )
 
 
 @pytest.mark.parametrize("world", (2, 4))
-def test_loopback_env_plan_kill(world):
-    """A parsed fault plan shared across the world drives the drill."""
+def test_loopback_kill_right_after_checkpoint(world):
+    """A world kill at the step after the checkpoint: every process has
+    stored the checkpoint before any of them can reach the kill, so all
+    resume from the same cursor."""
     base = _base_trace("grow_from_empty")
     refs = _loopback_reference(base, world)
-    plan = FaultPlan.parse(f"kill@{CRASH_AT}:proc=0;seed=2")
+    plan = FaultPlan.parse(f"kill@{CHECKPOINT_AT + 1}")
     results = _loopback_drill(base, world, injector=FaultInjector(plan))
     for reference, recovered in zip(refs, results):
         _assert_continuation_identical(
-            reference, recovered, what=f"env-kill@world={world}"
+            reference, recovered, what=f"kill-after-checkpoint@world={world}"
         )
+
+
+def test_loopback_gives_up_after_eight_restarts():
+    """The loopback restart loop shares replay's cap: eight world kills
+    recover, a ninth crash is re-raised."""
+    base = _base_trace("grow_from_empty")
+    assert len(base.steps) > MAX_RECOVERIES
+    refs = _loopback_reference(base, 2)
+
+    def drill(n_kills: int):
+        kills = ";".join(f"kill@{k}" for k in range(n_kills))
+        injector = FaultInjector(FaultPlan.parse(kills))
+        return _loopback_drill(base, 2, injector=injector)
+
+    for reference, recovered in zip(refs, drill(MAX_RECOVERIES)):
+        _assert_continuation_identical(reference, recovered, what="eight kills")
+    with pytest.raises(RuntimeError) as excinfo:
+        drill(MAX_RECOVERIES + 1)
+    assert crash_cause(excinfo.value) is not None
 
 
 def _placement_kill_drill(world: int, partitioner: str) -> None:
@@ -348,15 +382,14 @@ def _placement_kill_drill(world: int, partitioner: str) -> None:
     round_robin = RoundRobinPartitioner().placement(n_ranks, world)
     assert all(placement != round_robin for _, placement in refs)
 
-    drill = S.with_crash(base, at=6)
     store = S.CheckpointStore()
-    injector = FaultInjector(FaultPlan())
+    injector = FaultInjector(FaultPlan.parse("kill@6"))
 
     def drill_program(comm_obj, world_rank):
         comm = MPIBackend(n_ranks, comm=comm_obj)
-        resume = store.latest(world_rank, S.scenario_fingerprint(drill))
+        resume = store.latest(world_rank, S.scenario_fingerprint(base))
         result = S.replay(
-            drill,
+            base,
             comm=comm,
             layout="csr",
             partitioner=None if resume is not None else partitioner,

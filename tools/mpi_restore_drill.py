@@ -37,13 +37,12 @@ sys.path.insert(
 import numpy as np
 
 from repro.runtime import world_rank
-from repro.runtime.faults import FaultInjector, FaultPlan, SimulatedCrash
+from repro.runtime.faults import SimulatedCrash
 from repro.scenarios import (
     SCENARIO_GENERATORS,
     CheckpointStore,
     replay,
     with_checkpoint,
-    with_crash,
 )
 
 SCENARIO = "grow_from_empty"
@@ -71,13 +70,12 @@ def _replay(scenario, args, **kwargs):
 def run_crash(args: argparse.Namespace) -> int:
     """Phase 1: crash mid-trace, leaving durable snapshots behind."""
     store = CheckpointStore(args.store)
-    drill = with_crash(_trace(args.seed), at=CRASH_AT)
     try:
         _replay(
-            drill,
+            _trace(args.seed),
             args,
             checkpoint_store=store,
-            faults=FaultInjector(FaultPlan()),
+            faults=f"kill@{CRASH_AT}",
             on_crash="raise",
         )
     except SimulatedCrash as crash:
@@ -100,12 +98,9 @@ def run_resume(args: argparse.Namespace) -> int:
         print(f"FAILED: no snapshot at {path} (run the crash phase first)",
               file=sys.stderr)
         return 1
-    # The snapshot fingerprints the *drill* trace (CrashStep included), so
-    # the resume replays the same trace.  With no injector armed the crash
-    # step is a no-op, making this the uninterrupted continuation.
-    drill = with_crash(_trace(args.seed), at=CRASH_AT)
-    recovered = _replay(drill, args, resume_from=path)
-    reference = _replay(drill, args)
+    trace = _trace(args.seed)
+    recovered = _replay(trace, args, resume_from=path)
+    reference = _replay(trace, args)
     for a, b in zip(reference.final_a, recovered.final_a):
         if not np.array_equal(a, b):
             print("FAILED: final tuples diverged after restore", file=sys.stderr)
