@@ -1033,6 +1033,7 @@ def _checkpoint_plan(ctx: Context) -> Plan:
     """
     scenario = SCENARIO_GENERATORS[CHECKPOINT_SCENARIO](seed=ctx.seed)
     base = with_checkpoint(scenario, at=CHECKPOINT_AT)
+    fingerprint = scenario_fingerprint(base)
     # Crash recovery is an in-process protocol (the mpiexec durable drill
     # is tools/mpi_restore_drill.py), so under a real multi-process launch
     # every rank measures its own in-process drill on the sim backend
@@ -1059,9 +1060,9 @@ def _checkpoint_plan(ctx: Context) -> Plan:
                 elapsed = time.perf_counter() - started
                 _check_identical(reference, recovered, what=f"{backend}/{layout}")
 
-                snapshot_path = store._path("default", 0)
+                snapshot_path = store._path(fingerprint, 0)
                 snapshot_bytes = os.path.getsize(snapshot_path)
-                snapshot = store.load("default", 0)
+                snapshot = store.latest(0, fingerprint)
                 started = time.perf_counter()
                 save_snapshot(snapshot_path, snapshot)
                 saved = time.perf_counter()

@@ -29,7 +29,6 @@ from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse import COOMatrix
 from repro.distributed.dist_matrix import StaticDistMatrix
 from repro.distributed.distribution import BlockDistribution
-from repro.distributed.redistribution import _empty_tuples
 
 __all__ = ["UpdateBatch", "build_update_matrix", "partition_tuples_round_robin"]
 
@@ -134,9 +133,6 @@ class UpdateBatch:
     @property
     def total_tuples(self) -> int:
         return sum(rows.size for rows, _c, _v in self.tuples_per_rank.values())
-
-    def tuples_of(self, rank: int) -> TupleArrays:
-        return self.tuples_per_rank.get(rank, _empty_tuples(self.semiring.dtype))
 
     def to_global_coo(self) -> COOMatrix:
         """All tuples of the batch as one global COO matrix (⊕-combined)."""

@@ -30,7 +30,7 @@ time:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -105,12 +105,3 @@ class MachineModel:
         if self.node_of(src) == self.node_of(dst):
             return self.intra_node_alpha + self.intra_node_beta * nbytes
         return self.alpha + self.beta * nbytes
-
-    def with_ranks_per_node(self, ranks_per_node: int) -> "MachineModel":
-        """A copy of this model with a different ranks-per-node mapping."""
-        return replace(self, ranks_per_node=ranks_per_node)
-
-    def with_threads(self, threads_per_rank: int) -> "MachineModel":
-        """A copy of this model with a different thread count per rank."""
-        return replace(self, threads_per_rank=threads_per_rank)
-

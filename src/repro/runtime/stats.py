@@ -235,15 +235,6 @@ class CommStats:
         names = list(names) if names is not None else list(self.categories)
         return sum(self.categories[n].bytes for n in names if n in self.categories)
 
-    def total_modeled_seconds(self, names: Iterable[str] | None = None) -> float:
-        """Total modelled seconds over the given categories (or all)."""
-        names = list(names) if names is not None else list(self.categories)
-        return sum(
-            self.categories[n].modeled_seconds
-            for n in names
-            if n in self.categories
-        )
-
     def total_messages(self, names: Iterable[str] | None = None) -> int:
         """Total message count over the given categories (or all)."""
         names = list(names) if names is not None else list(self.categories)

@@ -11,9 +11,8 @@ Module map
 ``model``       :class:`Scenario` (the declarative, fully seeded trace),
                 the step types :class:`InsertBatch`, :class:`DeleteBatch`,
                 :class:`ValueUpdateBatch`, :class:`SpGEMMStep`,
-                :class:`SnapshotCheck`, the fault-tolerance steps
-                :class:`CheckpointStep` / :class:`RestoreStep`, the
-                application pieces
+                :class:`SnapshotCheck`, the fault-tolerance step
+                :class:`CheckpointStep`, the application pieces
                 :class:`AppSpec` / :class:`TriangleCountCheck` /
                 :class:`ShortestPathCheck` / :class:`ContractStep`, and the
                 structured results :class:`ScenarioResult` /
@@ -45,9 +44,11 @@ Module map
                 clause is the one way to crash a replay) and
                 raise-or-restore crash recovery (``on_crash=``).
 ``checkpoint``  Durable snapshots and the drill helpers:
-                :func:`build_snapshot` / :func:`restore_state`,
+                :func:`build_snapshot` / :func:`restore_state` (called
+                only by ``ScenarioEngine.begin(resume=)``),
                 :func:`save_snapshot` / :func:`load_snapshot`,
-                :class:`CheckpointStore`, :func:`scenario_fingerprint`,
+                :class:`CheckpointStore` (keyed by trace fingerprint and
+                process), :func:`scenario_fingerprint`,
                 the trace editor :func:`with_checkpoint`, and the
                 loopback drill loop :func:`run_with_recovery`.
 ==============  ==========================================================
@@ -67,7 +68,6 @@ from repro.scenarios.model import (
     ContractStep,
     DeleteBatch,
     InsertBatch,
-    RestoreStep,
     Scenario,
     ScenarioResult,
     ScenarioStep,
@@ -148,7 +148,6 @@ __all__ = [
     "oscillating_insert_delete",
     "dhb_bucket_collision_stream",
     "CheckpointStep",
-    "RestoreStep",
     "REPLAY_LAYOUTS",
     "replay",
     "ReplayOptions",

@@ -19,6 +19,10 @@ no charged traffic — the same trace is both the crashing run and the
 uninterrupted reference of a differential drill.  Restoring, by contrast,
 ships blocks back into the (rebuilt) world: that traffic is charged to the
 ``recovery`` category only, keeping every other category byte-identical.
+A snapshot re-enters a world one way only: ``ScenarioEngine.begin(resume=)``
+(reached through ``replay(resume_from=)`` and ``on_crash="restore"``),
+which refuses a snapshot of another trace or layout before it calls
+:func:`restore_state`.
 
 The module also provides the snapshot *file* format (versioned,
 schema-checked ``.npz``), the thread-safe :class:`CheckpointStore` shared
@@ -391,69 +395,50 @@ def _rebuild_app(comm, grid, app_state: dict[str, Any], product):
 class CheckpointStore:
     """Thread-safe snapshot store shared by the processes of one drill.
 
-    Snapshots are keyed by ``(tag, process)`` — every (loopback) process
-    saves and restores its own copy, whose progress prefix carries that
-    process's wall-clock measurements.  With ``directory`` set, each save
-    is also persisted as a versioned ``.npz`` file (the durable form used
-    by the ``mpiexec`` restore drill and the benchmark).
+    Snapshots are keyed by ``(fingerprint, process)`` — the trace's
+    :func:`scenario_fingerprint` and the (loopback) process whose copy it
+    is, with that process's wall-clock measurements.  A trace's later
+    checkpoint replaces its earlier one; other traces' snapshots stay.
+    With ``directory`` set, each save is also persisted as
+    ``snapshot_<fingerprint>_p<process>.npz`` (the durable form used by the
+    ``mpiexec`` restore drill and the benchmark).
     """
 
     def __init__(self, directory: str | os.PathLike | None = None) -> None:
         self.directory = None if directory is None else os.fspath(directory)
         self._snapshots: dict[tuple[str, int], dict[str, Any]] = {}
-        self._order: list[tuple[str, int]] = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def save(self, tag: str, process: int, snapshot: dict[str, Any]) -> None:
+    def save(self, process: int, snapshot: dict[str, Any]) -> None:
         """Store (and optionally persist) one process's snapshot."""
         check_snapshot(snapshot)
-        key = (str(tag), int(process))
+        fingerprint = str(snapshot["fingerprint"])
         with self._lock:
-            if key in self._snapshots:
-                self._order.remove(key)
-            self._snapshots[key] = snapshot
-            self._order.append(key)
+            self._snapshots[(fingerprint, int(process))] = snapshot
         if self.directory is not None:
             os.makedirs(self.directory, exist_ok=True)
-            save_snapshot(self._path(tag, process), snapshot)
-
-    def load(self, tag: str, process: int) -> dict[str, Any]:
-        """The snapshot saved under ``(tag, process)`` (KeyError if absent)."""
-        key = (str(tag), int(process))
-        with self._lock:
-            if key in self._snapshots:
-                return self._snapshots[key]
-        if self.directory is not None:
-            path = self._path(tag, process)
-            if os.path.exists(path):
-                return load_snapshot(path)
-        raise KeyError(
-            f"no checkpoint stored under tag {tag!r} for process {process}"
-        )
+            save_snapshot(self._path(fingerprint, process), snapshot)
 
     def latest(self, process: int, fingerprint: str) -> dict[str, Any] | None:
         """The most recently saved snapshot of ``process`` for one trace.
 
-        Only snapshots with this :func:`scenario_fingerprint` count, so a
-        store shared by several traces never resumes one from another's
-        snapshot; ``None`` when the trace has none stored.
+        Looks in memory, then in ``directory``; ``None`` when the trace
+        with this :func:`scenario_fingerprint` has none stored.
         """
         with self._lock:
-            for tag, proc in reversed(self._order):
-                snapshot = self._snapshots[(tag, proc)]
-                if proc == int(process) and snapshot["fingerprint"] == fingerprint:
-                    return snapshot
-        return None
+            snapshot = self._snapshots.get((fingerprint, int(process)))
+        if snapshot is None and self.directory is not None:
+            path = self._path(fingerprint, process)
+            if os.path.exists(path):
+                snapshot = load_snapshot(path)
+        return snapshot
 
-    def tags(self) -> list[str]:
-        """All distinct tags with at least one stored snapshot."""
-        with self._lock:
-            return sorted({tag for tag, _proc in self._snapshots})
-
-    def _path(self, tag: str, process: int) -> str:
+    def _path(self, fingerprint: str, process: int) -> str:
         assert self.directory is not None
-        return os.path.join(self.directory, f"snapshot_{tag}_p{int(process)}.npz")
+        return os.path.join(
+            self.directory, f"snapshot_{fingerprint}_p{int(process)}.npz"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -538,16 +523,14 @@ def load_snapshot(path: str | os.PathLike) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # trace helpers and the kill-and-restart harness
 # ----------------------------------------------------------------------
-def with_checkpoint(
-    scenario: Scenario, at: int, *, tag: str = "default"
-) -> Scenario:
+def with_checkpoint(scenario: Scenario, at: int) -> Scenario:
     """A copy of ``scenario`` with a checkpoint inserted at position ``at``."""
     import dataclasses
 
     from repro.scenarios.model import CheckpointStep
 
     steps = list(scenario.steps)
-    steps.insert(int(at), CheckpointStep(tag=tag, label=f"checkpoint@{int(at)}"))
+    steps.insert(int(at), CheckpointStep(label=f"checkpoint@{int(at)}"))
     return dataclasses.replace(scenario, steps=steps)
 
 

@@ -37,13 +37,12 @@ from repro.runtime import ProcessGrid, backend_name_of
 from repro.runtime.backend import Communicator
 from repro.runtime.partitioner import Partitioner, make_partitioner
 from repro.runtime.stats import CommStats
-from repro.scenarios.executors import NativeExecutor, ScenarioCheckError
+from repro.scenarios.executors import NativeExecutor
 from repro.scenarios.model import (
     CONTROL_KINDS,
     AppQueryResult,
     AppQueryStep,
     CheckpointStep,
-    RestoreStep,
     Scenario,
     ScenarioResult,
     ScenarioStep,
@@ -213,7 +212,8 @@ class ScenarioEngine:
         Resuming skips construction, restores the executor state (recovery
         traffic charged to the ``recovery`` category) and stitches the
         snapshot's progress prefix onto the accumulators, so the eventual
-        result covers the whole trace.
+        result covers the whole trace.  This is the one way a snapshot
+        re-enters a world: one of another trace or layout is refused.
         """
         from repro.scenarios.checkpoint import (
             SnapshotFormatError,
@@ -354,7 +354,7 @@ class ScenarioEngine:
         return value
 
     def _apply_one(self, index: int, step) -> None:
-        from repro.scenarios.checkpoint import build_snapshot, restore_state
+        from repro.scenarios.checkpoint import build_snapshot
 
         executor = self.executor
         if self.injector is not None:
@@ -370,27 +370,13 @@ class ScenarioEngine:
                     executor, cursor=index + 1, progress=self._progress()
                 )
                 if self.store is not None:
-                    self.store.save(step.tag, self.world_rank, snapshot)
+                    self.store.save(self.world_rank, snapshot)
                     # No process leaves the checkpoint before every process
                     # has stored it: a kill at the next step would otherwise
                     # resume the processes from different cursors.
                     self.comm.host_fold(None, lambda a, b: a)
             return
-        if isinstance(step, RestoreStep):
-            if self.store is None:
-                raise ScenarioCheckError(
-                    f"step {step.label!r}: RestoreStep needs a checkpoint "
-                    "store (did a CheckpointStep run first?)"
-                )
-            snapshot = self.store.load(step.tag, self.world_rank)
-            self._measure(
-                index,
-                step.kind,
-                step.label,
-                step.n_tuples,
-                lambda: (restore_state(executor, snapshot), None),
-            )
-        elif isinstance(step, AppQueryStep):
+        if isinstance(step, AppQueryStep):
             payload = self._measure(
                 index,
                 step.kind,

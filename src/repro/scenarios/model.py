@@ -49,7 +49,6 @@ __all__ = [
     "SpGEMMStep",
     "SnapshotCheck",
     "CheckpointStep",
-    "RestoreStep",
     "AppSpec",
     "AppQueryStep",
     "TriangleCountCheck",
@@ -68,9 +67,8 @@ __all__ = [
 TupleArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: step kinds that steer a replay rather than measure it; neither
-#: ``measured_steps()`` nor ``applied_counts`` reads their records (a
-#: restore's traffic is all in the ``recovery`` category)
-CONTROL_KINDS = ("snapshot", "checkpoint", "restore")
+#: ``measured_steps()`` nor ``applied_counts`` reads their records
+CONTROL_KINDS = ("snapshot", "checkpoint")
 
 #: Salt mixed into the scenario seed when deriving per-step partition seeds.
 _PARTITION_SALT = 0x5CE7A410
@@ -277,30 +275,9 @@ class CheckpointStep:
     the snapshot uses the uncharged control plane.
     """
 
-    #: key the snapshot is stored (and restored) under
-    tag: str = "default"
     label: str = ""
 
     kind = "checkpoint"
-
-    @property
-    def n_tuples(self) -> int:
-        return 0
-
-
-@dataclass
-class RestoreStep:
-    """Replace the world state with the snapshot stored under ``tag``.
-
-    The rebuilt state is byte-identical to the checkpointed one; the
-    traffic spent shipping blocks back into the world is charged to the
-    ``recovery`` category only.
-    """
-
-    tag: str = "default"
-    label: str = ""
-
-    kind = "restore"
 
     @property
     def n_tuples(self) -> int:
@@ -429,7 +406,7 @@ class Scenario:
     name: str
     shape: tuple[int, int]
     steps: list[
-        ScenarioStep | SnapshotCheck | CheckpointStep | RestoreStep | AppQueryStep
+        ScenarioStep | SnapshotCheck | CheckpointStep | AppQueryStep
     ] = field(default_factory=list)
     #: pre-loaded matrix content, constructed before the trace runs
     initial_tuples: TupleArrays | None = None

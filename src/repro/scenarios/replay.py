@@ -110,18 +110,22 @@ def replay(
         When False, skip assembling the global final tuples (cheaper for
         timing-only replays).
     checkpoint_store:
-        :class:`~repro.scenarios.checkpoint.CheckpointStore` used by
-        :class:`~repro.scenarios.model.CheckpointStep` /
-        :class:`~repro.scenarios.model.RestoreStep` steps and the
-        ``on_crash="restore"`` policy.  A run-local store is created when
-        the scenario contains checkpoint steps and none is passed; share
-        one store across the processes of a loopback drill.
+        :class:`~repro.scenarios.checkpoint.CheckpointStore` the
+        :class:`~repro.scenarios.model.CheckpointStep` steps save into and
+        the ``on_crash="restore"`` policy resumes from, keyed by this
+        trace's fingerprint.  A run-local store is created when the
+        scenario contains checkpoint steps and none is passed; share one
+        store across the processes of a loopback drill.
     resume_from:
         A snapshot ``dict`` (or path to a snapshot file) to continue
         from: construction is skipped, the world state is rebuilt
         (recovery traffic charged to the ``recovery`` category), and the
         returned result covers the *whole* trace — the snapshot's progress
-        prefix stitched to the resumed suffix.
+        prefix stitched to the resumed suffix.  A snapshot of another
+        trace or layout raises
+        :class:`~repro.scenarios.checkpoint.SnapshotFormatError`; this and
+        ``on_crash="restore"`` are the only ways a snapshot re-enters a
+        world.
     faults:
         Fault injection: a :class:`~repro.runtime.faults.FaultPlan`, a
         string in its grammar (:meth:`~repro.runtime.faults.FaultPlan.parse`),
@@ -145,7 +149,7 @@ def replay(
         load_snapshot,
         scenario_fingerprint,
     )
-    from repro.scenarios.model import CheckpointStep, RestoreStep
+    from repro.scenarios.model import CheckpointStep
 
     opts = replace(options or ReplayOptions(), **fields).validate()
     if comm is None:
@@ -167,9 +171,7 @@ def replay(
             len(scenario.steps), int(getattr(comm, "world_size", 1))
         )
     store = opts.checkpoint_store
-    if store is None and any(
-        isinstance(s, (CheckpointStep, RestoreStep)) for s in scenario.steps
-    ):
+    if store is None and any(isinstance(s, CheckpointStep) for s in scenario.steps):
         store = CheckpointStore()
     resume = opts.resume_from
     if isinstance(resume, (str, os.PathLike)):

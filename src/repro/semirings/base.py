@@ -17,7 +17,6 @@ without Python loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -29,8 +28,7 @@ class SemiringError(ValueError):
 
     Typical causes: requesting the *algebraic* dynamic-SpGEMM path for an
     update that cannot be expressed as semiring addition (e.g. a deletion
-    under ``(min, +)``), or asking for an additive inverse in a semiring
-    that is not a ring.
+    under ``(min, +)``).
     """
 
 
@@ -55,8 +53,6 @@ class Semiring:
     is_ring:
         ``True`` when every element has an additive inverse (then *all*
         updates are algebraic updates, cf. Section V).
-    negate:
-        Additive inversion callable; required when ``is_ring`` is ``True``.
     is_idempotent:
         ``True`` when ``a ⊕ a = a`` (e.g. ``min``, ``max``, ``or``).  Used by
         tests and by the general-update algorithm to reason about when the
@@ -70,7 +66,6 @@ class Semiring:
     one: float
     dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
     is_ring: bool = False
-    negate: Callable[[np.ndarray], np.ndarray] | None = None
     is_idempotent: bool = False
 
     # ------------------------------------------------------------------
@@ -83,21 +78,6 @@ class Semiring:
     def times(self, a, b):
         """Semiring multiplication ``a ⊗ b`` (element-wise for arrays)."""
         return self.mul(a, b)
-
-    def additive_inverse(self, a):
-        """Return ``⊖a`` such that ``a ⊕ (⊖a) = 0``.
-
-        Raises
-        ------
-        SemiringError
-            If the semiring is not a ring.
-        """
-        if not self.is_ring or self.negate is None:
-            raise SemiringError(
-                f"semiring {self.name!r} is not a ring; additive inverses "
-                "do not exist (use the general-update algorithm instead)"
-            )
-        return self.negate(np.asarray(a, dtype=self.dtype))
 
     def is_zero(self, a) -> np.ndarray:
         """Element-wise test for the additive neutral element.

@@ -32,10 +32,6 @@ __all__ = [
 ]
 
 
-def _negate(values: np.ndarray) -> np.ndarray:
-    return -values
-
-
 PLUS_TIMES = Semiring(
     name="plus_times",
     add=np.add,
@@ -44,7 +40,6 @@ PLUS_TIMES = Semiring(
     one=1.0,
     dtype=np.dtype(np.float64),
     is_ring=True,
-    negate=_negate,
     is_idempotent=False,
 )
 
@@ -56,7 +51,6 @@ MIN_PLUS = Semiring(
     one=0.0,
     dtype=np.dtype(np.float64),
     is_ring=False,
-    negate=None,
     is_idempotent=True,
 )
 
@@ -68,7 +62,6 @@ MAX_PLUS = Semiring(
     one=0.0,
     dtype=np.dtype(np.float64),
     is_ring=False,
-    negate=None,
     is_idempotent=True,
 )
 
@@ -82,7 +75,6 @@ BOOLEAN = Semiring(
     one=1.0,
     dtype=np.dtype(np.float64),
     is_ring=False,
-    negate=None,
     is_idempotent=True,
 )
 
@@ -94,7 +86,6 @@ MAX_MIN = Semiring(
     one=np.inf,
     dtype=np.dtype(np.float64),
     is_ring=False,
-    negate=None,
     is_idempotent=True,
 )
 
@@ -106,7 +97,6 @@ MAX_TIMES = Semiring(
     one=1.0,
     dtype=np.dtype(np.float64),
     is_ring=False,
-    negate=None,
     is_idempotent=True,
 )
 

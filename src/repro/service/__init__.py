@@ -25,7 +25,7 @@ Module map
                 micro-batching layer (pure data, no communication).
 ``service``     :class:`GraphService`, :class:`GraphTenant`,
                 :class:`ServiceConfig` — worlds, tenancy, ingestion,
-                consistent-snapshot queries, checkpoints, the oracle.
+                consistent-snapshot queries, the oracle.
 ==============  ==========================================================
 """
 

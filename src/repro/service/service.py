@@ -49,11 +49,9 @@ from repro.runtime.world import ServiceWorld
 from repro.scenarios.engine import ScenarioEngine
 from repro.scenarios.model import (
     AppSpec,
-    CheckpointStep,
     ContractStep,
     DeleteBatch,
     InsertBatch,
-    RestoreStep,
     Scenario,
     ScenarioResult,
     ShortestPathCheck,
@@ -83,6 +81,7 @@ _REPLAY_ONLY_FIELDS = (
     "resume_from",
     "on_crash",
     "collect_final",
+    "checkpoint_store",
 )
 
 
@@ -94,9 +93,9 @@ class ServiceConfig:
     runs under it *and* :meth:`GraphTenant.replay_options` hands the very
     same bundle to the cold-replay oracle, so there is one source of truth
     for layout, placement, executor and snapshot checking.  Fields only a
-    cold replay acts on (faults, resuming, crash recovery,
-    ``collect_final``, a backend other than the world's) must stay at
-    their defaults.  The queue knobs map onto
+    cold replay acts on (faults, resuming, crash recovery, a checkpoint
+    store, ``collect_final``, a backend other than the world's) must stay
+    at their defaults.  The queue knobs map onto
     :class:`~repro.service.queue.FlushPolicy`.
     """
 
@@ -149,7 +148,6 @@ class GraphTenant:
             partitioner=opts.partitioner,
             executor_factory=opts.executor_factory,
             check_snapshots=opts.check_snapshots,
-            store=opts.checkpoint_store,
         )
         self._engine.begin()
 
@@ -321,38 +319,6 @@ class GraphTenant:
         if matrix is None:
             raise RuntimeError("tenant executor exposes no maintained matrix")
         return int(matrix.nnz())
-
-    # ------------------------------------------------------------------
-    # checkpoints
-    # ------------------------------------------------------------------
-    def checkpoint(self, tag: str = "default", *, label: str = "") -> None:
-        """Snapshot the tenant's full state into its checkpoint store.
-
-        Requires ``config.replay.checkpoint_store``; the checkpoint
-        becomes part of the request log, so the cold replay snapshots at
-        the same point.
-        """
-        self._check_open()
-        if self._engine.store is None:
-            raise RuntimeError(
-                "tenant has no checkpoint store "
-                "(set ServiceConfig.replay.checkpoint_store)"
-            )
-        self.flush()
-        step = CheckpointStep(tag=tag, label=label or f"checkpoint:{tag}")
-        self._append_and_advance(step)
-
-    def restore(self, tag: str = "default", *, label: str = "") -> None:
-        """Replace the tenant's state with the checkpoint under ``tag``."""
-        self._check_open()
-        if self._engine.store is None:
-            raise RuntimeError(
-                "tenant has no checkpoint store "
-                "(set ServiceConfig.replay.checkpoint_store)"
-            )
-        self.flush()
-        step = RestoreStep(tag=tag, label=label or f"restore:{tag}")
-        self._append_and_advance(step)
 
     # ------------------------------------------------------------------
     # results and the oracle

@@ -213,12 +213,6 @@ class CSRMatrix:
             self.semiring,
         )
 
-    def scale_values(self, factor: float) -> "CSRMatrix":
-        """Multiplicatively scale all values (semiring ⊗ with a scalar)."""
-        out = self.copy()
-        out.values = self.semiring.times(out.values, factor)
-        return out
-
     # ------------------------------------------------------------------
     def equal(self, other: "CSRMatrix", *, rtol: float = 1e-9) -> bool:
         """Structural and numerical equality (rows compared as sets)."""

@@ -8,7 +8,8 @@ Covers the serialisation layer the fault drills rest on:
   DHB adjacency order, per-row capacities, grow counters and hash-index
   content (the state a canonicalising codec would silently discard);
 * snapshot build / save / load round trips, version and schema rejection,
-  and resume-fingerprint validation;
+  resume-fingerprint and layout validation, and the store keyed by trace
+  fingerprint and process;
 * the ``REPRO_FAULTS`` grammar and the determinism contract of the fault
   injector (same spec + seed → identical kill points and identical
   discrete recovery traffic);
@@ -295,9 +296,18 @@ def _deep_equal(a, b) -> bool:
     return a == b
 
 
+def _drill_trace() -> S.Scenario:
+    return S.with_checkpoint(S.grow_from_empty(seed=SEED), at=3)
+
+
+def _drill_snapshot(store: S.CheckpointStore) -> dict:
+    """Process 0's snapshot of :func:`_drill_trace` in ``store``."""
+    return store.latest(0, S.scenario_fingerprint(_drill_trace()))
+
+
 def _checkpointed_drill(tmp_path, *, layout: str = "dhb"):
     """One crashed-and-restored drill with a durable store; returns both legs."""
-    base = S.with_checkpoint(S.grow_from_empty(seed=SEED), at=3)
+    base = _drill_trace()
     reference = S.replay(base, backend="sim", n_ranks=4, layout=layout)
     store = S.CheckpointStore(tmp_path)
     recovered = S.replay(
@@ -314,8 +324,10 @@ def _checkpointed_drill(tmp_path, *, layout: str = "dhb"):
 
 def test_snapshot_file_round_trip(tmp_path) -> None:
     _, _, store = _checkpointed_drill(tmp_path)
-    in_memory = store.load("default", 0)
-    from_file = S.load_snapshot(store._path("default", 0))
+    in_memory = _drill_snapshot(store)
+    from_file = S.load_snapshot(
+        store._path(S.scenario_fingerprint(_drill_trace()), 0)
+    )
     assert _deep_equal(in_memory, from_file)
     assert from_file["version"] == S.SNAPSHOT_VERSION
     assert from_file["scenario"] == "grow_from_empty"
@@ -325,12 +337,13 @@ def test_snapshot_file_round_trip(tmp_path) -> None:
 def test_restore_from_snapshot_file_is_byte_identical(tmp_path, layout) -> None:
     """Resuming from the durable ``.npz`` matches the uninterrupted run."""
     reference, _, store = _checkpointed_drill(tmp_path, layout=layout)
+    trace = _drill_trace()
     resumed = S.replay(
-        S.with_checkpoint(S.grow_from_empty(seed=SEED), at=3),
+        trace,
         backend="sim",
         n_ranks=4,
         layout=layout,
-        resume_from=store._path("default", 0),
+        resume_from=store._path(S.scenario_fingerprint(trace), 0),
     )
     for a, b in zip(reference.final_a, resumed.final_a):
         assert np.array_equal(a, b)
@@ -351,7 +364,7 @@ def test_load_snapshot_rejects_garbage(tmp_path) -> None:
 
 def test_load_snapshot_rejects_future_versions(tmp_path) -> None:
     _, _, store = _checkpointed_drill(tmp_path)
-    snapshot = dict(store.load("default", 0))
+    snapshot = dict(_drill_snapshot(store))
     snapshot["version"] = S.SNAPSHOT_VERSION + 1
     path = tmp_path / "future.npz"
     with pytest.raises(S.SnapshotFormatError, match="version"):
@@ -367,7 +380,7 @@ def test_older_snapshot_versions_are_refused(tmp_path, monkeypatch, version) -> 
 
     assert S.SNAPSHOT_VERSION == 4
     _, _, store = _checkpointed_drill(tmp_path)
-    snapshot = dict(store.load("default", 0))
+    snapshot = dict(_drill_snapshot(store))
     assert "applied_counts" not in snapshot["progress"]
     snapshot["version"] = version
     with pytest.raises(
@@ -386,7 +399,7 @@ def test_older_snapshot_versions_are_refused(tmp_path, monkeypatch, version) -> 
 
 def test_check_snapshot_rejects_schema_violations(tmp_path) -> None:
     _, _, store = _checkpointed_drill(tmp_path)
-    good = store.load("default", 0)
+    good = _drill_snapshot(store)
     for key in ("version", "fingerprint", "state", "progress", "cursor"):
         bad = {k: v for k, v in good.items() if k != key}
         with pytest.raises(S.SnapshotFormatError):
@@ -407,8 +420,61 @@ def test_resume_rejects_mismatched_scenarios(tmp_path) -> None:
             backend="sim",
             n_ranks=4,
             layout="dhb",
-            resume_from=store.load("default", 0),
+            resume_from=_drill_snapshot(store),
         )
+
+
+def test_resume_rejects_another_layouts_snapshot(tmp_path) -> None:
+    """A ``csr`` snapshot never continues a ``dhb`` replay of its trace."""
+    _, _, store = _checkpointed_drill(tmp_path, layout="csr")
+    with pytest.raises(S.SnapshotFormatError, match="layout 'csr'"):
+        S.replay(
+            _drill_trace(),
+            backend="sim",
+            n_ranks=4,
+            layout="dhb",
+            resume_from=_drill_snapshot(store),
+        )
+
+
+def test_store_shared_by_two_traces_keeps_both(tmp_path) -> None:
+    """Each trace's snapshot survives the other's, in memory and on disk."""
+    traces = (_drill_trace(), S.with_checkpoint(S.steady_state_churn(seed=SEED), at=2))
+    fingerprints = [S.scenario_fingerprint(trace) for trace in traces]
+    assert fingerprints[0] != fingerprints[1]
+    store = S.CheckpointStore(tmp_path)
+    for trace in traces:
+        S.replay(trace, backend="sim", n_ranks=4, checkpoint_store=store)
+    fresh = S.CheckpointStore(tmp_path)
+    for fingerprint in fingerprints:
+        assert store.latest(0, fingerprint)["fingerprint"] == fingerprint
+        assert fresh.latest(0, fingerprint)["fingerprint"] == fingerprint
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"snapshot_{fingerprint}_p0.npz" for fingerprint in fingerprints
+    )
+
+
+@pytest.mark.parametrize("layout", S.REPLAY_LAYOUTS)
+def test_fresh_store_resumes_a_crashed_run_byte_identically(tmp_path, layout) -> None:
+    """The two-job drill in one process: a run crashes after persisting its
+    checkpoint, and a new store over the same directory resumes it."""
+    trace = _drill_trace()
+    options = dict(backend="sim", n_ranks=4, layout=layout)
+    with pytest.raises(SimulatedCrash):
+        S.replay(
+            trace, checkpoint_store=S.CheckpointStore(tmp_path), faults="kill@5", **options
+        )
+    snapshot = S.CheckpointStore(tmp_path).latest(0, S.scenario_fingerprint(trace))
+    assert snapshot is not None and snapshot["cursor"] == 4
+    reference = S.replay(trace, **options)
+    resumed = S.replay(trace, resume_from=snapshot, **options)
+    for a, b in zip(reference.final_a, resumed.final_a):
+        assert np.array_equal(a, b)
+    got = dict(resumed.comm_signature())
+    recovery = got.pop("recovery", None)
+    assert recovery is not None and recovery[1] > 0
+    assert got == dict(reference.comm_signature())
+    assert [s.kind for s in resumed.steps] == [s.kind for s in reference.steps]
 
 
 def test_scenario_fingerprint_is_stable_and_sensitive() -> None:
@@ -421,24 +487,6 @@ def test_scenario_fingerprint_is_stable_and_sensitive() -> None:
     assert S.scenario_fingerprint(a) != S.scenario_fingerprint(
         S.with_checkpoint(a, at=1)
     )
-
-
-def test_checkpoint_then_immediate_restore_is_a_no_op() -> None:
-    """checkpoint@k directly followed by restore@k+1 changes nothing."""
-    base = S.grow_from_empty(seed=SEED)
-    reference = S.replay(base, backend="sim", n_ranks=4, layout="dhb")
-    steps = list(base.steps)
-    steps.insert(3, S.RestoreStep(label="restore@3"))
-    paired = S.with_checkpoint(
-        dataclasses.replace(base, steps=steps), at=3
-    )
-    result = S.replay(paired, backend="sim", n_ranks=4, layout="dhb")
-    for a, b in zip(reference.final_a, result.final_a):
-        assert np.array_equal(a, b)
-    got = dict(result.comm_signature())
-    recovery = got.pop("recovery", None)
-    assert recovery is not None and recovery[1] > 0
-    assert got == dict(reference.comm_signature())
 
 
 # ----------------------------------------------------------------------
@@ -617,7 +665,7 @@ def test_snapshot_with_insertion_ordered_bloom_entries_restores() -> None:
     filters: the continuation matches the uninterrupted run byte for byte.
     """
     reference, trace, _recovered, store = _general_mode_drill()
-    snapshot = store.load("default", 0)
+    snapshot = store.latest(0, S.scenario_fingerprint(trace))
     rng = np.random.default_rng(SEED)
     shuffled = 0
     for encoded in snapshot["state"]["product"]["f"].values():
@@ -653,8 +701,9 @@ def test_dhb_replay_builds_its_static_b_as_dhb() -> None:
 
 
 def test_dhb_replay_checkpoints_its_true_static_layout() -> None:
-    _reference, _trace, store = _algebraic_dhb_drill()
-    assert store.load("default", 0)["state"]["product"]["b"]["static_layout"] == "dhb"
+    _reference, trace, store = _algebraic_dhb_drill()
+    snapshot = store.latest(0, S.scenario_fingerprint(trace))
+    assert snapshot["state"]["product"]["b"]["static_layout"] == "dhb"
 
 
 def test_snapshot_labelling_a_dhb_b_as_csr_still_restores() -> None:
@@ -664,7 +713,7 @@ def test_snapshot_labelling_a_dhb_b_as_csr_still_restores() -> None:
     the uninterrupted run byte for byte.
     """
     reference, trace, store = _algebraic_dhb_drill()
-    snapshot = store.load("default", 0)
+    snapshot = store.latest(0, S.scenario_fingerprint(trace))
     assert snapshot["version"] == S.SNAPSHOT_VERSION == 4
     snapshot["state"]["product"]["b"]["static_layout"] = "csr"
     resumed = S.replay(trace, resume_from=snapshot, **_DHB_SIM)

@@ -291,8 +291,6 @@ class TestDistMatrices:
         batch = UpdateBatch.from_global((5, 5), rows, cols, vals, 4, seed=2)
         assert batch.total_tuples == 4
         assert batch.to_global_coo().nnz == 4
-        empty_rank = batch.tuples_of(99)
-        assert empty_rank[0].size == 0
 
     def test_partition_round_robin_covers_all(self):
         rows = np.arange(10)

@@ -105,11 +105,6 @@ class TestMachineModel:
         with pytest.raises(ValueError):
             model.message_cost(0, 1, -5)
 
-    def test_with_helpers(self):
-        model = MachineModel()
-        assert model.with_threads(12).threads_per_rank == 12
-        assert model.with_ranks_per_node(1).ranks_per_node == 1
-
 
 class TestRunSwitch:
     @pytest.mark.parametrize(
@@ -337,7 +332,6 @@ class TestSimMPI:
         assert set(breakdown) == set(StatCategory.SPGEMM_BREAKDOWN)
         assert comm.stats.total_bytes() > 0
         assert comm.stats.total_messages() >= 2
-        assert comm.stats.total_modeled_seconds() > 0
 
 
 class TestLoopbackWorld:

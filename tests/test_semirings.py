@@ -16,7 +16,6 @@ from repro.semirings import (
     PLUS_TIMES,
     REGISTRY,
     Semiring,
-    SemiringError,
     get_semiring,
     list_semirings,
 )
@@ -128,14 +127,6 @@ def test_zeros_and_ones_arrays():
     assert np.all(np.isinf(z)) and z.shape == (4,)
     o = MIN_PLUS.ones(3)
     assert np.all(o == 0.0)
-
-
-def test_additive_inverse_only_in_rings():
-    assert PLUS_TIMES.additive_inverse(3.0) == -3.0
-    with pytest.raises(SemiringError):
-        MIN_PLUS.additive_inverse(3.0)
-    with pytest.raises(SemiringError):
-        BOOLEAN.additive_inverse(1.0)
 
 
 def test_add_reduce_empty_returns_zero():

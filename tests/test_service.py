@@ -19,7 +19,12 @@ import numpy as np
 import pytest
 
 from repro.runtime import ServiceWorld, SimMPI
-from repro.scenarios import ReplayOptions, ScenarioCheckError, replay
+from repro.scenarios import (
+    CheckpointStore,
+    ReplayOptions,
+    ScenarioCheckError,
+    replay,
+)
 from repro.scenarios.generators import steady_state_churn
 from repro.service import (
     FlushPolicy,
@@ -292,6 +297,7 @@ class TestServiceLifecycle:
             ("resume_from", "/nonexistent.npz"),
             ("on_crash", "restore"),
             ("collect_final", False),
+            ("checkpoint_store", CheckpointStore()),
             ("backend", "mpi"),
         ],
     )

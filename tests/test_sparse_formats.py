@@ -205,11 +205,6 @@ class TestCSR:
         back = CSRMatrix.from_scipy(csr.to_scipy())
         assert csr.equal(back)
 
-    def test_scale_values(self):
-        dense = random_dense(4, 4, 0.5, seed=37)
-        scaled = CSRMatrix.from_dense(dense).scale_values(2.0)
-        assert np.allclose(scaled.to_dense(), dense * 2.0)
-
 
 # ----------------------------------------------------------------------
 # DCSR

@@ -63,6 +63,7 @@ ALLOWED: dict[str, str] = {
     "SNAPSHOT_VERSION": _DRILL,
     "run_with_recovery": _DRILL,
     "BlockCodecError": "the error a corrupt snapshot block raises to its reader",
+    "ScenarioCheckError": "the error a failed snapshot or query check raises to its caller",
     "GraphTenant": "type of the tenants GraphService.create_tenant returns",
     "EmulatedComm": "mpi4py stand-in for MPIBackend(comm=...) (docs/backends.md)",
     "LoopbackComm": "one process of a loopback world (docs/service.md)",

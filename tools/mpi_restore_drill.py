@@ -13,9 +13,10 @@ continuation byte-identically against an uninterrupted reference run.
 
 The ``crash`` phase replays the checkpointed trace with an injected
 whole-world kill (``on_crash="raise"``), confirms every process persisted
-its ``snapshot_default_p<rank>.npz`` and exits 0 — the simulated crash is
-the *expected* outcome.  The ``resume`` phase starts from each process's
-snapshot file (``resume_from=``), recomputes the uninterrupted reference
+its snapshot of the trace and exits 0 — the simulated crash is the
+*expected* outcome.  The ``resume`` phase finds each process's snapshot
+through a fresh ``CheckpointStore(store).latest(rank, fingerprint)``,
+resumes from it (``resume_from=``), recomputes the uninterrupted reference
 in-process and fails (exit 1) if final tuples or any non-``recovery``
 communication category diverge.  Without ``mpiexec`` the driver runs the
 same protocol on the single-rank emulated world, so the drill is also a
@@ -42,6 +43,7 @@ from repro.scenarios import (
     SCENARIO_GENERATORS,
     CheckpointStore,
     replay,
+    scenario_fingerprint,
     with_checkpoint,
 )
 
@@ -67,24 +69,27 @@ def _replay(scenario, args, **kwargs):
         )
 
 
+def _stored(args: argparse.Namespace, trace):
+    """This process's snapshot of ``trace``, read back by a fresh store."""
+    return CheckpointStore(args.store).latest(world_rank(), scenario_fingerprint(trace))
+
+
 def run_crash(args: argparse.Namespace) -> int:
     """Phase 1: crash mid-trace, leaving durable snapshots behind."""
-    store = CheckpointStore(args.store)
+    trace = _trace(args.seed)
     try:
         _replay(
-            _trace(args.seed),
+            trace,
             args,
-            checkpoint_store=store,
+            checkpoint_store=CheckpointStore(args.store),
             faults=f"kill@{CRASH_AT}",
             on_crash="raise",
         )
     except SimulatedCrash as crash:
-        rank = world_rank()
-        path = os.path.join(args.store, f"snapshot_default_p{rank}.npz")
-        if not os.path.exists(path):
-            print(f"FAILED: crashed but no snapshot at {path}", file=sys.stderr)
+        if _stored(args, trace) is None:
+            print(f"FAILED: crashed but no snapshot in {args.store}", file=sys.stderr)
             return 1
-        print(f"rank {rank}: {crash} — snapshot persisted to {path}")
+        print(f"rank {world_rank()}: {crash} — snapshot persisted to {args.store}")
         return 0
     print("FAILED: the injected crash did not fire", file=sys.stderr)
     return 1
@@ -93,13 +98,13 @@ def run_crash(args: argparse.Namespace) -> int:
 def run_resume(args: argparse.Namespace) -> int:
     """Phase 2: resume from the durable snapshots, verify byte-identity."""
     rank = world_rank()
-    path = os.path.join(args.store, f"snapshot_default_p{rank}.npz")
-    if not os.path.exists(path):
-        print(f"FAILED: no snapshot at {path} (run the crash phase first)",
+    trace = _trace(args.seed)
+    snapshot = _stored(args, trace)
+    if snapshot is None:
+        print(f"FAILED: no snapshot in {args.store} (run the crash phase first)",
               file=sys.stderr)
         return 1
-    trace = _trace(args.seed)
-    recovered = _replay(trace, args, resume_from=path)
+    recovered = _replay(trace, args, resume_from=snapshot)
     reference = _replay(trace, args)
     for a, b in zip(reference.final_a, recovered.final_a):
         if not np.array_equal(a, b):
@@ -111,7 +116,7 @@ def run_resume(args: argparse.Namespace) -> int:
         print("FAILED: non-recovery comm volume diverged", file=sys.stderr)
         return 1
     print(
-        f"rank {rank}: resumed from {path} byte-identically "
+        f"rank {rank}: resumed from {args.store} byte-identically "
         f"(recovery traffic: {recovery[0]} messages, {recovery[1]} bytes)"
     )
     return 0
