@@ -13,15 +13,13 @@ measured (single-core wall-clock) seconds.  The benchmark harness snapshots
 and diffs these counters to regenerate the breakdown figures.  Each
 communicator owns one ``CommStats`` (``comm.stats``) and records every
 event into it directly; it is the only ledger of a communicator's traffic.
-A fault injector is bound to one ``CommStats`` through its ``faults``
-field, so injected faults charge only the communicator being replayed.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "StatCategory",
@@ -55,11 +53,11 @@ class StatCategory:
     LOCAL_COMPUTE = "local_compute"
     OTHER = "other"
 
-    #: traffic spent recovering from a fault: shipping snapshot blocks back
-    #: into a rebuilt world, retransmitting dropped messages, and the
-    #: modelled delay of slowed ones.  Kept out of every other category so
-    #: a crash-and-restore run stays byte-comparable to the uninterrupted
-    #: run on all non-recovery categories.
+    #: traffic spent recovering from a crash: shipping snapshot blocks back
+    #: into a rebuilt world and any communication while rebuilding it.
+    #: Kept out of every other category so a crash-and-restore run stays
+    #: byte-comparable to the uninterrupted run on all non-recovery
+    #: categories.
     RECOVERY = "recovery"
 
     INSERTION_BREAKDOWN = (
@@ -156,14 +154,6 @@ class CommStats:
     #: state reconstruction is accounted as recovery, never as ordinary
     #: protocol traffic (which must stay byte-identical to a clean run)
     redirect_to: str | None = field(default=None, repr=False, compare=False)
-    #: fault injection bound to this communicator, consulted on every
-    #: recorded observation that moves messages: ``(category, messages,
-    #: bytes)`` to ``(retransmitted_messages, retransmitted_bytes,
-    #: delay_seconds)`` charged to ``StatCategory.RECOVERY``, or ``None``
-    #: when no fault fires.  Never carried by snapshots, diffs or merges.
-    faults: "Callable[[str, int, int], tuple[int, int, float] | None] | None" = field(
-        default=None, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------
     def category(self, name: str) -> CategoryTotals:
@@ -194,20 +184,6 @@ class CommStats:
             modeled_seconds=modeled_seconds,
             measured_seconds=measured_seconds,
         )
-        if (
-            self.faults is not None
-            and messages > 0
-            and name != StatCategory.RECOVERY
-        ):
-            fault = self.faults(name, messages, nbytes)
-            if fault is not None:
-                retrans_messages, retrans_bytes, delay_seconds = fault
-                self.category(StatCategory.RECOVERY).add(
-                    operations=1,
-                    messages=retrans_messages,
-                    nbytes=retrans_bytes,
-                    modeled_seconds=delay_seconds,
-                )
 
     @contextmanager
     def redirect(self, name: str) -> "Iterator[CommStats]":

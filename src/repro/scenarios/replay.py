@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from functools import partial
 
 from repro.runtime import backend_name_of, make_communicator
 from repro.runtime.backend import Communicator
@@ -134,8 +133,7 @@ def replay(
         refire).  ``kill@k`` crashes before trace step ``k`` (checkpoint
         steps count); a kill past the trace or the world raises
         :class:`~repro.runtime.faults.FaultPlanError` before the replay
-        starts.  Drops and delays are charged to ``comm.stats`` only.
-        ``None`` (default) arms nothing.
+        starts.  ``None`` (default) arms nothing.
     on_crash:
         What to do when an injected crash fires: ``"raise"`` (default —
         the multi-process harness catches it and restarts the world) or
@@ -223,12 +221,6 @@ def _replay_once(
         injector=injector,
         world_rank=world_rank,
     )
-    previous = comm.stats.faults
-    if injector is not None:
-        comm.stats.faults = partial(injector.on_message, world_rank)
-    try:
-        engine.begin(resume=resume)
-        engine.advance()
-    finally:
-        comm.stats.faults = previous
+    engine.begin(resume=resume)
+    engine.advance()
     return engine.result(collect_final=opts.collect_final)

@@ -490,17 +490,12 @@ def test_scenario_fingerprint_is_stable_and_sensitive() -> None:
 
 
 # ----------------------------------------------------------------------
-# REPRO_FAULTS grammar and injector determinism
+# Fault grammar and injector determinism
 # ----------------------------------------------------------------------
-def test_fault_plan_grammar_round_trips() -> None:
-    spec = "kill@3;kill@7:proc=1;drop=1/50;delay=1/20:0.002;seed=9"
-    plan = FaultPlan.parse(spec)
+def test_fault_plan_grammar_parses_kills() -> None:
+    plan = FaultPlan.parse("kill@3;kill@7:proc=1")
     assert plan.kills == ((3, None), (7, 1))
-    assert plan.drop_one_in == 50
-    assert plan.delay_one_in == 20
-    assert plan.delay_seconds == 0.002
-    assert plan.seed == 9
-    assert FaultPlan.parse(plan.describe()) == plan
+    assert plan == FaultPlan(kills=((3, None), (7, 1)))
 
 
 @pytest.mark.parametrize(
@@ -529,7 +524,7 @@ def test_kill_points_fire_exactly_once() -> None:
 
 
 def test_fault_injection_is_deterministic() -> None:
-    """Same spec + seed → identical kill points and recovery traffic.
+    """Same spec → identical kill points and recovery traffic.
 
     Wall-clock-derived seconds are excluded: determinism is over the
     discrete quantities (operations, messages, bytes) per category.
@@ -543,7 +538,7 @@ def test_fault_injection_is_deterministic() -> None:
             n_ranks=4,
             layout="dhb",
             checkpoint_store=S.CheckpointStore(),
-            faults=FaultInjector(FaultPlan.parse("kill@5;drop=1/20;seed=13")),
+            faults=FaultInjector(FaultPlan.parse("kill@5")),
             on_crash="restore",
         )
 
@@ -555,43 +550,6 @@ def test_fault_injection_is_deterministic() -> None:
     }
     assert discrete(first) == discrete(second)
     assert "recovery" in first.comm_stats
-
-
-def test_dropped_messages_only_charge_recovery() -> None:
-    """Drop faults retransmit: non-recovery categories stay byte-identical."""
-    scenario = S.grow_from_empty(seed=SEED)
-    reference = S.replay(scenario, backend="sim", n_ranks=4, layout="csr")
-    faulty = S.replay(
-        scenario,
-        backend="sim",
-        n_ranks=4,
-        layout="csr",
-        faults=FaultInjector(FaultPlan.parse("drop=1/10;seed=9")),
-    )
-    got = dict(faulty.comm_signature())
-    recovery = got.pop("recovery", None)
-    assert recovery is not None and recovery[0] > 0
-    assert got == dict(reference.comm_signature())
-    for a, b in zip(reference.final_a, faulty.final_a):
-        assert np.array_equal(a, b)
-
-
-def test_delayed_messages_add_modeled_time_only() -> None:
-    scenario = S.grow_from_empty(seed=SEED)
-    reference = S.replay(scenario, backend="sim", n_ranks=4, layout="csr")
-    delayed = S.replay(
-        scenario,
-        backend="sim",
-        n_ranks=4,
-        layout="csr",
-        faults=FaultInjector(FaultPlan.parse("delay=1/5:0.001;seed=9")),
-    )
-    assert dict(delayed.comm_signature()) == dict(reference.comm_signature())
-    assert delayed.comm_stats["recovery"]["modeled_seconds"] > 0.0
-    assert delayed.comm_stats["recovery"]["messages"] == 0
-    assert delayed.comm_stats["recovery"]["bytes"] == 0
-    for a, b in zip(reference.final_a, delayed.final_a):
-        assert np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_kill_immediately_after_multiply(references):
 
 @pytest.mark.parametrize("crash_at", (1, 4, 6))
 def test_env_selected_kills_recover_identically(references, crash_at):
-    """A seeded ``faults="kill@k"`` plan drives the drill before the
+    """A ``faults="kill@k"`` plan drives the drill before the
     checkpoint (a rerun from scratch) and after it."""
     base = _base_trace("grow_from_empty")
     reference = _reference(references, "grow_from_empty", "sim", "csr")
@@ -222,7 +222,7 @@ def test_env_selected_kills_recover_identically(references, crash_at):
         "sim",
         "csr",
         checkpoint_store=S.CheckpointStore(),
-        faults=f"kill@{crash_at};seed=1",
+        faults=f"kill@{crash_at}",
         on_crash="restore",
     )
     _assert_continuation_identical(
@@ -230,19 +230,36 @@ def test_env_selected_kills_recover_identically(references, crash_at):
     )
 
 
-@pytest.mark.parametrize(
+ARMED = pytest.mark.parametrize(
     "armed",
     (str, lambda spec: FaultInjector(FaultPlan.parse(spec))),
     ids=("spec", "injector"),
 )
-@pytest.mark.parametrize("spec", ("kill@3:proc=1", "kill@99"))
+
+
+@ARMED
+@pytest.mark.parametrize("spec", ("kill@3:proc=1", "kill@99", "kill@{n_steps}"))
 def test_kill_that_cannot_fire_is_refused(spec, armed):
-    """A kill on a process the world lacks, or past the trace's last step,
-    would let the drill pass without crashing; replay refuses it."""
+    """A kill on a process the world lacks, or at or past the trace's
+    length, would let the drill pass without crashing; replay refuses it."""
     base = S.with_checkpoint(S.grow_from_empty(seed=1), at=2)
     assert len(base.steps) < 99
+    spec = spec.format(n_steps=len(base.steps))
     with pytest.raises(FaultPlanError, match="can never fire"):
         S.replay(base, backend="sim", n_ranks=4, faults=armed(spec), on_crash="raise")
+
+
+@ARMED
+def test_kill_at_the_last_step_fires(armed):
+    """The last trace step is the last reachable kill point: a kill there
+    is accepted and crashes the replay."""
+    base = S.with_checkpoint(S.grow_from_empty(seed=1), at=2)
+    last = len(base.steps) - 1
+    with pytest.raises(SimulatedCrash) as excinfo:
+        S.replay(
+            base, backend="sim", n_ranks=4, faults=armed(f"kill@{last}"), on_crash="raise"
+        )
+    assert excinfo.value.step_index == last
 
 
 def test_restore_gives_up_after_eight_recoveries(references):
@@ -320,7 +337,7 @@ def test_loopback_process_specific_kill(proc, world):
     """Killing a single process still tears down (and recovers) the world."""
     base = _base_trace("grow_from_empty")
     refs = _loopback_reference(base, world)
-    plan = FaultPlan.parse(f"kill@{CRASH_AT}:proc={proc};seed=2")
+    plan = FaultPlan.parse(f"kill@{CRASH_AT}:proc={proc}")
     results = _loopback_drill(base, world, injector=FaultInjector(plan))
     for reference, recovered in zip(refs, results):
         _assert_continuation_identical(
@@ -418,28 +435,3 @@ def test_kill_on_nnz_aware_placement_resumes_it(world):
 def test_kill_on_locality_aware_placement_resumes_it(world):
     """Crash on a grid-banded placement: the snapshot carries the map."""
     _placement_kill_drill(world, "locality_aware")
-
-
-# ----------------------------------------------------------------------
-# drop/delay faults under loopback: results and signature untouched
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("world", (2,))
-def test_loopback_message_drops_stay_in_recovery(world):
-    base = _scenario("grow_from_empty")
-    refs = _loopback_reference(base, world)
-    injector = FaultInjector(FaultPlan.parse("drop=1/25;seed=5"))
-
-    def program(comm_obj, world_rank):
-        comm = MPIBackend(N_RANKS, comm=comm_obj)
-        return S.replay(base, comm=comm, layout="csr", faults=injector)
-
-    results = run_spmd(world, program)
-    dropped_any = False
-    for reference, faulty in zip(refs, results):
-        signature = dict(faulty.comm_signature())
-        recovery = signature.pop("recovery", None)
-        dropped_any |= recovery is not None
-        assert signature == dict(reference.comm_signature())
-        for a, b in zip(reference.final_a, faulty.final_a):
-            assert np.array_equal(a, b)
-    assert dropped_any, "a 1/25 drop rate must hit at least one message"

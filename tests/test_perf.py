@@ -43,7 +43,14 @@ from repro.runtime import (
     make_communicator,
     run_spmd,
 )
-from repro.scenarios import NativeExecutor, grow_from_empty, library_scenarios, replay
+from repro.scenarios import (
+    CheckpointStore,
+    NativeExecutor,
+    grow_from_empty,
+    library_scenarios,
+    replay,
+    with_checkpoint,
+)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks"))
 
@@ -134,22 +141,25 @@ class _BystanderExecutor(NativeExecutor):
 @pytest.mark.parametrize(
     "scenario", library_scenarios(), ids=lambda scenario: scenario.name
 )
-def test_injected_faults_charge_only_the_replaying_communicator(scenario, backend):
-    """Drops are charged to the replayed communicator's ``CommStats``: a
-    bystander exchanging on its own communicator during the replay is
-    charged nothing and leaves the replay's accounting unchanged."""
+def test_restore_traffic_charges_only_the_replaying_communicator(scenario, backend):
+    """A kill-and-restore charges its restore traffic to the replayed
+    communicator's ``CommStats``: a bystander exchanging on its own
+    communicator during the replay is charged nothing and leaves the
+    replay's accounting unchanged."""
+    drill = with_checkpoint(scenario, at=2)
 
     def run(executor_factory):
         extra = {"comm": EmulatedComm()} if backend == "mpi" else {}
         comm = make_communicator(backend, n_ranks=4, **extra)
         result = replay(
-            scenario,
+            drill,
             comm=comm,
-            faults="drop=1/3;seed=5",
+            checkpoint_store=CheckpointStore(),
+            faults="kill@4",
+            on_crash="restore",
             executor_factory=executor_factory,
             collect_final=False,
         )
-        assert comm.stats.faults is None  # unbound once the replay returns
         return _volumes(result.comm_stats)
 
     bystander = SimMPI(2)

@@ -43,18 +43,11 @@ BACKEND_SWITCH_TABLE = [
 #: rejection of the fault grammar ``replay(faults=...)`` takes
 FAULT_GRAMMAR_TABLE = [
     ("", FaultPlan()),
-    ("kill@2;seed=4", FaultPlan(kills=((2, None),), seed=4)),
-    (
-        "kill@3;kill@7:proc=1;drop=1/50;delay=1/20:0.002;seed=9",
-        FaultPlan(
-            kills=((3, None), (7, 1)),
-            drop_one_in=50,
-            delay_one_in=20,
-            delay_seconds=0.002,
-            seed=9,
-        ),
-    ),
-    ("delay=1/4:0", FaultPlan(delay_one_in=4)),
+    ("kill@3;kill@7:proc=1", FaultPlan(kills=((3, None), (7, 1)))),
+    ("kill@2;seed=4", REJECT),
+    ("kill@3;kill@7:proc=1;drop=1/50;delay=1/20:0.002;seed=9", REJECT),
+    ("delay=1/4:0", REJECT),
+    ("seed=1", REJECT),
     ("kill@", REJECT),
     ("kill@3:node=1", REJECT),
     ("kill@-1", REJECT),

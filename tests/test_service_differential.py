@@ -186,10 +186,11 @@ def test_triangle_tenant_matches_cold_replay(backend):
 
 
 def test_fault_variable_does_not_reach_the_cold_replay(monkeypatch):
-    """Faults are armed only by argument: a leftover ``REPRO_FAULTS`` must
-    not charge the oracle ``recovery`` traffic the live tenant never saw
-    (a tenant refuses ``faults=``, so it cannot honour any plan)."""
-    monkeypatch.setenv("REPRO_FAULTS", "drop=1/1")
+    """Faults are armed only by argument: a leftover ``REPRO_FAULTS``, even
+    a well-formed plan, must not crash the oracle or charge it ``recovery``
+    traffic the live tenant never saw (a tenant refuses ``faults=``, so it
+    cannot honour any plan)."""
+    monkeypatch.setenv("REPRO_FAULTS", "kill@0")
     with _service("sim") as service:
         tenant = service.create_tenant("faultless", (N, N), seed=SEED)
         rng = np.random.default_rng(17)
