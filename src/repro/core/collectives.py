@@ -25,10 +25,11 @@ follow is kept in one place:
      *Scatter* category, matching the paper's naming of the final
      redistribution step).
 
-  :func:`sparse_reduce_to_root` ⊕-combines COO partials and
-  :func:`bloom_reduce_to_root` ORs Bloom-filter matrices with it;
-  :func:`reduce_line` is the gated pair of both that Algorithms 1–2 run
-  per process line and round.
+  Every piece is one payload: a COO partial, plus the Bloom bits aligned
+  with its entries when Algorithm 2 needs them, so each coordinate travels
+  once.  :func:`sparse_reduce_to_root` ⊕-combines COO partials,
+  :func:`bloom_reduce_to_root` also ORs their bits, and the gated
+  :func:`reduce_line` runs one of them per process line and round.
 
 Both reductions follow the partial-mapping contract of the communicator
 protocol: ``contributions`` holds entries only for the group ranks this
@@ -49,6 +50,7 @@ from repro.runtime.grid import ProcessGrid
 from repro.runtime.stats import StatCategory
 from repro.semirings import Semiring
 from repro.sparse import BloomFilterMatrix, COOMatrix
+from repro.sparse.layout import _runs
 
 __all__ = [
     "Broadcast", "pipelined_broadcasts", "transpose_blocks", "sum_pieces",
@@ -134,10 +136,7 @@ def sum_pieces(
     pieces: Sequence[COOMatrix], shape: tuple[int, int], semiring: Semiring
 ) -> COOMatrix:
     """⊕-combine sparse pieces of one block; empty pieces are ignored."""
-    pieces = [p for p in pieces if p.nnz]
-    if not pieces:
-        return COOMatrix.empty(shape, semiring)
-    return pieces[0].concatenate(*pieces[1:]).sum_duplicates()
+    return _fold([(piece, None) for piece in pieces], shape, semiring)[0]
 
 
 def _row_range_offsets(n_rows: int, parts: int) -> np.ndarray:
@@ -150,28 +149,59 @@ def _row_range_offsets(n_rows: int, parts: int) -> np.ndarray:
     return offsets
 
 
+#: a partial of the reduce: values and the Bloom bits aligned with them
+#: (``None`` in a values-only reduce)
+_Partial = tuple[COOMatrix, np.ndarray | None]
+
+
+def _split(partial: _Partial, offsets: np.ndarray) -> dict[int, _Partial]:
+    """The non-empty row ranges ``[offsets[s], offsets[s + 1])``, keyed by ``s``."""
+    coo, bits = partial
+    dest = np.searchsorted(offsets, coo.rows, side="right") - 1
+    pieces: dict[int, _Partial] = {}
+    for slot in np.unique(dest):
+        sel = dest == slot
+        pieces[int(slot)] = (coo._take(sel), None if bits is None else bits[sel])
+    return pieces
+
+
+def _fold(
+    pieces: Sequence[_Partial], shape: tuple[int, int], semiring: Semiring
+) -> _Partial:
+    """⊕-combine the values and OR the bits of pieces of one block.
+
+    One stable key sort; values fold as :meth:`COOMatrix.sum_duplicates`
+    does, bits with ``bitwise_or.reduceat`` over the same runs.
+    """
+    pieces = [p for p in pieces if p[0].nnz]
+    if not pieces:
+        return COOMatrix.empty(shape, semiring), None
+    coo = pieces[0][0].concatenate(*(p[0] for p in pieces[1:]))
+    keys = coo._sort_key()
+    order = np.argsort(keys, kind="stable")
+    starts, _ = _runs(keys[order])
+    rows, cols = np.divmod(keys[order[starts]], np.int64(shape[1]))
+    values = semiring.add_reduceat(coo.values[order], starts)
+    folded = COOMatrix._unchecked(shape, rows, cols, values, semiring)
+    if pieces[0][1] is None:
+        return folded, None
+    bits = np.concatenate([p[1] for p in pieces])
+    return folded, np.bitwise_or.reduceat(bits[order], starts)
+
+
 def _reduce_to_root(
     comm: Communicator,
     group: Sequence[int],
     root: int,
-    contributions: Mapping[int, Any],
+    contributions: Mapping[int, _Partial],
     shape: tuple[int, int],
-    empty: Callable[[], Any],
-    split: Callable[[Any, np.ndarray], dict[int, Any]],
-    fold: Callable[[list], Any],
-) -> Any:
-    """Split, exchange, combine and gather ``contributions`` onto ``root``.
-
-    ``split(item, offsets)`` cuts one partial into its non-empty row ranges
-    keyed by group slot, ``fold(pieces)`` combines pieces of one block, and
-    ``empty()`` stands in for an owned rank without a contribution.
-    """
+    semiring: Semiring,
+) -> _Partial | None:
+    """Split, exchange, combine and gather ``contributions`` onto ``root``."""
     group = list(group)
     if root not in group:
         raise ValueError(f"reduction root {root} is not part of the group")
-    mismatched = {
-        c.shape for c in contributions.values() if c is not None and c.shape != shape
-    }
+    mismatched = {coo.shape for coo, _bits in contributions.values()} - {shape}
     if mismatched:
         raise ValueError(
             f"contributions disagree with the declared block shape {shape}: "
@@ -180,13 +210,11 @@ def _reduce_to_root(
     offsets = _row_range_offsets(shape[0], len(group))
 
     # Steps 1+2: split by destination row range, exchange within the group.
-    sendbufs: dict[int, dict[int, Any]] = {}
+    sendbufs: dict[int, dict[int, _Partial]] = {}
     for rank in comm.owned_ranks(group):
-        item = contributions.get(rank)
-        if item is None:
-            item = empty()
+        partial = contributions.get(rank, (COOMatrix.empty(shape, semiring), None))
         pieces = comm.run_local(
-            rank, split, item, offsets, category=StatCategory.REDUCE_SCATTER
+            rank, _split, partial, offsets, category=StatCategory.REDUCE_SCATTER
         )
         sendbufs[rank] = {group[slot]: piece for slot, piece in pieces.items()}
     received = comm.alltoallv(
@@ -194,11 +222,12 @@ def _reduce_to_root(
     )
 
     # Step 3: locally combine the received row-range pieces.
-    combined: dict[int, Any] = {}
+    combined: dict[int, _Partial] = {}
     for rank in comm.owned_ranks(group):
         pieces = [p for _src, p in sorted(received.get(rank, {}).items())]
         combined[rank] = comm.run_local(
-            rank, fold, pieces, category=StatCategory.REDUCE_SCATTER
+            rank, _fold, pieces, shape, semiring,
+            category=StatCategory.REDUCE_SCATTER,
         )
 
     # Step 4: gather the combined row ranges onto the root.
@@ -206,7 +235,9 @@ def _reduce_to_root(
     if not comm.owns(root):
         return None
     pieces = [p for _r, p in sorted(gathered.items()) if p is not None]
-    return comm.run_local(root, fold, pieces, category=StatCategory.REDUCE_SCATTER)
+    return comm.run_local(
+        root, _fold, pieces, shape, semiring, category=StatCategory.REDUCE_SCATTER
+    )
 
 
 def sparse_reduce_to_root(
@@ -224,79 +255,74 @@ def sparse_reduce_to_root(
     matrix in the *output block's local coordinates*); the mapping is
     partial — it covers at most the group ranks owned by this process, and
     missing owned ranks contribute nothing.  ``shape`` is the output
-    block's shape and must be passed explicitly (it is a global fact the
-    caller knows; inferring it from a possibly-empty mapping silently
-    produced ``(0, 0)`` results, a live bug with partial mappings).
-
-    Returns the combined COO matrix on the process owning ``root`` and
-    ``None`` on every other process.
+    block's shape.  Returns the combined COO matrix on the process owning
+    ``root`` and ``None`` on every other process.
     """
-
-    def split(coo: COOMatrix, offsets: np.ndarray) -> dict[int, COOMatrix]:
-        dest = np.searchsorted(offsets, coo.rows, side="right") - 1
-        pieces: dict[int, COOMatrix] = {}
-        for slot in np.unique(dest):
-            sel = dest == slot
-            pieces[int(slot)] = COOMatrix._unchecked(
-                shape, coo.rows[sel], coo.cols[sel], coo.values[sel], semiring
-            )
-        return pieces
-
-    return _reduce_to_root(
-        comm, group, root, contributions, shape,
-        lambda: COOMatrix.empty(shape, semiring),
-        split,
-        lambda pieces: sum_pieces(pieces, shape, semiring),
-    )
+    partials = {rank: (coo, None) for rank, coo in contributions.items()}
+    reduced = _reduce_to_root(comm, group, root, partials, shape, semiring)
+    return None if reduced is None else reduced[0]
 
 
 def bloom_reduce_to_root(
     comm: Communicator,
     group: Sequence[int],
     root: int,
-    contributions: Mapping[int, BloomFilterMatrix],
+    contributions: Mapping[int, tuple[COOMatrix, BloomFilterMatrix]],
+    semiring: Semiring,
     *,
     shape: tuple[int, int],
-) -> BloomFilterMatrix | None:
-    """Bitwise-OR reduce Bloom-filter partials of a group onto ``root``.
+) -> tuple[COOMatrix, BloomFilterMatrix] | None:
+    """⊕-reduce partial products and OR their Bloom bits onto ``root``.
 
-    Same partial-mapping contract and explicit ``shape`` as
-    :func:`sparse_reduce_to_root`; returns ``None`` on processes that do
-    not own ``root``.
+    ``contributions[rank]`` is a ``(values, bloom)`` pair whose coordinates
+    are identical and in the same order, as the local multiplies return
+    them (else :class:`ValueError`); each coordinate travels once, with its
+    value and its 64 bits.  Otherwise as :func:`sparse_reduce_to_root`;
+    returns ``(values, bloom)`` on the root.
     """
-    return _reduce_to_root(
-        comm, group, root, contributions, shape,
-        lambda: BloomFilterMatrix(shape),
-        BloomFilterMatrix.split_rows,
-        lambda pieces: BloomFilterMatrix(shape).or_with(*pieces),
-    )
+    partials: dict[int, _Partial] = {}
+    for rank, (coo, bloom) in contributions.items():
+        rows, cols, bits = bloom.to_arrays()
+        if not (np.array_equal(rows, coo.rows) and np.array_equal(cols, coo.cols)):
+            raise ValueError(f"rank {rank}: bloom and value coordinates differ")
+        partials[rank] = (coo, bits)
+    reduced = _reduce_to_root(comm, group, root, partials, shape, semiring)
+    if reduced is None:
+        return None
+    coo, bits = reduced
+    if bits is None:  # nothing was contributed
+        return coo, BloomFilterMatrix(shape)
+    return coo, BloomFilterMatrix.from_arrays(shape, coo.rows, coo.cols, bits)
 
 
 def reduce_line(
     comm: Communicator,
     group: Sequence[int],
     root: int,
-    contributions: Mapping[int, COOMatrix],
-    blooms: Mapping[int, BloomFilterMatrix] | None,
+    products: Mapping[int, tuple[COOMatrix, BloomFilterMatrix | None]],
     semiring: Semiring,
     *,
     shape: tuple[int, int],
+    with_bloom: bool,
 ) -> tuple[COOMatrix | None, BloomFilterMatrix | None]:
-    """Reduce one line's partial products (and Bloom bits) onto ``root``.
+    """Reduce one line's partial products (and their Bloom bits) onto ``root``.
 
-    Nothing is communicated unless some process holds a non-empty
-    contribution — a decision agreed over the uncharged ``host_fold``
-    control plane, so every process takes the same branch.  Otherwise the
-    sparse reduce runs, then the Bloom reduce unless ``blooms`` is ``None``.
-    Returns ``(values, bloom)`` as the two reduces do (``None`` off the
-    root); ``(None, None)`` when the gate skips the line.
+    ``products[rank]`` is a local multiply's ``(values, bloom or None)``.
+    Nothing is communicated unless some process holds a non-empty product
+    — a decision agreed over the uncharged ``host_fold`` control plane, so
+    every process takes the same branch.  Otherwise one reduce runs, with
+    the bits if ``with_bloom`` (a global fact, as a process may hold no
+    product).  Returns ``(values, bloom or None)`` on the root, else
+    ``(None, None)``.
     """
-    local_any = any(coo.nnz > 0 for coo in contributions.values())
+    local_any = any(coo.nnz > 0 for coo, _bloom in products.values())
     if not comm.host_fold(local_any, lambda x, y: x or y):
         return None, None
-    reduced = sparse_reduce_to_root(
-        comm, group, root, contributions, semiring, shape=shape
-    )
-    if blooms is None:
-        return reduced, None
-    return reduced, bloom_reduce_to_root(comm, group, root, blooms, shape=shape)
+    if with_bloom:
+        reduced = bloom_reduce_to_root(
+            comm, group, root, products, semiring, shape=shape
+        )
+        return (None, None) if reduced is None else reduced
+    values = {rank: coo for rank, (coo, _bloom) in products.items()}
+    reduced = sparse_reduce_to_root(comm, group, root, values, semiring, shape=shape)
+    return reduced, None

@@ -33,7 +33,8 @@ where the hypersparse update matrices actually save broadcast volume.
 
 :func:`compute_cstar` returns the per-rank local blocks of ``C*`` for the
 owned ranks (and, optionally, the Bloom filter ``F*`` required by
-Algorithm 2 — this is the ``COMPUTE_PATTERN`` subroutine of the paper);
+Algorithm 2, whose bits ride with the entries they belong to through the
+one reduce-scatter — this is the ``COMPUTE_PATTERN`` subroutine);
 :func:`dynamic_spgemm_algebraic` additionally folds ``C*`` into a dynamic
 result matrix ``C``.
 """
@@ -192,14 +193,13 @@ def compute_cstar(
         for line in range(q):
             group_ranks = term.reduce_group(line)
             root = term.reduce_root(line, k)
-            contributions: dict[int, COOMatrix] = {}
-            bloom_contribs: dict[int, BloomFilterMatrix] = {}
+            products: dict[int, tuple[COOMatrix, BloomFilterMatrix | None]] = {}
             for rank in comm.owned_ranks(group_ranks):
                 got = received[term.line_of(rank)]
                 if got is None:
                     continue
                 star_blk, big_blk = got[rank], term.operand.blocks[rank]
-                coo, bloom = comm.run_local(
+                products[rank] = comm.run_local(
                     rank,
                     spgemm_local,
                     *((star_blk, big_blk) if term.left else (big_blk, star_blk)),
@@ -208,17 +208,14 @@ def compute_cstar(
                     inner_offset=int(a.dist.col_offsets[term.line_of(rank)]),
                     category=StatCategory.LOCAL_MULT,
                 )
-                contributions[rank] = coo
-                if bloom is not None:
-                    bloom_contribs[rank] = bloom
             reduced, reduced_bloom = reduce_line(
                 comm,
                 group_ranks,
                 root,
-                contributions,
-                bloom_contribs if compute_bloom else None,
+                products,
                 semiring,
                 shape=out_dist.block_shape_of_rank(root),
+                with_bloom=compute_bloom,
             )
             if reduced is not None and reduced.nnz:
                 partials[root].append(reduced)

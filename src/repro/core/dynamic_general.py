@@ -21,9 +21,10 @@ communication and computation to what the update can actually influence:
 5. A SUMMA-like loop broadcasting ``A^R`` over process rows and the ``C*``
    pattern over process columns; the local multiplication is *masked* at
    ``C*`` and also produces fresh Bloom bits ``H``.
-6. ``Z`` and ``H`` are aggregated with the sparse reduce-scatter and merged
-   into ``C`` and ``F``: every entry in the ``C*`` pattern is overwritten
-   with its recomputed value — or deleted, if no term contributes any more.
+6. ``Z`` and ``H`` are aggregated with one sparse reduce-scatter (each entry
+   of ``Z`` carries its ``H`` bits) and merged into ``C`` and ``F``: every
+   entry in the ``C*`` pattern is overwritten with its recomputed value — or
+   deleted, if no term contributes any more.
 """
 
 from __future__ import annotations
@@ -237,13 +238,12 @@ def dynamic_spgemm_general(
                 continue
             col_ranks = grid.col_group(j)
             root = grid.rank_of(k, j)
-            contributions: dict[int, COOMatrix] = {}
-            bloom_contribs: dict[int, BloomFilterMatrix] = {}
+            products: dict[int, tuple[COOMatrix, BloomFilterMatrix]] = {}
             for rank in comm.owned_ranks(col_ranks):
                 i = grid.row_of(rank)
                 # Section VI-B: each rank masks at the broadcast C* block
                 # itself rather than receiving a hash table of it.
-                coo, bloom = comm.run_local(
+                products[rank] = comm.run_local(
                     rank,
                     spgemm_local_masked,
                     received[i][rank],
@@ -254,17 +254,14 @@ def dynamic_spgemm_general(
                     inner_offset=int(a_prime.dist.col_offsets[i]),
                     category=StatCategory.LOCAL_MULT,
                 )
-                contributions[rank] = coo
-                if bloom is not None:
-                    bloom_contribs[rank] = bloom
             reduced, reduced_bloom = reduce_line(
                 comm,
                 col_ranks,
                 root,
-                contributions,
-                bloom_contribs,
+                products,
                 semiring,
                 shape=out_dist.block_shape_of_rank(root),
+                with_bloom=True,
             )
             if reduced is not None and reduced.nnz:
                 z_blocks[root].append(reduced)

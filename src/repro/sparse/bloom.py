@@ -3,19 +3,21 @@
 Section V-B: while computing ``C = A·B`` the algorithm maintains a matrix
 ``F`` holding an ℓ-bit bitfield per output non-zero (ℓ = 64 in the paper
 and here).  Bit ``k mod ℓ`` of ``f_{i,j}`` is set whenever the term
-``a_{i,k} · b_{k,j}`` contributes to ``c_{i,j}``.  From ``F`` the algorithm
-later recovers a *superset* of the inner indices ``k`` (i.e. columns of
-``A'`` / rows of ``B'``) that can influence a given set of output entries —
-this is what lets the general algorithm ship only a filtered ``A^R``
-instead of all of ``A'``.
+``a_{i,k} · b_{k,j}`` contributes to ``c_{i,j}``.  The row-wise OR of ``F``
+over a set of output entries admits a *superset* of the inner indices ``k``
+(i.e. columns of ``A'`` / rows of ``B'``) that can influence them — this is
+what lets the general algorithm ship only a filtered ``A^R`` instead of all
+of ``A'``.
 
 A filter is three aligned arrays — rows, columns and 64-bit bitfields —
 sorted by ``(row, col)``, with unique coordinates and no zero bitfield.
 Every operation Algorithm 2 performs on ``F`` is then a whole-array pass:
 OR is a concatenation folded by one ``bitwise_or.reduceat``, masking is one
-``searchsorted`` of ``row·m + col`` keys, the row-wise OR is one
-``reduceat`` over the row starts, and the row ranges of the reduce-scatter
-are slices found with one ``searchsorted``.
+``searchsorted`` of ``row·m + col`` keys, and the row-wise OR is one
+``reduceat`` over the row starts.  A partial product's filter has exactly
+its coordinates, so the sparse reduce-scatter ships its bits beside the
+values (:func:`repro.core.collectives.bloom_reduce_to_root`) rather than as
+a filter of its own.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ class BloomFilterMatrix:
 
     Supports the operations the general-update algorithm needs: bitwise-OR
     accumulation (``⊕`` in Algorithm 2), masking by an output pattern and
-    dropping one, row-wise OR reduction, splitting into row ranges, and
-    recovery of candidate inner indices.  The arrays are never written in
-    place, so pieces and copies may share them.
+    dropping one, and row-wise OR reduction.  The arrays are never written
+    in place, so pieces and copies may share them.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -196,29 +197,6 @@ class BloomFilterMatrix:
             return self._rows.copy(), self._bits.copy()
         starts, _ = _runs(self._rows)
         return self._rows[starts], np.bitwise_or.reduceat(self._bits, starts)
-
-    def split_rows(self, offsets: np.ndarray) -> dict[int, "BloomFilterMatrix"]:
-        """The non-empty row ranges ``[offsets[s], offsets[s + 1])``, keyed by ``s``."""
-        cuts = np.searchsorted(self._rows, offsets).tolist()
-        return {
-            slot: self._take(slice(lo, hi))
-            for slot, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))
-            if hi > lo
-        }
-
-    def candidate_inner_indices(self, i: int, j: int, k_range: int) -> np.ndarray:
-        """Superset of inner indices ``k < k_range`` admitted by entry (i, j).
-
-        Because the filter folds ``k`` modulo ℓ, the returned set is a
-        superset of the truly contributing indices — the defining Bloom
-        filter property (no false negatives).
-        """
-        bits = self.get(i, j)
-        if bits == 0:
-            return np.empty(0, dtype=np.int64)
-        ks = np.arange(k_range, dtype=np.int64)
-        admitted = (bits >> (ks % BLOOM_BITS)) & 1
-        return ks[admitted.astype(bool)]
 
     # ------------------------------------------------------------------
     def copy(self) -> "BloomFilterMatrix":

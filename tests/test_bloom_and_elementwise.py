@@ -74,27 +74,17 @@ class TestBloomFilterMatrix:
         assert rows.tolist() == [0, 2]
         assert bits.tolist() == [3, 8]
 
-    def test_split_rows_keeps_only_non_empty_row_ranges(self):
-        # the reduce-scatter of Algorithm 2 sends no empty piece
-        entries = [(0, 1, 1), (1, 0, 2), (4, 2, 4), (5, 1, 8)]
-        bloom = BloomFilterMatrix.from_entries((6, 3), entries)
-        pieces = bloom.split_rows(np.array([0, 2, 4, 6]))
-        assert sorted(pieces) == [0, 2]
-        assert pieces[0] == BloomFilterMatrix.from_entries((6, 3), entries[:2])
-        assert pieces[2] == BloomFilterMatrix.from_entries((6, 3), entries[2:])
-        assert BloomFilterMatrix((6, 3)).or_with(*pieces.values()) == bloom
-        assert BloomFilterMatrix((6, 3)).split_rows(np.array([0, 3, 6])) == {}
-
-    def test_candidate_inner_indices_superset_property(self):
+    def test_folded_bits_admit_every_inner_index_no_false_negatives(self):
         true_ks = [3, 64 + 3, 17]  # 3 and 67 collide mod 64
         bloom = BloomFilterMatrix.from_entries(
             (2, 2), [(0, 0, 1 << (k % BLOOM_BITS)) for k in true_ks]
         )
-        admitted = set(bloom.candidate_inner_indices(0, 0, 200).tolist())
+        bits = bloom.get(0, 0)
+        admitted = {k for k in range(200) if (bits >> (k % BLOOM_BITS)) & 1}
         assert set(true_ks).issubset(admitted)
         # no admitted index outside the folded classes
         assert all((k % BLOOM_BITS) in {3, 17} for k in admitted)
-        assert bloom.candidate_inner_indices(1, 1, 100).size == 0
+        assert bloom.get(1, 1) == 0
 
     def test_to_arrays_and_equality(self):
         bloom = BloomFilterMatrix.from_entries((3, 3), [(2, 1, 4), (0, 0, 1)])

@@ -41,7 +41,6 @@ from repro.runtime import SimMPI
 from repro.runtime.faults import (
     FaultInjector,
     FaultPlan,
-    FaultPlanError,
     SimulatedCrash,
 )
 from repro.sparse import (
@@ -496,22 +495,6 @@ def test_fault_plan_grammar_parses_kills() -> None:
     plan = FaultPlan.parse("kill@3;kill@7:proc=1")
     assert plan.kills == ((3, None), (7, 1))
     assert plan == FaultPlan(kills=((3, None), (7, 1)))
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "kill@",
-        "kill@3:node=1",
-        "drop=50",
-        "drop=1/0",
-        "delay=1/4",
-        "explode=now",
-    ],
-)
-def test_fault_plan_rejects_malformed_specs(spec: str) -> None:
-    with pytest.raises(FaultPlanError):
-        FaultPlan.parse(spec)
 
 
 def test_kill_points_fire_exactly_once() -> None:

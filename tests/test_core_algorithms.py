@@ -29,6 +29,7 @@ from repro.core.collectives import (
 from repro.core.dynamic_general import filter_by_row_bloom
 from repro.semirings import BOOLEAN, MIN_PLUS, PLUS_TIMES
 from repro.sparse import BLOOM_BITS, BloomFilterMatrix, COOMatrix, CSRMatrix
+from repro.sparse.spgemm_local import spgemm_local
 
 from tests.conftest import dist_from_dense, random_dense, static_from_dense
 
@@ -81,15 +82,91 @@ class TestSparseReduce:
         )
         assert np.allclose(out.to_dense(), np.minimum(a, b), equal_nan=True)
 
+    def test_ties_fold_in_group_rank_order(self):
+        """``min(0.0, -0.0)`` keeps the second operand, so the sign of each
+        folded entry tells the order its four ±0.0 values were folded in:
+        group-rank order, as one ``sum_duplicates`` of the contributions."""
+        shape, group = (2, 40), [0, 1, 2, 3]
+        cols = np.arange(40)
+        contributions = {
+            r: COOMatrix(
+                shape, np.zeros(40, dtype=np.int64), cols,
+                np.full(40, -0.0 if r % 2 else 0.0), MIN_PLUS,
+            )
+            for r in group
+        }
+        ones = np.ones(40, dtype=np.uint64)
+        pairs = {
+            r: (coo, BloomFilterMatrix.from_arrays(shape, coo.rows, coo.cols, ones))
+            for r, coo in contributions.items()
+        }
+        want = COOMatrix.empty(shape, MIN_PLUS).concatenate(
+            *contributions.values()
+        ).sum_duplicates()
+        reduced = sparse_reduce_to_root(
+            SimMPI(4), group, 0, contributions, MIN_PLUS, shape=shape
+        )
+        values, _bloom = bloom_reduce_to_root(
+            SimMPI(4), group, 0, pairs, MIN_PLUS, shape=shape
+        )
+        assert np.signbit(want.values).all()
+        for got in (reduced, values):
+            assert got.values.tobytes() == want.values.tobytes()
+
     def test_bloom_reduce_is_bitwise_or(self):
         comm = SimMPI(4)
         shape = (6, 6)
         a = BloomFilterMatrix.from_entries(shape, [(0, 0, 1), (2, 3, 4)])
         b = BloomFilterMatrix.from_entries(shape, [(0, 0, 2), (5, 5, 8)])
-        out = bloom_reduce_to_root(comm, [0, 1, 2], 2, {0: a, 1: b}, shape=shape)
+        pairs = {0: (_values_at(a, [1.0, 2.0]), a), 1: (_values_at(b, [4.0, 8.0]), b)}
+        values, out = bloom_reduce_to_root(
+            comm, [0, 1, 2], 2, pairs, PLUS_TIMES, shape=shape
+        )
         assert out.get(0, 0) == 3
         assert out.get(2, 3) == 4
         assert out.get(5, 5) == 8
+        expected = np.zeros(shape)
+        expected[0, 0], expected[2, 3], expected[5, 5] = 5.0, 2.0, 8.0
+        assert np.array_equal(values.to_dense(), expected)
+
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [([0, 2], [0, 4]), ([0], [0]), ([2, 0], [3, 0])],
+        ids=["other-column", "missing-entry", "other-order"],
+    )
+    def test_bloom_reduce_refuses_a_pair_whose_coordinates_differ(self, rows, cols):
+        comm = SimMPI(4)
+        shape = (6, 6)
+        bloom = BloomFilterMatrix.from_entries(shape, [(0, 0, 1), (2, 3, 4)])
+        values = COOMatrix(shape, np.array(rows), np.array(cols), np.ones(len(rows)))
+        before, clock = comm.stats.as_dict(), comm.elapsed()
+        with pytest.raises(ValueError, match="coordinates differ"):
+            bloom_reduce_to_root(
+                comm, [0, 1], 0, {1: (values, bloom)}, PLUS_TIMES, shape=shape
+            )
+        assert comm.stats.as_dict() == before
+        assert comm.elapsed() == clock
+
+    def test_reduce_scatter_sends_no_empty_piece(self):
+        # rows 0-1 go to group slot 0 (the root itself), rows 4-5 to slot 2:
+        # one alltoallv message, and one gather message per non-root member
+        comm = SimMPI(4)
+        shape = (6, 3)
+        bloom = BloomFilterMatrix.from_entries(
+            shape, [(0, 1, 1), (1, 0, 2), (4, 2, 4), (5, 1, 8)]
+        )
+        bloom_reduce_to_root(
+            comm, [0, 1, 2], 0, {0: (_values_at(bloom, [1.0] * 4), bloom)},
+            PLUS_TIMES, shape=shape,
+        )
+        assert comm.stats.categories["reduce_scatter"].messages == 1
+        assert comm.stats.categories["scatter"].messages == 2
+
+
+def _values_at(bloom: BloomFilterMatrix, values) -> COOMatrix:
+    """A partial product with the coordinates of ``bloom``."""
+    rows, cols, _bits = bloom.to_arrays()
+    return COOMatrix(bloom.shape, rows, cols, np.asarray(values))
 
 
 class _RecordingSimMPI(SimMPI):
@@ -109,6 +186,22 @@ class _RecordingSimMPI(SimMPI):
     def wait(self, request):
         self.log.append(("wait", self._payloads[id(request)]))
         return super().wait(request)
+
+
+class _CallCountingSimMPI(SimMPI):
+    """SimMPI that counts its ``alltoallv`` and ``gather`` calls."""
+
+    def __init__(self, n_ranks: int) -> None:
+        super().__init__(n_ranks)
+        self.calls = {"alltoallv": 0, "gather": 0}
+
+    def alltoallv(self, *args, **kwargs):
+        self.calls["alltoallv"] += 1
+        return super().alltoallv(*args, **kwargs)
+
+    def gather(self, *args, **kwargs):
+        self.calls["gather"] += 1
+        return super().gather(*args, **kwargs)
 
 
 class TestPipelinedBroadcasts:
@@ -149,29 +242,45 @@ class TestReduceLine:
     group = [1, 5, 9, 13]
     shape = (12, 10)
 
+    def _products(self):
+        """Local Algorithm 1 multiplies: ``(values, bloom)`` per group rank."""
+        return {
+            r: spgemm_local(
+                CSRMatrix.from_dense(random_dense(12, 8, 0.3, seed=r)),
+                CSRMatrix.from_dense(random_dense(8, 10, 0.3, seed=r + 50)),
+                PLUS_TIMES,
+                compute_bloom=True,
+                inner_offset=8 * i,
+            )
+            for i, r in enumerate(self.group)
+        }
+
     def test_all_empty_contributions_skip_every_reduce(self):
         comm = SimMPI(16)
-        contributions = {r: COOMatrix.empty(self.shape) for r in self.group}
-        blooms = {r: BloomFilterMatrix(self.shape) for r in self.group}
+        products = {
+            r: (COOMatrix.empty(self.shape), BloomFilterMatrix(self.shape))
+            for r in self.group
+        }
         before, clock = comm.stats.as_dict(), comm.elapsed()
-        out = reduce_line(
-            comm, self.group, 9, contributions, blooms, PLUS_TIMES, shape=self.shape
-        )
-        assert out == (None, None)
+        for with_bloom in (False, True):
+            out = reduce_line(
+                comm, self.group, 9, products, PLUS_TIMES,
+                shape=self.shape, with_bloom=with_bloom,
+            )
+            assert out == (None, None)
         assert comm.stats.as_dict() == before
         assert comm.elapsed() == clock
 
     def test_without_blooms_it_is_the_sparse_reduce(self):
-        contributions = {
-            r: COOMatrix.from_dense(random_dense(*self.shape, 0.3, seed=r))
-            for r in self.group
-        }
+        products = self._products()
         comm, ref_comm = SimMPI(16), SimMPI(16)
         out, bloom = reduce_line(
-            comm, self.group, 9, contributions, None, PLUS_TIMES, shape=self.shape
+            comm, self.group, 9, products, PLUS_TIMES,
+            shape=self.shape, with_bloom=False,
         )
         ref = sparse_reduce_to_root(
-            ref_comm, self.group, 9, contributions, PLUS_TIMES, shape=self.shape
+            ref_comm, self.group, 9, {r: p[0] for r, p in products.items()},
+            PLUS_TIMES, shape=self.shape,
         )
         assert bloom is None
         assert np.array_equal(out.rows, ref.rows)
@@ -179,6 +288,39 @@ class TestReduceLine:
         assert np.array_equal(out.values, ref.values)
         assert comm.stats.total_bytes() == ref_comm.stats.total_bytes()
         assert comm.stats.total_messages() == ref_comm.stats.total_messages()
+
+    @pytest.mark.parametrize("with_bloom", (False, True))
+    def test_one_alltoallv_and_one_gather_per_line(self, with_bloom):
+        comm = _CallCountingSimMPI(16)
+        reduce_line(
+            comm, self.group, 9, self._products(), PLUS_TIMES,
+            shape=self.shape, with_bloom=with_bloom,
+        )
+        assert comm.calls == {"alltoallv": 1, "gather": 1}
+
+    def test_blooms_ride_with_the_values_at_8_bytes_per_entry(self):
+        """One reduce: the messages of the values-only reduce, each shipped
+        24-byte entry carrying its 8-byte bitfield."""
+        products = self._products()
+        comm, ref_comm = SimMPI(16), SimMPI(16)
+        out, bloom = reduce_line(
+            comm, self.group, 9, products, PLUS_TIMES,
+            shape=self.shape, with_bloom=True,
+        )
+        ref, _ = reduce_line(
+            ref_comm, self.group, 9, products, PLUS_TIMES,
+            shape=self.shape, with_bloom=False,
+        )
+        assert np.array_equal(out.values, ref.values)
+        assert bloom == BloomFilterMatrix(self.shape).or_with(
+            *(p[1] for p in products.values())
+        )
+        for name in ("reduce_scatter", "scatter"):
+            got, want = comm.stats.categories[name], ref_comm.stats.categories[name]
+            assert want.bytes > 0 and want.bytes % 24 == 0
+            assert got.messages == want.messages
+            assert got.bytes == want.bytes + 8 * (want.bytes // 24)
+        assert set(comm.stats.categories) == set(ref_comm.stats.categories)
 
 
 # ----------------------------------------------------------------------

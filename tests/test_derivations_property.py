@@ -80,7 +80,8 @@ DERIVATIONS = {
     "spgemm_rowwise_spa",
     "merge_pattern",
     "mask_pattern",
-    "sparse_reduce_to_root.<locals>.split",
+    "_split",
+    "_fold",
     "filter_by_row_bloom",
     "DistMatrixBase.to_coo_global",
     "StaticDistMatrix._assemble.<locals>._build",

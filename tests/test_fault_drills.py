@@ -212,7 +212,7 @@ def test_kill_immediately_after_multiply(references):
 
 
 @pytest.mark.parametrize("crash_at", (1, 4, 6))
-def test_env_selected_kills_recover_identically(references, crash_at):
+def test_kills_armed_by_faults_argument_recover_identically(references, crash_at):
     """A ``faults="kill@k"`` plan drives the drill before the
     checkpoint (a rerun from scratch) and after it."""
     base = _base_trace("grow_from_empty")

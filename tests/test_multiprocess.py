@@ -18,6 +18,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DynamicProduct, compute_cstar, summa_spgemm
 from repro.core.collectives import bloom_reduce_to_root, sparse_reduce_to_root
@@ -30,7 +32,14 @@ from repro.runtime import (
     make_partitioner,
 )
 from repro.runtime.loopback import LoopbackWorld, run_spmd
-from repro.semirings import MIN_PLUS, PLUS_TIMES
+from repro.semirings import (
+    BOOLEAN,
+    MAX_MIN,
+    MAX_PLUS,
+    MAX_TIMES,
+    MIN_PLUS,
+    PLUS_TIMES,
+)
 from repro.sparse import BloomFilterMatrix, COOMatrix
 
 # world 6 oversubscribes the 4 logical ranks: two processes idle, which is
@@ -42,6 +51,7 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 WORLD_SIZES = (1, 2, 4, 6)
+SEMIRINGS = (PLUS_TIMES, MIN_PLUS, MAX_PLUS, BOOLEAN, MAX_MIN, MAX_TIMES)
 
 
 def _comm_volume(comm) -> dict[str, tuple[int, int]]:
@@ -218,8 +228,11 @@ class TestSparseReducePartial:
         )
         assert out.shape == (9, 7)
         assert out.nnz == 0
-        bloom = bloom_reduce_to_root(comm, [0, 1], 1, {}, shape=(9, 7))
-        assert bloom.shape == (9, 7)
+        values, bloom = bloom_reduce_to_root(
+            comm, [0, 1], 1, {}, PLUS_TIMES, shape=(9, 7)
+        )
+        assert values.shape == bloom.shape == (9, 7)
+        assert values.nnz == bloom.nnz == 0
 
     def test_contribution_shape_mismatch_raises(self):
         comm = SimMPI(4)
@@ -257,14 +270,90 @@ class TestSparseReducePartial:
         def program(comm):
             contribs = {}
             for r in comm.owned_ranks():
-                contribs[r] = BloomFilterMatrix.from_entries(shape, [(r, r, 1 << r)])
-            out = bloom_reduce_to_root(comm, [0, 1, 2, 3], 0, contribs, shape=shape)
-            return None if out is None else list(zip(*(a.tolist() for a in out.to_arrays())))
+                bloom = BloomFilterMatrix.from_entries(shape, [(r, r, 1 << r)])
+                values = COOMatrix(shape, [r], [r], [float(r)])
+                contribs[r] = (values, bloom)
+            out = bloom_reduce_to_root(
+                comm, [0, 1, 2, 3], 0, contribs, PLUS_TIMES, shape=shape
+            )
+            if out is None:
+                return None
+            values, bloom = out
+            return values.values.tolist(), list(
+                zip(*(a.tolist() for a in bloom.to_arrays()))
+            )
 
-        expected = [(r, r, 1 << r) for r in range(4)]
+        expected = ([0.0, 1.0, 2.0, 3.0], [(r, r, 1 << r) for r in range(4)])
         for result in _spmd(world, program):
             if result is not None:
                 assert result == expected
+
+
+@st.composite
+def _bloom_reduce_case(draw):
+    """Group ``[0, 4)`` with a root; per rank no pair, an empty pair, or a
+    pair with −0.0 and semiring-zero values and non-zero bitfields."""
+    semiring = draw(st.sampled_from(SEMIRINGS))
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 5)))
+    values = st.sampled_from([-0.0, 0.0, 1.0, 2.5, -3.0, semiring.zero])
+    pairs = {}
+    for rank in range(4):
+        entries = draw(
+            st.none()
+            | st.lists(
+                st.tuples(
+                    st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1), values
+                ),
+                max_size=24,
+            )
+        )
+        if entries is None:
+            continue
+        coo = COOMatrix.from_tuples(shape, entries, semiring)
+        bitfields = st.integers(1, 2**64 - 1)
+        bits = draw(st.lists(bitfields, min_size=coo.nnz, max_size=coo.nnz))
+        bloom = BloomFilterMatrix.from_arrays(shape, coo.rows, coo.cols, bits)
+        pairs[rank] = (coo, bloom)
+    return semiring, shape, pairs, draw(st.integers(0, 3))
+
+
+class TestBloomReduceIsBothReduces:
+    """One reduce of ``(values, bloom)`` pairs equals the values-only reduce
+    plus the OR of the filters, byte for byte, on every world size; both
+    fold each entry's values in group-rank order, as one ``sum_duplicates``
+    of the contributions would."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_bloom_reduce_case(), world=st.sampled_from((2, 4)))
+    def test_pairs_reduce_like_values_and_or(self, case, world):
+        semiring, shape, pairs, root = case
+        ref = sparse_reduce_to_root(
+            SimMPI(4), [0, 1, 2, 3], root,
+            {r: coo for r, (coo, _bloom) in pairs.items()}, semiring, shape=shape,
+        )
+        ref_bloom = BloomFilterMatrix(shape).or_with(*(b for _c, b in pairs.values()))
+        parts = [coo for _r, (coo, _b) in sorted(pairs.items()) if coo.nnz]
+        in_rank_order = (
+            parts[0].concatenate(*parts[1:]).sum_duplicates()
+            if parts
+            else COOMatrix.empty(shape, semiring)
+        )
+
+        def program(comm):
+            owned = {r: pairs[r] for r in comm.owned_ranks() if r in pairs}
+            return bloom_reduce_to_root(
+                comm, [0, 1, 2, 3], root, owned, semiring, shape=shape
+            )
+
+        results = [out for out in _spmd(world, program) if out is not None]
+        assert len(results) == 1
+        values, bloom = results[0]
+        assert values.shape == ref.shape
+        for name in ("rows", "cols", "values"):
+            got = getattr(values, name)
+            for want in (getattr(ref, name), getattr(in_rank_order, name)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert bloom == ref_bloom
 
 
 # ----------------------------------------------------------------------

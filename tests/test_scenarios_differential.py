@@ -261,7 +261,7 @@ PINNED_SIGNATURES_P4 = {
         "allreduce": (4, 48),
         "bcast": (36, 6152),
         "redist_comm": (47, 2856),
-        "scatter": (8, 144),
+        "scatter": (4, 96),
         "send_recv": (14, 2416),
     },
     "sliding_window": {"redist_comm": (88, 10152)},
@@ -308,8 +308,8 @@ PINNED_SIGNATURES_P16 = {
         "allreduce": (24, 144),
         "bcast": (300, 21072),
         "redist_comm": (174, 5160),
-        "reduce_scatter": (12, 288),
-        "scatter": (36, 144),
+        "reduce_scatter": (6, 192),
+        "scatter": (18, 96),
         "send_recv": (84, 3136),
     },
     "multilevel_contraction": {
