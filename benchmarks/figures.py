@@ -11,8 +11,8 @@ the claims, validation, writing — is ``benchmarks/run_suite.py``'s job,
 written there once.  :data:`FIGURES` is the registry; ``docs/performance.md``
 has the figure and claim tables.
 
-The paper's own artefacts (Table I, Figs. 3–12, the ablations) come first:
-every cell of Figs. 3–12 is one :func:`repro.scenarios.replay` of a
+The paper's own artefacts (Table I, Figs. 3–12, the SUMMA ablation) come
+first: every cell of Figs. 3–12 is one :func:`repro.scenarios.replay` of a
 :mod:`repro.bench.workloads` scenario, on our machinery or — along the
 competitor axis — on a simulated framework.
 """
@@ -24,7 +24,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass
-from operator import attrgetter, le, lt, methodcaller
+from operator import le, lt
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,7 +35,6 @@ from repro.bench.workloads import (
     construction_scenario,
     draw_batch,
     prepare_instance,
-    spawn_batch_seeds,
     spgemm_stream_scenario,
 )
 from repro.core import dynamic_spgemm_algebraic
@@ -44,8 +43,6 @@ from repro.distributed import (
     DynamicDistMatrix,
     build_update_matrix,
     partition_tuples_round_robin,
-    redistribute_tuples,
-    redistribute_tuples_single_phase,
 )
 from repro.distributed.dist_matrix import StaticDistMatrix
 from repro.distributed.distribution import BlockDistribution
@@ -66,16 +63,12 @@ from repro.scenarios import (
     SCENARIO_GENERATORS,
     CheckpointStore,
     CompetitorExecutor,
-    InsertBatch,
     ReplayOptions,
     Scenario,
     load_snapshot,
-    multilevel_contraction,
     replay,
-    road_churn_sssp,
     save_snapshot,
     scenario_fingerprint,
-    social_triangle_stream,
     with_checkpoint,
 )
 from repro.scenarios.engine import global_stats_diff
@@ -265,14 +258,13 @@ def _replay_cell(
     variant: str | None = None,
     executor_factory: Callable | None = None,
     breakdown: tuple[str, ...] = (),
-    seconds: Callable[[Any], float] = methodcaller("trimmed_mean_step_seconds"),
 ) -> Cell:
     """One replay of ``scenario`` on a fresh communicator, in simulated seconds.
 
-    ``seconds`` picks the reported time off the ``ScenarioResult`` (default:
-    the trimmed mean over the measured steps — batches, or the one timed
-    construction); the simulated seconds of every ``breakdown`` category
-    over the update steps become ``breakdown.<category>.seconds`` counters.
+    The reported time is the trimmed mean over the measured steps (batches,
+    or the one timed construction); the simulated seconds of every
+    ``breakdown`` category over the update steps become
+    ``breakdown.<category>.seconds`` counters.
     """
 
     def run() -> Recorded:
@@ -287,7 +279,7 @@ def _replay_cell(
         )
         for category, spent in result.breakdown(breakdown).items():
             perf_count(f"breakdown.{category}.seconds", spent)
-        return seconds(result), result.comm_stats
+        return result.trimmed_mean_step_seconds(), result.comm_stats
 
     return Cell(run, backend, layout, tag, variant)
 
@@ -296,7 +288,6 @@ def _scenario_plan(
     build: Callable[[BenchProfile, int], Scenarios],
     machine: str,
     *,
-    systems: Mapping[str, Callable | None] = COMPETITORS,
     sweep_layouts: bool = False,
     breakdown: tuple[str, ...] = (),
 ) -> Callable[[Context], Plan]:
@@ -305,8 +296,9 @@ def _scenario_plan(
     ``build(profile, seed)`` is the workload definition; ``machine`` names
     the :class:`BenchProfile` attribute holding the machine model
     (``spgemm_machine`` is the paper-regime calibration).  Each scenario is
-    replayed once per selected variant (``systems`` maps the variant axis
-    to executor factories; a figure without an axis replays natively), per
+    replayed once per selected variant (:data:`COMPETITORS` maps the
+    variant axis to executor factories; a figure without an axis replays
+    natively), per
     ``--backends`` entry and — ``sweep_layouts``, for the figures with a
     static right operand — per ``--layouts`` entry; the simulated
     frameworks have neither choice.
@@ -317,7 +309,7 @@ def _scenario_plan(
         cells = []
         for tag, (scenario, n_ranks) in scenarios.items():
             for variant in ctx.variants or (None,):
-                factory = systems[variant] if variant else None
+                factory = COMPETITORS[variant] if variant else None
                 native = factory is None
                 for backend in ctx.backends if native else ("sim",):
                     for layout in ctx.layouts if native and sweep_layouts else ("csr",):
@@ -601,53 +593,8 @@ def _fig04_plan(ctx: Context) -> Plan:
 
 
 # ----------------------------------------------------------------------
-# ablations: the mechanisms the design rests on, as bare kernel calls
+# ablation: Algorithm 1 vs SUMMA as bare kernel calls
 # ----------------------------------------------------------------------
-def _world_comm(comm) -> dict[str, dict[str, float]]:
-    """Everything ``comm`` recorded so far, merged over the world."""
-    return global_stats_diff(comm, CommStats()).as_dict()
-
-
-def _ablation_redistribution_plan(ctx: Context) -> Plan:
-    """Two-phase vs single-phase routing, counting vs comparison sort.
-
-    One batch of the largest Fig. 4 size, routed (and nothing else) on a
-    fresh communicator per cell.
-    """
-    profile, seed = ctx.profile, ctx.seed
-    p = profile.n_ranks
-    grid = ProcessGrid(p)
-    workload = prepare_instance(
-        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 137
-    )
-    dist = BlockDistribution(workload.n, workload.n, grid)
-    batch_total = max(profile.update_batch_sizes) * p
-    batch = draw_batch(workload.all_tuples(), batch_total, seed=seed + 139)
-    per_rank = partition_tuples_round_robin(*batch, p, seed=seed + 149)
-    routes = {
-        "two_phase": redistribute_tuples,
-        "single_phase": redistribute_tuples_single_phase,
-    }
-
-    def cell(strategy: str, sort_mode: str, backend: str) -> Cell:
-        def run() -> Recorded:
-            comm = make_communicator(backend, n_ranks=p, machine=profile.machine)
-            perf_count("ablation.tuples", batch_total)
-            with comm.timer() as timer:
-                routes[strategy](comm, grid, dist, per_rank, sort_mode=sort_mode)
-            return timer.seconds, _world_comm(comm)
-
-        return Cell(run, backend, "csr", f"{strategy}@{sort_mode}")
-
-    cells = [
-        cell(strategy, sort_mode, backend)
-        for strategy in routes
-        for sort_mode in ("counting", "comparison")
-        for backend in ctx.backends
-    ]
-    return cells, lambda: {"instance": workload.name, "tuples": batch_total}
-
-
 #: share of the instance's non-zeros drawn into one update matrix
 CROSSOVER_FRACTIONS = (0.01, 0.05, 0.2, 0.5, 1.0)
 
@@ -706,7 +653,8 @@ def _ablation_summa_crossover_plan(ctx: Context) -> Plan:
             perf_count("ablation.update_nnz", a_star.nnz())
             with comm.timer() as timer:
                 CROSSOVER_ALGORITHMS[algorithm](comm, grid, a, b, a_star, c)
-            return timer.seconds, _world_comm(comm)
+            # everything ``comm`` recorded, merged over the world
+            return timer.seconds, global_stats_diff(comm, CommStats()).as_dict()
 
         return Cell(run, backend, "csr", f"f{fraction}", algorithm)
 
@@ -720,75 +668,6 @@ def _ablation_summa_crossover_plan(ctx: Context) -> Plan:
         "instance": workload.name,
         "fractions": list(CROSSOVER_FRACTIONS),
     }
-
-
-#: variant -> the executor whose blocks absorb the insert batches
-STORAGE_SYSTEMS = {
-    "dhb_dynamic": None,
-    "static_rebuild": CompetitorExecutor.factory("combblas"),
-}
-
-
-def storage_scenarios(profile: BenchProfile, seed: int) -> Scenarios:
-    """Insert batches into a half-loaded instance, per batch size."""
-    p = profile.n_ranks
-    workload = prepare_instance(
-        profile.instances[0], scale_divisor=profile.scale_divisor, seed=seed + 173
-    )
-    initial_half, insert_pool = workload.split_half(seed=seed + 179)
-    out: Scenarios = {}
-    for batch_per_rank in profile.update_batch_sizes[:3]:
-        draw_seeds = spawn_batch_seeds(seed + 191, profile.batches_per_config)
-        steps = [
-            InsertBatch(
-                *draw_batch(insert_pool, batch_per_rank * p, seed=draw_seed),
-                partition_seed=seed + 193 + index,
-                label=f"insert[{index}]",
-            )
-            for index, draw_seed in enumerate(draw_seeds)
-        ]
-        scenario = Scenario(
-            name=f"{workload.name}:storage",
-            shape=(workload.n, workload.n),
-            steps=steps,
-            initial_tuples=initial_half,
-            seed=seed,
-            construct_seed=seed + 181,
-        )
-        out[f"b{batch_per_rank}"] = (scenario, p)
-    return out
-
-
-# ----------------------------------------------------------------------
-# apps: the application scenarios
-# ----------------------------------------------------------------------
-def _apps_plan(ctx: Context) -> Plan:
-    """One cell per (application scenario, backend).
-
-    Incremental triangle counting over an evolving social graph,
-    multi-source shortest paths under weighted churn and the multilevel
-    contraction pipeline, at the generator-default sizes the differential
-    suite also replays.  The applications maintain their own dynamic
-    state, so ``ctx.layouts`` does not apply: runs are tagged ``csr``.
-    """
-    scenarios = [
-        social_triangle_stream(seed=ctx.seed + 61),
-        road_churn_sssp(seed=ctx.seed + 67),
-        multilevel_contraction(seed=ctx.seed + 71),
-    ]
-    cells = [
-        _replay_cell(
-            scenario,
-            backend=backend,
-            n_ranks=ctx.profile.n_ranks,
-            machine=ctx.profile.machine,
-            tag=scenario.name,
-            seconds=attrgetter("elapsed_modeled"),
-        )
-        for scenario in scenarios
-        for backend in ctx.backends
-    ]
-    return cells, lambda: {"scenarios": [s.name for s in scenarios]}
 
 
 # ----------------------------------------------------------------------
@@ -1025,9 +904,13 @@ def _checkpoint_plan(ctx: Context) -> Plan:
     """One checkpointed kill-and-recover drill per (backend, layout).
 
     Counters: the ``.npz`` snapshot size, :func:`save_snapshot` /
-    :func:`load_snapshot` latency and the ``recovery`` category's traffic.
-    Every call also verifies the fault-tolerance contract — final tuples
-    and non-recovery comm signature byte-identical to the uninterrupted
+    :func:`load_snapshot` latency, the ``recovery`` category's traffic, and
+    what the kill costs either way, read off the uninterrupted reference's
+    per-step traffic: a ``rerun`` from scratch repeats the construction and
+    every step before the kill, a ``restore`` moves the recovery traffic
+    and repeats the steps between the checkpoint and the kill.  Every call
+    also verifies the fault-tolerance contract — final tuples and
+    non-recovery comm signature byte-identical to the uninterrupted
     reference — and raises :class:`RoundTripMismatch` otherwise, so the
     figure doubles as a round-trip gate.
     """
@@ -1069,12 +952,22 @@ def _checkpoint_plan(ctx: Context) -> Plan:
                 load_snapshot(snapshot_path)
                 loaded = time.perf_counter()
             recovery = recovered.comm_stats.get("recovery", {})
+            lost = reference.steps[CHECKPOINT_AT:CRASH_AT]
+            after = reference.steps[CRASH_AT:]
             counters = {
                 "checkpoint.snapshot_bytes": snapshot_bytes,
                 "checkpoint.save_seconds": saved - started,
                 "checkpoint.restore_seconds": loaded - saved,
                 "checkpoint.recovery_bytes": recovery.get("bytes", 0),
                 "checkpoint.recovery_messages": recovery.get("messages", 0),
+                "checkpoint.rerun_bytes": reference.total_comm_bytes()
+                - sum(step.comm_bytes for step in after),
+                "checkpoint.rerun_messages": reference.total_comm_messages()
+                - sum(step.comm_messages for step in after),
+                "checkpoint.restore_bytes": recovery.get("bytes", 0)
+                + sum(step.comm_bytes for step in lost),
+                "checkpoint.restore_messages": recovery.get("messages", 0)
+                + sum(step.comm_messages for step in lost),
             }
             return Sample([elapsed], counters, _result_comm([recovered]))
 
@@ -1123,6 +1016,22 @@ def _fig04_small_batch_penalty(cells: Cells) -> tuple[float, bool]:
     return _within([(penalty("ours"), penalty("combblas"))], 1.0, lt)
 
 
+def _fig04_messages(cells: Cells) -> tuple[float, bool]:
+    """Ours' messages over CombBLAS's at the largest batch; the claim needs
+    the ratio below 1 at every batch and lower at the largest than at the
+    smallest."""
+
+    def messages(tag: str, system: str) -> float:
+        return cells(tag, system)["comm"]["messages"]
+
+    ratio = {
+        tag: messages(tag, "ours") / messages(tag, "combblas")
+        for tag in cells.tags("combblas")
+    }
+    (small, _), (large, _) = _batch_ends(cells, "ours")
+    return ratio[large], max(ratio.values()) < 1.0 and ratio[large] < ratio[small]
+
+
 def _fig09_seconds(cells: Cells) -> tuple[float, bool]:
     (small, _), _ = _batch_ends(cells, "ours")
     pair = (_seconds(cells(small, "ours")), _seconds(cells(small, "combblas")))
@@ -1158,12 +1067,25 @@ def _crossover(cells: Cells) -> tuple[float, bool]:
     return sparse / dense, sparse >= 0.5 * dense
 
 
+def _restore_messages(cells: Cells) -> tuple[float, bool]:
+    counters = cells(f"{CHECKPOINT_SCENARIO}@kill{CRASH_AT}")["counters"]
+    pair = (
+        counters["checkpoint.restore_messages"],
+        counters["checkpoint.rerun_messages"],
+    )
+    return _within([pair], 1.0, lt)
+
+
 def _nnz_share(run: Mapping[str, Any]) -> list[float]:
     return [run["counters"]["partition.max_nnz_share"]]
 
 
 def _bytes(run: Mapping[str, Any]) -> list[float]:
     return [run["comm"]["bytes"]]
+
+
+def _messages(run: Mapping[str, Any]) -> list[float]:
+    return [run["comm"]["messages"]]
 
 
 def _volume(run: Mapping[str, Any]) -> list[float]:
@@ -1213,6 +1135,15 @@ FIGURES: dict[str, Figure] = {
             "Matrix construction (Fig. 2/3 protocol)",
             _scenario_plan(fig03_scenarios, "machine"),
             variants=_SYSTEMS,
+            claims=(
+                Claim(
+                    "on every instance, ours' construction costs <= 0.5x "
+                    "CombBLAS's messages",
+                    "Fig. 3",
+                    "count",
+                    _versus("ours", "combblas", _messages, 0.5),
+                ),
+            ),
         ),
         Figure(
             "fig04",
@@ -1226,6 +1157,13 @@ FIGURES: dict[str, Figure] = {
                     "Fig. 4",
                     "simulated",
                     _fig04_small_batch_penalty,
+                ),
+                Claim(
+                    "ours costs fewer messages than CombBLAS at every batch, and "
+                    "the message ratio falls from the smallest to the largest batch",
+                    "Fig. 4",
+                    "count",
+                    _fig04_messages,
                 ),
             ),
         ),
@@ -1299,11 +1237,6 @@ FIGURES: dict[str, Figure] = {
             _SPGEMM_SCALING,
         ),
         Figure(
-            "ablation_redistribution",
-            "Update-tuple redistribution strategies",
-            _ablation_redistribution_plan,
-        ),
-        Figure(
             "ablation_summa_crossover",
             "Dynamic algorithm vs. SUMMA as a function of update density",
             _ablation_summa_crossover_plan,
@@ -1317,15 +1250,6 @@ FIGURES: dict[str, Figure] = {
                     _crossover,
                 ),
             ),
-        ),
-        Figure(
-            "ablation_dynamic_storage",
-            "Dynamic DHB blocks vs. static rebuild per batch",
-            _scenario_plan(storage_scenarios, "machine", systems=STORAGE_SYSTEMS),
-            variants=tuple(STORAGE_SYSTEMS),
-        ),
-        Figure(
-            "apps", "Dynamic graph analytics applications", _apps_plan
         ),
         Figure(
             "partition",
@@ -1363,6 +1287,17 @@ FIGURES: dict[str, Figure] = {
             n_ranks=CHECKPOINT_RANKS,
             seed=2022,
             recorded=False,
+            claims=(
+                Claim(
+                    "a restore from the checkpoint costs fewer messages than a "
+                    "rerun from scratch",
+                    "checkpoint",
+                    "count",
+                    _restore_messages,
+                    # the csr and dhb drills share a tag
+                    layout="csr",
+                ),
+            ),
         ),
         Figure(
             "service",

@@ -6,8 +6,8 @@
   ``*_scenario`` builders that express the experimental protocols of
   Section VII as replayable :class:`~repro.scenarios.model.Scenario` traces.
 
-The figures themselves (Table I, Figs. 3–12, the ablations) are entries of
-the registry in ``benchmarks/figures.py``, measured by
+The figures themselves (Table I, Figs. 3–12, the SUMMA ablation) are
+entries of the registry in ``benchmarks/figures.py``, measured by
 ``benchmarks/run_suite.py``; each cell replays one of these scenarios.
 """
 

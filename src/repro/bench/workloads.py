@@ -12,10 +12,11 @@ Reproduces the experimental protocols of Section VII:
   insertions from the adjacency matrix while the right operand stays fixed.
 
 Batch randomness is derived through :class:`numpy.random.SeedSequence`
-children (:func:`spawn_batch_seeds`): per-batch streams are statistically
-independent and two workloads with different seeds never share an
-``rng.choice`` stream — unlike the additive ``seed + b`` scheme this module
-used to carry, where ``seed=17`` batch 1 collided with ``seed=18`` batch 0.
+children (:func:`~repro.scenarios.model.spawn_seeds`): per-batch streams
+are statistically independent and two workloads with different seeds never
+share an ``rng.choice`` stream — unlike the additive ``seed + b`` scheme
+this module used to carry, where ``seed=17`` batch 1 collided with
+``seed=18`` batch 0.
 
 The ``*_scenario`` builders at the bottom express the protocols as
 replayable :class:`~repro.scenarios.model.Scenario` traces; the figure
@@ -43,7 +44,6 @@ from repro.scenarios.model import seed_int, spawn_seeds
 __all__ = [
     "InstanceWorkload",
     "prepare_instance",
-    "spawn_batch_seeds",
     "draw_batch",
     "split_batches",
     "batched_operation_scenario",
@@ -52,20 +52,6 @@ __all__ = [
 ]
 
 TupleArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def spawn_batch_seeds(
-    seed: int | np.random.SeedSequence, n: int
-) -> list[np.random.SeedSequence]:
-    """``n`` independent child seed sequences of ``seed``.
-
-    Children of different parents never collide, which makes per-batch
-    seeding safe across workloads/scenarios that share a tuple pool.
-    Thin alias of :func:`repro.scenarios.model.spawn_seeds` so that every
-    scenario producer derives seeds identically.
-    """
-    return spawn_seeds(seed if isinstance(seed, np.random.SeedSequence) else int(seed), n)
-
 
 
 @dataclass
@@ -136,8 +122,8 @@ def draw_batch(
     """Draw a batch of tuples uniformly at random from a pool.
 
     ``seed`` may be an integer or a :class:`numpy.random.SeedSequence`
-    child from :func:`spawn_batch_seeds`; prefer the latter when drawing
-    several batches from one pool.
+    child from :func:`~repro.scenarios.model.spawn_seeds`; prefer the latter
+    when drawing several batches from one pool.
     """
     rows, cols, values = pool
     if rows.size == 0:
@@ -196,7 +182,7 @@ def batched_operation_scenario(
     """
     if operation not in ("insert", "update", "delete"):
         raise ValueError(f"unknown operation {operation!r}")
-    split_seed, construct_seed, draw_parent, part_parent = spawn_batch_seeds(seed, 4)
+    split_seed, construct_seed, draw_parent, part_parent = spawn_seeds(seed, 4)
     if operation == "insert":
         initial, pool = workload.split_half(seed=split_seed)
     else:
@@ -249,7 +235,7 @@ def spgemm_stream_scenario(
     matrix, each driving one dynamic-SpGEMM round against the fixed right
     operand ``B`` (the full adjacency matrix).
     """
-    construct_seed, draw_parent, part_parent = spawn_batch_seeds(seed, 3)
+    construct_seed, draw_parent, part_parent = spawn_seeds(seed, 3)
     pool = workload.all_tuples()
     part_seeds = [seed_int(s) for s in part_parent.spawn(n_batches)]
     steps: list = []
@@ -290,7 +276,7 @@ def construction_scenario(
     seed: int = 0,
 ) -> Scenario:
     """A timed bulk-construction trace (the Fig. 8 protocol)."""
-    (construct_seed,) = spawn_batch_seeds(seed, 1)
+    (construct_seed,) = spawn_seeds(seed, 1)
     return Scenario(
         name=name,
         shape=shape,

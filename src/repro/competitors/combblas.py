@@ -18,13 +18,14 @@ is why the speedup of the dynamic structure shrinks as batches grow
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
 from repro.semirings import PLUS_TIMES, Semiring
 from repro.sparse import COOMatrix, DCSRMatrix
+from repro.sparse.elementwise import mask_pattern, merge_pattern
 from repro.distributed import BlockDistribution, StaticDistMatrix
 from repro.distributed.redistribution import redistribute_tuples_single_phase
 from repro.competitors.base import Backend, TupleArrays
@@ -38,9 +39,6 @@ class CombBLASBackend(Backend):
     name = "CombBLAS 2.0"
     supports_deletions = True
     supports_semirings = True
-    #: per-entry work multiplier of the rebuild relative to a plain merge;
-    #: models DCSC's column-pointer reconstruction on top of the sort.
-    rebuild_overhead = 1.0
 
     def __init__(
         self,
@@ -66,7 +64,6 @@ class CombBLASBackend(Backend):
             self.dist,
             tuples_per_rank,
             value_dtype=self.semiring.dtype,
-            sort_mode="comparison",
         )
 
     def _local_coo(self, rank: int, routed: Mapping[int, TupleArrays]) -> COOMatrix:
@@ -76,65 +73,48 @@ class CombBLASBackend(Backend):
             self.dist.block_shape_of_rank(rank), lrows, lcols, vals, self.semiring
         )
 
-    def _rebuild(self, rank: int, merged: COOMatrix) -> DCSRMatrix:
-        """Full static rebuild: sort all non-zeros, recreate the layout."""
-        canon = merged.sort().sum_duplicates()
-        return DCSRMatrix.from_coo(canon, dedup=False)
+    def _rebuild_blocks(
+        self,
+        tuples_per_rank: Mapping[int, TupleArrays],
+        rebuild: Callable[[DCSRMatrix, COOMatrix], DCSRMatrix],
+    ) -> None:
+        """Route the batch, then replace every block by ``rebuild(old, update)``.
+
+        The rebuild is the rank's local construction work; the compressed
+        layout has no other way to absorb a batch.
+        """
+        routed = self._route(tuples_per_rank)
+        for rank, old in list(self.blocks.items()):
+            update = self._local_coo(rank, routed)
+            self.blocks[rank] = self.comm.run_local(
+                rank, rebuild, old, update, category=StatCategory.LOCAL_CONSTRUCT
+            )
 
     # ------------------------------------------------------------------
     def construct(self, tuples_per_rank: Mapping[int, TupleArrays]) -> None:
-        routed = self._route(tuples_per_rank)
-        for rank in list(self.blocks):
-            coo = self._local_coo(rank, routed)
-            self.blocks[rank] = self.comm.run_local(
-                rank, self._rebuild, rank, coo, category=StatCategory.LOCAL_CONSTRUCT
-            )
+        self._rebuild_blocks(tuples_per_rank, lambda old, update: _sorted_build(update))
 
     def insert_batch(self, tuples_per_rank: Mapping[int, TupleArrays]) -> None:
-        routed = self._route(tuples_per_rank)
-        for rank in list(self.blocks):
-            update = self._local_coo(rank, routed)
-            old = self.blocks[rank]
-
-            def _merge_rebuild(old=old, update=update):
-                merged = old.to_coo().concatenate(update)
-                return self._rebuild(0, merged)
-
-            self.blocks[rank] = self.comm.run_local(
-                rank, _merge_rebuild, category=StatCategory.LOCAL_CONSTRUCT
-            )
+        self._rebuild_blocks(
+            tuples_per_rank,
+            lambda old, update: _sorted_build(old.to_coo().concatenate(update)),
+        )
 
     def update_batch(self, tuples_per_rank: Mapping[int, TupleArrays]) -> None:
-        from repro.sparse.elementwise import merge_pattern
-
-        routed = self._route(tuples_per_rank)
-        for rank in list(self.blocks):
-            update = self._local_coo(rank, routed)
-            old = self.blocks[rank]
-
-            def _merge_rebuild(old=old, update=update):
-                merged = merge_pattern(old, update)
-                return DCSRMatrix.from_coo(merged, dedup=False)
-
-            self.blocks[rank] = self.comm.run_local(
-                rank, _merge_rebuild, category=StatCategory.LOCAL_CONSTRUCT
-            )
+        self._rebuild_blocks(
+            tuples_per_rank,
+            lambda old, update: DCSRMatrix.from_coo(
+                merge_pattern(old, update), dedup=False
+            ),
+        )
 
     def delete_batch(self, tuples_per_rank: Mapping[int, TupleArrays]) -> None:
-        from repro.sparse.elementwise import mask_pattern
-
-        routed = self._route(tuples_per_rank)
-        for rank in list(self.blocks):
-            update = self._local_coo(rank, routed)
-            old = self.blocks[rank]
-
-            def _mask_rebuild(old=old, update=update):
-                masked = mask_pattern(old, update)
-                return DCSRMatrix.from_coo(masked, dedup=False)
-
-            self.blocks[rank] = self.comm.run_local(
-                rank, _mask_rebuild, category=StatCategory.LOCAL_CONSTRUCT
-            )
+        self._rebuild_blocks(
+            tuples_per_rank,
+            lambda old, update: DCSRMatrix.from_coo(
+                mask_pattern(old, update), dedup=False
+            ),
+        )
 
     # ------------------------------------------------------------------
     def local_nnz(self) -> int:
@@ -153,3 +133,8 @@ class CombBLASBackend(Backend):
             dict(self.blocks),
             layout="dcsr",
         )
+
+
+def _sorted_build(merged: COOMatrix) -> DCSRMatrix:
+    """Full static rebuild: sort all non-zeros, recreate the layout."""
+    return DCSRMatrix.from_coo(merged.sort().sum_duplicates(), dedup=False)

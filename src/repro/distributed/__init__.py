@@ -8,7 +8,7 @@ This package implements Section IV of the paper:
 * :mod:`repro.distributed.redistribution` — routing of update tuples to the
   owning rank: the paper's two-phase (rows of the grid, then columns)
   counting-sort + ``ALLTOALL`` scheme, plus the single-phase global
-  ``ALLTOALL`` variant used by the competitors and by the ablation study.
+  ``ALLTOALL`` variant the competitors use.
 * :mod:`repro.distributed.dist_matrix` — :class:`DynamicDistMatrix` (DHB
   blocks, in-place updates) and :class:`StaticDistMatrix` (CSR/DCSR blocks).
 * :mod:`repro.distributed.updates` — batch-update representation and the

@@ -16,8 +16,7 @@ nonblocking point-to-point messages rather than one group after another.
 Each ``ALLTOALL`` involves only ``√p`` peers, in contrast to the
 single-phase scheme used by CombBLAS (one global ``ALLTOALL`` over all
 ``p`` ranks preceded by a comparison sort of the whole tuple set), which is
-also implemented here for the competitor backends and the ablation
-benchmark.
+also implemented here for the competitor backends.
 """
 
 from __future__ import annotations
@@ -104,55 +103,46 @@ def group_by_buckets(
     vals: np.ndarray,
     bucket_of: np.ndarray,
     n_buckets: int,
-    *,
-    mode: str = "counting",
 ) -> tuple[TupleArrays, np.ndarray]:
-    """Group tuples by destination bucket.
+    """Group tuples by destination bucket: the counting sort of the paper.
 
-    ``mode="counting"`` groups by the (small-range) bucket key only — the
-    counting sort of the paper.  ``mode="comparison"`` performs a full
-    lexicographic sort of ``(bucket, row, col)`` — the strictly more
-    expensive strategy CombBLAS-style assembly uses; exposed for the
-    ablation benchmark.
-
-    Returns the reordered tuple arrays plus the bucket boundary offsets
-    (length ``n_buckets + 1``).
+    Only the (small-range) bucket key orders the tuples, and tuples of one
+    bucket keep their input order.  Returns the reordered tuple arrays plus
+    the bucket boundary offsets (length ``n_buckets + 1``).
     """
     bucket_of = np.asarray(bucket_of, dtype=np.int64)
+    offsets = _bucket_offsets(rows, bucket_of, n_buckets)
+    # A stable sort keyed only by the bucket id: identical grouping
+    # semantics (and identical output) to a counting sort over
+    # n_buckets buckets.
+    order = np.argsort(bucket_of, kind="stable")
+    return (rows[order], cols[order], vals[order]), offsets
+
+
+def _bucket_offsets(
+    rows: np.ndarray, bucket_of: np.ndarray, n_buckets: int
+) -> np.ndarray:
+    """Where each bucket starts once the tuples are in bucket order."""
     if bucket_of.size != rows.size:
         raise ValueError("bucket array must align with the tuple arrays")
     if bucket_of.size and (bucket_of.min() < 0 or bucket_of.max() >= n_buckets):
         raise ValueError("bucket id outside [0, n_buckets)")
-    if mode == "counting":
-        # A stable sort keyed only by the bucket id: identical grouping
-        # semantics (and identical output) to a counting sort over
-        # n_buckets buckets.
-        order = np.argsort(bucket_of, kind="stable")
-    elif mode == "comparison":
-        order = np.lexsort((cols, rows, bucket_of))
-    else:
-        raise ValueError(f"unknown sort mode {mode!r}")
     counts = np.bincount(bucket_of, minlength=n_buckets)
     offsets = np.zeros(n_buckets + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return (rows[order], cols[order], vals[order]), offsets
+    return offsets
 
 
 def _bucket_for_sending(
-    comm, rank, tuples, bucket_of, dests, sort_mode, category
+    comm, rank, tuples, group, dests, category
 ) -> dict[int, TupleArrays]:
     """Group ``rank``'s tuples by bucket (charged to it) and slice per receiver.
 
-    ``bucket_of(rows, cols)`` gives each tuple's bucket and ``dests[bucket]``
-    the rank that bucket travels to; empty buckets send nothing.
+    ``group(rows, cols, vals)`` returns the tuples in bucket order and the
+    bucket offsets, and ``dests[bucket]`` is the rank that bucket travels
+    to; empty buckets send nothing.
     """
-    rows, cols, vals = tuples
-
-    def _group():
-        buckets = bucket_of(rows, cols) if rows.size else rows
-        return group_by_buckets(rows, cols, vals, buckets, len(dests), mode=sort_mode)
-
-    data, offsets = comm.run_local(rank, _group, category=category)
+    data, offsets = comm.run_local(rank, group, *tuples, category=category)
     outgoing: dict[int, TupleArrays] = {}
     for bucket, dest in enumerate(dests):
         lo, hi = offsets[bucket], offsets[bucket + 1]
@@ -223,7 +213,6 @@ def redistribute_tuples(
     tuples_per_rank: Mapping[int, TupleArrays],
     *,
     value_dtype=np.float64,
-    sort_mode: str = "counting",
     sort_category: str = StatCategory.REDIST_SORT,
     comm_category: str = StatCategory.REDIST_COMM,
 ) -> dict[int, TupleArrays]:
@@ -234,8 +223,6 @@ def redistribute_tuples(
     tuples_per_rank:
         ``rank -> (rows, cols, values)`` with *global* coordinates; ranks
         may be missing (treated as empty).
-    sort_mode:
-        ``"counting"`` (default, the paper) or ``"comparison"`` (ablation).
 
     Returns
     -------
@@ -252,11 +239,15 @@ def redistribute_tuples(
         The chunks of all ``√p`` groups travel in one point-to-point
         exchange, concurrently rather than one group barrier at a time.
         """
+
+        def group(rows, cols, vals):
+            return group_by_buckets(rows, cols, vals, bucket_of(rows, cols), q)
+
         sendbufs: dict[int, dict[int, TupleArrays]] = {}
         for rank in owned:
             dests = [dest_rank_of(rank, bucket) for bucket in range(q)]
             sendbufs[rank] = _bucket_for_sending(
-                comm, rank, local[rank], bucket_of, dests, sort_mode, sort_category
+                comm, rank, local[rank], group, dests, sort_category
             )
         recv = _exchange_chunks(comm, sendbufs, category=comm_category)
         return {rank: _concat_inbox(recv[rank], dtype) for rank in owned}
@@ -291,24 +282,30 @@ def redistribute_tuples_single_phase(
     tuples_per_rank: Mapping[int, TupleArrays],
     *,
     value_dtype=np.float64,
-    sort_mode: str = "comparison",
     sort_category: str = StatCategory.REDIST_SORT,
     comm_category: str = StatCategory.REDIST_COMM,
 ) -> dict[int, TupleArrays]:
     """Single-phase redistribution: one global ``ALLTOALL`` over all ranks.
 
     This is the strategy the paper attributes to CombBLAS ("a comparison
-    sort and a global ALLTOALL"); it is used by the competitor backends and
-    by the redistribution ablation benchmark.
+    sort and a global ALLTOALL"); the competitor backends use it.  The
+    comparison sort orders each rank's tuples by ``(owner, row, col)``.
     """
     dtype = np.dtype(value_dtype)
     p = grid.n_ranks
     owned = comm.owned_ranks(grid.all_ranks())
+
+    def sort_by_owner(rows, cols, vals):
+        owner = dist.owner_of(rows, cols)
+        offsets = _bucket_offsets(rows, owner, p)
+        order = np.lexsort((cols, rows, owner))
+        return (rows[order], cols[order], vals[order]), offsets
+
     sendbufs: dict[int, dict[int, TupleArrays]] = {}
     for rank in owned:
         tuples = _as_tuple_arrays(tuples_per_rank.get(rank), dtype)
         sendbufs[rank] = _bucket_for_sending(
-            comm, rank, tuples, dist.owner_of, range(p), sort_mode, sort_category
+            comm, rank, tuples, sort_by_owner, range(p), sort_category
         )
     recv = comm.alltoallv(sendbufs, group=grid.all_ranks(), category=comm_category)
     return {rank: _concat_inbox(recv.get(rank, {}), dtype) for rank in owned}

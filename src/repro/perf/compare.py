@@ -95,9 +95,9 @@ class ComparisonReport:
 def _run_key(run: Mapping[str, Any]) -> str:
     """Identity of one run within a document's ``runs[]`` series.
 
-    Scenario-tagged runs (the ``apps`` figure emits one ``backend × csr``
-    entry per application scenario) include the tag, so same-layout runs
-    of different scenarios never collapse onto one key.
+    Scenario-tagged runs (a figure measures many tagged cells on one
+    backend and layout) include the tag, so same-layout runs of different
+    scenarios never collapse onto one key.
     """
     key = f"{run['backend']}/{run['layout']}"
     scenario = run.get("scenario")

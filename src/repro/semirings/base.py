@@ -157,27 +157,5 @@ class Semiring:
         return keys_sorted[starts].astype(np.int64), combined
 
     # ------------------------------------------------------------------
-    # Dense reference kernels (used only by tests / small problems)
-    # ------------------------------------------------------------------
-    def dense_matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Dense reference ``A ⊗ B`` with ⊕-accumulation.
-
-        Cubic-time reference used by the test-suite to validate every sparse
-        kernel; it is intentionally simple rather than fast.
-        """
-        A = np.asarray(A, dtype=self.dtype)
-        B = np.asarray(B, dtype=self.dtype)
-        n, k = A.shape
-        k2, m = B.shape
-        if k != k2:
-            raise ValueError(f"shape mismatch for matmul: {A.shape} x {B.shape}")
-        out = np.full((n, m), self.zero, dtype=self.dtype)
-        for kk in range(k):
-            # outer "product" of column kk of A with row kk of B
-            contrib = self.mul(A[:, kk : kk + 1], B[kk : kk + 1, :])
-            out = self.add(out, contrib)
-        return out
-
-    # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Semiring({self.name!r})"

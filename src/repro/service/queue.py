@@ -124,10 +124,6 @@ class MicroBatchQueue:
     def __len__(self) -> int:
         return len(self._pending)
 
-    @property
-    def pending_tuples(self) -> int:
-        """Total tuples currently queued."""
-        return sum(r.n_tuples for r in self._pending)
 
 
 def coalesce(requests: list[IngestRequest]) -> list[IngestRequest]:

@@ -244,14 +244,6 @@ class COOMatrix:
         dense[canon.rows, canon.cols] = canon.values
         return dense
 
-    def to_dict(self) -> dict[tuple[int, int], float]:
-        """Dict view ``(i, j) -> value`` (duplicates ⊕-combined)."""
-        canon = self.sum_duplicates()
-        return {
-            (int(i), int(j)): float(v)
-            for i, j, v in zip(canon.rows, canon.cols, canon.values)
-        }
-
     # ------------------------------------------------------------------
     def _check_compatible(self, other: "COOMatrix") -> None:
         if self.shape != other.shape:

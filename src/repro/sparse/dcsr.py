@@ -106,10 +106,6 @@ class DCSRMatrix:
         )
 
     @classmethod
-    def from_csr(cls, csr: CSRMatrix) -> "DCSRMatrix":
-        return cls.from_coo(csr.to_coo(), dedup=False)
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray, semiring: Semiring = PLUS_TIMES) -> "DCSRMatrix":
         return cls.from_coo(COOMatrix.from_dense(dense, semiring))
 

@@ -121,11 +121,6 @@ class DHBMatrix:
         return mat
 
     @classmethod
-    def from_csr(cls, csr: CSRMatrix) -> "DHBMatrix":
-        """Build from a CSR matrix (already deduplicated)."""
-        return cls.from_coo(csr.to_coo(), combine_duplicates=False)
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray, semiring: Semiring = PLUS_TIMES) -> "DHBMatrix":
         """Build from a dense array, skipping semiring zeros."""
         return cls.from_coo(COOMatrix.from_dense(dense, semiring))
@@ -720,10 +715,6 @@ class DHBMatrix:
         """CSR copy of the matrix (rows sorted by column)."""
         return CSRMatrix.from_coo(self._flat_coo(), dedup=False)
 
-    def to_dcsr(self) -> DCSRMatrix:
-        """Doubly-compressed (hypersparse) copy of the matrix."""
-        return DCSRMatrix.from_coo(self._flat_coo(), dedup=False)
-
     def to_dense(self) -> np.ndarray:
         """Dense copy (semiring zeros at structural zeros)."""
         return self._flat_coo().to_dense()
@@ -734,33 +725,6 @@ class DHBMatrix:
         for name, value in vars(self).items():
             setattr(out, name, value.copy() if isinstance(value, np.ndarray) else value)
         return out
-
-    def check_invariants(self) -> None:
-        """Raise :class:`AssertionError` if storage and index disagree."""
-
-        def require(ok, what: str) -> None:
-            if not ok:
-                raise AssertionError(f"DHBMatrix invariant broken: {what}")
-
-        size, cap = self._size, self._cap
-        require(np.all((0 <= size) & (size <= cap)), "0 <= size <= capacity")
-        require(self._nnz == size.sum(), "nnz == size.sum()")
-        require(self._live_cap == cap.sum(), "live capacity == capacity.sum()")
-        ids = np.flatnonzero(cap)
-        ids = ids[np.argsort(self._start[ids])]
-        edges = np.append(self._start[ids], self._end)
-        require(edges.size == 1 or edges[0] >= 0, "extent before the arena")
-        require(np.all(edges[:-1] + cap[ids] <= edges[1:]), "row extents overlap")
-        require(self._end <= self._cols.size == self._vals.size, "arena too short")
-        cols = self.flat_rows().cols
-        require(np.all((0 <= cols) & (cols < self.shape[1])), "column out of range")
-        keys, slots = self._live_keys()
-        at, tkeys = self._probe(keys), self._tkeys
-        require(np.all(at >= 0), "a live entry is missing from the index")
-        require(np.array_equal(self._tslots[at], slots), "index points at the wrong slot")
-        require(np.count_nonzero(tkeys >= 0) == self._nnz, "a key is indexed twice")
-        require(np.count_nonzero(tkeys != _EMPTY) == self._used, "used-cell count is off")
-        require(not self._crowded(0), "table above its load bound")
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"DHBMatrix(shape={self.shape}, nnz={self.nnz}, semiring={self.semiring.name!r})"

@@ -74,11 +74,6 @@ class SparseAccumulator:
                 self.accumulate(c, v, bloom_bit)
 
     # ------------------------------------------------------------------
-    @property
-    def n_entries(self) -> int:
-        """Number of distinct output columns accumulated so far."""
-        return len(self._cols)
-
     def is_empty(self) -> bool:
         """``True`` when nothing has been accumulated."""
         return not self._cols

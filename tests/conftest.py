@@ -13,6 +13,56 @@ from repro import (
     UpdateBatch,
 )
 from repro.semirings import MIN_PLUS, PLUS_TIMES, Semiring
+from repro.sparse import DHBMatrix
+from repro.sparse.dhb import _EMPTY
+
+
+def dense_product(semiring: Semiring, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dense reference ``A ⊗ B`` with ⊕-accumulation.
+
+    Cubic-time reference every sparse kernel is checked against; it is
+    intentionally simple rather than fast.
+    """
+    A = np.asarray(A, dtype=semiring.dtype)
+    B = np.asarray(B, dtype=semiring.dtype)
+    n, k = A.shape
+    k2, m = B.shape
+    if k != k2:
+        raise ValueError(f"shape mismatch for matmul: {A.shape} x {B.shape}")
+    out = np.full((n, m), semiring.zero, dtype=semiring.dtype)
+    for kk in range(k):
+        # outer "product" of column kk of A with row kk of B
+        contrib = semiring.mul(A[:, kk : kk + 1], B[kk : kk + 1, :])
+        out = semiring.add(out, contrib)
+    return out
+
+
+def check_dhb_invariants(mat: DHBMatrix) -> None:
+    """Raise :class:`AssertionError` if a DHB block's storage and index disagree."""
+
+    def require(ok, what: str) -> None:
+        if not ok:
+            raise AssertionError(f"DHBMatrix invariant broken: {what}")
+
+    size, cap = mat._size, mat._cap
+    require(np.all((0 <= size) & (size <= cap)), "0 <= size <= capacity")
+    require(mat._nnz == size.sum(), "nnz == size.sum()")
+    require(mat._live_cap == cap.sum(), "live capacity == capacity.sum()")
+    ids = np.flatnonzero(cap)
+    ids = ids[np.argsort(mat._start[ids])]
+    edges = np.append(mat._start[ids], mat._end)
+    require(edges.size == 1 or edges[0] >= 0, "extent before the arena")
+    require(np.all(edges[:-1] + cap[ids] <= edges[1:]), "row extents overlap")
+    require(mat._end <= mat._cols.size == mat._vals.size, "arena too short")
+    cols = mat.flat_rows().cols
+    require(np.all((0 <= cols) & (cols < mat.shape[1])), "column out of range")
+    keys, slots = mat._live_keys()
+    at, tkeys = mat._probe(keys), mat._tkeys
+    require(np.all(at >= 0), "a live entry is missing from the index")
+    require(np.array_equal(mat._tslots[at], slots), "index points at the wrong slot")
+    require(np.count_nonzero(tkeys >= 0) == mat._nnz, "a key is indexed twice")
+    require(np.count_nonzero(tkeys != _EMPTY) == mat._used, "used-cell count is off")
+    require(not mat._crowded(0), "table above its load bound")
 
 
 def random_dense(

@@ -203,16 +203,16 @@ class TestElementwise:
     def test_merge_pattern_overwrites_and_inserts(self):
         base = COOMatrix((3, 3), [0, 1], [0, 1], [1.0, 2.0])
         update = COOMatrix((3, 3), [0, 2], [0, 2], [9.0, 7.0])
-        out = merge_pattern(base, update).to_dict()
-        assert out[(0, 0)] == pytest.approx(9.0)  # overwritten
-        assert out[(1, 1)] == pytest.approx(2.0)  # untouched
-        assert out[(2, 2)] == pytest.approx(7.0)  # inserted
+        out = merge_pattern(base, update).to_dense()
+        assert out[0, 0] == pytest.approx(9.0)  # overwritten
+        assert out[1, 1] == pytest.approx(2.0)  # untouched
+        assert out[2, 2] == pytest.approx(7.0)  # inserted
 
     def test_mask_pattern_deletes(self):
         base = COOMatrix((3, 3), [0, 1, 2], [0, 1, 2], [1.0, 2.0, 3.0])
         update = COOMatrix((3, 3), [1, 2], [1, 2], [0.0, 0.0])
-        out = mask_pattern(base, update).to_dict()
-        assert set(out) == {(0, 0)}
+        out = mask_pattern(base, update)
+        assert (out.rows.tolist(), out.cols.tolist()) == ([0], [0])
 
     def test_merge_mask_empty_update_is_identity(self):
         base = COOMatrix.from_dense(random_dense(5, 5, 0.4, seed=9))
@@ -233,6 +233,6 @@ class TestElementwise:
         update = COOMatrix.from_dense(random_dense(8, 8, 0.2, seed=seed + 1))
         merged = merge_pattern(base, update)
         masked = mask_pattern(merged, update)
-        masked_keys = set(masked.to_dict())
-        update_keys = set(update.to_dict())
+        masked_keys = set(zip(masked.rows.tolist(), masked.cols.tolist()))
+        update_keys = set(zip(update.rows.tolist(), update.cols.tolist()))
         assert masked_keys.isdisjoint(update_keys)

@@ -51,6 +51,8 @@ from repro.sparse import (
     DHBMatrix,
 )
 
+from tests.conftest import check_dhb_invariants
+
 SEED = 2022
 
 _LAYOUT_BUILDERS = {
@@ -80,8 +82,8 @@ def _assert_tuples_equal(a: COOMatrix, b: COOMatrix) -> None:
 
 def _assert_dhb_identical(a: DHBMatrix, b: DHBMatrix) -> None:
     """Full structural identity, not just equal tuples."""
-    a.check_invariants()
-    b.check_invariants()
+    check_dhb_invariants(a)
+    check_dhb_invariants(b)
     assert a.shape == b.shape
     assert a.nnz == b.nnz
     assert a.nbytes == b.nbytes

@@ -31,7 +31,12 @@ from repro.semirings import BOOLEAN, MIN_PLUS, PLUS_TIMES
 from repro.sparse import BLOOM_BITS, BloomFilterMatrix, COOMatrix, CSRMatrix
 from repro.sparse.spgemm_local import spgemm_local
 
-from tests.conftest import dist_from_dense, random_dense, static_from_dense
+from tests.conftest import (
+    dense_product,
+    dist_from_dense,
+    random_dense,
+    static_from_dense,
+)
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +341,7 @@ class TestSUMMA:
         db = dist_from_dense(comm, grid, b, semiring)
         c, blooms = summa_spgemm(comm, grid, da, db, output="dynamic")
         assert blooms is None
-        assert np.allclose(c.to_dense(), semiring.dense_matmul(a, b), equal_nan=True)
+        assert np.allclose(c.to_dense(), dense_product(semiring, a, b), equal_nan=True)
 
     def test_summa_static_output_and_bloom(self, comm16, grid16):
         a = random_dense(16, 16, 0.2, seed=3)
@@ -549,7 +554,7 @@ class TestDynamicGeneral:
             dynamic_spgemm_general(
                 comm, grid, da, da, db, a_star, None, c, blooms, semiring=MIN_PLUS
             )
-            expected = MIN_PLUS.dense_matmul(current, b)
+            expected = dense_product(MIN_PLUS, current, b)
             assert np.allclose(c.to_dense(), expected, equal_nan=True)
 
     @pytest.mark.parametrize(
@@ -615,5 +620,5 @@ class TestDynamicGeneral:
         dynamic_spgemm_general(
             comm16, grid16, da, da, db, a_star, None, c, blooms, semiring=BOOLEAN
         )
-        expected = BOOLEAN.dense_matmul(a_new, b)
+        expected = dense_product(BOOLEAN, a_new, b)
         assert np.allclose(c.to_dense(), expected)

@@ -22,6 +22,8 @@ from repro.distributed import (
     redistribute_tuples,
     redistribute_tuples_single_phase,
 )
+from repro.bench.config import get_profile
+from repro.bench.workloads import draw_batch, prepare_instance
 from repro.distributed.redistribution import group_by_buckets
 from repro.semirings import MIN_PLUS, PLUS_TIMES
 
@@ -131,23 +133,69 @@ class TestRedistribution:
             tb = sorted(zip(*[arr.tolist() for arr in b[rank]]))
             assert ta == tb
 
-    def test_group_by_buckets_counting_and_comparison(self):
+    def test_group_by_buckets_groups_stably(self):
         rows = np.array([5, 1, 3, 1])
         cols = np.array([0, 2, 1, 1])
         vals = np.array([1.0, 2.0, 3.0, 4.0])
         buckets = np.array([1, 0, 1, 0])
-        (r, c, v), offsets = group_by_buckets(rows, cols, vals, buckets, 2, mode="counting")
+        (r, c, v), offsets = group_by_buckets(rows, cols, vals, buckets, 2)
         assert list(offsets) == [0, 2, 4]
-        assert set(zip(r[:2].tolist(), c[:2].tolist())) == {(1, 2), (1, 1)}
-        (r2, _c2, _v2), offsets2 = group_by_buckets(
-            rows, cols, vals, buckets, 2, mode="comparison"
+        # within a bucket the input order stays, whatever the coordinates
+        assert (r.tolist(), c.tolist(), v.tolist()) == (
+            [1, 1, 5, 3], [2, 1, 0, 1], [2.0, 4.0, 1.0, 3.0]
         )
-        assert list(offsets2) == [0, 2, 4]
-        assert list(r2[:2]) == [1, 1]  # fully sorted within bucket
-        with pytest.raises(ValueError):
-            group_by_buckets(rows, cols, vals, buckets, 2, mode="bogus")
         with pytest.raises(ValueError):
             group_by_buckets(rows, cols, vals, np.array([0, 0, 5, 0]), 2)
+        with pytest.raises(ValueError):
+            group_by_buckets(rows, cols, vals, np.array([0, 1]), 2)
+
+    @pytest.mark.parametrize("p", [4, 16])
+    def test_single_phase_delivers_tuples_in_owner_row_col_order(self, p):
+        """CombBLAS's comparison sort: one source's tuples reach each owner
+        sorted by ``(row, col)``, duplicates in input order."""
+        n = 30
+        grid = ProcessGrid(p)
+        dist = BlockDistribution(n, n, grid)
+        rng = np.random.default_rng(p)
+        rows, cols = rng.integers(0, n, 400), rng.integers(0, n, 400)
+        rows[::5], cols[::5] = rows[0], cols[0]
+        vals = np.arange(400, dtype=np.float64)
+        routed = redistribute_tuples_single_phase(
+            SimMPI(p), grid, dist, {1: (rows, cols, vals)}
+        )
+        owners = dist.owner_of(rows, cols)
+        for rank, (r, c, v) in routed.items():
+            mine = np.flatnonzero(owners == rank)
+            order = mine[np.lexsort((cols[mine], rows[mine]))]
+            assert np.array_equal(r, rows[order]) and np.array_equal(c, cols[order])
+            assert np.array_equal(v, vals[order])
+
+    def test_two_phase_trades_bytes_for_messages_on_the_seeded_batch(self):
+        """One Fig. 4 batch of the smoke profile routed at p=16: two-phase
+        costs 96 messages against single-phase's 240, at 1.6x the bytes."""
+        profile = get_profile("smoke")
+        p = profile.n_ranks
+        grid = ProcessGrid(p)
+        workload = prepare_instance(
+            profile.instances[0], scale_divisor=profile.scale_divisor, seed=137
+        )
+        dist = BlockDistribution(workload.n, workload.n, grid)
+        batch = draw_batch(
+            workload.all_tuples(), max(profile.update_batch_sizes) * p, seed=139
+        )
+        per_rank = partition_tuples_round_robin(*batch, p, seed=149)
+        volumes = {}
+        for route in (redistribute_tuples, redistribute_tuples_single_phase):
+            comm = SimMPI(p)
+            route(comm, grid, dist, per_rank)
+            volumes[route.__name__] = (
+                comm.stats.total_messages(), comm.stats.total_bytes()
+            )
+        assert batch[0].size == 4096
+        assert volumes == {
+            "redistribute_tuples": (96, 147912),
+            "redistribute_tuples_single_phase": (240, 92616),
+        }
 
     def test_empty_input(self):
         p = 4

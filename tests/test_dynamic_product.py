@@ -8,7 +8,7 @@ import pytest
 from repro import DynamicDistMatrix, DynamicProduct, ProcessGrid, SimMPI, UpdateBatch
 from repro.semirings import MIN_PLUS, PLUS_TIMES, SemiringError
 
-from tests.conftest import dist_from_dense, random_dense
+from tests.conftest import dense_product, dist_from_dense, random_dense
 
 
 def _batch_from_dense(shape, dense_update, p, semiring=PLUS_TIMES, kind="insert", seed=0):
@@ -148,7 +148,7 @@ class TestDynamicProductGeneral:
         for (r, c), v in zip(sel, new_vals):
             current[r, c] = v
         assert np.allclose(
-            prod.c.to_dense(), MIN_PLUS.dense_matmul(current, b0), equal_nan=True
+            prod.c.to_dense(), dense_product(MIN_PLUS, current, b0), equal_nan=True
         )
         # deletions
         nz = np.argwhere(~np.isinf(current))
@@ -162,7 +162,7 @@ class TestDynamicProductGeneral:
         for r, c in sel:
             current[r, c] = np.inf
         assert np.allclose(
-            prod.c.to_dense(), MIN_PLUS.dense_matmul(current, b0), equal_nan=True
+            prod.c.to_dense(), dense_product(MIN_PLUS, current, b0), equal_nan=True
         )
         assert prod.check_consistency()
 
@@ -190,7 +190,7 @@ class TestDynamicProductGeneral:
         for r, c in sel:
             current_b[r, c] = np.inf
         assert np.allclose(
-            prod.c.to_dense(), MIN_PLUS.dense_matmul(a0, current_b), equal_nan=True
+            prod.c.to_dense(), dense_product(MIN_PLUS, a0, current_b), equal_nan=True
         )
 
     def test_result_coo_and_reference(self, comm16, grid16):

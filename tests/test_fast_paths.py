@@ -111,7 +111,7 @@ class _SpyDHB(DHBMatrix):
     def _whole(self, *_args, **_kwargs):
         raise AssertionError("the whole DHB block was read")
 
-    to_coo = to_csr = to_dcsr = _whole
+    to_coo = to_csr = _whole
 
 
 def _random_coo(rng, shape, nnz, semiring=PLUS_TIMES) -> COOMatrix:
@@ -170,7 +170,7 @@ def test_triangle_insert_never_converts_a_whole_block(monkeypatch):
     comm, grid = SimMPI(4), ProcessGrid(4)
     counter = DynamicTriangleCounter(comm, grid, n, src, dst)
     whole: list[str] = []
-    for name in ("to_csr", "to_coo", "to_dcsr"):
+    for name in ("to_csr", "to_coo"):
         original = getattr(DHBMatrix, name)
 
         def counting(self, _original=original, _name=name):

@@ -28,7 +28,7 @@ from repro.graphs import generate_instance, rmat_edges
 from repro.semirings import MIN_PLUS, PLUS_TIMES
 from repro.distributed import IndexPermutation
 
-from tests.conftest import dist_from_dense, random_dense
+from tests.conftest import dense_product, dist_from_dense, random_dense
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 16])
@@ -136,7 +136,7 @@ def test_min_plus_lifecycle_with_mixed_update_kinds():
         )
         for r, c in sel:
             model[r, c] = np.inf
-        expected = MIN_PLUS.dense_matmul(model, b0)
+        expected = dense_product(MIN_PLUS, model, b0)
         assert np.allclose(product.c.to_dense(), expected, equal_nan=True)
 
 

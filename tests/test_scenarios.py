@@ -32,10 +32,10 @@ from repro.bench.workloads import (
     construction_scenario,
     draw_batch,
     prepare_instance,
-    spawn_batch_seeds,
     spgemm_stream_scenario,
     split_batches,
 )
+from repro.scenarios.model import spawn_seeds
 
 
 class TestModel:
@@ -300,9 +300,9 @@ class TestWorkloadScenarios:
         per_rank = workload.all_tuples_per_rank(4)
         assert sum(v[0].size for v in per_rank.values()) == workload.nnz
 
-    def test_spawn_batch_seeds_are_independent(self):
-        a = [s.generate_state(1)[0] for s in spawn_batch_seeds(17, 3)]
-        b = [s.generate_state(1)[0] for s in spawn_batch_seeds(18, 3)]
+    def test_spawn_seeds_are_independent(self):
+        a = [s.generate_state(1)[0] for s in spawn_seeds(17, 3)]
+        b = [s.generate_state(1)[0] for s in spawn_seeds(18, 3)]
         assert len(set(a) | set(b)) == 6  # no shared streams across seeds
 
     def test_insert_scenario_preloads_half(self, workload):

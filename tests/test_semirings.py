@@ -20,6 +20,8 @@ from repro.semirings import (
     list_semirings,
 )
 
+from tests.conftest import dense_product
+
 ALL_SEMIRINGS = [PLUS_TIMES, MIN_PLUS, MAX_PLUS, BOOLEAN, MAX_MIN, MAX_TIMES]
 
 
@@ -170,25 +172,25 @@ def test_sum_duplicates_min_plus_takes_minimum():
 # ----------------------------------------------------------------------
 # dense reference kernels
 # ----------------------------------------------------------------------
-def test_dense_matmul_plus_times_matches_numpy():
+def test_dense_product_plus_times_matches_numpy():
     rng = np.random.default_rng(1)
     a = rng.random((5, 7))
     b = rng.random((7, 3))
-    assert np.allclose(PLUS_TIMES.dense_matmul(a, b), a @ b)
+    assert np.allclose(dense_product(PLUS_TIMES, a, b), a @ b)
 
 
-def test_dense_matmul_min_plus_is_shortest_one_hop():
+def test_dense_product_min_plus_is_shortest_one_hop():
     inf = np.inf
     a = np.array([[0.0, 2.0, inf], [inf, 0.0, 1.0], [inf, inf, 0.0]])
-    out = MIN_PLUS.dense_matmul(a, a)
+    out = dense_product(MIN_PLUS, a, a)
     # path 0 -> 1 -> 2 of length 3 appears in the square
     assert out[0, 2] == pytest.approx(3.0)
     assert out[0, 1] == pytest.approx(2.0)
 
 
-def test_dense_matmul_shape_mismatch_raises():
+def test_dense_product_shape_mismatch_raises():
     with pytest.raises(ValueError, match="shape mismatch"):
-        PLUS_TIMES.dense_matmul(np.zeros((2, 3)), np.zeros((4, 2)))
+        dense_product(PLUS_TIMES, np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 def test_coerce_returns_contiguous_float_array():

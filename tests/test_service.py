@@ -132,12 +132,6 @@ class TestMicroBatchQueue:
         assert len(queue) == 0
         assert not queue.due(100.0)
 
-    def test_pending_tuples(self):
-        queue = MicroBatchQueue()
-        queue.offer(_req(size=3))
-        queue.offer(_req(size=5))
-        assert queue.pending_tuples == 8
-
 
 class TestCoalesce:
     def test_merges_same_kind_runs(self):

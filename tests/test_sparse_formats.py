@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.semirings import MIN_PLUS, PLUS_TIMES, get_semiring, list_semirings
 from repro.sparse import COOMatrix, CSRMatrix, DCSRMatrix, DHBMatrix
 
-from tests.conftest import random_dense
+from tests.conftest import check_dhb_invariants, random_dense
 
 
 # ----------------------------------------------------------------------
@@ -73,11 +73,11 @@ class TestCOO:
         coo = COOMatrix((2, 2), [0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0])
         out = coo.sum_duplicates()
         assert out.nnz == 2
-        assert out.to_dict()[(0, 1)] == pytest.approx(5.0)
+        assert out.to_dense()[0, 1] == pytest.approx(5.0)
 
     def test_sum_duplicates_min_plus(self):
         coo = COOMatrix((2, 2), [0, 0], [1, 1], [5.0, 2.0], MIN_PLUS)
-        assert coo.sum_duplicates().to_dict()[(0, 1)] == pytest.approx(2.0)
+        assert coo.sum_duplicates().to_dense()[0, 1] == pytest.approx(2.0)
 
     def test_last_write_wins_keeps_latest(self):
         coo = COOMatrix((2, 2), [0, 0, 0], [1, 1, 1], [1.0, 2.0, 3.0])
@@ -224,7 +224,6 @@ class TestDCSR:
         dcsr = DCSRMatrix.from_dense(dense)
         assert np.allclose(dcsr.to_dense(), dense)
         assert np.allclose(dcsr.to_csr().to_dense(), dense)
-        assert np.allclose(DCSRMatrix.from_csr(dcsr.to_csr()).to_dense(), dense)
 
     def test_only_nonempty_rows_are_stored(self):
         dense = np.zeros((100, 5))
@@ -319,7 +318,7 @@ class TestDHBFlatRows:
             assert flat.vals[lo:hi].tobytes() == vals.tobytes()
         # the gather copies: the view must not alias the adjacency arrays
         flat.cols[:] = -1
-        mat.check_invariants()
+        check_dhb_invariants(mat)
 
     def test_conversions_equal_the_per_row_construction(self):
         mat = self._churned()
@@ -327,7 +326,7 @@ class TestDHBFlatRows:
         coo = mat.to_coo()
         for field in ("rows", "cols", "values"):
             assert getattr(coo, field).tobytes() == getattr(oracle, field).tobytes()
-        for converted in (mat.to_csr(), mat.to_dcsr(), mat.copy()):
+        for converted in (mat.to_csr(), mat.copy()):
             back = converted.to_coo()
             for field in ("rows", "cols", "values"):
                 assert getattr(back, field).tobytes() == getattr(oracle, field).tobytes()

@@ -266,9 +266,9 @@ class TestSparseAccumulatorMasked:
         spa.accumulate_scaled_row(
             1.0, np.array([1, 1, 3]), np.array([2.0, 3.0, 9.0]), allowed={1}
         )
-        assert spa.n_entries == 1
         assert spa.get(1) == pytest.approx(5.0)
         assert not spa.contains(3)
+        assert spa.emit()[0].tolist() == [1]
 
     def test_allowed_with_non_int64_columns(self):
         """The single-pass conversion accepts any integer dtype."""

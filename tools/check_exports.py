@@ -56,8 +56,11 @@ ALLOWED: dict[str, str] = {
     "grow_from_empty": _GENERATOR,
     "hotspot_vertex_stream": _GENERATOR,
     "mixed_update_multiply": _GENERATOR,
+    "multilevel_contraction": _GENERATOR,
     "oscillating_insert_delete": _GENERATOR,
+    "road_churn_sssp": _GENERATOR,
     "sliding_window": _GENERATOR,
+    "social_triangle_stream": _GENERATOR,
     "steady_state_churn": _GENERATOR,
     "library_scenarios": _GENERATOR,
     "SNAPSHOT_VERSION": _DRILL,
@@ -69,6 +72,7 @@ ALLOWED: dict[str, str] = {
     "LoopbackComm": "one process of a loopback world (docs/service.md)",
     "LoopbackWorld": "thread-backed multi-process world, mpiexec without MPI",
     "Partitioner": "protocol a custom placement strategy implements",
+    "redistribute_tuples": "the paper's two-phase routing (Sec. IV-B)",
     "spgemm_rowwise_spa": "test oracle of the ESC kernel; perf_ledger's tracer names it",
 }
 
