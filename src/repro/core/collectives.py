@@ -6,7 +6,8 @@ follow is kept in one place:
 
 * :func:`pipelined_broadcasts` — the double-buffered ``√p``-round
   broadcast loop of SUMMA, Algorithm 1 and step 5 of Algorithm 2.  The
-  callers only say *what* each round broadcasts.
+  callers only say *what* each round broadcasts (step 5's ``C*`` mask is
+  a ``(rows, cols)`` pattern, 16 B per entry).
 * :func:`transpose_blocks` — the transpose send/receive round that moves
   every block to its transposed grid position (Algorithms 1–2 and
   :func:`repro.core.transpose.transpose_dist`).
@@ -25,11 +26,13 @@ follow is kept in one place:
      *Scatter* category, matching the paper's naming of the final
      redistribution step).
 
-  Every piece is one payload: a COO partial, plus the Bloom bits aligned
-  with its entries when Algorithm 2 needs them, so each coordinate travels
-  once.  :func:`sparse_reduce_to_root` ⊕-combines COO partials,
-  :func:`bloom_reduce_to_root` also ORs their bits, and the gated
-  :func:`reduce_line` runs one of them per process line and round.
+  Every piece is one payload of aligned arrays: the coordinates, the
+  values, and the Bloom bits when Algorithm 2 needs them, so each
+  coordinate travels once.  :func:`sparse_reduce_to_root` ⊕-combines COO
+  partials, :func:`bloom_reduce_to_root` also ORs their bits — or, for
+  ``COMPUTE_PATTERN``, which reads only the pattern of ``C*``, reduces
+  coordinates and bits without values — and the gated :func:`reduce_line`
+  runs one of them per process line and round.
 
 Both reductions follow the partial-mapping contract of the communicator
 protocol: ``contributions`` holds entries only for the group ranks this
@@ -136,7 +139,8 @@ def sum_pieces(
     pieces: Sequence[COOMatrix], shape: tuple[int, int], semiring: Semiring
 ) -> COOMatrix:
     """⊕-combine sparse pieces of one block; empty pieces are ignored."""
-    return _fold([(piece, None) for piece in pieces], shape, semiring)[0]
+    partials = [(p.rows, p.cols, p.values, None) for p in pieces]
+    return _values(_fold(partials, shape, semiring), shape, semiring)
 
 
 def _row_range_offsets(n_rows: int, parts: int) -> np.ndarray:
@@ -149,19 +153,34 @@ def _row_range_offsets(n_rows: int, parts: int) -> np.ndarray:
     return offsets
 
 
-#: a partial of the reduce: values and the Bloom bits aligned with them
-#: (``None`` in a values-only reduce)
-_Partial = tuple[COOMatrix, np.ndarray | None]
+#: a partial of the reduce: aligned ``(rows, cols, values, bits)`` arrays in
+#: the output block's local coordinates; ``bits`` is ``None`` in a
+#: values-only reduce and ``values`` is ``None`` in a pattern reduce
+_Partial = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
+
+
+def _values(partial: _Partial, shape: tuple[int, int], semiring: Semiring) -> COOMatrix:
+    """The COO block of a folded partial that carries values."""
+    rows, cols, values, _bits = partial
+    return COOMatrix._unchecked(shape, rows, cols, values, semiring)
+
+
+def _check_shapes(shapes: set[tuple[int, int]], shape: tuple[int, int]) -> None:
+    mismatched = shapes - {shape}
+    if mismatched:
+        raise ValueError(
+            f"contributions disagree with the declared block shape {shape}: "
+            f"{sorted(mismatched)}"
+        )
 
 
 def _split(partial: _Partial, offsets: np.ndarray) -> dict[int, _Partial]:
     """The non-empty row ranges ``[offsets[s], offsets[s + 1])``, keyed by ``s``."""
-    coo, bits = partial
-    dest = np.searchsorted(offsets, coo.rows, side="right") - 1
+    dest = np.searchsorted(offsets, partial[0], side="right") - 1
     pieces: dict[int, _Partial] = {}
     for slot in np.unique(dest):
         sel = dest == slot
-        pieces[int(slot)] = (coo._take(sel), None if bits is None else bits[sel])
+        pieces[int(slot)] = tuple(None if a is None else a[sel] for a in partial)
     return pieces
 
 
@@ -171,22 +190,27 @@ def _fold(
     """⊕-combine the values and OR the bits of pieces of one block.
 
     One stable key sort; values fold as :meth:`COOMatrix.sum_duplicates`
-    does, bits with ``bitwise_or.reduceat`` over the same runs.
+    does, bits with ``bitwise_or.reduceat`` over the same runs.  The
+    non-empty pieces all carry values, or all carry none (and likewise
+    bits); with no entry at all the result holds empty values and no bits.
     """
-    pieces = [p for p in pieces if p[0].nnz]
+    pieces = [p for p in pieces if p[0].size]
     if not pieces:
-        return COOMatrix.empty(shape, semiring), None
-    coo = pieces[0][0].concatenate(*(p[0] for p in pieces[1:]))
-    keys = coo._sort_key()
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, dtype=semiring.dtype), None
+    rows, cols, values, bits = (
+        None if column[0] is None else np.concatenate(column)
+        for column in zip(*pieces)
+    )
+    keys = rows * np.int64(shape[1]) + cols
     order = np.argsort(keys, kind="stable")
     starts, _ = _runs(keys[order])
     rows, cols = np.divmod(keys[order[starts]], np.int64(shape[1]))
-    values = semiring.add_reduceat(coo.values[order], starts)
-    folded = COOMatrix._unchecked(shape, rows, cols, values, semiring)
-    if pieces[0][1] is None:
-        return folded, None
-    bits = np.concatenate([p[1] for p in pieces])
-    return folded, np.bitwise_or.reduceat(bits[order], starts)
+    if values is not None:
+        values = semiring.add_reduceat(values[order], starts)
+    if bits is not None:
+        bits = np.bitwise_or.reduceat(bits[order], starts)
+    return rows, cols, values, bits
 
 
 def _reduce_to_root(
@@ -201,18 +225,13 @@ def _reduce_to_root(
     group = list(group)
     if root not in group:
         raise ValueError(f"reduction root {root} is not part of the group")
-    mismatched = {coo.shape for coo, _bits in contributions.values()} - {shape}
-    if mismatched:
-        raise ValueError(
-            f"contributions disagree with the declared block shape {shape}: "
-            f"{sorted(mismatched)}"
-        )
     offsets = _row_range_offsets(shape[0], len(group))
 
     # Steps 1+2: split by destination row range, exchange within the group.
+    nothing = _fold((), shape, semiring)
     sendbufs: dict[int, dict[int, _Partial]] = {}
     for rank in comm.owned_ranks(group):
-        partial = contributions.get(rank, (COOMatrix.empty(shape, semiring), None))
+        partial = contributions.get(rank, nothing)
         pieces = comm.run_local(
             rank, _split, partial, offsets, category=StatCategory.REDUCE_SCATTER
         )
@@ -258,48 +277,65 @@ def sparse_reduce_to_root(
     block's shape.  Returns the combined COO matrix on the process owning
     ``root`` and ``None`` on every other process.
     """
-    partials = {rank: (coo, None) for rank, coo in contributions.items()}
+    _check_shapes({coo.shape for coo in contributions.values()}, shape)
+    partials = {
+        rank: (coo.rows, coo.cols, coo.values, None)
+        for rank, coo in contributions.items()
+    }
     reduced = _reduce_to_root(comm, group, root, partials, shape, semiring)
-    return None if reduced is None else reduced[0]
+    return None if reduced is None else _values(reduced, shape, semiring)
 
 
 def bloom_reduce_to_root(
     comm: Communicator,
     group: Sequence[int],
     root: int,
-    contributions: Mapping[int, tuple[COOMatrix, BloomFilterMatrix]],
+    contributions: Mapping[int, tuple[COOMatrix | None, BloomFilterMatrix]],
     semiring: Semiring,
     *,
     shape: tuple[int, int],
-) -> tuple[COOMatrix, BloomFilterMatrix] | None:
+) -> tuple[COOMatrix | None, BloomFilterMatrix] | None:
     """⊕-reduce partial products and OR their Bloom bits onto ``root``.
 
     ``contributions[rank]`` is a ``(values, bloom)`` pair whose coordinates
     are identical and in the same order, as the local multiplies return
     them (else :class:`ValueError`); each coordinate travels once, with its
-    value and its 64 bits.  Otherwise as :func:`sparse_reduce_to_root`;
-    returns ``(values, bloom)`` on the root.
+    value and its 64 bits (32 B per entry).  A pair whose values are
+    ``None`` ships the bloom's coordinates and bits only (24 B per entry):
+    the pattern reduce of ``COMPUTE_PATTERN``, which never reads ``C*``'s
+    values.  Otherwise as :func:`sparse_reduce_to_root`; returns
+    ``(values, bloom)`` on the root, ``values`` being ``None`` when the
+    reduced entries carried none.
     """
+    _check_shapes(
+        {bloom.shape for _coo, bloom in contributions.values()}
+        | {coo.shape for coo, _bloom in contributions.values() if coo is not None},
+        shape,
+    )
     partials: dict[int, _Partial] = {}
     for rank, (coo, bloom) in contributions.items():
         rows, cols, bits = bloom.to_arrays()
+        if coo is None:
+            partials[rank] = (rows, cols, None, bits)
+            continue
         if not (np.array_equal(rows, coo.rows) and np.array_equal(cols, coo.cols)):
             raise ValueError(f"rank {rank}: bloom and value coordinates differ")
-        partials[rank] = (coo, bits)
+        partials[rank] = (coo.rows, coo.cols, coo.values, bits)
     reduced = _reduce_to_root(comm, group, root, partials, shape, semiring)
     if reduced is None:
         return None
-    coo, bits = reduced
+    rows, cols, values, bits = reduced
+    coo = None if values is None else _values(reduced, shape, semiring)
     if bits is None:  # nothing was contributed
         return coo, BloomFilterMatrix(shape)
-    return coo, BloomFilterMatrix.from_arrays(shape, coo.rows, coo.cols, bits)
+    return coo, BloomFilterMatrix.from_arrays(shape, rows, cols, bits)
 
 
 def reduce_line(
     comm: Communicator,
     group: Sequence[int],
     root: int,
-    products: Mapping[int, tuple[COOMatrix, BloomFilterMatrix | None]],
+    products: Mapping[int, tuple[COOMatrix | None, BloomFilterMatrix | None]],
     semiring: Semiring,
     *,
     shape: tuple[int, int],
@@ -307,15 +343,18 @@ def reduce_line(
 ) -> tuple[COOMatrix | None, BloomFilterMatrix | None]:
     """Reduce one line's partial products (and their Bloom bits) onto ``root``.
 
-    ``products[rank]`` is a local multiply's ``(values, bloom or None)``.
-    Nothing is communicated unless some process holds a non-empty product
-    — a decision agreed over the uncharged ``host_fold`` control plane, so
-    every process takes the same branch.  Otherwise one reduce runs, with
-    the bits if ``with_bloom`` (a global fact, as a process may hold no
-    product).  Returns ``(values, bloom or None)`` on the root, else
-    ``(None, None)``.
+    ``products[rank]`` is a local multiply's ``(values, bloom or None)``;
+    with the bits, ``values`` may be ``None`` (a pattern reduce, see
+    :func:`bloom_reduce_to_root`).  Nothing is communicated unless some
+    process holds a non-empty product — a decision agreed over the
+    uncharged ``host_fold`` control plane, so every process takes the same
+    branch.  Otherwise one reduce runs, with the bits if ``with_bloom`` (a
+    global fact, as a process may hold no product).  Returns ``(values,
+    bloom or None)`` on the root, else ``(None, None)``.
     """
-    local_any = any(coo.nnz > 0 for coo, _bloom in products.values())
+    local_any = any(
+        (bloom if with_bloom else coo).nnz > 0 for coo, bloom in products.values()
+    )
     if not comm.host_fold(local_any, lambda x, y: x or y):
         return None, None
     if with_bloom:

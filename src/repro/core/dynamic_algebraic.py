@@ -32,9 +32,9 @@ every world size) takes identical branches.  Empty hypersparse blocks are
 where the hypersparse update matrices actually save broadcast volume.
 
 :func:`compute_cstar` returns the per-rank local blocks of ``C*`` for the
-owned ranks (and, optionally, the Bloom filter ``F*`` required by
-Algorithm 2, whose bits ride with the entries they belong to through the
-one reduce-scatter — this is the ``COMPUTE_PATTERN`` subroutine);
+owned ranks — or, as the ``COMPUTE_PATTERN`` subroutine of Algorithm 2,
+the Bloom filter ``F*`` whose coordinates are the pattern of ``C*``: the
+reduce-scatter then ships each entry's coordinates and bits but no value;
 :func:`dynamic_spgemm_algebraic` additionally folds ``C*`` into a dynamic
 result matrix ``C``.
 """
@@ -152,20 +152,24 @@ def compute_cstar(
     *,
     semiring: Semiring | None = None,
     compute_bloom: bool = False,
-) -> tuple[dict[int, COOMatrix], dict[int, BloomFilterMatrix] | None]:
+) -> dict[int, COOMatrix] | dict[int, BloomFilterMatrix]:
     """Compute the per-rank local blocks of ``C* = A*·B' ⊕ A·B*``.
 
     ``b_star=None`` means ``B* = 0`` (the Figure-9 workload, where only the
     left operand changes) and, symmetrically, ``a_star=None`` means
     ``A* = 0``: an absent term costs neither its transpose round nor any
-    broadcast.  When ``compute_bloom`` is set the function also
-    returns the Bloom filter ``F*`` of ``C*`` (``COMPUTE_PATTERN`` in
-    Algorithm 2): bit ``k mod 64`` of ``f*_{i,j}`` is set whenever the term
-    with global inner index ``k`` contributed to ``c*_{i,j}``.
+    broadcast.
 
-    Returns ``(cstar_blocks, fstar_blocks)``, both *partial* mappings over
-    the ranks this process owns; ``cstar_blocks[rank]`` is a COO matrix in
-    the local coordinates of rank's output block.
+    Returns a *partial* mapping over the ranks this process owns, in the
+    local coordinates of each rank's output block: the COO blocks of
+    ``C*``, or with ``compute_bloom`` the Bloom filter ``F*`` of ``C*``
+    instead (``COMPUTE_PATTERN`` in Algorithm 2).  Bit ``k mod 64`` of
+    ``f*_{i,j}`` is set whenever the term with global inner index ``k``
+    contributed to ``c*_{i,j}``, so every entry of ``C*`` — also one whose
+    terms fold to the semiring zero — has a non-zero bitfield, and ``F*``'s
+    coordinates are the pattern of ``C*``.  Algorithm 2 reads nothing else
+    of ``C*``, so its values are then neither reduced nor folded: each
+    reduced entry ships its coordinates and its bits only.
     """
     semiring = semiring if semiring is not None else a.semiring
     n, _k_dim, m = _check_operands(grid, a, b_prime, a_star, b_star)
@@ -182,24 +186,22 @@ def compute_cstar(
         terms.append(_Term(comm, grid, b_star, a, left=False))
 
     partials: dict[int, list[COOMatrix]] = {r: [] for r in owned}
-    bloom_parts: dict[int, BloomFilterMatrix] | None = None
+    blooms: dict[int, BloomFilterMatrix] = {}
     if compute_bloom:
-        bloom_parts = {
-            r: BloomFilterMatrix(out_dist.block_shape_of_rank(r)) for r in owned
-        }
+        blooms = {r: BloomFilterMatrix(out_dist.block_shape_of_rank(r)) for r in owned}
 
     def _multiply_reduce(term: _Term, k: int, received: list) -> None:
         """Local multiplies of one term's round, then its sparse reductions."""
         for line in range(q):
             group_ranks = term.reduce_group(line)
             root = term.reduce_root(line, k)
-            products: dict[int, tuple[COOMatrix, BloomFilterMatrix | None]] = {}
+            products: dict[int, tuple[COOMatrix | None, BloomFilterMatrix | None]] = {}
             for rank in comm.owned_ranks(group_ranks):
                 got = received[term.line_of(rank)]
                 if got is None:
                     continue
                 star_blk, big_blk = got[rank], term.operand.blocks[rank]
-                products[rank] = comm.run_local(
+                values, bloom = comm.run_local(
                     rank,
                     spgemm_local,
                     *((star_blk, big_blk) if term.left else (big_blk, star_blk)),
@@ -208,6 +210,7 @@ def compute_cstar(
                     inner_offset=int(a.dist.col_offsets[term.line_of(rank)]),
                     category=StatCategory.LOCAL_MULT,
                 )
+                products[rank] = (None, bloom) if compute_bloom else (values, None)
             reduced, reduced_bloom = reduce_line(
                 comm,
                 group_ranks,
@@ -217,10 +220,10 @@ def compute_cstar(
                 shape=out_dist.block_shape_of_rank(root),
                 with_bloom=compute_bloom,
             )
-            if reduced is not None and reduced.nnz:
-                partials[root].append(reduced)
             if reduced_bloom is not None:
-                bloom_parts[root].or_inplace(reduced_bloom)
+                blooms[root].or_inplace(reduced_bloom)
+            elif reduced is not None and reduced.nnz:
+                partials[root].append(reduced)
 
     # The hypersparse update blocks of round k+1 travel while round k's
     # multiplies and sparse reductions run; a term whose round-k update
@@ -233,15 +236,11 @@ def compute_cstar(
             if any(got is not None for got in term_received):
                 _multiply_reduce(term, k, term_received)
 
-    # ------------------------------------------------------------------
+    if compute_bloom:
+        return blooms
     # Per-rank accumulation of the reduced contributions (owned ranks).
-    # ------------------------------------------------------------------
-    cstar_blocks: dict[int, COOMatrix] = {}
-    for rank in owned:
-        block_shape = out_dist.block_shape_of_rank(rank)
-        pieces = partials[rank]
-
-        cstar_blocks[rank] = comm.run_local(
+    return {
+        rank: comm.run_local(
             rank,
             sum_pieces,
             partials[rank],
@@ -249,7 +248,8 @@ def compute_cstar(
             semiring,
             category=StatCategory.LOCAL_MULT,
         )
-    return cstar_blocks, bloom_parts
+        for rank in owned
+    }
 
 
 def dynamic_spgemm_algebraic(
@@ -288,8 +288,8 @@ def dynamic_spgemm_algebraic(
             f"result shape {c.shape} does not match A x B' = "
             f"({a.shape[0]}, {b_prime.shape[1]})"
         )
-    cstar_blocks, _ = compute_cstar(
-        comm, grid, a, b_prime, a_star, b_star, semiring=semiring, compute_bloom=False
+    cstar_blocks = compute_cstar(
+        comm, grid, a, b_prime, a_star, b_star, semiring=semiring
     )
     touched = 0
     for rank, cstar in cstar_blocks.items():

@@ -5,11 +5,13 @@ an idempotent ``⊕``) cannot be folded into ``C`` by addition, so the
 affected entries of ``C`` must be *recomputed*.  The algorithm limits both
 communication and computation to what the update can actually influence:
 
-1. ``C*, F* ← COMPUTE_PATTERN(A, A*, B', B*)`` — the sparsity pattern of
-   ``C* = A*·B' ⊕ A·B*`` (the entries of ``C`` that may change) and its
-   Bloom filter, computed with the machinery of Algorithm 1
+1. ``C*, F* ← COMPUTE_PATTERN(A, A*, B', B*)`` — the Bloom filter ``F*``
+   of ``C* = A*·B' ⊕ A·B*``, computed with the machinery of Algorithm 1
    (:func:`repro.core.dynamic_algebraic.compute_cstar` with
-   ``compute_bloom=True``).
+   ``compute_bloom=True``).  Its coordinates are the sparsity pattern of
+   ``C*`` (the entries of ``C`` that may change), the only part of ``C*``
+   the algorithm reads, so the reduce ships coordinates and OR-ed bits
+   (24 B per entry) and no value of ``C*``.
 2. ``E ← (F | F*)`` masked at the pattern of ``C*`` — a Bloom filter for
    exactly the output entries that need recomputation.
 3. ``R`` — the row-wise OR of ``E``, reduced across each process row; bit
@@ -19,8 +21,9 @@ communication and computation to what the update can actually influence:
    them only columns admitted by the bitfield are kept.  This is the only
    part of the (large) ``A'`` that is ever communicated.
 5. A SUMMA-like loop broadcasting ``A^R`` over process rows and the ``C*``
-   pattern over process columns; the local multiplication is *masked* at
-   ``C*`` and also produces fresh Bloom bits ``H``.
+   pattern — ``(rows, cols)`` arrays, 16 B per entry — over process
+   columns; the local multiplication is *masked* at ``C*`` and also
+   produces fresh Bloom bits ``H``.
 6. ``Z`` and ``H`` are aggregated with one sparse reduce-scatter (each entry
    of ``Z`` carries its ``H`` bits) and merged into ``C`` and ``F``: every
    entry in the ``C*`` pattern is overwritten with its recomputed value — or
@@ -33,6 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.perf.recorder import perf_count
 from repro.runtime.grid import ProcessGrid
 from repro.runtime.backend import Communicator
 from repro.runtime.stats import StatCategory
@@ -135,11 +139,12 @@ def dynamic_spgemm_general(
         raise ValueError(f"Bloom filter F has no block for owned ranks {missing}")
 
     # ------------------------------------------------------------------
-    # 1. C* pattern and F* (COMPUTE_PATTERN).  Both mappings are partial
-    #    (owned ranks only); the nnz census makes the pattern sizes — which
-    #    gate broadcasts and the early exit — globally known.
+    # 1. F* and with it the C* pattern (COMPUTE_PATTERN).  The mapping is
+    #    partial (owned ranks only); the nnz census makes the pattern sizes
+    #    — which gate broadcasts and the early exit — globally known.
     # ------------------------------------------------------------------
-    cstar_blocks, fstar_blocks = compute_cstar(
+    sent = comm.stats.total_bytes()
+    fstar_blocks = compute_cstar(
         comm,
         grid,
         a_old,
@@ -149,14 +154,16 @@ def dynamic_spgemm_general(
         semiring=semiring,
         compute_bloom=True,
     )
-    assert fstar_blocks is not None
+    perf_count("alg2.pattern_bytes", comm.stats.total_bytes() - sent)
+    cstar = {rank: blk.pattern() for rank, blk in fstar_blocks.items()}
 
     cstar_nnz = comm.host_merge(
-        {rank: int(blk.nnz) for rank, blk in cstar_blocks.items()}
+        {rank: int(blk.nnz) for rank, blk in fstar_blocks.items()}
     )
     total_pattern = sum(cstar_nnz.values())
     if total_pattern == 0:
         return 0
+    sent = comm.stats.total_bytes()
 
     # ------------------------------------------------------------------
     # 2. E = (F | F*) masked at the pattern of C*  (local).
@@ -165,12 +172,11 @@ def dynamic_spgemm_general(
     row_bits_per_rank: dict[int, np.ndarray] = {}
     for rank in owned:
         block_rows = out_dist.block_shape_of_rank(rank)[0]
-        cstar = cstar_blocks[rank]
         f_blk = f[rank]
         fstar_blk = fstar_blocks[rank]
 
-        def _row_or(cstar=cstar, f_blk=f_blk, fstar_blk=fstar_blk, block_rows=block_rows):
-            e = f_blk.or_with(fstar_blk).masked_by(cstar.rows, cstar.cols)
+        def _row_or(f_blk=f_blk, fstar_blk=fstar_blk, block_rows=block_rows):
+            e = f_blk.or_with(fstar_blk).masked_by(*fstar_blk.pattern())
             rows, bits = e.reduce_rows_or()
             row_bits = np.zeros(block_rows, dtype=np.uint64)
             row_bits[rows] = bits
@@ -225,7 +231,7 @@ def dynamic_spgemm_general(
         rows = [(grid.rank_of(i, k), grid.row_group(i)) for i in range(q)]
         cols = [(grid.rank_of(k, j), grid.col_group(j)) for j in range(q)]
         return [(root, ar_t.get(root), ranks) for root, ranks in rows] + [
-            (root, cstar_blocks.get(root), ranks) if cstar_nnz[root] else None
+            (root, cstar.get(root), ranks) if cstar_nnz[root] else None
             for root, ranks in cols
         ]
 
@@ -241,7 +247,7 @@ def dynamic_spgemm_general(
             products: dict[int, tuple[COOMatrix, BloomFilterMatrix]] = {}
             for rank in comm.owned_ranks(col_ranks):
                 i = grid.row_of(rank)
-                # Section VI-B: each rank masks at the broadcast C* block
+                # Section VI-B: each rank masks at the broadcast C* pattern
                 # itself rather than receiving a hash table of it.
                 products[rank] = comm.run_local(
                     rank,
@@ -273,21 +279,24 @@ def dynamic_spgemm_general(
     # ------------------------------------------------------------------
     recomputed = 0
     for rank in owned:
-        cstar = cstar_blocks[rank]
-        if cstar.nnz == 0:
+        rows, cols = cstar[rank]
+        if rows.size == 0:
             continue
-        recomputed += cstar.nnz
+        recomputed += rows.size
         pieces = z_blocks[rank]
         h_blk = h_blocks[rank]
         c_blk = c.blocks[rank]
         f_blk = f[rank]
+        shape = out_dist.block_shape_of_rank(rank)
 
-        def _merge(pieces=pieces, cstar=cstar, c_blk=c_blk, f_blk=f_blk, h_blk=h_blk):
-            rows, cols = cstar.rows, cstar.cols
+        def _merge(
+            pieces=pieces, rows=rows, cols=cols, shape=shape,
+            c_blk=c_blk, f_blk=f_blk, h_blk=h_blk,
+        ):
             kept = np.zeros(rows.size, dtype=bool)
             if pieces:
-                z = sum_pieces(pieces, cstar.shape, semiring)
-                width = cstar.shape[1]
+                z = sum_pieces(pieces, shape, semiring)
+                width = shape[1]
                 kept = np.isin(rows * width + cols, z.rows * width + z.cols)
                 c_blk.insert_batch(z.rows, z.cols, z.values, combine=None)
             # No surviving contribution: the entry becomes a structural
@@ -298,4 +307,5 @@ def dynamic_spgemm_general(
             f_blk.or_inplace(h_blk.masked_by(rows[kept], cols[kept]))
 
         comm.run_local(rank, _merge, category=StatCategory.LOCAL_ADDITION)
+    perf_count("alg2.recompute_bytes", comm.stats.total_bytes() - sent)
     return int(comm.host_fold(recomputed, lambda x, y: x + y))

@@ -133,16 +133,16 @@ def _bucket_offsets(
     return offsets
 
 
-def _bucket_for_sending(
-    comm, rank, tuples, group, dests, category
-) -> dict[int, TupleArrays]:
+def _bucket_for_sending(comm, rank, tuples, group, dests) -> dict[int, TupleArrays]:
     """Group ``rank``'s tuples by bucket (charged to it) and slice per receiver.
 
     ``group(rows, cols, vals)`` returns the tuples in bucket order and the
     bucket offsets, and ``dests[bucket]`` is the rank that bucket travels
     to; empty buckets send nothing.
     """
-    data, offsets = comm.run_local(rank, group, *tuples, category=category)
+    data, offsets = comm.run_local(
+        rank, group, *tuples, category=StatCategory.REDIST_SORT
+    )
     outgoing: dict[int, TupleArrays] = {}
     for bucket, dest in enumerate(dests):
         lo, hi = offsets[bucket], offsets[bucket + 1]
@@ -164,10 +164,7 @@ def _concat_inbox(inbox: Mapping[int, TupleArrays], dtype) -> TupleArrays:
 
 
 def _exchange_chunks(
-    comm: Communicator,
-    sendbufs: dict[int, dict[int, TupleArrays]],
-    *,
-    category: str,
+    comm: Communicator, sendbufs: dict[int, dict[int, TupleArrays]]
 ) -> dict[int, dict[int, TupleArrays]]:
     """Deliver per-rank outgoing chunks with ``isend``/``irecv``.
 
@@ -193,7 +190,9 @@ def _exchange_chunks(
             if dst == rank:
                 inbox[rank][rank] = chunk
             else:
-                send_reqs.append(comm.isend(rank, dst, chunk, category=category))
+                send_reqs.append(
+                    comm.isend(rank, dst, chunk, category=StatCategory.REDIST_COMM)
+                )
     sources: dict[int, list[int]] = {rank: [] for rank in sendbufs}
     for src in sorted(pattern):
         for dst in pattern[src]:
@@ -201,7 +200,9 @@ def _exchange_chunks(
                 sources[dst].append(src)
     for rank in sorted(sources):
         for src in sorted(sources[rank]):
-            inbox[rank][src] = comm.wait(comm.irecv(src, rank, category=category))
+            inbox[rank][src] = comm.wait(
+                comm.irecv(src, rank, category=StatCategory.REDIST_COMM)
+            )
     comm.waitall(send_reqs)
     return inbox
 
@@ -213,8 +214,6 @@ def redistribute_tuples(
     tuples_per_rank: Mapping[int, TupleArrays],
     *,
     value_dtype=np.float64,
-    sort_category: str = StatCategory.REDIST_SORT,
-    comm_category: str = StatCategory.REDIST_COMM,
 ) -> dict[int, TupleArrays]:
     """Two-phase redistribution of update tuples (the paper's scheme).
 
@@ -246,10 +245,8 @@ def redistribute_tuples(
         sendbufs: dict[int, dict[int, TupleArrays]] = {}
         for rank in owned:
             dests = [dest_rank_of(rank, bucket) for bucket in range(q)]
-            sendbufs[rank] = _bucket_for_sending(
-                comm, rank, local[rank], group, dests, sort_category
-            )
-        recv = _exchange_chunks(comm, sendbufs, category=comm_category)
+            sendbufs[rank] = _bucket_for_sending(comm, rank, local[rank], group, dests)
+        recv = _exchange_chunks(comm, sendbufs)
         return {rank: _concat_inbox(recv[rank], dtype) for rank in owned}
 
     # Per-rank state is partial: this process materialises (and sorts,
@@ -282,8 +279,6 @@ def redistribute_tuples_single_phase(
     tuples_per_rank: Mapping[int, TupleArrays],
     *,
     value_dtype=np.float64,
-    sort_category: str = StatCategory.REDIST_SORT,
-    comm_category: str = StatCategory.REDIST_COMM,
 ) -> dict[int, TupleArrays]:
     """Single-phase redistribution: one global ``ALLTOALL`` over all ranks.
 
@@ -304,8 +299,8 @@ def redistribute_tuples_single_phase(
     sendbufs: dict[int, dict[int, TupleArrays]] = {}
     for rank in owned:
         tuples = _as_tuple_arrays(tuples_per_rank.get(rank), dtype)
-        sendbufs[rank] = _bucket_for_sending(
-            comm, rank, tuples, sort_by_owner, range(p), sort_category
-        )
-    recv = comm.alltoallv(sendbufs, group=grid.all_ranks(), category=comm_category)
+        sendbufs[rank] = _bucket_for_sending(comm, rank, tuples, sort_by_owner, range(p))
+    recv = comm.alltoallv(
+        sendbufs, group=grid.all_ranks(), category=StatCategory.REDIST_COMM
+    )
     return {rank: _concat_inbox(recv.get(rank, {}), dtype) for rank in owned}

@@ -17,7 +17,8 @@ OR is a concatenation folded by one ``bitwise_or.reduceat``, masking is one
 ``reduceat`` over the row starts.  A partial product's filter has exactly
 its coordinates, so the sparse reduce-scatter ships its bits beside the
 values (:func:`repro.core.collectives.bloom_reduce_to_root`) rather than as
-a filter of its own.
+a filter of its own.  ``F*``'s coordinates are the pattern of ``C*``, the
+only part of ``C*`` Algorithm 2 reads (:meth:`BloomFilterMatrix.pattern`).
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ class BloomFilterMatrix:
     def nbytes(self) -> int:
         # (row, col, bits) as three 8-byte words per entry
         return 24 * self.nnz
+
+    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(rows, cols)`` coordinates, sorted by (row, col) (shared, not copies)."""
+        return self._rows, self._cols
 
     def _keys(self) -> np.ndarray:
         return self._rows * self.shape[1] + self._cols

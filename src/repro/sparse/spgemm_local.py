@@ -23,8 +23,8 @@ The entry points:
   bits of Section V-B.  An entry whose terms cancel, or that is formed from
   explicit zeros, is kept, whatever the semiring and the Bloom request.
 * :func:`spgemm_local_masked` — the masked variant used by the
-  general-update algorithm: only output positions in the pattern of a
-  ``C*`` block are produced (Section VI-B builds a hash table of the mask;
+  general-update algorithm: only output positions in a ``C*`` pattern
+  ``(rows, cols)`` are produced (Section VI-B builds a hash table of it;
   here membership is one ``searchsorted`` of ``row·m + col`` keys).
 * :func:`spgemm_rowwise_spa` — a literal sparse-accumulator implementation
   (slow, loop-based) kept as an independent oracle for tests.
@@ -101,7 +101,7 @@ def _esc(
     inner_offset: int,
     mask=None,
 ) -> tuple[COOMatrix, BloomFilterMatrix | None, int, int]:
-    """Expand–sort–compress ``A·B``, restricted to ``mask``'s pattern if given.
+    """Expand–sort–compress ``A·B``, restricted to the pattern ``mask`` if given.
 
     Returns ``(C, F or None, terms, rows)``: ``terms`` counts the expanded
     terms (of the left rows the mask keeps, before the mask filters them)
@@ -113,8 +113,8 @@ def _esc(
     a_rows = np.repeat(fa.row_ids, np.diff(fa.row_ptr))
     a_cols, a_vals = fa.cols, fa.vals
     if mask is not None:
-        mask = mask.to_coo()
-        in_mask = np.isin(a_rows, mask.rows)
+        mask_rows, mask_cols = mask
+        in_mask = np.isin(a_rows, mask_rows)
         a_rows, a_cols, a_vals = a_rows[in_mask], a_cols[in_mask], a_vals[in_mask]
     # B's rows: a DHB block gathers only those A selects; the others are
     # read zero-copy (CSR, DCSR) or packed once (COO)
@@ -134,7 +134,7 @@ def _esc(
         shift = (np.repeat(a_cols, lens) + inner_offset) % BLOOM_BITS
         bits = np.uint64(1) << shift.astype(np.uint64)
     if mask is not None:
-        mask_keys = np.unique(mask.rows * np.int64(m) + mask.cols)
+        mask_keys = np.unique(mask_rows * np.int64(m) + mask_cols)
         pos = np.minimum(np.searchsorted(mask_keys, keys), mask_keys.size - 1)
         kept = mask_keys[pos] == keys
         keys, vals = keys[kept], vals[kept]
@@ -214,11 +214,12 @@ def spgemm_local_masked(
     compute_bloom: bool = True,
     inner_offset: int = 0,
 ) -> tuple[COOMatrix, BloomFilterMatrix | None]:
-    """Masked local SpGEMM: only output positions in the pattern of ``mask``.
+    """Masked local SpGEMM: only output positions in the pattern ``mask``.
 
-    ``mask`` is a sparse block of the output's shape (the received ``C*``
-    block); its structural entries are the allowed positions, whatever
-    their values.  Left rows with no mask entry are not expanded at all.
+    ``mask`` is a ``(rows, cols)`` pair of coordinate arrays in the output
+    block (the received ``C*`` pattern, which carries no values): the
+    allowed positions.  Left rows with no mask entry are not expanded at
+    all.
     This is the kernel of Algorithm 2's local step
     ``Z, H ← A^R_{k,i} B'_{i,j} masked at C*_{k,j}``.
     """
@@ -239,16 +240,16 @@ def spgemm_rowwise_spa(a, b, semiring: Semiring, *, mask=None) -> COOMatrix:
     """Reference Gustavson SpGEMM using an explicit sparse accumulator.
 
     Slow but simple; used by the test-suite as an independent oracle for
-    both the plain and the masked (``mask``: a pattern block) kernels.  The
-    left rows are the segments of ``a.flat_rows()``; a right row is found
-    by ``searchsorted`` on ``b.flat_rows().row_ids``.
+    both the plain and the masked (``mask``: a ``(rows, cols)`` pattern)
+    kernels.  The left rows are the segments of ``a.flat_rows()``; a right
+    row is found by ``searchsorted`` on ``b.flat_rows().row_ids``.
     """
     n, m = _check_shapes(a.shape, b.shape)
     allowed_in: dict[int, set[int]] | None = None
     if mask is not None:
         allowed_in = {}
-        coo = mask.to_coo()
-        for i, j in zip(coo.rows.tolist(), coo.cols.tolist()):
+        mask_rows, mask_cols = mask
+        for i, j in zip(mask_rows.tolist(), mask_cols.tolist()):
             allowed_in.setdefault(i, set()).add(j)
     fa, fb = a.flat_rows(), b.flat_rows()
     spa = SparseAccumulator(semiring)

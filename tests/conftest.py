@@ -13,7 +13,7 @@ from repro import (
     UpdateBatch,
 )
 from repro.semirings import MIN_PLUS, PLUS_TIMES, Semiring
-from repro.sparse import DHBMatrix
+from repro.sparse import BLOOM_BITS, DHBMatrix
 from repro.sparse.dhb import _EMPTY
 
 
@@ -35,6 +35,19 @@ def dense_product(semiring: Semiring, A: np.ndarray, B: np.ndarray) -> np.ndarra
         contrib = semiring.mul(A[:, kk : kk + 1], B[kk : kk + 1, :])
         out = semiring.add(out, contrib)
     return out
+
+
+def bloom_product(a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], int]:
+    """Structural product of the boolean patterns ``a`` and ``b`` with its
+    Bloom bits: ``(i, j)`` maps to the OR of ``1 << (k mod 64)`` over every
+    inner index ``k`` with ``a[i, k]`` and ``b[k, j]``, whatever the values
+    those terms would fold to."""
+    bits: dict[tuple[int, int], int] = {}
+    for i, k in zip(*np.nonzero(a)):
+        for j in np.flatnonzero(b[k]):
+            key = (int(i), int(j))
+            bits[key] = bits.get(key, 0) | 1 << (int(k) % BLOOM_BITS)
+    return bits
 
 
 def check_dhb_invariants(mat: DHBMatrix) -> None:

@@ -27,11 +27,15 @@ from repro.core.collectives import (
     sparse_reduce_to_root,
 )
 from repro.core.dynamic_general import filter_by_row_bloom
+from repro.perf import PerfRecorder, use_recorder
+from repro.runtime import payload_nbytes
+from repro.distributed import BlockDistribution
 from repro.semirings import BOOLEAN, MIN_PLUS, PLUS_TIMES
 from repro.sparse import BLOOM_BITS, BloomFilterMatrix, COOMatrix, CSRMatrix
 from repro.sparse.spgemm_local import spgemm_local
 
 from tests.conftest import (
+    bloom_product,
     dense_product,
     dist_from_dense,
     random_dense,
@@ -175,7 +179,7 @@ def _values_at(bloom: BloomFilterMatrix, values) -> COOMatrix:
 
 
 class _RecordingSimMPI(SimMPI):
-    """SimMPI that logs every ``ibcast`` post and ``wait`` by payload."""
+    """SimMPI that logs every ``ibcast`` post and its ``wait`` by payload."""
 
     def __init__(self, n_ranks: int) -> None:
         super().__init__(n_ranks)
@@ -189,7 +193,8 @@ class _RecordingSimMPI(SimMPI):
         return request
 
     def wait(self, request):
-        self.log.append(("wait", self._payloads[id(request)]))
+        if id(request) in self._payloads:
+            self.log.append(("wait", self._payloads[id(request)]))
         return super().wait(request)
 
 
@@ -325,6 +330,31 @@ class TestReduceLine:
             assert want.bytes > 0 and want.bytes % 24 == 0
             assert got.messages == want.messages
             assert got.bytes == want.bytes + 8 * (want.bytes // 24)
+        assert set(comm.stats.categories) == set(ref_comm.stats.categories)
+
+    def test_a_pattern_reduce_ships_24_bytes_per_entry(self):
+        """``COMPUTE_PATTERN``'s reduce: pairs without values ship each
+        entry's coordinates and bits, 24 B — what the values-only reduce
+        ships — in the same messages, and OR the filters."""
+        products = self._products()
+        patterns = {r: (None, bloom) for r, (_coo, bloom) in products.items()}
+        comm, ref_comm = SimMPI(16), SimMPI(16)
+        out, bloom = reduce_line(
+            comm, self.group, 9, patterns, PLUS_TIMES,
+            shape=self.shape, with_bloom=True,
+        )
+        reduce_line(
+            ref_comm, self.group, 9, products, PLUS_TIMES,
+            shape=self.shape, with_bloom=False,
+        )
+        assert out is None
+        assert bloom == BloomFilterMatrix(self.shape).or_with(
+            *(p[1] for p in products.values())
+        )
+        for name in ("reduce_scatter", "scatter"):
+            got, want = comm.stats.categories[name], ref_comm.stats.categories[name]
+            assert want.bytes > 0 and want.bytes % 24 == 0
+            assert (got.messages, got.bytes) == (want.messages, want.bytes)
         assert set(comm.stats.categories) == set(ref_comm.stats.categories)
 
 
@@ -478,7 +508,8 @@ class TestDynamicAlgebraic:
         with pytest.raises(ValueError, match="result shape"):
             dynamic_spgemm_algebraic(comm16, grid16, da, db, a_star, None, c)
 
-    def test_compute_cstar_pattern_and_bloom(self, comm16, grid16):
+    def test_compute_cstar_values(self, comm16, grid16):
+        """Algorithm 1's ``C*`` blocks assemble to ``A*·B'``."""
         n = 16
         a = random_dense(n, n, 0.15, seed=11)
         b = random_dense(n, n, 0.15, seed=12)
@@ -488,27 +519,42 @@ class TestDynamicAlgebraic:
         a_star = build_update_matrix(
             comm16, grid16, da.dist, self._updates_from_dense((n, n), delta, 16, seed=14)
         )
-        cstar_blocks, blooms = compute_cstar(
-            comm16, grid16, da, db, a_star, None, compute_bloom=True
-        )
-        # assemble C* globally and compare with delta @ b
-        pieces = []
-        dist = da.dist
-        out_dist = None
-        for rank, coo in cstar_blocks.items():
-            if coo.nnz == 0:
-                continue
-            from repro.distributed import BlockDistribution
-
-            out_dist = out_dist or BlockDistribution(n, n, grid16)
-            gr, gc = out_dist.to_global(rank, coo.rows, coo.cols)
-            pieces.append((gr, gc, coo.values))
+        cstar_blocks = compute_cstar(comm16, grid16, da, db, a_star, None)
+        out_dist = BlockDistribution(n, n, grid16)
         dense_cstar = np.zeros((n, n))
-        for gr, gc, vals in pieces:
-            np.add.at(dense_cstar, (gr, gc), vals)
+        for rank, coo in cstar_blocks.items():
+            gr, gc = out_dist.to_global(rank, coo.rows, coo.cols)
+            np.add.at(dense_cstar, (gr, gc), coo.values)
         assert np.allclose(dense_cstar, delta @ b)
-        assert blooms is not None
-        assert sum(bl.nnz for bl in blooms.values()) >= 0
+
+    def test_compute_pattern_is_structural_with_its_bloom_bits(self, comm16, grid16):
+        """``F*``'s coordinates are the structural pattern of ``A*·B'`` — an
+        entry whose ``plus_times`` terms cancel to 0 included — and each
+        bitfield is the OR of ``1 << (k mod 64)`` over the contributing
+        ``k`` (``n = 72``, so inner indices 64–71 wrap around)."""
+        n = 72
+        a = random_dense(n, n, 0.05, seed=15)
+        b = random_dense(n, n, 0.05, seed=16)
+        delta = random_dense(n, n, 0.01, seed=17)
+        # c*[0, 5] = 1·1 + (−1)·1: terms from two inner blocks cancel to 0
+        delta[0, :], b[:, 5] = 0.0, 0.0
+        delta[0, 0], delta[0, 40], b[0, 5], b[40, 5] = 1.0, -1.0, 1.0, 1.0
+        da = dist_from_dense(comm16, grid16, a)
+        db = static_from_dense(comm16, grid16, b)
+        a_star = build_update_matrix(
+            comm16, grid16, da.dist, self._updates_from_dense((n, n), delta, 16, seed=18)
+        )
+        fstar = compute_cstar(comm16, grid16, da, db, a_star, None, compute_bloom=True)
+        out_dist = BlockDistribution(n, n, grid16)
+        got: dict[tuple[int, int], int] = {}
+        for rank, bloom in fstar.items():
+            rows, cols, bits = bloom.to_arrays()
+            assert np.array_equal(np.stack(bloom.pattern()), np.stack((rows, cols)))
+            gr, gc = out_dist.to_global(rank, rows, cols)
+            got.update(zip(zip(gr.tolist(), gc.tolist()), bits.tolist()))
+        want = bloom_product(delta != 0, b != 0)
+        assert (delta @ b)[0, 5] == 0.0 and want[(0, 5)] == 1 | 1 << 40
+        assert got == want
 
 
 # ----------------------------------------------------------------------
@@ -556,6 +602,73 @@ class TestDynamicGeneral:
             )
             expected = dense_product(MIN_PLUS, current, b)
             assert np.allclose(c.to_dense(), expected, equal_nan=True)
+
+    def test_algorithm2_ships_the_cstar_pattern_without_values(self):
+        """Step 1 costs what Algorithm 1's ``C*`` costs, category by category
+        (its reduce ships 24 B per entry, not 32 B); step 5 broadcasts each
+        non-empty ``C*`` block once, as a ``(rows, cols)`` pattern charged
+        16 B per entry; ``alg2.pattern_bytes`` and ``alg2.recompute_bytes``
+        split the run's bytes."""
+        n, p = 16, 16
+        comm, grid = _RecordingSimMPI(p), ProcessGrid(p)
+        a = random_dense(n, n, 0.25, MIN_PLUS, seed=21)
+        b = random_dense(n, n, 0.25, MIN_PLUS, seed=22)
+        da = dist_from_dense(comm, grid, a, MIN_PLUS)
+        db = dist_from_dense(comm, grid, b, MIN_PLUS)
+        c, blooms = summa_spgemm(comm, grid, da, db, output="dynamic", compute_bloom=True)
+        nz = np.argwhere(~np.isinf(a))[::7]
+        batch = UpdateBatch.from_global(
+            (n, n), nz[:, 0], nz[:, 1], np.ones(len(nz)), p,
+            kind="delete", semiring=MIN_PLUS, seed=1,
+        )
+        a_star = build_update_matrix(comm, grid, da.dist, batch, MIN_PLUS, combine="last")
+        for block in a_star.blocks.values():
+            block.values[:] = MIN_PLUS.one
+        da.mask_update(a_star)
+
+        def spent(run):
+            since = comm.stats.snapshot()
+            out = run()
+            return out, comm.stats.diff(since)
+
+        _, values_cost = spent(lambda: compute_cstar(comm, grid, da, db, a_star, None))
+        fstar, pattern_cost = spent(
+            lambda: compute_cstar(comm, grid, da, db, a_star, None, compute_bloom=True)
+        )
+        assert pattern_cost.categories["reduce_scatter"].bytes > 0
+        for name, totals in values_cost.categories.items():
+            got = pattern_cost.categories[name]
+            assert (got.messages, got.bytes) == (totals.messages, totals.bytes), name
+
+        comm.log.clear()
+        recorder = PerfRecorder()
+        with use_recorder(recorder):
+            _, run_cost = spent(
+                lambda: dynamic_spgemm_general(
+                    comm, grid, da, da, db, a_star, None, c, blooms, semiring=MIN_PLUS
+                )
+            )
+        assert recorder.counters["alg2.pattern_bytes"] == pattern_cost.total_bytes()
+        assert (
+            recorder.counters["alg2.pattern_bytes"]
+            + recorder.counters["alg2.recompute_bytes"]
+            == run_cost.total_bytes()
+        )
+        # every broadcast of the run spans one process row or column
+        posts = [payload for kind, payload in comm.log if kind == "post"]
+        masks = [mask for mask in posts if isinstance(mask, tuple)]
+        pattern_nnz = sorted(bl.nnz for bl in fstar.values() if bl.nnz)
+        assert pattern_nnz and sorted(rows.size for rows, _cols in masks) == pattern_nnz
+        for rows, cols in masks:
+            assert rows.dtype == cols.dtype == np.int64
+            assert payload_nbytes((rows, cols)) == 16 * rows.size
+        others = sum(
+            payload_nbytes(payload) * (grid.q - 1)
+            for payload in posts
+            if not isinstance(payload, tuple)
+        )
+        mask_bytes = run_cost.categories["bcast"].bytes - others
+        assert mask_bytes == 16 * (grid.q - 1) * sum(pattern_nnz)
 
     @pytest.mark.parametrize(
         "case, message",

@@ -82,8 +82,7 @@ DERIVATIONS = {
     "spgemm_rowwise_spa",
     "merge_pattern",
     "mask_pattern",
-    "_split",
-    "_fold",
+    "_values",
     "filter_by_row_bloom",
     "DistMatrixBase.to_coo_global",
     "StaticDistMatrix._assemble.<locals>._build",
@@ -191,7 +190,8 @@ def _local(data) -> None:
         apply(other)
         check_dhb_invariants(dhb)
     outs += [dhb.to_coo(), dhb.to_csr()]
-    mask = DCSRMatrix.from_coo(data.draw(coo((n, m), semiring)))
+    mask_block = data.draw(coo((n, m), semiring))
+    mask = (mask_block.rows, mask_block.cols)
     for left in (a, CSRMatrix.from_coo(a), DCSRMatrix.from_coo(a), DHBMatrix.from_coo(a)):
         for right in (b, DHBMatrix.from_coo(b)):
             outs.append(spgemm_local(left, right, semiring)[0])

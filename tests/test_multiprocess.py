@@ -503,7 +503,7 @@ class TestEmptyBroadcastElision:
                 comm, grid, (n, n), star, PLUS_TIMES, layout="dcsr"
             )
             comm.stats.reset()
-            cstar, _ = compute_cstar(comm, grid, a, b, a_star, None)
+            cstar = compute_cstar(comm, grid, a, b, a_star, None)
             merged = comm.host_merge(
                 {r: (blk.rows.tolist(), blk.values.tolist()) for r, blk in cstar.items()}
             )

@@ -211,7 +211,7 @@ def test_masked_spgemm_only_produces_entries_inside_mask():
     # mask: a subset of the true output pattern plus some never-produced spots
     rng = np.random.default_rng(19)
     keep = rng.random(full.nnz) < 0.5
-    mask = COOMatrix(full.shape, full.rows[keep], full.cols[keep], full.values[keep], MIN_PLUS)
+    mask = (full.rows[keep], full.cols[keep])
     masked, bloom = spgemm_local_masked(
         CSRMatrix.from_dense(a, MIN_PLUS),
         CSRMatrix.from_dense(b, MIN_PLUS),
@@ -220,7 +220,7 @@ def test_masked_spgemm_only_produces_entries_inside_mask():
     )
     assert bloom is not None
     allowed = np.zeros(full.shape, dtype=bool)
-    allowed[mask.rows, mask.cols] = True
+    allowed[mask] = True
     assert allowed[masked.rows, masked.cols].all()
     # every masked position that has contributions must be produced with the
     # same value as the unmasked product
@@ -230,7 +230,8 @@ def test_masked_spgemm_only_produces_entries_inside_mask():
 def test_masked_spgemm_empty_mask_gives_empty_result():
     a, b = _dense_pair(PLUS_TIMES, 23)
     masked, _ = spgemm_local_masked(
-        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, COOMatrix.empty((14, 9))
+        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES,
+        (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
     )
     assert masked.nnz == 0
 
@@ -238,11 +239,12 @@ def test_masked_spgemm_empty_mask_gives_empty_result():
 def test_masked_spgemm_agrees_with_spa_oracle():
     a, b = _dense_pair(PLUS_TIMES, 29)
     full, _ = spgemm_local(CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES)
+    pattern = (full.rows, full.cols)
     masked, _ = spgemm_local_masked(
-        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, full
+        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, pattern
     )
     spa = spgemm_rowwise_spa(
-        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, mask=full
+        CSRMatrix.from_dense(a), CSRMatrix.from_dense(b), PLUS_TIMES, mask=pattern
     )
     assert np.allclose(masked.to_dense(), spa.to_dense())
     # with the full pattern as mask, the masked product equals the product

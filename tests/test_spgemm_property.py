@@ -231,12 +231,18 @@ def _coo(shape, cells, semiring) -> COOMatrix:
     )
 
 
+def _pattern(block) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(rows, cols)`` pattern of a sparse block, as a mask."""
+    coo = block.to_coo()
+    return coo.rows, coo.cols
+
+
 def _per_row_reference(a, b, semiring, *, compute_bloom, inner_offset, mask=None):
     """Gustavson row by row: the definition of every output entry's fold order.
 
     Row ``i``'s terms are formed ``k`` by ``k`` in the left row's native
-    order, each ``B`` row in its native order; the mask (a pattern block)
-    drops whole rows first and then single terms.  One stable argsort by
+    order, each ``B`` row in its native order; the mask (a ``(rows, cols)``
+    pattern) drops whole rows first and then single terms.  One stable argsort by
     column groups the row's terms, and ``add_reduceat`` /
     ``bitwise_or.reduceat`` fold each group in that order.  Returns
     ``(C, F or None, counters)`` with the counters the kernel reports.
@@ -245,7 +251,7 @@ def _per_row_reference(a, b, semiring, *, compute_bloom, inner_offset, mask=None
     allowed = None
     if mask is not None:
         allowed = {}
-        for i, j in zip(mask.rows.tolist(), mask.cols.tolist()):
+        for i, j in zip(mask[0].tolist(), mask[1].tolist()):
             allowed.setdefault(i, []).append(j)
     fa, fb = a.flat_rows(), b.flat_rows()
     b_segment = {k: t for t, k in enumerate(fb.row_ids.tolist())}
@@ -323,7 +329,7 @@ def test_esc_matches_per_row_reference_byte_for_byte(
     semiring = get_semiring(semiring_name)
     a = _in_layout(layouts[0], _coo((n, k), a_cells, semiring), a_churn)
     b = _in_layout(layouts[1], _coo((k, m), b_cells, semiring), b_churn)
-    mask = _coo((n, m), mask_cells, semiring) if masked else None
+    mask = _pattern(_coo((n, m), mask_cells, semiring)) if masked else None
     kwargs = dict(compute_bloom=compute_bloom, inner_offset=inner_offset)
     if masked:
         (coo, bloom), rec = _recorded(spgemm_local_masked, a, b, semiring, mask, **kwargs)
@@ -423,9 +429,10 @@ class TestAdversarialOperandsByteIdentical:
             mask = _adversarial(semiring, seed + 99, "empty_rows", (12, 9))
             kwargs = dict(compute_bloom=True, inner_offset=seed)
             (coo, bloom), rec = _recorded(
-                spgemm_local_masked, a, b, semiring, CSRMatrix.from_coo(mask), **kwargs
+                spgemm_local_masked, a, b, semiring,
+                _pattern(CSRMatrix.from_coo(mask)), **kwargs,
             )
-            want = _per_row_reference(a, b, semiring, mask=mask, **kwargs)
+            want = _per_row_reference(a, b, semiring, mask=_pattern(mask), **kwargs)
             what = f"masked/{semiring_name}/{layout}/{seed}"
             _assert_bytes((coo, bloom, _spgemm_counts(rec)), want, what)
 
@@ -437,7 +444,6 @@ def _reference_esc(calls: list, a, b, semiring, *, compute_bloom, inner_offset, 
     """:func:`_per_row_reference` behind the ESC kernel's private signature."""
     calls.append("masked" if mask is not None else "plain")
     kwargs = dict(compute_bloom=compute_bloom, inner_offset=inner_offset)
-    mask = None if mask is None else mask.to_coo()
     coo, bloom, counts = _per_row_reference(a, b, semiring, mask=mask, **kwargs)
     prefix = "spgemm." if mask is None else "spgemm.masked_"
     return coo, bloom, counts[prefix + "terms"], counts[prefix + "rows"]
@@ -555,7 +561,7 @@ class TestPrunedKernelsByteIdentical:
         semiring = get_semiring(semiring_name)
         a = _in_layout(layouts[0], _coo((n, k), a_cells, semiring), a_churn)
         b = _in_layout(layouts[1], _coo((k, m), b_cells, semiring), b_churn)
-        mask = CSRMatrix.from_coo(_coo((n, m), mask_cells, semiring))
+        mask = _pattern(CSRMatrix.from_coo(_coo((n, m), mask_cells, semiring)))
         a_whole, b_whole = _whole_csr(a, semiring), _whole_csr(b, semiring)
         what = f"{layouts}/{semiring_name}/bloom={compute_bloom}"
         kwargs = dict(compute_bloom=compute_bloom, inner_offset=inner_offset)
