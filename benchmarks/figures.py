@@ -87,7 +87,6 @@ class Context:
     profile: BenchProfile
     seed: int
     backends: tuple[str, ...]
-    layouts: tuple[str, ...]
     #: the values of the figure's variant axis (empty: no axis)
     variants: tuple[str, ...] = ()
 
@@ -116,7 +115,6 @@ class Cell:
 
     run: Callable[[], "Recorded | Sample"]
     backend: str
-    layout: str
     #: the variant-free scenario tag (``None``: the run carries no tag)
     tag: str | None = None
     #: the variant this cell measures (``None``: not on the variant axis)
@@ -135,19 +133,18 @@ class MissingCell(LookupError):
 class Cells:
     """The measured ``runs[]`` entries a claim reads, by ``(tag, variant)``.
 
-    Only the cells on the claim's backend and layout are visible (``None``
-    filters nothing), so every ``(tag, variant)`` names one run.
+    Only the cells on the claim's backend are visible (``None`` filters
+    nothing), so every ``(tag, variant)`` names one run.
     """
 
     def __init__(
         self,
         measured: Sequence[tuple[Cell, dict[str, Any]]],
         backend: str | None,
-        layout: str | None,
     ) -> None:
         self._runs: dict[tuple[str | None, str | None], dict[str, Any]] = {}
         for cell, run in measured:
-            if backend in (None, cell.backend) and layout in (None, cell.layout):
+            if backend in (None, cell.backend):
                 if self._runs.setdefault((cell.tag, cell.variant), run) is not run:
                     raise ValueError(f"two runs of cell {cell.tag!r}:{cell.variant!r}")
 
@@ -186,18 +183,15 @@ class Claim:
     #: the ``--backends`` entry the claim's cells need (``None``: the figure
     #: pins its cells' backend)
     backend: str | None = "sim"
-    #: the ``--layouts`` entry they need (``None``: the cells have no choice)
-    layout: str | None = None
 
     def record(
         self, ctx: Context, measured: Sequence[tuple[Cell, dict[str, Any]]]
     ) -> dict[str, Any]:
         """The document's ``claims[]`` entry of this claim."""
         entry = {"name": self.name, "paper": self.paper, "kind": self.kind}
-        backend_measured = self.backend in (None, *ctx.backends)
-        if not (backend_measured and self.layout in (None, *ctx.layouts)):
+        if self.backend not in (None, *ctx.backends):
             return {**entry, "status": "not measured"}
-        value, holds = self.test(Cells(measured, self.backend, self.layout))
+        value, holds = self.test(Cells(measured, self.backend))
         return {**entry, "status": "holds" if holds else "fails", "value": float(value)}
 
 
@@ -254,7 +248,6 @@ def _replay_cell(
     n_ranks: int,
     machine: MachineModel,
     tag: str | None = None,
-    layout: str = "csr",
     variant: str | None = None,
     executor_factory: Callable | None = None,
     breakdown: tuple[str, ...] = (),
@@ -272,7 +265,6 @@ def _replay_cell(
         result = replay(
             scenario,
             comm=comm,
-            layout=layout,
             executor_factory=executor_factory,
             check_snapshots=False,
             collect_final=False,
@@ -281,14 +273,13 @@ def _replay_cell(
             perf_count(f"breakdown.{category}.seconds", spent)
         return result.trimmed_mean_step_seconds(), result.comm_stats
 
-    return Cell(run, backend, layout, tag, variant)
+    return Cell(run, backend, tag, variant)
 
 
 def _scenario_plan(
     build: Callable[[BenchProfile, int], Scenarios],
     machine: str,
     *,
-    sweep_layouts: bool = False,
     breakdown: tuple[str, ...] = (),
 ) -> Callable[[Context], Plan]:
     """Plan of a figure whose every cell replays one scenario.
@@ -298,10 +289,8 @@ def _scenario_plan(
     (``spgemm_machine`` is the paper-regime calibration).  Each scenario is
     replayed once per selected variant (:data:`COMPETITORS` maps the
     variant axis to executor factories; a figure without an axis replays
-    natively), per
-    ``--backends`` entry and — ``sweep_layouts``, for the figures with a
-    static right operand — per ``--layouts`` entry; the simulated
-    frameworks have neither choice.
+    natively) and per ``--backends`` entry; the simulated frameworks have
+    no backend choice.
     """
 
     def plan(ctx: Context) -> Plan:
@@ -312,20 +301,18 @@ def _scenario_plan(
                 factory = COMPETITORS[variant] if variant else None
                 native = factory is None
                 for backend in ctx.backends if native else ("sim",):
-                    for layout in ctx.layouts if native and sweep_layouts else ("csr",):
-                        cells.append(
-                            _replay_cell(
-                                scenario,
-                                backend=backend,
-                                n_ranks=n_ranks,
-                                machine=getattr(ctx.profile, machine),
-                                tag=tag,
-                                layout=layout,
-                                variant=variant,
-                                executor_factory=factory,
-                                breakdown=breakdown,
-                            )
+                    cells.append(
+                        _replay_cell(
+                            scenario,
+                            backend=backend,
+                            n_ranks=n_ranks,
+                            machine=getattr(ctx.profile, machine),
+                            tag=tag,
+                            variant=variant,
+                            executor_factory=factory,
+                            breakdown=breakdown,
                         )
+                    )
         return cells, lambda: {
             "fingerprints": {
                 tag: scenario_fingerprint(scenario)
@@ -656,7 +643,7 @@ def _ablation_summa_crossover_plan(ctx: Context) -> Plan:
             # everything ``comm`` recorded, merged over the world
             return timer.seconds, global_stats_diff(comm, CommStats()).as_dict()
 
-        return Cell(run, backend, "csr", f"f{fraction}", algorithm)
+        return Cell(run, backend, f"f{fraction}", algorithm)
 
     cells = [
         cell(fraction, algorithm, backend)
@@ -686,7 +673,7 @@ SERVICE_QUERIES = 4
 
 def _service(flush_size: int) -> GraphService:
     config = ServiceConfig(
-        replay=ReplayOptions(n_ranks=SERVICE_RANKS, layout="csr"),
+        replay=ReplayOptions(n_ranks=SERVICE_RANKS),
         flush_max_requests=flush_size,
     )
     return GraphService(backend="sim", config=config)
@@ -743,7 +730,7 @@ def _service_plan(ctx: Context) -> Plan:
             }
             return Sample([elapsed], counters, comm)
 
-        return Cell(run, "sim", "csr", "ingest", flush_size)
+        return Cell(run, "sim", "ingest", flush_size)
 
     def query() -> Sample:
         per_query = []
@@ -785,10 +772,10 @@ def _service_plan(ctx: Context) -> Plan:
             }
             return Sample([elapsed], counters, comm)
 
-        return Cell(run, "sim", "csr", f"tenants@{n_tenants}")
+        return Cell(run, "sim", f"tenants@{n_tenants}")
 
     cells = [ingest_cell(size) for size in ctx.variants]
-    cells.append(Cell(query, "sim", "csr", "query"))
+    cells.append(Cell(query, "sim", "query"))
     cells.extend(tenants_cell(count) for count in SERVICE_TENANT_COUNTS)
     return cells, lambda: {
         "flush_sizes": [int(size) for size in ctx.variants],
@@ -831,7 +818,7 @@ def _partition_plan(ctx: Context) -> Plan:
     def cell(world: int, partitioner: str) -> Cell:
         def program(comm_obj, _world_rank: int):
             comm = MPIBackend(n_ranks, comm=comm_obj)
-            result = replay(scenario, comm=comm, layout="csr", partitioner=partitioner)
+            result = replay(scenario, comm=comm, partitioner=partitioner)
             return result, comm.global_interprocess_comm(), comm.placement()
 
         def run() -> Sample:
@@ -864,7 +851,7 @@ def _partition_plan(ctx: Context) -> Plan:
             comm = {"messages": cross["messages"], "bytes": cross["bytes"]}
             return Sample([elapsed], counters, comm)
 
-        return Cell(run, "mpi", "csr", f"{PARTITION_SCENARIO}@w{world}", partitioner)
+        return Cell(run, "mpi", f"{PARTITION_SCENARIO}@w{world}", partitioner)
 
     cells = [cell(world, name) for world in PARTITION_WORLDS for name in ctx.variants]
     return cells, lambda: {
@@ -901,7 +888,7 @@ def _check_identical(reference, recovered, *, what: str) -> None:
 
 
 def _checkpoint_plan(ctx: Context) -> Plan:
-    """One checkpointed kill-and-recover drill per (backend, layout).
+    """One checkpointed kill-and-recover drill per backend.
 
     Counters: the ``.npz`` snapshot size, :func:`save_snapshot` /
     :func:`load_snapshot` latency, the ``recovery`` category's traffic, and
@@ -923,8 +910,8 @@ def _checkpoint_plan(ctx: Context) -> Plan:
     # instead of the shared COMM_WORLD.
     backends = ("sim",) if world_size() > 1 else ctx.backends
 
-    def cell(backend: str, layout: str) -> Cell:
-        options = dict(backend=backend, n_ranks=CHECKPOINT_RANKS, layout=layout)
+    def cell(backend: str) -> Cell:
+        options = dict(backend=backend, n_ranks=CHECKPOINT_RANKS)
 
         def run() -> Sample:
             with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp_dir:
@@ -941,7 +928,7 @@ def _checkpoint_plan(ctx: Context) -> Plan:
                     on_crash="restore",
                 )
                 elapsed = time.perf_counter() - started
-                _check_identical(reference, recovered, what=f"{backend}/{layout}")
+                _check_identical(reference, recovered, what=backend)
 
                 snapshot_path = store._path(fingerprint, 0)
                 snapshot_bytes = os.path.getsize(snapshot_path)
@@ -971,9 +958,9 @@ def _checkpoint_plan(ctx: Context) -> Plan:
             }
             return Sample([elapsed], counters, _result_comm([recovered]))
 
-        return Cell(run, backend, layout, f"{CHECKPOINT_SCENARIO}@kill{CRASH_AT}")
+        return Cell(run, backend, f"{CHECKPOINT_SCENARIO}@kill{CRASH_AT}")
 
-    cells = [cell(backend, layout) for backend in backends for layout in ctx.layouts]
+    cells = [cell(backend) for backend in backends]
     return cells, lambda: {
         "scenario": CHECKPOINT_SCENARIO,
         "checkpoint_at": CHECKPOINT_AT,
@@ -1116,7 +1103,6 @@ _INSERT_SCALING = _scenario_plan(
 _SPGEMM_SCALING = _scenario_plan(
     fig11_scenarios,
     "spgemm_machine",
-    sweep_layouts=True,
     breakdown=StatCategory.SPGEMM_BREAKDOWN,
 )
 _SYSTEMS = tuple(COMPETITORS)
@@ -1191,7 +1177,7 @@ FIGURES: dict[str, Figure] = {
         Figure(
             "fig09",
             "Algebraic dynamic SpGEMM stream (Fig. 9 protocol)",
-            _scenario_plan(fig09_scenarios, "spgemm_machine", sweep_layouts=True),
+            _scenario_plan(fig09_scenarios, "spgemm_machine"),
             variants=_SYSTEMS,
             claims=(
                 Claim(
@@ -1199,7 +1185,6 @@ FIGURES: dict[str, Figure] = {
                     "Fig. 9",
                     "simulated",
                     _fig09_seconds,
-                    layout="csr",
                 ),
                 Claim(
                     "ours moves fewer bytes than CombBLAS at the smallest batch, "
@@ -1207,7 +1192,6 @@ FIGURES: dict[str, Figure] = {
                     "Fig. 9",
                     "count",
                     _fig09_bytes,
-                    layout="csr",
                 ),
             ),
         ),
@@ -1294,8 +1278,6 @@ FIGURES: dict[str, Figure] = {
                     "checkpoint",
                     "count",
                     _restore_messages,
-                    # the csr and dhb drills share a tag
-                    layout="csr",
                 ),
             ),
         ),

@@ -19,8 +19,8 @@ Smoke run of all figures (what CI's perf-smoke job executes)::
 
 Restrict the matrix, bump the repeat count or pick a larger profile::
 
-    python benchmarks/run_suite.py --backends sim --layouts csr,dhb \
-        --figs fig04,fig09 --repeats 5 --profile default --out bench_out
+    python benchmarks/run_suite.py --backends sim --figs fig04,fig09 \
+        --repeats 5 --profile default --out bench_out
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from repro.bench.config import BenchProfile, get_profile
 from repro.perf import PerfRecorder, bench_document, bench_run_entry, use_recorder
 from repro.runtime import world_rank, world_size
 from repro.runtime.mpi_backend import load_mpi
-from repro.scenarios import REPLAY_LAYOUTS
 
 
 def measure(figure: Figure, cell: Cell, repeats: int) -> dict[str, Any]:
@@ -76,7 +75,6 @@ def measure(figure: Figure, cell: Cell, repeats: int) -> dict[str, Any]:
         comm = outs[-1].comm
     return bench_run_entry(
         backend=cell.backend,
-        layout=cell.layout,
         repeats=len(seconds),
         elapsed_seconds_median=median(seconds),
         counters=counters,
@@ -120,7 +118,6 @@ def build_document(
     *,
     profile: BenchProfile,
     backends: tuple[str, ...],
-    layouts: tuple[str, ...],
     repeats: int | None = None,
     seed: int | None = None,
 ) -> dict[str, Any]:
@@ -136,7 +133,6 @@ def build_document(
         profile=profile,
         seed=figure.seed if seed is None else seed,
         backends=backends,
-        layouts=layouts,
         variants=figure.variants,
     )
     repeats = figure.repeats if repeats is None else repeats
@@ -162,7 +158,7 @@ def build_document(
 
 def format_runs(figure: Figure, document: dict[str, Any]) -> str:
     """The runs and claims of a document, one fixed-width line each."""
-    lines = [f"{'tag':<32} {'variant':<14} {'backend':<7} {'layout':<6} {'median s':>12}"]
+    lines = [f"{'tag':<32} {'variant':<14} {'backend':<7} {'median s':>12}"]
     for run in document["runs"]:
         tag, measured = run.get("scenario", "-"), "-"
         for name in figure.variants:
@@ -170,7 +166,7 @@ def format_runs(figure: Figure, document: dict[str, Any]) -> str:
                 tag, measured = tag[: -len(figure.variant_sep + name)], name
                 break
         lines.append(
-            f"{tag:<32} {measured:<14} {run['backend']:<7} {run['layout']:<6} "
+            f"{tag:<32} {measured:<14} {run['backend']:<7} "
             f"{run['elapsed_seconds_median']:>12.6f}"
         )
     for claim in document["claims"]:
@@ -192,31 +188,20 @@ def main(argv: list[str] | None = None) -> int:
     add = parser.add_argument
     add("--figs", default=",".join(FIGURES), help="comma-separated figures (default: all)")
     add("--backends", default="sim,mpi", help="comma-separated communicator backends")
-    add(
-        "--layouts",
-        default=",".join(REPLAY_LAYOUTS),
-        help="comma-separated replay layouts of the static right operand "
-        "(default: %(default)s)",
-    )
     add("--repeats", type=int, help="measured calls per cell (default: the figure's)")
     add("--seed", type=int, help="base seed (default: the figure's)")
     add("--out", default="bench_out", help="output directory (default: %(default)s)")
     add("--profile", default="smoke", help="smoke|default|large (default: %(default)s)")
     add("--smoke", action="store_true", help="alias of --profile smoke")
     args = parser.parse_args(argv)
-    figs, layouts = _csv(args.figs), _csv(args.layouts)
+    figs = _csv(args.figs)
     try:
         for fig in figs:
             if fig not in FIGURES:
                 raise ValueError(f"unknown figure {fig!r}; known: {', '.join(FIGURES)}")
-        for layout in layouts:
-            if layout not in REPLAY_LAYOUTS:
-                raise ValueError(
-                    f"unknown layout {layout!r}; known: {', '.join(REPLAY_LAYOUTS)}"
-                )
         profile = get_profile("smoke" if args.smoke else args.profile)
     except (KeyError, ValueError) as exc:
-        # KeyError: unknown profile; ValueError: unknown figure or layout
+        # KeyError: unknown profile; ValueError: unknown figure
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     written = failed = 0
@@ -232,7 +217,6 @@ def main(argv: list[str] | None = None) -> int:
             figure,
             profile=profile,
             backends=_csv(args.backends),
-            layouts=layouts,
             repeats=args.repeats,
             seed=args.seed,
         )

@@ -60,7 +60,7 @@ class DynamicProduct:
     either
 
     * another dynamic matrix, updated through ``b_batch``;
-    * a :class:`~repro.distributed.StaticDistMatrix` in any local layout —
+    * a :class:`~repro.distributed.StaticDistMatrix` (CSR or DCSR blocks) —
       the paper's Fig. 9 setting, where only ``A`` changes; or
     * ``a`` itself (algebraic mode only), which maintains ``A²`` over a
       single adjacency: one ``a_batch`` is applied as ``C ⊕= A·A*`` against

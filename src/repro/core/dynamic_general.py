@@ -155,7 +155,7 @@ def dynamic_spgemm_general(
         compute_bloom=True,
     )
     perf_count("alg2.pattern_bytes", comm.stats.total_bytes() - sent)
-    cstar = {rank: blk.pattern() for rank, blk in fstar_blocks.items()}
+    cstar = {rank: blk.to_arrays()[:2] for rank, blk in fstar_blocks.items()}
 
     cstar_nnz = comm.host_merge(
         {rank: int(blk.nnz) for rank, blk in fstar_blocks.items()}
@@ -176,7 +176,7 @@ def dynamic_spgemm_general(
         fstar_blk = fstar_blocks[rank]
 
         def _row_or(f_blk=f_blk, fstar_blk=fstar_blk, block_rows=block_rows):
-            e = f_blk.or_with(fstar_blk).masked_by(*fstar_blk.pattern())
+            e = f_blk.or_with(fstar_blk).masked_by(*fstar_blk.to_arrays()[:2])
             rows, bits = e.reduce_rows_or()
             row_bits = np.zeros(block_rows, dtype=np.uint64)
             row_bits[rows] = bits

@@ -6,10 +6,10 @@ Two flavours, mirroring Section IV of the paper:
   matrix; updates are applied *in place* and purely locally once the update
   tuples (or a distributed update matrix) have been routed to their owners.
 * :class:`StaticDistMatrix` — every rank stores a block that is not updated
-  in place, built in one layout of :data:`STATIC_LAYOUTS` (CSR, DCSR or
-  DHB); used for the right-hand operand of SpGEMM, for update matrices
-  (DCSR, hypersparse) and by the competitor backends that rebuild static
-  storage on every batch.
+  in place, built in one layout of :data:`STATIC_LAYOUTS` (CSR or DCSR);
+  used for the right-hand operand of SpGEMM, for update matrices (DCSR,
+  hypersparse) and by the competitor backends that rebuild static storage
+  on every batch.
 
 Both classes live on the orchestration runtime and follow its
 partial-mapping contract: ``blocks`` holds the local block of every rank
@@ -53,10 +53,6 @@ TupleArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 STATIC_LAYOUTS: dict[str, tuple[type, Callable[[COOMatrix], object]]] = {
     "csr": (CSRMatrix, lambda coo: CSRMatrix.from_coo(coo, dedup=False)),
     "dcsr": (DCSRMatrix, lambda coo: DCSRMatrix.from_coo(coo, dedup=False)),
-    "dhb": (
-        DHBMatrix,
-        lambda coo: DHBMatrix.from_coo(coo.sort(), combine_duplicates=False),
-    ),
 }
 
 
@@ -506,8 +502,10 @@ class StaticDistMatrix(DistMatrixBase):
 
     # ------------------------------------------------------------------
     def to_dynamic(self) -> DynamicDistMatrix:
-        _, build = static_layout("dhb")
-        blocks = {rank: build(block.to_coo()) for rank, block in self.blocks.items()}
+        blocks = {
+            rank: DHBMatrix.from_coo(block.to_coo().sort(), combine_duplicates=False)
+            for rank, block in self.blocks.items()
+        }
         return DynamicDistMatrix(self.comm, self.grid, self.dist, self.semiring, blocks)
 
     def copy(self) -> "StaticDistMatrix":

@@ -52,9 +52,9 @@ DEFAULT_MIN_SECONDS = 5e-4
 
 @dataclass
 class Regression:
-    """One regressed metric of one ``backend × layout`` run."""
+    """One regressed metric of one run."""
 
-    #: run identifier, e.g. ``"sim/csr"``
+    #: run identifier, e.g. ``"sim"`` or ``"sim/<scenario>"``
     run: str
     #: metric name, e.g. ``"elapsed_seconds_median"`` or ``"comm.bytes"``
     metric: str
@@ -96,12 +96,11 @@ def _run_key(run: Mapping[str, Any]) -> str:
     """Identity of one run within a document's ``runs[]`` series.
 
     Scenario-tagged runs (a figure measures many tagged cells on one
-    backend and layout) include the tag, so same-layout runs of different
-    scenarios never collapse onto one key.
+    backend) include the tag, so same-backend runs of different scenarios
+    never collapse onto one key.
     """
-    key = f"{run['backend']}/{run['layout']}"
     scenario = run.get("scenario")
-    return f"{key}/{scenario}" if scenario else key
+    return f"{run['backend']}/{scenario}" if scenario else str(run["backend"])
 
 
 def compare_documents(

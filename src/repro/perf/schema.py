@@ -28,19 +28,18 @@ __all__ = [
     "validate_bench",
 ]
 
-#: Version stamped into every document; bump on incompatible layout changes.
-BENCH_SCHEMA_VERSION = 4
+#: Version stamped into every document; bump on incompatible schema changes.
+BENCH_SCHEMA_VERSION = 5
 
 _NUMBER = {"type": "number"}
 _STRING = {"type": "string"}
 _COUNT = {"type": "number", "minimum": 0}
 
-#: Schema of one ``runs[]`` entry: a single ``backend × layout`` series.
+#: Schema of one ``runs[]`` entry: a single backend's series.
 _RUN_SCHEMA: dict[str, Any] = {
     "type": "object",
     "required": [
         "backend",
-        "layout",
         "repeats",
         "elapsed_seconds_median",
         "counters",
@@ -48,7 +47,6 @@ _RUN_SCHEMA: dict[str, Any] = {
     ],
     "properties": {
         "backend": _STRING,
-        "layout": _STRING,
         "repeats": {"type": "integer", "minimum": 1},
         "elapsed_seconds_median": _COUNT,
         "counters": {"type": "object", "additionalProperties": _NUMBER},
@@ -196,7 +194,6 @@ def git_sha(default: str = "unknown", *, repo_dir: str | None = None) -> str:
 def bench_run_entry(
     *,
     backend: str,
-    layout: str,
     repeats: int,
     elapsed_seconds_median: float,
     counters: Mapping[str, float],
@@ -206,7 +203,6 @@ def bench_run_entry(
     """One ``runs[]`` entry of a BENCH document."""
     entry: dict[str, Any] = {
         "backend": backend,
-        "layout": layout,
         "repeats": int(repeats),
         "elapsed_seconds_median": float(elapsed_seconds_median),
         "counters": {k: float(v) for k, v in counters.items()},

@@ -38,11 +38,10 @@ Module map
                 shared with the service config (the cold-replay oracle
                 runs under exactly the tenant's options).
 ``replay``      :func:`replay` — run any scenario on any communicator
-                backend, rank count and layout of the static right
-                operand (``REPLAY_LAYOUTS``: ``csr``, ``dhb``),
-                with fault injection (``faults=``, whose ``kill@k``
-                clause is the one way to crash a replay) and
-                raise-or-restore crash recovery (``on_crash=``).
+                backend and rank count, with fault injection
+                (``faults=``, whose ``kill@k`` clause is the one way to
+                crash a replay) and raise-or-restore crash recovery
+                (``on_crash=``).
 ``checkpoint``  Durable snapshots and the drill helpers:
                 :func:`build_snapshot` / :func:`restore_state` (called
                 only by ``ScenarioEngine.begin(resume=)``),
@@ -57,7 +56,7 @@ A scenario materialises all randomness at generation time (per-step tuples
 plus explicit partition seeds derived via ``SeedSequence``), so one trace
 replays bit-for-bit on the ``sim`` and ``mpi`` backends — the property the
 cross-backend differential suite (``tests/test_scenarios_differential.py``)
-asserts for every library scenario, both replay layouts and both backends.
+asserts for every library scenario on both backends.
 """
 
 from repro.scenarios.model import (
@@ -97,7 +96,6 @@ from repro.scenarios.generators import (
 from repro.scenarios.engine import ScenarioEngine
 from repro.scenarios.options import ReplayOptions
 from repro.scenarios.replay import (
-    REPLAY_LAYOUTS,
     CompetitorExecutor,
     NativeExecutor,
     ScenarioCheckError,
@@ -148,7 +146,6 @@ __all__ = [
     "oscillating_insert_delete",
     "dhb_bucket_collision_stream",
     "CheckpointStep",
-    "REPLAY_LAYOUTS",
     "replay",
     "ReplayOptions",
     "ScenarioEngine",

@@ -21,7 +21,7 @@ ships blocks back into the (rebuilt) world: that traffic is charged to the
 ``recovery`` category only, keeping every other category byte-identical.
 A snapshot re-enters a world one way only: ``ScenarioEngine.begin(resume=)``
 (reached through ``replay(resume_from=)`` and ``on_crash="restore"``),
-which refuses a snapshot of another trace or layout before it calls
+which refuses a snapshot of another trace before it calls
 :func:`restore_state`.
 
 The module also provides the snapshot *file* format (versioned,
@@ -73,14 +73,13 @@ __all__ = [
 ]
 
 #: Version stamp of the snapshot schema; bumped on incompatible changes.
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 _REQUIRED_KEYS = (
     "version",
     "scenario",
     "fingerprint",
     "cursor",
-    "layout",
     "n_ranks",
     "world_size",
     "placement",
@@ -208,7 +207,6 @@ def build_snapshot(executor, *, cursor: int, progress: dict[str, Any]) -> dict[s
         "scenario": scenario.name,
         "fingerprint": scenario_fingerprint(scenario),
         "cursor": int(cursor),
-        "layout": executor.layout,
         "n_ranks": int(executor.grid.n_ranks),
         "world_size": int(getattr(comm, "world_size", 1)),
         "placement": (

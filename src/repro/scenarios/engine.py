@@ -165,7 +165,6 @@ class ScenarioEngine:
         scenario: Scenario,
         comm: Communicator,
         *,
-        layout: str = "csr",
         partitioner: "str | Partitioner | None" = None,
         executor_factory: Callable | None = None,
         check_snapshots: bool = True,
@@ -176,7 +175,6 @@ class ScenarioEngine:
         self.scenario = scenario
         self.comm = comm
         self.backend_name = backend_name_of(comm)
-        self.layout = layout
         self.check_snapshots = check_snapshots
         self.store = store
         self.injector = injector
@@ -188,7 +186,7 @@ class ScenarioEngine:
         # Placement must be agreed before any per-rank state is materialised.
         install_placement(comm, scenario, self.grid, partitioner)
         factory = executor_factory or NativeExecutor
-        self.executor = factory(comm, self.grid, scenario, layout=layout)
+        self.executor = factory(comm, self.grid, scenario)
 
         self.step_stats: list[StepStats] = []
         self.app_results: list[AppQueryResult] = []
@@ -213,7 +211,7 @@ class ScenarioEngine:
         traffic charged to the ``recovery`` category) and stitches the
         snapshot's progress prefix onto the accumulators, so the eventual
         result covers the whole trace.  This is the one way a snapshot
-        re-enters a world: one of another trace or layout is refused.
+        re-enters a world: one of another trace is refused.
         """
         from repro.scenarios.checkpoint import (
             SnapshotFormatError,
@@ -234,11 +232,6 @@ class ScenarioEngine:
                     f"snapshot fingerprint {resume['fingerprint']} does not match "
                     f"scenario {scenario.name!r} ({fingerprint}); refusing to "
                     "continue a different trace"
-                )
-            if resume["layout"] != self.layout:
-                raise SnapshotFormatError(
-                    f"snapshot was taken with layout {resume['layout']!r}; "
-                    f"resuming with {self.layout!r} would diverge"
                 )
             progress = resume["progress"]
             self.cursor = int(resume["cursor"])
@@ -445,7 +438,6 @@ class ScenarioEngine:
             scenario=self.scenario.name,
             backend=self.backend_name,
             n_ranks=self.n_ranks,
-            layout=self.layout,
             semiring_name=self.scenario.semiring_name,
             steps=progress["step_stats"],
             final_a=final_a,

@@ -8,7 +8,7 @@ application of steps to an *executor*:
   take a plain step's routed tuples in place, hypersparse update matrices
   and Algorithm 1 / 2 for :class:`~repro.scenarios.model.SpGEMMStep`
   steps, with the static right-hand operand of an Algorithm 1 replay built
-  in one of the two :data:`REPLAY_LAYOUTS` (CSR or DHB).
+  as CSR blocks.
 * :class:`CompetitorExecutor` — wraps any backend from
   :mod:`repro.competitors` (``combblas``, ``ctf``, ``petsc``), so the
   figures can replay one scenario against every system under comparison.
@@ -49,16 +49,10 @@ from repro.scenarios.model import (
 from repro.semirings import PLUS_TIMES, Semiring
 
 __all__ = [
-    "REPLAY_LAYOUTS",
     "ScenarioCheckError",
     "NativeExecutor",
     "CompetitorExecutor",
 ]
-
-#: Layouts of the static right operand ``B`` a scenario can be replayed
-#: against (the differential harness sweeps both).
-REPLAY_LAYOUTS = ("csr", "dhb")
-
 
 class ScenarioCheckError(RuntimeError):
     """A :class:`SnapshotCheck` assertion failed during replay."""
@@ -86,17 +80,10 @@ class NativeExecutor:
         comm: Communicator,
         grid: ProcessGrid,
         scenario: Scenario,
-        *,
-        layout: str = "csr",
     ) -> None:
-        if layout not in REPLAY_LAYOUTS:
-            raise ValueError(
-                f"unknown replay layout {layout!r} (use one of {REPLAY_LAYOUTS})"
-            )
         self.comm = comm
         self.grid = grid
         self.scenario = scenario
-        self.layout = layout
         self.semiring: Semiring = scenario.semiring
         self.a: DynamicDistMatrix | None = None
         #: the maintained product (None in pure-update scenarios)
@@ -201,7 +188,7 @@ class NativeExecutor:
             )
         else:
             b = StaticDistMatrix.from_tuples(
-                comm, grid, shape, self._b_per_rank, self.semiring, layout=self.layout
+                comm, grid, shape, self._b_per_rank, self.semiring
             )
         self.product = DynamicProduct(
             comm,
@@ -400,14 +387,12 @@ class CompetitorExecutor:
         scenario: Scenario,
         *,
         backend_name: str,
-        layout: str = "csr",
     ) -> None:
         from repro.competitors import get_backend
 
         self.comm = comm
         self.grid = grid
         self.scenario = scenario
-        self.layout = layout
         self.backend_name = backend_name
         backend_cls = get_backend(backend_name)
         semiring = scenario.semiring if backend_cls.supports_semirings else PLUS_TIMES
@@ -419,10 +404,8 @@ class CompetitorExecutor:
     def factory(cls, backend_name: str) -> Callable:
         """An ``executor_factory`` for :func:`replay` bound to a backend."""
 
-        def make(comm, grid, scenario, *, layout="csr"):
-            return cls(
-                comm, grid, scenario, layout=layout, backend_name=backend_name
-            )
+        def make(comm, grid, scenario):
+            return cls(comm, grid, scenario, backend_name=backend_name)
 
         return make
 

@@ -584,7 +584,7 @@ class AppQueryResult:
     ``payload`` is an ``int`` for triangle counts and a
     :data:`TupleArrays` triple for shortest-path distances and contracted
     graphs — byte-comparable forms the differential harness asserts are
-    identical across backends, layouts and world sizes.
+    identical across backends and world sizes.
     """
 
     index: int
@@ -606,7 +606,6 @@ class ScenarioResult:
     scenario: str
     backend: str
     n_ranks: int
-    layout: str
     semiring_name: str
     steps: list[StepStats]
     #: canonical (sorted) final tuples of the maintained matrix ``A``
@@ -683,7 +682,6 @@ class ScenarioResult:
             "scenario": self.scenario,
             "backend": self.backend,
             "n_ranks": self.n_ranks,
-            "layout": self.layout,
             "semiring": self.semiring_name,
             "final_nnz": int(self.final_a[0].size),
             "final_c_nnz": (

@@ -5,7 +5,7 @@
 shared and overridden:
 
 * ``replay(scenario, options=opts)`` runs with the bundled configuration;
-* ``replay(scenario, layout="dhb", partitioner="nnz_aware")`` sets fields
+* ``replay(scenario, n_ranks=4, partitioner="nnz_aware")`` sets fields
   by keyword (over ``options`` when both are given) — a keyword that is not
   a field raises ``TypeError``;
 * the always-on service embeds the same object in its
@@ -36,7 +36,6 @@ class ReplayOptions:
     backend: str | None = None
     n_ranks: int = 16
     machine: MachineModel | None = None
-    layout: str = "csr"
     partitioner: "str | Partitioner | None" = None
     executor_factory: Callable | None = None
     check_snapshots: bool = True

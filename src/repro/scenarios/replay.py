@@ -1,8 +1,8 @@
 """Replay driver: run a :class:`~repro.scenarios.model.Scenario` anywhere.
 
 :func:`replay` executes a scenario against any registered communicator
-backend (``sim``, ``mpi``, …), any rank count and either replay layout of
-the static right operand, and returns a structured :class:`~repro.scenarios.model.ScenarioResult`.
+backend (``sim``, ``mpi``, …) and any rank count, and returns a structured
+:class:`~repro.scenarios.model.ScenarioResult`.
 It is a thin driver: communicator resolution, fault arming and the
 crash/recovery loop live here, while the actual step application is the
 shared :class:`~repro.scenarios.engine.ScenarioEngine` (also driven,
@@ -10,8 +10,8 @@ incrementally, by the always-on :class:`repro.service.GraphService`) and
 the per-step semantics live in the executors
 (:mod:`repro.scenarios.executors`):
 
-* :class:`NativeExecutor` — the paper's own machinery (both replay
-  layouts, Algorithm 1 / 2, app-aware on ``AppSpec`` scenarios).
+* :class:`NativeExecutor` — the paper's own machinery (Algorithm 1 / 2,
+  app-aware on ``AppSpec`` scenarios).
 * :class:`CompetitorExecutor` — wraps any :mod:`repro.competitors`
   backend; unsupported steps truncate the replay
   (``ScenarioResult.truncated_at``).
@@ -38,7 +38,6 @@ from repro.runtime.backend import Communicator
 from repro.runtime.faults import FaultInjector, FaultPlan, SimulatedCrash
 from repro.scenarios.engine import ScenarioEngine
 from repro.scenarios.executors import (
-    REPLAY_LAYOUTS,
     CompetitorExecutor,
     NativeExecutor,
     ScenarioCheckError,
@@ -47,7 +46,6 @@ from repro.scenarios.model import Scenario, ScenarioResult
 from repro.scenarios.options import ReplayOptions
 
 __all__ = [
-    "REPLAY_LAYOUTS",
     "ReplayOptions",
     "ScenarioCheckError",
     "ScenarioEngine",
@@ -85,9 +83,6 @@ def replay(
         only labels the result, and must name ``comm``'s backend.
     n_ranks, machine:
         Communicator configuration (ignored when ``comm`` is passed).
-    layout:
-        Local storage layout of the static right-hand operand, one of
-        :data:`REPLAY_LAYOUTS` (``"csr"`` or ``"dhb"``).
     partitioner:
         Logical-rank→process placement strategy (a name or a
         :class:`~repro.runtime.partitioner.Partitioner`); ``None`` leaves
@@ -98,7 +93,7 @@ def replay(
         a scenario prefix.  A resume on the snapshot's world size
         re-installs the snapshot's placement over this one.
     executor_factory:
-        ``(comm, grid, scenario, *, layout) -> executor``; defaults to
+        ``(comm, grid, scenario) -> executor``; defaults to
         :class:`NativeExecutor`.  Use
         ``CompetitorExecutor.factory("combblas")`` to replay against a
         benchmark backend.
@@ -121,7 +116,7 @@ def replay(
         (recovery traffic charged to the ``recovery`` category), and the
         returned result covers the *whole* trace — the snapshot's progress
         prefix stitched to the resumed suffix.  A snapshot of another
-        trace or layout raises
+        trace raises
         :class:`~repro.scenarios.checkpoint.SnapshotFormatError`; this and
         ``on_crash="restore"`` are the only ways a snapshot re-enters a
         world.
@@ -213,7 +208,6 @@ def _replay_once(
     engine = ScenarioEngine(
         scenario,
         comm,
-        layout=opts.layout,
         partitioner=opts.partitioner,
         executor_factory=opts.executor_factory,
         check_snapshots=opts.check_snapshots,

@@ -92,7 +92,7 @@ class ServiceConfig:
     ``replay`` is the shared configuration surface: the tenant's engine
     runs under it *and* :meth:`GraphTenant.replay_options` hands the very
     same bundle to the cold-replay oracle, so there is one source of truth
-    for layout, placement, executor and snapshot checking.  Fields only a
+    for placement, executor and snapshot checking.  Fields only a
     cold replay acts on (faults, resuming, crash recovery, a checkpoint
     store, ``collect_final``, a backend other than the world's) must stay
     at their defaults.  The queue knobs map onto
@@ -144,7 +144,6 @@ class GraphTenant:
         self._engine = ScenarioEngine(
             log,
             comm,
-            layout=opts.layout,
             partitioner=opts.partitioner,
             executor_factory=opts.executor_factory,
             check_snapshots=opts.check_snapshots,

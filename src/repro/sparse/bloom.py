@@ -18,7 +18,7 @@ OR is a concatenation folded by one ``bitwise_or.reduceat``, masking is one
 its coordinates, so the sparse reduce-scatter ships its bits beside the
 values (:func:`repro.core.collectives.bloom_reduce_to_root`) rather than as
 a filter of its own.  ``F*``'s coordinates are the pattern of ``C*``, the
-only part of ``C*`` Algorithm 2 reads (:meth:`BloomFilterMatrix.pattern`).
+only part of ``C*`` Algorithm 2 reads (:meth:`BloomFilterMatrix.to_arrays`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class BloomFilterMatrix:
     Supports the operations the general-update algorithm needs: bitwise-OR
     accumulation (``⊕`` in Algorithm 2), masking by an output pattern and
     dropping one, and row-wise OR reduction.  The arrays are never written
-    in place, so pieces and copies may share them.
+    in place, only rebound, so pieces, copies and readers may share them.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -131,10 +131,6 @@ class BloomFilterMatrix:
         # (row, col, bits) as three 8-byte words per entry
         return 24 * self.nnz
 
-    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(rows, cols)`` coordinates, sorted by (row, col) (shared, not copies)."""
-        return self._rows, self._cols
-
     def _keys(self) -> np.ndarray:
         return self._rows * self.shape[1] + self._cols
 
@@ -208,8 +204,12 @@ class BloomFilterMatrix:
         return self._take(slice(None))
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, bits)`` arrays sorted by (row, col) (copies)."""
-        return self._rows.copy(), self._cols.copy(), self._bits.copy()
+        """``(rows, cols, bits)`` sorted by (row, col): the filter's own arrays.
+
+        Shared, not copied — a later update rebinds the filter's arrays and
+        leaves these as they were; callers must not write into them.
+        """
+        return self._rows, self._cols, self._bits
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilterMatrix):

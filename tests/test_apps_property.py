@@ -7,8 +7,7 @@ Three groups, mirroring the SpGEMM property suite's oracle style:
   :func:`count_triangles_reference` after every batch, and
   :class:`DynamicMultiSourceShortestPaths` must equal the NetworkX Dijkstra
   reference (and, bit-for-bit, the dense min-plus reference) after every
-  round — replayed through the scenario engine across all four local
-  layouts.
+  round.
 * **Edge cases** — empty graphs, self-loops, duplicate edges within one
   batch, deleting absent edges and contraction with empty clusters, for
   each app entry point.
@@ -38,12 +37,7 @@ from repro.distributed import DynamicDistMatrix, UpdateBatch
 from repro.graphs import erdos_renyi_edges
 from repro.runtime import MPIBackend
 from repro.runtime.loopback import run_spmd
-from repro.scenarios import (
-    REPLAY_LAYOUTS,
-    road_churn_sssp,
-    replay,
-    social_triangle_stream,
-)
+from repro.scenarios import road_churn_sssp, replay
 
 N_RANKS = 4
 
@@ -131,23 +125,6 @@ def test_sssp_tracks_references_over_random_churn(seed):
             np.nan_to_num(sssp_reference(n, er, ec, ew, sources), posinf=1e18),
             rtol=1e-9,
         )
-
-
-@pytest.mark.parametrize("layout", REPLAY_LAYOUTS)
-def test_app_scenarios_replay_identically_across_layouts(layout):
-    """The app executor's query payloads do not depend on the layout knob."""
-    for scenario_fn in (social_triangle_stream, road_churn_sssp):
-        scenario = scenario_fn(seed=7)
-        result = replay(scenario, backend="sim", n_ranks=N_RANKS, layout=layout)
-        reference = replay(scenario, backend="sim", n_ranks=N_RANKS, layout="csr")
-        assert result.truncated_at is None
-        assert len(result.app_results) == len(reference.app_results) > 0
-        for got, want in zip(result.app_results, reference.app_results):
-            if isinstance(want.payload, tuple):
-                for g, w in zip(got.payload, want.payload):
-                    assert np.array_equal(g, w)
-            else:
-                assert got.payload == want.payload
 
 
 def test_triangle_scenarios_reject_non_insert_steps_at_construction():

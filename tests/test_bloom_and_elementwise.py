@@ -95,6 +95,24 @@ class TestBloomFilterMatrix:
         assert bloom == bloom.copy()
         assert bloom != BloomFilterMatrix((3, 3))
 
+    def test_to_arrays_shares_storage_that_updates_never_write(self):
+        """``to_arrays`` hands out the filter's own arrays, not copies; every
+        update rebinds them, so arrays taken earlier keep their content."""
+        bloom = BloomFilterMatrix.from_entries(
+            (4, 4), [(0, 1, 0b01), (1, 2, 0b10), (3, 3, 0b100)]
+        )
+        taken = bloom.to_arrays()
+        assert all(a is b for a, b in zip(taken, bloom.to_arrays()))
+        frozen = [a.copy() for a in taken]
+        other = BloomFilterMatrix.from_entries((4, 4), [(0, 1, 0b1000), (2, 0, 1)])
+        bloom.or_with(other)
+        bloom.or_inplace(other)
+        assert bloom.get(0, 1) == 0b1001 and bloom.get(2, 0) == 1
+        bloom.drop_pattern(np.array([1, 3]), np.array([2, 3]))
+        assert bloom.nnz == 2
+        for a, b in zip(taken, frozen):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+
     def test_from_arrays_round_trip(self):
         rows = np.array([0, 1])
         cols = np.array([1, 2])

@@ -8,8 +8,8 @@ Covers the serialisation layer the fault drills rest on:
   DHB adjacency order, per-row capacities, grow counters and hash-index
   content (the state a canonicalising codec would silently discard);
 * snapshot build / save / load round trips, version and schema rejection,
-  resume-fingerprint and layout validation, and the store keyed by trace
-  fingerprint and process;
+  resume-fingerprint validation, and the store keyed by trace fingerprint
+  and process;
 * the ``REPRO_FAULTS`` grammar and the determinism contract of the fault
   injector (same spec + seed → identical kill points and identical
   discrete recovery traffic);
@@ -297,8 +297,30 @@ def _deep_equal(a, b) -> bool:
     return a == b
 
 
-def _drill_trace() -> S.Scenario:
-    return S.with_checkpoint(S.grow_from_empty(seed=SEED), at=3)
+def _drill_trace(generator_name: str = "grow_from_empty") -> S.Scenario:
+    return S.with_checkpoint(S.SCENARIO_GENERATORS[generator_name](seed=SEED), at=3)
+
+
+#: durable-resume drills: plain updates, Algorithm 1 over a static B, and
+#: Algorithm 2 with the SSSP application
+DURABLE_DRILLS = ("grow_from_empty", "mixed_update_multiply", "road_churn_sssp")
+
+
+def _assert_final_state_identical(reference, resumed) -> None:
+    for a, b in zip(reference.final_a, resumed.final_a):
+        assert np.array_equal(a, b)
+    assert (reference.final_c is None) == (resumed.final_c is None)
+    if reference.final_c is not None:
+        for a, b in zip(reference.final_c, resumed.final_c):
+            assert np.array_equal(a, b)
+    assert len(reference.app_results) == len(resumed.app_results)
+    for want, got in zip(reference.app_results, resumed.app_results):
+        assert (want.kind, want.label) == (got.kind, got.label)
+        if isinstance(want.payload, tuple):
+            for a, b in zip(want.payload, got.payload):
+                assert np.array_equal(a, b)
+        else:
+            assert want.payload == got.payload
 
 
 def _drill_snapshot(store: S.CheckpointStore) -> dict:
@@ -306,16 +328,15 @@ def _drill_snapshot(store: S.CheckpointStore) -> dict:
     return store.latest(0, S.scenario_fingerprint(_drill_trace()))
 
 
-def _checkpointed_drill(tmp_path, *, layout: str = "dhb"):
+def _checkpointed_drill(tmp_path, generator_name: str = "grow_from_empty"):
     """One crashed-and-restored drill with a durable store; returns both legs."""
-    base = _drill_trace()
-    reference = S.replay(base, backend="sim", n_ranks=4, layout=layout)
+    base = _drill_trace(generator_name)
+    reference = S.replay(base, backend="sim", n_ranks=4)
     store = S.CheckpointStore(tmp_path)
     recovered = S.replay(
         base,
         backend="sim",
         n_ranks=4,
-        layout=layout,
         checkpoint_store=store,
         faults="kill@5",
         on_crash="restore",
@@ -334,20 +355,18 @@ def test_snapshot_file_round_trip(tmp_path) -> None:
     assert from_file["scenario"] == "grow_from_empty"
 
 
-@pytest.mark.parametrize("layout", S.REPLAY_LAYOUTS)
-def test_restore_from_snapshot_file_is_byte_identical(tmp_path, layout) -> None:
+@pytest.mark.parametrize("generator_name", DURABLE_DRILLS)
+def test_restore_from_snapshot_file_is_byte_identical(tmp_path, generator_name) -> None:
     """Resuming from the durable ``.npz`` matches the uninterrupted run."""
-    reference, _, store = _checkpointed_drill(tmp_path, layout=layout)
-    trace = _drill_trace()
+    reference, _, store = _checkpointed_drill(tmp_path, generator_name)
+    trace = _drill_trace(generator_name)
     resumed = S.replay(
         trace,
         backend="sim",
         n_ranks=4,
-        layout=layout,
         resume_from=store._path(S.scenario_fingerprint(trace), 0),
     )
-    for a, b in zip(reference.final_a, resumed.final_a):
-        assert np.array_equal(a, b)
+    _assert_final_state_identical(reference, resumed)
     got = dict(resumed.comm_signature())
     got.pop("recovery", None)
     assert got == dict(reference.comm_signature())
@@ -372,17 +391,20 @@ def test_load_snapshot_rejects_future_versions(tmp_path) -> None:
         S.save_snapshot(path, snapshot)
 
 
-@pytest.mark.parametrize("version", (2, 3))
+@pytest.mark.parametrize("version", (2, 3, 4))
 def test_older_snapshot_versions_are_refused(tmp_path, monkeypatch, version) -> None:
     """Version 2 stored a DHB block row object by row object (rows in
     insertion order, one grow count each); version 3 also stored the
-    applied counts, which this build derives from the step records."""
+    applied counts, which this build derives from the step records;
+    version 4 also stored the replay's layout of a static right operand,
+    which is always CSR now."""
     import repro.scenarios.checkpoint as checkpoint
 
-    assert S.SNAPSHOT_VERSION == 4
+    assert S.SNAPSHOT_VERSION == 5
     _, _, store = _checkpointed_drill(tmp_path)
     snapshot = dict(_drill_snapshot(store))
     assert "applied_counts" not in snapshot["progress"]
+    assert "layout" not in snapshot
     snapshot["version"] = version
     with pytest.raises(
         S.SnapshotFormatError, match=f"version {version} is not supported"
@@ -420,20 +442,6 @@ def test_resume_rejects_mismatched_scenarios(tmp_path) -> None:
             other,
             backend="sim",
             n_ranks=4,
-            layout="dhb",
-            resume_from=_drill_snapshot(store),
-        )
-
-
-def test_resume_rejects_another_layouts_snapshot(tmp_path) -> None:
-    """A ``csr`` snapshot never continues a ``dhb`` replay of its trace."""
-    _, _, store = _checkpointed_drill(tmp_path, layout="csr")
-    with pytest.raises(S.SnapshotFormatError, match="layout 'csr'"):
-        S.replay(
-            _drill_trace(),
-            backend="sim",
-            n_ranks=4,
-            layout="dhb",
             resume_from=_drill_snapshot(store),
         )
 
@@ -455,12 +463,14 @@ def test_store_shared_by_two_traces_keeps_both(tmp_path) -> None:
     )
 
 
-@pytest.mark.parametrize("layout", S.REPLAY_LAYOUTS)
-def test_fresh_store_resumes_a_crashed_run_byte_identically(tmp_path, layout) -> None:
+@pytest.mark.parametrize("generator_name", DURABLE_DRILLS)
+def test_fresh_store_resumes_a_crashed_run_byte_identically(
+    tmp_path, generator_name
+) -> None:
     """The two-job drill in one process: a run crashes after persisting its
     checkpoint, and a new store over the same directory resumes it."""
-    trace = _drill_trace()
-    options = dict(backend="sim", n_ranks=4, layout=layout)
+    trace = _drill_trace(generator_name)
+    options = dict(backend="sim", n_ranks=4)
     with pytest.raises(SimulatedCrash):
         S.replay(
             trace, checkpoint_store=S.CheckpointStore(tmp_path), faults="kill@5", **options
@@ -469,8 +479,7 @@ def test_fresh_store_resumes_a_crashed_run_byte_identically(tmp_path, layout) ->
     assert snapshot is not None and snapshot["cursor"] == 4
     reference = S.replay(trace, **options)
     resumed = S.replay(trace, resume_from=snapshot, **options)
-    for a, b in zip(reference.final_a, resumed.final_a):
-        assert np.array_equal(a, b)
+    _assert_final_state_identical(reference, resumed)
     got = dict(resumed.comm_signature())
     recovery = got.pop("recovery", None)
     assert recovery is not None and recovery[1] > 0
@@ -521,7 +530,6 @@ def test_fault_injection_is_deterministic() -> None:
             base,
             backend="sim",
             n_ranks=4,
-            layout="dhb",
             checkpoint_store=S.CheckpointStore(),
             faults=FaultInjector(FaultPlan.parse("kill@5")),
             on_crash="restore",
@@ -560,7 +568,7 @@ def test_construct_seed_independent_of_missing_partition_seeds() -> None:
     assert rebuilt.construct_seed == original.construct_seed
 
 
-_DHB_SIM = dict(backend="sim", n_ranks=4, layout="dhb")
+_SIM = dict(backend="sim", n_ranks=4)
 
 
 def _general_mode_drill():
@@ -574,9 +582,9 @@ def _general_mode_drill():
     base = S.with_checkpoint(dataclasses.replace(scenario, name="general_mum", steps=steps), at=3)
     store = S.CheckpointStore()
     recovered = S.replay(
-        base, checkpoint_store=store, faults="kill@4", on_crash="restore", **_DHB_SIM
+        base, checkpoint_store=store, faults="kill@4", on_crash="restore", **_SIM
     )
-    return S.replay(base, **_DHB_SIM), base, recovered, store
+    return S.replay(base, **_SIM), base, recovered, store
 
 
 def _assert_same_continuation(reference, got) -> None:
@@ -619,47 +627,22 @@ def test_snapshot_with_insertion_ordered_bloom_entries_restores() -> None:
             encoded[key] = encoded[key][order]
         assert decode_bloom(encoded) == original
     assert shuffled
-    _assert_same_continuation(reference, S.replay(trace, resume_from=snapshot, **_DHB_SIM))
+    _assert_same_continuation(reference, S.replay(trace, resume_from=snapshot, **_SIM))
 
 
 # ----------------------------------------------------------------------
-# a dhb replay's static B: built as DHB, labelled and checkpointed as DHB
+# an Algorithm 1 replay's static B: built, labelled and checkpointed as CSR
 # ----------------------------------------------------------------------
-def _algebraic_dhb_drill():
-    """Algorithm 1 ``mixed_update_multiply`` on a ``dhb`` B, checkpointed at
-    step 3 and crashed at step 4: ``(uninterrupted run, trace, store)``."""
-    base = S.with_checkpoint(S.mixed_update_multiply(seed=SEED), at=3)
-    store = S.CheckpointStore()
-    S.replay(base, checkpoint_store=store, faults="kill@4", on_crash="restore", **_DHB_SIM)
-    return S.replay(base, **_DHB_SIM), base, store
-
-
-def test_dhb_replay_builds_its_static_b_as_dhb() -> None:
-    engine = S.ScenarioEngine(
-        S.mixed_update_multiply(seed=SEED), SimMPI(4), layout="dhb"
-    ).begin()
+def test_replay_builds_its_static_b_as_csr() -> None:
+    engine = S.ScenarioEngine(S.mixed_update_multiply(seed=SEED), SimMPI(4)).begin()
     b = engine.executor.b_static
-    assert b.layout == "dhb"
-    assert b.blocks and all(type(block) is DHBMatrix for block in b.blocks.values())
+    assert b.layout == "csr"
+    assert b.blocks and all(type(block) is CSRMatrix for block in b.blocks.values())
 
 
-def test_dhb_replay_checkpoints_its_true_static_layout() -> None:
-    _reference, trace, store = _algebraic_dhb_drill()
+def test_replay_checkpoints_its_true_static_layout() -> None:
+    trace = S.with_checkpoint(S.mixed_update_multiply(seed=SEED), at=3)
+    store = S.CheckpointStore()
+    S.replay(trace, checkpoint_store=store, **_SIM)
     snapshot = store.latest(0, S.scenario_fingerprint(trace))
-    assert snapshot["state"]["product"]["b"]["static_layout"] == "dhb"
-
-
-def test_snapshot_labelling_a_dhb_b_as_csr_still_restores() -> None:
-    """Snapshots once labelled every static B ``csr``, whatever its blocks.
-
-    Such a file restores the blocks it holds, and the continuation matches
-    the uninterrupted run byte for byte.
-    """
-    reference, trace, store = _algebraic_dhb_drill()
-    snapshot = store.latest(0, S.scenario_fingerprint(trace))
-    assert snapshot["version"] == S.SNAPSHOT_VERSION == 4
-    snapshot["state"]["product"]["b"]["static_layout"] = "csr"
-    resumed = S.replay(trace, resume_from=snapshot, **_DHB_SIM)
-    for a, b in zip(reference.final_a, resumed.final_a):
-        assert np.array_equal(a, b)
-    _assert_same_continuation(reference, resumed)
+    assert snapshot["state"]["product"]["b"]["static_layout"] == "csr"

@@ -229,8 +229,7 @@ def _distributed(data) -> None:
     assert_valid(contract_graph(comm, grid, adjacency, clusters, drop_self_loops=True))
 
     scenario = _scenario(data, shape, semiring)
-    for layout in ("csr", "dhb"):
-        replay(scenario, backend="sim", n_ranks=N_RANKS, layout=layout)
+    replay(scenario, backend="sim", n_ranks=N_RANKS)
     # the competitors take PLUS_TIMES only
     plain = _scenario(data, shape, PLUS_TIMES)
     for backend_name in ("combblas", "ctf", "petsc"):

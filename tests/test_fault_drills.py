@@ -1,7 +1,7 @@
 """Kill-and-recover drill matrix: byte-identical continuation after crashes.
 
 The centrepiece of the fault-tolerance contract: for every scenario
-generator, both in-process backends and both replay layouts, a run that
+generator and both in-process backends, a run that
 is killed at a chosen step and restored from its last checkpoint must be
 **byte-identical** to the uninterrupted run — final tuples of ``A`` (and
 ``C`` where maintained), application query payloads, and per-category
@@ -11,6 +11,7 @@ communication volume, with all recovery traffic confined to the dedicated
 Kill points are parametrised over the interesting positions:
 
 * the very first step (nothing checkpointed yet → full rerun from scratch);
+* right after the checkpoint (restored with nothing to re-run);
 * mid-stream (the common case, restored from the checkpoint);
 * immediately after a dynamic-SpGEMM multiply (product + filter state);
 * on a non-default (nnz-aware or locality-aware) placement, resumed
@@ -46,6 +47,9 @@ N_RANKS = 4
 SEED = 2022
 CHECKPOINT_AT = 3
 CRASH_AT = 5
+#: kill points of the in-process crash matrix: the step right after the
+#: checkpoint (nothing to re-run) and mid-stream (one step to re-run)
+KILL_POINTS = {"after-checkpoint": CHECKPOINT_AT + 1, "mid-stream": CRASH_AT}
 BACKENDS = ("sim", "mpi")
 #: loopback world sizes for the multi-process drill leg
 WORLD_SIZES = (1, 2, 4)
@@ -67,13 +71,11 @@ def _base_trace(generator_name: str) -> S.Scenario:
     return S.with_checkpoint(_scenario(generator_name), at=CHECKPOINT_AT)
 
 
-def _replay(scenario: S.Scenario, backend: str, layout: str, **kwargs):
+def _replay(scenario: S.Scenario, backend: str, **kwargs):
     with warnings.catch_warnings():
         # the emulated-mpi backend warns once when mpi4py is absent
         warnings.simplefilter("ignore", RuntimeWarning)
-        return S.replay(
-            scenario, backend=backend, n_ranks=N_RANKS, layout=layout, **kwargs
-        )
+        return S.replay(scenario, backend=backend, n_ranks=N_RANKS, **kwargs)
 
 
 def _assert_continuation_identical(reference, recovered, *, what: str) -> None:
@@ -101,27 +103,27 @@ def _assert_continuation_identical(reference, recovered, *, what: str) -> None:
 
 @pytest.fixture(scope="module")
 def references() -> dict:
-    """Uninterrupted reference runs, computed once per (gen, backend, layout)."""
+    """Uninterrupted reference runs, computed once per (gen, backend)."""
     return {}
 
 
-def _reference(references: dict, generator_name: str, backend: str, layout: str):
-    key = (generator_name, backend, layout)
+def _reference(references: dict, generator_name: str, backend: str):
+    key = (generator_name, backend)
     if key not in references:
-        references[key] = _replay(_base_trace(generator_name), backend, layout)
+        references[key] = _replay(_base_trace(generator_name), backend)
     return references[key]
 
 
 # ----------------------------------------------------------------------
-# the in-process crash matrix: every generator × backend × layout
+# the in-process crash matrix: every generator × backend × kill point
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("layout", S.REPLAY_LAYOUTS)
+@pytest.mark.parametrize("kill_at", KILL_POINTS.values(), ids=KILL_POINTS.keys())
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("generator_name", sorted(S.SCENARIO_GENERATORS))
 def test_crash_and_restore_matches_uninterrupted_run(
-    references, generator_name, backend, layout
+    references, generator_name, backend, kill_at
 ):
-    reference = _reference(references, generator_name, backend, layout)
+    reference = _reference(references, generator_name, backend)
     executors = []
 
     def capture(*args, **kwargs):
@@ -131,9 +133,8 @@ def test_crash_and_restore_matches_uninterrupted_run(
     recovered = _replay(
         _base_trace(generator_name),
         backend,
-        layout,
         checkpoint_store=S.CheckpointStore(),
-        faults=f"kill@{CRASH_AT}",
+        faults=f"kill@{kill_at}",
         on_crash="restore",
         executor_factory=capture,
     )
@@ -147,7 +148,7 @@ def test_crash_and_restore_matches_uninterrupted_run(
     _assert_continuation_identical(
         reference,
         recovered,
-        what=f"{generator_name}/{backend}/{layout}",
+        what=f"{generator_name}/{backend}/kill@{kill_at}",
     )
     recovery = dict(recovered.comm_signature()).get("recovery")
     assert recovery is not None and recovery[1] > 0, (
@@ -162,8 +163,8 @@ def test_kill_at_first_step_retries_from_scratch(references):
     """Nothing is checkpointed yet: ``restore`` without a stored snapshot is
     a full, identical rerun."""
     scenario = _scenario("grow_from_empty")
-    reference = _replay(scenario, "sim", "dhb")
-    recovered = _replay(scenario, "sim", "dhb", faults="kill@0", on_crash="restore")
+    reference = _replay(scenario, "sim")
+    recovered = _replay(scenario, "sim", faults="kill@0", on_crash="restore")
     _assert_continuation_identical(reference, recovered, what="kill@first-step")
     # a rerun from scratch ships no snapshot blocks
     assert "recovery" not in dict(recovered.comm_signature())
@@ -174,14 +175,13 @@ def test_restore_skips_another_traces_snapshot():
     one's checkpoint, so the kill reruns this trace from scratch."""
     store = S.CheckpointStore()
     other = S.with_checkpoint(S.SCENARIO_GENERATORS["grow_from_empty"](seed=1), 2)
-    _replay(other, "sim", "csr", checkpoint_store=store)
+    _replay(other, "sim", checkpoint_store=store)
     assert store.latest(0, S.scenario_fingerprint(other)) is not None
     scenario = S.SCENARIO_GENERATORS["steady_state_churn"](seed=1)
-    reference = _replay(scenario, "sim", "csr")
+    reference = _replay(scenario, "sim")
     recovered = _replay(
         scenario,
         "sim",
-        "csr",
         checkpoint_store=store,
         faults="kill@1",
         on_crash="restore",
@@ -196,14 +196,13 @@ def test_kill_immediately_after_multiply(references):
     recompute."""
     scenario = _scenario("mixed_update_multiply")
     base = S.with_checkpoint(scenario, at=3)
-    reference = _replay(base, "sim", "dhb")
+    reference = _replay(base, "sim")
     # base steps: [SpGEMM, SpGEMM, Snap, CP, SpGEMM, SpGEMM, Snap];
     # index 5 is the step right after the post-checkpoint multiply
     assert isinstance(base.steps[4], S.SpGEMMStep)
     recovered = _replay(
         base,
         "sim",
-        "dhb",
         checkpoint_store=S.CheckpointStore(),
         faults="kill@5",
         on_crash="restore",
@@ -216,11 +215,10 @@ def test_kills_armed_by_faults_argument_recover_identically(references, crash_at
     """A ``faults="kill@k"`` plan drives the drill before the
     checkpoint (a rerun from scratch) and after it."""
     base = _base_trace("grow_from_empty")
-    reference = _reference(references, "grow_from_empty", "sim", "csr")
+    reference = _reference(references, "grow_from_empty", "sim")
     recovered = _replay(
         base,
         "sim",
-        "csr",
         checkpoint_store=S.CheckpointStore(),
         faults=f"kill@{crash_at}",
         on_crash="restore",
@@ -267,11 +265,11 @@ def test_restore_gives_up_after_eight_recoveries(references):
     replay is re-raised instead of recovered."""
     base = _base_trace("grow_from_empty")
     assert len(base.steps) > MAX_RECOVERIES
-    reference = _reference(references, "grow_from_empty", "sim", "csr")
+    reference = _reference(references, "grow_from_empty", "sim")
 
     def drill(n_kills: int):
         kills = ";".join(f"kill@{k}" for k in range(n_kills))
-        return _replay(base, "sim", "csr", faults=kills, on_crash="restore")
+        return _replay(base, "sim", faults=kills, on_crash="restore")
 
     recovered = drill(MAX_RECOVERIES)
     _assert_continuation_identical(reference, recovered, what="eight kills")
@@ -282,10 +280,10 @@ def test_restore_gives_up_after_eight_recoveries(references):
 # ----------------------------------------------------------------------
 # loopback worlds: kill the whole world, restart, resume from the store
 # ----------------------------------------------------------------------
-def _loopback_reference(scenario: S.Scenario, world: int, *, layout: str = "csr"):
+def _loopback_reference(scenario: S.Scenario, world: int):
     def program(comm_obj, world_rank):
         comm = MPIBackend(N_RANKS, comm=comm_obj)
-        return S.replay(scenario, comm=comm, layout=layout)
+        return S.replay(scenario, comm=comm)
 
     return run_spmd(world, program)
 
@@ -296,7 +294,6 @@ def _loopback_drill(
     *,
     injector: FaultInjector,
     store: S.CheckpointStore | None = None,
-    layout: str = "csr",
 ):
     store = store if store is not None else S.CheckpointStore()
 
@@ -305,7 +302,6 @@ def _loopback_drill(
         return S.replay(
             scenario,
             comm=comm,
-            layout=layout,
             checkpoint_store=store,
             resume_from=store.latest(world_rank, S.scenario_fingerprint(scenario)),
             faults=injector,
@@ -392,7 +388,7 @@ def _placement_kill_drill(world: int, partitioner: str) -> None:
 
     def reference_program(comm_obj, world_rank):
         comm = MPIBackend(n_ranks, comm=comm_obj)
-        result = S.replay(base, comm=comm, layout="csr", partitioner=partitioner)
+        result = S.replay(base, comm=comm, partitioner=partitioner)
         return result, comm.placement()
 
     refs = run_spmd(world, reference_program)
@@ -408,7 +404,6 @@ def _placement_kill_drill(world: int, partitioner: str) -> None:
         result = S.replay(
             base,
             comm=comm,
-            layout="csr",
             partitioner=None if resume is not None else partitioner,
             checkpoint_store=store,
             resume_from=resume,

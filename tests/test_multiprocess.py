@@ -538,8 +538,8 @@ class TestNonSquareWorlds:
 
         scenario = SCENARIO_GENERATORS["grow_from_empty"](seed=2022)
         with pytest.warns(RuntimeWarning, match="surplus ranks"):
-            six = replay(scenario, backend="sim", n_ranks=6, layout="csr")
-        four = replay(scenario, backend="sim", n_ranks=4, layout="csr")
+            six = replay(scenario, backend="sim", n_ranks=6)
+        four = replay(scenario, backend="sim", n_ranks=4)
         assert np.array_equal(six.final_a[0], four.final_a[0])
         assert np.array_equal(six.final_a[2], four.final_a[2])
         assert six.comm_signature() == four.comm_signature()

@@ -4,12 +4,12 @@ Placement is a purely physical decision, so replaying a scenario under any
 registered :mod:`repro.runtime.partitioner` strategy must reproduce the
 round-robin/simulator outcome bit for bit — final tuples, applied-update
 counts and per-category logical communication volume.  The sweep mirrors
-the backend/layout differential matrix (`tests/test_scenarios_differential.py`)
-along a third axis:
+the backend differential matrix (`tests/test_scenarios_differential.py`)
+along a second axis:
 
 * ``replay(partitioner=...)`` across the ``sim`` and emulated ``mpi``
-  backends × both replay layouts (the name must be validated and honoured
-  everywhere, including backends with no placement surface), and
+  backends (the name must be validated and honoured everywhere, including
+  backends with no placement surface), and
 * the same argument across loopback worlds 1/2/3/4, where placements
   genuinely differ between strategies, installing exactly the strategy's
   map.  World 3 divides neither the 2x2 grid nor its four ranks, so
@@ -35,12 +35,7 @@ from repro.runtime import (
     verify_placement,
 )
 from repro.runtime.loopback import run_spmd
-from repro.scenarios import (
-    REPLAY_LAYOUTS,
-    SCENARIO_GENERATORS,
-    ScenarioResult,
-    replay,
-)
+from repro.scenarios import SCENARIO_GENERATORS, ScenarioResult, replay
 from repro.scenarios.engine import scenario_nnz_weights
 
 N_RANKS = 4
@@ -49,24 +44,20 @@ WORLD_SIZES = (1, 2, 3, 4)
 BACKENDS = ("sim", "mpi")
 PARTITIONERS = available_partitioners()
 
-#: scenarios of the loopback sweep: the skew-prone bursty R-MAT stream is
+#: scenarios of both sweeps: the skew-prone bursty R-MAT stream is
 #: where placements differ most; the multiply scenario adds product state
 SWEEP_SCENARIOS = ("bursty_skewed_stream", "mixed_update_multiply")
 
 
-def _reference(generator_name: str, layout: str) -> ScenarioResult:
+def _reference(generator_name: str) -> ScenarioResult:
     scenario = SCENARIO_GENERATORS[generator_name](seed=SEED)
-    return replay(scenario, backend="sim", n_ranks=N_RANKS, layout=layout)
+    return replay(scenario, backend="sim", n_ranks=N_RANKS)
 
 
 @pytest.fixture(scope="module")
-def references() -> dict[tuple[str, str], ScenarioResult]:
-    """Default-placement sim replays, one per (scenario, layout)."""
-    return {
-        (name, layout): _reference(name, layout)
-        for name in SWEEP_SCENARIOS
-        for layout in REPLAY_LAYOUTS
-    }
+def references() -> dict[str, ScenarioResult]:
+    """Default-placement sim replays, one per scenario."""
+    return {name: _reference(name) for name in SWEEP_SCENARIOS}
 
 
 def _assert_result_identical(result, ref, *, what: str) -> None:
@@ -82,29 +73,25 @@ def _assert_result_identical(result, ref, *, what: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# partitioner sweep: backends × layouts
+# partitioner sweep: backends
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("layout", REPLAY_LAYOUTS)
+@pytest.mark.parametrize("generator_name", SWEEP_SCENARIOS)
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 def test_selected_partitioner_is_byte_identical(
-    references, backend, layout, partitioner
+    references, backend, generator_name, partitioner
 ):
-    scenario = SCENARIO_GENERATORS["bursty_skewed_stream"](seed=SEED)
+    scenario = SCENARIO_GENERATORS[generator_name](seed=SEED)
     with warnings.catch_warnings():
         # the emulated-mpi backend warns once when mpi4py is absent
         warnings.simplefilter("ignore", RuntimeWarning)
         result = replay(
-            scenario,
-            backend=backend,
-            n_ranks=N_RANKS,
-            layout=layout,
-            partitioner=partitioner,
+            scenario, backend=backend, n_ranks=N_RANKS, partitioner=partitioner
         )
     _assert_result_identical(
         result,
-        references[("bursty_skewed_stream", layout)],
-        what=f"{partitioner}/{backend}/{layout}",
+        references[generator_name],
+        what=f"{partitioner}/{generator_name}/{backend}",
     )
 
 
@@ -117,12 +104,12 @@ def test_selected_partitioner_is_byte_identical(
 def test_loopback_worlds_are_byte_identical(
     references, generator_name, partitioner, world
 ):
-    ref = references[(generator_name, "csr")]
+    ref = references[generator_name]
     scenario = SCENARIO_GENERATORS[generator_name](seed=SEED)
 
     def program(comm_obj, world_rank):
         comm = MPIBackend(N_RANKS, comm=comm_obj)
-        result = replay(scenario, comm=comm, layout="csr", partitioner=partitioner)
+        result = replay(scenario, comm=comm, partitioner=partitioner)
         return result, comm.placement()
 
     results = run_spmd(world, program)
@@ -152,7 +139,7 @@ def test_partitioner_installs_its_placement(partitioner, world):
 
     def program(comm_obj, world_rank):
         comm = MPIBackend(N_RANKS, comm=comm_obj)
-        replay(scenario, comm=comm, layout="csr", partitioner=partitioner)
+        replay(scenario, comm=comm, partitioner=partitioner)
         return comm.placement()
 
     assert run_spmd(world, program) == [expected] * world

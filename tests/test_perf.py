@@ -195,7 +195,6 @@ def test_restore_traffic_charges_only_the_replaying_communicator(scenario, backe
 def _sample_run(**overrides):
     entry = bench_run_entry(
         backend="sim",
-        layout="csr",
         repeats=3,
         elapsed_seconds_median=0.25,
         counters={"dhb.insert.entries": 4096},
@@ -321,9 +320,9 @@ def test_compare_refuses_cross_figure_documents():
 def test_compare_reports_unmatched_runs():
     base = _sample_document()
     wider = _sample_document()
-    wider["runs"] = [_sample_run(), _sample_run(layout="dhb")]
+    wider["runs"] = [_sample_run(), _sample_run(backend="mpi")]
     report = compare_documents(base, wider)
-    assert report.unmatched_runs == ["sim/dhb"]
+    assert report.unmatched_runs == ["mpi"]
     assert not report.regressed
 
 
@@ -376,7 +375,6 @@ def _build(name: str) -> dict:
         figure,
         profile=get_profile("smoke"),
         backends=("sim",),
-        layouts=("csr",),
         repeats=1,
     )
 
@@ -415,7 +413,7 @@ def test_replay_figures_record_counters_and_comm():
         "strong@p4", "strong@p16", "weak@p4", "weak@p16"
     ]
     for run in runs:
-        assert (run["backend"], run["layout"]) == ("sim", "csr")
+        assert run["backend"] == "sim"
         assert run["counters"]["dhb.insert.entries"] > 0
         categories = run["comm_categories"]
         assert run["comm"]["bytes"] == sum(c["bytes"] for c in categories.values())
@@ -454,14 +452,14 @@ def test_recorded_cell_reports_world_comm_under_loopback(monkeypatch):
 
 
 def test_run_suite_cli_writes_and_rejects(tmp_path, capsys):
-    argv = ["--backends", "sim", "--layouts", "csr", "--repeats", "1"]
+    argv = ["--backends", "sim", "--repeats", "1"]
     out = ["--out", str(tmp_path)]
     assert bench_runner.main(["--figs", "fig08", "--smoke", *argv, *out]) == 0
     with open(tmp_path / "BENCH_fig08.json", "r", encoding="utf-8") as handle:
         validate_bench(json.load(handle))
     table = capsys.readouterr().out.splitlines()
-    assert table[0].split() == ["tag", "variant", "backend", "layout", "median", "s"]
-    assert table[1].split()[:4] == ["strong@p4", "-", "sim", "csr"]
+    assert table[0].split() == ["tag", "variant", "backend", "median", "s"]
+    assert table[1].split()[:3] == ["strong@p4", "-", "sim"]
     # the table splits each tag from its variant, and lists the claims last
     service = bench_figures.FIGURES["service"]
     table = bench_runner.format_runs(service, _document("service")).splitlines()
@@ -471,14 +469,6 @@ def test_run_suite_cli_writes_and_rejects(tmp_path, capsys):
         assert bench_runner.main([*bad, *out]) == 2
         assert "error:" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["BENCH_fig08.json"]
-
-
-def test_run_suite_rejects_unknown_layouts_before_measuring(tmp_path, capsys):
-    out = ["--out", str(tmp_path)]
-    for bad in (["--figs", "table1", "--layouts", "bogus"], ["--layouts", "csr,coo"]):
-        assert bench_runner.main([*bad, *out]) == 2
-        assert "error: unknown layout" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
 
 
 # ----------------------------------------------------------------------
@@ -500,13 +490,13 @@ def test_every_claim_holds_on_the_smoke_documents(name, index):
 
 
 def _stub_figure(*claims, calls=None):
-    """One cell, ``t`` of variant ``a`` on ``sim``/``csr``: 1 s, no traffic."""
+    """One cell, ``t`` of variant ``a`` on ``sim``: 1 s, no traffic."""
 
     def plan(ctx):
         if calls is not None:
             calls.append(ctx)
         sample = bench_figures.Sample([1.0], {}, {"messages": 0, "bytes": 0})
-        return [bench_figures.Cell(lambda: sample, "sim", "csr", "t", "a")], dict
+        return [bench_figures.Cell(lambda: sample, "sim", "t", "a")], dict
 
     return bench_figures.Figure(
         "stub", "stub", plan, repeats=1, recorded=False, variants=("a",), claims=claims
@@ -519,7 +509,7 @@ def _claim(test, kind="count", **where):
 
 def _build_stub(figure, backends=("sim",)):
     return bench_runner.build_document(
-        figure, profile=get_profile("smoke"), backends=backends, layouts=("csr",)
+        figure, profile=get_profile("smoke"), backends=backends
     )
 
 
@@ -668,7 +658,7 @@ def test_summa_crossover_matches_the_seeded_update_sizes():
 
 
 def test_compare_distinguishes_scenario_tagged_runs():
-    """Same-layout runs of different scenarios must not collapse onto one
+    """Same-backend runs of different scenarios must not collapse onto one
     comparison key — a regression in the *first* scenario run is caught."""
 
     def doc(first_elapsed):
@@ -676,7 +666,6 @@ def test_compare_distinguishes_scenario_tagged_runs():
         for name, elapsed in (("alpha", first_elapsed), ("beta", 1.0)):
             run = bench_run_entry(
                 backend="sim",
-                layout="csr",
                 repeats=1,
                 elapsed_seconds_median=elapsed,
                 counters={},

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -169,12 +168,6 @@ class TestReplay:
         scenario = Scenario(name="s", shape=(8, 8), steps=steps)
         result = replay(scenario, backend="sim", n_ranks=4, check_snapshots=False)
         assert result.final_a[0].size == 2
-
-    @pytest.mark.parametrize("layout", ["bogus", "coo", "dcsr"])
-    def test_invalid_layout_rejected(self, layout):
-        scenario = grow_from_empty(seed=0)
-        with pytest.raises(ValueError, match=re.escape("('csr', 'dhb')")):
-            replay(scenario, backend="sim", n_ranks=4, layout=layout)
 
     def test_unsupported_operation_truncates(self):
         """PETSc cannot delete: the replay truncates at the delete step."""

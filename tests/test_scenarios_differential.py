@@ -1,9 +1,8 @@
 """Cross-backend differential harness for the scenario library.
 
 Every generator-library scenario is replayed on the ``sim`` backend and on
-the (emulated) ``mpi`` backend, across **both** replay layouts of the
-static right-hand operand (CSR, DHB).  For each (scenario, layout) pair
-the two backends must produce
+the (emulated) ``mpi`` backend, on the 2x2, 3x3 and 4x4 process grids.  For
+each (scenario, grid) pair the two backends must produce
 
 * bit-identical final tuples of the maintained matrix ``A`` (and of the
   maintained product ``C`` where the scenario multiplies),
@@ -12,12 +11,11 @@ the two backends must produce
 * byte-identical application query payloads (triangle counts, SSSP
   distance tuples, contracted-graph COO) for the app-scenario legs.
 
-Layouts must additionally agree with each other on the final state
-(structurally identical, values up to float round-off from different
-accumulation orders).
+The grid is a physical choice, so the two grids must additionally agree
+with each other byte for byte on everything but the communication.
 
 Set ``REPRO_SCENARIO_STATS_DIR`` to a directory to dump one JSON file of
-per-scenario comm statistics per (scenario, layout, backend) — the CI
+per-scenario comm statistics per (scenario, backend, grid) — the CI
 matrix job uploads these as artifacts.
 """
 
@@ -33,17 +31,16 @@ import pytest
 
 from repro.runtime import MPIBackend, backend_switch, world_rank, world_size
 from repro.runtime.loopback import run_spmd
-from repro.scenarios import (
-    REPLAY_LAYOUTS,
-    SCENARIO_GENERATORS,
-    ScenarioResult,
-    replay,
-)
+from repro.scenarios import SCENARIO_GENERATORS, ScenarioResult, replay
 
 N_RANKS = 4
+#: process-grid sizes of the differential matrix: 2x2, 3x3 and 4x4.  The
+#: 3x3 grid's side divides neither 64, 40 nor 28, so on most scenarios its
+#: blocks differ in shape from rank to rank.
+GRID_SIZES = (N_RANKS, 9, 16)
 SEED = 2022
 #: Both backends are always replayed; REPRO_BACKEND selects which one
-#: leads as the reference leg of the cross-layout comparisons.
+#: leads as the reference leg.
 _PREFERRED = backend_switch()
 BACKENDS = (_PREFERRED, "mpi" if _PREFERRED == "sim" else "sim")
 REFERENCE = BACKENDS[0]
@@ -68,29 +65,29 @@ def _dump_stats(result: ScenarioResult) -> None:
     if out is None:
         return
     out.mkdir(parents=True, exist_ok=True)
-    name = f"{result.scenario}-{result.layout}-{result.backend}.json"
+    name = f"{result.scenario}-{result.backend}-p{result.n_ranks}.json"
     (out / name).write_text(json.dumps(result.as_dict(), indent=2, default=float))
 
 
-def _replay(generator_name: str, backend: str, layout: str) -> ScenarioResult:
+def _replay(generator_name: str, backend: str, n_ranks: int = N_RANKS) -> ScenarioResult:
     scenario = SCENARIO_GENERATORS[generator_name](seed=SEED)
     with warnings.catch_warnings():
         # the emulated-mpi backend warns once when mpi4py is absent
         warnings.simplefilter("ignore", RuntimeWarning)
-        result = replay(scenario, backend=backend, n_ranks=N_RANKS, layout=layout)
+        result = replay(scenario, backend=backend, n_ranks=n_ranks)
     _dump_stats(result)
     return result
 
 
 @pytest.fixture(scope="module")
-def results() -> dict[tuple[str, str, str], ScenarioResult]:
-    """Every (generator, backend, layout) replay, computed once."""
-    out: dict[tuple[str, str, str], ScenarioResult] = {}
-    for name in SCENARIO_GENERATORS:
-        for backend in BACKENDS:
-            for layout in REPLAY_LAYOUTS:
-                out[(name, backend, layout)] = _replay(name, backend, layout)
-    return out
+def results() -> dict[tuple[str, str, int], ScenarioResult]:
+    """Every (generator, backend, grid size) replay, computed once."""
+    return {
+        (name, backend, p): _replay(name, backend, p)
+        for name in SCENARIO_GENERATORS
+        for backend in BACKENDS
+        for p in GRID_SIZES
+    }
 
 
 def _assert_tuples_identical(a, b, *, what: str) -> None:
@@ -112,83 +109,87 @@ def _assert_app_results_identical(a, b, *, what: str) -> None:
             assert got.payload == want.payload, f"{what}: {got.label}"
 
 
-@pytest.mark.parametrize("layout", REPLAY_LAYOUTS)
+@pytest.mark.parametrize("p", GRID_SIZES)
 @pytest.mark.parametrize("generator_name", sorted(SCENARIO_GENERATORS))
 class TestCrossBackend:
-    def test_final_tuples_identical(self, results, generator_name, layout):
-        sim = results[(generator_name, "sim", layout)]
-        mpi = results[(generator_name, "mpi", layout)]
+    def test_final_tuples_identical(self, results, generator_name, p):
+        sim = results[(generator_name, "sim", p)]
+        mpi = results[(generator_name, "mpi", p)]
         assert sim.final_a[0].size > 0, "scenario must leave a non-empty matrix"
         _assert_tuples_identical(
-            sim.final_a, mpi.final_a, what=f"{generator_name}/{layout}: A"
+            sim.final_a, mpi.final_a, what=f"{generator_name}/p={p}: A"
         )
         assert (sim.final_c is None) == (mpi.final_c is None)
         if sim.final_c is not None:
             _assert_tuples_identical(
-                sim.final_c, mpi.final_c, what=f"{generator_name}/{layout}: C"
+                sim.final_c, mpi.final_c, what=f"{generator_name}/p={p}: C"
             )
 
-    def test_applied_counts_identical(self, results, generator_name, layout):
-        sim = results[(generator_name, "sim", layout)]
-        mpi = results[(generator_name, "mpi", layout)]
+    def test_applied_counts_identical(self, results, generator_name, p):
+        sim = results[(generator_name, "sim", p)]
+        mpi = results[(generator_name, "mpi", p)]
         assert sim.truncated_at is None and mpi.truncated_at is None
         assert sim.applied_counts == mpi.applied_counts
         per_step_sim = [(s.kind, s.n_tuples, s.applied) for s in sim.steps]
         per_step_mpi = [(s.kind, s.n_tuples, s.applied) for s in mpi.steps]
         assert per_step_sim == per_step_mpi
 
-    def test_comm_volume_identical(self, results, generator_name, layout):
-        sim = results[(generator_name, "sim", layout)]
-        mpi = results[(generator_name, "mpi", layout)]
+    def test_comm_volume_identical(self, results, generator_name, p):
+        sim = results[(generator_name, "sim", p)]
+        mpi = results[(generator_name, "mpi", p)]
         assert sim.comm_signature() == mpi.comm_signature()
         assert sim.total_comm_bytes() > 0, "scenarios must actually communicate"
         per_step_sim = [(s.comm_messages, s.comm_bytes) for s in sim.steps]
         per_step_mpi = [(s.comm_messages, s.comm_bytes) for s in mpi.steps]
         assert per_step_sim == per_step_mpi
 
-    def test_app_query_results_identical(self, results, generator_name, layout):
-        sim = results[(generator_name, "sim", layout)]
-        mpi = results[(generator_name, "mpi", layout)]
+    def test_app_query_results_identical(self, results, generator_name, p):
+        sim = results[(generator_name, "sim", p)]
+        mpi = results[(generator_name, "mpi", p)]
         _assert_app_results_identical(
             sim.app_results,
             mpi.app_results,
-            what=f"{generator_name}/{layout}",
+            what=f"{generator_name}/p={p}",
         )
 
 
+@pytest.mark.parametrize("p", GRID_SIZES[1:])
 @pytest.mark.parametrize("generator_name", sorted(SCENARIO_GENERATORS))
-class TestCrossLayout:
-    def test_layouts_agree_on_final_state(self, results, generator_name):
-        reference = results[(generator_name, REFERENCE, REPLAY_LAYOUTS[0])]
-        for layout in REPLAY_LAYOUTS[1:]:
-            other = results[(generator_name, REFERENCE, layout)]
-            assert np.array_equal(reference.final_a[0], other.final_a[0])
-            assert np.array_equal(reference.final_a[1], other.final_a[1])
-            # different layouts may accumulate in different orders
-            assert np.allclose(reference.final_a[2], other.final_a[2], rtol=1e-9)
-            if reference.final_c is not None:
-                assert other.final_c is not None
-                assert np.array_equal(reference.final_c[0], other.final_c[0])
-                assert np.array_equal(reference.final_c[1], other.final_c[1])
-                assert np.allclose(
-                    reference.final_c[2], other.final_c[2], rtol=1e-9
-                )
+class TestCrossGrid:
+    """The 3x3 and the 4x4 grid replay every scenario to the 2x2 grid's
+    state: the grid moves blocks between ranks, never an entry, a count or
+    an answer."""
 
-    def test_applied_counts_agree_across_layouts(self, results, generator_name):
-        reference = results[(generator_name, REFERENCE, REPLAY_LAYOUTS[0])]
-        for layout in REPLAY_LAYOUTS[1:]:
-            other = results[(generator_name, REFERENCE, layout)]
-            assert reference.applied_counts == other.applied_counts
+    def _pair(self, results, generator_name, p):
+        return (
+            results[(generator_name, REFERENCE, N_RANKS)],
+            results[(generator_name, REFERENCE, p)],
+        )
 
-    def test_app_results_agree_across_layouts(self, results, generator_name):
-        reference = results[(generator_name, REFERENCE, REPLAY_LAYOUTS[0])]
-        for layout in REPLAY_LAYOUTS[1:]:
-            other = results[(generator_name, REFERENCE, layout)]
-            _assert_app_results_identical(
-                reference.app_results,
-                other.app_results,
-                what=f"{generator_name}/{layout}",
+    def test_grids_agree_on_final_state(self, results, generator_name, p):
+        small, large = self._pair(results, generator_name, p)
+        _assert_tuples_identical(
+            small.final_a, large.final_a, what=f"{generator_name}/p={p}: A"
+        )
+        assert (small.final_c is None) == (large.final_c is None)
+        if small.final_c is not None:
+            _assert_tuples_identical(
+                small.final_c, large.final_c, what=f"{generator_name}/p={p}: C"
             )
+
+    def test_applied_counts_agree_across_grids(self, results, generator_name, p):
+        small, large = self._pair(results, generator_name, p)
+        assert small.truncated_at is None and large.truncated_at is None
+        assert small.applied_counts == large.applied_counts
+        per_step_small = [(s.kind, s.n_tuples, s.applied) for s in small.steps]
+        per_step_large = [(s.kind, s.n_tuples, s.applied) for s in large.steps]
+        assert per_step_small == per_step_large
+
+    def test_app_results_agree_across_grids(self, results, generator_name, p):
+        small, large = self._pair(results, generator_name, p)
+        _assert_app_results_identical(
+            small.app_results, large.app_results, what=f"{generator_name}/p={p}"
+        )
 
 
 @pytest.mark.parametrize("world", WORLD_SIZES)
@@ -209,12 +210,12 @@ def test_multiprocess_worlds_match_sim(results, generator_name, world):
     final tuples, applied counts, per-category comm volume and application
     query payloads (triangle counts, SSSP distance tuples, contracted-graph
     COO)."""
-    ref = results[(generator_name, "sim", "csr")]
+    ref = results[(generator_name, "sim", N_RANKS)]
     scenario = SCENARIO_GENERATORS[generator_name](seed=SEED)
 
     def program(comm_obj, world_rank):
         comm = MPIBackend(N_RANKS, comm=comm_obj)
-        return replay(scenario, comm=comm, layout="csr")
+        return replay(scenario, comm=comm)
 
     for result in run_spmd(world, program):
         _assert_tuples_identical(
@@ -237,7 +238,7 @@ def test_multiprocess_worlds_match_sim(results, generator_name, world):
 #: Exact per-category ``(messages, bytes)`` of every generator at p=4
 #: (seed 2022).  These were recorded from the blocking schedule that the
 #: pipelines replaced; it and the pipelines gave the same numbers on both
-#: backends and every layout.  The pipelines must keep posting exactly the
+#: backends.  The pipelines must keep posting exactly the
 #: same traffic.  ``road_churn_sssp`` (Algorithm 2) is pinned with the
 #: ``C*`` pattern shipped without values: 24 B per reduced step-1 entry and
 #: 16 B per broadcast step-5 mask entry.
@@ -282,23 +283,25 @@ def test_pinned_signatures_cover_the_library():
     assert set(PINNED_SIGNATURES_P4) == set(SCENARIO_GENERATORS)
 
 
-@pytest.mark.parametrize("layout", REPLAY_LAYOUTS)
 @pytest.mark.parametrize("generator_name", sorted(PINNED_SIGNATURES_P4))
-def test_pinned_comm_signature_p4(results, generator_name, layout):
+def test_pinned_comm_signature_p4(results, generator_name):
     for backend in BACKENDS:
-        result = results[(generator_name, backend, layout)]
+        result = results[(generator_name, backend, 4)]
         assert result.comm_signature() == PINNED_SIGNATURES_P4[generator_name], (
-            f"{generator_name}/{backend}/{layout}"
+            f"{generator_name}/{backend}"
         )
 
 
 #: Exact per-category ``(messages, bytes)`` of the one communication
-#: schedule at p=16 (seed 2022, sim, csr): the pipelined redistribution,
-#: SUMMA, Algorithm 1's per-term census skips and Algorithm 2's gated
-#: ``A^R``/``C*`` broadcasts.  A rescheduling that changes what is posted
-#: changes these numbers.
+#: schedule at p=16 (seed 2022, both backends): the pipelined
+#: redistribution, SUMMA, Algorithm 1's per-term census skips and
+#: Algorithm 2's gated ``A^R``/``C*`` broadcasts.  A rescheduling that
+#: changes what is posted changes these numbers.
 PINNED_SIGNATURES_P16 = {
+    "bursty_skewed_stream": {"redist_comm": (298, 13464)},
+    "dhb_bucket_collision_stream": {"redist_comm": (314, 10224)},
     "grow_from_empty": {"redist_comm": (336, 11736)},
+    "hotspot_vertex_stream": {"redist_comm": (241, 8328)},
     "mixed_update_multiply": {
         "bcast": (171, 14760),
         "redist_comm": (262, 12072),
@@ -319,14 +322,30 @@ PINNED_SIGNATURES_P16 = {
         "redist_comm": (194, 6792),
         "send_recv": (36, 4608),
     },
+    "oscillating_insert_delete": {"redist_comm": (496, 15936)},
+    "sliding_window": {"redist_comm": (526, 15552)},
+    "social_triangle_stream": {
+        "bcast": (276, 31872),
+        "redist_comm": (173, 6288),
+        "reduce_scatter": (392, 26400),
+        "scatter": (330, 26088),
+        "send_recv": (96, 10912),
+    },
+    "steady_state_churn": {"redist_comm": (591, 20496)},
 }
 
 
+def test_pinned_signatures_p16_cover_the_library():
+    assert set(PINNED_SIGNATURES_P16) == set(SCENARIO_GENERATORS)
+
+
 @pytest.mark.parametrize("generator_name", sorted(PINNED_SIGNATURES_P16))
-def test_pinned_comm_signature_p16(generator_name):
-    scenario = SCENARIO_GENERATORS[generator_name](seed=SEED)
-    result = replay(scenario, backend="sim", n_ranks=16, layout="csr")
-    assert result.comm_signature() == PINNED_SIGNATURES_P16[generator_name]
+def test_pinned_comm_signature_p16(results, generator_name):
+    for backend in BACKENDS:
+        result = results[(generator_name, backend, 16)]
+        assert result.comm_signature() == PINNED_SIGNATURES_P16[generator_name], (
+            f"{generator_name}/{backend}"
+        )
 
 
 @pytest.mark.skipif(
@@ -354,7 +373,7 @@ def test_app_scenarios_record_query_results(results):
         "multilevel_contraction": "contract",
     }
     for name, kind in expected.items():
-        result = results[(name, REFERENCE, "csr")]
+        result = results[(name, REFERENCE, N_RANKS)]
         kinds = {r.kind for r in result.app_results}
         assert kind in kinds, name
         assert result.truncated_at is None
@@ -363,15 +382,15 @@ def test_app_scenarios_record_query_results(results):
 def test_snapshot_checks_ran(results):
     """Every library scenario carries active snapshot checks."""
     for name in SCENARIO_GENERATORS:
-        result = results[(name, REFERENCE, "csr")]
+        result = results[(name, REFERENCE, N_RANKS)]
         assert any(s.kind == "snapshot" for s in result.steps), name
 
 
 def test_stats_dump_round_trip(tmp_path, monkeypatch):
     """The CI artifact dump produces valid JSON with the comm signature."""
     monkeypatch.setenv("REPRO_SCENARIO_STATS_DIR", str(tmp_path))
-    result = _replay("grow_from_empty", "sim", "csr")
-    path = _stats_dir() / "grow_from_empty-csr-sim.json"
+    result = _replay("grow_from_empty", "sim")
+    path = _stats_dir() / "grow_from_empty-sim-p4.json"
     payload = json.loads(path.read_text())
     assert payload["scenario"] == "grow_from_empty"
     assert payload["comm_signature"]

@@ -164,21 +164,22 @@ class TestCoalesce:
 class TestReplayOptions:
     def test_kwargs_and_options_are_equivalent(self):
         scenario = steady_state_churn(seed=5)
-        by_kwargs = replay(scenario, backend="sim", n_ranks=4, layout="dhb")
+        by_kwargs = replay(scenario, backend="sim", n_ranks=4, partitioner="nnz_aware")
         by_options = replay(
-            scenario, options=ReplayOptions(backend="sim", n_ranks=4, layout="dhb")
+            scenario,
+            options=ReplayOptions(backend="sim", n_ranks=4, partitioner="nnz_aware"),
         )
         assert by_kwargs.comm_signature() == by_options.comm_signature()
         assert np.array_equal(by_kwargs.final_a[0], by_options.final_a[0])
         assert np.array_equal(by_kwargs.final_a[2], by_options.final_a[2])
 
     def test_kwargs_override_options_without_mutating_them(self):
-        options = ReplayOptions(backend="sim", layout="csr", n_ranks=4)
-        result = replay(steady_state_churn(seed=5), options, layout="dhb")
-        assert (result.layout, result.n_ranks) == ("dhb", 4)
-        assert options.layout == "csr"
+        options = ReplayOptions(backend="sim", n_ranks=16)
+        result = replay(steady_state_churn(seed=5), options, n_ranks=4)
+        assert (result.backend, result.n_ranks) == ("sim", 4)
+        assert options.n_ranks == 16
 
-    @pytest.mark.parametrize("keyword", ["lyout", "n_rank", "backend_name"])
+    @pytest.mark.parametrize("keyword", ["lyout", "layout", "n_rank", "backend_name"])
     def test_keyword_that_is_not_a_field_raises(self, keyword):
         """A misspelt keyword must fail, not run the defaults silently."""
         with pytest.raises(TypeError, match=keyword):
@@ -199,8 +200,8 @@ class TestReplayOptions:
         with pytest.raises(ValueError, match=f"on_crash policy '{policy}'"):
             ReplayOptions(on_crash=policy).validate()
 
-    def test_options_have_twelve_fields(self):
-        assert len(dataclasses.fields(ReplayOptions)) == 12
+    def test_options_have_eleven_fields(self):
+        assert len(dataclasses.fields(ReplayOptions)) == 11
 
 
 # ---------------------------------------------------------------------------

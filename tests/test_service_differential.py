@@ -14,8 +14,7 @@ byte-identically:
 * per-category communication volume (messages and bytes) — possible
   because mid-trace result sampling uses only the uncharged control plane.
 
-Legs: ``sim`` and (emulated) ``mpi`` across both replay layouts, application
-tenants, and threaded loopback worlds of size 1, 2 and 4 where the service
+Legs: ``sim`` and (emulated) ``mpi``, application tenants, and threaded loopback worlds of size 1, 2 and 4 where the service
 and the cold replay share one persistent multi-process world.  Under
 ``mpiexec`` the world legs run on the genuine ``MPI.COMM_WORLD``.
 """
@@ -32,7 +31,6 @@ from repro.runtime import ServiceWorld, world_size
 from repro.runtime.loopback import run_spmd
 from repro.scenarios import (
     AppSpec,
-    REPLAY_LAYOUTS,
     ReplayOptions,
     Scenario,
     ScenarioResult,
@@ -52,10 +50,8 @@ def _quiet_replay(log: Scenario, options: ReplayOptions, comm=None) -> ScenarioR
         return replay(log, options=options, comm=comm)
 
 
-def _service(backend: str, layout: str = "csr", **kwargs) -> GraphService:
-    config = ServiceConfig(
-        replay=ReplayOptions(n_ranks=4, layout=layout), flush_max_requests=3
-    )
+def _service(backend: str, **kwargs) -> GraphService:
+    config = ServiceConfig(replay=ReplayOptions(n_ranks=4), flush_max_requests=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return GraphService(backend=backend, config=config, **kwargs)
@@ -122,14 +118,13 @@ def _mixed_workload(tenant: GraphTenant, *, seed: int, rounds: int = 4) -> None:
 
 
 # ---------------------------------------------------------------------------
-# backend × layout sweep with mid-trace sampling
+# backend sweep with mid-trace sampling
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("layout", REPLAY_LAYOUTS)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_service_matches_cold_replay(backend, layout):
-    with _service(backend, layout) as service:
+def test_service_matches_cold_replay(backend):
+    with _service(backend) as service:
         tenant = service.create_tenant("oracle", (N, N), seed=SEED)
-        what = f"{backend}/{layout}"
+        what = backend
         # sampled flush points: after each workload phase, not only at the end
         _mixed_workload(tenant, seed=101, rounds=2)
         first = _sample_oracle(tenant, what=f"{what}@phase1")
@@ -144,7 +139,7 @@ def test_service_matches_cold_replay(backend, layout):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_sssp_tenant_matches_cold_replay(backend):
-    with _service(backend, "csr") as service:
+    with _service(backend) as service:
         tenant = service.create_tenant(
             "roads",
             (N, N),
@@ -168,7 +163,7 @@ def test_sssp_tenant_matches_cold_replay(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_triangle_tenant_matches_cold_replay(backend):
-    with _service(backend, "dhb") as service:
+    with _service(backend) as service:
         tenant = service.create_tenant(
             "social", (N, N), seed=SEED, app=AppSpec(name="triangle")
         )
@@ -211,9 +206,7 @@ def _world_program(comm_obj, world_rank):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         world = ServiceWorld("mpi", comm=comm_obj)
-        config = ServiceConfig(
-            replay=ReplayOptions(n_ranks=4, layout="csr"), flush_max_requests=3
-        )
+        config = ServiceConfig(replay=ReplayOptions(n_ranks=4), flush_max_requests=3)
         with GraphService(world, config=config) as service:
             tenant = service.create_tenant("shared-world", (N, N), seed=SEED)
             _mixed_workload(tenant, seed=77, rounds=2)

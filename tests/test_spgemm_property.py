@@ -478,7 +478,7 @@ class TestGeneralModeReplayMatchesReference:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_KERNELS, "_esc", kernel)
-            result = replay(self._scenario(), backend="sim", n_ranks=self.N_RANKS, layout="dhb")
+            result = replay(self._scenario(), backend="sim", n_ranks=self.N_RANKS)
         assert {"plain", "masked"} <= set(calls), "the reference must stand in"
         return result
 
@@ -492,7 +492,7 @@ class TestGeneralModeReplayMatchesReference:
     @pytest.mark.parametrize("backend", ["sim", "mpi"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_esc_matches_reference_kernel(self, reference, backend):
-        got = replay(self._scenario(), backend=backend, n_ranks=self.N_RANKS, layout="dhb")
+        got = replay(self._scenario(), backend=backend, n_ranks=self.N_RANKS)
         self._assert_matches(reference, got, what=f"esc@{backend}")
 
     @pytest.mark.parametrize("world", [1, 2, 4])
@@ -501,7 +501,7 @@ class TestGeneralModeReplayMatchesReference:
 
         def program(comm_obj, world_rank):
             comm = MPIBackend(self.N_RANKS, comm=comm_obj)
-            return replay(scenario, comm=comm, layout="dhb")
+            return replay(scenario, comm=comm)
 
         for result in run_spmd(world, program):
             self._assert_matches(reference, result, what=f"esc@world={world}")

@@ -60,13 +60,7 @@ def _replay(scenario, args, **kwargs):
     with warnings.catch_warnings():
         # the emulated-mpi fallback warns once when mpi4py is absent
         warnings.simplefilter("ignore", RuntimeWarning)
-        return replay(
-            scenario,
-            backend="mpi",
-            n_ranks=args.n_ranks,
-            layout=args.layout,
-            **kwargs,
-        )
+        return replay(scenario, backend="mpi", n_ranks=args.n_ranks, **kwargs)
 
 
 def _stored(args: argparse.Namespace, trace):
@@ -130,7 +124,6 @@ def main(argv: list[str] | None = None) -> int:
         "--store", required=True, help="durable snapshot directory shared by both jobs"
     )
     parser.add_argument("--seed", type=int, default=2022, help="scenario seed")
-    parser.add_argument("--layout", default="dhb", help="local layout (default dhb)")
     parser.add_argument(
         "--n-ranks", type=int, default=4, help="logical rank count (default 4)"
     )
